@@ -5,6 +5,11 @@ topologically ordered by construction.  ``backward`` walks that list in
 reverse and accumulates exact gradients, summing over fan-out.  All values
 are float64 and every op is deterministic, so identical inputs give
 bitwise-identical forward and backward results.
+
+Every tensor points at its tape and the tape lists every tensor, so a tape
+is a reference cycle.  Use it as a context manager to drop the node list on
+exit: the tensors are then freed as soon as the caller lets go of them,
+without waiting for a garbage-collector pass.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ class ShapeError(ValueError):
 class Tensor:
     """A node in the computation graph: cached values plus backward hooks."""
 
-    __slots__ = ("values", "grad", "parents", "op", "tape", "requires_grad", "_bwd")
+    __slots__ = ("values", "grad", "parents", "op", "tape", "requires_grad", "_bwd", "__weakref__")
 
     def __init__(self, values, tape, parents=(), op="leaf", requires_grad=False, bwd=None):
         self.values = np.asarray(values, dtype=np.float64)
@@ -37,9 +42,11 @@ class Tensor:
         return self.values.shape
 
     def accumulate(self, g: np.ndarray) -> None:
+        # ``g`` may alias another node's array, so it is never updated in place
         if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        self.grad += g
+            self.grad = g
+        else:
+            self.grad = self.grad + g
 
     # Operator sugar; every overload routes through the module-level ops so
     # recording happens in exactly one place.
@@ -94,6 +101,12 @@ class Tape:
     def const(self, values) -> Tensor:
         """A non-differentiable leaf."""
         return self._record(Tensor(values, self, op="const"))
+
+    def __enter__(self) -> "Tape":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.nodes.clear()
 
 
 def backward(tape: Tape, out: Tensor) -> None:
@@ -261,14 +274,58 @@ def tanh(a: Tensor) -> Tensor:
     return _make("tanh", out_values, (a,), bwd)
 
 
+def leaky_relu_mask(z: np.ndarray, slope: float) -> np.ndarray:
+    """The leaky-ReLU derivative: 1 where ``z >= 0``, else ``slope``."""
+    return (z >= 0.0) * (1.0 - slope) + slope
+
+
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    mask = np.where(a.values >= 0.0, 1.0, slope)
+    mask = leaky_relu_mask(a.values, slope)
 
     def bwd(g):
         if a.requires_grad:
             a.accumulate(g * mask)
 
     return _make("leaky_relu", a.values * mask, (a,), bwd)
+
+
+def linear(x, w, b, act: str = "linear", slope: float = 0.2) -> tuple[Tensor, Optional[np.ndarray]]:
+    """Dense layer ``act(x @ w + b)`` as one node; ``act`` is tanh, lrelu or linear.
+
+    Returns the output and, for lrelu, its derivative mask (None otherwise),
+    which input gradients built as tape ops reuse.
+    """
+    tape = _tape_of(x, w, b)
+    x, w, b = _wrap(x, tape), _wrap(w, tape), _wrap(b, tape)
+    if (x.values.ndim != 2 or w.values.ndim != 2 or x.values.shape[1] != w.values.shape[0]
+            or b.values.shape != w.values.shape[1:]):
+        raise ShapeError(f"linear shapes disagree: x {x.values.shape}, w {w.values.shape}, "
+                         f"b {b.values.shape}")
+    z = x.values @ w.values + b.values
+    mask = None
+    if act == "tanh":
+        out_values = np.tanh(z)
+    elif act == "lrelu":
+        mask = leaky_relu_mask(z, slope)
+        out_values = z * mask
+    elif act == "linear":
+        out_values = z
+    else:
+        raise ValueError(f"unknown activation {act!r}")
+
+    def bwd(g):
+        if act == "tanh":
+            g = g * (1.0 - out_values * out_values)
+        elif mask is not None:
+            g = g * mask
+        if x.requires_grad:
+            x.accumulate(g @ w.values.T)
+        if w.requires_grad:
+            w.accumulate(x.values.T @ g)
+        if b.requires_grad:
+            b.accumulate(g.sum(axis=0))
+
+    return _make("linear", out_values, (x, w, b), bwd), mask
 
 
 def square(a: Tensor) -> Tensor:
@@ -344,13 +401,25 @@ def transpose2d(a: Tensor) -> Tensor:
     return swapaxes(a, 0, 1)
 
 
+def _is_basic_index(key) -> bool:
+    """True for ints, slices, ``...`` and ``None``: each element is picked at most once."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(k is None or k is Ellipsis or isinstance(k, slice)
+               or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+               for k in parts)
+
+
 def getitem(a: Tensor, key) -> Tensor:
     out_values = a.values[key]
+    basic = _is_basic_index(key)
 
     def bwd(g):
         if a.requires_grad:
             full = np.zeros_like(a.values)
-            np.add.at(full, key, g)
+            if basic:
+                full[key] = g
+            else:
+                np.add.at(full, key, g)
             a.accumulate(full)
 
     return _make("getitem", out_values, (a,), bwd)

@@ -387,7 +387,8 @@ def run_cli(argv) -> int:
         return EXIT_USAGE
     try:
         return args.fn(args)
-    except (ValueError, OSError, DepthViolationError, ds.DatasetParseError) as exc:
+    except (ValueError, OSError, DepthViolationError, ds.DatasetParseError,
+            gan.TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

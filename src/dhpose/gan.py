@@ -578,18 +578,24 @@ def motion_penalty(critic: MotionCritic, streams: dict, alpha: float, tape: Tape
 
 
 def discriminate_single(critic: FrameCritic, pose3d, pose2d_norm, cosines) -> np.ndarray:
-    """Deterministic frame-critic scores, (B,), numpy in and out."""
-    tape = Tape()
-    b = np.asarray(pose3d).reshape(len(np.asarray(pose3d)), -1)
-    score, _ = frame_score(critic, b, cosines, np.asarray(pose2d_norm).reshape(b.shape[0], -1), tape)
-    return score.values[:, 0]
+    """Deterministic frame-critic scores, (B,), numpy in and out (no tape)."""
+    x3d = np.asarray(pose3d).reshape(len(np.asarray(pose3d)), -1)
+    x2d = np.asarray(pose2d_norm).reshape(x3d.shape[0], -1)
+    h = np.concatenate([nn.mlp_eval(critic.enc3d, x3d), nn.mlp_eval(critic.enc_cos, cosines),
+                        nn.mlp_eval(critic.enc2d, x2d)], axis=1)
+    return nn.mlp_eval(critic.head, h)[:, 0]
 
 
 def discriminate_motion(critic: MotionCritic, streams: dict) -> np.ndarray:
-    """Deterministic motion-critic scores, (B,)."""
-    tape = Tape()
-    score, _ = motion_score(critic, streams, tape)
-    return score.values[:, 0]
+    """Deterministic motion-critic scores, (B,), numpy in and out (no tape)."""
+    total = None
+    for (_, enc_seq, enc_diff, head), (k_seq, k_diff) in zip(
+            critic.branches(), (("seq3d", "diff3d"), ("cosseq", "cosdiff"), ("seq2d", "root2d"))):
+        h = np.concatenate([nn.mlp_eval(enc_seq, streams[k_seq]),
+                            nn.mlp_eval(enc_diff, streams[k_diff])], axis=1)
+        s = nn.mlp_eval(head, h)[:, 0]
+        total = s if total is None else total + s
+    return total
 
 
 # --------------------------------------------------------------------------
@@ -781,41 +787,38 @@ def _fake_minibatch(state: TrainState, batch: int, pairs: AdjacentBonePairs,
 
 def critic_update(state: TrainState, real: FeatureBatch, fake: FeatureBatch,
                   gamma: int) -> dict:
-    tape = Tape()
-    ds_leaves = critic_leaves(tape, state.ds, "ds.")
-    dm_leaves = critic_leaves(tape, state.dm, "dm.") if (gamma and state.dm) else None
-    loss = critic_loss(state.ds, state.dm if gamma else None, real, fake,
-                       state.config.alpha, gamma, state.rng, tape, ds_leaves, dm_leaves)
-    _abort_if_bad(float(loss.values), "critic loss", state, {})
-    ad.backward(tape, loss)
-    new_ds, _ = nn.adam_step(state.adam_ds, {k: v.values for k, v in ds_leaves.items()},
-                             nn.collect_grads(ds_leaves))
-    critic_set_params(state.ds, new_ds, "ds.")
-    if dm_leaves is not None:
-        new_dm, _ = nn.adam_step(state.adam_dm, {k: v.values for k, v in dm_leaves.items()},
-                                 nn.collect_grads(dm_leaves))
-        critic_set_params(state.dm, new_dm, "dm.")
+    with Tape() as tape:  # the tape's memory is freed on return
+        ds_leaves = critic_leaves(tape, state.ds, "ds.")
+        dm_leaves = critic_leaves(tape, state.dm, "dm.") if (gamma and state.dm) else None
+        loss = critic_loss(state.ds, state.dm if gamma else None, real, fake,
+                           state.config.alpha, gamma, state.rng, tape, ds_leaves, dm_leaves)
+        _abort_if_bad(float(loss.values), "critic loss", state, {})
+        ad.backward(tape, loss)
+        new_ds, _ = nn.adam_step(state.adam_ds, {k: v.values for k, v in ds_leaves.items()},
+                                 nn.collect_grads(ds_leaves))
+        critic_set_params(state.ds, new_ds, "ds.")
+        if dm_leaves is not None:
+            new_dm, _ = nn.adam_step(state.adam_dm, {k: v.values for k, v in dm_leaves.items()},
+                                     nn.collect_grads(dm_leaves))
+            critic_set_params(state.dm, new_dm, "dm.")
     # separation of the just-updated critic, for the epoch log
-    tape2 = Tape()
-    s_real, _ = frame_score(state.ds, real.x3d, real.xcos, real.x2d, tape2)
-    s_fake, _ = frame_score(state.ds, fake.x3d, fake.xcos, fake.x2d, tape2)
-    metrics = {"loss": float(loss.values),
-               "d_gap": float(s_real.values.mean() - s_fake.values.mean())}
-    return metrics
+    s_real = discriminate_single(state.ds, real.x3d, real.x2d, real.xcos)
+    s_fake = discriminate_single(state.ds, fake.x3d, fake.x2d, fake.xcos)
+    return {"loss": float(loss.values), "d_gap": float(s_real.mean() - s_fake.mean())}
 
 
 def generator_update(state: TrainState, batch: int, gamma: int) -> dict:
-    tape = Tape()
-    gen_leaves = nn.mlp_leaves(tape, state.gen.net, "gen.")
-    z = sample_latent(batch, state.config.z_dim, state.rng)
-    fake = generate_on_tape(state.gen, z, tape, gen_leaves, state.pairs)
-    loss = generator_loss(state.ds, state.dm if gamma else None, fake, gamma, tape)
-    _abort_if_bad(float(loss.values), "generator loss", state, {})
-    ad.backward(tape, loss)
-    new_params, _ = nn.adam_step(state.adam_gen,
-                                 {k: v.values for k, v in gen_leaves.items()},
-                                 nn.collect_grads(gen_leaves))
-    nn.mlp_set_params(state.gen.net, new_params, "gen.")
+    with Tape() as tape:  # the tape's memory is freed on return
+        gen_leaves = nn.mlp_leaves(tape, state.gen.net, "gen.")
+        z = sample_latent(batch, state.config.z_dim, state.rng)
+        fake = generate_on_tape(state.gen, z, tape, gen_leaves, state.pairs)
+        loss = generator_loss(state.ds, state.dm if gamma else None, fake, gamma, tape)
+        _abort_if_bad(float(loss.values), "generator loss", state, {})
+        ad.backward(tape, loss)
+        new_params, _ = nn.adam_step(state.adam_gen,
+                                     {k: v.values for k, v in gen_leaves.items()},
+                                     nn.collect_grads(gen_leaves))
+        nn.mlp_set_params(state.gen.net, new_params, "gen.")
     violations = count_violations(fake.params.values, state.gen.table)
     return {"gen_loss": float(loss.values), "violations": violations}
 
@@ -852,20 +855,20 @@ def train_epoch(state: TrainState, data: RealData, synth_dir: Optional[str] = No
     idx = state.rng.integers(0, len(data), size=batch)
     real = _real_minibatch(data, idx, state.pairs, video)
     fake, _ = _fake_minibatch(state, batch, state.pairs, video)
-    tape = Tape()
     eps = state.rng.uniform(size=(real.x3d.shape[0], 1))
-    pen = frame_penalty(state.ds, _interpolate(real.x3d, fake.x3d, eps),
-                        _interpolate(real.xcos, fake.xcos, eps),
-                        _interpolate(real.x2d, fake.x2d, eps), cfg.alpha, tape)
-    pens.append(float(pen.values))
+    with Tape() as tape:
+        pen = frame_penalty(state.ds, _interpolate(real.x3d, fake.x3d, eps),
+                            _interpolate(real.xcos, fake.xcos, eps),
+                            _interpolate(real.x2d, fake.x2d, eps), cfg.alpha, tape)
+        pens.append(float(pen.values))
     if gamma and state.dm is not None:
         eps_m = state.rng.uniform(size=(len(real.motion["seq3d"]), 1))
         hat = {k: _interpolate(real.motion[k], fake.motion[k], eps_m) for k in _MOTION_KEYS}
-        motion_pen = float(motion_penalty(state.dm, hat, cfg.alpha, Tape()).values)
-        tape3 = Tape()
-        m_real, _ = motion_score(state.dm, real.motion, tape3)
-        m_fake, _ = motion_score(state.dm, fake.motion, tape3)
-        motion_gap = float(m_real.values.mean() - m_fake.values.mean())
+        with Tape() as tape:
+            motion_pen = float(motion_penalty(state.dm, hat, cfg.alpha, tape).values)
+        m_real = discriminate_motion(state.dm, real.motion)
+        m_fake = discriminate_motion(state.dm, fake.motion)
+        motion_gap = float(m_real.mean() - m_fake.mean())
     else:
         motion_pen = 0.0
         motion_gap = 0.0

@@ -70,7 +70,7 @@ def mlp_eval(net: Mlp, x) -> np.ndarray:
         if layer.act == "tanh":
             h = np.tanh(z)
         elif layer.act == "lrelu":
-            h = np.where(z >= 0.0, z, LRELU_SLOPE * z)
+            h = z * ad.leaky_relu_mask(z, LRELU_SLOPE)
         else:
             h = z
     return h
@@ -105,20 +105,13 @@ def _layer_tensors(tape: Tape, net: Mlp, params: Optional[dict], prefix: str):
     return out
 
 
-def _activate(z: Tensor, act: str) -> Tensor:
-    if act == "tanh":
-        return ad.tanh(z)
-    if act == "lrelu":
-        return ad.leaky_relu(z, LRELU_SLOPE)
-    return z
-
-
 def mlp_apply(net: Mlp, x: Tensor, tape: Tape, params: Optional[dict] = None,
               prefix: str = "") -> tuple[Tensor, list]:
     """Forward pass returning the output and a per-layer trace.
 
-    The trace holds ``(w, z, h, act)`` per layer so the analytic input
-    gradient can reuse the recorded intermediates.
+    Each layer is one ``ad.linear`` node.  The trace holds ``(w, h, act,
+    mask)`` per layer, ``mask`` being the lrelu derivative (None for other
+    activations), so the analytic input gradient can reuse them.
     """
     if x.values.ndim != 2 or x.values.shape[1] != net.in_dim:
         raise ShapeError(f"input {x.values.shape} does not match first layer "
@@ -126,9 +119,8 @@ def mlp_apply(net: Mlp, x: Tensor, tape: Tape, params: Optional[dict] = None,
     trace = []
     h = x
     for w, b, act in _layer_tensors(tape, net, params, prefix):
-        z = ad.add(ad.matmul(h, w), b)
-        h = _activate(z, act)
-        trace.append((w, z, h, act))
+        h, mask = ad.linear(h, w, b, act, LRELU_SLOPE)
+        trace.append((w, h, act, mask))
     return h, trace
 
 
@@ -148,12 +140,11 @@ def mlp_vjp(trace: list, upstream: Tensor) -> Tensor:
     leaky-relu hidden activations admit the double-backprop construction.
     """
     g = upstream
-    for w, z, h, act in reversed(trace):
+    for w, h, act, mask in reversed(trace):
         if act == "tanh":
             g = ad.mul(g, ad.sub(1.0, ad.square(h)))
         elif act == "lrelu":
-            mask = np.where(z.values >= 0.0, 1.0, LRELU_SLOPE)
-            g = ad.mul(g, z.tape.const(mask))
+            g = ad.mul(g, h.tape.const(mask))
         elif act != "linear":
             raise ValueError(f"activation {act!r} does not support double backprop")
         g = ad.matmul(g, ad.transpose2d(w))
@@ -219,12 +210,12 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
         if g.shape != p.shape:
             raise ShapeError(f"gradient shape {g.shape} does not match parameter "
                              f"{key!r} shape {p.shape}")
-        m = state.m.get(key, np.zeros_like(p))
-        v = state.v.get(key, np.zeros_like(p))
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
-        state.m[key] = m
-        state.v[key] = v
+        m = state.m.setdefault(key, np.zeros_like(p))
+        v = state.v.setdefault(key, np.zeros_like(p))
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
         m_hat = m / (1.0 - state.beta1 ** t)
         v_hat = v / (1.0 - state.beta2 ** t)
         new[key] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
@@ -270,21 +261,25 @@ def load_checkpoint(path) -> tuple[dict[str, Mlp], int, dict[str, str]]:
         extra: dict[str, str] = {}
         specs: list[tuple[str, int, int, str]] = []  # (net, in, out, act)
         nbytes = None
-        for raw in iter(fh.readline, b""):
-            tok = raw.decode().strip().split()
-            if tok[0] == "seed":
-                seed = int(tok[1])
-            elif tok[0] == "meta":
-                extra[tok[1]] = " ".join(tok[2:])
-            elif tok[0] == "net":
-                pass
-            elif tok[0] == "layer":
-                specs.append((tok[1], int(tok[3]), int(tok[4]), tok[5]))
-            elif tok[0] == "binary":
-                nbytes = int(tok[1])
-                break
-            else:
-                raise ValueError(f"unknown checkpoint record {tok[0]!r}")
+        for lineno, raw in enumerate(iter(fh.readline, b""), start=2):
+            try:
+                tok = raw.decode().split()
+                if tok[0] == "seed":
+                    seed = int(tok[1])
+                elif tok[0] == "meta":
+                    extra[tok[1]] = " ".join(tok[2:])
+                elif tok[0] == "net":
+                    pass
+                elif tok[0] == "layer":
+                    specs.append((tok[1], int(tok[3]), int(tok[4]), tok[5]))
+                elif tok[0] == "binary":
+                    nbytes = int(tok[1])
+                    break
+                else:
+                    raise ValueError(f"unknown checkpoint record {tok[0]!r}")
+            except (IndexError, ValueError) as exc:
+                raise ValueError(f"{path}: line {lineno}: bad checkpoint header line "
+                                 f"{raw!r}") from exc
         if nbytes is None:
             raise ValueError("checkpoint has no binary section")
         blob = np.frombuffer(fh.read(nbytes), dtype="<f4").astype(np.float64)

@@ -61,6 +61,22 @@ OP_CASES = {
 }
 
 
+def _linear_case(act, wrt):
+    """ad.linear differentiated with respect to one of its operands x, w and b."""
+    fixed = {"x": RNG(7).normal(size=(3, 4)), "w": RNG(8).normal(size=(4, 2)),
+             "b": RNG(9).normal(size=2)}
+
+    def build(t, leaf):
+        args = {k: leaf if k == wrt else t.const(v) for k, v in fixed.items()}
+        return ad.linear(args["x"], args["w"], args["b"], act)[0]
+
+    return build, fixed[wrt].shape
+
+
+OP_CASES.update({f"linear_{act}_{wrt}": _linear_case(act, wrt)
+                 for act in ("tanh", "lrelu", "linear") for wrt in ("x", "w", "b")})
+
+
 @pytest.mark.parametrize("name", sorted(OP_CASES))
 def test_op_gradients_match_central_differences(name):
     build, shape = OP_CASES[name]
@@ -163,3 +179,35 @@ def test_tape_records_topological_order():
         for parent in node.parents:
             assert order[id(parent)] < order[id(node)]
     assert z.op == "add"
+
+
+def test_linear_shape_errors_carry_all_shapes():
+    tape = ad.Tape()
+    x, w, b = tape.var(np.ones((2, 3))), tape.var(np.ones((4, 2))), tape.var(np.ones(2))
+    with pytest.raises(ad.ShapeError, match=r"\(2, 3\).*\(4, 2\).*\(2,\)"):
+        ad.linear(x, w, b, "tanh")
+
+
+def test_basic_slice_gradient_is_placed_not_summed():
+    tape = ad.Tape()
+    x = tape.var(np.arange(12.0).reshape(3, 4))
+    ad.backward(tape, ad.sum_(ad.mul(x[1:, ::2], 3.0)))
+    expected = np.zeros((3, 4))
+    expected[1:, ::2] = 3.0
+    assert np.array_equal(x.grad, expected)
+
+
+def test_repeated_fancy_index_gradient_sums():
+    tape = ad.Tape()
+    x = tape.var(np.zeros(4))
+    ad.backward(tape, ad.sum_(x[np.array([1, 1, 3])]))
+    assert np.array_equal(x.grad, [0.0, 2.0, 0.0, 1.0])
+
+
+def test_tape_context_drops_its_nodes_on_exit():
+    with ad.Tape() as tape:
+        x = tape.var(np.ones(2))
+        ad.backward(tape, ad.sum_(ad.square(x)))
+        assert len(tape.nodes) == 3
+    assert tape.nodes == []
+    assert np.array_equal(x.grad, [2.0, 2.0])

@@ -144,6 +144,24 @@ class TestTrain:
         assert code == 0
         assert (out_dir / "metrics.jsonl").exists()
 
+    def test_divergence_is_a_data_error(self, capsys, tmp_path, monkeypatch):
+        from dhpose import gan
+        init = gan.init_train_state
+
+        def diverging_state(*args, **kwargs):
+            state = init(*args, **kwargs)
+            state.ds.head.layers[0].w[:] = np.nan
+            return state
+
+        monkeypatch.setattr(gan, "init_train_state", diverging_state)
+        out_dir = tmp_path / "run"
+        code, _, err = run(capsys, "train", "--band-count", "8", "--epochs", "1",
+                           "--batch", "4", "--out", str(out_dir), "--seed", "1")
+        assert code == 2
+        assert err.startswith("error: non-finite critic loss")
+        assert "Traceback" not in err
+        assert json.loads((out_dir / "diverged.json").read_text())["what"] == "critic loss"
+
 
 class TestSynthFromCheckpoint:
     def test_synth_uses_the_trained_generator(self, capsys, tmp_path):

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -448,6 +450,32 @@ class TestTrainEpoch:
             gan.train_epoch(state, data)
         assert err.value.snapshot["what"] == "critic loss"
         assert err.value.snapshot["epoch"] == 0
+
+    def test_steps_free_their_tapes_without_the_collector(self, monkeypatch):
+        # every tape tensor points at its tape and the tape lists its tensors; a
+        # step that leaves that cycle standing keeps its memory until a collection
+        cfg = tiny_config(mode="video", frames=3, seed=46, batch_size=4, critic_steps=1,
+                          beta_epoch=1)
+        data = dsio.make_band_corpus(8, 13, mode="video", frames=3)
+        state = gan.init_train_state(cfg)
+        real = gan._real_minibatch(data, np.arange(4), state.pairs, True)
+        fake, _ = gan._fake_minibatch(state, 4, state.pairs, True)
+        refs = []
+        backward = ad.backward
+
+        def recording_backward(tape, out):
+            backward(tape, out)
+            refs.append((weakref.ref(tape), weakref.ref(out)))
+
+        monkeypatch.setattr(ad, "backward", recording_backward)
+        gc.disable()
+        try:
+            gan.critic_update(state, real, fake, 1)
+            assert [r() for r in refs[0]] == [None, None]
+            gan.generator_update(state, 4, 1)
+            assert [r() for r in refs[1]] == [None, None]
+        finally:
+            gc.enable()
 
     def test_smoke_separation_short(self):
         # critic-only training separates band poses from untrained-generator fakes

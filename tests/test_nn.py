@@ -48,9 +48,14 @@ class TestForward:
     def test_intermediates_recorded_on_tape(self):
         net = nn.mlp_init([3, 4, 1], ["tanh", "linear"], RNG(0))
         tape = ad.Tape()
-        nn.mlp_forward(net, np.zeros((2, 3)), tape)
-        ops = [n.op for n in tape.nodes]
-        assert "matmul" in ops and "tanh" in ops and "add" in ops
+        x = RNG(1).normal(size=(2, 3))
+        nn.mlp_forward(net, x, tape)
+        layers = [n for n in tape.nodes if n.op == "linear"]
+        assert len(layers) == len(net.layers)
+        h = x
+        for node, layer in zip(layers, net.layers):
+            h = reference_forward(nn.Mlp([layer]), h)
+            assert np.array_equal(node.values, h)
 
 
 class TestParameterGradients:
@@ -189,6 +194,28 @@ class TestAdam:
         with pytest.raises(nn.ShapeError):
             nn.adam_step(nn.AdamState(), {"w": np.zeros(3)}, {"w": np.zeros(4)})
 
+    def test_ten_steps_equal_the_textbook_formula_bitwise(self):
+        rng = RNG(18)
+        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+        state = nn.AdamState(lr=lr)
+        params = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=4)}
+        ref = {k: v.copy() for k, v in params.items()}
+        m = {k: np.zeros_like(p) for k, p in params.items()}
+        v = {k: np.zeros_like(p) for k, p in params.items()}
+        for t in range(1, 11):
+            grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
+            kept = {k: g.copy() for k, g in grads.items()}
+            params, state = nn.adam_step(state, params, grads)
+            for k in ref:
+                m[k] = b1 * m[k] + (1.0 - b1) * kept[k]
+                v[k] = b2 * v[k] + (1.0 - b2) * kept[k] * kept[k]
+                m_hat = m[k] / (1.0 - b1 ** t)
+                v_hat = v[k] / (1.0 - b2 ** t)
+                ref[k] = ref[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+                assert np.array_equal(params[k], ref[k]), (t, k)
+                assert np.array_equal(state.m[k], m[k]) and np.array_equal(state.v[k], v[k])
+                assert np.array_equal(grads[k], kept[k])  # gradients are read, not written
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
@@ -222,6 +249,18 @@ class TestCheckpoint:
         head = path.read_bytes().split(b"binary", 1)[0].decode()
         assert "dhpose-checkpoint v1" in head
         assert "layer gen 0 3 2 linear" in head
+
+    @pytest.mark.parametrize("bad", [b"", b"seed", b"layer gen 0 3", b"seed x"])
+    def test_malformed_header_line_is_a_value_error_naming_the_line(self, tmp_path, bad):
+        net = {"gen": nn.mlp_init([3, 2], ["linear"], RNG(19))}
+        path = tmp_path / "bad.ckpt"
+        nn.save_checkpoint(path, net, seed=1)
+        head, blob = path.read_bytes().split(b"binary", 1)
+        lines = head.split(b"\n")
+        lines.insert(2, bad)  # after the magic and seed lines
+        path.write_bytes(b"\n".join(lines) + b"binary" + blob)
+        with pytest.raises(ValueError, match="line 3"):
+            nn.load_checkpoint(path)
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "bogus.ckpt"
