@@ -3,8 +3,10 @@
 The native format is line-delimited text: one header line carrying the
 format version and topology hash, then one record per line with a fixed
 field order and reals printed to 13 significant digits.  A flat binary
-variant (little-endian float32) exists for bulk synthesis.  Synthesis
-streams batches to disk, so memory stays bounded no matter the count.
+variant (little-endian float32) exists for bulk synthesis.  Both formats
+share one columnar row layout (``RowBlock``) and are written and read a
+block of rows at a time.  Synthesis streams batches to disk, so memory
+stays bounded no matter the count.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from itertools import islice
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -23,15 +26,23 @@ from .skeleton import (N_PARAMS, SkeletonTopology, default_topology,
 
 FORMAT_VERSION = "v1"
 _HEADER_PREFIX = "# dhpose dataset"
-_FLOATS_PER_RECORD = 1 + 2 + 5 + 48 + 32  # provenance code, ids, camera, pose3d, pose2d
-_PROVENANCE_CODES = {"real": 0.0, "synthetic": 1.0}
-_PROVENANCE_NAMES = {v: k for k, v in _PROVENANCE_CODES.items()}
+_PROVENANCES = ("real", "synthetic")  # a row's provenance code indexes this
+_VALUES_PER_ROW = 5 + 48 + 32  # camera (fx fy cx cy z_min), pose3d, pose2d
+_FIELDS_PER_ROW = 3 + _VALUES_PER_ROW  # provenance, sequence id, frame index, values
+_BLOCK_ROWS = 256  # rows packed, formatted or parsed at a time; bounds transient memory
+_TEXT_ROW = "%s %d %d " + " ".join(["%.13g"] * _VALUES_PER_ROW) + "\n"
+_TEXT_DTYPE = np.dtype([("provenance", "U16"), ("sequence_id", "i8"), ("frame_index", "i8"),
+                        ("values", "f8", (_VALUES_PER_ROW,))])
 
 
 class DatasetParseError(ValueError):
-    def __init__(self, path, line_no: int, reason: str):
+    """A malformed dataset file, located by line or, in a binary payload, by byte offset."""
+
+    def __init__(self, path, line_no: Optional[int], reason: str, offset: Optional[int] = None):
         self.line_no = line_no
-        super().__init__(f"{path}: parse error at line {line_no}: {reason}")
+        self.offset = offset
+        where = f"line {line_no}" if offset is None else f"byte {offset}"
+        super().__init__(f"{path}: parse error at {where}: {reason}")
 
 
 @dataclass
@@ -44,18 +55,75 @@ class DatasetRecord:
     provenance: str = "synthetic"
 
     def __post_init__(self):
-        if self.provenance not in _PROVENANCE_CODES:
+        if self.provenance not in _PROVENANCES:
             raise ValueError(f"provenance must be 'real' or 'synthetic', got {self.provenance!r}")
 
 
-def _fmt(values) -> str:
-    return " ".join(f"{v:.13g}" for v in values)
+class RowBlock(NamedTuple):
+    """Dataset rows in columns: the one layout every reader and writer uses."""
+
+    provenance: np.ndarray   # (N,) codes indexing _PROVENANCES
+    sequence_id: np.ndarray  # (N,) int64
+    frame_index: np.ndarray  # (N,) int64
+    values: np.ndarray       # (N, 85) float64: camera 5, pose3d 48, pose2d 32
 
 
-def _record_line(provenance: str, seq: int, frame: int, cam: CameraIntrinsics,
-                 pose3d: np.ndarray, pose2d: np.ndarray) -> str:
-    return (f"{provenance} {seq} {frame} {_fmt(cam.as_array())} "
-            f"{_fmt(pose3d.ravel())} {_fmt(pose2d.ravel())}")
+def _columns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Contiguous (cameras, pose3d, pose2d) arrays of an (..., 85) value block."""
+    lead = values.shape[:-1]
+    return (np.ascontiguousarray(values[..., 0:5]),
+            np.ascontiguousarray(values[..., 5:53]).reshape(lead + (16, 3)),
+            np.ascontiguousarray(values[..., 53:85]).reshape(lead + (16, 2)))
+
+
+def _pack(provenance, sequence_id, frame_index, cameras, pose3d, pose2d) -> RowBlock:
+    """Rows from per-row fields; a scalar provenance or a single camera row broadcasts."""
+    seq = np.asarray(sequence_id, dtype=np.int64)
+    n = len(seq)
+    values = np.empty((n, _VALUES_PER_ROW))
+    values[:, 0:5] = cameras
+    values[:, 5:53] = np.reshape(pose3d, (n, 48))
+    values[:, 53:85] = np.reshape(pose2d, (n, 32))
+    codes = np.broadcast_to(np.asarray(provenance, dtype=np.int8), (n,))
+    return RowBlock(codes, seq, np.asarray(frame_index, dtype=np.int64), values)
+
+
+def _record_blocks(records) -> Iterator[RowBlock]:
+    it = iter(records)
+    while chunk := list(islice(it, _BLOCK_ROWS)):
+        yield _pack([_PROVENANCES.index(r.provenance) for r in chunk],
+                    [r.sequence_id for r in chunk], [r.frame_index for r in chunk],
+                    [r.camera.as_array() for r in chunk],
+                    [np.asarray(r.pose3d).ravel() for r in chunk],
+                    [np.asarray(r.pose2d).ravel() for r in chunk])
+
+
+def _text_rows(block: RowBlock) -> Iterator[str]:
+    """The block's text lines, joined ``_BLOCK_ROWS`` rows at a time."""
+    names = [_PROVENANCES[c] for c in block.provenance.tolist()]
+    for i in range(0, len(names), _BLOCK_ROWS):
+        rows = slice(i, i + _BLOCK_ROWS)
+        yield "".join([_TEXT_ROW % (p, s, f, *v) for p, s, f, v in
+                       zip(names[rows], block.sequence_id[rows].tolist(),
+                           block.frame_index[rows].tolist(), block.values[rows].tolist())])
+
+
+def _binary_rows(block: RowBlock) -> bytes:
+    rows = np.empty((len(block.values), _FIELDS_PER_ROW), dtype="<f4")
+    rows[:, 0] = block.provenance
+    rows[:, 1] = block.sequence_id
+    rows[:, 2] = block.frame_index
+    rows[:, 3:] = block.values
+    return rows.tobytes()
+
+
+def _records(block: RowBlock) -> Iterator[DatasetRecord]:
+    cams, pose3d, pose2d = _columns(block.values)
+    for code, seq, frame, cam, p3, p2 in zip(block.provenance.tolist(),
+                                             block.sequence_id.tolist(),
+                                             block.frame_index.tolist(), cams, pose3d, pose2d):
+        yield DatasetRecord(pose3d=p3, pose2d=p2, camera=CameraIntrinsics.from_array(cam),
+                            sequence_id=seq, frame_index=frame, provenance=_PROVENANCES[code])
 
 
 def _header(topology: Optional[SkeletonTopology]) -> str:
@@ -68,16 +136,15 @@ def save_dataset(records: Sequence[DatasetRecord], path,
     """Write records as line-delimited text; lossless to 13 significant digits."""
     with open(path, "w") as fh:
         fh.write(_header(topology) + "\n")
-        for rec in records:
-            fh.write(_record_line(rec.provenance, rec.sequence_id, rec.frame_index,
-                                  rec.camera, np.asarray(rec.pose3d), np.asarray(rec.pose2d)) + "\n")
+        for block in _record_blocks(records):
+            fh.writelines(_text_rows(block))
 
 
 def _parse_header(path, line: str) -> str:
     if not line.startswith(_HEADER_PREFIX):
         raise DatasetParseError(path, 1, "missing dataset header")
     tok = line.split()
-    if tok[3] != FORMAT_VERSION or not tok[4].startswith("topology="):
+    if len(tok) < 5 or tok[3] != FORMAT_VERSION or not tok[4].startswith("topology="):
         raise DatasetParseError(path, 1, f"unsupported header {line!r}")
     return tok[4].split("=", 1)[1]
 
@@ -90,29 +157,57 @@ def _check_topology(path, file_hash: str, topology: Optional[SkeletonTopology]) 
         warnings.warn(f"{path}: dataset topology {file_hash} differs from expected {expected}")
 
 
-def iter_dataset(path, topology: Optional[SkeletonTopology] = None) -> Iterator[DatasetRecord]:
-    """Stream records from a text dataset file."""
+def _parse_rows(path, lines: list[str], line_nos: list[int]) -> RowBlock:
+    """Parse non-blank record lines in one call; a bad line raises naming its line number."""
+    try:
+        rows = np.loadtxt(lines, dtype=_TEXT_DTYPE, comments=None, ndmin=1)
+    except ValueError:
+        # find the line: the same parser, one line at a time
+        for line, line_no in zip(lines, line_nos):
+            fields = len(line.split())
+            if fields != _FIELDS_PER_ROW:
+                raise DatasetParseError(path, line_no,
+                                        f"expected {_FIELDS_PER_ROW} fields, got {fields}")
+            try:
+                np.loadtxt([line], dtype=_TEXT_DTYPE, comments=None, ndmin=1)
+            except ValueError as exc:
+                raise DatasetParseError(path, line_no, str(exc).split(" at row ")[0]) from exc
+        raise
+    codes = np.full(len(rows), -1, dtype=np.int8)
+    for code, name in enumerate(_PROVENANCES):
+        codes[rows["provenance"] == name] = code
+    bad = np.flatnonzero(codes < 0)
+    if bad.size:
+        i = bad[0]
+        raise DatasetParseError(path, line_nos[i], f"bad provenance {lines[i].split()[0]!r}")
+    values = np.ascontiguousarray(rows["values"])
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0]
+        raise DatasetParseError(path, line_nos[i],
+                                f"non-finite value {lines[i].split()[3 + j]!r} in field {4 + j}")
+    return RowBlock(codes, rows["sequence_id"].copy(), rows["frame_index"].copy(), values)
+
+
+def _iter_blocks(path, topology: Optional[SkeletonTopology] = None) -> Iterator[RowBlock]:
+    """Stream a text dataset as blocks of at most ``_BLOCK_ROWS`` lines each."""
     with open(path) as fh:
         first = fh.readline().rstrip("\n")
         _check_topology(path, _parse_header(path, first), topology)
-        for line_no, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            tok = line.split()
-            if len(tok) != 3 + 5 + 48 + 32:
-                raise DatasetParseError(path, line_no, f"expected 88 fields, got {len(tok)}")
-            if tok[0] not in _PROVENANCE_CODES:
-                raise DatasetParseError(path, line_no, f"bad provenance {tok[0]!r}")
-            try:
-                seq, frame = int(tok[1]), int(tok[2])
-                values = np.array([float(t) for t in tok[3:]])
-            except ValueError as exc:
-                raise DatasetParseError(path, line_no, str(exc)) from exc
-            yield DatasetRecord(pose3d=values[5:53].reshape(16, 3),
-                                pose2d=values[53:85].reshape(16, 2),
-                                camera=CameraIntrinsics.from_array(values[0:5]),
-                                sequence_id=seq, frame_index=frame, provenance=tok[0])
+        line_no = 1
+        while chunk := list(islice(fh, _BLOCK_ROWS)):
+            kept = [(n, line) for n, line in enumerate(chunk, start=line_no + 1)
+                    if not line.isspace()]
+            line_no += len(chunk)
+            if kept:
+                line_nos, lines = zip(*kept)
+                yield _parse_rows(path, list(lines), list(line_nos))
+
+
+def iter_dataset(path, topology: Optional[SkeletonTopology] = None) -> Iterator[DatasetRecord]:
+    """Stream records from a text dataset file."""
+    for block in _iter_blocks(path, topology):
+        yield from _records(block)
 
 
 def load_dataset(path, topology: Optional[SkeletonTopology] = None) -> list[DatasetRecord]:
@@ -121,47 +216,47 @@ def load_dataset(path, topology: Optional[SkeletonTopology] = None) -> list[Data
 
 def save_dataset_binary(records: Sequence[DatasetRecord], path,
                         topology: Optional[SkeletonTopology] = None) -> None:
-    rows = np.empty((len(records), _FLOATS_PER_RECORD), dtype="<f4")
-    for i, rec in enumerate(records):
-        rows[i] = _record_row(rec.provenance, rec.sequence_id, rec.frame_index,
-                              rec.camera, rec.pose3d, rec.pose2d)
     with open(path, "wb") as fh:
         fh.write((_header(topology) + "\n").encode())
-        fh.write(f"binary {len(records)} {_FLOATS_PER_RECORD}\n".encode())
-        fh.write(rows.tobytes())
-
-
-def _record_row(provenance, seq, frame, cam, pose3d, pose2d) -> np.ndarray:
-    row = np.empty(_FLOATS_PER_RECORD, dtype="<f4")
-    row[0] = _PROVENANCE_CODES[provenance]
-    row[1], row[2] = seq, frame
-    row[3:8] = cam.as_array()
-    row[8:56] = np.asarray(pose3d).ravel()
-    row[56:88] = np.asarray(pose2d).ravel()
-    return row
+        fh.write(f"binary {len(records)} {_FIELDS_PER_ROW}\n".encode())
+        for block in _record_blocks(records):
+            fh.write(_binary_rows(block))
 
 
 def load_dataset_binary(path, topology: Optional[SkeletonTopology] = None) -> list[DatasetRecord]:
-    records = []
     with open(path, "rb") as fh:
         first = fh.readline().decode().rstrip("\n")
         _check_topology(path, _parse_header(path, first), topology)
         meta = fh.readline().decode().split()
-        if meta[0] != "binary":
-            raise DatasetParseError(path, 2, "missing binary marker")
-        count, width = int(meta[1]), int(meta[2])
+        if len(meta) != 3 or meta[0] != "binary":
+            raise DatasetParseError(path, 2, f"expected 'binary <count> {_FIELDS_PER_ROW}', "
+                                             f"got {' '.join(meta)!r}")
+        try:
+            count, width = int(meta[1]), int(meta[2])
+        except ValueError as exc:
+            raise DatasetParseError(path, 2, str(exc)) from exc
+        if count < 0 or width != _FIELDS_PER_ROW:
+            raise DatasetParseError(path, 2, f"expected 'binary <count> {_FIELDS_PER_ROW}', "
+                                             f"got {' '.join(meta)!r}")
+        start = fh.tell()
         blob = fh.read(count * width * 4)
         if len(blob) != count * width * 4:
             raise DatasetParseError(path, 2, f"binary payload truncated: expected "
                                              f"{count * width * 4} bytes, got {len(blob)}")
-        rows = np.frombuffer(blob, dtype="<f4").reshape(count, width)
-    for row in rows.astype(np.float64):
-        records.append(DatasetRecord(
-            pose3d=row[8:56].reshape(16, 3), pose2d=row[56:88].reshape(16, 2),
-            camera=CameraIntrinsics.from_array(row[3:8]),
-            sequence_id=int(row[1]), frame_index=int(row[2]),
-            provenance=_PROVENANCE_NAMES[float(row[0])]))
-    return records
+    rows = np.frombuffer(blob, dtype="<f4").reshape(count, width).astype(np.float64)
+    bad = np.flatnonzero(~np.isin(rows[:, 0], np.arange(len(_PROVENANCES))))
+    if bad.size:
+        i = bad[0]
+        raise DatasetParseError(path, None, f"record {i}: bad provenance code {rows[i, 0]:g}",
+                                offset=start + i * width * 4)
+    bad = np.argwhere(~np.isfinite(rows))
+    if bad.size:
+        i, j = bad[0]
+        raise DatasetParseError(path, None, f"record {i}: non-finite value in field {j + 1}",
+                                offset=start + (i * width + j) * 4)
+    block = RowBlock(rows[:, 0].astype(np.int8), rows[:, 1].astype(np.int64),
+                     rows[:, 2].astype(np.int64), rows[:, 3:])
+    return list(_records(block))
 
 
 # --------------------------------------------------------------------------
@@ -207,7 +302,7 @@ def synthesize_dataset(gen, count: int, mode: str, seed: int, path,
         header = _header(gen.topology)
         if binary:
             fh.write((header + "\n").encode())
-            fh.write(f"binary {count * frames} {_FLOATS_PER_RECORD}\n".encode())
+            fh.write(f"binary {count * frames} {_FIELDS_PER_ROW}\n".encode())
         else:
             fh.write(header + "\n")
         empty_rounds = 0
@@ -231,31 +326,14 @@ def synthesize_dataset(gen, count: int, mode: str, seed: int, path,
             k = keep.size
             if k == 0:
                 continue
-            if mode == "video":
-                seq_ids = np.repeat(np.arange(written, written + k), frames)
-                frame_ids = np.tile(np.arange(frames), k)
-                p3 = pose3d.reshape(k * frames, 16, 3)
-                p2 = pose2d.reshape(k * frames, 16, 2)
-            else:
-                seq_ids = np.arange(written, written + k)
-                frame_ids = np.zeros(k, dtype=int)
-                p3 = pose3d
-                p2 = pose2d
+            seq_ids = np.repeat(np.arange(written, written + k), frames)
+            frame_ids = np.tile(np.arange(frames), k)
+            block = _pack(_PROVENANCES.index("synthetic"), seq_ids, frame_ids, cam_row,
+                          pose3d, pose2d)
             if binary:
-                rows = np.empty((len(p3), _FLOATS_PER_RECORD), dtype="<f4")
-                rows[:, 0] = _PROVENANCE_CODES["synthetic"]
-                rows[:, 1] = seq_ids
-                rows[:, 2] = frame_ids
-                rows[:, 3:8] = cam_row
-                rows[:, 8:56] = p3.reshape(len(p3), 48)
-                rows[:, 56:88] = p2.reshape(len(p3), 32)
-                fh.write(rows.tobytes())
+                fh.write(_binary_rows(block))
             else:
-                lines = []
-                for i in range(len(p3)):
-                    lines.append(_record_line("synthetic", int(seq_ids[i]), int(frame_ids[i]),
-                                              gen.camera, p3[i], p2[i]))
-                fh.write("\n".join(lines) + "\n")
+                fh.writelines(_text_rows(block))
             written += k
     return SynthSummary(records=count * frames, sequences=count if mode == "video" else 0,
                         violations=violations, resampled=resampled,
@@ -358,29 +436,28 @@ def real_data_to_records(data, provenance: str = "real") -> list[DatasetRecord]:
 
 
 def real_data_from_dataset(path, mode: str = "single", frames: int = 1):
-    """Load a dataset file into training arrays (grouping frames by sequence)."""
+    """Load a dataset file into training arrays (grouping frames by sequence).
+
+    In video mode, sequences come in ascending id order, each sequence's
+    rows in ascending frame order (file order among equal indices); the first
+    ``frames`` rows of each sequence are kept, with the first one's camera,
+    and sequences with fewer rows are skipped.
+    """
     from .gan import RealData
 
-    records = load_dataset(path)
-    if not records:
+    blocks = list(_iter_blocks(path))
+    if not blocks:
         raise ValueError(f"{path}: dataset is empty")
+    rows = RowBlock(*(np.concatenate(col) for col in zip(*blocks)))
     if mode == "single":
-        pose3d = np.stack([r.pose3d for r in records])
-        pose2d = np.stack([r.pose2d for r in records])
-        cams = np.stack([r.camera.as_array() for r in records])
+        cams, pose3d, pose2d = _columns(rows.values)
         return RealData(pose3d=pose3d, pose2d=pose2d, cams=cams)
-    by_seq: dict[int, list[DatasetRecord]] = {}
-    for r in records:
-        by_seq.setdefault(r.sequence_id, []).append(r)
-    seqs3, seqs2, cams = [], [], []
-    for seq_id in sorted(by_seq):
-        group = sorted(by_seq[seq_id], key=lambda r: r.frame_index)
-        if len(group) < frames:
-            continue
-        group = group[:frames]
-        seqs3.append(np.stack([r.pose3d for r in group]))
-        seqs2.append(np.stack([r.pose2d for r in group]))
-        cams.append(group[0].camera.as_array())
-    if not seqs3:
+    order = np.lexsort((rows.frame_index, rows.sequence_id))  # stable
+    seq = rows.sequence_id[order]
+    starts = np.flatnonzero(np.r_[True, seq[1:] != seq[:-1]])
+    sizes = np.diff(np.r_[starts, len(seq)])
+    starts = starts[sizes >= frames]
+    if not starts.size:
         raise ValueError(f"{path}: no sequences of length {frames} found")
-    return RealData(pose3d=np.stack(seqs3), pose2d=np.stack(seqs2), cams=np.stack(cams))
+    cams, pose3d, pose2d = _columns(rows.values[order[starts[:, None] + np.arange(frames)]])
+    return RealData(pose3d=pose3d, pose2d=pose2d, cams=cams[:, 0])

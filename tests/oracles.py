@@ -87,3 +87,29 @@ def central_difference(f, x, h=1e-6):
         xf[i] = old
         flat[i] = (hi - lo) / (2 * h)
     return grad
+
+
+def record_line_ref(provenance, seq, frame, cam, pose3d, pose2d):
+    """One dataset text row, each real formatted on its own to 13 significant digits."""
+    def fmt(values):
+        return " ".join(f"{v:.13g}" for v in values)
+
+    return (f"{provenance} {seq} {frame} {fmt(cam)} "
+            f"{fmt(np.ravel(pose3d))} {fmt(np.ravel(pose2d))}")
+
+
+def group_sequences_ref(records, frames):
+    """Video training arrays from records: sequences by id, frames by index."""
+    by_seq = {}
+    for r in records:
+        by_seq.setdefault(r.sequence_id, []).append(r)
+    seqs3, seqs2, cams = [], [], []
+    for seq_id in sorted(by_seq):
+        group = sorted(by_seq[seq_id], key=lambda r: r.frame_index)
+        if len(group) < frames:
+            continue
+        group = group[:frames]
+        seqs3.append(np.stack([r.pose3d for r in group]))
+        seqs2.append(np.stack([r.pose2d for r in group]))
+        cams.append(group[0].camera.as_array())
+    return np.stack(seqs3), np.stack(seqs2), np.stack(cams)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dhpose import dataset as dsio
 from dhpose import gan
 from dhpose import skeleton as sk
 from dhpose.camera import CameraIntrinsics, default_camera, project_pose
 from dhpose.features import joint_cosines
+from oracles import group_sequences_ref, record_line_ref
 
 RNG = np.random.default_rng
 
@@ -86,6 +89,195 @@ class TestRoundTrip:
         path.write_text("synthetic 0 0 1 1 0 0 0.1" + " 0" * 80 + "\n")
         with pytest.raises(dsio.DatasetParseError, match="line 1"):
             dsio.load_dataset(path)
+
+
+def records_with_values(values, cam=None, float32=False):
+    """One record per row of 80 pose reals (48 pose3d, then 32 pose2d)."""
+    values = np.asarray(values, dtype=np.float32 if float32 else np.float64)
+    return [dsio.DatasetRecord(pose3d=row[:48].reshape(16, 3), pose2d=row[48:].reshape(16, 2),
+                               camera=cam or default_camera(), sequence_id=i, frame_index=i % 3,
+                               provenance=("real", "synthetic")[i % 2])
+            for i, row in enumerate(values)]
+
+
+def reference_text(records):
+    header = f"# dhpose dataset v1 topology={sk.topology_hash(sk.default_topology())}\n"
+    return header + "".join(
+        record_line_ref(r.provenance, r.sequence_id, r.frame_index, r.camera.as_array(),
+                        r.pose3d, r.pose2d) + "\n" for r in records)
+
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+               1.7976931348623157e308, 0.1 + 0.2, 1.0, -7.0, 3.0, 1e15, 123456789012345.0,
+               2.0 ** 53, 1.2345678901234, 1.2345678901235, 0.12345678901234,
+               0.12345678901235, 9.99999999999995, 9.99999999999994, 1e-5, 1e16, -1e-300,
+               1.0000000000001, 1.00000000000012]
+
+
+class TestTextFormat:
+    """The writer's bytes equal a per-value reference formatter."""
+
+    def test_random_rows_match_reference(self, tmp_path):
+        rng = RNG(30)
+        records = records_with_values(rng.normal(0, 1, (300, 80)) * 10.0 ** rng.integers(-9, 9, (300, 1)))
+        records += random_records(50, seed=31)
+        path = tmp_path / "r.txt"
+        dsio.save_dataset(records, path)
+        assert path.read_text() == reference_text(records)
+
+    def test_edge_values_match_reference(self, tmp_path):
+        values = np.resize(np.array(EDGE_VALUES), (4, 80))
+        values[1] = np.roll(values[1], 7)
+        values[2:] *= -1
+        records = records_with_values(values, cam=CameraIntrinsics(1e308, 5e-324, -0.0, 0.1 + 0.2, 1e-300))
+        path = tmp_path / "e.txt"
+        dsio.save_dataset(records, path)
+        assert path.read_text() == reference_text(records)
+
+    def test_float32_inputs_match_reference(self, tmp_path):
+        edges = [v for v in EDGE_VALUES if abs(v) < 1e38]
+        values = np.concatenate([np.resize(np.array(edges), 80)[None],
+                                 RNG(32).normal(0, 100, (20, 80))])
+        records = records_with_values(values, float32=True)
+        assert records[0].pose3d.dtype == np.float32
+        path = tmp_path / "f.txt"
+        dsio.save_dataset(records, path)
+        assert path.read_text() == reference_text(records)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                  min_size=80, max_size=80), min_size=1, max_size=3),
+           cam=st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                        min_size=5, max_size=5))
+    def test_round_trip_is_exact_at_13_digits(self, tmp_path_factory, rows, cam):
+        records = records_with_values(rows, cam=CameraIntrinsics(*cam))
+        path = tmp_path_factory.getbasetemp() / "roundtrip.txt"
+        dsio.save_dataset(records, path)
+        expected = np.array([[float(f"{v:.13g}") for v in cam + row] for row in rows])
+        loaded = dsio.load_dataset(path)
+        got = np.array([np.concatenate([r.camera.as_array(), r.pose3d.ravel(), r.pose2d.ravel()])
+                        for r in loaded])
+        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+        data = dsio.real_data_from_dataset(path)
+        arrays = np.concatenate([data.cams, data.pose3d.reshape(-1, 48),
+                                 data.pose2d.reshape(-1, 32)], axis=1)
+        assert arrays.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+class TestTextReader:
+    def _write(self, tmp_path, n=6):
+        path = tmp_path / "d.txt"
+        dsio.save_dataset(random_records(n, seed=40), path)
+        lines = path.read_text().splitlines()
+        lines.insert(2, "   ")  # blank lines still count: record i sits on line i + 3 from here
+        return path, lines
+
+    @pytest.mark.parametrize("field, value, reason", [
+        (0, "robot", "provenance"),
+        (1, "1.5", "1.5"),
+        (2, "x", "x"),
+        (10, "abc", "abc"),
+        (3, "nan", "non-finite"),
+        (40, "inf", "non-finite"),
+        (87, "-inf", "non-finite"),
+        (20, "NaN", "non-finite"),
+    ])
+    def test_bad_field_names_its_line(self, tmp_path, field, value, reason):
+        path, lines = self._write(tmp_path)
+        tok = lines[4].split()
+        tok[field] = value
+        lines[4] = " ".join(tok)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(dsio.DatasetParseError, match=f"line 5: .*{reason}") as err:
+            dsio.load_dataset(path)
+        assert err.value.line_no == 5
+        with pytest.raises(dsio.DatasetParseError, match="line 5"):
+            dsio.real_data_from_dataset(path)
+
+    @pytest.mark.parametrize("header", ["# dhpose dataset", "# dhpose dataset v1", ""])
+    def test_short_header_is_a_parse_error(self, tmp_path, header):
+        path = tmp_path / "h.txt"
+        path.write_text(header + "\n")
+        with pytest.raises(dsio.DatasetParseError, match="line 1"):
+            dsio.load_dataset(path)
+
+    def test_blocks_stream_and_count_lines(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dsio, "_BLOCK_ROWS", 4)
+        path, lines = self._write(tmp_path, n=11)
+        lines[7:7] = ["", "\t"]
+        path.write_text("\n".join(lines) + "\n")
+        loaded = dsio.load_dataset(path)
+        assert [r.sequence_id for r in loaded] == list(range(11))
+        lines[12] = lines[12] + " 1"  # record 7, after the blank lines
+        path.write_text("\n".join(lines) + "\n")
+        stream = dsio.iter_dataset(path)
+        assert [next(stream).sequence_id for _ in range(4)] == [0, 1, 2, 3]
+        with pytest.raises(dsio.DatasetParseError, match="line 13: expected 88 fields, got 89"):
+            list(stream)
+
+
+class TestVideoGrouping:
+    def test_matches_reference_grouping(self, tmp_path):
+        rng = RNG(41)
+        records = []
+        for seq, length in enumerate([3, 5, 2, 4, 1, 3, 6]):
+            frames = rng.permutation(length)
+            if length > 3:
+                frames[-1] = frames[0]  # a repeated frame index keeps file order
+            for f in frames:
+                pose3d = rng.normal(0, 0.5, (16, 3)) + [0, 0, 4.0]
+                cam = CameraIntrinsics(fx=1000.0 + 10 * seq + f)
+                records.append(dsio.DatasetRecord(
+                    pose3d=pose3d, pose2d=project_pose(pose3d, cam), camera=cam,
+                    sequence_id=int(100 - 7 * seq), frame_index=int(f), provenance="real"))
+        order = rng.permutation(len(records))
+        records = [records[i] for i in order]
+        path = tmp_path / "v.txt"
+        dsio.save_dataset(records, path)
+        data = dsio.real_data_from_dataset(path, mode="video", frames=3)
+        p3, p2, cams = group_sequences_ref(dsio.load_dataset(path), 3)
+        assert data.pose3d.shape == (5, 3, 16, 3)
+        assert np.array_equal(data.pose3d, p3)
+        assert np.array_equal(data.pose2d, p2)
+        assert np.array_equal(data.cams, cams)
+        with pytest.raises(ValueError, match="no sequences of length 7"):
+            dsio.real_data_from_dataset(path, mode="video", frames=7)
+
+
+class TestBinaryReader:
+    def _write(self, tmp_path, n=8):
+        path = tmp_path / "d.bin"
+        dsio.save_dataset_binary(random_records(n, seed=42), path)
+        return path
+
+    @pytest.mark.parametrize("meta", [b"", b"binary", b"binary 8", b"binary x 88",
+                                      b"binary 8 87", b"rows 8 88"])
+    def test_bad_count_line_is_a_parse_error(self, tmp_path, meta):
+        path = self._write(tmp_path)
+        header, _, rest = path.read_bytes().split(b"\n", 2)
+        path.write_bytes(header + b"\n" + meta + b"\n" + rest)
+        with pytest.raises(dsio.DatasetParseError, match="line 2"):
+            dsio.load_dataset_binary(path)
+
+    @pytest.mark.parametrize("field, value, reason", [
+        (0, 7.0, "bad provenance code 7"),
+        (0, 0.5, "bad provenance code 0.5"),
+        (0, np.nan, "bad provenance code nan"),
+        (40, np.inf, "non-finite value in field 41"),
+        (2, np.nan, "non-finite value in field 3"),
+    ])
+    def test_bad_record_names_record_and_byte_offset(self, tmp_path, field, value, reason):
+        path = self._write(tmp_path)
+        data = bytearray(path.read_bytes())
+        start = data.index(b"binary 8 88\n") + len(b"binary 8 88\n")
+        offset = start + (3 * 88 + field) * 4
+        data[offset:offset + 4] = np.array([value], dtype="<f4").tobytes()
+        path.write_bytes(bytes(data))
+        where = start + 3 * 88 * 4 if field == 0 else offset
+        with pytest.raises(dsio.DatasetParseError,
+                           match=f"byte {where}: record 3: {reason}") as err:
+            dsio.load_dataset_binary(path)
+        assert err.value.offset == where and err.value.line_no is None
 
 
 class TestSynthesis:
