@@ -275,8 +275,14 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def leaky_relu_mask(z: np.ndarray, slope: float) -> np.ndarray:
-    """The leaky-ReLU derivative: 1 where ``z >= 0``, else ``slope``."""
-    return (z >= 0.0) * (1.0 - slope) + slope
+    """The leaky-ReLU derivative: 1 where ``z >= 0``, else ``slope``.
+
+    Built in one array, bitwise equal to ``(z >= 0) * (1 - slope) + slope``.
+    """
+    mask = (z >= 0.0).astype(np.float64)
+    mask *= 1.0 - slope
+    mask += slope
+    return mask
 
 
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
@@ -287,6 +293,24 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
             a.accumulate(g * mask)
 
     return _make("leaky_relu", a.values * mask, (a,), bwd)
+
+
+def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, act: str,
+                  slope: float) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """``act(x @ w + b)`` written into the one new array ``x @ w``; x, w and b
+    are only read.  Returns it and, for lrelu, the derivative mask (None
+    otherwise)."""
+    z = x @ w
+    z += b
+    mask = None
+    if act == "tanh":
+        np.tanh(z, out=z)
+    elif act == "lrelu":
+        mask = leaky_relu_mask(z, slope)
+        z *= mask
+    elif act != "linear":
+        raise ValueError(f"unknown activation {act!r}")
+    return z, mask
 
 
 def linear(x, w, b, act: str = "linear", slope: float = 0.2) -> tuple[Tensor, Optional[np.ndarray]]:
@@ -301,21 +325,11 @@ def linear(x, w, b, act: str = "linear", slope: float = 0.2) -> tuple[Tensor, Op
             or b.values.shape != w.values.shape[1:]):
         raise ShapeError(f"linear shapes disagree: x {x.values.shape}, w {w.values.shape}, "
                          f"b {b.values.shape}")
-    z = x.values @ w.values + b.values
-    mask = None
-    if act == "tanh":
-        out_values = np.tanh(z)
-    elif act == "lrelu":
-        mask = leaky_relu_mask(z, slope)
-        out_values = z * mask
-    elif act == "linear":
-        out_values = z
-    else:
-        raise ValueError(f"unknown activation {act!r}")
+    z, mask = dense_forward(x.values, w.values, b.values, act, slope)
 
     def bwd(g):
         if act == "tanh":
-            g = g * (1.0 - out_values * out_values)
+            g = g * (1.0 - z * z)
         elif mask is not None:
             g = g * mask
         if x.requires_grad:
@@ -325,7 +339,7 @@ def linear(x, w, b, act: str = "linear", slope: float = 0.2) -> tuple[Tensor, Op
         if b.requires_grad:
             b.accumulate(g.sum(axis=0))
 
-    return _make("linear", out_values, (x, w, b), bwd), mask
+    return _make("linear", z, (x, w, b), bwd), mask
 
 
 def square(a: Tensor) -> Tensor:

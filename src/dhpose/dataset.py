@@ -11,6 +11,7 @@ stays bounded no matter the count.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -223,7 +224,15 @@ def save_dataset_binary(records: Sequence[DatasetRecord], path,
             fh.write(_binary_rows(block))
 
 
-def load_dataset_binary(path, topology: Optional[SkeletonTopology] = None) -> list[DatasetRecord]:
+def _is_binary(path) -> bool:
+    """True when the line after the header is a binary dataset's ``binary N W`` line."""
+    with open(path, "rb") as fh:
+        fh.readline()
+        return fh.readline().split()[:1] == [b"binary"]
+
+
+def _read_binary(path, topology: Optional[SkeletonTopology] = None) -> RowBlock:
+    """All rows of a binary dataset, after checking its count line and every record."""
     with open(path, "rb") as fh:
         first = fh.readline().decode().rstrip("\n")
         _check_topology(path, _parse_header(path, first), topology)
@@ -254,9 +263,12 @@ def load_dataset_binary(path, topology: Optional[SkeletonTopology] = None) -> li
         i, j = bad[0]
         raise DatasetParseError(path, None, f"record {i}: non-finite value in field {j + 1}",
                                 offset=start + (i * width + j) * 4)
-    block = RowBlock(rows[:, 0].astype(np.int8), rows[:, 1].astype(np.int64),
-                     rows[:, 2].astype(np.int64), rows[:, 3:])
-    return list(_records(block))
+    return RowBlock(rows[:, 0].astype(np.int8), rows[:, 1].astype(np.int64),
+                    rows[:, 2].astype(np.int64), rows[:, 3:])
+
+
+def load_dataset_binary(path, topology: Optional[SkeletonTopology] = None) -> list[DatasetRecord]:
+    return list(_records(_read_binary(path, topology)))
 
 
 # --------------------------------------------------------------------------
@@ -362,20 +374,47 @@ def export_skeleton_video(sequence, path, topology: Optional[SkeletonTopology] =
 
 
 def load_skeleton_video(path) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Read a skeleton video; a malformed line raises ``DatasetParseError`` naming it."""
     edges = []
     frames: list[list] = []
+    frame_lines: list[int] = []
     with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
+        for line_no, raw in enumerate(fh, start=1):
+            tok = raw.split()
+            if not tok or tok[0].startswith("#"):
                 continue
-            tok = line.split()
             if tok[0] == "edge":
-                edges.append((int(tok[1]), int(tok[2])))
+                if len(tok) != 3:
+                    raise DatasetParseError(path, line_no, f"expected 3 fields in an edge "
+                                                           f"line, got {len(tok)}")
+                try:
+                    edges.append((int(tok[1]), int(tok[2])))
+                except ValueError as exc:
+                    raise DatasetParseError(path, line_no, f"bad edge {raw.strip()!r}") from exc
             elif tok[0] == "frame":
                 frames.append([])
+                frame_lines.append(line_no)
             elif tok[0] == "kp":
-                frames[-1].append([float(tok[2]), float(tok[3]), float(tok[4])])
+                if not frames:
+                    raise DatasetParseError(path, line_no, "kp line before any frame line")
+                if len(tok) != 5:
+                    raise DatasetParseError(path, line_no, f"expected 5 fields in a kp "
+                                                           f"line, got {len(tok)}")
+                xyz = []
+                for t in tok[2:]:
+                    try:
+                        v = float(t)
+                    except ValueError as exc:
+                        raise DatasetParseError(path, line_no,
+                                                f"non-numeric coordinate {t!r}") from exc
+                    if not math.isfinite(v):
+                        raise DatasetParseError(path, line_no, f"non-finite coordinate {t!r}")
+                    xyz.append(v)
+                frames[-1].append(xyz)
+    for frame, line_no in zip(frames, frame_lines):
+        if len(frame) != len(frames[0]):
+            raise DatasetParseError(path, line_no, f"frame has {len(frame)} keypoints, "
+                                                   f"the first frame {len(frames[0])}")
     return np.asarray(frames), edges
 
 
@@ -436,7 +475,8 @@ def real_data_to_records(data, provenance: str = "real") -> list[DatasetRecord]:
 
 
 def real_data_from_dataset(path, mode: str = "single", frames: int = 1):
-    """Load a dataset file into training arrays (grouping frames by sequence).
+    """Load a text or binary dataset file into training arrays (grouping
+    frames by sequence); the format is told by the file's second line.
 
     In video mode, sequences come in ascending id order, each sequence's
     rows in ascending frame order (file order among equal indices); the first
@@ -445,8 +485,8 @@ def real_data_from_dataset(path, mode: str = "single", frames: int = 1):
     """
     from .gan import RealData
 
-    blocks = list(_iter_blocks(path))
-    if not blocks:
+    blocks = [_read_binary(path)] if _is_binary(path) else list(_iter_blocks(path))
+    if not blocks or not len(blocks[0].values):
         raise ValueError(f"{path}: dataset is empty")
     rows = RowBlock(*(np.concatenate(col) for col in zip(*blocks)))
     if mode == "single":

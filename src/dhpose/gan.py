@@ -664,16 +664,19 @@ def _interpolate(real: np.ndarray, fake: np.ndarray, eps: np.ndarray) -> np.ndar
 def critic_loss(ds: FrameCritic, dm: Optional[MotionCritic], real: FeatureBatch,
                 fake: FeatureBatch, alpha: float, gamma: int, rng: np.random.Generator,
                 tape: Tape, ds_params: Optional[dict] = None,
-                dm_params: Optional[dict] = None) -> Tensor:
+                dm_params: Optional[dict] = None, scores: Optional[dict] = None) -> Tensor:
     """Critic objective: E[D(fake)] - E[D(real)] + alpha * penalty, with the
     motion-critic terms gated by ``gamma``.
 
     Interpolates real and fake per sample with uniform weights for the
-    penalty inputs.
+    penalty inputs.  A ``scores`` dict, if given, receives the per-sample
+    frame scores (B,) of this forward pass under ``"real"`` and ``"fake"``.
     """
     _check_matching(real, fake)
     s_fake, _ = frame_score(ds, fake.x3d, fake.xcos, fake.x2d, tape, ds_params)
     s_real, _ = frame_score(ds, real.x3d, real.xcos, real.x2d, tape, ds_params)
+    if scores is not None:
+        scores["real"], scores["fake"] = s_real.values[:, 0], s_fake.values[:, 0]
     eps = rng.uniform(size=(real.x3d.shape[0], 1))
     pen = frame_penalty(ds, _interpolate(real.x3d, fake.x3d, eps),
                         _interpolate(real.xcos, fake.xcos, eps),
@@ -790,8 +793,10 @@ def critic_update(state: TrainState, real: FeatureBatch, fake: FeatureBatch,
     with Tape() as tape:  # the tape's memory is freed on return
         ds_leaves = critic_leaves(tape, state.ds, "ds.")
         dm_leaves = critic_leaves(tape, state.dm, "dm.") if (gamma and state.dm) else None
+        scores = {}
         loss = critic_loss(state.ds, state.dm if gamma else None, real, fake,
-                           state.config.alpha, gamma, state.rng, tape, ds_leaves, dm_leaves)
+                           state.config.alpha, gamma, state.rng, tape, ds_leaves, dm_leaves,
+                           scores)
         _abort_if_bad(float(loss.values), "critic loss", state, {})
         ad.backward(tape, loss)
         new_ds, _ = nn.adam_step(state.adam_ds, {k: v.values for k, v in ds_leaves.items()},
@@ -801,10 +806,9 @@ def critic_update(state: TrainState, real: FeatureBatch, fake: FeatureBatch,
             new_dm, _ = nn.adam_step(state.adam_dm, {k: v.values for k, v in dm_leaves.items()},
                                      nn.collect_grads(dm_leaves))
             critic_set_params(state.dm, new_dm, "dm.")
-    # separation of the just-updated critic, for the epoch log
-    s_real = discriminate_single(state.ds, real.x3d, real.x2d, real.xcos)
-    s_fake = discriminate_single(state.ds, fake.x3d, fake.x2d, fake.xcos)
-    return {"loss": float(loss.values), "d_gap": float(s_real.mean() - s_fake.mean())}
+    # separation measured by the step's own forward pass, before its update
+    d_gap = float(scores["real"].mean() - scores["fake"].mean())
+    return {"loss": float(loss.values), "d_gap": d_gap}
 
 
 def generator_update(state: TrainState, batch: int, gamma: int) -> dict:
@@ -828,6 +832,9 @@ def train_epoch(state: TrainState, data: RealData, synth_dir: Optional[str] = No
 
     Synthesizes exactly as many pairs as the training corpus holds and writes
     them as a dataset file when ``synth_dir`` (or config.out_dir) is set.
+    The metric ``d_gap`` is the mean over the epoch's critic steps of the
+    real minus fake mean frame score, each measured by the step's own
+    forward pass before its update.
     """
     if len(data) == 0:
         raise ValueError("training data is empty")

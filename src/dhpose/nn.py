@@ -66,13 +66,7 @@ def mlp_eval(net: Mlp, x) -> np.ndarray:
         raise ShapeError(f"input {h.shape} does not match first layer "
                          f"({net.in_dim} features expected)")
     for layer in net.layers:
-        z = h @ layer.w + layer.b
-        if layer.act == "tanh":
-            h = np.tanh(z)
-        elif layer.act == "lrelu":
-            h = z * ad.leaky_relu_mask(z, LRELU_SLOPE)
-        else:
-            h = z
+        h, _ = ad.dense_forward(h, layer.w, layer.b, layer.act, LRELU_SLOPE)
     return h
 
 

@@ -113,3 +113,18 @@ def group_sequences_ref(records, frames):
         seqs2.append(np.stack([r.pose2d for r in group]))
         cams.append(group[0].camera.as_array())
     return np.stack(seqs3), np.stack(seqs2), np.stack(cams)
+
+
+def leaky_relu_mask_ref(z, slope=0.2):
+    """The leaky-ReLU derivative as one expression: 1 where z >= 0, else slope."""
+    return (z >= 0.0) * (1.0 - slope) + slope
+
+
+def dense_ref(x, w, b, act, slope=0.2):
+    """One dense layer act(x @ w + b), each step writing a fresh array."""
+    z = x @ w + b
+    if act == "tanh":
+        return np.tanh(z)
+    if act == "lrelu":
+        return z * leaky_relu_mask_ref(z, slope)
+    return z

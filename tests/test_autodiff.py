@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dhpose import autodiff as ad
-from oracles import central_difference
+from oracles import central_difference, dense_ref, leaky_relu_mask_ref
 
 RNG = np.random.default_rng
 
@@ -213,3 +213,30 @@ def test_tape_context_drops_its_nodes_on_exit():
         assert len(tape.nodes) == 3
     assert tape.nodes == []
     assert np.array_equal(x.grad, [2.0, 2.0])
+
+
+@pytest.mark.parametrize("act", ["tanh", "lrelu", "linear"])
+def test_linear_writes_the_reference_bits_and_leaves_its_inputs(act):
+    rng = RNG(17)
+    x0, w0, b0 = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
+    tape = ad.Tape()
+    x, w, b = tape.var(x0.copy()), tape.var(w0.copy()), tape.var(b0.copy())
+    out, mask = ad.linear(x, w, b, act)
+    assert np.array_equal(out.values, dense_ref(x0, w0, b0, act))
+    if act == "lrelu":
+        assert np.array_equal(mask, leaky_relu_mask_ref(x0 @ w0 + b0))
+    ad.backward(tape, ad.sum_(ad.square(out)))
+    for leaf, before in ((x, x0), (w, w0), (b, b0)):
+        assert np.array_equal(leaf.values, before)
+
+
+def test_leaky_relu_mask_matches_the_reference_bits():
+    rng = RNG(18)
+    edge = [0.0, -0.0, 5e-324, -5e-324, -1e-300, 1e-300, 1e308, -1e308, np.inf, -np.inf]
+    spread = rng.normal(size=2000) * 10.0 ** rng.integers(-300, 300, 2000)
+    z = np.concatenate([edge, spread]).reshape(-1, 2)
+    for slope in (0.2, 0.01, 0.3):
+        got = ad.leaky_relu_mask(z, slope)
+        ref = leaky_relu_mask_ref(z, slope)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))

@@ -129,10 +129,16 @@ class TestTrain:
         assert len(dsio.load_dataset(out_dir / "epoch_000.txt")) == 24
 
     def test_train_from_config_and_data(self, capsys, tmp_path):
+        self._train_from(capsys, tmp_path, dsio.save_dataset)
+
+    def test_train_from_binary_data(self, capsys, tmp_path):
+        self._train_from(capsys, tmp_path, dsio.save_dataset_binary)
+
+    def _train_from(self, capsys, tmp_path, save):
         from dhpose import gan
-        data = tmp_path / "data.txt"
+        data = tmp_path / "data"
         corpus = dsio.make_band_corpus(16, 2)
-        dsio.save_dataset(dsio.real_data_to_records(corpus), data)
+        save(dsio.real_data_to_records(corpus), data)
         cfg = gan.TrainConfig(mode="single", epochs=1, beta_epoch=1, seed=2, batch_size=8,
                               critic_steps=1, gen_hidden=(16,), enc_hidden=(8,),
                               head_hidden=(4,))

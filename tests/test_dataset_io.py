@@ -244,6 +244,36 @@ class TestVideoGrouping:
             dsio.real_data_from_dataset(path, mode="video", frames=7)
 
 
+class TestTrainingArraysFromBinary:
+    @pytest.mark.parametrize("mode, frames", [("single", 1), ("video", 3)])
+    def test_binary_equals_float32_rounded_text(self, tmp_path, mode, frames):
+        records = random_records(60, seed=43, provenance="real")
+        for i, rec in enumerate(records):
+            rec.sequence_id, rec.frame_index = (i // 4, 3 - i % 4) if mode == "video" else (i, 0)
+        text, binary = tmp_path / "d.txt", tmp_path / "d.bin"
+        dsio.save_dataset(records, text)
+        dsio.save_dataset_binary(records, binary)
+        want = dsio.real_data_from_dataset(text, mode, frames)
+        got = dsio.real_data_from_dataset(binary, mode, frames)
+        assert got.pose3d.shape == want.pose3d.shape
+        for name in ("pose3d", "pose2d", "cams"):
+            expected = getattr(want, name).astype(np.float32).astype(np.float64)
+            assert np.array_equal(getattr(got, name), expected), name
+
+    def test_truncated_binary_is_a_parse_error_at_line_2(self, tmp_path):
+        path = tmp_path / "trunc.bin"
+        dsio.save_dataset_binary(random_records(8, seed=21), path)
+        path.write_bytes(path.read_bytes()[:-40])
+        with pytest.raises(dsio.DatasetParseError, match="line 2: binary payload truncated"):
+            dsio.real_data_from_dataset(path)
+
+    def test_empty_binary_dataset_rejected(self, tmp_path):
+        path = tmp_path / "empty.bin"
+        dsio.save_dataset_binary([], path)
+        with pytest.raises(ValueError, match="empty"):
+            dsio.real_data_from_dataset(path)
+
+
 class TestBinaryReader:
     def _write(self, tmp_path, n=8):
         path = tmp_path / "d.bin"
@@ -404,6 +434,26 @@ class TestSkeletonVideo:
     def test_empty_sequence_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="non-empty"):
             dsio.export_skeleton_video(np.zeros((0, 16, 3)), tmp_path / "x.txt")
+
+    @pytest.mark.parametrize("lines, line_no, reason", [
+        (["kp 0 1 2 3"], 2, "kp line before any frame line"),
+        (["frame 0", "kp 0 1 2"], 3, "expected 5 fields in a kp line, got 4"),
+        (["frame 0", "kp 0 1 2 3 4"], 3, "expected 5 fields in a kp line, got 6"),
+        (["edge 0"], 2, "expected 3 fields in an edge line, got 2"),
+        (["edge 0 1 2"], 2, "expected 3 fields in an edge line, got 4"),
+        (["edge 0 x"], 2, "bad edge 'edge 0 x'"),
+        (["frame 0", "kp 0 1 x 3"], 3, "non-numeric coordinate 'x'"),
+        (["frame 0", "kp 0 1 2 nan"], 3, "non-finite coordinate 'nan'"),
+        (["frame 0", "kp 0 -inf 2 3"], 3, "non-finite coordinate '-inf'"),
+        (["frame 0", "kp 0 1 2 3", "kp 1 1 2 3", "frame 1", "kp 0 1 2 3"], 5,
+         "frame has 1 keypoints, the first frame 2"),
+    ])
+    def test_malformed_line_is_a_parse_error(self, tmp_path, lines, line_no, reason):
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(["# dhpose skeleton-video v1"] + lines) + "\n")
+        with pytest.raises(dsio.DatasetParseError, match=f"line {line_no}: {reason}") as err:
+            dsio.load_skeleton_video(path)
+        assert err.value.line_no == line_no
 
 
 class TestBandCorpus:

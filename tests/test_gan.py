@@ -1,3 +1,4 @@
+import copy
 import gc
 import json
 import weakref
@@ -476,6 +477,29 @@ class TestTrainEpoch:
             assert [r() for r in refs[1]] == [None, None]
         finally:
             gc.enable()
+
+    def test_d_gap_is_the_step_score_gap_before_its_update(self, monkeypatch):
+        cfg = tiny_config(mode="video", frames=3, seed=47, batch_size=4, critic_steps=1,
+                          beta_epoch=1)
+        data = dsio.make_band_corpus(8, 14, mode="video", frames=3)
+        state = gan.init_train_state(cfg)
+        real = gan._real_minibatch(data, np.arange(4), state.pairs, True)
+        fake, _ = gan._fake_minibatch(state, 4, state.pairs, True)
+        before = copy.deepcopy(state.ds)
+        s_real = gan.discriminate_single(before, real.x3d, real.x2d, real.xcos)
+        s_fake = gan.discriminate_single(before, fake.x3d, fake.x2d, fake.xcos)
+        calls = []
+        mlp_eval = nn.mlp_eval
+
+        def counting_eval(*args):
+            calls.append(args)
+            return mlp_eval(*args)
+
+        monkeypatch.setattr(nn, "mlp_eval", counting_eval)
+        m = gan.critic_update(state, real, fake, 1)
+        assert len(calls) == 0
+        assert m["d_gap"] == float(s_real.mean() - s_fake.mean())
+        assert not np.array_equal(state.ds.head.layers[0].w, before.head.layers[0].w)
 
     def test_smoke_separation_short(self):
         # critic-only training separates band poses from untrained-generator fakes

@@ -3,7 +3,7 @@ import pytest
 
 from dhpose import autodiff as ad
 from dhpose import nn
-from oracles import central_difference
+from oracles import central_difference, dense_ref
 
 RNG = np.random.default_rng
 
@@ -39,6 +39,21 @@ class TestForward:
         x = RNG(0).normal(size=(5, 6))
         out = nn.mlp_forward(net, x, ad.Tape())
         assert np.max(np.abs(out.values - reference_forward(net, x))) < 1e-12
+
+    @pytest.mark.parametrize("act", nn.ACTIVATIONS)
+    def test_eval_and_tape_write_the_reference_bits(self, act):
+        net = nn.mlp_init([6, 8, 5, 3], [act] * 3, RNG(2))
+        before = {k: v.copy() for k, v in nn.mlp_params(net).items()}
+        x = RNG(3).normal(size=(7, 6))
+        x0 = x.copy()
+        ref = x0
+        for layer in net.layers:
+            ref = dense_ref(ref, layer.w, layer.b, layer.act)
+        assert np.array_equal(nn.mlp_eval(net, x), ref)
+        assert np.array_equal(nn.mlp_forward(net, x, ad.Tape()).values, ref)
+        assert np.array_equal(x, x0)
+        for key, value in nn.mlp_params(net).items():
+            assert np.array_equal(value, before[key])
 
     def test_shape_mismatch_reports_both_shapes(self):
         net = nn.mlp_init([6, 3], ["linear"], RNG(0))
