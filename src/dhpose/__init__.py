@@ -3,16 +3,10 @@
 A Denavit-Hartenberg skeleton drives 3D pose synthesis from 48 bounded
 parameters; Wasserstein critics with a gradient penalty train the generator;
 the tooling emits paired 2D-3D datasets and skeleton-video files.
-"""
 
-from .camera import CameraIntrinsics, DepthViolationError, default_camera, project_pose
-from .constraints import (ConstraintTable, ValidationReport, default_constraint_table,
-                          squash_params, validate_params)
-from .features import (AdjacentBonePairs, DegenerateBoneError, FeatureBundle,
-                       adjacent_bone_pairs, bone_rotation_traj, compute_feature_bundle,
-                       joint_cosines, root_traj_2d, traj_3d)
-from .skeleton import (DhRow, GlobalTransform, KinematicBranch, SkeletonTopology,
-                       apply_global_transform, compose_chain, default_topology, dh_matrix,
-                       forward_kinematics, forward_kinematics_batch, rest_pose)
+Import the submodules (``dhpose.skeleton``, ``dhpose.gan``, ...) directly.
+The package itself loads nothing, so that the ``dhpose`` command
+(``dhpose.__main__``) can fix the BLAS thread count before numpy loads.
+"""
 
 __version__ = "0.1.0"

@@ -2,9 +2,12 @@
 
 A ``Tape`` records every operation as it is built, so the node list is
 topologically ordered by construction.  ``backward`` walks that list in
-reverse and accumulates exact gradients, summing over fan-out.  All values
-are float64 and every op is deterministic, so identical inputs give
-bitwise-identical forward and backward results.
+reverse and accumulates exact gradients, summing over fan-out.  Values are
+float32 when given as float32 and float64 otherwise; an op keeps the dtype
+of its inputs (a plain-number operand takes the dtype of the tensor it
+meets), and a gradient has the dtype of its tensor.  Every op is
+deterministic, so identical inputs give bitwise-identical forward and
+backward results.
 
 Every tensor points at its tape and the tape lists every tensor, so a tape
 is a reference cycle.  Use it as a context manager to drop the node list on
@@ -29,7 +32,10 @@ class Tensor:
     __slots__ = ("values", "grad", "parents", "op", "tape", "requires_grad", "_bwd", "__weakref__")
 
     def __init__(self, values, tape, parents=(), op="leaf", requires_grad=False, bwd=None):
-        self.values = np.asarray(values, dtype=np.float64)
+        values = np.asarray(values)
+        if values.dtype != np.float32:
+            values = values.astype(np.float64, copy=False)
+        self.values = values
         self.grad: Optional[np.ndarray] = None
         self.parents = tuple(parents)
         self.op = op
@@ -60,7 +66,7 @@ class Tensor:
         return sub(self, other)
 
     def __rsub__(self, other):
-        return sub(_wrap(other, self.tape), self)
+        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -129,17 +135,15 @@ def backward(tape: Tape, out: Tensor) -> None:
         node._bwd(node.grad)
 
 
-def _wrap(x, tape: Tape) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return tape.const(np.asarray(x, dtype=np.float64))
-
-
-def _tape_of(*xs) -> Tape:
-    for x in xs:
-        if isinstance(x, Tensor):
-            return x.tape
-    raise TypeError("at least one operand must be a Tensor")
+def _wrap(*xs) -> list[Tensor]:
+    """The operands as tensors.  A non-tensor becomes a constant in the dtype of
+    the first tensor operand: a float64 constant would promote a float32 graph."""
+    like = next((x for x in xs if isinstance(x, Tensor)), None)
+    if like is None:
+        raise TypeError("at least one operand must be a Tensor")
+    dtype = like.values.dtype
+    return [x if isinstance(x, Tensor) else like.tape.const(np.asarray(x, dtype=dtype))
+            for x in xs]
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -162,8 +166,7 @@ def _make(op, values, parents, bwd, requires_grad=None):
 
 
 def add(a, b) -> Tensor:
-    tape = _tape_of(a, b)
-    a, b = _wrap(a, tape), _wrap(b, tape)
+    a, b = _wrap(a, b)
     out_values = a.values + b.values
 
     def bwd(g):
@@ -176,8 +179,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    tape = _tape_of(a, b)
-    a, b = _wrap(a, tape), _wrap(b, tape)
+    a, b = _wrap(a, b)
     out_values = a.values - b.values
 
     def bwd(g):
@@ -190,8 +192,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    tape = _tape_of(a, b)
-    a, b = _wrap(a, tape), _wrap(b, tape)
+    a, b = _wrap(a, b)
     out_values = a.values * b.values
 
     def bwd(g):
@@ -204,8 +205,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    tape = _tape_of(a, b)
-    a, b = _wrap(a, tape), _wrap(b, tape)
+    a, b = _wrap(a, b)
     out_values = a.values / b.values
 
     def bwd(g):
@@ -227,8 +227,7 @@ def neg(a: Tensor) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     """Matrix product; 2D or batched with identical leading dims."""
-    tape = _tape_of(a, b)
-    a, b = _wrap(a, tape), _wrap(b, tape)
+    a, b = _wrap(a, b)
     if a.values.ndim < 2 or b.values.ndim < 2:
         raise ShapeError(f"matmul needs >=2D operands, got {a.values.shape} and {b.values.shape}")
     if a.values.shape[-1] != b.values.shape[-2]:
@@ -275,11 +274,11 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def leaky_relu_mask(z: np.ndarray, slope: float) -> np.ndarray:
-    """The leaky-ReLU derivative: 1 where ``z >= 0``, else ``slope``.
+    """The leaky-ReLU derivative: 1 where ``z >= 0``, else ``slope``, in ``z``'s dtype.
 
     Built in one array, bitwise equal to ``(z >= 0) * (1 - slope) + slope``.
     """
-    mask = (z >= 0.0).astype(np.float64)
+    mask = (z >= 0.0).astype(z.dtype)
     mask *= 1.0 - slope
     mask += slope
     return mask
@@ -319,8 +318,7 @@ def linear(x, w, b, act: str = "linear", slope: float = 0.2) -> tuple[Tensor, Op
     Returns the output and, for lrelu, its derivative mask (None otherwise),
     which input gradients built as tape ops reuse.
     """
-    tape = _tape_of(x, w, b)
-    x, w, b = _wrap(x, tape), _wrap(w, tape), _wrap(b, tape)
+    x, w, b = _wrap(x, w, b)
     if (x.values.ndim != 2 or w.values.ndim != 2 or x.values.shape[1] != w.values.shape[0]
             or b.values.shape != w.values.shape[1:]):
         raise ShapeError(f"linear shapes disagree: x {x.values.shape}, w {w.values.shape}, "
@@ -340,6 +338,19 @@ def linear(x, w, b, act: str = "linear", slope: float = 0.2) -> tuple[Tensor, Op
             b.accumulate(g.sum(axis=0))
 
     return _make("linear", z, (x, w, b), bwd), mask
+
+
+def astype(a: Tensor, dtype) -> Tensor:
+    """``a`` in another float dtype; its gradient flows back in ``a``'s dtype.
+    Returns ``a`` itself when it already has that dtype."""
+    if a.values.dtype == dtype:
+        return a
+
+    def bwd(g):
+        if a.requires_grad:
+            a.accumulate(g.astype(a.values.dtype))
+
+    return _make("astype", a.values.astype(dtype), (a,), bwd)
 
 
 def square(a: Tensor) -> Tensor:
@@ -455,9 +466,7 @@ def take(a: Tensor, indices, axis: int) -> Tensor:
 
 
 def concat(xs: Sequence[Tensor], axis: int = -1) -> Tensor:
-    xs = list(xs)
-    tape = _tape_of(*xs)
-    xs = [_wrap(x, tape) for x in xs]
+    xs = _wrap(*xs)
     out_values = np.concatenate([x.values for x in xs], axis=axis)
     sizes = [x.values.shape[axis] for x in xs]
     offsets = np.cumsum([0] + sizes)

@@ -190,14 +190,27 @@ def _parse_rows(path, lines: list[str], line_nos: list[int]) -> RowBlock:
     return RowBlock(codes, rows["sequence_id"].copy(), rows["frame_index"].copy(), values)
 
 
+def _decode(path, raw: bytes, line_no: int) -> str:
+    try:
+        return raw.decode()
+    except UnicodeDecodeError as exc:
+        raise DatasetParseError(path, line_no, f"not UTF-8 text: byte {raw[exc.start]:#04x} "
+                                               f"at column {exc.start + 1}") from exc
+
+
 def _iter_blocks(path, topology: Optional[SkeletonTopology] = None) -> Iterator[RowBlock]:
-    """Stream a text dataset as blocks of at most ``_BLOCK_ROWS`` lines each."""
-    with open(path) as fh:
-        first = fh.readline().rstrip("\n")
+    """Stream a text dataset as blocks of at most ``_BLOCK_ROWS`` lines each.
+
+    Lines are decoded one at a time, so bytes that are not UTF-8 (a binary
+    file with a damaged count line, say) are reported with their line.
+    """
+    with open(path, "rb") as fh:
+        first = _decode(path, fh.readline(), 1).rstrip("\n")
         _check_topology(path, _parse_header(path, first), topology)
         line_no = 1
         while chunk := list(islice(fh, _BLOCK_ROWS)):
-            kept = [(n, line) for n, line in enumerate(chunk, start=line_no + 1)
+            lines = [_decode(path, raw, n) for n, raw in enumerate(chunk, start=line_no + 1)]
+            kept = [(n, line) for n, line in enumerate(lines, start=line_no + 1)
                     if not line.isspace()]
             line_no += len(chunk)
             if kept:

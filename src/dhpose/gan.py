@@ -34,6 +34,11 @@ from .skeleton import (N_ANGLE_PARAMS, N_LENGTH_PARAMS, N_PARAMS, SkeletonTopolo
                        default_topology, forward_kinematics_batch)
 
 N_GLOBAL = 6
+# dtype of the forward pass, gradient penalty and backward pass of every
+# training step.  Weights stay float64 masters, updated by Adam in float64;
+# geometry (squash, FK, depth check, projection, cosines), inference,
+# synthesis and checkpoints stay float64.
+COMPUTE_DTYPE = np.float32
 
 
 class TrainingDivergedError(RuntimeError):
@@ -361,9 +366,13 @@ class TapeGenOutput:
 
 def generate_on_tape(gen: DhGenerator, z, tape: Tape, gen_params: dict,
                      pairs: AdjacentBonePairs) -> TapeGenOutput:
-    z = np.asarray(z, dtype=np.float64)
+    """The net runs in the dtype of ``gen_params`` and the critic streams come
+    out in it; squash, FK, the depth check and projection run in float64."""
+    dtype = gen_params["gen.l0.w"].values.dtype
+    z = np.asarray(z, dtype=dtype)
     b = z.shape[0]
     raw, _ = nn.mlp_apply(gen.net, tape.const(z), tape, gen_params, "gen.")
+    raw = ad.astype(raw, np.float64)
     glo_lo, glo_hi = gen.bounds.arrays()
     if gen.mode == "single":
         params = _squash_tape(raw[:, :N_PARAMS], gen.table.lo, gen.table.hi, tape)
@@ -410,8 +419,10 @@ def generate_on_tape(gen: DhGenerator, z, tape: Tape, gen_params: dict,
             "seq2d": ad.reshape(seq2d, (b, t * 32)),
             "root2d": ad.reshape(ad.sub(root2d[:, 1:], root2d[:, :-1]), (b, (t - 1) * 2)),
         }
+        motion = {k: ad.astype(v, dtype) for k, v in motion.items()}
     return TapeGenOutput(params=params, globals_=globals_, pose3d=pose3d,
-                         x3d=x3d, xcos=xcos, x2d=x2d, motion=motion)
+                         x3d=ad.astype(x3d, dtype), xcos=ad.astype(xcos, dtype),
+                         x2d=ad.astype(x2d, dtype), motion=motion)
 
 
 # --------------------------------------------------------------------------
@@ -496,8 +507,11 @@ def critic_params(critic, prefix: str) -> dict[str, np.ndarray]:
     return out
 
 
-def critic_leaves(tape: Tape, critic, prefix: str) -> dict[str, Tensor]:
-    return {k: tape.var(v, name=k) for k, v in critic_params(critic, prefix).items()}
+def critic_leaves(tape: Tape, critic, prefix: str, dtype=np.float64) -> dict[str, Tensor]:
+    """Differentiable leaves for every weight and bias, as ``dtype`` copies
+    of the float64 weights (the weights themselves for float64)."""
+    return {k: tape.var(v.astype(dtype, copy=False), name=k)
+            for k, v in critic_params(critic, prefix).items()}
 
 
 def critic_set_params(critic, values: dict[str, np.ndarray], prefix: str) -> None:
@@ -506,7 +520,7 @@ def critic_set_params(critic, values: dict[str, np.ndarray], prefix: str) -> Non
 
 
 def _as_tensor(x, tape: Tape) -> Tensor:
-    return x if isinstance(x, Tensor) else tape.const(np.asarray(x, dtype=np.float64))
+    return x if isinstance(x, Tensor) else tape.const(x)
 
 
 def frame_score(critic: FrameCritic, x3d, xcos, x2d, tape: Tape,
@@ -658,7 +672,14 @@ def _check_matching(real: FeatureBatch, fake: FeatureBatch) -> None:
 
 
 def _interpolate(real: np.ndarray, fake: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    eps = eps.astype(real.dtype, copy=False)
     return eps * real + (1.0 - eps) * fake
+
+
+def _cast_batch(fb: FeatureBatch, dtype) -> FeatureBatch:
+    motion = None if fb.motion is None else {k: v.astype(dtype) for k, v in fb.motion.items()}
+    return FeatureBatch(x3d=fb.x3d.astype(dtype), xcos=fb.xcos.astype(dtype),
+                        x2d=fb.x2d.astype(dtype), motion=motion)
 
 
 def critic_loss(ds: FrameCritic, dm: Optional[MotionCritic], real: FeatureBatch,
@@ -695,14 +716,19 @@ def critic_loss(ds: FrameCritic, dm: Optional[MotionCritic], real: FeatureBatch,
 
 
 def generator_loss(ds: FrameCritic, dm: Optional[MotionCritic], fake: TapeGenOutput,
-                   gamma: int, tape: Tape) -> Tensor:
-    """Adversarial complement: -E[D_s(fake)] - gamma * E[D_m(fake)]."""
-    s, _ = frame_score(ds, fake.x3d, fake.xcos, fake.x2d, tape)
+                   gamma: int, tape: Tape, ds_params: Optional[dict] = None,
+                   dm_params: Optional[dict] = None) -> Tensor:
+    """Adversarial complement: -E[D_s(fake)] - gamma * E[D_m(fake)].
+
+    The critics score with ``ds_params``/``dm_params`` when given, else with
+    their float64 weights as constants.
+    """
+    s, _ = frame_score(ds, fake.x3d, fake.xcos, fake.x2d, tape, ds_params)
     loss = ad.neg(ad.mean(s))
     if gamma and dm is not None:
         if fake.motion is None:
             raise ShapeError("motion terms are on but the generator emitted no sequences")
-        m, _ = motion_score(dm, fake.motion, tape)
+        m, _ = motion_score(dm, fake.motion, tape, dm_params)
         loss = ad.sub(loss, ad.mean(m))
     return loss
 
@@ -790,20 +816,23 @@ def _fake_minibatch(state: TrainState, batch: int, pairs: AdjacentBonePairs,
 
 def critic_update(state: TrainState, real: FeatureBatch, fake: FeatureBatch,
                   gamma: int) -> dict:
+    """One critic step in ``COMPUTE_DTYPE``; Adam updates the float64 weights."""
+    real, fake = _cast_batch(real, COMPUTE_DTYPE), _cast_batch(fake, COMPUTE_DTYPE)
     with Tape() as tape:  # the tape's memory is freed on return
-        ds_leaves = critic_leaves(tape, state.ds, "ds.")
-        dm_leaves = critic_leaves(tape, state.dm, "dm.") if (gamma and state.dm) else None
+        ds_leaves = critic_leaves(tape, state.ds, "ds.", COMPUTE_DTYPE)
+        dm_leaves = critic_leaves(tape, state.dm, "dm.", COMPUTE_DTYPE) \
+            if (gamma and state.dm) else None
         scores = {}
         loss = critic_loss(state.ds, state.dm if gamma else None, real, fake,
                            state.config.alpha, gamma, state.rng, tape, ds_leaves, dm_leaves,
                            scores)
         _abort_if_bad(float(loss.values), "critic loss", state, {})
         ad.backward(tape, loss)
-        new_ds, _ = nn.adam_step(state.adam_ds, {k: v.values for k, v in ds_leaves.items()},
+        new_ds, _ = nn.adam_step(state.adam_ds, critic_params(state.ds, "ds."),
                                  nn.collect_grads(ds_leaves))
         critic_set_params(state.ds, new_ds, "ds.")
         if dm_leaves is not None:
-            new_dm, _ = nn.adam_step(state.adam_dm, {k: v.values for k, v in dm_leaves.items()},
+            new_dm, _ = nn.adam_step(state.adam_dm, critic_params(state.dm, "dm."),
                                      nn.collect_grads(dm_leaves))
             critic_set_params(state.dm, new_dm, "dm.")
     # separation measured by the step's own forward pass, before its update
@@ -812,15 +841,23 @@ def critic_update(state: TrainState, real: FeatureBatch, fake: FeatureBatch,
 
 
 def generator_update(state: TrainState, batch: int, gamma: int) -> dict:
+    """One generator step: net and critics in ``COMPUTE_DTYPE``, geometry in
+    float64; Adam updates the float64 weights."""
+    dm = state.dm if gamma else None
     with Tape() as tape:  # the tape's memory is freed on return
-        gen_leaves = nn.mlp_leaves(tape, state.gen.net, "gen.")
+
+        def critic_consts(critic, prefix):  # the critics get no gradient here
+            return {k: tape.const(v.astype(COMPUTE_DTYPE))
+                    for k, v in critic_params(critic, prefix).items()}
+
+        gen_leaves = nn.mlp_leaves(tape, state.gen.net, "gen.", COMPUTE_DTYPE)
         z = sample_latent(batch, state.config.z_dim, state.rng)
         fake = generate_on_tape(state.gen, z, tape, gen_leaves, state.pairs)
-        loss = generator_loss(state.ds, state.dm if gamma else None, fake, gamma, tape)
+        loss = generator_loss(state.ds, dm, fake, gamma, tape, critic_consts(state.ds, "ds."),
+                              None if dm is None else critic_consts(dm, "dm."))
         _abort_if_bad(float(loss.values), "generator loss", state, {})
         ad.backward(tape, loss)
-        new_params, _ = nn.adam_step(state.adam_gen,
-                                     {k: v.values for k, v in gen_leaves.items()},
+        new_params, _ = nn.adam_step(state.adam_gen, nn.mlp_params(state.gen.net, "gen."),
                                      nn.collect_grads(gen_leaves))
         nn.mlp_set_params(state.gen.net, new_params, "gen.")
     violations = count_violations(fake.params.values, state.gen.table)

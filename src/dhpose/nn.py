@@ -84,9 +84,11 @@ def mlp_set_params(net: Mlp, values: dict[str, np.ndarray], prefix: str = "") ->
         layer.b = values[f"{prefix}l{i}.b"]
 
 
-def mlp_leaves(tape: Tape, net: Mlp, prefix: str = "") -> dict[str, Tensor]:
-    """Differentiable leaves for every weight and bias."""
-    return {k: tape.var(v, name=k) for k, v in mlp_params(net, prefix).items()}
+def mlp_leaves(tape: Tape, net: Mlp, prefix: str = "", dtype=np.float64) -> dict[str, Tensor]:
+    """Differentiable leaves for every weight and bias, as ``dtype`` copies
+    of the float64 weights (the weights themselves for float64)."""
+    return {k: tape.var(v.astype(dtype, copy=False), name=k)
+            for k, v in mlp_params(net, prefix).items()}
 
 
 def _layer_tensors(tape: Tape, net: Mlp, params: Optional[dict], prefix: str):
@@ -194,13 +196,18 @@ class AdamState:
 
 def adam_step(state: AdamState, params: dict[str, np.ndarray],
               grads: dict[str, np.ndarray]) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One Adam update; returns the new parameter dict and the state."""
+    """One Adam update; returns the new parameter dict and the state.
+
+    Gradients of another dtype (float32 from a float32 training step) are
+    cast to the parameters' dtype first, so the moments and the update are
+    computed in the parameters' precision.
+    """
     state.step += 1
     t = state.step
     new = {}
     for key in params:
-        g = grads[key]
         p = params[key]
+        g = grads[key].astype(p.dtype, copy=False)
         if g.shape != p.shape:
             raise ShapeError(f"gradient shape {g.shape} does not match parameter "
                              f"{key!r} shape {p.shape}")
@@ -276,7 +283,11 @@ def load_checkpoint(path) -> tuple[dict[str, Mlp], int, dict[str, str]]:
                                  f"{raw!r}") from exc
         if nbytes is None:
             raise ValueError("checkpoint has no binary section")
-        blob = np.frombuffer(fh.read(nbytes), dtype="<f4").astype(np.float64)
+        payload = fh.read(nbytes)
+        if len(payload) != nbytes:
+            raise ValueError(f"{path}: checkpoint blob truncated: header says {nbytes} bytes, "
+                             f"file holds {len(payload)}")
+        blob = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     nets: dict[str, Mlp] = {}
     pos = 0
     for name, fan_in, fan_out, act in specs:

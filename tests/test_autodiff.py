@@ -91,6 +91,64 @@ def test_op_gradients_match_central_differences(name):
     assert np.max(np.abs(grad - fd) / scale) < 1e-5, name
 
 
+class Float32Consts(ad.Tape):
+    """A tape whose array constants become float32.  0-d constants, which only
+    scalar operands (``add(x, 1.0)``, ``mean``'s 1/n) make, are kept as they
+    come, so a scalar wrapped as float64 would promote the graph and show."""
+
+    def const(self, values):
+        values = np.asarray(values)
+        return super().const(values.astype(np.float32) if values.ndim else values)
+
+
+class Float64Consts(ad.Tape):
+    """The reference for ``Float32Consts``: the same float32-rounded array
+    constants, computed in float64."""
+
+    def const(self, values):
+        values = np.asarray(values)
+        return super().const(values.astype(np.float32).astype(np.float64) if values.ndim
+                             else values)
+
+
+@pytest.mark.parametrize("name", sorted(OP_CASES))
+def test_float32_inputs_give_float32_values_and_gradients(name):
+    build, shape = OP_CASES[name]
+    x0 = (RNG(zlib.crc32(name.encode())).normal(size=shape) * 0.3).astype(np.float32)
+    if name == "clamp":
+        x0 = np.clip(x0, -0.4, 0.4)
+    results = []
+    for tape_type, dtype in ((Float64Consts, np.float64), (Float32Consts, np.float32)):
+        tape = tape_type()
+        x = tape.var(x0.astype(dtype))
+        y = build(tape, x)
+        w = RNG(1).normal(size=y.values.shape).astype(dtype)
+        ad.backward(tape, ad.mean(ad.mul(y, tape.const(w))))
+        results.append((tape, x, y))
+    tape, x, y = results[1]
+    assert [n.op for n in tape.nodes if n.values.dtype != np.float32] == []
+    assert [n.op for n in tape.nodes if n.grad is not None and n.grad.dtype != np.float32] == []
+    # against float64 on the same float32-rounded inputs; bound: 1e-5 of
+    # max(1, |value|), about 100 float32 ulps
+    _, x64, y64 = results[0]
+    for got, want in ((y.values, y64.values), (x.grad, x64.grad)):
+        assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)) < 1e-5, name
+
+
+@pytest.mark.parametrize("src, dst", [(np.float64, np.float32), (np.float32, np.float64)])
+def test_astype_casts_values_and_returns_gradients_in_the_input_dtype(src, dst):
+    tape = ad.Tape()
+    x = tape.var(RNG(60).normal(size=(3, 4)).astype(src))
+    y = ad.astype(x, dst)
+    assert y.values.dtype == dst
+    assert np.array_equal(y.values, x.values.astype(dst))
+    w = RNG(61).normal(size=(3, 4)).astype(dst)
+    ad.backward(tape, ad.sum_(ad.mul(y, tape.const(w))))
+    assert x.grad.dtype == src
+    assert np.array_equal(x.grad, w.astype(src))
+    assert ad.astype(x, src) is x
+
+
 def test_sum_gradient_is_ones():
     tape = ad.Tape()
     x = tape.var(RNG(0).normal(size=(4, 5)))

@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -150,6 +155,33 @@ class TestTrain:
         assert code == 0
         assert (out_dir / "metrics.jsonl").exists()
 
+    def test_undecodable_data_is_a_data_error(self, capsys, tmp_path):
+        data = tmp_path / "damaged.bin"
+        dsio.save_dataset_binary(dsio.real_data_to_records(dsio.make_band_corpus(4, 2)), data)
+        data.write_bytes(data.read_bytes().replace(b"binary 4 88", b"binray 4 88", 1))
+        code, _, err = run(capsys, "train", "--data", str(data), "--epochs", "1",
+                           "--batch", "2", "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert err.startswith("error: ") and "not UTF-8 text" in err
+        assert "Traceback" not in err
+
+    def test_same_digest_with_blas_threads_unset_or_pinned(self, tmp_path):
+        # the dhpose command pins BLAS to one thread unless told otherwise, so a
+        # run's bits do not depend on the machine's core count
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        digests = []
+        for name, extra in (("unset", {}), ("pinned", {"OPENBLAS_NUM_THREADS": "1"})):
+            out_dir = tmp_path / name
+            subprocess.run([sys.executable, "-m", "dhpose", "train", "--mode", "video",
+                            "--frames", "9", "--band-count", "256", "--batch", "64",
+                            "--epochs", "1", "--seed", "11", "--out", str(out_dir)],
+                           env={**env, **extra}, check=True, capture_output=True, timeout=300)
+            digests.append(hashlib.sha256((out_dir / "epoch_000.txt").read_bytes()).hexdigest())
+        assert digests[0] == digests[1]
+
     def test_divergence_is_a_data_error(self, capsys, tmp_path, monkeypatch):
         from dhpose import gan
         init = gan.init_train_state
@@ -184,6 +216,18 @@ class TestSynthFromCheckpoint:
         other = tmp_path / "untrained.txt"
         run(capsys, "synth", "--count", "50", "--seed", "9", "--out", str(other))
         assert data.read_bytes() != other.read_bytes()
+
+
+    def test_truncated_checkpoint_is_a_data_error(self, capsys, tmp_path):
+        out_dir = tmp_path / "run"
+        run(capsys, "train", "--band-count", "8", "--epochs", "1", "--batch", "4",
+            "--out", str(out_dir), "--seed", "6")
+        ckpt = out_dir / "gen.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:-100])
+        code, _, err = run(capsys, "synth", "--count", "5", "--seed", "9",
+                           "--out", str(tmp_path / "d.txt"), "--checkpoint", str(ckpt))
+        assert code == 2
+        assert "checkpoint blob truncated" in err
 
 
 class TestExportVideo:

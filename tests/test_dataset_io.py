@@ -216,6 +216,28 @@ class TestTextReader:
             list(stream)
 
 
+    def test_non_utf8_byte_names_its_line(self, tmp_path):
+        path, lines = self._write(tmp_path)
+        raw = [line.encode() for line in lines]
+        raw[4] = raw[4][:20] + b"\x80" + raw[4][20:]
+        path.write_bytes(b"\n".join(raw) + b"\n")
+        with pytest.raises(dsio.DatasetParseError, match="line 5: not UTF-8 text: byte 0x80 "
+                                                         "at column 21") as err:
+            dsio.load_dataset(path)
+        assert err.value.line_no == 5
+        with pytest.raises(dsio.DatasetParseError, match="line 5: not UTF-8"):
+            dsio.real_data_from_dataset(path)
+
+    def test_binary_file_with_a_damaged_count_line_is_a_parse_error(self, tmp_path):
+        # no longer recognised as binary, so read as text: the payload is not UTF-8
+        path = tmp_path / "damaged.bin"
+        dsio.save_dataset_binary(random_records(4, seed=44), path)
+        path.write_bytes(path.read_bytes().replace(b"binary 4 88", b"binray 4 88", 1))
+        with pytest.raises(dsio.DatasetParseError, match=r"damaged\.bin: parse error at "
+                                                         r"line \d+: not UTF-8 text"):
+            dsio.real_data_from_dataset(path)
+
+
 class TestVideoGrouping:
     def test_matches_reference_grouping(self, tmp_path):
         rng = RNG(41)

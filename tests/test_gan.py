@@ -486,8 +486,13 @@ class TestTrainEpoch:
         real = gan._real_minibatch(data, np.arange(4), state.pairs, True)
         fake, _ = gan._fake_minibatch(state, 4, state.pairs, True)
         before = copy.deepcopy(state.ds)
-        s_real = gan.discriminate_single(before, real.x3d, real.x2d, real.xcos)
-        s_fake = gan.discriminate_single(before, fake.x3d, fake.x2d, fake.xcos)
+        # the step scores in the compute dtype: so does the reference
+        dtype = gan.COMPUTE_DTYPE
+        with ad.Tape() as tape:
+            params = gan.critic_leaves(tape, before, "ds.", dtype)
+            s_real, s_fake = (gan.frame_score(before, b.x3d.astype(dtype), b.xcos.astype(dtype),
+                                              b.x2d.astype(dtype), tape, params)[0].values[:, 0]
+                              for b in (real, fake))
         calls = []
         mlp_eval = nn.mlp_eval
 
@@ -500,6 +505,64 @@ class TestTrainEpoch:
         assert len(calls) == 0
         assert m["d_gap"] == float(s_real.mean() - s_fake.mean())
         assert not np.array_equal(state.ds.head.layers[0].w, before.head.layers[0].w)
+
+    def test_critic_step_computes_in_float32_and_updates_float64_masters(self, monkeypatch):
+        cfg = tiny_config(mode="video", frames=3, seed=48, batch_size=4, critic_steps=1,
+                          beta_epoch=1)
+        data = dsio.make_band_corpus(8, 15, mode="video", frames=3)
+        state = gan.init_train_state(cfg)
+        real = gan._real_minibatch(data, np.arange(4), state.pairs, True)
+        fake, _ = gan._fake_minibatch(state, 4, state.pairs, True)
+        masters = {**gan.critic_params(state.ds, "ds."), **gan.critic_params(state.dm, "dm.")}
+        adams = copy.deepcopy([state.adam_ds, state.adam_dm])
+        calls = []
+        adam_step = nn.adam_step
+
+        def recording_adam(adam, params, grads):
+            calls.append((params, grads))
+            return adam_step(adam, params, grads)
+
+        monkeypatch.setattr(nn, "adam_step", recording_adam)
+        gan.critic_update(state, real, fake, 1)
+        assert len(calls) == 2
+        for (params, grads), adam, critic, prefix in zip(calls, adams, (state.ds, state.dm),
+                                                         ("ds.", "dm.")):
+            assert all(params[k] is masters[k] for k in params)  # not the float32 leaves
+            assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+            expected, _ = adam_step(adam, {k: masters[k] for k in params}, grads)
+            after = gan.critic_params(critic, prefix)
+            assert after.keys() == expected.keys()
+            for k in expected:
+                assert after[k].dtype == np.float64
+                assert np.array_equal(after[k], expected[k]), k
+
+    def test_generator_step_keeps_geometry_float64_and_streams_float32(self, monkeypatch):
+        cfg = tiny_config(mode="video", frames=3, seed=49, batch_size=4, critic_steps=1,
+                          beta_epoch=1)
+        state = gan.init_train_state(cfg)
+        before = copy.deepcopy(nn.mlp_params(state.gen.net, "gen."))
+        outs = []
+        generate_on_tape = gan.generate_on_tape
+
+        def recording_generate(*args):
+            outs.append(generate_on_tape(*args))
+            return outs[-1]
+
+        monkeypatch.setattr(gan, "generate_on_tape", recording_generate)
+        m = gan.generator_update(state, 4, 1)
+        fake = outs[0]
+        for t in (fake.params, fake.globals_, fake.pose3d):
+            assert t.values.dtype == np.float64
+        for t in (fake.x3d, fake.xcos, fake.x2d, *fake.motion.values()):
+            assert t.values.dtype == np.float32
+        # each stream is the float64 geometry rounded once
+        x3d = fake.pose3d.values.reshape(-1, 48)
+        assert np.array_equal(fake.x3d.values, x3d.astype(np.float32))
+        assert m["violations"] == 0
+        after = nn.mlp_params(state.gen.net, "gen.")
+        for k in before:
+            assert after[k].dtype == np.float64
+            assert not np.array_equal(after[k], before[k]), k
 
     def test_smoke_separation_short(self):
         # critic-only training separates band poses from untrained-generator fakes

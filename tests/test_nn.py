@@ -277,6 +277,16 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="line 3"):
             nn.load_checkpoint(path)
 
+    def test_truncated_blob_names_the_expected_and_actual_byte_counts(self, tmp_path):
+        net = {"gen": nn.mlp_init([8, 16, 4], ["tanh", "linear"], RNG(20))}
+        path = tmp_path / "short.ckpt"
+        nn.save_checkpoint(path, net, seed=1)
+        path.write_bytes(path.read_bytes()[:-100])
+        nbytes = 4 * (8 * 16 + 16 + 16 * 4 + 4)
+        with pytest.raises(ValueError, match=f"short.ckpt: checkpoint blob truncated: header says "
+                                             f"{nbytes} bytes, file holds {nbytes - 100}"):
+            nn.load_checkpoint(path)
+
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "bogus.ckpt"
         path.write_bytes(b"not a checkpoint\n")
