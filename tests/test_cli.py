@@ -165,9 +165,23 @@ class TestTrain:
         assert err.startswith("error: ") and "not UTF-8 text" in err
         assert "Traceback" not in err
 
+    def test_command_pins_blas_threads_unless_set(self, monkeypatch):
+        from dhpose import __main__ as entry
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda: calls.append(dict(os.environ)))
+        for var in entry.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        entry.main()
+        assert len(calls) == 1
+        assert calls[0]["OPENBLAS_NUM_THREADS"] == "1"
+        assert calls[0]["MKL_NUM_THREADS"] == "1"
+        assert calls[0]["OMP_NUM_THREADS"] == "3"
+
     def test_same_digest_with_blas_threads_unset_or_pinned(self, tmp_path):
         # the dhpose command pins BLAS to one thread unless told otherwise, so a
-        # run's bits do not depend on the machine's core count
+        # run's bits do not depend on the machine's core count; on a one-core
+        # machine BLAS runs one thread either way and this cannot tell the two apart
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {k: v for k, v in os.environ.items()
                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
