@@ -18,6 +18,7 @@ from . import constraints as ct
 from . import dataset as ds
 from . import gan
 from . import skeleton as sk
+from .__main__ import BLAS_THREAD_VARS
 from .camera import CameraIntrinsics, DepthViolationError, default_camera, project_pose
 from .features import adjacent_bone_pairs, bundle_to_text, compute_feature_bundle
 
@@ -174,15 +175,19 @@ def cmd_train(args) -> int:
     out_dir = cfg.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
+    # the bits of a run depend on BLAS's thread count (see dhpose.__main__)
+    blas_threads = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
     with open(metrics_path, "a") as log:
         for _ in range(cfg.epochs):
             metrics = gan.train_epoch(state, data, synth_dir=out_dir)
+            metrics["blas_threads"] = blas_threads
             log.write(json.dumps(metrics) + "\n")
             log.flush()
             print(f"epoch {metrics['epoch']}: gamma={metrics['gamma']} "
                   f"d_gap={metrics['d_gap']:.4f} penalty={metrics['penalty']:.4f} "
                   f"violations={metrics['violations']}")
-    gan.save_generator(state.gen, os.path.join(out_dir, "gen.ckpt"), cfg.seed)
+    gan.save_generator(state.gen, os.path.join(out_dir, "gen.ckpt"), cfg.seed,
+                       {"blas_threads": json.dumps(blas_threads, separators=(",", ":"))})
     print(f"metrics: {metrics_path}; checkpoint: {os.path.join(out_dir, 'gen.ckpt')}")
     return EXIT_OK
 

@@ -34,10 +34,12 @@ from .skeleton import (N_ANGLE_PARAMS, N_LENGTH_PARAMS, N_PARAMS, SkeletonTopolo
                        default_topology, forward_kinematics_batch)
 
 N_GLOBAL = 6
-# dtype of the forward pass, gradient penalty and backward pass of every
-# training step.  Weights stay float64 masters, updated by Adam in float64;
-# geometry (squash, FK, depth check, projection, cosines), inference,
-# synthesis and checkpoints stay float64.
+# dtype of the generator net on every path (inference, synthesis and the
+# generator step) and of the forward pass, gradient penalty and backward
+# pass of every training step.  Weights stay float64 masters, updated by
+# Adam in float64; the net's raw output is cast to float64 before the
+# squash, so geometry (squash, FK, depth check, projection, cosines) stays
+# float64, as does critic scoring outside training steps.
 COMPUTE_DTYPE = np.float32
 
 
@@ -212,11 +214,14 @@ def _split_raw(gen: DhGenerator, raw: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def generate_poses(gen: DhGenerator, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Latents to squashed (params, globals, pose3d), no projection yet."""
+    """Latents to squashed (params, globals, pose3d), no projection yet.
+
+    The net runs in ``COMPUTE_DTYPE``, as in ``generate_on_tape``; its raw
+    output is cast to float64, and everything after it is float64."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != gen.net.in_dim:
         raise ShapeError(f"latent shape {z.shape} does not match z_dim {gen.net.in_dim}")
-    raw = nn.mlp_eval(gen.net, z)
+    raw = nn.mlp_eval(gen.net, z, COMPUTE_DTYPE).astype(np.float64)
     params, globals_ = _split_raw(gen, raw)
     pose3d = forward_kinematics_batch(gen.topology, params.reshape(-1, N_PARAMS),
                                       globals_.reshape(-1, N_GLOBAL))
@@ -943,12 +948,15 @@ def train_epoch(state: TrainState, data: RealData, synth_dir: Optional[str] = No
     return metrics
 
 
-def save_generator(gen: DhGenerator, path, seed: int) -> None:
+def save_generator(gen: DhGenerator, path, seed: int,
+                   meta: Optional[dict[str, str]] = None) -> None:
+    """Write the generator net; ``meta`` adds header lines that
+    ``load_generator`` ignores."""
     from .skeleton import topology_hash
 
     nn.save_checkpoint(path, {"gen": gen.net}, seed,
                        extra={"mode": gen.mode, "frames": str(gen.frames),
-                              "topology": topology_hash(gen.topology)})
+                              "topology": topology_hash(gen.topology), **(meta or {})})
 
 
 def load_generator(path, topology: Optional[SkeletonTopology] = None,

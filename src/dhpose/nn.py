@@ -59,14 +59,16 @@ def mlp_init(sizes: Sequence[int], acts: Sequence[str], rng: np.random.Generator
     return Mlp(layers)
 
 
-def mlp_eval(net: Mlp, x) -> np.ndarray:
-    """Plain numpy forward pass (inference path, no tape)."""
-    h = np.asarray(x, dtype=np.float64)
+def mlp_eval(net: Mlp, x, dtype=np.float64) -> np.ndarray:
+    """Plain numpy forward pass (inference path, no tape) in ``dtype``: the
+    input and each layer's weights are cast to it, as ``mlp_leaves`` does."""
+    h = np.asarray(x, dtype=dtype)
     if h.ndim != 2 or h.shape[1] != net.in_dim:
         raise ShapeError(f"input {h.shape} does not match first layer "
                          f"({net.in_dim} features expected)")
     for layer in net.layers:
-        h, _ = ad.dense_forward(h, layer.w, layer.b, layer.act, LRELU_SLOPE)
+        h, _ = ad.dense_forward(h, layer.w.astype(dtype, copy=False),
+                                layer.b.astype(dtype, copy=False), layer.act, LRELU_SLOPE)
     return h
 
 

@@ -614,25 +614,53 @@ def save_rest_pose(pose, topology: SkeletonTopology, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_rest_pose(path) -> np.ndarray:
-    pose = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tok = line.split()
-            pose[int(tok[1])] = [float(tok[3]), float(tok[4]), float(tok[5])]
-    return np.array([pose[i] for i in range(len(pose))])
+def rest_pose_from_text(text: str, source="<text>") -> np.ndarray:
+    """Parse ``keypoint INDEX NAME X Y Z`` lines (``#`` comments and blank
+    lines skipped) into a (K, 3) pose.
 
-
-def default_rest_pose() -> np.ndarray:
-    text = resources.files("dhpose").joinpath("data/rest_pose.txt").read_text()
-    pose = {}
-    for line in text.splitlines():
+    Raises ValueError naming ``source`` and the line for a short or
+    non-numeric line, a non-finite coordinate, a duplicate index, or an
+    index that skips one (indices must run 0..K-1).
+    """
+    pose: dict[int, list[float]] = {}
+    line_of: dict[int, int] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"{source}: line {lineno}"
         tok = line.split()
-        pose[int(tok[1])] = [float(tok[3]), float(tok[4]), float(tok[5])]
+        try:
+            if len(tok) != 6 or tok[0] != "keypoint":
+                raise ValueError
+            kp = int(tok[1])
+            xyz = [float(t) for t in tok[3:]]
+        except ValueError:
+            raise ValueError(f"{where}: expected 'keypoint INDEX NAME X Y Z', "
+                             f"got {line!r}") from None
+        if kp < 0:
+            raise ValueError(f"{where}: negative keypoint index {kp}")
+        if not np.all(np.isfinite(xyz)):
+            raise ValueError(f"{where}: non-finite coordinate in {line!r}")
+        if kp in pose:
+            raise ValueError(f"{where}: keypoint {kp} already given at line {line_of[kp]}")
+        pose[kp] = xyz
+        line_of[kp] = lineno
+    if not pose:
+        raise ValueError(f"{source}: no keypoint lines")
+    for kp in range(max(pose)):
+        if kp not in pose:
+            after = min(k for k in pose if k > kp)
+            raise ValueError(f"{source}: line {line_of[after]}: keypoint {after} given "
+                             f"but keypoint {kp} is missing")
     return np.array([pose[i] for i in range(len(pose))])
+
+
+def load_rest_pose(path) -> np.ndarray:
+    with open(path) as fh:
+        return rest_pose_from_text(fh.read(), path)
+
+
+def default_rest_pose() -> np.ndarray:
+    resource = resources.files("dhpose").joinpath("data/rest_pose.txt")
+    return rest_pose_from_text(resource.read_text(), resource)

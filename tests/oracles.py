@@ -121,10 +121,32 @@ def leaky_relu_mask_ref(z, slope=0.2):
 
 
 def dense_ref(x, w, b, act, slope=0.2):
-    """One dense layer act(x @ w + b), each step writing a fresh array."""
+    """One dense layer act(x @ w + b) in the inputs' dtype, each step writing
+    a fresh array."""
     z = x @ w + b
     if act == "tanh":
         return np.tanh(z)
     if act == "lrelu":
-        return z * leaky_relu_mask_ref(z, slope)
+        return z * leaky_relu_mask_ref(z, slope).astype(z.dtype)
     return z
+
+
+def generate_ref(gen, z):
+    """The generator pipeline with its net in float64: float64 ``mlp_eval``,
+    then the package's split and squash, FK and projection.
+
+    A float64 reference for finite differences, which the float32 net of
+    ``gan.generate`` is too coarse for; it shares the package's geometry
+    on purpose and is no independent check of it."""
+    from dhpose import gan, nn
+    from dhpose.camera import project_pose
+    from dhpose.skeleton import N_PARAMS, forward_kinematics_batch
+
+    raw = nn.mlp_eval(gen.net, z)
+    params, globals_ = gan._split_raw(gen, raw)
+    pose3d = forward_kinematics_batch(gen.topology, params.reshape(-1, N_PARAMS),
+                                      globals_.reshape(-1, gan.N_GLOBAL))
+    if gen.mode == "video":
+        pose3d = pose3d.reshape(raw.shape[0], gen.frames, -1, 3)
+    return gan.GenOutput(params=params, globals_=globals_, pose3d=pose3d,
+                         pose2d=project_pose(pose3d, gen.camera))

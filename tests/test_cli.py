@@ -95,6 +95,20 @@ class TestProject:
         assert "z_min" in err
 
 
+    def test_malformed_pose_file_is_a_data_error(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "fk", "--transform", "0,0,0,0,0,4")
+        good = out.splitlines()
+        for name, lines in (("short", good[:3] + [" ".join(good[3].split()[:5])] + good[4:]),
+                            ("gap", good[:1] + good[2:]),
+                            ("nan", good[:1] + [good[1].rsplit(" ", 1)[0] + " nan"] + good[2:])):
+            pose_file = tmp_path / f"{name}.txt"
+            pose_file.write_text("\n".join(lines) + "\n")
+            code, out, err = run(capsys, "project", "--pose", str(pose_file))
+            assert code == 2, name
+            assert err.startswith(f"error: {pose_file}: line ") and "Traceback" not in err
+            assert out == ""
+
+
 class TestSynthAndFeatures:
     def test_synth_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -132,6 +146,25 @@ class TestTrain:
         assert (out_dir / "gen.ckpt").exists()
         assert (out_dir / "epoch_000.txt").exists()
         assert len(dsio.load_dataset(out_dir / "epoch_000.txt")) == 24
+
+    def test_metrics_and_checkpoint_record_the_blas_threads(self, capsys, tmp_path,
+                                                            monkeypatch):
+        from dhpose import gan, nn
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        expected = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None}
+        out_dir = tmp_path / "run"
+        code, _, _ = run(capsys, "train", "--band-count", "8", "--epochs", "2",
+                         "--batch", "4", "--out", str(out_dir), "--seed", "1")
+        assert code == 0
+        metrics = [json.loads(line) for line in
+                   (out_dir / "metrics.jsonl").read_text().splitlines()]
+        assert [m["blas_threads"] for m in metrics] == [expected, expected]
+        _, _, meta = nn.load_checkpoint(out_dir / "gen.ckpt")
+        assert json.loads(meta["blas_threads"]) == expected
+        gen = gan.load_generator(out_dir / "gen.ckpt")
+        assert gen.mode == "single"
 
     def test_train_from_config_and_data(self, capsys, tmp_path):
         self._train_from(capsys, tmp_path, dsio.save_dataset)

@@ -12,6 +12,7 @@ from dhpose import dataset as dsio
 from dhpose import gan
 from dhpose import nn
 from dhpose import skeleton as sk
+from oracles import generate_ref
 
 RNG = np.random.default_rng
 
@@ -98,7 +99,7 @@ class TestGenerate:
         z = gan.sample_latent(6, cfg.z_dim, RNG(9))
         out = gan.generate(gen, z)
         tape = ad.Tape()
-        leaves = nn.mlp_leaves(tape, gen.net, "gen.")
+        leaves = nn.mlp_leaves(tape, gen.net, "gen.", gan.COMPUTE_DTYPE)
         fk = gan.generate_on_tape(gen, z, tape, leaves, pairs)
         assert np.max(np.abs(fk.pose3d.values - out.pose3d)) < 1e-12
         assert np.max(np.abs(fk.params.values - out.params)) < 1e-12
@@ -109,9 +110,32 @@ class TestGenerate:
         z = gan.sample_latent(3, cfg.z_dim, RNG(11))
         out = gan.generate(gen, z)
         tape = ad.Tape()
-        leaves = nn.mlp_leaves(tape, gen.net, "gen.")
+        leaves = nn.mlp_leaves(tape, gen.net, "gen.", gan.COMPUTE_DTYPE)
         fk = gan.generate_on_tape(gen, z, tape, leaves, pairs)
         assert np.max(np.abs(fk.pose3d.values.reshape(3, 4, 16, 3) - out.pose3d)) < 1e-12
+
+    @pytest.mark.parametrize("mode,seed", [("single", 8), ("video", 10)])
+    def test_numpy_and_tape_nets_write_the_same_raw_bits(self, pairs, monkeypatch, mode, seed):
+        cfg = tiny_config(mode=mode, frames=4 if mode == "video" else 1)
+        gen = gan.build_generator(cfg, RNG(seed))
+        z = gan.sample_latent(5, cfg.z_dim, RNG(seed + 1))
+        outs = {}
+
+        def recording(name, fn):
+            def run(*args, **kwargs):
+                outs[name] = fn(*args, **kwargs)
+                return outs[name]
+            return run
+
+        monkeypatch.setattr(nn, "mlp_eval", recording("numpy", nn.mlp_eval))
+        monkeypatch.setattr(nn, "mlp_apply", recording("tape", nn.mlp_apply))
+        gan.generate_poses(gen, z)
+        tape = ad.Tape()
+        leaves = nn.mlp_leaves(tape, gen.net, "gen.", gan.COMPUTE_DTYPE)
+        gan.generate_on_tape(gen, z, tape, leaves, pairs)
+        numpy_raw, tape_raw = outs["numpy"], outs["tape"][0].values
+        assert numpy_raw.dtype == tape_raw.dtype == gan.COMPUTE_DTYPE
+        assert np.array_equal(numpy_raw, tape_raw)
 
 
 class TestFrameCritic:
@@ -363,7 +387,7 @@ class TestEndToEndGradients:
         z = gan.sample_latent(3, cfg.z_dim, RNG(52))
 
         def loss_value():
-            out = gan.generate(gen, z)
+            out = generate_ref(gen, z)
             fb = gan.feature_batch(out.pose3d, out.pose2d, gen.camera, pairs)
             return -gan.discriminate_single(critic, fb.x3d, fb.x2d, fb.xcos).mean()
 

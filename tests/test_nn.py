@@ -40,17 +40,27 @@ class TestForward:
         out = nn.mlp_forward(net, x, ad.Tape())
         assert np.max(np.abs(out.values - reference_forward(net, x))) < 1e-12
 
-    @pytest.mark.parametrize("act", nn.ACTIVATIONS)
-    def test_eval_and_tape_write_the_reference_bits(self, act):
+    @pytest.mark.parametrize("act,dtype",
+                             [pytest.param(a, np.float64, id=a) for a in nn.ACTIVATIONS]
+                             + [pytest.param(a, np.float32, id=f"{a}-float32")
+                                for a in nn.ACTIVATIONS])
+    def test_eval_and_tape_write_the_reference_bits(self, act, dtype):
         net = nn.mlp_init([6, 8, 5, 3], [act] * 3, RNG(2))
         before = {k: v.copy() for k, v in nn.mlp_params(net).items()}
         x = RNG(3).normal(size=(7, 6))
         x0 = x.copy()
-        ref = x0
+        ref = x0.astype(dtype)
         for layer in net.layers:
-            ref = dense_ref(ref, layer.w, layer.b, layer.act)
-        assert np.array_equal(nn.mlp_eval(net, x), ref)
-        assert np.array_equal(nn.mlp_forward(net, x, ad.Tape()).values, ref)
+            ref = dense_ref(ref, layer.w.astype(dtype), layer.b.astype(dtype), layer.act)
+        assert ref.dtype == dtype
+        assert np.array_equal(nn.mlp_eval(net, x, dtype), ref)
+        tape = ad.Tape()
+        out = nn.mlp_forward(net, tape.const(x.astype(dtype)), tape,
+                             nn.mlp_leaves(tape, net, "", dtype))
+        assert np.array_equal(out.values, ref)
+        if dtype == np.float64:
+            assert np.array_equal(nn.mlp_eval(net, x), ref)
+            assert np.array_equal(nn.mlp_forward(net, x, ad.Tape()).values, ref)
         assert np.array_equal(x, x0)
         for key, value in nn.mlp_params(net).items():
             assert np.array_equal(value, before[key])

@@ -289,3 +289,43 @@ class TestGlobalTransform:
             got = sk.rotation_xyz(rx, ry, rz)
             ref = rot_x_ref(rx) @ rot_y_ref(ry) @ rot_z_ref(rz)
             assert np.allclose(got, ref, atol=1e-14)
+
+
+class TestRestPoseFile:
+    def test_save_load_round_trip(self, topology, tmp_path):
+        pose = sk.rest_pose(topology) + RNG(12).normal(0, 0.1, (16, 3))
+        path = tmp_path / "pose.txt"
+        sk.save_rest_pose(pose, topology, path)
+        assert np.max(np.abs(sk.load_rest_pose(path) - pose)) < 1e-8
+
+    def test_shipped_file_and_loader_share_the_parser(self, tmp_path):
+        from importlib import resources
+        path = tmp_path / "pose.txt"
+        path.write_text(resources.files("dhpose").joinpath("data/rest_pose.txt").read_text())
+        assert np.array_equal(sk.load_rest_pose(path), sk.default_rest_pose())
+
+    @pytest.mark.parametrize("text,line,match", [
+        ("keypoint 0 a 0 0 0\nkeypoint 1 b 1 2\n", 2, "expected 'keypoint INDEX NAME X Y Z'"),
+        ("keypoint 0 a 0 0 zero\n", 1, "expected 'keypoint INDEX NAME X Y Z'"),
+        ("keypoint one a 0 0 0\n", 1, "expected 'keypoint INDEX NAME X Y Z'"),
+        ("kp 0 a 0 0 0\n", 1, "expected 'keypoint INDEX NAME X Y Z'"),
+        ("keypoint 0 a 0 nan 0\n", 1, "non-finite"),
+        ("keypoint 0 a 0 0 inf\n", 1, "non-finite"),
+        ("keypoint 0 a 0 0 0\nkeypoint 0 b 1 1 1\n", 2, "already given at line 1"),
+        ("# header\nkeypoint 0 a 0 0 0\nkeypoint 2 c 0 0 0\n", 3, "keypoint 1 is missing"),
+        ("keypoint 1 b 0 0 0\n", 1, "keypoint 0 is missing"),
+        ("keypoint -1 b 0 0 0\n", 1, "negative"),
+    ])
+    def test_malformed_file_is_a_value_error_naming_path_and_line(self, tmp_path, text,
+                                                                  line, match):
+        path = tmp_path / "pose.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match) as info:
+            sk.load_rest_pose(path)
+        assert str(info.value).startswith(f"{path}: line {line}: ")
+
+    def test_file_without_keypoints_rejected(self, tmp_path):
+        path = tmp_path / "pose.txt"
+        path.write_text("# nothing here\n\n")
+        with pytest.raises(ValueError, match=f"{path}: no keypoint lines"):
+            sk.load_rest_pose(path)
