@@ -415,7 +415,7 @@ def generate_on_tape(gen: DhGenerator, z, tape: Tape, gen_params: dict,
         seq3d = ad.reshape(x3d, (b, t, 48))
         cosseq = ad.reshape(xcos, (b, t, npairs))
         seq2d = ad.reshape(x2d, (b, t, 32))
-        root2d = ad.reshape(ad.reshape(pose2d, (b, t, 32))[:, :, 0:2], (b, t, 2))
+        root2d = seq2d[:, :, 0:2]
         motion = {
             "seq3d": ad.reshape(seq3d, (b, t * 48)),
             "diff3d": ad.reshape(ad.sub(seq3d[:, 1:], seq3d[:, :-1]), (b, (t - 1) * 48)),

@@ -114,6 +114,24 @@ class TestGenerate:
         fk = gan.generate_on_tape(gen, z, tape, leaves, pairs)
         assert np.max(np.abs(fk.pose3d.values.reshape(3, 4, 16, 3) - out.pose3d)) < 1e-12
 
+    def test_tape_motion_streams_match_the_numpy_streams(self, pairs):
+        # the critic trains on the numpy streams, so the generator step must
+        # score its fakes on the same ones (root2d in normalized coordinates)
+        cfg = tiny_config(mode="video", frames=9)
+        gen = gan.build_generator(cfg, RNG(60))
+        z = gan.sample_latent(5, cfg.z_dim, RNG(61))
+        out = gan.generate(gen, z)
+        want = gan.feature_batch(out.pose3d, out.pose2d, gen.camera, pairs, video=True).motion
+        tape = ad.Tape()
+        leaves = nn.mlp_leaves(tape, gen.net, "gen.", gan.COMPUTE_DTYPE)
+        got = gan.generate_on_tape(gen, z, tape, leaves, pairs).motion
+        assert got.keys() == want.keys()
+        for k in want:
+            assert got[k].values.shape == want[k].shape, k
+            # float32 streams: one rounding of the float64 values
+            assert np.max(np.abs(got[k].values - want[k]) / np.maximum(np.abs(want[k]), 1.0)) \
+                < 2 * np.finfo(np.float32).eps, k
+
     @pytest.mark.parametrize("mode,seed", [("single", 8), ("video", 10)])
     def test_numpy_and_tape_nets_write_the_same_raw_bits(self, pairs, monkeypatch, mode, seed):
         cfg = tiny_config(mode=mode, frames=4 if mode == "video" else 1)
