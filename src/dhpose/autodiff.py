@@ -156,10 +156,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _make(op, values, parents, bwd, requires_grad=None):
+def node(op: str, values, parents: tuple[Tensor, ...], bwd) -> Tensor:
+    """Record an op's output.  ``bwd(g)`` receives the gradient of ``values``
+    and accumulates into each parent that requires a gradient; it is kept
+    only when one does.  Ops written outside this module use it too."""
     tape = parents[0].tape
-    if requires_grad is None:
-        requires_grad = any(p.requires_grad for p in parents)
+    requires_grad = any(p.requires_grad for p in parents)
     t = Tensor(values, tape, parents=parents, op=op,
                requires_grad=requires_grad, bwd=bwd if requires_grad else None)
     return tape._record(t)
@@ -175,7 +177,7 @@ def add(a, b) -> Tensor:
         if b.requires_grad:
             b.accumulate(_unbroadcast(g, b.values.shape))
 
-    return _make("add", out_values, (a, b), bwd)
+    return node("add", out_values, (a, b), bwd)
 
 
 def sub(a, b) -> Tensor:
@@ -188,7 +190,7 @@ def sub(a, b) -> Tensor:
         if b.requires_grad:
             b.accumulate(_unbroadcast(-g, b.values.shape))
 
-    return _make("sub", out_values, (a, b), bwd)
+    return node("sub", out_values, (a, b), bwd)
 
 
 def mul(a, b) -> Tensor:
@@ -201,7 +203,7 @@ def mul(a, b) -> Tensor:
         if b.requires_grad:
             b.accumulate(_unbroadcast(g * a.values, b.values.shape))
 
-    return _make("mul", out_values, (a, b), bwd)
+    return node("mul", out_values, (a, b), bwd)
 
 
 def div(a, b) -> Tensor:
@@ -214,7 +216,7 @@ def div(a, b) -> Tensor:
         if b.requires_grad:
             b.accumulate(_unbroadcast(-g * a.values / (b.values * b.values), b.values.shape))
 
-    return _make("div", out_values, (a, b), bwd)
+    return node("div", out_values, (a, b), bwd)
 
 
 def neg(a: Tensor) -> Tensor:
@@ -222,7 +224,7 @@ def neg(a: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate(-g)
 
-    return _make("neg", -a.values, (a,), bwd)
+    return node("neg", -a.values, (a,), bwd)
 
 
 def matmul(a, b) -> Tensor:
@@ -244,7 +246,7 @@ def matmul(a, b) -> Tensor:
             gb = np.swapaxes(a.values, -1, -2) @ g
             b.accumulate(_unbroadcast(gb, b.values.shape))
 
-    return _make("matmul", out_values, (a, b), bwd)
+    return node("matmul", out_values, (a, b), bwd)
 
 
 def cos(a: Tensor) -> Tensor:
@@ -252,7 +254,7 @@ def cos(a: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate(-g * np.sin(a.values))
 
-    return _make("cos", np.cos(a.values), (a,), bwd)
+    return node("cos", np.cos(a.values), (a,), bwd)
 
 
 def sin(a: Tensor) -> Tensor:
@@ -260,7 +262,7 @@ def sin(a: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate(g * np.cos(a.values))
 
-    return _make("sin", np.sin(a.values), (a,), bwd)
+    return node("sin", np.sin(a.values), (a,), bwd)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -270,7 +272,7 @@ def tanh(a: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate(g * (1.0 - out_values * out_values))
 
-    return _make("tanh", out_values, (a,), bwd)
+    return node("tanh", out_values, (a,), bwd)
 
 
 def leaky_relu_mask(z: np.ndarray, slope: float) -> np.ndarray:
@@ -291,7 +293,7 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
         if a.requires_grad:
             a.accumulate(g * mask)
 
-    return _make("leaky_relu", a.values * mask, (a,), bwd)
+    return node("leaky_relu", a.values * mask, (a,), bwd)
 
 
 def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, act: str,
@@ -337,7 +339,7 @@ def linear(x, w, b, act: str = "linear", slope: float = 0.2) -> tuple[Tensor, Op
         if b.requires_grad:
             b.accumulate(g.sum(axis=0))
 
-    return _make("linear", z, (x, w, b), bwd), mask
+    return node("linear", z, (x, w, b), bwd), mask
 
 
 def astype(a: Tensor, dtype) -> Tensor:
@@ -350,7 +352,7 @@ def astype(a: Tensor, dtype) -> Tensor:
         if a.requires_grad:
             a.accumulate(g.astype(a.values.dtype))
 
-    return _make("astype", a.values.astype(dtype), (a,), bwd)
+    return node("astype", a.values.astype(dtype), (a,), bwd)
 
 
 def square(a: Tensor) -> Tensor:
@@ -358,7 +360,7 @@ def square(a: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate(g * 2.0 * a.values)
 
-    return _make("square", a.values * a.values, (a,), bwd)
+    return node("square", a.values * a.values, (a,), bwd)
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -370,7 +372,7 @@ def sqrt(a: Tensor) -> Tensor:
             safe = np.where(out_values > 0.0, out_values, 1.0)
             a.accumulate(np.where(out_values > 0.0, g * 0.5 / safe, 0.0))
 
-    return _make("sqrt", out_values, (a,), bwd)
+    return node("sqrt", out_values, (a,), bwd)
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
@@ -380,7 +382,7 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
         if a.requires_grad:
             a.accumulate(g * inside)
 
-    return _make("clamp", np.clip(a.values, lo, hi), (a,), bwd)
+    return node("clamp", np.clip(a.values, lo, hi), (a,), bwd)
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -396,7 +398,7 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         a.accumulate(np.broadcast_to(g, a.values.shape).copy())
 
-    return _make("sum", out_values, (a,), bwd)
+    return node("sum", out_values, (a,), bwd)
 
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -409,7 +411,7 @@ def reshape(a: Tensor, shape) -> Tensor:
         if a.requires_grad:
             a.accumulate(g.reshape(a.values.shape))
 
-    return _make("reshape", a.values.reshape(shape), (a,), bwd)
+    return node("reshape", a.values.reshape(shape), (a,), bwd)
 
 
 def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
@@ -417,7 +419,7 @@ def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
         if a.requires_grad:
             a.accumulate(np.swapaxes(g, ax1, ax2))
 
-    return _make("swapaxes", np.swapaxes(a.values, ax1, ax2), (a,), bwd)
+    return node("swapaxes", np.swapaxes(a.values, ax1, ax2), (a,), bwd)
 
 
 def transpose2d(a: Tensor) -> Tensor:
@@ -447,7 +449,7 @@ def getitem(a: Tensor, key) -> Tensor:
                 np.add.at(full, key, g)
             a.accumulate(full)
 
-    return _make("getitem", out_values, (a,), bwd)
+    return node("getitem", out_values, (a,), bwd)
 
 
 def take(a: Tensor, indices, axis: int) -> Tensor:
@@ -462,7 +464,7 @@ def take(a: Tensor, indices, axis: int) -> Tensor:
             np.add.at(full, key, g)
             a.accumulate(full)
 
-    return _make("take", out_values, (a,), bwd)
+    return node("take", out_values, (a,), bwd)
 
 
 def concat(xs: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -477,7 +479,7 @@ def concat(xs: Sequence[Tensor], axis: int = -1) -> Tensor:
             if x.requires_grad:
                 x.accumulate(np.moveaxis(g[lo:hi], 0, axis))
 
-    return _make("concat", out_values, tuple(xs), bwd)
+    return node("concat", out_values, tuple(xs), bwd)
 
 
 def stack(xs: Sequence[Tensor], axis: int = 0) -> Tensor:

@@ -1,4 +1,6 @@
-"""Pinhole projection of camera-space poses to pixel keypoints."""
+"""Pinhole projection of camera-space poses to pixel keypoints, written once
+as autodiff tape ops: training differentiates through it, and
+``project_pose`` runs it on constants."""
 
 from __future__ import annotations
 
@@ -6,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
+from .autodiff import Tensor
 from .skeleton import KEYPOINT_NAMES
 
 
@@ -46,8 +50,17 @@ def default_camera() -> CameraIntrinsics:
     return CameraIntrinsics()
 
 
+def project(pose: Tensor, cam: CameraIntrinsics) -> Tensor:
+    """u = fx*x/z + cx, v = fy*y/z + cy per joint of (..., K, 3) poses, as tape ops."""
+    z = pose[..., 2]
+    u = ad.add(ad.div(ad.mul(pose[..., 0], cam.fx), z), cam.cx)
+    v = ad.add(ad.div(ad.mul(pose[..., 1], cam.fy), z), cam.cy)
+    return ad.stack([u, v], axis=-1)
+
+
 def project_pose(pose, cam: CameraIntrinsics) -> np.ndarray:
-    """u = fx*x/z + cx, v = fy*y/z + cy per joint; pose is (..., K, 3)."""
+    """``project`` of a (..., K, 3) pose array; a joint in front of the near
+    plane raises DepthViolationError."""
     pose = np.asarray(pose, dtype=np.float64)
     z = pose[..., 2]
     if np.any(z < cam.z_min):
@@ -55,11 +68,5 @@ def project_pose(pose, cam: CameraIntrinsics) -> np.ndarray:
         joint = int(flat[-1])
         name = KEYPOINT_NAMES[joint] if pose.shape[-2] == len(KEYPOINT_NAMES) else f"#{joint}"
         raise DepthViolationError(joint, name, float(z[tuple(flat)]), cam.z_min)
-    u = cam.fx * pose[..., 0] / z + cam.cx
-    v = cam.fy * pose[..., 1] / z + cam.cy
-    return np.stack([u, v], axis=-1)
-
-
-def depth_ok(pose, cam: CameraIntrinsics) -> bool:
-    """True when every joint clears the near plane."""
-    return bool(np.all(np.asarray(pose)[..., 2] >= cam.z_min))
+    with ad.Tape() as tape:
+        return project(tape.const(pose), cam).values

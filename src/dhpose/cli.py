@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -224,27 +225,20 @@ def cmd_selftest(args) -> int:
     rng = np.random.default_rng(args.seed)
 
     def naive_fk(params, globals_):
-        kps = np.zeros((16, 3))
+        kps = np.zeros((topology.keypoint_count, 3))
         for bi, br in enumerate(topology.branches):
-            cur = np.eye(4)
-            frames = []
+            rows = []
             for r, row in enumerate(br.rows):
-                a, d, alpha, theta = row.a, row.d, row.alpha, row.theta
-                pid = topology.param_index.get((bi, r, "theta"))
-                if pid is not None:
-                    theta = theta + params[pid]
-                pid = topology.param_index.get((bi, r, "a"))
-                if pid is not None:
-                    a = a + params[pid]
-                pid = topology.param_index.get((bi, r, "d"))
-                if pid is not None:
-                    d = d + params[pid]
-                cur = np.dot(cur, sk.dh_matrix(a, d, alpha, theta))
-                frames.append(cur)
+                # a plain record: a resolved link length may be negative, which DhRow rejects
+                dh = {f: getattr(row, f) for f in ("a", "d", "alpha", "theta")}
+                for f in ("a", "d", "theta"):
+                    if (bi, r, f) in topology.param_index:
+                        dh[f] += params[topology.param_index[(bi, r, f)]]
+                rows.append(SimpleNamespace(**dh))
+            frames = sk.compose_chain(rows)
             for row_idx, kp in br.keypoint_map:
                 kps[kp] = frames[row_idx][:3, 3]
-        rot = sk.rotation_xyz(*globals_[:3])
-        return kps @ rot.T + globals_[3:]
+        return kps @ sk.rotation_xyz(*globals_[:3]).T + globals_[3:]
 
     def t_rest():
         ref = sk.default_rest_pose()

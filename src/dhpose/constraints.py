@@ -3,9 +3,9 @@
 Bounds live in the same space as the parameter vector: deltas from the rest
 configuration (radians for joint angles, meters for bone lengths).  Every
 default range contains zero, so the rest pose always validates.  Generator
-outputs are pushed into range by a saturating tanh squash; the identical
-formula is replayed on the autodiff tape during training so the mapping
-stays differentiable.
+outputs are pushed into range by a saturating tanh squash, written once as
+an autodiff tape node: training differentiates through it, and numpy callers
+(``squash_params``, inference) run it on constants.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from importlib import resources
 
 import numpy as np
 
+from . import autodiff as ad
+from .autodiff import Tensor
 from .skeleton import SkeletonTopology
 
 
@@ -77,26 +79,46 @@ class ValidationReport:
             raise ValueError("ok must be true exactly when there are no violations")
 
 
-def squash_params(raw, table: ConstraintTable) -> np.ndarray:
-    """Map unbounded reals into the table ranges.
+def squash(raw: Tensor, lo: np.ndarray, hi: np.ndarray) -> Tensor:
+    """Map unbounded reals into [lo, hi], elementwise, as one tape node.
 
-    Per id: ``min + (1 + tanh(raw)) * (max - min) / 2``.  Strictly monotone
-    and differentiable; output saturates to the bounds for |raw| beyond ~18
-    where tanh rounds to +/-1 in float64.
+    ``lo + (1 + tanh(raw)) * (hi - lo) / 2``: strictly monotone and
+    differentiable; the output saturates to the bounds for |raw| beyond ~18
+    where tanh rounds to +/-1 in float64.  Raises ValueError on a non-finite
+    raw value.
     """
+    if not np.all(np.isfinite(raw.values)):
+        raise ValueError("raw values must be finite")
+    t = np.tanh(raw.values)
+    half = (hi - lo) / 2.0
+
+    def bwd(g):
+        if raw.requires_grad:
+            raw.accumulate(g * half * (1.0 - t * t))
+
+    return ad.node("squash", lo + (1.0 + t) * (hi - lo) / 2.0, (raw,), bwd)
+
+
+def squash_params(raw, table: ConstraintTable) -> np.ndarray:
+    """``squash`` of unbounded reals (..., 48) into the table ranges, per id."""
     raw = np.asarray(raw, dtype=np.float64)
     if raw.shape[-1] != table.lo.shape[0]:
         raise ValueError(f"expected trailing dim {table.lo.shape[0]}, got {raw.shape}")
-    if not np.all(np.isfinite(raw)):
-        raise ValueError("raw values must be finite")
-    return table.lo + (1.0 + np.tanh(raw)) * (table.hi - table.lo) / 2.0
+    with ad.Tape() as tape:
+        return squash(tape.const(raw), table.lo, table.hi).values
 
 
 def validate_params(params, table: ConstraintTable) -> ValidationReport:
-    """Flag every id outside its inclusive [min, max] interval."""
+    """Flag every id outside its inclusive [min, max] interval.
+
+    Raises ValueError naming the first id whose value is not finite."""
     params = np.asarray(params, dtype=np.float64)
     if params.shape != table.lo.shape:
         raise ValueError(f"expected {table.lo.shape[0]} parameters, got shape {params.shape}")
+    bad = np.flatnonzero(~np.isfinite(params))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"param {i} ({table.names[i]}) is not finite: {params[i]}")
     violations = []
     for i in np.flatnonzero((params < table.lo) | (params > table.hi)):
         bound = "min" if params[i] < table.lo[i] else "max"

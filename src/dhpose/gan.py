@@ -14,12 +14,21 @@ branches (sequence plus its first differences of the same three signals);
 its score is the sum of the branch heads.  Both train with the
 gradient-penalty objective; the motion terms are gated on by a step
 schedule over epochs.
+
+The pipeline from raw net output to critic streams is written once, over
+autodiff tape ops: the split and squash (``_split_raw``), FK and the bone
+cosines (one node each, forward the numpy geometry, backward in closed
+form), projection, and the frame and motion streams.  The generator step
+records it; inference, synthesis and the critic batches run the same
+functions on constants on a throwaway tape (``generate_poses``,
+``feature_batch``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -27,11 +36,12 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import ShapeError, Tape, Tensor
-from .camera import CameraIntrinsics, default_camera
-from .constraints import ConstraintTable, count_violations, default_constraint_table, squash_params
-from .features import AdjacentBonePairs, adjacent_bone_pairs, joint_cosines
-from .skeleton import (N_ANGLE_PARAMS, N_LENGTH_PARAMS, N_PARAMS, SkeletonTopology, _compiled,
-                       default_topology, forward_kinematics_batch)
+from .camera import CameraIntrinsics, default_camera, project
+from .constraints import ConstraintTable, count_violations, default_constraint_table, squash
+from .features import AdjacentBonePairs, adjacent_bone_pairs, bone_vectors, joint_cosines
+from .skeleton import (N_ANGLE_PARAMS, N_LENGTH_PARAMS, N_PARAMS, ROOT_KEYPOINT, SkeletonTopology,
+                       chain_frames, chain_vjp, default_topology, forward_kinematics_batch,
+                       rotation_xyz, topology_hash)
 
 N_GLOBAL = 6
 # dtype of the generator net on every path (inference, synthesis and the
@@ -60,11 +70,6 @@ class GlobalBounds:
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
-
-
-def squash_globals(raw, bounds: GlobalBounds) -> np.ndarray:
-    lo, hi = bounds.arrays()
-    return lo + (1.0 + np.tanh(np.asarray(raw, dtype=np.float64))) * (hi - lo) / 2.0
 
 
 def gamma_schedule(epoch: int, beta_epoch: int) -> int:
@@ -194,23 +199,24 @@ class GenOutput:
     pose2d: np.ndarray
 
 
-def _split_raw(gen: DhGenerator, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Raw net output to squashed (params, globals); video shares lengths."""
-    b = raw.shape[0]
+def _split_raw(gen: DhGenerator, raw: Tensor) -> tuple[Tensor, Tensor]:
+    """Raw net output (B, out) to squashed parameters (N, 48) and global
+    values (N, 6), one row per pose: N = B, or B*T in video mode, where each
+    sequence's 15 bone lengths are emitted once and shared by its frames."""
+    table = gen.table
+    glo_lo, glo_hi = gen.bounds.arrays()
     if gen.mode == "single":
-        params = squash_params(raw[:, :N_PARAMS], gen.table)
-        globals_ = squash_globals(raw[:, N_PARAMS:], gen.bounds)
-        return params, globals_
-    t = gen.frames
-    lengths = gen.table.lo[N_ANGLE_PARAMS:] + (1.0 + np.tanh(raw[:, :N_LENGTH_PARAMS])) \
-        * (gen.table.hi[N_ANGLE_PARAMS:] - gen.table.lo[N_ANGLE_PARAMS:]) / 2.0
-    per_frame = raw[:, N_LENGTH_PARAMS:].reshape(b, t, N_ANGLE_PARAMS + N_GLOBAL)
-    angles = gen.table.lo[:N_ANGLE_PARAMS] + (1.0 + np.tanh(per_frame[:, :, :N_ANGLE_PARAMS])) \
-        * (gen.table.hi[:N_ANGLE_PARAMS] - gen.table.lo[:N_ANGLE_PARAMS]) / 2.0
-    globals_ = squash_globals(per_frame[:, :, N_ANGLE_PARAMS:], gen.bounds)
-    params = np.concatenate([angles, np.broadcast_to(lengths[:, None, :], (b, t, N_LENGTH_PARAMS))],
-                            axis=2)
-    return params, globals_
+        return (squash(raw[:, :N_PARAMS], table.lo, table.hi),
+                squash(raw[:, N_PARAMS:], glo_lo, glo_hi))
+    b, t = raw.shape[0], gen.frames
+    lengths = squash(raw[:, :N_LENGTH_PARAMS], table.lo[N_ANGLE_PARAMS:],
+                     table.hi[N_ANGLE_PARAMS:])
+    per = ad.reshape(raw[:, N_LENGTH_PARAMS:], (b * t, N_ANGLE_PARAMS + N_GLOBAL))
+    angles = squash(per[:, :N_ANGLE_PARAMS], table.lo[:N_ANGLE_PARAMS],
+                    table.hi[:N_ANGLE_PARAMS])
+    shared = ad.mul(ad.reshape(lengths, (b, 1, N_LENGTH_PARAMS)), np.ones((b, t, 1)))
+    params = ad.concat([angles, ad.reshape(shared, (b * t, N_LENGTH_PARAMS))], axis=1)
+    return params, squash(per[:, N_ANGLE_PARAMS:], glo_lo, glo_hi)
 
 
 def generate_poses(gen: DhGenerator, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -222,11 +228,12 @@ def generate_poses(gen: DhGenerator, z) -> tuple[np.ndarray, np.ndarray, np.ndar
     if z.ndim != 2 or z.shape[1] != gen.net.in_dim:
         raise ShapeError(f"latent shape {z.shape} does not match z_dim {gen.net.in_dim}")
     raw = nn.mlp_eval(gen.net, z, COMPUTE_DTYPE).astype(np.float64)
-    params, globals_ = _split_raw(gen, raw)
-    pose3d = forward_kinematics_batch(gen.topology, params.reshape(-1, N_PARAMS),
-                                      globals_.reshape(-1, N_GLOBAL))
+    with Tape() as tape:
+        params, globals_ = (x.values for x in _split_raw(gen, tape.const(raw)))
+    pose3d = forward_kinematics_batch(gen.topology, params, globals_)
     if gen.mode == "video":
-        pose3d = pose3d.reshape(z.shape[0], gen.frames, -1, 3)
+        return tuple(x.reshape(z.shape[0], gen.frames, *x.shape[1:])
+                     for x in (params, globals_, pose3d))
     return params, globals_, pose3d
 
 
@@ -247,113 +254,90 @@ def generate(gen: DhGenerator, z) -> GenOutput:
 # --------------------------------------------------------------------------
 # Differentiable generator path (autodiff tape)
 
-def _assemble_from_masks(parts: list[tuple[Tensor, np.ndarray]], base: np.ndarray,
-                         tape: Tape, n: int) -> Tensor:
-    """base + sum_i coeff_i (n,) * mask_i, as an (n, k, k) tape tensor."""
-    out = tape.const(np.broadcast_to(base, (n,) + base.shape).copy())
-    for coeff, mask in parts:
-        c3 = ad.reshape(coeff, (n, 1, 1))
-        out = ad.add(out, ad.mul(c3, tape.const(mask)))
-    return out
+def _fk_tape(topology: SkeletonTopology, params: Tensor, globals_: Tensor) -> Tensor:
+    """Forward kinematics as one tape node: (N, 48) and (N, 6) to (N, 16, 3).
+
+    Forward: the numpy FK.  Backward: ``chain_vjp`` for the parameters; an
+    angle of the global rotation Rx Ry Rz turns the posed point q about its
+    world axis w (x, Rx y, Rx Ry z), so dq = w x (q - translation).
+    """
+    g = globals_.values
+    kps, frames = chain_frames(topology, params.values)
+    rot = rotation_xyz(g[:, 0], g[:, 1], g[:, 2])
+    pose = kps @ np.swapaxes(rot, -1, -2) + g[:, None, 3:6]
+
+    def bwd(grad):
+        if globals_.requires_grad:
+            m = np.cross(pose - g[:, None, 3:6], grad).sum(axis=1)
+            cx, sx, cy, sy = np.cos(g[:, 0]), np.sin(g[:, 0]), np.cos(g[:, 1]), np.sin(g[:, 1])
+            g_rot = np.stack([m[:, 0], cx * m[:, 1] + sx * m[:, 2],
+                              sy * m[:, 0] - sx * cy * m[:, 1] + cx * cy * m[:, 2]], axis=1)
+            globals_.accumulate(np.concatenate([g_rot, grad.sum(axis=1)], axis=1))
+        if params.requires_grad:
+            params.accumulate(chain_vjp(topology, kps, frames, grad @ rot))
+
+    return ad.node("fk", pose, (params, globals_), bwd)
 
 
-def _fk_tape(topology: SkeletonTopology, params: Tensor, globals_: Tensor, tape: Tape) -> Tensor:
-    """Forward kinematics as tape ops: (N, 48) and (N, 6) to (N, 16, 3)."""
-    n = params.values.shape[0]
-    compiled = _compiled(topology)
-    kp_slots: list[Optional[Tensor]] = [None] * topology.keypoint_count
-    root_cum: list[Tensor] = []
-    for bi, comp in enumerate(compiled):
-        prefix = comp["prefix"]
-        cum = list(root_cum[:prefix])
-        cur = cum[-1] if cum else None
-        for k in range(prefix, len(comp["theta"])):
-            ca, sa = comp["cos_alpha"][k], comp["sin_alpha"][k]
-            base = np.array([[0, 0, 0, 0], [0, 0, -sa, 0], [0, 0, ca, 0], [0, 0, 0, 1.0]])
-            c_mask = np.array([[1, 0, 0, 0], [0, ca, 0, 0], [0, sa, 0, 0], [0, 0, 0, 0.0]])
-            s_mask = np.array([[0, -1, 0, 0], [ca, 0, 0, 0], [sa, 0, 0, 0], [0, 0, 0, 0.0]])
-            a_mask = np.array([[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0.0]])
-            d_mask = np.array([[0, 0, 0, 0], [0, 0, 0, -sa], [0, 0, 0, ca], [0, 0, 0, 0.0]])
-            parts = []
-            theta = tape.const(np.full(n, comp["theta"][k]))
-            if comp["theta_id"][k] >= 0:
-                theta = ad.add(theta, params[:, int(comp["theta_id"][k])])
-            parts.append((ad.cos(theta), c_mask))
-            parts.append((ad.sin(theta), s_mask))
-            if comp["a_id"][k] >= 0:
-                a = ad.add(tape.const(np.full(n, comp["a"][k])), params[:, int(comp["a_id"][k])])
-                parts.append((a, a_mask))
-            else:
-                base = base + comp["a"][k] * a_mask
-            if comp["d_id"][k] >= 0:
-                d = ad.add(tape.const(np.full(n, comp["d"][k])), params[:, int(comp["d_id"][k])])
-                parts.append((d, d_mask))
-            else:
-                base = base + comp["d"][k] * d_mask
-            mat = _assemble_from_masks(parts, base, tape, n)
-            cur = mat if cur is None else ad.matmul(cur, mat)
-            cum.append(cur)
-        if bi == 0:
-            root_cum = cum
-        for row_idx, kp in comp["keypoint_map"]:
-            kp_slots[kp] = ad.reshape(cum[row_idx][:, :3, 3], (n, 1, 3))
-    kps = ad.concat(kp_slots, axis=1)
+def _cosines(pose: Tensor, pairs: AdjacentBonePairs) -> Tensor:
+    """Adjacent-bone cosines of (N, K, 3) poses as one tape node.
 
-    def axis_rot(angle: Tensor, base, c_mask, s_mask) -> Tensor:
-        return _assemble_from_masks([(ad.cos(angle), np.asarray(c_mask, dtype=float)),
-                                     (ad.sin(angle), np.asarray(s_mask, dtype=float))],
-                                    np.asarray(base, dtype=float), tape, n)
+    The forward pass is ``joint_cosines``, with its degenerate-bone and
+    rounding checks.  The backward pass is the derivative of a normalized
+    dot product: d cos(a, b) / da = (b/|b| - cos a/|a|) / |a|.
+    """
+    cos = joint_cosines(pose.values, pairs)
 
-    rx = axis_rot(globals_[:, 0], [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
-                  [[0, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, 0], [0, 0, -1], [0, 1, 0]])
-    ry = axis_rot(globals_[:, 1], [[0, 0, 0], [0, 1, 0], [0, 0, 0]],
-                  [[1, 0, 0], [0, 0, 0], [0, 0, 1]], [[0, 0, 1], [0, 0, 0], [-1, 0, 0]])
-    rz = axis_rot(globals_[:, 2], [[0, 0, 0], [0, 0, 0], [0, 0, 1]],
-                  [[1, 0, 0], [0, 1, 0], [0, 0, 0]], [[0, -1, 0], [1, 0, 0], [0, 0, 0]])
-    rot = ad.matmul(ad.matmul(rx, ry), rz)
-    t = ad.reshape(globals_[:, 3:6], (n, 1, 3))
-    return ad.add(ad.matmul(kps, ad.swapaxes(rot, 1, 2)), t)
+    def bwd(g):
+        if not pose.requires_grad:
+            return
+        ia, ib = np.asarray(pairs.pairs).T
+        bones = np.asarray(pairs.bones)
+        vec = bone_vectors(pose.values, pairs)
+        inv = 1.0 / np.linalg.norm(vec, axis=-1, keepdims=True)
+        unit = vec * inv
+        c, g = cos[..., None], g[..., None]
+        ga = g * (unit[:, ib] - c * unit[:, ia]) * inv[:, ia]
+        gb = g * (unit[:, ia] - c * unit[:, ib]) * inv[:, ib]
+        # keypoint-by-bone incidence: +1 at the child, -1 at the parent
+        inc = np.eye(pose.shape[1])[:, bones[:, 1]] - np.eye(pose.shape[1])[:, bones[:, 0]]
+        pose.accumulate(inc[:, ia] @ ga + inc[:, ib] @ gb)
+
+    return ad.node("cosines", cos, (pose,), bwd)
 
 
-def _squash_tape(raw: Tensor, lo: np.ndarray, hi: np.ndarray, tape: Tape) -> Tensor:
-    half = (np.asarray(hi) - np.asarray(lo)) / 2.0
-    return ad.add(tape.const(np.asarray(lo)), ad.mul(ad.add(ad.tanh(raw), 1.0), tape.const(half)))
+def frame_streams(pose3d: Tensor, pose2d: Tensor, cam,
+                  pairs: AdjacentBonePairs) -> tuple[Tensor, Tensor, Tensor]:
+    """The frame critic's streams of (N, K, 3) and (N, K, 2) poses: x3d, the
+    flattened 3D pose; xcos, the adjacent-bone cosines; x2d, the 2D pose in
+    dimensionless image coordinates (uv - principal point) / focal.
+
+    ``cam`` is one ``CameraIntrinsics``, or (M, 5) rows fx fy cx cy z_min,
+    each shared by N / M consecutive poses (the frames of a sequence)."""
+    n = pose3d.shape[0]
+    cams = np.atleast_2d(cam.as_array() if isinstance(cam, CameraIntrinsics)
+                         else np.asarray(cam, dtype=np.float64))
+    if n % len(cams):
+        raise ShapeError(f"camera batch {cams.shape} does not match {n} poses")
+    cams = np.repeat(cams, n // len(cams), axis=0)[:, None, :]
+    x2d = ad.div(ad.sub(pose2d, cams[..., 2:4]), cams[..., 0:2])
+    return ad.reshape(pose3d, (n, -1)), _cosines(pose3d, pairs), ad.reshape(x2d, (n, -1))
 
 
-def _project_tape(pose: Tensor, cam: CameraIntrinsics, tape: Tape) -> Tensor:
-    z = pose[:, :, 2]
-    u = ad.add(ad.div(ad.mul(pose[:, :, 0], cam.fx), z), cam.cx)
-    v = ad.add(ad.div(ad.mul(pose[:, :, 1], cam.fy), z), cam.cy)
-    return ad.stack([u, v], axis=2)
+def motion_streams(x3d: Tensor, xcos: Tensor, x2d: Tensor, frames: int) -> dict:
+    """The motion critic's six streams from the frame streams of B sequences
+    of ``frames`` poses (N = B * frames rows): each sequence, and its
+    frame-to-frame differences; the 2D differences are the root keypoint's."""
+    b = x3d.shape[0] // frames
+    seq3d, cosseq, seq2d = (ad.reshape(x, (b, frames, x.shape[1])) for x in (x3d, xcos, x2d))
+    root = seq2d[:, :, 2 * ROOT_KEYPOINT:2 * ROOT_KEYPOINT + 2]
 
+    def diff(seq: Tensor) -> Tensor:
+        return ad.reshape(ad.sub(seq[:, 1:], seq[:, :-1]), (b, -1))
 
-def _cosines_tape(pose: Tensor, pairs: AdjacentBonePairs, tape: Tape) -> Tensor:
-    bones = np.asarray(pairs.bones)
-    idx = np.asarray(pairs.pairs)
-    vec = ad.sub(ad.take(pose, bones[:, 1], axis=1), ad.take(pose, bones[:, 0], axis=1))
-    va = ad.take(vec, idx[:, 0], axis=1)
-    vb = ad.take(vec, idx[:, 1], axis=1)
-    dot = ad.sum_(ad.mul(va, vb), axis=2)
-    la = ad.sqrt(ad.sum_(ad.square(va), axis=2))
-    lb = ad.sqrt(ad.sum_(ad.square(vb), axis=2))
-    return ad.clamp(ad.div(dot, ad.mul(la, lb)), -1.0, 1.0)
-
-
-def normalize_2d(pose2d, cam) -> np.ndarray:
-    """Dimensionless image coordinates (uv - principal point) / focal."""
-    pose2d = np.asarray(pose2d, dtype=np.float64)
-    if isinstance(cam, CameraIntrinsics):
-        c = np.array([cam.cx, cam.cy])
-        f = np.array([cam.fx, cam.fy])
-        return (pose2d - c) / f
-    cam = np.asarray(cam, dtype=np.float64)  # leading dims + (5,): fx fy cx cy z_min
-    lead = cam.shape[:-1]
-    if pose2d.shape[:len(lead)] != lead:
-        raise ShapeError(f"camera batch {cam.shape} does not match poses {pose2d.shape}")
-    shape = lead + (1,) * (pose2d.ndim - len(lead) - 1) + (2,)
-    f = cam[..., 0:2].reshape(shape)
-    c = cam[..., 2:4].reshape(shape)
-    return (pose2d - c) / f
+    return {"seq3d": ad.reshape(seq3d, (b, -1)), "diff3d": diff(seq3d),
+            "cosseq": ad.reshape(cosseq, (b, -1)), "cosdiff": diff(cosseq),
+            "seq2d": ad.reshape(seq2d, (b, -1)), "root2d": diff(root)}
 
 
 @dataclass
@@ -374,57 +358,19 @@ def generate_on_tape(gen: DhGenerator, z, tape: Tape, gen_params: dict,
     """The net runs in the dtype of ``gen_params`` and the critic streams come
     out in it; squash, FK, the depth check and projection run in float64."""
     dtype = gen_params["gen.l0.w"].values.dtype
-    z = np.asarray(z, dtype=dtype)
-    b = z.shape[0]
-    raw, _ = nn.mlp_apply(gen.net, tape.const(z), tape, gen_params, "gen.")
-    raw = ad.astype(raw, np.float64)
-    glo_lo, glo_hi = gen.bounds.arrays()
-    if gen.mode == "single":
-        params = _squash_tape(raw[:, :N_PARAMS], gen.table.lo, gen.table.hi, tape)
-        globals_ = _squash_tape(raw[:, N_PARAMS:], glo_lo, glo_hi, tape)
-        n = b
-    else:
-        t = gen.frames
-        lengths = _squash_tape(raw[:, :N_LENGTH_PARAMS],
-                               gen.table.lo[N_ANGLE_PARAMS:], gen.table.hi[N_ANGLE_PARAMS:], tape)
-        per = ad.reshape(raw[:, N_LENGTH_PARAMS:], (b, t, N_ANGLE_PARAMS + N_GLOBAL))
-        angles = _squash_tape(ad.reshape(per[:, :, :N_ANGLE_PARAMS], (b * t, N_ANGLE_PARAMS)),
-                              gen.table.lo[:N_ANGLE_PARAMS], gen.table.hi[:N_ANGLE_PARAMS], tape)
-        globals_ = _squash_tape(ad.reshape(per[:, :, N_ANGLE_PARAMS:], (b * t, N_GLOBAL)),
-                                glo_lo, glo_hi, tape)
-        lengths_rep = ad.reshape(ad.mul(ad.reshape(lengths, (b, 1, N_LENGTH_PARAMS)),
-                                        tape.const(np.ones((b, t, 1)))),
-                                 (b * t, N_LENGTH_PARAMS))
-        params = ad.concat([angles, lengths_rep], axis=1)
-        n = b * t
-    pose3d = _fk_tape(gen.topology, params, globals_, tape)
+    raw, _ = nn.mlp_apply(gen.net, tape.const(np.asarray(z, dtype=dtype)), tape, gen_params,
+                          "gen.")
+    params, globals_ = _split_raw(gen, ad.astype(raw, np.float64))
+    pose3d = _fk_tape(gen.topology, params, globals_)
     if np.any(pose3d.values[:, :, 2] < gen.camera.z_min):
         raise TrainingDivergedError(
             "generated joint in front of the near plane; widen the translation bounds",
             {"min_depth": float(pose3d.values[:, :, 2].min()), "z_min": gen.camera.z_min})
-    pose2d = _project_tape(pose3d, gen.camera, tape)
-    xcos = _cosines_tape(pose3d, pairs, tape)
-    x3d = ad.reshape(pose3d, (n, 48))
-    c = np.array([gen.camera.cx, gen.camera.cy])
-    f = np.array([gen.camera.fx, gen.camera.fy])
-    x2d = ad.reshape(ad.div(ad.sub(pose2d, tape.const(c)), tape.const(f)), (n, 32))
+    x3d, xcos, x2d = frame_streams(pose3d, project(pose3d, gen.camera), gen.camera, pairs)
     motion = None
     if gen.mode == "video":
-        t = gen.frames
-        npairs = xcos.values.shape[1]
-        seq3d = ad.reshape(x3d, (b, t, 48))
-        cosseq = ad.reshape(xcos, (b, t, npairs))
-        seq2d = ad.reshape(x2d, (b, t, 32))
-        root2d = seq2d[:, :, 0:2]
-        motion = {
-            "seq3d": ad.reshape(seq3d, (b, t * 48)),
-            "diff3d": ad.reshape(ad.sub(seq3d[:, 1:], seq3d[:, :-1]), (b, (t - 1) * 48)),
-            "cosseq": ad.reshape(cosseq, (b, t * npairs)),
-            "cosdiff": ad.reshape(ad.sub(cosseq[:, 1:], cosseq[:, :-1]), (b, (t - 1) * npairs)),
-            "seq2d": ad.reshape(seq2d, (b, t * 32)),
-            "root2d": ad.reshape(ad.sub(root2d[:, 1:], root2d[:, :-1]), (b, (t - 1) * 2)),
-        }
-        motion = {k: ad.astype(v, dtype) for k, v in motion.items()}
+        motion = {k: ad.astype(v, dtype)
+                  for k, v in motion_streams(x3d, xcos, x2d, gen.frames).items()}
     return TapeGenOutput(params=params, globals_=globals_, pose3d=pose3d,
                          x3d=ad.astype(x3d, dtype), xcos=ad.astype(xcos, dtype),
                          x2d=ad.astype(x2d, dtype), motion=motion)
@@ -433,8 +379,14 @@ def generate_on_tape(gen: DhGenerator, z, tape: Tape, gen_params: dict,
 # --------------------------------------------------------------------------
 # Critics
 
+class _Critic:
+    def nets(self) -> dict[str, nn.Mlp]:
+        """The nets by name, in field order (the order of their parameters)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
 @dataclass
-class FrameCritic:
+class FrameCritic(_Critic):
     """Three stream encoders (3D pose, cosines, 2D pose) + fusion head."""
 
     enc3d: nn.Mlp
@@ -442,13 +394,9 @@ class FrameCritic:
     enc2d: nn.Mlp
     head: nn.Mlp
 
-    def nets(self) -> dict[str, nn.Mlp]:
-        return {"enc3d": self.enc3d, "enc_cos": self.enc_cos, "enc2d": self.enc2d,
-                "head": self.head}
-
 
 @dataclass
-class MotionCritic:
+class MotionCritic(_Critic):
     """Three two-stream branches; the score is the sum of the branch heads."""
 
     enc3d_seq: nn.Mlp
@@ -461,16 +409,10 @@ class MotionCritic:
     enc2d_diff: nn.Mlp
     head2d: nn.Mlp
 
-    def nets(self) -> dict[str, nn.Mlp]:
-        return {"enc3d_seq": self.enc3d_seq, "enc3d_diff": self.enc3d_diff, "head3d": self.head3d,
-                "enc_cos_seq": self.enc_cos_seq, "enc_cos_diff": self.enc_cos_diff,
-                "head_cos": self.head_cos,
-                "enc2d_seq": self.enc2d_seq, "enc2d_diff": self.enc2d_diff, "head2d": self.head2d}
-
-    def branches(self):
-        return (("3d", self.enc3d_seq, self.enc3d_diff, self.head3d),
-                ("cos", self.enc_cos_seq, self.enc_cos_diff, self.head_cos),
-                ("2d", self.enc2d_seq, self.enc2d_diff, self.head2d))
+    # (tag, (sequence stream, difference stream), their encoders, head)
+    BRANCHES = (("3d", ("seq3d", "diff3d"), ("enc3d_seq", "enc3d_diff"), "head3d"),
+                ("cos", ("cosseq", "cosdiff"), ("enc_cos_seq", "enc_cos_diff"), "head_cos"),
+                ("2d", ("seq2d", "root2d"), ("enc2d_seq", "enc2d_diff"), "head2d"))
 
 
 def _encoder(in_dim: int, hidden: tuple, rng) -> nn.Mlp:
@@ -528,32 +470,42 @@ def _as_tensor(x, tape: Tape) -> Tensor:
     return x if isinstance(x, Tensor) else tape.const(x)
 
 
+def _fused_score(critic, inputs, encoders, head: str, tape: Tape, params: Optional[dict],
+                 prefix: str) -> tuple[Tensor, dict]:
+    """Encoders over their inputs, concatenated into a head: the score (B, 1)
+    and the traces its input gradients need."""
+    outs, traces = zip(*(nn.mlp_apply(getattr(critic, name), _as_tensor(x, tape), tape, params,
+                                      f"{prefix}{name}.") for x, name in zip(inputs, encoders)))
+    score, head_trace = nn.mlp_apply(getattr(critic, head), ad.concat(outs, axis=1), tape, params,
+                                     f"{prefix}{head}.")
+    return score, {"traces": traces, "head_trace": head_trace,
+                   "widths": [out.shape[1] for out in outs], "score": score}
+
+
+def _penalty(parts, alpha: float, tape: Tape) -> Tensor:
+    """alpha * mean((|g| - 1)^2), g each sample's gradient with respect to the
+    inputs of every encoder of the scored ``parts``."""
+    grads = []
+    for part in parts:
+        g_h = nn.mlp_vjp(part["head_trace"], tape.const(np.ones_like(part["score"].values)))
+        ends = np.cumsum(part["widths"])
+        grads += [nn.mlp_vjp(trace, g_h[:, end - width:end])
+                  for trace, width, end in zip(part["traces"], part["widths"], ends)]
+    norm = nn.gradient_norms(grads)
+    return ad.mul(ad.mean(ad.square(ad.sub(norm, 1.0))), alpha)
+
+
 def frame_score(critic: FrameCritic, x3d, xcos, x2d, tape: Tape,
                 params: Optional[dict] = None, prefix: str = "ds.") -> tuple[Tensor, dict]:
     """Per-sample score (B, 1) plus the traces needed for input gradients."""
-    x3d, xcos, x2d = (_as_tensor(v, tape) for v in (x3d, xcos, x2d))
-    e1, t1 = nn.mlp_apply(critic.enc3d, x3d, tape, params, f"{prefix}enc3d.")
-    e2, t2 = nn.mlp_apply(critic.enc_cos, xcos, tape, params, f"{prefix}enc_cos.")
-    e3, t3 = nn.mlp_apply(critic.enc2d, x2d, tape, params, f"{prefix}enc2d.")
-    h = ad.concat([e1, e2, e3], axis=1)
-    score, th = nn.mlp_apply(critic.head, h, tape, params, f"{prefix}head.")
-    widths = (e1.values.shape[1], e2.values.shape[1], e3.values.shape[1])
-    return score, {"traces": (t1, t2, t3), "head_trace": th, "widths": widths}
+    return _fused_score(critic, (x3d, xcos, x2d), ("enc3d", "enc_cos", "enc2d"), "head", tape,
+                        params, prefix)
 
 
 def frame_penalty(critic: FrameCritic, x3d, xcos, x2d, alpha: float, tape: Tape,
                   params: Optional[dict] = None, prefix: str = "ds.") -> Tensor:
     """Gradient penalty of the frame critic at the given (interpolated) input."""
-    score, info = frame_score(critic, x3d, xcos, x2d, tape, params, prefix)
-    ones = tape.const(np.ones_like(score.values))
-    g_h = nn.mlp_vjp(info["head_trace"], ones)
-    w1, w2, w3 = info["widths"]
-    grads = []
-    for trace, sl in zip(info["traces"],
-                         (slice(0, w1), slice(w1, w1 + w2), slice(w1 + w2, w1 + w2 + w3))):
-        grads.append(nn.mlp_vjp(trace, g_h[:, sl]))
-    norm = nn.gradient_norms(grads)
-    return ad.mul(ad.mean(ad.square(ad.sub(norm, 1.0))), alpha)
+    return _penalty([frame_score(critic, x3d, xcos, x2d, tape, params, prefix)[1]], alpha, tape)
 
 
 _MOTION_KEYS = ("seq3d", "diff3d", "cosseq", "cosdiff", "seq2d", "root2d")
@@ -564,57 +516,32 @@ def motion_score(critic: MotionCritic, streams: dict, tape: Tape,
     """Sum of the three branch-head scores, (B, 1)."""
     info = {}
     total = None
-    for (tag, enc_seq, enc_diff, head), (k_seq, k_diff) in zip(
-            critic.branches(), (("seq3d", "diff3d"), ("cosseq", "cosdiff"), ("seq2d", "root2d"))):
-        xs = _as_tensor(streams[k_seq], tape)
-        xd = _as_tensor(streams[k_diff], tape)
-        names = {"3d": ("enc3d_seq", "enc3d_diff", "head3d"),
-                 "cos": ("enc_cos_seq", "enc_cos_diff", "head_cos"),
-                 "2d": ("enc2d_seq", "enc2d_diff", "head2d")}[tag]
-        es, ts = nn.mlp_apply(enc_seq, xs, tape, params, f"{prefix}{names[0]}.")
-        ed, td = nn.mlp_apply(enc_diff, xd, tape, params, f"{prefix}{names[1]}.")
-        h = ad.concat([es, ed], axis=1)
-        s, th = nn.mlp_apply(head, h, tape, params, f"{prefix}{names[2]}.")
-        info[tag] = {"traces": (ts, td), "head_trace": th,
-                     "widths": (es.values.shape[1], ed.values.shape[1]), "score": s}
+    for tag, keys, encoders, head in critic.BRANCHES:
+        s, info[tag] = _fused_score(critic, [streams[k] for k in keys], encoders, head, tape,
+                                    params, prefix)
         total = s if total is None else ad.add(total, s)
     return total, info
 
 
 def motion_penalty(critic: MotionCritic, streams: dict, alpha: float, tape: Tape,
                    params: Optional[dict] = None, prefix: str = "dm.") -> Tensor:
-    score, info = motion_score(critic, streams, tape, params, prefix)
-    grads = []
-    for tag in ("3d", "cos", "2d"):
-        branch = info[tag]
-        ones = tape.const(np.ones_like(branch["score"].values))
-        g_h = nn.mlp_vjp(branch["head_trace"], ones)
-        ws, wd = branch["widths"]
-        grads.append(nn.mlp_vjp(branch["traces"][0], g_h[:, :ws]))
-        grads.append(nn.mlp_vjp(branch["traces"][1], g_h[:, ws:ws + wd]))
-    norm = nn.gradient_norms(grads)
-    return ad.mul(ad.mean(ad.square(ad.sub(norm, 1.0))), alpha)
+    return _penalty(motion_score(critic, streams, tape, params, prefix)[1].values(), alpha, tape)
 
 
 def discriminate_single(critic: FrameCritic, pose3d, pose2d_norm, cosines) -> np.ndarray:
-    """Deterministic frame-critic scores, (B,), numpy in and out (no tape)."""
-    x3d = np.asarray(pose3d).reshape(len(np.asarray(pose3d)), -1)
-    x2d = np.asarray(pose2d_norm).reshape(x3d.shape[0], -1)
-    h = np.concatenate([nn.mlp_eval(critic.enc3d, x3d), nn.mlp_eval(critic.enc_cos, cosines),
-                        nn.mlp_eval(critic.enc2d, x2d)], axis=1)
-    return nn.mlp_eval(critic.head, h)[:, 0]
+    """Deterministic frame-critic scores, (B,), numpy in and out (float64)."""
+    x3d = np.asarray(pose3d, dtype=np.float64).reshape(len(np.asarray(pose3d)), -1)
+    x2d = np.asarray(pose2d_norm, dtype=np.float64).reshape(x3d.shape[0], -1)
+    with Tape() as tape:
+        return frame_score(critic, x3d, np.asarray(cosines, dtype=np.float64), x2d,
+                           tape)[0].values[:, 0]
 
 
 def discriminate_motion(critic: MotionCritic, streams: dict) -> np.ndarray:
-    """Deterministic motion-critic scores, (B,), numpy in and out (no tape)."""
-    total = None
-    for (_, enc_seq, enc_diff, head), (k_seq, k_diff) in zip(
-            critic.branches(), (("seq3d", "diff3d"), ("cosseq", "cosdiff"), ("seq2d", "root2d"))):
-        h = np.concatenate([nn.mlp_eval(enc_seq, streams[k_seq]),
-                            nn.mlp_eval(enc_diff, streams[k_diff])], axis=1)
-        s = nn.mlp_eval(head, h)[:, 0]
-        total = s if total is None else total + s
-    return total
+    """Deterministic motion-critic scores, (B,), numpy in and out (float64)."""
+    with Tape() as tape:
+        return motion_score(critic, {k: np.asarray(v, dtype=np.float64)
+                                     for k, v in streams.items()}, tape)[0].values[:, 0]
 
 
 # --------------------------------------------------------------------------
@@ -630,55 +557,47 @@ class FeatureBatch:
     motion: Optional[dict] = None
 
 
-def frame_streams(pose3d, pose2d, cam, pairs: AdjacentBonePairs) -> tuple[np.ndarray, ...]:
-    """(x3d, xcos, x2d) for (..., 16, 2/3) arrays; leading dims are flattened."""
-    pose3d = np.asarray(pose3d, dtype=np.float64)
-    x3d = pose3d.reshape(-1, 48)
-    xcos = joint_cosines(pose3d, pairs).reshape(x3d.shape[0], -1)
-    x2d = normalize_2d(pose2d, cam).reshape(-1, 32)
-    return x3d, xcos, x2d
-
-
-def motion_streams(seq3d, seq2d, cam, pairs: AdjacentBonePairs) -> dict:
-    """The six two-stream inputs for (B, T, 16, 2/3) sequences."""
-    seq3d = np.asarray(seq3d, dtype=np.float64)
-    b, t = seq3d.shape[0], seq3d.shape[1]
-    cos = joint_cosines(seq3d, pairs)
-    uv = normalize_2d(seq2d, cam)
-    root = uv[:, :, 0, :]
-    return {
-        "seq3d": seq3d.reshape(b, t * 48),
-        "diff3d": (seq3d[:, 1:] - seq3d[:, :-1]).reshape(b, (t - 1) * 48),
-        "cosseq": cos.reshape(b, -1),
-        "cosdiff": (cos[:, 1:] - cos[:, :-1]).reshape(b, -1),
-        "seq2d": uv.reshape(b, t * 32),
-        "root2d": (root[:, 1:] - root[:, :-1]).reshape(b, (t - 1) * 2),
-    }
-
-
 def feature_batch(pose3d, pose2d, cam, pairs: AdjacentBonePairs,
                   video: bool = False) -> FeatureBatch:
-    x3d, xcos, x2d = frame_streams(pose3d, pose2d, cam, pairs)
-    motion = motion_streams(pose3d, pose2d, cam, pairs) if video else None
-    return FeatureBatch(x3d=x3d, xcos=xcos, x2d=x2d, motion=motion)
+    """Numpy critic inputs of (B, K, 3/2) poses, or of (B, T, K, 3/2)
+    sequences with their motion streams when ``video``: the stream functions
+    run on constants (see ``frame_streams`` for ``cam``)."""
+    pose3d = np.asarray(pose3d, dtype=np.float64)
+    pose2d = np.asarray(pose2d, dtype=np.float64)
+    k = pose3d.shape[-2]
+    with Tape() as tape:
+        x3d, xcos, x2d = frame_streams(tape.const(pose3d.reshape(-1, k, 3)),
+                                       tape.const(pose2d.reshape(-1, k, 2)), cam, pairs)
+        motion = motion_streams(x3d, xcos, x2d, pose3d.shape[1]) if video else None
+    return FeatureBatch(x3d=x3d.values, xcos=xcos.values, x2d=x2d.values,
+                        motion=None if motion is None else {k: v.values for k, v in motion.items()})
 
 
 def _check_matching(real: FeatureBatch, fake: FeatureBatch) -> None:
-    for name in ("x3d", "xcos", "x2d"):
-        a, b = getattr(real, name), getattr(fake, name)
-        if a.shape != b.shape:
-            raise ShapeError(f"real/fake {name} shapes differ: {a.shape} vs {b.shape}")
     if (real.motion is None) != (fake.motion is None):
         raise ShapeError("real/fake batches disagree on motion streams")
-    if real.motion is not None:
-        for k in _MOTION_KEYS:
-            if real.motion[k].shape != fake.motion[k].shape:
-                raise ShapeError(f"real/fake motion {k} shapes differ")
+    pairs = [(k, getattr(real, k), getattr(fake, k)) for k in ("x3d", "xcos", "x2d")]
+    pairs += [(f"motion {k}", real.motion[k], fake.motion[k]) for k in real.motion or ()]
+    for name, a, b in pairs:
+        if a.shape != b.shape:
+            raise ShapeError(f"real/fake {name} shapes differ: {a.shape} vs {b.shape}")
 
 
-def _interpolate(real: np.ndarray, fake: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    eps = eps.astype(real.dtype, copy=False)
-    return eps * real + (1.0 - eps) * fake
+def _interpolate(real: FeatureBatch, fake: FeatureBatch, rng: np.random.Generator,
+                 motion: bool) -> FeatureBatch:
+    """The penalty inputs: per sample eps * real + (1 - eps) * fake with eps
+    uniform; the motion streams, when ``motion``, draw their own eps."""
+    def mix(a, b, eps):
+        eps = eps.astype(a.dtype, copy=False)
+        return eps * a + (1.0 - eps) * b
+
+    eps = rng.uniform(size=(real.x3d.shape[0], 1))
+    hat = FeatureBatch(*(mix(getattr(real, k), getattr(fake, k), eps)
+                         for k in ("x3d", "xcos", "x2d")))
+    if motion:
+        eps_m = rng.uniform(size=(real.motion["seq3d"].shape[0], 1))
+        hat.motion = {k: mix(real.motion[k], fake.motion[k], eps_m) for k in _MOTION_KEYS}
+    return hat
 
 
 def _cast_batch(fb: FeatureBatch, dtype) -> FeatureBatch:
@@ -699,23 +618,20 @@ def critic_loss(ds: FrameCritic, dm: Optional[MotionCritic], real: FeatureBatch,
     frame scores (B,) of this forward pass under ``"real"`` and ``"fake"``.
     """
     _check_matching(real, fake)
+    motion = bool(gamma and dm is not None)
+    if motion and real.motion is None:
+        raise ShapeError("motion terms are on but the batches carry no motion streams")
+    hat = _interpolate(real, fake, rng, motion)
     s_fake, _ = frame_score(ds, fake.x3d, fake.xcos, fake.x2d, tape, ds_params)
     s_real, _ = frame_score(ds, real.x3d, real.xcos, real.x2d, tape, ds_params)
     if scores is not None:
         scores["real"], scores["fake"] = s_real.values[:, 0], s_fake.values[:, 0]
-    eps = rng.uniform(size=(real.x3d.shape[0], 1))
-    pen = frame_penalty(ds, _interpolate(real.x3d, fake.x3d, eps),
-                        _interpolate(real.xcos, fake.xcos, eps),
-                        _interpolate(real.x2d, fake.x2d, eps), alpha, tape, ds_params)
+    pen = frame_penalty(ds, hat.x3d, hat.xcos, hat.x2d, alpha, tape, ds_params)
     loss = ad.add(ad.sub(ad.mean(s_fake), ad.mean(s_real)), pen)
-    if gamma and dm is not None:
-        if real.motion is None:
-            raise ShapeError("motion terms are on but the batches carry no motion streams")
+    if motion:
         m_fake, _ = motion_score(dm, fake.motion, tape, dm_params)
         m_real, _ = motion_score(dm, real.motion, tape, dm_params)
-        eps_m = rng.uniform(size=(real.motion["seq3d"].shape[0], 1))
-        hat = {k: _interpolate(real.motion[k], fake.motion[k], eps_m) for k in _MOTION_KEYS}
-        m_pen = motion_penalty(dm, hat, alpha, tape, dm_params)
+        m_pen = motion_penalty(dm, hat.motion, alpha, tape, dm_params)
         loss = ad.add(loss, ad.add(ad.sub(ad.mean(m_fake), ad.mean(m_real)), m_pen))
     return loss
 
@@ -793,7 +709,6 @@ def _abort_if_bad(value: float, what: str, state: TrainState, extra: dict):
     if not np.isfinite(value):
         snapshot = {"what": what, "value": float(value), "epoch": state.epoch, **extra}
         if state.config.out_dir:
-            import os
             path = os.path.join(state.config.out_dir, "diverged.json")
             with open(path, "w") as fh:
                 json.dump(snapshot, fh, indent=2)
@@ -802,12 +717,7 @@ def _abort_if_bad(value: float, what: str, state: TrainState, extra: dict):
 
 def _real_minibatch(data: RealData, idx: np.ndarray, pairs: AdjacentBonePairs,
                     video: bool) -> FeatureBatch:
-    p3 = data.pose3d[idx]
-    p2 = data.pose2d[idx]
-    cams = data.cams[idx]
-    x3d, xcos, x2d = frame_streams(p3, p2, cams, pairs)
-    motion = motion_streams(p3, p2, cams, pairs) if video else None
-    return FeatureBatch(x3d=x3d, xcos=xcos, x2d=x2d, motion=motion)
+    return feature_batch(data.pose3d[idx], data.pose2d[idx], data.cams[idx], pairs, video)
 
 
 def _fake_minibatch(state: TrainState, batch: int, pairs: AdjacentBonePairs,
@@ -887,7 +797,7 @@ def train_epoch(state: TrainState, data: RealData, synth_dir: Optional[str] = No
     gamma = gamma_schedule(state.epoch, cfg.beta_epoch) if video else 0
     batch = min(cfg.resolved_batch(), len(data))
     steps = max(1, len(data) // batch)
-    d_gaps, pens, gen_losses = [], [], []
+    d_gaps, gen_losses = [], []
     violations = 0
     for _ in range(steps):
         for _ in range(cfg.critic_steps):
@@ -904,17 +814,13 @@ def train_epoch(state: TrainState, data: RealData, synth_dir: Optional[str] = No
     idx = state.rng.integers(0, len(data), size=batch)
     real = _real_minibatch(data, idx, state.pairs, video)
     fake, _ = _fake_minibatch(state, batch, state.pairs, video)
-    eps = state.rng.uniform(size=(real.x3d.shape[0], 1))
+    motion = bool(gamma and state.dm is not None)
+    hat = _interpolate(real, fake, state.rng, motion)
     with Tape() as tape:
-        pen = frame_penalty(state.ds, _interpolate(real.x3d, fake.x3d, eps),
-                            _interpolate(real.xcos, fake.xcos, eps),
-                            _interpolate(real.x2d, fake.x2d, eps), cfg.alpha, tape)
-        pens.append(float(pen.values))
-    if gamma and state.dm is not None:
-        eps_m = state.rng.uniform(size=(len(real.motion["seq3d"]), 1))
-        hat = {k: _interpolate(real.motion[k], fake.motion[k], eps_m) for k in _MOTION_KEYS}
+        penalty = float(frame_penalty(state.ds, hat.x3d, hat.xcos, hat.x2d, cfg.alpha, tape).values)
+    if motion:
         with Tape() as tape:
-            motion_pen = float(motion_penalty(state.dm, hat, cfg.alpha, tape).values)
+            motion_pen = float(motion_penalty(state.dm, hat.motion, cfg.alpha, tape).values)
         m_real = discriminate_motion(state.dm, real.motion)
         m_fake = discriminate_motion(state.dm, fake.motion)
         motion_gap = float(m_real.mean() - m_fake.mean())
@@ -926,7 +832,7 @@ def train_epoch(state: TrainState, data: RealData, synth_dir: Optional[str] = No
         "epoch": state.epoch,
         "gamma": gamma,
         "d_gap": float(np.mean(d_gaps)),
-        "penalty": float(np.mean(pens)),
+        "penalty": penalty,
         "motion_gap": motion_gap,
         "motion_penalty": motion_pen,
         "gen_loss": float(np.mean(gen_losses)),
@@ -937,7 +843,6 @@ def train_epoch(state: TrainState, data: RealData, synth_dir: Optional[str] = No
     if out_dir:
         from .dataset import synthesize_dataset
 
-        import os
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, f"epoch_{state.epoch:03d}.txt")
         seed = int(state.rng.integers(0, 2 ** 31))
@@ -952,8 +857,6 @@ def save_generator(gen: DhGenerator, path, seed: int,
                    meta: Optional[dict[str, str]] = None) -> None:
     """Write the generator net; ``meta`` adds header lines that
     ``load_generator`` ignores."""
-    from .skeleton import topology_hash
-
     nn.save_checkpoint(path, {"gen": gen.net}, seed,
                        extra={"mode": gen.mode, "frames": str(gen.frames),
                               "topology": topology_hash(gen.topology), **(meta or {})})
@@ -963,8 +866,6 @@ def load_generator(path, topology: Optional[SkeletonTopology] = None,
                    table: Optional[ConstraintTable] = None,
                    camera: Optional[CameraIntrinsics] = None,
                    bounds: Optional[GlobalBounds] = None) -> DhGenerator:
-    from .skeleton import topology_hash
-
     nets, _, extra = nn.load_checkpoint(path)
     topology = topology or default_topology()
     if "topology" in extra and extra["topology"] != topology_hash(topology):

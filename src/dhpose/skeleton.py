@@ -25,7 +25,6 @@ import numpy as np
 N_PARAMS = 48
 N_ANGLE_PARAMS = 33
 N_LENGTH_PARAMS = 15
-N_KEYPOINTS = 16
 N_BRANCHES = 5
 
 KEYPOINT_NAMES = (
@@ -35,8 +34,6 @@ KEYPOINT_NAMES = (
     "l_shoulder", "l_elbow", "l_wrist",
     "r_shoulder", "r_elbow", "r_wrist",
 )
-
-BRANCH_NAMES = ("torso", "left_leg", "right_leg", "left_arm", "right_arm")
 
 ROOT_KEYPOINT = 0
 
@@ -233,7 +230,8 @@ def dh_matrix(a: float, d: float, alpha: float, theta: float) -> np.ndarray:
 
 
 def compose_chain(rows: Sequence[DhRow]) -> list[np.ndarray]:
-    """Cumulative transforms of a resolved chain: M'_0, M'_0 M_1, ..."""
+    """Cumulative transforms of a resolved chain: M'_0, M'_0 M_1, ...  A row
+    is anything with ``a``, ``d``, ``alpha`` and ``theta``."""
     rows = list(rows)
     if not rows:
         raise ValueError("compose_chain needs at least one row")
@@ -308,26 +306,15 @@ def rotation_xyz(rx, ry, rz) -> np.ndarray:
     return mx @ my @ mz
 
 
-def forward_kinematics_batch(topology: SkeletonTopology, params, globals_) -> np.ndarray:
-    """Vectorized FK: (B, 48) deltas and (B, 6) global values to (B, 16, 3).
-
-    Serial evaluation is the batch-of-one case of this routine, so batched
-    and per-sample results are bitwise identical.
-    """
-    params = np.asarray(params, dtype=np.float64)
-    globals_ = np.asarray(globals_, dtype=np.float64)
-    if params.ndim != 2 or params.shape[1] != N_PARAMS:
-        raise ValueError(f"expected (batch, {N_PARAMS}) parameters, got {params.shape}")
-    if globals_.shape != (params.shape[0], 6):
-        raise ValueError(f"expected (batch, 6) global values, got {globals_.shape}")
-    if not (np.all(np.isfinite(params)) and np.all(np.isfinite(globals_))):
-        raise ValueError("parameters and global values must be finite")
-
+def chain_frames(topology: SkeletonTopology, params: np.ndarray
+                 ) -> tuple[np.ndarray, list[list[np.ndarray]]]:
+    """Keypoints before the global transform, (B, 16, 3), and per branch the
+    cumulative transform (B, 4, 4) of each of its rows, shared rows included."""
     nb = params.shape[0]
     kps = np.empty((nb, topology.keypoint_count, 3))
-    compiled = _compiled(topology)
+    frames = []
     root_cum: list[np.ndarray] = []
-    for bi, comp in enumerate(compiled):
+    for bi, comp in enumerate(_compiled(topology)):
         prefix = comp["prefix"]
         cur = root_cum[prefix - 1] if prefix > 0 else np.broadcast_to(np.eye(4), (nb, 4, 4))
         cum = list(root_cum[:prefix]) if bi > 0 else []
@@ -347,7 +334,56 @@ def forward_kinematics_batch(topology: SkeletonTopology, params, globals_) -> np
             root_cum = cum
         for row_idx, kp in comp["keypoint_map"]:
             kps[:, kp] = cum[row_idx][:, :3, 3]
+        frames.append(cum)
+    return kps, frames
 
+
+def chain_vjp(topology: SkeletonTopology, kps: np.ndarray, frames: list[list[np.ndarray]],
+              grad: np.ndarray) -> np.ndarray:
+    """Gradient (B, 48) of the parameters, given ``chain_frames``' output and
+    the gradient (B, 16, 3) of its keypoints.
+
+    The geometric Jacobian of the modified-DH chain (Siciliano et al.,
+    *Robotics: Modelling, Planning and Control*, 3.1): with row k's
+    cumulative frame axes x_k, z_k and origin o_k, a keypoint p that row k
+    moves has dp/dtheta_k = z_k x (p - o_k), dp/dd_k = z_k and
+    dp/da_k = x_{k-1}.  Each keypoint is counted in the branch that emits it,
+    over all of its rows, shared ones included.
+    """
+    nb = kps.shape[0]
+    out = np.zeros((nb, N_PARAMS))
+    for comp, cum in zip(_compiled(topology), frames):
+        rows, kp = (np.array(c) for c in zip(*comp["keypoint_map"]))
+        # force and moment of the keypoints each row moves: sums over rows >= k
+        acc = np.zeros((2, nb, len(cum), 3))
+        acc[0][:, rows], acc[1][:, rows] = grad[:, kp], np.cross(kps[:, kp], grad[:, kp])
+        force, moment = np.cumsum(acc[:, :, ::-1], axis=2)[:, :, ::-1]
+        f = np.stack(cum, axis=1)
+        z, o = f[:, :, :3, 2], f[:, :, :3, 3]
+        x_prev = np.concatenate([np.broadcast_to([1.0, 0.0, 0.0], (nb, 1, 3)), f[:, :-1, :3, 0]],
+                                axis=1)
+        for name, axis, g in (("theta", z, moment - np.cross(o, force)), ("d", z, force),
+                              ("a", x_prev, force)):
+            ids = comp[name + "_id"]
+            out[:, ids[ids >= 0]] += np.sum(axis * g, axis=-1)[:, ids >= 0]
+    return out
+
+
+def forward_kinematics_batch(topology: SkeletonTopology, params, globals_) -> np.ndarray:
+    """Vectorized FK: (B, 48) deltas and (B, 6) global values to (B, 16, 3).
+
+    Serial evaluation is the batch-of-one case of this routine, so batched
+    and per-sample results are bitwise identical.
+    """
+    params = np.asarray(params, dtype=np.float64)
+    globals_ = np.asarray(globals_, dtype=np.float64)
+    if params.ndim != 2 or params.shape[1] != N_PARAMS:
+        raise ValueError(f"expected (batch, {N_PARAMS}) parameters, got {params.shape}")
+    if globals_.shape != (params.shape[0], 6):
+        raise ValueError(f"expected (batch, 6) global values, got {globals_.shape}")
+    if not (np.all(np.isfinite(params)) and np.all(np.isfinite(globals_))):
+        raise ValueError("parameters and global values must be finite")
+    kps, _ = chain_frames(topology, params)
     rot = rotation_xyz(globals_[:, 0], globals_[:, 1], globals_[:, 2])
     return kps @ np.swapaxes(rot, -1, -2) + globals_[:, None, 3:6]
 

@@ -138,15 +138,17 @@ def generate_ref(gen, z):
     A float64 reference for finite differences, which the float32 net of
     ``gan.generate`` is too coarse for; it shares the package's geometry
     on purpose and is no independent check of it."""
+    from dhpose import autodiff as ad
     from dhpose import gan, nn
     from dhpose.camera import project_pose
-    from dhpose.skeleton import N_PARAMS, forward_kinematics_batch
+    from dhpose.skeleton import forward_kinematics_batch
 
     raw = nn.mlp_eval(gen.net, z)
-    params, globals_ = gan._split_raw(gen, raw)
-    pose3d = forward_kinematics_batch(gen.topology, params.reshape(-1, N_PARAMS),
-                                      globals_.reshape(-1, gan.N_GLOBAL))
+    with ad.Tape() as tape:
+        params, globals_ = (x.values for x in gan._split_raw(gen, tape.const(raw)))
+    pose3d = forward_kinematics_batch(gen.topology, params, globals_)
     if gen.mode == "video":
-        pose3d = pose3d.reshape(raw.shape[0], gen.frames, -1, 3)
+        params, globals_, pose3d = (x.reshape(raw.shape[0], gen.frames, *x.shape[1:])
+                                    for x in (params, globals_, pose3d))
     return gan.GenOutput(params=params, globals_=globals_, pose3d=pose3d,
                          pose2d=project_pose(pose3d, gen.camera))

@@ -66,6 +66,14 @@ class TestValidate:
         assert code == 2
         assert "l_knee_flex" in out
 
+    def test_non_finite_delta_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "nan.txt"
+        path.write_text(" ".join(["0"] * 47 + ["nan"]) + "\n")
+        code, out, err = run(capsys, "validate", "--params", str(path))
+        assert code == 2
+        assert "ok" not in out
+        assert "param 47 (r_forearm_len) is not finite" in err
+
     def test_valid_params_exit_0(self, capsys, tmp_path):
         path = tmp_path / "ok.txt"
         path.write_text(" ".join(["0"] * 48) + "\n")

@@ -71,6 +71,13 @@ class TestValidate:
         assert np.all(table.lo <= 0.0) and np.all(table.hi >= 0.0)
         assert ct.validate_params(np.zeros(48), table).ok
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_delta_rejected_with_its_id(self, table, bad):
+        params = np.zeros(48)
+        params[47] = bad
+        with pytest.raises(ValueError, match=r"param 47 \(r_forearm_len\) is not finite"):
+            ct.validate_params(params, table)
+
     def test_exact_boundary_passes(self, table):
         assert ct.validate_params(table.lo.copy(), table).ok
         assert ct.validate_params(table.hi.copy(), table).ok

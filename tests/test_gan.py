@@ -12,7 +12,8 @@ from dhpose import dataset as dsio
 from dhpose import gan
 from dhpose import nn
 from dhpose import skeleton as sk
-from oracles import generate_ref
+from dhpose.features import joint_cosines
+from oracles import central_difference, generate_ref
 
 RNG = np.random.default_rng
 
@@ -156,12 +157,71 @@ class TestGenerate:
         assert np.array_equal(numpy_raw, tape_raw)
 
 
+class TestGeometryOps:
+    """The FK and cosine tape nodes.  Geometry is float64-only, so their
+    central-difference checks live here, not in the float32-checked OP_CASES."""
+
+    def _inputs(self, seed, n=3):
+        rng = RNG(seed)
+        return rng.uniform(-1, 1, (n, 48)), rng.uniform(-1, 1, (n, 6))
+
+    def _assert_gradient(self, op, x0, seed):
+        """The tape gradient of sum(op(x) * w) equals central differences to 1e-5."""
+        w = RNG(seed).normal(size=op(ad.Tape().const(x0)).shape)
+        tape = ad.Tape()
+        x = tape.var(x0.copy())
+        ad.backward(tape, ad.sum_(ad.mul(op(x), w)))
+        fd = central_difference(lambda v: float(np.sum(op(ad.Tape().const(v)).values * w)),
+                                x0.copy())
+        assert np.max(np.abs(x.grad - fd) / np.maximum(np.abs(fd), 1.0)) < 1e-5
+
+    def test_fk_gradient_wrt_params(self, topology):
+        p0, g0 = self._inputs(70)
+        self._assert_gradient(lambda p: gan._fk_tape(topology, p, p.tape.const(g0)), p0, 71)
+
+    def test_fk_gradient_wrt_globals(self, topology):
+        p0, g0 = self._inputs(72)
+        self._assert_gradient(lambda g: gan._fk_tape(topology, g.tape.const(p0), g), g0, 73)
+
+    def test_cosine_gradient(self, topology, pairs):
+        p0, g0 = self._inputs(74)
+        pose = sk.forward_kinematics_batch(topology, p0, g0) + RNG(75).normal(size=(3, 16, 3)) * 0.05
+        self._assert_gradient(lambda x: gan._cosines(x, pairs), pose, 76)
+
+    def test_forward_values_are_the_numpy_geometry(self, topology, pairs):
+        p0, g0 = self._inputs(77, n=5)
+        tape = ad.Tape()
+        pose = gan._fk_tape(topology, tape.const(p0), tape.const(g0))
+        assert np.array_equal(pose.values, sk.forward_kinematics_batch(topology, p0, g0))
+        assert np.array_equal(gan._cosines(pose, pairs).values,
+                              joint_cosines(pose.values, pairs))
+
+    def test_fk_records_at_most_two_nodes(self, topology):
+        p0, g0 = self._inputs(78)
+        tape = ad.Tape()
+        p, g = tape.var(p0), tape.var(g0)
+        before = len(tape.nodes)
+        gan._fk_tape(topology, p, g)
+        assert len(tape.nodes) - before <= 2
+
+    def test_generator_pipeline_node_count_at_train_video_sizes(self, pairs):
+        # the benchmark's train-video sizes: default nets, T=9, batch 64
+        cfg = gan.TrainConfig(mode="video", frames=9, batch_size=64, seed=79)
+        gen = gan.build_generator(cfg, RNG(79))
+        tape = ad.Tape()
+        leaves = nn.mlp_leaves(tape, gen.net, "gen.", gan.COMPUTE_DTYPE)
+        before = len(tape.nodes)
+        gan.generate_on_tape(gen, gan.sample_latent(64, cfg.z_dim, RNG(80)), tape, leaves, pairs)
+        assert len(tape.nodes) - before < 200
+
+
 class TestFrameCritic:
     def _streams(self, pairs, n=8, seed=12):
         cfg = tiny_config()
         gen = gan.build_generator(cfg, RNG(seed))
         out = gan.generate(gen, gan.sample_latent(n, cfg.z_dim, RNG(seed + 1)))
-        return gan.frame_streams(out.pose3d, out.pose2d, gen.camera, pairs)
+        fb = gan.feature_batch(out.pose3d, out.pose2d, gen.camera, pairs)
+        return fb.x3d, fb.xcos, fb.x2d
 
     def test_zero_weights_score_zero(self, pairs):
         cfg = tiny_config()
@@ -194,7 +254,7 @@ class TestMotionCritic:
         cfg = tiny_config(mode="video", frames=frames)
         gen = gan.build_generator(cfg, RNG(seed))
         out = gan.generate(gen, gan.sample_latent(n, cfg.z_dim, RNG(seed + 1)))
-        return gan.motion_streams(out.pose3d, out.pose2d, gen.camera, pairs), cfg
+        return gan.feature_batch(out.pose3d, out.pose2d, gen.camera, pairs, video=True).motion, cfg
 
     def test_zero_weights_score_zero(self, pairs):
         streams, cfg = self._streams(pairs)
@@ -233,9 +293,10 @@ class TestMotionCritic:
         g[:, 5] = 4.0
         seq3d = sk.forward_kinematics_batch(topology, params, g)
         seq2d = project_pose(seq3d, camera)
-        ordered = gan.motion_streams(seq3d[None], seq2d[None], camera, pairs)
+        ordered = gan.feature_batch(seq3d[None], seq2d[None], camera, pairs, video=True).motion
         perm = np.array([2, 0, 4, 1, 3])
-        shuffled = gan.motion_streams(seq3d[perm][None], seq2d[perm][None], camera, pairs)
+        shuffled = gan.feature_batch(seq3d[perm][None], seq2d[perm][None], camera, pairs,
+                                     video=True).motion
         s_ord = gan.discriminate_motion(critic, ordered)
         s_shuf = gan.discriminate_motion(critic, shuffled)
         assert abs(float(s_ord[0] - s_shuf[0])) > 1e-9
@@ -245,7 +306,7 @@ class TestMotionCritic:
         pose = sk.rest_pose(topology) + [0, 0, 4.0]
         seq3d = np.stack([pose] * 4)[None]
         seq2d = project_pose(seq3d, camera)
-        streams = gan.motion_streams(seq3d, seq2d, camera, pairs)
+        streams = gan.feature_batch(seq3d, seq2d, camera, pairs, video=True).motion
         assert np.all(streams["diff3d"] == 0)
         assert np.all(streams["cosdiff"] == 0)
         assert np.all(streams["root2d"] == 0)
