@@ -27,7 +27,6 @@ functions on constants on a throwaway tape (``generate_poses``,
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -41,7 +40,7 @@ from .constraints import ConstraintTable, count_violations, default_constraint_t
 from .features import AdjacentBonePairs, adjacent_bone_pairs, bone_vectors, joint_cosines
 from .skeleton import (N_ANGLE_PARAMS, N_LENGTH_PARAMS, N_PARAMS, ROOT_KEYPOINT, SkeletonTopology,
                        chain_frames, chain_vjp, default_topology, forward_kinematics_batch,
-                       rotation_xyz, topology_hash)
+                       rotation_xyz)
 
 N_GLOBAL = 6
 # dtype of the generator net on every path (inference, synthesis and the
@@ -312,14 +311,14 @@ def frame_streams(pose3d: Tensor, pose2d: Tensor, cam,
     flattened 3D pose; xcos, the adjacent-bone cosines; x2d, the 2D pose in
     dimensionless image coordinates (uv - principal point) / focal.
 
-    ``cam`` is one ``CameraIntrinsics``, or (M, 5) rows fx fy cx cy z_min,
-    each shared by N / M consecutive poses (the frames of a sequence)."""
+    ``cam`` is one ``CameraIntrinsics``, or (N, 5) rows fx fy cx cy z_min,
+    one per pose."""
     n = pose3d.shape[0]
-    cams = np.atleast_2d(cam.as_array() if isinstance(cam, CameraIntrinsics)
-                         else np.asarray(cam, dtype=np.float64))
-    if n % len(cams):
-        raise ShapeError(f"camera batch {cams.shape} does not match {n} poses")
-    cams = np.repeat(cams, n // len(cams), axis=0)[:, None, :]
+    if isinstance(cam, CameraIntrinsics):
+        cam = cam.as_array()[None]
+    elif np.shape(cam) != (n, 5):
+        raise ShapeError(f"camera batch {np.shape(cam)} does not match {n} poses")
+    cams = np.asarray(cam, dtype=np.float64)[:, None, :]
     x2d = ad.div(ad.sub(pose2d, cams[..., 2:4]), cams[..., 0:2])
     return ad.reshape(pose3d, (n, -1)), _cosines(pose3d, pairs), ad.reshape(x2d, (n, -1))
 
@@ -561,26 +560,32 @@ def feature_batch(pose3d, pose2d, cam, pairs: AdjacentBonePairs,
                   video: bool = False) -> FeatureBatch:
     """Numpy critic inputs of (B, K, 3/2) poses, or of (B, T, K, 3/2)
     sequences with their motion streams when ``video``: the stream functions
-    run on constants (see ``frame_streams`` for ``cam``)."""
+    run on constants.  ``cam`` is one ``CameraIntrinsics`` or (B, 5) rows
+    (see ``frame_streams``), one per pose or sequence."""
     pose3d = np.asarray(pose3d, dtype=np.float64)
     pose2d = np.asarray(pose2d, dtype=np.float64)
-    k = pose3d.shape[-2]
+    kp = pose3d.shape[-2]
+    if not isinstance(cam, CameraIntrinsics):  # a sequence's frames share its row
+        cam = np.repeat(np.asarray(cam, dtype=np.float64), pose3d[0].size // (kp * 3), axis=0)
     with Tape() as tape:
-        x3d, xcos, x2d = frame_streams(tape.const(pose3d.reshape(-1, k, 3)),
-                                       tape.const(pose2d.reshape(-1, k, 2)), cam, pairs)
+        x3d, xcos, x2d = frame_streams(tape.const(pose3d.reshape(-1, kp, 3)),
+                                       tape.const(pose2d.reshape(-1, kp, 2)), cam, pairs)
         motion = motion_streams(x3d, xcos, x2d, pose3d.shape[1]) if video else None
     return FeatureBatch(x3d=x3d.values, xcos=xcos.values, x2d=x2d.values,
                         motion=None if motion is None else {k: v.values for k, v in motion.items()})
 
 
 def _check_matching(real: FeatureBatch, fake: FeatureBatch) -> None:
-    if (real.motion is None) != (fake.motion is None):
-        raise ShapeError("real/fake batches disagree on motion streams")
-    pairs = [(k, getattr(real, k), getattr(fake, k)) for k in ("x3d", "xcos", "x2d")]
-    pairs += [(f"motion {k}", real.motion[k], fake.motion[k]) for k in real.motion or ()]
-    for name, a, b in pairs:
+    for name in ("x3d", "xcos", "x2d"):
+        a, b = getattr(real, name), getattr(fake, name)
         if a.shape != b.shape:
             raise ShapeError(f"real/fake {name} shapes differ: {a.shape} vs {b.shape}")
+    if (real.motion is None) != (fake.motion is None):
+        raise ShapeError("real/fake batches disagree on motion streams")
+    if real.motion is not None:
+        for k in _MOTION_KEYS:
+            if real.motion[k].shape != fake.motion[k].shape:
+                raise ShapeError(f"real/fake motion {k} shapes differ")
 
 
 def _interpolate(real: FeatureBatch, fake: FeatureBatch, rng: np.random.Generator,
@@ -709,6 +714,7 @@ def _abort_if_bad(value: float, what: str, state: TrainState, extra: dict):
     if not np.isfinite(value):
         snapshot = {"what": what, "value": float(value), "epoch": state.epoch, **extra}
         if state.config.out_dir:
+            import os
             path = os.path.join(state.config.out_dir, "diverged.json")
             with open(path, "w") as fh:
                 json.dump(snapshot, fh, indent=2)
@@ -843,6 +849,7 @@ def train_epoch(state: TrainState, data: RealData, synth_dir: Optional[str] = No
     if out_dir:
         from .dataset import synthesize_dataset
 
+        import os
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, f"epoch_{state.epoch:03d}.txt")
         seed = int(state.rng.integers(0, 2 ** 31))
@@ -857,6 +864,8 @@ def save_generator(gen: DhGenerator, path, seed: int,
                    meta: Optional[dict[str, str]] = None) -> None:
     """Write the generator net; ``meta`` adds header lines that
     ``load_generator`` ignores."""
+    from .skeleton import topology_hash
+
     nn.save_checkpoint(path, {"gen": gen.net}, seed,
                        extra={"mode": gen.mode, "frames": str(gen.frames),
                               "topology": topology_hash(gen.topology), **(meta or {})})
@@ -866,6 +875,8 @@ def load_generator(path, topology: Optional[SkeletonTopology] = None,
                    table: Optional[ConstraintTable] = None,
                    camera: Optional[CameraIntrinsics] = None,
                    bounds: Optional[GlobalBounds] = None) -> DhGenerator:
+    from .skeleton import topology_hash
+
     nets, _, extra = nn.load_checkpoint(path)
     topology = topology or default_topology()
     if "topology" in extra and extra["topology"] != topology_hash(topology):

@@ -355,9 +355,12 @@ def chain_vjp(topology: SkeletonTopology, kps: np.ndarray, frames: list[list[np.
     for comp, cum in zip(_compiled(topology), frames):
         rows, kp = (np.array(c) for c in zip(*comp["keypoint_map"]))
         # force and moment of the keypoints each row moves: sums over rows >= k
-        acc = np.zeros((2, nb, len(cum), 3))
-        acc[0][:, rows], acc[1][:, rows] = grad[:, kp], np.cross(kps[:, kp], grad[:, kp])
-        force, moment = np.cumsum(acc[:, :, ::-1], axis=2)[:, :, ::-1]
+        force = np.zeros((nb, len(cum), 3))
+        moment = np.zeros((nb, len(cum), 3))
+        force[:, rows] = grad[:, kp]
+        moment[:, rows] = np.cross(kps[:, kp], grad[:, kp])
+        force = np.cumsum(force[:, ::-1], axis=1)[:, ::-1]
+        moment = np.cumsum(moment[:, ::-1], axis=1)[:, ::-1]
         f = np.stack(cum, axis=1)
         z, o = f[:, :, :3, 2], f[:, :, :3, 3]
         x_prev = np.concatenate([np.broadcast_to([1.0, 0.0, 0.0], (nb, 1, 3)), f[:, :-1, :3, 0]],

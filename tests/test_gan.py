@@ -238,6 +238,12 @@ class TestFrameCritic:
         s2 = gan.discriminate_single(critic, x3d, x2d, xcos)
         assert np.array_equal(s1, s2)
 
+    @pytest.mark.parametrize("mode,frames", [("single", 1), ("video", 3)])
+    def test_camera_rows_must_match_the_batch(self, pairs, mode, frames):
+        data = dsio.make_band_corpus(6, 1, mode=mode, frames=frames)
+        with pytest.raises(ad.ShapeError, match="camera batch"):
+            gan.feature_batch(data.pose3d, data.pose2d, data.cams[:5], pairs, video=mode == "video")
+
     def test_cosine_stream_wired_in(self, pairs):
         cfg = tiny_config()
         critic = gan.build_frame_critic(cfg, 14, RNG(15))
@@ -300,6 +306,14 @@ class TestMotionCritic:
         s_ord = gan.discriminate_motion(critic, ordered)
         s_shuf = gan.discriminate_motion(critic, shuffled)
         assert abs(float(s_ord[0] - s_shuf[0])) > 1e-9
+
+    def test_root2d_is_the_normalized_root_trajectory(self, pairs, camera):
+        streams, cfg = self._streams(pairs)
+        out = gan.generate(gan.build_generator(cfg, RNG(16)),
+                           gan.sample_latent(6, cfg.z_dim, RNG(17)))
+        root = (out.pose2d[:, :, sk.ROOT_KEYPOINT] - [camera.cx, camera.cy]) / [camera.fx, camera.fy]
+        want = (root[:, 1:] - root[:, :-1]).reshape(6, -1)
+        assert np.max(np.abs(streams["root2d"] - want)) < 1e-15
 
     def test_static_sequence_has_zero_difference_streams(self, pairs, topology, camera):
         from dhpose.camera import project_pose
