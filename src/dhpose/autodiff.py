@@ -249,32 +249,6 @@ def matmul(a, b) -> Tensor:
     return node("matmul", out_values, (a, b), bwd)
 
 
-def cos(a: Tensor) -> Tensor:
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(-g * np.sin(a.values))
-
-    return node("cos", np.cos(a.values), (a,), bwd)
-
-
-def sin(a: Tensor) -> Tensor:
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(g * np.cos(a.values))
-
-    return node("sin", np.sin(a.values), (a,), bwd)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out_values = np.tanh(a.values)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(g * (1.0 - out_values * out_values))
-
-    return node("tanh", out_values, (a,), bwd)
-
-
 def leaky_relu_mask(z: np.ndarray, slope: float) -> np.ndarray:
     """The leaky-ReLU derivative: 1 where ``z >= 0``, else ``slope``, in ``z``'s dtype.
 
@@ -284,16 +258,6 @@ def leaky_relu_mask(z: np.ndarray, slope: float) -> np.ndarray:
     mask *= 1.0 - slope
     mask += slope
     return mask
-
-
-def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    mask = leaky_relu_mask(a.values, slope)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(g * mask)
-
-    return node("leaky_relu", a.values * mask, (a,), bwd)
 
 
 def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, act: str,
@@ -375,16 +339,6 @@ def sqrt(a: Tensor) -> Tensor:
     return node("sqrt", out_values, (a,), bwd)
 
 
-def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    inside = (a.values >= lo) & (a.values <= hi)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(g * inside)
-
-    return node("clamp", np.clip(a.values, lo, hi), (a,), bwd)
-
-
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out_values = a.values.sum(axis=axis, keepdims=keepdims)
 
@@ -450,21 +404,6 @@ def getitem(a: Tensor, key) -> Tensor:
             a.accumulate(full)
 
     return node("getitem", out_values, (a,), bwd)
-
-
-def take(a: Tensor, indices, axis: int) -> Tensor:
-    """Gather ``indices`` along ``axis`` (scatter-add on the way back)."""
-    indices = np.asarray(indices)
-    out_values = np.take(a.values, indices, axis=axis)
-
-    def bwd(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.values)
-            key = (slice(None),) * axis + (indices,)
-            np.add.at(full, key, g)
-            a.accumulate(full)
-
-    return node("take", out_values, (a,), bwd)
 
 
 def concat(xs: Sequence[Tensor], axis: int = -1) -> Tensor:

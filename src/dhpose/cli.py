@@ -21,7 +21,7 @@ from . import gan
 from . import skeleton as sk
 from .__main__ import BLAS_THREAD_VARS
 from .camera import CameraIntrinsics, DepthViolationError, default_camera, project_pose
-from .features import adjacent_bone_pairs, bundle_to_text, compute_feature_bundle
+from .features import adjacent_bone_pairs
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -134,10 +134,24 @@ def cmd_features(args) -> int:
     if not records:
         raise ValueError(f"{args.data}: no records with sequence id {args.sequence}")
     records.sort(key=lambda r: r.frame_index)
-    seq3d = np.stack([r.pose3d for r in records])
-    seq2d = np.stack([r.pose2d for r in records])
-    bundle = compute_feature_bundle(seq3d, seq2d, adjacent_bone_pairs(topology))
-    sys.stdout.write(bundle_to_text(bundle))
+    seq3d = np.stack([r.pose3d for r in records])[None]
+    seq2d = np.stack([r.pose2d for r in records])[None]
+    fb = gan.feature_batch(seq3d, seq2d, records[0].camera, adjacent_bone_pairs(topology),
+                           video=True)
+    motion = {k: v[0] for k, v in fb.motion.items()}
+    sums = {"diff3d": motion["diff3d"].reshape(-1, 3).sum(axis=0),
+            "cosdiff": motion["cosdiff"].sum(keepdims=True),
+            "root2d": motion["root2d"].reshape(-1, 2).sum(axis=0)}
+
+    def row(values):
+        return " ".join(f"{v:.9g}" for v in values)
+
+    out = ["# dhpose critic streams v1", f"frames {len(records)} pairs {fb.xcos.shape[1]}"]
+    out += [f"sum {k} {row(v)}" for k, v in sums.items()]
+    out += [f"{name} {t} {row(v)}" for name in ("x3d", "xcos", "x2d")
+            for t, v in enumerate(getattr(fb, name))]
+    out += [f"{k} {row(v)}" for k, v in motion.items()]
+    sys.stdout.write("\n".join(out) + "\n")
     return EXIT_OK
 
 
@@ -266,9 +280,10 @@ def cmd_selftest(args) -> int:
         assert ct.count_violations(sq, table) == 0
 
     def t_telescoping():
-        from .features import traj_3d
         seq = rng.normal(size=(7, 16, 3))
-        diffs, total = traj_3d(seq)
+        fb = gan.feature_batch(seq[None], rng.normal(size=(1, 7, 16, 2)), default_camera(),
+                               adjacent_bone_pairs(topology), video=True)
+        total = fb.motion["diff3d"].reshape(-1, 3).sum(axis=0)
         brute = sum(seq[t, i] - seq[t - 1, i] for t in range(1, 7) for i in range(16))
         assert np.max(np.abs(total - brute)) < 1e-12
 
@@ -279,7 +294,7 @@ def cmd_selftest(args) -> int:
         x = np.random.default_rng(1).normal(size=(3, 4))
         tape = ad.Tape()
         leaves = nn.mlp_leaves(tape, net, "")
-        out = ad.mean(nn.mlp_forward(net, x, tape, leaves))
+        out = ad.mean(nn.mlp_apply(net, tape.const(x), tape, leaves)[0])
         ad.backward(tape, out)
         w = net.layers[0].w
         h = 1e-6

@@ -183,20 +183,43 @@ def table_to_text(table: ConstraintTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def table_from_text(text: str) -> ConstraintTable:
+def table_from_text(text: str, source="<text>") -> ConstraintTable:
+    """Parse ``param ID NAME KIND MIN MAX`` lines (``#`` comments and blank
+    lines skipped) into a table indexed by id.
+
+    Raises ValueError naming ``source`` and the line for a malformed line, a
+    negative or duplicate id, an id that skips one (ids must run 0..N-1), or
+    a file without ``param`` lines.
+    """
     entries = {}
+    line_of: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"{source}: line {lineno}"
         tok = line.split()
         try:
             if tok[0] != "param":
                 raise ValueError(f"unknown record {tok[0]!r}")
-            entries[int(tok[1])] = (tok[2], tok[3], float(tok[4]), float(tok[5]))
+            i = int(tok[1])
+            entry = (tok[2], tok[3], float(tok[4]), float(tok[5]))
         except (IndexError, ValueError) as exc:
-            raise ValueError(f"constraint parse error at line {lineno}: {exc}") from exc
-    n = max(entries) + 1
+            raise ValueError(f"{where}: constraint parse error: {exc}") from exc
+        if i < 0:
+            raise ValueError(f"{where}: negative param id {i}")
+        if i in entries:
+            raise ValueError(f"{where}: param {i} already given at line {line_of[i]}")
+        entries[i] = entry
+        line_of[i] = lineno
+    if not entries:
+        raise ValueError(f"{source}: no param lines")
+    for i in range(max(entries)):
+        if i not in entries:
+            after = min(k for k in entries if k > i)
+            raise ValueError(f"{source}: line {line_of[after]}: param {after} given "
+                             f"but param {i} is missing")
+    n = len(entries)
     lo = np.empty(n)
     hi = np.empty(n)
     names, kinds = [], []
@@ -217,7 +240,7 @@ def save_constraint_table(table: ConstraintTable, path) -> None:
 
 def load_constraint_table(path) -> ConstraintTable:
     with open(path) as fh:
-        return table_from_text(fh.read())
+        return table_from_text(fh.read(), path)
 
 
 _DEFAULT: dict[str, ConstraintTable] = {}
@@ -226,6 +249,6 @@ _DEFAULT: dict[str, ConstraintTable] = {}
 def default_constraint_table() -> ConstraintTable:
     """The shipped table (parsed from the packaged data file)."""
     if "table" not in _DEFAULT:
-        text = resources.files("dhpose").joinpath("data/constraints.txt").read_text()
-        _DEFAULT["table"] = table_from_text(text)
+        resource = resources.files("dhpose").joinpath("data/constraints.txt")
+        _DEFAULT["table"] = table_from_text(resource.read_text(), resource)
     return _DEFAULT["table"]

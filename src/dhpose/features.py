@@ -1,9 +1,8 @@
-"""Critic input features: inter-bone cosines and the three trajectory streams.
+"""Critic input features: adjacent bone pairs and their inter-bone cosines.
 
-The trajectory streams are per-frame first differences of the 3D pose, of
-the bone cosines, and of the 2D root keypoint.  The literal double sums of
-those differences telescope to endpoint differences; they are computed and
-exposed as diagnostics while the critics consume the difference lists.
+The trajectory streams the motion critic sees (frame-to-frame differences of
+the 3D pose, of these cosines and of the normalized 2D root keypoint) are
+built by ``gan.motion_streams``.
 """
 
 from __future__ import annotations
@@ -94,75 +93,3 @@ def joint_cosines(pose, pairs: AdjacentBonePairs) -> np.ndarray:
     if np.any(np.abs(cosines) > 1.0 + _COS_SLACK):
         raise FloatingPointError("cosine left [-1, 1] by more than rounding slack")
     return np.clip(cosines, -1.0, 1.0)
-
-
-def traj_3d(seq) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame joint displacements of a (T, K, 3) sequence and their double sum.
-
-    The sum telescopes to sum_i (last frame - first frame); it is returned
-    for diagnostics while the critics consume the difference list.
-    """
-    seq = np.asarray(seq, dtype=np.float64)
-    diffs = seq[..., 1:, :, :] - seq[..., :-1, :, :]
-    return diffs, diffs.sum(axis=(-3, -2))
-
-
-def bone_rotation_traj(seq, pairs: AdjacentBonePairs) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame cosine deltas of a (T, K, 3) sequence and their double sum."""
-    cos = joint_cosines(seq, pairs)
-    diffs = cos[..., 1:, :] - cos[..., :-1, :]
-    return diffs, diffs.sum(axis=(-2, -1))
-
-
-def root_traj_2d(seq2d, root_id: int = ROOT_KEYPOINT) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame displacement of the 2D root keypoint and its sum."""
-    seq2d = np.asarray(seq2d, dtype=np.float64)
-    root = seq2d[..., :, root_id, :]
-    diffs = root[..., 1:, :] - root[..., :-1, :]
-    return diffs, diffs.sum(axis=-2)
-
-
-@dataclass(frozen=True)
-class FeatureBundle:
-    """Everything the critics see for one sequence, plus the literal sums."""
-
-    cosines: np.ndarray     # (T, n_pairs)
-    diff3d: np.ndarray      # (T-1, K, 3)
-    diff_angle: np.ndarray  # (T-1, n_pairs)
-    diff2d: np.ndarray      # (T-1, 2)
-    sum3d: np.ndarray       # (3,)
-    sum_angle: float
-    sum2d: np.ndarray       # (2,)
-
-
-def compute_feature_bundle(seq3d, seq2d, pairs: AdjacentBonePairs,
-                           root_id: int = ROOT_KEYPOINT) -> FeatureBundle:
-    seq3d = np.asarray(seq3d, dtype=np.float64)
-    seq2d = np.asarray(seq2d, dtype=np.float64)
-    if seq3d.shape[0] != seq2d.shape[0]:
-        raise ValueError(f"paired sequences must share T: {seq3d.shape[0]} vs {seq2d.shape[0]}")
-    cosines = joint_cosines(seq3d, pairs)
-    diff3d, sum3d = traj_3d(seq3d)
-    diff_angle = cosines[1:] - cosines[:-1]
-    diff2d, sum2d = root_traj_2d(seq2d, root_id)
-    return FeatureBundle(cosines=cosines, diff3d=diff3d, diff_angle=diff_angle,
-                         diff2d=diff2d, sum3d=sum3d,
-                         sum_angle=float(diff_angle.sum()), sum2d=sum2d)
-
-
-def bundle_to_text(bundle: FeatureBundle) -> str:
-    """Structured text dump for debugging and the CLI ``features`` command."""
-    out = ["# dhpose feature bundle v1"]
-    out.append(f"frames {bundle.cosines.shape[0]} pairs {bundle.cosines.shape[1]}")
-    out.append("sum3d " + " ".join(f"{v:.9g}" for v in bundle.sum3d))
-    out.append(f"sum_angle {bundle.sum_angle:.9g}")
-    out.append("sum2d " + " ".join(f"{v:.9g}" for v in bundle.sum2d))
-    for t, row in enumerate(bundle.cosines):
-        out.append(f"cos {t} " + " ".join(f"{v:.9g}" for v in row))
-    for t, row in enumerate(bundle.diff_angle):
-        out.append(f"dcos {t} " + " ".join(f"{v:.9g}" for v in row))
-    for t, frame in enumerate(bundle.diff3d):
-        out.append(f"d3d {t} " + " ".join(f"{v:.9g}" for v in frame.ravel()))
-    for t, row in enumerate(bundle.diff2d):
-        out.append(f"d2d {t} " + " ".join(f"{v:.9g}" for v in row))
-    return "\n".join(out) + "\n"

@@ -314,6 +314,8 @@ def frame_streams(pose3d: Tensor, pose2d: Tensor, cam,
     ``cam`` is one ``CameraIntrinsics``, or (N, 5) rows fx fy cx cy z_min,
     one per pose."""
     n = pose3d.shape[0]
+    if pose2d.shape[:2] != pose3d.shape[:2]:
+        raise ShapeError(f"2D poses {pose2d.shape} do not pair with 3D poses {pose3d.shape}")
     if isinstance(cam, CameraIntrinsics):
         cam = cam.as_array()[None]
     elif np.shape(cam) != (n, 5):
@@ -482,16 +484,23 @@ def _fused_score(critic, inputs, encoders, head: str, tape: Tape, params: Option
 
 
 def _penalty(parts, alpha: float, tape: Tape) -> Tensor:
-    """alpha * mean((|g| - 1)^2), g each sample's gradient with respect to the
-    inputs of every encoder of the scored ``parts``."""
+    """The WGAN-GP penalty alpha * mean((|g| - 1)^2), g each sample's gradient
+    with respect to the inputs of every encoder of the scored ``parts``; each
+    head must have a scalar output."""
+    if alpha < 0:
+        raise ValueError(f"alpha must be non-negative, got {alpha}")
     grads = []
     for part in parts:
+        if part["score"].shape[1] != 1:
+            raise ValueError(f"the penalty needs scalar critic scores, got {part['score'].shape}")
         g_h = nn.mlp_vjp(part["head_trace"], tape.const(np.ones_like(part["score"].values)))
         ends = np.cumsum(part["widths"])
         grads += [nn.mlp_vjp(trace, g_h[:, end - width:end])
                   for trace, width, end in zip(part["traces"], part["widths"], ends)]
-    norm = nn.gradient_norms(grads)
-    return ad.mul(ad.mean(ad.square(ad.sub(norm, 1.0))), alpha)
+    total = ad.sum_(ad.square(grads[0]), axis=1)
+    for g in grads[1:]:
+        total = ad.add(total, ad.sum_(ad.square(g), axis=1))
+    return ad.mul(ad.mean(ad.square(ad.sub(ad.sqrt(total), 1.0))), alpha)
 
 
 def frame_score(critic: FrameCritic, x3d, xcos, x2d, tape: Tape,
@@ -525,15 +534,6 @@ def motion_score(critic: MotionCritic, streams: dict, tape: Tape,
 def motion_penalty(critic: MotionCritic, streams: dict, alpha: float, tape: Tape,
                    params: Optional[dict] = None, prefix: str = "dm.") -> Tensor:
     return _penalty(motion_score(critic, streams, tape, params, prefix)[1].values(), alpha, tape)
-
-
-def discriminate_single(critic: FrameCritic, pose3d, pose2d_norm, cosines) -> np.ndarray:
-    """Deterministic frame-critic scores, (B,), numpy in and out (float64)."""
-    x3d = np.asarray(pose3d, dtype=np.float64).reshape(len(np.asarray(pose3d)), -1)
-    x2d = np.asarray(pose2d_norm, dtype=np.float64).reshape(x3d.shape[0], -1)
-    with Tape() as tape:
-        return frame_score(critic, x3d, np.asarray(cosines, dtype=np.float64), x2d,
-                           tape)[0].values[:, 0]
 
 
 def discriminate_motion(critic: MotionCritic, streams: dict) -> np.ndarray:

@@ -1,10 +1,11 @@
-"""Fully connected nets on the autodiff tape, analytic input gradients for
-the gradient penalty, the Adam optimizer, and checkpoint serialization.
+"""Fully connected nets on the autodiff tape, their input-gradient
+pullback, the Adam optimizer, and checkpoint serialization.
 
-The penalty term needs d(|grad_x D|)/d(params), i.e. gradients of a
-gradient.  Rather than a higher-order tape, the input gradient is built
-*as tape operations* (transposed weight products and activation
-derivatives), so one ordinary backward pass differentiates it.
+A gradient penalty needs d(|grad_x D|)/d(params), i.e. gradients of a
+gradient.  Rather than a higher-order tape, ``mlp_vjp`` builds the input
+gradient *as tape operations* (transposed weight products and activation
+derivatives), so one ordinary backward pass differentiates it; the critics'
+penalty (``gan._penalty``) is built on it.
 """
 
 from __future__ import annotations
@@ -122,15 +123,6 @@ def mlp_apply(net: Mlp, x: Tensor, tape: Tape, params: Optional[dict] = None,
     return h, trace
 
 
-def mlp_forward(net: Mlp, x, tape: Tape, params: Optional[dict] = None,
-                prefix: str = "") -> Tensor:
-    """Affine-then-activation stack; all intermediates recorded on the tape."""
-    if not isinstance(x, Tensor):
-        x = tape.const(np.asarray(x, dtype=np.float64))
-    out, _ = mlp_apply(net, x, tape, params, prefix)
-    return out
-
-
 def mlp_vjp(trace: list, upstream: Tensor) -> Tensor:
     """Pull ``upstream`` back through a recorded forward trace, as tape ops.
 
@@ -147,42 +139,6 @@ def mlp_vjp(trace: list, upstream: Tensor) -> Tensor:
             raise ValueError(f"activation {act!r} does not support double backprop")
         g = ad.matmul(g, ad.transpose2d(w))
     return g
-
-
-def input_gradient(net: Mlp, x, tape: Tape, params: Optional[dict] = None,
-                   prefix: str = "", upstream: Optional[Tensor] = None) -> Tensor:
-    """Gradient of the net's scalar output with respect to its input.
-
-    Built from graph operations, so the result stays differentiable with
-    respect to the net parameters.
-    """
-    if not isinstance(x, Tensor):
-        x = tape.const(np.asarray(x, dtype=np.float64))
-    if upstream is None and net.out_dim != 1:
-        raise ValueError(f"input_gradient needs a scalar-output net, got out_dim={net.out_dim}")
-    out, trace = mlp_apply(net, x, tape, params, prefix)
-    if upstream is None:
-        upstream = tape.const(np.ones_like(out.values))
-    return mlp_vjp(trace, upstream)
-
-
-def gradient_norms(grads: Sequence[Tensor]) -> Tensor:
-    """Per-sample L2 norm over one or more (batch, k) gradient blocks."""
-    total = None
-    for g in grads:
-        part = ad.sum_(ad.square(g), axis=1)
-        total = part if total is None else ad.add(total, part)
-    return ad.sqrt(total)
-
-
-def gradient_penalty(net: Mlp, x_hat, alpha: float, tape: Tape,
-                     params: Optional[dict] = None, prefix: str = "") -> Tensor:
-    """alpha * mean((|grad_x D(x_hat)|_2 - 1)^2) as a differentiable scalar."""
-    if alpha < 0:
-        raise ValueError(f"alpha must be non-negative, got {alpha}")
-    g = input_gradient(net, x_hat, tape, params, prefix)
-    norm = gradient_norms([g])
-    return ad.mul(ad.mean(ad.square(ad.sub(norm, 1.0))), alpha)
 
 
 @dataclass

@@ -397,15 +397,6 @@ def forward_kinematics(topology: SkeletonTopology, params, g: GlobalTransform) -
     return forward_kinematics_batch(topology, params[None], g.as_array()[None])[0]
 
 
-def apply_global_transform(pose, g: GlobalTransform) -> np.ndarray:
-    """Rigidly rotate (x, then y, then z) and translate a pose."""
-    pose = np.asarray(pose, dtype=np.float64)
-    if not np.all(np.isfinite(pose)):
-        raise ValueError("pose must be finite")
-    rot = rotation_xyz(g.rx, g.ry, g.rz)
-    return pose @ rot.T + np.array([g.tx, g.ty, g.tz])
-
-
 def bone_lengths(topology: SkeletonTopology, pose) -> np.ndarray:
     """Euclidean length of each bone of a pose (or batch of poses)."""
     pose = np.asarray(pose, dtype=np.float64)

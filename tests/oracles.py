@@ -152,3 +152,21 @@ def generate_ref(gen, z):
                                     for x in (params, globals_, pose3d))
     return gan.GenOutput(params=params, globals_=globals_, pose3d=pose3d,
                          pose2d=project_pose(pose3d, gen.camera))
+
+
+def linear_frame_critic(weight, n_pairs=14):
+    """A frame critic of one linear layer per net whose weights are all 0
+    except ``weight`` from the first x3d input into the first encoder channel
+    and from that channel into the head.  Its input gradient is weight^2 on
+    that one input and 0 on every other, so its gradient penalty is
+    alpha * (weight^2 - 1)^2: exactly alpha for weight 0, exactly 0 for 1."""
+    from dhpose import gan, nn
+
+    def layer(fan_in):
+        return nn.Mlp([nn.LayerSpec(np.zeros((fan_in, 1)), np.zeros(1), "linear")])
+
+    critic = gan.FrameCritic(enc3d=layer(48), enc_cos=layer(n_pairs), enc2d=layer(32),
+                             head=layer(3))
+    critic.enc3d.layers[0].w[0, 0] = weight
+    critic.head.layers[0].w[0, 0] = weight
+    return critic

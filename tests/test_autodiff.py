@@ -43,13 +43,8 @@ OP_CASES = {
     "neg": (lambda t, x: ad.neg(x), (3, 4)),
     "matmul": (lambda t, x: ad.matmul(x, t.const(RNG(5).normal(size=(4, 2)))), (3, 4)),
     "matmul_batched": (lambda t, x: ad.matmul(x, t.const(RNG(6).normal(size=(2, 4, 4)))), (2, 3, 4)),
-    "cos": (lambda t, x: ad.cos(x), (3, 4)),
-    "sin": (lambda t, x: ad.sin(x), (3, 4)),
-    "tanh": (lambda t, x: ad.tanh(x), (3, 4)),
-    "leaky_relu": (lambda t, x: ad.leaky_relu(ad.add(x, 0.7)), (3, 4)),
     "square": (lambda t, x: ad.square(x), (3, 4)),
     "sqrt": (lambda t, x: ad.sqrt(ad.add(ad.square(x), 1.0)), (3, 4)),
-    "clamp": (lambda t, x: ad.clamp(x, -0.5, 0.5), (3, 4)),
     "sum_all": (lambda t, x: ad.sum_(x), (3, 4)),
     "sum_axis": (lambda t, x: ad.sum_(x, axis=1), (3, 4)),
     "sum_keepdims": (lambda t, x: ad.sum_(x, axis=0, keepdims=True), (3, 4)),
@@ -57,7 +52,6 @@ OP_CASES = {
     "reshape": (lambda t, x: ad.reshape(x, (4, 3)), (3, 4)),
     "swapaxes": (lambda t, x: ad.swapaxes(x, 0, 1), (3, 4)),
     "getitem": (lambda t, x: x[:, 1:3], (3, 4)),
-    "take": (lambda t, x: ad.take(x, np.array([0, 2, 2, 1]), axis=1), (3, 4)),
     "concat": (lambda t, x: ad.concat([x, ad.mul(x, 2.0)], axis=1), (3, 4)),
     "stack": (lambda t, x: ad.stack([x, ad.neg(x)], axis=0), (3, 4)),
 }
@@ -83,8 +77,6 @@ OP_CASES.update({f"linear_{act}_{wrt}": _linear_case(act, wrt)
 def test_op_gradients_match_central_differences(name):
     build, shape = OP_CASES[name]
     x0 = RNG(zlib.crc32(name.encode())).normal(size=shape) * 0.3
-    if name == "clamp":
-        x0 = np.clip(x0, -0.4, 0.4)  # keep away from the clamp kinks
     grad, f = grad_of(build, x0)
     fd = central_difference(f, x0.copy(), h=1e-6)
     scale = np.maximum(np.abs(fd), 1.0)
@@ -115,8 +107,6 @@ class Float64Consts(ad.Tape):
 def test_float32_inputs_give_float32_values_and_gradients(name):
     build, shape = OP_CASES[name]
     x0 = (RNG(zlib.crc32(name.encode())).normal(size=shape) * 0.3).astype(np.float32)
-    if name == "clamp":
-        x0 = np.clip(x0, -0.4, 0.4)
     results = []
     for tape_type, dtype in ((Float64Consts, np.float64), (Float32Consts, np.float32)):
         tape = tape_type()
@@ -158,8 +148,8 @@ def test_sum_gradient_is_ones():
 
 def test_tanh_gradient_at_zero_is_one():
     tape = ad.Tape()
-    x = tape.var(np.zeros(3))
-    ad.backward(tape, ad.sum_(ad.tanh(x)))
+    x = tape.var(np.zeros((1, 3)))
+    ad.backward(tape, ad.sum_(ad.linear(x, np.eye(3), np.zeros(3), "tanh")[0]))
     assert np.allclose(x.grad, 1.0, atol=0)
 
 
@@ -195,8 +185,8 @@ def test_three_layer_graph_matches_finite_differences():
     def run(params):
         a, b, c = params
         tape = ad.Tape()
-        h1 = ad.tanh(ad.matmul(tape.const(x0), tape.var(a)))
-        h2 = ad.tanh(ad.matmul(h1, tape.var(b)))
+        h1, _ = ad.linear(tape.const(x0), tape.var(a), np.zeros(6), "tanh")
+        h2, _ = ad.linear(h1, tape.var(b), np.zeros(4), "tanh")
         return tape, ad.sum_(ad.matmul(h2, tape.var(c)))
 
     tape, out = run((w1, w2, w3))
@@ -219,7 +209,7 @@ def test_forward_backward_deterministic():
         rng = RNG(42)
         tape = ad.Tape()
         x = tape.var(rng.normal(size=(8, 8)))
-        y = ad.sum_(ad.tanh(ad.matmul(x, tape.const(rng.normal(size=(8, 8))))))
+        y = ad.sum_(ad.linear(x, rng.normal(size=(8, 8)), np.zeros(8), "tanh")[0])
         ad.backward(tape, y)
         return y.values.copy(), x.grad.copy()
 

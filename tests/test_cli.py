@@ -1,15 +1,18 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from dhpose import cli
 from dhpose import dataset as dsio
 from dhpose import skeleton as sk
+from test_constraints import DAMAGED_TABLES, damaged_table
 
 
 def run(capsys, *argv):
@@ -81,6 +84,18 @@ class TestValidate:
         assert code == 0
         assert "ok" in out
 
+    @pytest.mark.parametrize("defect", sorted(DAMAGED_TABLES))
+    def test_damaged_constraint_table_exits_2(self, capsys, tmp_path, defect):
+        table = tmp_path / "bounds.txt"
+        table.write_text(damaged_table(defect))
+        params = tmp_path / "zeros.txt"
+        params.write_text(" ".join(["0"] * 48) + "\n")
+        code, out, err = run(capsys, "validate", "--constraints", str(table),
+                             "--params", str(params))
+        assert code == 2
+        assert "ok" not in out
+        assert re.search(re.escape(str(table)) + DAMAGED_TABLES[defect], err)
+
 
 class TestProject:
     def test_projects_fk_output(self, capsys, tmp_path):
@@ -131,8 +146,19 @@ class TestSynthAndFeatures:
             "--mode", "video", "--frames", "4")
         code, out, _ = run(capsys, "features", "--data", str(data), "--sequence", "2")
         assert code == 0
-        assert out.startswith("# dhpose feature bundle v1")
-        assert "frames 4 pairs 14" in out
+        lines = out.splitlines()
+        assert lines[:2] == ["# dhpose critic streams v1", "frames 4 pairs 14"]
+        assert [line.split()[:2] for line in lines[2:5]] == [
+            ["sum", "diff3d"], ["sum", "cosdiff"], ["sum", "root2d"]]
+        assert [line.split()[0] for line in lines[5:]] == (
+            ["x3d"] * 4 + ["xcos"] * 4 + ["x2d"] * 4
+            + ["seq3d", "diff3d", "cosseq", "cosdiff", "seq2d", "root2d"])
+        # the 2D streams are normalized coordinates: the root2d sum telescopes
+        # to the root's move between the first and last x2d rows
+        x2d = np.array([[float(v) for v in line.split()[2:]] for line in lines[13:17]])
+        root_sum = np.array([float(v) for v in lines[4].split()[2:]])
+        assert np.allclose(root_sum, x2d[-1, :2] - x2d[0, :2], rtol=0, atol=1e-8)
+        assert np.max(np.abs(x2d)) < 2.0
 
     def test_missing_sequence_is_a_data_error(self, capsys, tmp_path):
         data = tmp_path / "d.txt"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,30 @@ from hypothesis import strategies as st
 
 from dhpose import constraints as ct
 from dhpose import skeleton as sk
+
+
+# constraint-table defects -> what the parse error says after the file name
+DAMAGED_TABLES = {
+    "missing": r": line \d+: param 6 given but param 5 is missing",
+    "empty": r": no param lines",
+    "duplicate": r": line \d+: param 3 already given at line \d+",
+    "negative": r": line \d+: negative param id -1",
+}
+
+
+def damaged_table(defect):
+    """The shipped table's text with one ``DAMAGED_TABLES`` defect."""
+    lines = ct.table_to_text(ct.default_constraint_table()).splitlines()
+    params = [line for line in lines if line.startswith("param ")]
+    if defect == "missing":
+        lines.remove(params[5])
+    elif defect == "empty":
+        lines = [line for line in lines if line not in params]
+    elif defect == "duplicate":
+        lines.append(params[3])
+    elif defect == "negative":
+        lines.append("param -1 extra angle -10 10")
+    return "\n".join(lines) + "\n"
 
 
 class TestSquash:
@@ -126,6 +152,13 @@ class TestDefaultTable:
         path = tmp_path / "bounds.txt"
         ct.save_constraint_table(table, path)
         assert ct.load_constraint_table(path) == table
+
+    @pytest.mark.parametrize("defect", sorted(DAMAGED_TABLES))
+    def test_damaged_file_is_a_value_error_naming_path_and_line(self, tmp_path, defect):
+        path = tmp_path / "bounds.txt"
+        path.write_text(damaged_table(defect))
+        with pytest.raises(ValueError, match=re.escape(str(path)) + DAMAGED_TABLES[defect]):
+            ct.load_constraint_table(path)
 
 
 class TestEffectiveLengths:

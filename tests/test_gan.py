@@ -25,6 +25,12 @@ def tiny_config(**kw):
     return gan.TrainConfig(**base)
 
 
+def frame_scores(critic, x3d, xcos, x2d):
+    """The frame critic's (B,) scores of numpy streams, scored on a throwaway tape."""
+    with ad.Tape() as tape:
+        return gan.frame_score(critic, x3d, xcos, x2d, tape)[0].values[:, 0]
+
+
 def zero_nets(critic):
     for net in critic.nets().values():
         for layer in net.layers:
@@ -228,14 +234,14 @@ class TestFrameCritic:
         critic = gan.build_frame_critic(cfg, 14, RNG(13))
         zero_nets(critic)
         x3d, xcos, x2d = self._streams(pairs)
-        assert np.all(gan.discriminate_single(critic, x3d, x2d, xcos) == 0.0)
+        assert np.all(frame_scores(critic, x3d, xcos, x2d) == 0.0)
 
     def test_deterministic(self, pairs):
         cfg = tiny_config()
         critic = gan.build_frame_critic(cfg, 14, RNG(14))
         x3d, xcos, x2d = self._streams(pairs)
-        s1 = gan.discriminate_single(critic, x3d, x2d, xcos)
-        s2 = gan.discriminate_single(critic, x3d, x2d, xcos)
+        s1 = frame_scores(critic, x3d, xcos, x2d)
+        s2 = frame_scores(critic, x3d, xcos, x2d)
         assert np.array_equal(s1, s2)
 
     @pytest.mark.parametrize("mode,frames", [("single", 1), ("video", 3)])
@@ -248,10 +254,10 @@ class TestFrameCritic:
         cfg = tiny_config()
         critic = gan.build_frame_critic(cfg, 14, RNG(15))
         x3d, xcos, x2d = self._streams(pairs)
-        s1 = gan.discriminate_single(critic, x3d, x2d, xcos)
+        s1 = frame_scores(critic, x3d, xcos, x2d)
         xcos2 = xcos.copy()
         xcos2[:, 3] += 0.25
-        s2 = gan.discriminate_single(critic, x3d, x2d, xcos2)
+        s2 = frame_scores(critic, x3d, xcos2, x2d)
         assert np.max(np.abs(s1 - s2)) > 0.0
 
 
@@ -426,8 +432,7 @@ class TestGeneratorLoss:
         fake, tape, cfg, _ = self._fake(pairs)
         critic = gan.build_frame_critic(cfg, 14, RNG(33))
         loss = gan.generator_loss(critic, None, fake, 0, tape)
-        scores = gan.discriminate_single(critic, fake.x3d.values, fake.x2d.values,
-                                         fake.xcos.values)
+        scores = frame_scores(critic, fake.x3d.values, fake.xcos.values, fake.x2d.values)
         assert float(loss.values) == pytest.approx(-scores.mean(), abs=1e-12)
 
     def test_head_bias_shift_moves_loss_linearly(self, pairs):
@@ -482,7 +487,7 @@ class TestEndToEndGradients:
         def loss_value():
             out = generate_ref(gen, z)
             fb = gan.feature_batch(out.pose3d, out.pose2d, gen.camera, pairs)
-            return -gan.discriminate_single(critic, fb.x3d, fb.x2d, fb.xcos).mean()
+            return -frame_scores(critic, fb.x3d, fb.xcos, fb.x2d).mean()
 
         tape = ad.Tape()
         leaves = nn.mlp_leaves(tape, gen.net, "gen.")
@@ -695,8 +700,8 @@ class TestTrainEpoch:
             gan.critic_update(state, real, fake, 0)
         real = gan._real_minibatch(data, np.arange(len(data)), pairs, False)
         fake, _ = gan._fake_minibatch(state, 256, pairs, False)
-        s_real = gan.discriminate_single(state.ds, real.x3d, real.x2d, real.xcos)
-        s_fake = gan.discriminate_single(state.ds, fake.x3d, fake.x2d, fake.xcos)
+        s_real = frame_scores(state.ds, real.x3d, real.xcos, real.x2d)
+        s_fake = frame_scores(state.ds, fake.x3d, fake.xcos, fake.x2d)
         assert s_real.mean() - s_fake.mean() > 0.0
 
 

@@ -2,10 +2,27 @@ import numpy as np
 import pytest
 
 from dhpose import autodiff as ad
-from dhpose import nn
-from oracles import central_difference, dense_ref
+from dhpose import gan, nn
+from oracles import central_difference, dense_ref, linear_frame_critic
 
 RNG = np.random.default_rng
+
+
+def forward(net, x, tape=None, params=None):
+    """The net's tape forward pass of a numpy input."""
+    tape = tape or ad.Tape()
+    return nn.mlp_apply(net, tape.const(np.asarray(x, dtype=np.float64)), tape, params)[0]
+
+
+def input_gradient(net, x, tape, params=None):
+    """Gradient of the summed output with respect to the input, as tape ops."""
+    out, trace = nn.mlp_apply(net, tape.const(np.asarray(x, dtype=np.float64)), tape, params)
+    return nn.mlp_vjp(trace, tape.const(np.ones_like(out.values)))
+
+
+def frame_inputs(n, rng):
+    """Random x3d, xcos and x2d streams of ``n`` poses."""
+    return rng.normal(size=(n, 48)), rng.normal(size=(n, 14)), rng.normal(size=(n, 32))
 
 
 def reference_forward(net, x):
@@ -26,18 +43,18 @@ class TestForward:
     def test_identity_layer_passes_through(self):
         net = nn.Mlp([nn.LayerSpec(np.eye(4), np.zeros(4), "linear")])
         x = RNG(0).normal(size=(3, 4))
-        out = nn.mlp_forward(net, x, ad.Tape())
+        out = forward(net, x)
         assert np.array_equal(out.values, x)
 
     def test_zero_tanh_layer_gives_zeros(self):
         net = nn.Mlp([nn.LayerSpec(np.zeros((4, 5)), np.zeros(5), "tanh")])
-        out = nn.mlp_forward(net, RNG(1).normal(size=(2, 4)), ad.Tape())
+        out = forward(net, RNG(1).normal(size=(2, 4)))
         assert np.all(out.values == 0)
 
     def test_matches_independent_reimplementation(self):
         net = nn.mlp_init([6, 8, 3], ["tanh", "linear"], RNG(0))
         x = RNG(0).normal(size=(5, 6))
-        out = nn.mlp_forward(net, x, ad.Tape())
+        out = forward(net, x)
         assert np.max(np.abs(out.values - reference_forward(net, x))) < 1e-12
 
     @pytest.mark.parametrize("act,dtype",
@@ -55,12 +72,12 @@ class TestForward:
         assert ref.dtype == dtype
         assert np.array_equal(nn.mlp_eval(net, x, dtype), ref)
         tape = ad.Tape()
-        out = nn.mlp_forward(net, tape.const(x.astype(dtype)), tape,
-                             nn.mlp_leaves(tape, net, "", dtype))
+        out, _ = nn.mlp_apply(net, tape.const(x.astype(dtype)), tape,
+                              nn.mlp_leaves(tape, net, "", dtype))
         assert np.array_equal(out.values, ref)
         if dtype == np.float64:
             assert np.array_equal(nn.mlp_eval(net, x), ref)
-            assert np.array_equal(nn.mlp_forward(net, x, ad.Tape()).values, ref)
+            assert np.array_equal(forward(net, x).values, ref)
         assert np.array_equal(x, x0)
         for key, value in nn.mlp_params(net).items():
             assert np.array_equal(value, before[key])
@@ -68,13 +85,13 @@ class TestForward:
     def test_shape_mismatch_reports_both_shapes(self):
         net = nn.mlp_init([6, 3], ["linear"], RNG(0))
         with pytest.raises(nn.ShapeError, match=r"\(2, 5\).*6"):
-            nn.mlp_forward(net, np.zeros((2, 5)), ad.Tape())
+            forward(net, np.zeros((2, 5)))
 
     def test_intermediates_recorded_on_tape(self):
         net = nn.mlp_init([3, 4, 1], ["tanh", "linear"], RNG(0))
         tape = ad.Tape()
         x = RNG(1).normal(size=(2, 3))
-        nn.mlp_forward(net, x, tape)
+        forward(net, x, tape)
         layers = [n for n in tape.nodes if n.op == "linear"]
         assert len(layers) == len(net.layers)
         h = x
@@ -89,7 +106,7 @@ class TestParameterGradients:
         x = RNG(4).normal(size=(6, 5))
         tape = ad.Tape()
         leaves = nn.mlp_leaves(tape, net, "")
-        out = ad.sum_(nn.mlp_forward(net, x, tape, leaves))
+        out = ad.sum_(forward(net, x, tape, leaves))
         ad.backward(tape, out)
         base = nn.mlp_params(net, "")
         for key, leaf in leaves.items():
@@ -110,21 +127,19 @@ class TestInputGradient:
         w = RNG(5).normal(size=(6, 1))
         net = nn.Mlp([nn.LayerSpec(w, np.array([0.3]), "linear")])
         x = RNG(6).normal(size=(4, 6))
-        g = nn.input_gradient(net, x, ad.Tape())
+        g = input_gradient(net, x, ad.Tape())
         assert np.allclose(g.values, np.tile(w[:, 0], (4, 1)), atol=1e-15)
 
     def test_sum_critic_norm_is_sqrt_n(self):
         n = 9
         net = nn.Mlp([nn.LayerSpec(np.ones((n, 1)), np.zeros(1), "linear")])
-        tape = ad.Tape()
-        g = nn.input_gradient(net, np.zeros((3, n)), tape)
-        norm = nn.gradient_norms([g])
-        assert np.allclose(norm.values, np.sqrt(n), atol=1e-12)
+        g = input_gradient(net, np.zeros((3, n)), ad.Tape())
+        assert np.allclose(np.linalg.norm(g.values, axis=1), np.sqrt(n), atol=1e-12)
 
     def test_matches_finite_differences_of_the_scalar(self):
         net = nn.mlp_init([4, 8, 1], ["tanh", "linear"], RNG(7))
         x0 = RNG(8).normal(size=(1, 4))
-        g = nn.input_gradient(net, x0, ad.Tape())
+        g = input_gradient(net, x0, ad.Tape())
         fd = central_difference(lambda v: float(nn.mlp_eval(net, v.reshape(1, 4))[0, 0]),
                                 x0.copy(), h=1e-6)
         scale = np.maximum(np.abs(fd), 1.0)
@@ -139,12 +154,12 @@ class TestInputGradient:
             net2 = nn.Mlp([nn.LayerSpec(trial_params[f"l{i}.w"], trial_params[f"l{i}.b"], l.act)
                            for i, l in enumerate(net.layers)])
             tape = ad.Tape()
-            g = nn.input_gradient(net2, x, tape)
+            g = input_gradient(net2, x, tape)
             return float(ad.sum_(ad.square(g)).values)
 
         tape = ad.Tape()
         leaves = nn.mlp_leaves(tape, net, "")
-        g = nn.input_gradient(net, x, tape, leaves)
+        g = input_gradient(net, x, tape, leaves)
         ad.backward(tape, ad.sum_(ad.square(g)))
         base = nn.mlp_params(net, "")
         for key, leaf in leaves.items():
@@ -159,31 +174,35 @@ class TestInputGradient:
             assert err < 1e-4, key
 
     def test_non_scalar_net_rejected(self):
-        net = nn.mlp_init([4, 3], ["linear"], RNG(11))
+        critic = linear_frame_critic(1.0)
+        critic.head = nn.mlp_init([3, 2], ["linear"], RNG(11))
         with pytest.raises(ValueError, match="scalar"):
-            nn.input_gradient(net, np.zeros((2, 4)), ad.Tape())
+            gan.frame_penalty(critic, *frame_inputs(2, RNG(11)), 1.0, ad.Tape())
 
 
 class TestGradientPenalty:
+    """The critics' penalty, ``gan.frame_penalty``, on ``linear_frame_critic``."""
+
     def test_constant_critic_gives_alpha(self):
-        net = nn.Mlp([nn.LayerSpec(np.zeros((5, 1)), np.array([3.7]), "linear")])
-        pen = nn.gradient_penalty(net, RNG(12).normal(size=(6, 5)), 1.0, ad.Tape())
+        critic = linear_frame_critic(0.0)
+        critic.head.layers[0].b = np.array([3.7])
+        pen = gan.frame_penalty(critic, *frame_inputs(6, RNG(12)), 1.0, ad.Tape())
         assert pen.values == pytest.approx(1.0, abs=0)
 
     def test_alpha_ten_constant_critic(self):
-        net = nn.Mlp([nn.LayerSpec(np.zeros((5, 1)), np.array([0.0]), "linear")])
-        pen = nn.gradient_penalty(net, np.zeros((4, 5)), 10.0, ad.Tape())
+        inputs = (np.zeros((4, 48)), np.zeros((4, 14)), np.zeros((4, 32)))
+        pen = gan.frame_penalty(linear_frame_critic(0.0), *inputs, 10.0, ad.Tape())
         assert pen.values == pytest.approx(10.0, abs=0)
 
     def test_unit_norm_linear_critic_gives_zero(self):
-        net = nn.Mlp([nn.LayerSpec(np.ones((1, 1)), np.zeros(1), "linear")])
-        pen = nn.gradient_penalty(net, RNG(13).normal(size=(8, 1)), 10.0, ad.Tape())
+        pen = gan.frame_penalty(linear_frame_critic(1.0), *frame_inputs(8, RNG(13)), 10.0,
+                                ad.Tape())
         assert pen.values == pytest.approx(0.0, abs=1e-15)
 
     def test_negative_alpha_rejected(self):
-        net = nn.mlp_init([3, 1], ["linear"], RNG(14))
         with pytest.raises(ValueError, match="alpha"):
-            nn.gradient_penalty(net, np.zeros((2, 3)), -1.0, ad.Tape())
+            gan.frame_penalty(linear_frame_critic(1.0), *frame_inputs(2, RNG(14)), -1.0,
+                              ad.Tape())
 
 
 class TestAdam:

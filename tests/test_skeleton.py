@@ -251,31 +251,38 @@ class TestForwardKinematics:
 
 
 class TestGlobalTransform:
+    """The global rotation and translation as ``forward_kinematics_batch``
+    applies them, against the same parameters with zero globals."""
+
+    @staticmethod
+    def _posed(topology, globals_, seed=0):
+        params = np.zeros(48)
+        params[:33] = RNG(seed).uniform(-1, 1, 33)
+        return (sk.forward_kinematics_batch(topology, params[None], np.zeros((1, 6)))[0],
+                sk.forward_kinematics_batch(topology, params[None], np.asarray([globals_]))[0])
+
     def test_identity_is_noop(self, topology):
-        pose = sk.rest_pose(topology)
-        out = sk.apply_global_transform(pose, sk.GlobalTransform.identity())
-        assert np.array_equal(out, pose)
+        params = RNG(0).uniform(-1, 1, (1, 48))
+        params[:, 33:] *= 0.05
+        kps, _ = sk.chain_frames(topology, params)
+        out = sk.forward_kinematics_batch(topology, params, np.zeros((1, 6)))
+        assert np.array_equal(out, kps)
 
     def test_full_turn_is_noop(self, topology):
-        pose = sk.rest_pose(topology)
-        for axis in ("rx", "ry", "rz"):
-            g = sk.GlobalTransform(**{axis: 2 * np.pi})
-            out = sk.apply_global_transform(pose, g)
+        for axis in range(3):
+            g = np.zeros(6)
+            g[axis] = 2 * np.pi
+            pose, out = self._posed(topology, g)
             assert np.max(np.abs(out - pose)) < 1e-9
 
     def test_pure_translation_offsets_every_joint(self, topology):
-        pose = sk.rest_pose(topology)
-        g = sk.GlobalTransform(tx=0.4, ty=-0.2, tz=1.5)
-        out = sk.apply_global_transform(pose, g)
+        pose, out = self._posed(topology, [0, 0, 0, 0.4, -0.2, 1.5])
         assert np.allclose(out - pose, [0.4, -0.2, 1.5], atol=0)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-3, 3), min_size=6, max_size=6))
     def test_preserves_pairwise_distances(self, g6):
-        topo = sk.default_topology()
-        rng = RNG(10)
-        pose = sk.rest_pose(topo) + rng.normal(0, 0.1, (16, 3))
-        out = sk.apply_global_transform(pose, sk.GlobalTransform(*g6))
+        pose, out = self._posed(sk.default_topology(), g6, seed=10)
         d_in = np.linalg.norm(pose[:, None] - pose[None, :], axis=-1)
         d_out = np.linalg.norm(out[:, None] - out[None, :], axis=-1)
         mask = d_in > 1e-12
