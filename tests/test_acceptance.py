@@ -222,8 +222,8 @@ def test_criterion_autodiff_gradient_checks(pairs, camera):
         scale = np.maximum(np.abs(fd), 1.0)
         assert np.max(np.abs(leaf.grad - fd) / scale) <= 1e-5, key
 
-    # double backprop: parameter gradients of the frame and motion critics'
-    # penalties, on tiny critics at interpolated-like inputs
+    # double backprop: every parameter gradient of the penalties training
+    # runs, on a tiny frame critic and a tiny motion critic (T = 3)
     cfg = gan.TrainConfig(mode="video", frames=3, enc_hidden=(4,), head_hidden=(3,))
     rng = RNG(108)
     fb = gan.feature_batch(rng.normal(size=(3, 3, 16, 3)), rng.normal(size=(3, 3, 16, 2)) * 50,

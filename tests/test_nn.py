@@ -145,6 +145,16 @@ class TestInputGradient:
         scale = np.maximum(np.abs(fd), 1.0)
         assert np.max(np.abs(g.values - fd) / scale) < 1e-5
 
+    def test_lrelu_net_matches_finite_differences_of_the_scalar(self):
+        # the critics' activation: the pullback must apply the lrelu mask
+        net = nn.mlp_init([4, 8, 1], ["lrelu", "linear"], RNG(15))
+        x0 = RNG(16).normal(size=(1, 4))
+        g = input_gradient(net, x0, ad.Tape())
+        fd = central_difference(lambda v: float(nn.mlp_eval(net, v.reshape(1, 4))[0, 0]),
+                                x0.copy(), h=1e-6)
+        scale = np.maximum(np.abs(fd), 1.0)
+        assert np.max(np.abs(g.values - fd) / scale) < 1e-5
+
     def test_double_backprop_matches_finite_differences(self):
         # parameter gradient of |grad_x D|^2 against central differences
         net = nn.mlp_init([3, 5, 1], ["tanh", "linear"], RNG(9))
@@ -198,6 +208,12 @@ class TestGradientPenalty:
         pen = gan.frame_penalty(linear_frame_critic(1.0), *frame_inputs(8, RNG(13)), 10.0,
                                 ad.Tape())
         assert pen.values == pytest.approx(0.0, abs=1e-15)
+
+    def test_norm_four_critic_gives_alpha_times_nine(self):
+        # away from norms 0 and 1, where |g| and |g|^2 agree
+        pen = gan.frame_penalty(linear_frame_critic(2.0), *frame_inputs(8, RNG(15)), 10.0,
+                                ad.Tape())
+        assert float(pen.values) == 90.0
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError, match="alpha"):
