@@ -293,7 +293,7 @@ def cmd_selftest(args) -> int:
         net = nn.mlp_init([4, 8, 1], ["tanh", "linear"], np.random.default_rng(0))
         x = np.random.default_rng(1).normal(size=(3, 4))
         tape = ad.Tape()
-        leaves = nn.mlp_leaves(tape, net, "")
+        leaves = nn.mlp_leaves(tape, net)
         out = ad.mean(nn.mlp_apply(net, tape.const(x), tape, leaves)[0])
         ad.backward(tape, out)
         w = net.layers[0].w
@@ -305,7 +305,7 @@ def cmd_selftest(args) -> int:
         w3[0, 0] -= h
         net3 = nn.Mlp([nn.LayerSpec(w3, net.layers[0].b, "tanh"), net.layers[1]])
         fd = (nn.mlp_eval(net2, x).mean() - nn.mlp_eval(net3, x).mean()) / (2 * h)
-        got = leaves["l0.w"].grad[0, 0]
+        got = leaves[0][0].grad[0, 0]
         assert abs(fd - got) < 1e-5 * max(1.0, abs(fd))
 
     def t_synth_determinism():

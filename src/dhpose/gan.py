@@ -147,6 +147,14 @@ class TrainConfig:
 # --------------------------------------------------------------------------
 # Generator
 
+def _out_width(mode: str, frames: int) -> int:
+    """Raw generator outputs: 48 parameters and 6 globals per pose, or per
+    sequence 15 shared bone lengths and per frame 33 angles and 6 globals."""
+    if mode == "single":
+        return N_PARAMS + N_GLOBAL
+    return N_LENGTH_PARAMS + frames * (N_ANGLE_PARAMS + N_GLOBAL)
+
+
 @dataclass
 class DhGenerator:
     net: nn.Mlp
@@ -157,15 +165,11 @@ class DhGenerator:
     frames: int = 1
     bounds: GlobalBounds = field(default_factory=GlobalBounds)
 
-    def expected_out(self) -> int:
-        if self.mode == "single":
-            return N_PARAMS + N_GLOBAL
-        return N_LENGTH_PARAMS + self.frames * (N_ANGLE_PARAMS + N_GLOBAL)
-
     def __post_init__(self):
-        if self.net.out_dim != self.expected_out():
+        need = _out_width(self.mode, self.frames)
+        if self.net.out_dim != need:
             raise ValueError(f"generator net emits {self.net.out_dim} values; "
-                             f"{self.mode} mode with {self.frames} frames needs {self.expected_out()}")
+                             f"{self.mode} mode with {self.frames} frames needs {need}")
 
 
 def build_generator(cfg: TrainConfig, rng: np.random.Generator,
@@ -176,9 +180,7 @@ def build_generator(cfg: TrainConfig, rng: np.random.Generator,
     table = table or default_constraint_table()
     camera = camera or default_camera()
     frames = cfg.frames if cfg.mode == "video" else 1
-    out = N_PARAMS + N_GLOBAL if cfg.mode == "single" \
-        else N_LENGTH_PARAMS + frames * (N_ANGLE_PARAMS + N_GLOBAL)
-    sizes = [cfg.z_dim, *cfg.gen_hidden, out]
+    sizes = [cfg.z_dim, *cfg.gen_hidden, _out_width(cfg.mode, frames)]
     acts = ["tanh"] * len(cfg.gen_hidden) + ["linear"]
     net = nn.mlp_init(sizes, acts, rng)
     return DhGenerator(net=net, topology=topology, table=table, camera=camera,
@@ -354,13 +356,13 @@ class TapeGenOutput:
     motion: Optional[dict] = None  # video mode: the six sequence streams
 
 
-def generate_on_tape(gen: DhGenerator, z, tape: Tape, gen_params: dict,
+def generate_on_tape(gen: DhGenerator, z, tape: Tape, gen_params: list,
                      pairs: AdjacentBonePairs) -> TapeGenOutput:
-    """The net runs in the dtype of ``gen_params`` and the critic streams come
-    out in it; squash, FK, the depth check and projection run in float64."""
-    dtype = gen_params["gen.l0.w"].values.dtype
-    raw, _ = nn.mlp_apply(gen.net, tape.const(np.asarray(z, dtype=dtype)), tape, gen_params,
-                          "gen.")
+    """The net runs with the ``nn.mlp_leaves`` list ``gen_params``, in its
+    dtype, and the critic streams come out in it; squash, FK, the depth check
+    and projection run in float64."""
+    dtype = gen_params[0][0].values.dtype
+    raw, _ = nn.mlp_apply(gen.net, tape.const(np.asarray(z, dtype=dtype)), tape, gen_params)
     params, globals_ = _split_raw(gen, ad.astype(raw, np.float64))
     pose3d = _fk_tape(gen.topology, params, globals_)
     if np.any(pose3d.values[:, :, 2] < gen.camera.z_min):
@@ -448,37 +450,25 @@ def build_motion_critic(cfg: TrainConfig, n_pairs: int, rng) -> MotionCritic:
         head2d=_head(2 * e, cfg.head_hidden, rng))
 
 
-def critic_params(critic, prefix: str) -> dict[str, np.ndarray]:
-    out = {}
-    for name, net in critic.nets().items():
-        out.update(nn.mlp_params(net, f"{prefix}{name}."))
-    return out
-
-
-def critic_leaves(tape: Tape, critic, prefix: str, dtype=np.float64) -> dict[str, Tensor]:
-    """Differentiable leaves for every weight and bias, as ``dtype`` copies
-    of the float64 weights (the weights themselves for float64)."""
-    return {k: tape.var(v.astype(dtype, copy=False), name=k)
-            for k, v in critic_params(critic, prefix).items()}
-
-
-def critic_set_params(critic, values: dict[str, np.ndarray], prefix: str) -> None:
-    for name, net in critic.nets().items():
-        nn.mlp_set_params(net, values, f"{prefix}{name}.")
+def critic_leaves(tape: Tape, critic, dtype=np.float64, var: bool = True) -> dict[str, list]:
+    """Each net's ``nn.mlp_leaves`` list, by field name in field order."""
+    return {name: nn.mlp_leaves(tape, net, dtype, var) for name, net in critic.nets().items()}
 
 
 def _as_tensor(x, tape: Tape) -> Tensor:
     return x if isinstance(x, Tensor) else tape.const(x)
 
 
-def _fused_score(critic, inputs, encoders, head: str, tape: Tape, params: Optional[dict],
-                 prefix: str) -> tuple[Tensor, dict]:
+def _fused_score(critic, inputs, encoders, head: str, tape: Tape,
+                 params: Optional[dict]) -> tuple[Tensor, dict]:
     """Encoders over their inputs, concatenated into a head: the score (B, 1)
-    and the traces its input gradients need."""
-    outs, traces = zip(*(nn.mlp_apply(getattr(critic, name), _as_tensor(x, tape), tape, params,
-                                      f"{prefix}{name}.") for x, name in zip(inputs, encoders)))
-    score, head_trace = nn.mlp_apply(getattr(critic, head), ad.concat(outs, axis=1), tape, params,
-                                     f"{prefix}{head}.")
+    and the traces its input gradients need.  ``params`` is a
+    ``critic_leaves`` dict, or None for the float64 weights as constants."""
+    params = params or {}
+    outs, traces = zip(*(nn.mlp_apply(getattr(critic, name), _as_tensor(x, tape), tape,
+                                      params.get(name)) for x, name in zip(inputs, encoders)))
+    score, head_trace = nn.mlp_apply(getattr(critic, head), ad.concat(outs, axis=1), tape,
+                                     params.get(head))
     return score, {"traces": traces, "head_trace": head_trace,
                    "widths": [out.shape[1] for out in outs], "score": score}
 
@@ -504,36 +494,36 @@ def _penalty(parts, alpha: float, tape: Tape) -> Tensor:
 
 
 def frame_score(critic: FrameCritic, x3d, xcos, x2d, tape: Tape,
-                params: Optional[dict] = None, prefix: str = "ds.") -> tuple[Tensor, dict]:
+                params: Optional[dict] = None) -> tuple[Tensor, dict]:
     """Per-sample score (B, 1) plus the traces needed for input gradients."""
     return _fused_score(critic, (x3d, xcos, x2d), ("enc3d", "enc_cos", "enc2d"), "head", tape,
-                        params, prefix)
+                        params)
 
 
 def frame_penalty(critic: FrameCritic, x3d, xcos, x2d, alpha: float, tape: Tape,
-                  params: Optional[dict] = None, prefix: str = "ds.") -> Tensor:
+                  params: Optional[dict] = None) -> Tensor:
     """Gradient penalty of the frame critic at the given (interpolated) input."""
-    return _penalty([frame_score(critic, x3d, xcos, x2d, tape, params, prefix)[1]], alpha, tape)
+    return _penalty([frame_score(critic, x3d, xcos, x2d, tape, params)[1]], alpha, tape)
 
 
 _MOTION_KEYS = ("seq3d", "diff3d", "cosseq", "cosdiff", "seq2d", "root2d")
 
 
 def motion_score(critic: MotionCritic, streams: dict, tape: Tape,
-                 params: Optional[dict] = None, prefix: str = "dm.") -> tuple[Tensor, dict]:
+                 params: Optional[dict] = None) -> tuple[Tensor, dict]:
     """Sum of the three branch-head scores, (B, 1)."""
     info = {}
     total = None
     for tag, keys, encoders, head in critic.BRANCHES:
         s, info[tag] = _fused_score(critic, [streams[k] for k in keys], encoders, head, tape,
-                                    params, prefix)
+                                    params)
         total = s if total is None else ad.add(total, s)
     return total, info
 
 
 def motion_penalty(critic: MotionCritic, streams: dict, alpha: float, tape: Tape,
-                   params: Optional[dict] = None, prefix: str = "dm.") -> Tensor:
-    return _penalty(motion_score(critic, streams, tape, params, prefix)[1].values(), alpha, tape)
+                   params: Optional[dict] = None) -> Tensor:
+    return _penalty(motion_score(critic, streams, tape, params)[1].values(), alpha, tape)
 
 
 def discriminate_motion(critic: MotionCritic, streams: dict) -> np.ndarray:
@@ -740,22 +730,17 @@ def critic_update(state: TrainState, real: FeatureBatch, fake: FeatureBatch,
     """One critic step in ``COMPUTE_DTYPE``; Adam updates the float64 weights."""
     real, fake = _cast_batch(real, COMPUTE_DTYPE), _cast_batch(fake, COMPUTE_DTYPE)
     with Tape() as tape:  # the tape's memory is freed on return
-        ds_leaves = critic_leaves(tape, state.ds, "ds.", COMPUTE_DTYPE)
-        dm_leaves = critic_leaves(tape, state.dm, "dm.", COMPUTE_DTYPE) \
-            if (gamma and state.dm) else None
+        ds_leaves = critic_leaves(tape, state.ds, COMPUTE_DTYPE)
+        dm_leaves = critic_leaves(tape, state.dm, COMPUTE_DTYPE) if (gamma and state.dm) else None
         scores = {}
         loss = critic_loss(state.ds, state.dm if gamma else None, real, fake,
                            state.config.alpha, gamma, state.rng, tape, ds_leaves, dm_leaves,
                            scores)
         _abort_if_bad(float(loss.values), "critic loss", state, {})
         ad.backward(tape, loss)
-        new_ds, _ = nn.adam_step(state.adam_ds, critic_params(state.ds, "ds."),
-                                 nn.collect_grads(ds_leaves))
-        critic_set_params(state.ds, new_ds, "ds.")
+        nn.adam_update(state.adam_ds, state.ds.nets().values(), ds_leaves.values())
         if dm_leaves is not None:
-            new_dm, _ = nn.adam_step(state.adam_dm, critic_params(state.dm, "dm."),
-                                     nn.collect_grads(dm_leaves))
-            critic_set_params(state.dm, new_dm, "dm.")
+            nn.adam_update(state.adam_dm, state.dm.nets().values(), dm_leaves.values())
     # separation measured by the step's own forward pass, before its update
     d_gap = float(scores["real"].mean() - scores["fake"].mean())
     return {"loss": float(loss.values), "d_gap": d_gap}
@@ -766,21 +751,16 @@ def generator_update(state: TrainState, batch: int, gamma: int) -> dict:
     float64; Adam updates the float64 weights."""
     dm = state.dm if gamma else None
     with Tape() as tape:  # the tape's memory is freed on return
-
-        def critic_consts(critic, prefix):  # the critics get no gradient here
-            return {k: tape.const(v.astype(COMPUTE_DTYPE))
-                    for k, v in critic_params(critic, prefix).items()}
-
-        gen_leaves = nn.mlp_leaves(tape, state.gen.net, "gen.", COMPUTE_DTYPE)
+        gen_leaves = nn.mlp_leaves(tape, state.gen.net, COMPUTE_DTYPE)
         z = sample_latent(batch, state.config.z_dim, state.rng)
         fake = generate_on_tape(state.gen, z, tape, gen_leaves, state.pairs)
-        loss = generator_loss(state.ds, dm, fake, gamma, tape, critic_consts(state.ds, "ds."),
-                              None if dm is None else critic_consts(dm, "dm."))
+        # the critics score with constant weights: they get no gradient here
+        ds_consts = critic_leaves(tape, state.ds, COMPUTE_DTYPE, var=False)
+        dm_consts = None if dm is None else critic_leaves(tape, dm, COMPUTE_DTYPE, var=False)
+        loss = generator_loss(state.ds, dm, fake, gamma, tape, ds_consts, dm_consts)
         _abort_if_bad(float(loss.values), "generator loss", state, {})
         ad.backward(tape, loss)
-        new_params, _ = nn.adam_step(state.adam_gen, nn.mlp_params(state.gen.net, "gen."),
-                                     nn.collect_grads(gen_leaves))
-        nn.mlp_set_params(state.gen.net, new_params, "gen.")
+        nn.adam_update(state.adam_gen, [state.gen.net], [gen_leaves])
     violations = count_violations(fake.params.values, state.gen.table)
     return {"gen_loss": float(loss.values), "violations": violations}
 

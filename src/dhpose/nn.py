@@ -73,40 +73,19 @@ def mlp_eval(net: Mlp, x, dtype=np.float64) -> np.ndarray:
     return h
 
 
-def mlp_params(net: Mlp, prefix: str = "") -> dict[str, np.ndarray]:
-    out = {}
-    for i, layer in enumerate(net.layers):
-        out[f"{prefix}l{i}.w"] = layer.w
-        out[f"{prefix}l{i}.b"] = layer.b
-    return out
+def mlp_leaves(tape: Tape, net: Mlp, dtype=np.float64, var: bool = True) -> list:
+    """Each layer's ``(w, b)`` on the tape, in layer order, as ``dtype``
+    copies of the float64 weights (the weights themselves for float64):
+    differentiable leaves, or constants when not ``var``."""
+    leaf = tape.var if var else tape.const
+    return [(leaf(layer.w.astype(dtype, copy=False)), leaf(layer.b.astype(dtype, copy=False)))
+            for layer in net.layers]
 
 
-def mlp_set_params(net: Mlp, values: dict[str, np.ndarray], prefix: str = "") -> None:
-    for i, layer in enumerate(net.layers):
-        layer.w = values[f"{prefix}l{i}.w"]
-        layer.b = values[f"{prefix}l{i}.b"]
-
-
-def mlp_leaves(tape: Tape, net: Mlp, prefix: str = "", dtype=np.float64) -> dict[str, Tensor]:
-    """Differentiable leaves for every weight and bias, as ``dtype`` copies
-    of the float64 weights (the weights themselves for float64)."""
-    return {k: tape.var(v.astype(dtype, copy=False), name=k)
-            for k, v in mlp_params(net, prefix).items()}
-
-
-def _layer_tensors(tape: Tape, net: Mlp, params: Optional[dict], prefix: str):
-    out = []
-    for i, layer in enumerate(net.layers):
-        if params is None:
-            out.append((tape.const(layer.w), tape.const(layer.b), layer.act))
-        else:
-            out.append((params[f"{prefix}l{i}.w"], params[f"{prefix}l{i}.b"], layer.act))
-    return out
-
-
-def mlp_apply(net: Mlp, x: Tensor, tape: Tape, params: Optional[dict] = None,
-              prefix: str = "") -> tuple[Tensor, list]:
-    """Forward pass returning the output and a per-layer trace.
+def mlp_apply(net: Mlp, x: Tensor, tape: Tape,
+              params: Optional[list] = None) -> tuple[Tensor, list]:
+    """Forward pass with the ``mlp_leaves`` list ``params`` (by default the
+    float64 weights as constants), returning the output and a per-layer trace.
 
     Each layer is one ``ad.linear`` node.  The trace holds ``(w, h, act,
     mask)`` per layer, ``mask`` being the lrelu derivative (None for other
@@ -115,11 +94,13 @@ def mlp_apply(net: Mlp, x: Tensor, tape: Tape, params: Optional[dict] = None,
     if x.values.ndim != 2 or x.values.shape[1] != net.in_dim:
         raise ShapeError(f"input {x.values.shape} does not match first layer "
                          f"({net.in_dim} features expected)")
+    if params is None:
+        params = mlp_leaves(tape, net, var=False)
     trace = []
     h = x
-    for w, b, act in _layer_tensors(tape, net, params, prefix):
-        h, mask = ad.linear(h, w, b, act, LRELU_SLOPE)
-        trace.append((w, h, act, mask))
+    for (w, b), layer in zip(params, net.layers, strict=True):
+        h, mask = ad.linear(h, w, b, layer.act, LRELU_SLOPE)
+        trace.append((w, h, layer.act, mask))
     return h, trace
 
 
@@ -148,42 +129,50 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: list = field(default_factory=list)  # moments, in the order of the parameters
+    v: list = field(default_factory=list)
 
 
-def adam_step(state: AdamState, params: dict[str, np.ndarray],
-              grads: dict[str, np.ndarray]) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One Adam update; returns the new parameter dict and the state.
+def adam_step(state: AdamState, params: list[np.ndarray],
+              grads: list[np.ndarray]) -> list[np.ndarray]:
+    """One Adam update; returns new parameter arrays, in order.
 
     Gradients of another dtype (float32 from a float32 training step) are
     cast to the parameters' dtype first, so the moments and the update are
     computed in the parameters' precision.
     """
+    if len(grads) != len(params) or len(state.m) not in (0, len(params)):
+        raise ShapeError(f"{len(params)} parameters, {len(grads)} gradients and "
+                         f"{len(state.m)} moments do not match")
+    if not state.m:
+        state.m = [np.zeros_like(p) for p in params]
+        state.v = [np.zeros_like(p) for p in params]
     state.step += 1
     t = state.step
-    new = {}
-    for key in params:
-        p = params[key]
-        g = grads[key].astype(p.dtype, copy=False)
+    new = []
+    for i, (p, g, m, v) in enumerate(zip(params, grads, state.m, state.v)):
+        g = g.astype(p.dtype, copy=False)
         if g.shape != p.shape:
             raise ShapeError(f"gradient shape {g.shape} does not match parameter "
-                             f"{key!r} shape {p.shape}")
-        m = state.m.setdefault(key, np.zeros_like(p))
-        v = state.v.setdefault(key, np.zeros_like(p))
+                             f"{i} shape {p.shape}")
         m *= state.beta1
         m += (1.0 - state.beta1) * g
         v *= state.beta2
         v += (1.0 - state.beta2) * g * g
         m_hat = m / (1.0 - state.beta1 ** t)
         v_hat = v / (1.0 - state.beta2 ** t)
-        new[key] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return new, state
+        new.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
+    return new
 
 
-def collect_grads(leaves: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    return {k: (t.grad if t.grad is not None else np.zeros_like(t.values))
-            for k, t in leaves.items()}
+def adam_update(state: AdamState, nets, leaves) -> None:
+    """Adam on the weights of ``nets`` with the gradients of their
+    ``mlp_leaves`` lists, both in order; binds the new arrays into the layers."""
+    layers = [layer for net in nets for layer in net.layers]
+    new = adam_step(state, [a for layer in layers for a in (layer.w, layer.b)],
+                    [t.grad for net_leaves in leaves for pair in net_leaves for t in pair])
+    for layer, w, b in zip(layers, new[::2], new[1::2]):
+        layer.w, layer.b = w, b
 
 
 # --------------------------------------------------------------------------

@@ -107,11 +107,6 @@ class GlobalTransform:
     def identity(cls) -> "GlobalTransform":
         return cls()
 
-    @classmethod
-    def from_array(cls, values) -> "GlobalTransform":
-        rx, ry, rz, tx, ty, tz = np.asarray(values, dtype=float)
-        return cls(rx, ry, rz, tx, ty, tz)
-
     def as_array(self) -> np.ndarray:
         return np.array([self.rx, self.ry, self.rz, self.tx, self.ty, self.tz], dtype=float)
 
@@ -136,9 +131,6 @@ class SkeletonTopology:
     @property
     def keypoint_count(self) -> int:
         return len(self.keypoint_names)
-
-    def angle_ids(self) -> np.ndarray:
-        return np.array([i for i, k in enumerate(self.param_kinds) if k == "angle"])
 
     def length_ids(self) -> np.ndarray:
         return np.array([i for i, k in enumerate(self.param_kinds) if k == "length"])
@@ -406,114 +398,6 @@ def bone_lengths(topology: SkeletonTopology, pose) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Canonical table
-#
-# Rest configuration: a T-pose facing +z with y up and x to the subject's
-# left; the pelvis sits at the origin.  Twist and rest joint angles are
-# multiples of 90 degrees chosen so that each 3-DOF cluster exposes three
-# mutually orthogonal rotation axes and every bone leaves its joint along a
-# coordinate direction.  Knee flexion is negative (heel swings backward),
-# elbow flexion positive (forearm swings forward): the signs the constraint
-# table relies on.
-
-_ROW = lambda name, a, d, alpha, theta, tid, lfield, lid, kp: (
-    name, a, d, alpha, theta, tid, lfield, lid, kp)
-
-_TORSO_ROWS = [
-    _ROW("pelvis_roll", 0.0, 0.0, 0, 0, 0, None, None, None),
-    _ROW("pelvis_yaw", 0.0, 0.0, 90, 90, 1, None, None, None),
-    _ROW("pelvis_pitch", 0.0, 0.0, 90, -90, 2, None, None, 0),
-    _ROW("spine_pitch", 0.25, 0.0, 0, 0, 3, "a", 33, None),
-    _ROW("spine_roll", 0.0, 0.0, -90, 90, 4, None, None, None),
-    _ROW("spine_yaw", 0.0, 0.0, 90, 0, 5, None, None, 7),
-    _ROW("thorax_yaw", 0.0, 0.25, 0, 90, 6, "d", 34, None),
-    _ROW("thorax_pitch", 0.0, 0.0, -90, -90, 7, None, None, None),
-    _ROW("thorax_roll", 0.0, 0.0, -90, 0, 8, None, None, 8),
-    _ROW("neck_pitch", 0.0, 0.0, 90, 0, 9, None, None, None),
-    _ROW("neck_roll", 0.0, 0.0, -90, 90, 10, None, None, None),
-    _ROW("neck_yaw", 0.0, 0.0, 90, 0, 11, None, None, None),
-    _ROW("head_nod", 0.0, 0.18, 0, 0, 12, "d", 35, 9),
-]
-
-_LEFT_LEG_ROWS = [
-    _ROW("l_hip_pitch", 0.0, 0.13, 0, -90, 13, "d", 36, None),
-    _ROW("l_hip_twist", 0.0, 0.0, -90, 90, 14, None, None, None),
-    _ROW("l_hip_abduct", 0.0, 0.0, -90, 90, 15, None, None, 4),
-    _ROW("l_knee_flex", 0.45, 0.0, 90, 0, 16, "a", 37, 5),
-    _ROW("l_ankle_flex", 0.44, 0.0, 0, 0, 17, "a", 38, 6),
-]
-
-_RIGHT_LEG_ROWS = [
-    _ROW("r_hip_pitch", 0.0, 0.13, 180, -90, 18, "d", 39, None),
-    _ROW("r_hip_twist", 0.0, 0.0, 90, -90, 19, None, None, None),
-    _ROW("r_hip_abduct", 0.0, 0.0, -90, -90, 20, None, None, 1),
-    _ROW("r_knee_flex", 0.45, 0.0, 90, 0, 21, "a", 40, 2),
-    _ROW("r_ankle_flex", 0.44, 0.0, 0, 0, 22, "a", 41, 3),
-]
-
-_LEFT_ARM_ROWS = [
-    _ROW("l_shoulder_twist", 0.0, 0.20, 90, 0, 23, "d", 42, None),
-    _ROW("l_shoulder_abduct", 0.0, 0.0, -90, 90, 24, None, None, None),
-    _ROW("l_shoulder_swing", 0.0, 0.0, 90, 180, 25, None, None, 10),
-    _ROW("l_elbow_flex", 0.28, 0.0, 180, 0, 26, "a", 43, 11),
-    _ROW("l_wrist_flex", 0.25, 0.0, 0, 0, 27, "a", 44, 12),
-]
-
-_RIGHT_ARM_ROWS = [
-    _ROW("r_shoulder_twist", 0.0, 0.20, -90, 0, 28, "d", 45, None),
-    _ROW("r_shoulder_abduct", 0.0, 0.0, 90, -90, 29, None, None, None),
-    _ROW("r_shoulder_swing", 0.0, 0.0, -90, 180, 30, None, None, 13),
-    _ROW("r_elbow_flex", 0.28, 0.0, 0, 0, 31, "a", 46, 14),
-    _ROW("r_wrist_flex", 0.25, 0.0, 0, 0, 32, "a", 47, 15),
-]
-
-_LENGTH_NAMES = {
-    33: "spine_len", 34: "thorax_len", 35: "head_len",
-    36: "l_hip_len", 37: "l_femur_len", 38: "l_tibia_len",
-    39: "r_hip_len", 40: "r_femur_len", 41: "r_tibia_len",
-    42: "l_shoulder_len", 43: "l_upper_arm_len", 44: "l_forearm_len",
-    45: "r_shoulder_len", 46: "r_upper_arm_len", 47: "r_forearm_len",
-}
-
-
-def _builtin_topology() -> SkeletonTopology:
-    """Construct the canonical table in code; the shipped file mirrors this."""
-    specs = [
-        ("torso", _TORSO_ROWS, 0),
-        ("left_leg", _TORSO_ROWS[:3] + _LEFT_LEG_ROWS, 3),
-        ("right_leg", _TORSO_ROWS[:3] + _RIGHT_LEG_ROWS, 3),
-        ("left_arm", _TORSO_ROWS[:9] + _LEFT_ARM_ROWS, 9),
-        ("right_arm", _TORSO_ROWS[:9] + _RIGHT_ARM_ROWS, 9),
-    ]
-    branches = []
-    param_index: dict[tuple[int, int, str], int] = {}
-    names = [""] * N_PARAMS
-    kinds = [""] * N_PARAMS
-    for bi, (bname, rowspecs, prefix) in enumerate(specs):
-        rows = []
-        kp_map = []
-        for r, (name, a, d, alpha, theta, tid, lfield, lid, kp) in enumerate(rowspecs):
-            rows.append(DhRow(name=name, a=a, d=d,
-                              alpha=np.deg2rad(float(alpha)), theta=np.deg2rad(float(theta)),
-                              var_a=(lfield == "a"), var_d=(lfield == "d"), var_theta=True))
-            param_index[(bi, r, "theta")] = tid
-            names[tid] = name
-            kinds[tid] = "angle"
-            if lfield is not None:
-                param_index[(bi, r, lfield)] = lid
-                names[lid] = _LENGTH_NAMES[lid]
-                kinds[lid] = "length"
-            if kp is not None and (bi == 0 or r >= prefix):
-                kp_map.append((r, kp))
-        branches.append(KinematicBranch(name=bname, rows=tuple(rows),
-                                        keypoint_map=tuple(kp_map), shared_prefix_len=prefix))
-    topo = SkeletonTopology(branches=tuple(branches), param_index=param_index,
-                            param_names=tuple(names), param_kinds=tuple(kinds))
-    topo.validate()
-    return topo
-
-
-# --------------------------------------------------------------------------
 # Serialization (degrees/meters, one row per line)
 
 def topology_to_text(topology: SkeletonTopology) -> str:
@@ -622,6 +506,13 @@ def topology_hash(topology: SkeletonTopology) -> str:
 _DEFAULT: dict[str, SkeletonTopology] = {}
 
 
+# Rest configuration: a T-pose facing +z with y up and x to the subject's
+# left; the pelvis sits at the origin.  Twist and rest joint angles are
+# multiples of 90 degrees chosen so that each 3-DOF cluster exposes three
+# mutually orthogonal rotation axes and every bone leaves its joint along a
+# coordinate direction.  Knee flexion is negative (heel swings backward),
+# elbow flexion positive (forearm swings forward): the signs the constraint
+# table relies on.
 def default_topology() -> SkeletonTopology:
     """The shipped canonical topology (parsed from the packaged data file)."""
     if "topology" not in _DEFAULT:

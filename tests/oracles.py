@@ -4,6 +4,7 @@ Deliberately naive: scalar python loops, textbook formulas, no sharing with
 the package's vectorized code paths.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -87,6 +88,29 @@ def central_difference(f, x, h=1e-6):
         xf[i] = old
         flat[i] = (hi - lo) / (2 * h)
     return grad
+
+
+def weights(*nets) -> list:
+    """The weight arrays of ``nets`` by position: nets in order, then layer
+    order, ``w`` then ``b``."""
+    return [a for net in nets for layer in net.layers for a in (layer.w, layer.b)]
+
+
+def weight_slots(nets: dict, leaves: dict) -> list:
+    """``((net name, layer index, "w" or "b"), weight array, leaf)`` for every
+    weight of ``nets``, given their ``nn.mlp_leaves`` lists under the same names."""
+    return [((name, i, field), getattr(layer, field), leaf)
+            for name, net in nets.items()
+            for i, (layer, pair) in enumerate(zip(net.layers, leaves[name], strict=True))
+            for field, leaf in zip("wb", pair)]
+
+
+def replaced(nets: dict, slot, values) -> dict:
+    """A deep copy of ``nets`` with the weight array at ``slot`` set to ``values``."""
+    nets = copy.deepcopy(nets)
+    name, i, field = slot
+    setattr(nets[name].layers[i], field, values)
+    return nets
 
 
 def record_line_ref(provenance, seq, frame, cam, pose3d, pose2d):

@@ -20,7 +20,7 @@ from dhpose import nn
 from dhpose import skeleton as sk
 from dhpose.camera import project_pose
 from dhpose.features import joint_cosines
-from oracles import central_difference, fk_naive, linear_frame_critic
+from oracles import central_difference, fk_naive, linear_frame_critic, replaced, weight_slots
 
 RNG = np.random.default_rng
 
@@ -207,20 +207,15 @@ def test_criterion_autodiff_gradient_checks(pairs, camera):
     net = nn.mlp_init([6, 10, 8, 1], ["tanh", "lrelu", "linear"], RNG(106))
     x = RNG(107).normal(size=(4, 6))
     tape = ad.Tape()
-    leaves = nn.mlp_leaves(tape, net, "")
+    leaves = nn.mlp_leaves(tape, net)
     ad.backward(tape, ad.sum_(nn.mlp_apply(net, tape.const(x), tape, leaves)[0]))
-    base = nn.mlp_params(net, "")
-    for key, leaf in leaves.items():
-        def f(values, key=key):
-            trial = {k: v.copy() for k, v in base.items()}
-            trial[key] = values
-            net2 = nn.Mlp([nn.LayerSpec(trial[f"l{i}.w"], trial[f"l{i}.b"], l.act)
-                           for i, l in enumerate(net.layers)])
-            return float(nn.mlp_eval(net2, x).sum())
+    for slot, value, leaf in weight_slots({"net": net}, {"net": leaves}):
+        def f(values, slot=slot):
+            return float(nn.mlp_eval(replaced({"net": net}, slot, values)["net"], x).sum())
 
-        fd = central_difference(f, base[key].copy(), h=1e-5)
+        fd = central_difference(f, value.copy(), h=1e-5)
         scale = np.maximum(np.abs(fd), 1.0)
-        assert np.max(np.abs(leaf.grad - fd) / scale) <= 1e-5, key
+        assert np.max(np.abs(leaf.grad - fd) / scale) <= 1e-5, slot
 
     # double backprop: every parameter gradient of the penalties training
     # runs, on a tiny frame critic and a tiny motion critic (T = 3)
@@ -229,25 +224,24 @@ def test_criterion_autodiff_gradient_checks(pairs, camera):
     fb = gan.feature_batch(rng.normal(size=(3, 3, 16, 3)), rng.normal(size=(3, 3, 16, 2)) * 50,
                            camera, pairs, video=True)
     critics = (
-        (gan.build_frame_critic(cfg, 14, RNG(109)), "ds.",
+        (gan.build_frame_critic(cfg, 14, RNG(109)),
          lambda critic, tape, p: gan.frame_penalty(critic, fb.x3d, fb.xcos, fb.x2d, 10.0, tape, p)),
-        (gan.build_motion_critic(cfg, 14, RNG(110)), "dm.",
+        (gan.build_motion_critic(cfg, 14, RNG(110)),
          lambda critic, tape, p: gan.motion_penalty(critic, fb.motion, 10.0, tape, p)))
-    for critic, prefix, penalty in critics:
+    for critic, penalty in critics:
         tape = ad.Tape()
-        leaves = gan.critic_leaves(tape, critic, prefix)
+        leaves = gan.critic_leaves(tape, critic)
         ad.backward(tape, penalty(critic, tape, leaves))
-        base = gan.critic_params(critic, prefix)
-        for key, leaf in leaves.items():
-            def f(values, key=key):
+        for slot, value, leaf in weight_slots(critic.nets(), leaves):
+            def f(values, slot=slot):
+                trial = type(critic)(**replaced(critic.nets(), slot, values))
                 with ad.Tape() as t:
-                    trial = {k: t.const(values if k == key else v) for k, v in base.items()}
-                    return float(penalty(critic, t, trial).values)
+                    return float(penalty(trial, t, None).values)
 
-            fd = central_difference(f, base[key].copy(), h=1e-5)
+            fd = central_difference(f, value.copy(), h=1e-5)
             scale = np.maximum(np.abs(fd), 1.0)
             err = np.max(np.abs((leaf.grad if leaf.grad is not None else 0.0) - fd) / scale)
-            assert err <= 1e-4, key
+            assert err <= 1e-4, slot
     report("autodiff gradient checks (ops 1e-5, double backprop 1e-4)", 30, t0)
 
 

@@ -13,7 +13,7 @@ from dhpose import gan
 from dhpose import nn
 from dhpose import skeleton as sk
 from dhpose.features import joint_cosines
-from oracles import central_difference, generate_ref
+from oracles import central_difference, generate_ref, weight_slots, weights
 
 RNG = np.random.default_rng
 
@@ -106,7 +106,7 @@ class TestGenerate:
         z = gan.sample_latent(6, cfg.z_dim, RNG(9))
         out = gan.generate(gen, z)
         tape = ad.Tape()
-        leaves = nn.mlp_leaves(tape, gen.net, "gen.", gan.COMPUTE_DTYPE)
+        leaves = nn.mlp_leaves(tape, gen.net, gan.COMPUTE_DTYPE)
         fk = gan.generate_on_tape(gen, z, tape, leaves, pairs)
         assert np.max(np.abs(fk.pose3d.values - out.pose3d)) < 1e-12
         assert np.max(np.abs(fk.params.values - out.params)) < 1e-12
@@ -117,7 +117,7 @@ class TestGenerate:
         z = gan.sample_latent(3, cfg.z_dim, RNG(11))
         out = gan.generate(gen, z)
         tape = ad.Tape()
-        leaves = nn.mlp_leaves(tape, gen.net, "gen.", gan.COMPUTE_DTYPE)
+        leaves = nn.mlp_leaves(tape, gen.net, gan.COMPUTE_DTYPE)
         fk = gan.generate_on_tape(gen, z, tape, leaves, pairs)
         assert np.max(np.abs(fk.pose3d.values.reshape(3, 4, 16, 3) - out.pose3d)) < 1e-12
 
@@ -130,7 +130,7 @@ class TestGenerate:
         out = gan.generate(gen, z)
         want = gan.feature_batch(out.pose3d, out.pose2d, gen.camera, pairs, video=True).motion
         tape = ad.Tape()
-        leaves = nn.mlp_leaves(tape, gen.net, "gen.", gan.COMPUTE_DTYPE)
+        leaves = nn.mlp_leaves(tape, gen.net, gan.COMPUTE_DTYPE)
         got = gan.generate_on_tape(gen, z, tape, leaves, pairs).motion
         assert got.keys() == want.keys()
         for k in want:
@@ -156,7 +156,7 @@ class TestGenerate:
         monkeypatch.setattr(nn, "mlp_apply", recording("tape", nn.mlp_apply))
         gan.generate_poses(gen, z)
         tape = ad.Tape()
-        leaves = nn.mlp_leaves(tape, gen.net, "gen.", gan.COMPUTE_DTYPE)
+        leaves = nn.mlp_leaves(tape, gen.net, gan.COMPUTE_DTYPE)
         gan.generate_on_tape(gen, z, tape, leaves, pairs)
         numpy_raw, tape_raw = outs["numpy"], outs["tape"][0].values
         assert numpy_raw.dtype == tape_raw.dtype == gan.COMPUTE_DTYPE
@@ -215,7 +215,7 @@ class TestGeometryOps:
         cfg = gan.TrainConfig(mode="video", frames=9, batch_size=64, seed=79)
         gen = gan.build_generator(cfg, RNG(79))
         tape = ad.Tape()
-        leaves = nn.mlp_leaves(tape, gen.net, "gen.", gan.COMPUTE_DTYPE)
+        leaves = nn.mlp_leaves(tape, gen.net, gan.COMPUTE_DTYPE)
         before = len(tape.nodes)
         gan.generate_on_tape(gen, gan.sample_latent(64, cfg.z_dim, RNG(80)), tape, leaves, pairs)
         assert len(tape.nodes) - before < 200
@@ -417,7 +417,7 @@ class TestGeneratorLoss:
         cfg = tiny_config()
         gen = gan.build_generator(cfg, RNG(seed))
         tape = ad.Tape()
-        leaves = nn.mlp_leaves(tape, gen.net, "gen.")
+        leaves = nn.mlp_leaves(tape, gen.net)
         z = gan.sample_latent(6, cfg.z_dim, RNG(seed + 1))
         return gan.generate_on_tape(gen, z, tape, leaves, pairs), tape, cfg, leaves
 
@@ -448,7 +448,8 @@ class TestGeneratorLoss:
         critic = gan.build_frame_critic(cfg, 14, RNG(35))
         loss = gan.generator_loss(critic, None, fake, 0, tape)
         ad.backward(tape, loss)
-        total = sum(float(np.abs(t.grad).sum()) for t in leaves.values() if t.grad is not None)
+        total = sum(float(np.abs(t.grad).sum()) for pair in leaves for t in pair
+                    if t.grad is not None)
         assert total > 0.0
 
 
@@ -458,13 +459,9 @@ class TestEndToEndGradients:
     The loss values for the difference quotients come from the plain numpy
     pipeline, so these also pin tape forward == numpy forward."""
 
-    def _spot_check(self, leaves, nets_by_prefix, loss_value, rng, tol):
-        for key, leaf in leaves.items():
-            prefix, lname, field = key.rsplit(".", 2)
-            net = nets_by_prefix[prefix]
-            layer = net.layers[int(lname[1:])]
-            arr = layer.w if field == "w" else layer.b
-            flat = arr.ravel()
+    def _spot_check(self, nets, leaves, loss_value, rng, tol):
+        for key, value, leaf in weight_slots(nets, leaves):
+            flat = value.ravel()
             for idx in rng.choice(flat.size, size=min(3, flat.size), replace=False):
                 old = flat[idx]
                 h = 1e-6
@@ -490,12 +487,12 @@ class TestEndToEndGradients:
             return -frame_scores(critic, fb.x3d, fb.xcos, fb.x2d).mean()
 
         tape = ad.Tape()
-        leaves = nn.mlp_leaves(tape, gen.net, "gen.")
+        leaves = nn.mlp_leaves(tape, gen.net)
         fake = gan.generate_on_tape(gen, z, tape, leaves, pairs)
         loss = gan.generator_loss(critic, None, fake, 0, tape)
         assert float(loss.values) == pytest.approx(loss_value(), abs=1e-12)
         ad.backward(tape, loss)
-        self._spot_check(leaves, {"gen": gen.net}, loss_value, RNG(53), tol=1e-4)
+        self._spot_check({"gen": gen.net}, {"gen": leaves}, loss_value, RNG(53), tol=1e-4)
 
     def test_critic_loss_gradient_with_interpolated_penalty(self, pairs):
         cfg = gan.TrainConfig(mode="single", z_dim=6, gen_hidden=(8,), enc_hidden=(5,),
@@ -512,12 +509,12 @@ class TestEndToEndGradients:
                                          RNG(58), ad.Tape()).values)
 
         tape = ad.Tape()
-        leaves = gan.critic_leaves(tape, critic, "ds.")
+        leaves = gan.critic_leaves(tape, critic)
         loss = gan.critic_loss(critic, None, real, fake, 10.0, 0, RNG(58), tape, leaves)
         assert float(loss.values) == pytest.approx(loss_value(), abs=1e-12)
         ad.backward(tape, loss)
-        nets = {f"ds.{name}": net for name, net in critic.nets().items()}
-        self._spot_check(leaves, nets, loss_value, RNG(59), tol=1e-4)
+        assert list(leaves) == list(critic.nets())
+        self._spot_check(critic.nets(), leaves, loss_value, RNG(59), tol=1e-4)
 
 
 class TestTrainEpoch:
@@ -611,7 +608,7 @@ class TestTrainEpoch:
         # the step scores in the compute dtype: so does the reference
         dtype = gan.COMPUTE_DTYPE
         with ad.Tape() as tape:
-            params = gan.critic_leaves(tape, before, "ds.", dtype)
+            params = gan.critic_leaves(tape, before, dtype)
             s_real, s_fake = (gan.frame_score(before, b.x3d.astype(dtype), b.xcos.astype(dtype),
                                               b.x2d.astype(dtype), tape, params)[0].values[:, 0]
                               for b in (real, fake))
@@ -635,7 +632,7 @@ class TestTrainEpoch:
         state = gan.init_train_state(cfg)
         real = gan._real_minibatch(data, np.arange(4), state.pairs, True)
         fake, _ = gan._fake_minibatch(state, 4, state.pairs, True)
-        masters = {**gan.critic_params(state.ds, "ds."), **gan.critic_params(state.dm, "dm.")}
+        masters = [weights(*critic.nets().values()) for critic in (state.ds, state.dm)]
         adams = copy.deepcopy([state.adam_ds, state.adam_dm])
         calls = []
         adam_step = nn.adam_step
@@ -647,22 +644,23 @@ class TestTrainEpoch:
         monkeypatch.setattr(nn, "adam_step", recording_adam)
         gan.critic_update(state, real, fake, 1)
         assert len(calls) == 2
-        for (params, grads), adam, critic, prefix in zip(calls, adams, (state.ds, state.dm),
-                                                         ("ds.", "dm.")):
-            assert all(params[k] is masters[k] for k in params)  # not the float32 leaves
-            assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
-            expected, _ = adam_step(adam, {k: masters[k] for k in params}, grads)
-            after = gan.critic_params(critic, prefix)
-            assert after.keys() == expected.keys()
-            for k in expected:
-                assert after[k].dtype == np.float64
-                assert np.array_equal(after[k], expected[k]), k
+        for (params, grads), adam, critic, before in zip(calls, adams, (state.ds, state.dm),
+                                                         masters):
+            assert len(params) == len(before)
+            assert all(p is m for p, m in zip(params, before))  # not the float32 leaves
+            assert {g.dtype for g in grads} == {np.dtype(np.float32)}
+            expected = adam_step(adam, before, grads)
+            after = weights(*critic.nets().values())
+            assert len(after) == len(expected)
+            for k, (a, e) in enumerate(zip(after, expected)):
+                assert a.dtype == np.float64
+                assert np.array_equal(a, e), k
 
     def test_generator_step_keeps_geometry_float64_and_streams_float32(self, monkeypatch):
         cfg = tiny_config(mode="video", frames=3, seed=49, batch_size=4, critic_steps=1,
                           beta_epoch=1)
         state = gan.init_train_state(cfg)
-        before = copy.deepcopy(nn.mlp_params(state.gen.net, "gen."))
+        before = copy.deepcopy(weights(state.gen.net))
         outs = []
         generate_on_tape = gan.generate_on_tape
 
@@ -681,10 +679,11 @@ class TestTrainEpoch:
         x3d = fake.pose3d.values.reshape(-1, 48)
         assert np.array_equal(fake.x3d.values, x3d.astype(np.float32))
         assert m["violations"] == 0
-        after = nn.mlp_params(state.gen.net, "gen.")
-        for k in before:
-            assert after[k].dtype == np.float64
-            assert not np.array_equal(after[k], before[k]), k
+        after = weights(state.gen.net)
+        assert len(after) == len(before)
+        for k, (a, b) in enumerate(zip(after, before)):
+            assert a.dtype == np.float64
+            assert not np.array_equal(a, b), k
 
     def test_smoke_separation_short(self):
         # critic-only training separates band poses from untrained-generator fakes

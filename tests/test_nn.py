@@ -3,7 +3,8 @@ import pytest
 
 from dhpose import autodiff as ad
 from dhpose import gan, nn
-from oracles import central_difference, dense_ref, linear_frame_critic
+from oracles import (central_difference, dense_ref, linear_frame_critic, replaced, weight_slots,
+                     weights)
 
 RNG = np.random.default_rng
 
@@ -63,7 +64,7 @@ class TestForward:
                                 for a in nn.ACTIVATIONS])
     def test_eval_and_tape_write_the_reference_bits(self, act, dtype):
         net = nn.mlp_init([6, 8, 5, 3], [act] * 3, RNG(2))
-        before = {k: v.copy() for k, v in nn.mlp_params(net).items()}
+        before = [a.copy() for a in weights(net)]
         x = RNG(3).normal(size=(7, 6))
         x0 = x.copy()
         ref = x0.astype(dtype)
@@ -73,14 +74,14 @@ class TestForward:
         assert np.array_equal(nn.mlp_eval(net, x, dtype), ref)
         tape = ad.Tape()
         out, _ = nn.mlp_apply(net, tape.const(x.astype(dtype)), tape,
-                              nn.mlp_leaves(tape, net, "", dtype))
+                              nn.mlp_leaves(tape, net, dtype))
         assert np.array_equal(out.values, ref)
         if dtype == np.float64:
             assert np.array_equal(nn.mlp_eval(net, x), ref)
             assert np.array_equal(forward(net, x).values, ref)
         assert np.array_equal(x, x0)
-        for key, value in nn.mlp_params(net).items():
-            assert np.array_equal(value, before[key])
+        for value, old in zip(weights(net), before, strict=True):
+            assert np.array_equal(value, old)
 
     def test_shape_mismatch_reports_both_shapes(self):
         net = nn.mlp_init([6, 3], ["linear"], RNG(0))
@@ -105,21 +106,16 @@ class TestParameterGradients:
         net = nn.mlp_init([5, 7, 4, 1], ["tanh", "lrelu", "linear"], RNG(3))
         x = RNG(4).normal(size=(6, 5))
         tape = ad.Tape()
-        leaves = nn.mlp_leaves(tape, net, "")
+        leaves = nn.mlp_leaves(tape, net)
         out = ad.sum_(forward(net, x, tape, leaves))
         ad.backward(tape, out)
-        base = nn.mlp_params(net, "")
-        for key, leaf in leaves.items():
-            def f(values, key=key):
-                trial = {k: v.copy() for k, v in base.items()}
-                trial[key] = values
-                net2 = nn.Mlp([nn.LayerSpec(trial[f"l{i}.w"], trial[f"l{i}.b"], l.act)
-                               for i, l in enumerate(net.layers)])
-                return float(nn.mlp_eval(net2, x).sum())
+        for slot, value, leaf in weight_slots({"net": net}, {"net": leaves}):
+            def f(values, slot=slot):
+                return float(nn.mlp_eval(replaced({"net": net}, slot, values)["net"], x).sum())
 
-            fd = central_difference(f, base[key].copy(), h=1e-5)
+            fd = central_difference(f, value.copy(), h=1e-5)
             scale = np.maximum(np.abs(fd), 1.0)
-            assert np.max(np.abs(leaf.grad - fd) / scale) < 1e-5, key
+            assert np.max(np.abs(leaf.grad - fd) / scale) < 1e-5, slot
 
 
 class TestInputGradient:
@@ -160,28 +156,19 @@ class TestInputGradient:
         net = nn.mlp_init([3, 5, 1], ["tanh", "linear"], RNG(9))
         x = RNG(10).normal(size=(2, 3))
 
-        def norm_sq(trial_params):
-            net2 = nn.Mlp([nn.LayerSpec(trial_params[f"l{i}.w"], trial_params[f"l{i}.b"], l.act)
-                           for i, l in enumerate(net.layers)])
-            tape = ad.Tape()
-            g = input_gradient(net2, x, tape)
-            return float(ad.sum_(ad.square(g)).values)
-
         tape = ad.Tape()
-        leaves = nn.mlp_leaves(tape, net, "")
+        leaves = nn.mlp_leaves(tape, net)
         g = input_gradient(net, x, tape, leaves)
         ad.backward(tape, ad.sum_(ad.square(g)))
-        base = nn.mlp_params(net, "")
-        for key, leaf in leaves.items():
-            def f(values, key=key):
-                trial = {k: v.copy() for k, v in base.items()}
-                trial[key] = values
-                return norm_sq(trial)
+        for slot, value, leaf in weight_slots({"net": net}, {"net": leaves}):
+            def f(values, slot=slot):
+                g = input_gradient(replaced({"net": net}, slot, values)["net"], x, ad.Tape())
+                return float(ad.sum_(ad.square(g)).values)
 
-            fd = central_difference(f, base[key].copy(), h=1e-5)
+            fd = central_difference(f, value.copy(), h=1e-5)
             scale = np.maximum(np.abs(fd), 1.0)
             err = np.max(np.abs((leaf.grad if leaf.grad is not None else 0) - fd) / scale)
-            assert err < 1e-4, key
+            assert err < 1e-4, slot
 
     def test_non_scalar_net_rejected(self):
         critic = linear_frame_critic(1.0)
@@ -229,44 +216,67 @@ class TestAdam:
 
     def test_zero_gradient_keeps_parameters(self):
         state = nn.AdamState()
-        params = {"w": np.array([1.0, -2.0])}
-        new, _ = nn.adam_step(state, params, {"w": np.zeros(2)})
-        assert np.max(np.abs(new["w"] - params["w"])) < 1e-12
+        params = [np.array([1.0, -2.0])]
+        new = nn.adam_step(state, params, [np.zeros(2)])
+        assert np.max(np.abs(new[0] - params[0])) < 1e-12
 
     def test_first_step_closed_form(self):
         # m_hat = g, v_hat = g^2 -> update = lr * g / (|g| + eps)
         state = nn.AdamState(lr=1e-4)
-        new, _ = nn.adam_step(state, {"w": np.array([0.0])}, {"w": np.array([1.0])})
-        assert new["w"][0] == pytest.approx(-1e-4, abs=1e-6)
+        new = nn.adam_step(state, [np.array([0.0])], [np.array([1.0])])
+        assert new[0][0] == pytest.approx(-1e-4, abs=1e-6)
 
     def test_deterministic_sequence(self):
         def run():
             state = nn.AdamState(lr=1e-3)
-            p = {"w": np.array([0.5, -0.5])}
+            p = [np.array([0.5, -0.5])]
             for i in range(10):
-                g = {"w": np.array([1.0, -2.0]) * (i + 1)}
-                p, state = nn.adam_step(state, p, g)
-            return p["w"]
+                p = nn.adam_step(state, p, [np.array([1.0, -2.0]) * (i + 1)])
+            return p[0]
 
         assert np.array_equal(run(), run())
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(nn.ShapeError):
-            nn.adam_step(nn.AdamState(), {"w": np.zeros(3)}, {"w": np.zeros(4)})
+            nn.adam_step(nn.AdamState(), [np.zeros(3)], [np.zeros(4)])
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(nn.ShapeError, match="2 parameters, 1 gradients and 0 moments"):
+            nn.adam_step(nn.AdamState(), [np.zeros(3), np.zeros(2)], [np.zeros(3)])
+        state = nn.AdamState()
+        nn.adam_step(state, [np.zeros(3)], [np.ones(3)])
+        with pytest.raises(nn.ShapeError, match="2 parameters, 2 gradients and 1 moments"):
+            nn.adam_step(state, [np.zeros(3), np.zeros(2)], [np.ones(3), np.ones(2)])
+
+    def test_inputs_are_left_unchanged_and_new_arrays_returned(self):
+        rng = RNG(21)
+        params = [rng.normal(size=(3, 4)), rng.normal(size=4)]
+        grads = [rng.normal(size=(3, 4)).astype(np.float32), rng.normal(size=4)]
+        kept = [a.copy() for a in params + grads]
+        state = nn.AdamState(lr=1e-2)
+        for _ in range(2):
+            new = nn.adam_step(state, params, grads)
+            for a, old in zip(params + grads, kept, strict=True):
+                assert np.array_equal(a, old)
+            assert len(new) == len(params)
+            for a, p in zip(new, params):
+                assert a.dtype == p.dtype and not np.shares_memory(a, p)
+                assert not any(np.shares_memory(a, m) for m in state.m + state.v)
+                assert not np.array_equal(a, p)
 
     def test_ten_steps_equal_the_textbook_formula_bitwise(self):
         rng = RNG(18)
         lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
         state = nn.AdamState(lr=lr)
-        params = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=4)}
-        ref = {k: v.copy() for k, v in params.items()}
-        m = {k: np.zeros_like(p) for k, p in params.items()}
-        v = {k: np.zeros_like(p) for k, p in params.items()}
+        params = [rng.normal(size=(3, 4)), rng.normal(size=4)]
+        ref = [p.copy() for p in params]
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
         for t in range(1, 11):
-            grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
-            kept = {k: g.copy() for k, g in grads.items()}
-            params, state = nn.adam_step(state, params, grads)
-            for k in ref:
+            grads = [rng.normal(size=p.shape) for p in params]
+            kept = [g.copy() for g in grads]
+            params = nn.adam_step(state, params, grads)
+            for k in range(len(ref)):
                 m[k] = b1 * m[k] + (1.0 - b1) * kept[k]
                 v[k] = b2 * v[k] + (1.0 - b2) * kept[k] * kept[k]
                 m_hat = m[k] / (1.0 - b1 ** t)

@@ -129,8 +129,9 @@ class TestTopology:
         assert again == topology
         assert sk.topology_hash(again) == sk.topology_hash(topology)
 
-    def test_builtin_matches_shipped_file(self, topology):
-        assert sk._builtin_topology() == topology
+    def test_shipped_file_hash_is_pinned(self):
+        # stamped into every dataset, every checkpoint and data/rest_pose.txt
+        assert sk.topology_hash(sk.default_topology()) == "6395f2e393c2"
 
     def test_variable_twist_rejected(self):
         with pytest.raises(ValueError, match="twist"):
