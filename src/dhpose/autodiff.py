@@ -54,35 +54,6 @@ class Tensor:
         else:
             self.grad = self.grad + g
 
-    # Operator sugar; every overload routes through the module-level ops so
-    # recording happens in exactly one place.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return getitem(self, key)
 

@@ -136,9 +136,9 @@ def cmd_features(args) -> int:
     records.sort(key=lambda r: r.frame_index)
     seq3d = np.stack([r.pose3d for r in records])[None]
     seq2d = np.stack([r.pose2d for r in records])[None]
-    fb = gan.feature_batch(seq3d, seq2d, records[0].camera, adjacent_bone_pairs(topology),
-                           video=True)
-    motion = {k: v[0] for k, v in fb.motion.items()}
+    streams = gan.feature_batch(seq3d, seq2d, records[0].camera, adjacent_bone_pairs(topology),
+                                video=True)
+    motion = {k: streams[k][0] for k in gan.MOTION_STREAMS}
     sums = {"diff3d": motion["diff3d"].reshape(-1, 3).sum(axis=0),
             "cosdiff": motion["cosdiff"].sum(keepdims=True),
             "root2d": motion["root2d"].reshape(-1, 2).sum(axis=0)}
@@ -146,10 +146,10 @@ def cmd_features(args) -> int:
     def row(values):
         return " ".join(f"{v:.9g}" for v in values)
 
-    out = ["# dhpose critic streams v1", f"frames {len(records)} pairs {fb.xcos.shape[1]}"]
+    out = ["# dhpose critic streams v1", f"frames {len(records)} pairs {streams['xcos'].shape[1]}"]
     out += [f"sum {k} {row(v)}" for k, v in sums.items()]
-    out += [f"{name} {t} {row(v)}" for name in ("x3d", "xcos", "x2d")
-            for t, v in enumerate(getattr(fb, name))]
+    out += [f"{name} {t} {row(v)}" for name in gan.FRAME_STREAMS
+            for t, v in enumerate(streams[name])]
     out += [f"{k} {row(v)}" for k, v in motion.items()]
     sys.stdout.write("\n".join(out) + "\n")
     return EXIT_OK
@@ -171,7 +171,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     if args.config:
         with open(args.config) as fh:
-            cfg = gan.TrainConfig.from_json(fh.read())
+            cfg = gan.TrainConfig.from_json(fh.read(), args.config)
     else:
         cfg = gan.TrainConfig(mode=args.mode, frames=args.frames if args.mode == "video" else 1,
                               epochs=args.epochs, seed=args.seed,
@@ -281,9 +281,9 @@ def cmd_selftest(args) -> int:
 
     def t_telescoping():
         seq = rng.normal(size=(7, 16, 3))
-        fb = gan.feature_batch(seq[None], rng.normal(size=(1, 7, 16, 2)), default_camera(),
-                               adjacent_bone_pairs(topology), video=True)
-        total = fb.motion["diff3d"].reshape(-1, 3).sum(axis=0)
+        streams = gan.feature_batch(seq[None], rng.normal(size=(1, 7, 16, 2)), default_camera(),
+                                    adjacent_bone_pairs(topology), video=True)
+        total = streams["diff3d"].reshape(-1, 3).sum(axis=0)
         brute = sum(seq[t, i] - seq[t - 1, i] for t in range(1, 7) for i in range(16))
         assert np.max(np.abs(total - brute)) < 1e-12
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .skeleton import SkeletonTopology
 
 
 @dataclass(frozen=True)
@@ -133,44 +132,6 @@ def count_violations(params_batch, table: ConstraintTable) -> int:
     return int(np.count_nonzero((p < table.lo) | (p > table.hi)))
 
 
-# Default joint-angle ranges, degrees of delta from rest.  The knee range is
-# the anatomical flexion interval; the elbow range keeps flexion positive so
-# the mirror-image (backward-bending) configuration cannot be generated.
-_ANGLE_RANGES_DEG = {
-    "pelvis_roll": (-30, 30), "pelvis_yaw": (-40, 40), "pelvis_pitch": (-30, 30),
-    "spine_pitch": (-30, 45), "spine_roll": (-30, 30), "spine_yaw": (-40, 40),
-    "thorax_yaw": (-40, 40), "thorax_pitch": (-25, 35), "thorax_roll": (-25, 25),
-    "neck_pitch": (-45, 45), "neck_roll": (-35, 35), "neck_yaw": (-70, 70),
-    "head_nod": (-30, 30),
-    "l_hip_pitch": (-110, 25), "l_hip_twist": (-40, 40), "l_hip_abduct": (-20, 50),
-    "l_knee_flex": (-180, 0), "l_ankle_flex": (-45, 45),
-    "r_hip_pitch": (-25, 110), "r_hip_twist": (-40, 40), "r_hip_abduct": (-50, 20),
-    "r_knee_flex": (-180, 0), "r_ankle_flex": (-45, 45),
-    "l_shoulder_twist": (-60, 60), "l_shoulder_abduct": (-70, 70),
-    "l_shoulder_swing": (-85, 40), "l_elbow_flex": (0, 150), "l_wrist_flex": (-60, 60),
-    "r_shoulder_twist": (-60, 60), "r_shoulder_abduct": (-70, 70),
-    "r_shoulder_swing": (-40, 85), "r_elbow_flex": (0, 150), "r_wrist_flex": (-60, 60),
-}
-
-LENGTH_DELTA_FRACTION = 0.2  # bone-length deltas stay within +/-20% of rest
-
-
-def build_constraint_table(topology: SkeletonTopology) -> ConstraintTable:
-    """Default table for a topology: named angle ranges, +/-20% length deltas."""
-    rest = topology.param_rest()
-    lo = np.empty(len(topology.param_names))
-    hi = np.empty(len(topology.param_names))
-    for i, (name, kind) in enumerate(zip(topology.param_names, topology.param_kinds)):
-        if kind == "angle":
-            dlo, dhi = _ANGLE_RANGES_DEG[name]
-            lo[i], hi[i] = np.deg2rad(dlo), np.deg2rad(dhi)
-        else:
-            # round away float dirt so the serialized table reparses exactly
-            lo[i] = np.round(-LENGTH_DELTA_FRACTION * rest[i], 12)
-            hi[i] = np.round(+LENGTH_DELTA_FRACTION * rest[i], 12)
-    return ConstraintTable(lo=lo, hi=hi, names=topology.param_names, kinds=topology.param_kinds)
-
-
 def table_to_text(table: ConstraintTable) -> str:
     lines = ["# dhpose constraint table v1",
              "# deltas from rest: degrees for angle ids, meters for length ids",
@@ -246,6 +207,10 @@ def load_constraint_table(path) -> ConstraintTable:
 _DEFAULT: dict[str, ConstraintTable] = {}
 
 
+# The shipped joint-angle ranges are degrees of delta from rest.  The knee
+# range is the anatomical flexion interval; the elbow range keeps flexion
+# positive so the mirror-image (backward-bending) configuration cannot be
+# generated.  Bone-length deltas stay within +/-20% of rest.
 def default_constraint_table() -> ConstraintTable:
     """The shipped table (parsed from the packaged data file)."""
     if "table" not in _DEFAULT:

@@ -67,6 +67,13 @@ class GlobalBounds:
     lo: tuple = (-np.pi, -np.pi, -np.pi, -2.0, -1.0, 3.0)
     hi: tuple = (np.pi, np.pi, np.pi, 2.0, 1.0, 6.0)
 
+    def __post_init__(self):
+        for name in ("lo", "hi"):
+            values = tuple(float(v) for v in getattr(self, name))
+            if len(values) != N_GLOBAL:
+                raise ValueError(f"bounds need {N_GLOBAL} {name!r} values, got {len(values)}")
+            object.__setattr__(self, name, values)
+
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
 
@@ -123,6 +130,13 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive, got {value}")
         if self.beta_epoch > self.epochs:
             raise ValueError(f"beta_epoch {self.beta_epoch} exceeds epochs {self.epochs}")
+        for name in ("gen_hidden", "enc_hidden", "head_hidden"):
+            widths = getattr(self, name)
+            if not isinstance(widths, tuple) or not all(isinstance(w, int) and w > 0
+                                                        for w in widths):
+                raise ValueError(f"{name} must be a tuple of positive layer widths, got {widths!r}")
+        if not self.enc_hidden:
+            raise ValueError("enc_hidden needs at least one layer: the critic heads read its width")
 
     def to_json(self) -> str:
         d = self.__dict__.copy()
@@ -132,15 +146,22 @@ class TrainConfig:
         return json.dumps(d, indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "TrainConfig":
-        d = json.loads(text)
-        if "bounds" in d:
-            d["bounds"] = GlobalBounds(lo=tuple(d["bounds"]["lo"]), hi=tuple(d["bounds"]["hi"]))
-        for k in ("gen_hidden", "enc_hidden", "head_hidden"):
-            if k in d:
-                d[k] = tuple(d[k])
-        cfg = cls(**d)
-        cfg.validate()
+    def from_json(cls, text: str, source="<json>") -> "TrainConfig":
+        """Parse ``to_json`` output (keys left out keep their defaults); text
+        that does not make a valid config raises ValueError naming ``source``."""
+        try:
+            d = json.loads(text)
+            if not isinstance(d, dict):
+                raise ValueError(f"expected a JSON object, got {type(d).__name__}")
+            if "bounds" in d:
+                d["bounds"] = GlobalBounds(**d["bounds"])
+            for k in ("gen_hidden", "enc_hidden", "head_hidden"):
+                if isinstance(d.get(k), list):
+                    d[k] = tuple(d[k])
+            cfg = cls(**d)
+            cfg.validate()
+        except (ValueError, TypeError) as exc:  # TypeError: an unknown key or a mistyped value
+            raise ValueError(f"{source}: bad training config: {exc}") from exc
         return cfg
 
 
@@ -166,6 +187,8 @@ class DhGenerator:
     bounds: GlobalBounds = field(default_factory=GlobalBounds)
 
     def __post_init__(self):
+        if self.mode not in ("single", "video"):
+            raise ValueError(f"generator mode must be 'single' or 'video', got {self.mode!r}")
         need = _out_width(self.mode, self.frames)
         if self.net.out_dim != need:
             raise ValueError(f"generator net emits {self.net.out_dim} values; "
@@ -307,6 +330,12 @@ def _cosines(pose: Tensor, pairs: AdjacentBonePairs) -> Tensor:
     return ad.node("cosines", cos, (pose,), bwd)
 
 
+# The critics' input streams by name: ``frame_streams`` emits FRAME_STREAMS,
+# ``motion_streams`` MOTION_STREAMS.  Critic inputs are dicts keyed by them.
+FRAME_STREAMS = ("x3d", "xcos", "x2d")
+MOTION_STREAMS = ("seq3d", "diff3d", "cosseq", "cosdiff", "seq2d", "root2d")
+
+
 def frame_streams(pose3d: Tensor, pose2d: Tensor, cam,
                   pairs: AdjacentBonePairs) -> tuple[Tensor, Tensor, Tensor]:
     """The frame critic's streams of (N, K, 3) and (N, K, 2) poses: x3d, the
@@ -338,9 +367,20 @@ def motion_streams(x3d: Tensor, xcos: Tensor, x2d: Tensor, frames: int) -> dict:
     def diff(seq: Tensor) -> Tensor:
         return ad.reshape(ad.sub(seq[:, 1:], seq[:, :-1]), (b, -1))
 
-    return {"seq3d": ad.reshape(seq3d, (b, -1)), "diff3d": diff(seq3d),
-            "cosseq": ad.reshape(cosseq, (b, -1)), "cosdiff": diff(cosseq),
-            "seq2d": ad.reshape(seq2d, (b, -1)), "root2d": diff(root)}
+    return dict(zip(MOTION_STREAMS, (ad.reshape(seq3d, (b, -1)), diff(seq3d),
+                                     ad.reshape(cosseq, (b, -1)), diff(cosseq),
+                                     ad.reshape(seq2d, (b, -1)), diff(root))))
+
+
+def _streams(pose3d: Tensor, pose2d: Tensor, cam, pairs: AdjacentBonePairs,
+             frames: Optional[int]) -> dict:
+    """The critic streams of (N, K, 3) and (N, K, 2) poses by name: the frame
+    streams, then, unless ``frames`` is None (single mode), the motion
+    streams of their N / frames sequences."""
+    streams = dict(zip(FRAME_STREAMS, frame_streams(pose3d, pose2d, cam, pairs)))
+    if frames is not None:
+        streams.update(motion_streams(*(streams[k] for k in FRAME_STREAMS), frames))
+    return streams
 
 
 @dataclass
@@ -350,10 +390,7 @@ class TapeGenOutput:
     params: Tensor       # (N, 48) squashed deltas (N = B or B*T)
     globals_: Tensor     # (N, 6)
     pose3d: Tensor       # (N, 16, 3)
-    x3d: Tensor          # (N, 48) flattened pose
-    xcos: Tensor         # (N, n_pairs)
-    x2d: Tensor          # (N, 32) normalized pixels
-    motion: Optional[dict] = None  # video mode: the six sequence streams
+    streams: dict        # the ``_streams`` dict, in the net's dtype
 
 
 def generate_on_tape(gen: DhGenerator, z, tape: Tape, gen_params: list,
@@ -369,14 +406,12 @@ def generate_on_tape(gen: DhGenerator, z, tape: Tape, gen_params: list,
         raise TrainingDivergedError(
             "generated joint in front of the near plane; widen the translation bounds",
             {"min_depth": float(pose3d.values[:, :, 2].min()), "z_min": gen.camera.z_min})
-    x3d, xcos, x2d = frame_streams(pose3d, project(pose3d, gen.camera), gen.camera, pairs)
-    motion = None
-    if gen.mode == "video":
-        motion = {k: ad.astype(v, dtype)
-                  for k, v in motion_streams(x3d, xcos, x2d, gen.frames).items()}
-    return TapeGenOutput(params=params, globals_=globals_, pose3d=pose3d,
-                         x3d=ad.astype(x3d, dtype), xcos=ad.astype(xcos, dtype),
-                         x2d=ad.astype(x2d, dtype), motion=motion)
+    streams = _streams(pose3d, project(pose3d, gen.camera), gen.camera, pairs,
+                       gen.frames if gen.mode == "video" else None)
+    # motion streams are cast first: this keeps the tape's node order
+    streams = {k: ad.astype(streams[k], dtype) for k in (*MOTION_STREAMS, *FRAME_STREAMS)
+               if k in streams}
+    return TapeGenOutput(params=params, globals_=globals_, pose3d=pose3d, streams=streams)
 
 
 # --------------------------------------------------------------------------
@@ -397,6 +432,9 @@ class FrameCritic(_Critic):
     enc2d: nn.Mlp
     head: nn.Mlp
 
+    # ((streams, their encoders, head), ...): the score is the sum of the heads
+    BRANCHES = ((FRAME_STREAMS, ("enc3d", "enc_cos", "enc2d"), "head"),)
+
 
 @dataclass
 class MotionCritic(_Critic):
@@ -412,10 +450,10 @@ class MotionCritic(_Critic):
     enc2d_diff: nn.Mlp
     head2d: nn.Mlp
 
-    # (tag, (sequence stream, difference stream), their encoders, head)
-    BRANCHES = (("3d", ("seq3d", "diff3d"), ("enc3d_seq", "enc3d_diff"), "head3d"),
-                ("cos", ("cosseq", "cosdiff"), ("enc_cos_seq", "enc_cos_diff"), "head_cos"),
-                ("2d", ("seq2d", "root2d"), ("enc2d_seq", "enc2d_diff"), "head2d"))
+    # as FrameCritic's; each branch reads a sequence and its differences
+    BRANCHES = ((("seq3d", "diff3d"), ("enc3d_seq", "enc3d_diff"), "head3d"),
+                (("cosseq", "cosdiff"), ("enc_cos_seq", "enc_cos_diff"), "head_cos"),
+                (("seq2d", "root2d"), ("enc2d_seq", "enc2d_diff"), "head2d"))
 
 
 def _encoder(in_dim: int, hidden: tuple, rng) -> nn.Mlp:
@@ -473,14 +511,27 @@ def _fused_score(critic, inputs, encoders, head: str, tape: Tape,
                    "widths": [out.shape[1] for out in outs], "score": score}
 
 
-def _penalty(parts, alpha: float, tape: Tape) -> Tensor:
-    """The WGAN-GP penalty alpha * mean((|g| - 1)^2), g each sample's gradient
-    with respect to the inputs of every encoder of the scored ``parts``; each
-    head must have a scalar output."""
+def score(critic, streams: dict, tape: Tape,
+          params: Optional[dict] = None) -> tuple[Tensor, list]:
+    """Per-sample score (B, 1), the sum of the critic's ``BRANCHES`` heads,
+    plus each branch's ``_fused_score`` parts, in branch order."""
+    total, parts = None, []
+    for keys, encoders, head in critic.BRANCHES:
+        s, part = _fused_score(critic, [streams[k] for k in keys], encoders, head, tape, params)
+        total = s if total is None else ad.add(total, s)
+        parts.append(part)
+    return total, parts
+
+
+def penalty(critic, streams: dict, alpha: float, tape: Tape,
+            params: Optional[dict] = None) -> Tensor:
+    """The WGAN-GP penalty alpha * mean((|g| - 1)^2) at the given
+    (interpolated) streams, g each sample's gradient with respect to the
+    inputs of every encoder; each head must have a scalar output."""
     if alpha < 0:
         raise ValueError(f"alpha must be non-negative, got {alpha}")
     grads = []
-    for part in parts:
+    for part in score(critic, streams, tape, params)[1]:
         if part["score"].shape[1] != 1:
             raise ValueError(f"the penalty needs scalar critic scores, got {part['score'].shape}")
         g_h = nn.mlp_vjp(part["head_trace"], tape.const(np.ones_like(part["score"].values)))
@@ -493,62 +544,25 @@ def _penalty(parts, alpha: float, tape: Tape) -> Tensor:
     return ad.mul(ad.mean(ad.square(ad.sub(ad.sqrt(total), 1.0))), alpha)
 
 
-def frame_score(critic: FrameCritic, x3d, xcos, x2d, tape: Tape,
-                params: Optional[dict] = None) -> tuple[Tensor, dict]:
-    """Per-sample score (B, 1) plus the traces needed for input gradients."""
-    return _fused_score(critic, (x3d, xcos, x2d), ("enc3d", "enc_cos", "enc2d"), "head", tape,
-                        params)
+# perfbench times each critic's scoring and penalty under these names,
+# patching them by module attribute; a caller scoring one critic calls its
+# alias, so the time lands in that critic's span.
+frame_score = motion_score = score
+frame_penalty = motion_penalty = penalty
 
 
-def frame_penalty(critic: FrameCritic, x3d, xcos, x2d, alpha: float, tape: Tape,
-                  params: Optional[dict] = None) -> Tensor:
-    """Gradient penalty of the frame critic at the given (interpolated) input."""
-    return _penalty([frame_score(critic, x3d, xcos, x2d, tape, params)[1]], alpha, tape)
-
-
-_MOTION_KEYS = ("seq3d", "diff3d", "cosseq", "cosdiff", "seq2d", "root2d")
-
-
-def motion_score(critic: MotionCritic, streams: dict, tape: Tape,
-                 params: Optional[dict] = None) -> tuple[Tensor, dict]:
-    """Sum of the three branch-head scores, (B, 1)."""
-    info = {}
-    total = None
-    for tag, keys, encoders, head in critic.BRANCHES:
-        s, info[tag] = _fused_score(critic, [streams[k] for k in keys], encoders, head, tape,
-                                    params)
-        total = s if total is None else ad.add(total, s)
-    return total, info
-
-
-def motion_penalty(critic: MotionCritic, streams: dict, alpha: float, tape: Tape,
-                   params: Optional[dict] = None) -> Tensor:
-    return _penalty(motion_score(critic, streams, tape, params)[1].values(), alpha, tape)
-
-
-def discriminate_motion(critic: MotionCritic, streams: dict) -> np.ndarray:
-    """Deterministic motion-critic scores, (B,), numpy in and out (float64)."""
+def discriminate(critic, streams: dict) -> np.ndarray:
+    """Deterministic critic scores, (B,), numpy in and out (float64)."""
     with Tape() as tape:
-        return motion_score(critic, {k: np.asarray(v, dtype=np.float64)
-                                     for k, v in streams.items()}, tape)[0].values[:, 0]
+        return score(critic, {k: np.asarray(v, dtype=np.float64) for k, v in streams.items()},
+                     tape)[0].values[:, 0]
 
 
 # --------------------------------------------------------------------------
 # Batches and losses
 
-@dataclass
-class FeatureBatch:
-    """Numpy critic inputs: frame streams, plus motion streams in video mode."""
-
-    x3d: np.ndarray
-    xcos: np.ndarray
-    x2d: np.ndarray
-    motion: Optional[dict] = None
-
-
-def feature_batch(pose3d, pose2d, cam, pairs: AdjacentBonePairs,
-                  video: bool = False) -> FeatureBatch:
-    """Numpy critic inputs of (B, K, 3/2) poses, or of (B, T, K, 3/2)
+def feature_batch(pose3d, pose2d, cam, pairs: AdjacentBonePairs, video: bool = False) -> dict:
+    """Numpy critic streams of (B, K, 3/2) poses, or of (B, T, K, 3/2)
     sequences with their motion streams when ``video``: the stream functions
     run on constants.  ``cam`` is one ``CameraIntrinsics`` or (B, 5) rows
     (see ``frame_streams``), one per pose or sequence."""
@@ -558,51 +572,35 @@ def feature_batch(pose3d, pose2d, cam, pairs: AdjacentBonePairs,
     if not isinstance(cam, CameraIntrinsics):  # a sequence's frames share its row
         cam = np.repeat(np.asarray(cam, dtype=np.float64), pose3d[0].size // (kp * 3), axis=0)
     with Tape() as tape:
-        x3d, xcos, x2d = frame_streams(tape.const(pose3d.reshape(-1, kp, 3)),
-                                       tape.const(pose2d.reshape(-1, kp, 2)), cam, pairs)
-        motion = motion_streams(x3d, xcos, x2d, pose3d.shape[1]) if video else None
-    return FeatureBatch(x3d=x3d.values, xcos=xcos.values, x2d=x2d.values,
-                        motion=None if motion is None else {k: v.values for k, v in motion.items()})
+        streams = _streams(tape.const(pose3d.reshape(-1, kp, 3)),
+                           tape.const(pose2d.reshape(-1, kp, 2)), cam, pairs,
+                           pose3d.shape[1] if video else None)
+    return {k: v.values for k, v in streams.items()}
 
 
-def _check_matching(real: FeatureBatch, fake: FeatureBatch) -> None:
-    for name in ("x3d", "xcos", "x2d"):
-        a, b = getattr(real, name), getattr(fake, name)
-        if a.shape != b.shape:
-            raise ShapeError(f"real/fake {name} shapes differ: {a.shape} vs {b.shape}")
-    if (real.motion is None) != (fake.motion is None):
-        raise ShapeError("real/fake batches disagree on motion streams")
-    if real.motion is not None:
-        for k in _MOTION_KEYS:
-            if real.motion[k].shape != fake.motion[k].shape:
-                raise ShapeError(f"real/fake motion {k} shapes differ")
+def _check_matching(real: dict, fake: dict) -> None:
+    if real.keys() != fake.keys():
+        raise ShapeError(f"real/fake batches differ in streams {sorted(real.keys() ^ fake.keys())}")
+    for k in real:
+        if real[k].shape != fake[k].shape:
+            raise ShapeError(f"real/fake {k} shapes differ: {real[k].shape} vs {fake[k].shape}")
 
 
-def _interpolate(real: FeatureBatch, fake: FeatureBatch, rng: np.random.Generator,
-                 motion: bool) -> FeatureBatch:
+def _interpolate(real: dict, fake: dict, rng: np.random.Generator, motion: bool) -> dict:
     """The penalty inputs: per sample eps * real + (1 - eps) * fake with eps
-    uniform; the motion streams, when ``motion``, draw their own eps."""
-    def mix(a, b, eps):
-        eps = eps.astype(a.dtype, copy=False)
-        return eps * a + (1.0 - eps) * b
-
-    eps = rng.uniform(size=(real.x3d.shape[0], 1))
-    hat = FeatureBatch(*(mix(getattr(real, k), getattr(fake, k), eps)
-                         for k in ("x3d", "xcos", "x2d")))
-    if motion:
-        eps_m = rng.uniform(size=(real.motion["seq3d"].shape[0], 1))
-        hat.motion = {k: mix(real.motion[k], fake.motion[k], eps_m) for k in _MOTION_KEYS}
+    uniform, one draw for the frame streams and, when ``motion``, one for
+    the motion streams."""
+    hat = {}
+    for group in (FRAME_STREAMS, MOTION_STREAMS) if motion else (FRAME_STREAMS,):
+        eps = rng.uniform(size=(real[group[0]].shape[0], 1))
+        for k in group:
+            e = eps.astype(real[k].dtype, copy=False)
+            hat[k] = e * real[k] + (1.0 - e) * fake[k]
     return hat
 
 
-def _cast_batch(fb: FeatureBatch, dtype) -> FeatureBatch:
-    motion = None if fb.motion is None else {k: v.astype(dtype) for k, v in fb.motion.items()}
-    return FeatureBatch(x3d=fb.x3d.astype(dtype), xcos=fb.xcos.astype(dtype),
-                        x2d=fb.x2d.astype(dtype), motion=motion)
-
-
-def critic_loss(ds: FrameCritic, dm: Optional[MotionCritic], real: FeatureBatch,
-                fake: FeatureBatch, alpha: float, gamma: int, rng: np.random.Generator,
+def critic_loss(ds: FrameCritic, dm: Optional[MotionCritic], real: dict,
+                fake: dict, alpha: float, gamma: int, rng: np.random.Generator,
                 tape: Tape, ds_params: Optional[dict] = None,
                 dm_params: Optional[dict] = None, scores: Optional[dict] = None) -> Tensor:
     """Critic objective: E[D(fake)] - E[D(real)] + alpha * penalty, with the
@@ -614,19 +612,19 @@ def critic_loss(ds: FrameCritic, dm: Optional[MotionCritic], real: FeatureBatch,
     """
     _check_matching(real, fake)
     motion = bool(gamma and dm is not None)
-    if motion and real.motion is None:
+    if motion and not real.keys() >= set(MOTION_STREAMS):
         raise ShapeError("motion terms are on but the batches carry no motion streams")
     hat = _interpolate(real, fake, rng, motion)
-    s_fake, _ = frame_score(ds, fake.x3d, fake.xcos, fake.x2d, tape, ds_params)
-    s_real, _ = frame_score(ds, real.x3d, real.xcos, real.x2d, tape, ds_params)
+    s_fake, _ = frame_score(ds, fake, tape, ds_params)
+    s_real, _ = frame_score(ds, real, tape, ds_params)
     if scores is not None:
         scores["real"], scores["fake"] = s_real.values[:, 0], s_fake.values[:, 0]
-    pen = frame_penalty(ds, hat.x3d, hat.xcos, hat.x2d, alpha, tape, ds_params)
+    pen = frame_penalty(ds, hat, alpha, tape, ds_params)
     loss = ad.add(ad.sub(ad.mean(s_fake), ad.mean(s_real)), pen)
     if motion:
-        m_fake, _ = motion_score(dm, fake.motion, tape, dm_params)
-        m_real, _ = motion_score(dm, real.motion, tape, dm_params)
-        m_pen = motion_penalty(dm, hat.motion, alpha, tape, dm_params)
+        m_fake, _ = motion_score(dm, fake, tape, dm_params)
+        m_real, _ = motion_score(dm, real, tape, dm_params)
+        m_pen = motion_penalty(dm, hat, alpha, tape, dm_params)
         loss = ad.add(loss, ad.add(ad.sub(ad.mean(m_fake), ad.mean(m_real)), m_pen))
     return loss
 
@@ -639,12 +637,12 @@ def generator_loss(ds: FrameCritic, dm: Optional[MotionCritic], fake: TapeGenOut
     The critics score with ``ds_params``/``dm_params`` when given, else with
     their float64 weights as constants.
     """
-    s, _ = frame_score(ds, fake.x3d, fake.xcos, fake.x2d, tape, ds_params)
+    s, _ = frame_score(ds, fake.streams, tape, ds_params)
     loss = ad.neg(ad.mean(s))
     if gamma and dm is not None:
-        if fake.motion is None:
+        if not fake.streams.keys() >= set(MOTION_STREAMS):
             raise ShapeError("motion terms are on but the generator emitted no sequences")
-        m, _ = motion_score(dm, fake.motion, tape, dm_params)
+        m, _ = motion_score(dm, fake.streams, tape, dm_params)
         loss = ad.sub(loss, ad.mean(m))
     return loss
 
@@ -712,12 +710,12 @@ def _abort_if_bad(value: float, what: str, state: TrainState, extra: dict):
 
 
 def _real_minibatch(data: RealData, idx: np.ndarray, pairs: AdjacentBonePairs,
-                    video: bool) -> FeatureBatch:
+                    video: bool) -> dict:
     return feature_batch(data.pose3d[idx], data.pose2d[idx], data.cams[idx], pairs, video)
 
 
 def _fake_minibatch(state: TrainState, batch: int, pairs: AdjacentBonePairs,
-                    video: bool) -> tuple[FeatureBatch, int]:
+                    video: bool) -> tuple[dict, int]:
     z = sample_latent(batch, state.config.z_dim, state.rng)
     out = generate(state.gen, z)
     bad = count_violations(out.params.reshape(-1, N_PARAMS), state.gen.table)
@@ -725,10 +723,9 @@ def _fake_minibatch(state: TrainState, batch: int, pairs: AdjacentBonePairs,
     return fb, bad
 
 
-def critic_update(state: TrainState, real: FeatureBatch, fake: FeatureBatch,
-                  gamma: int) -> dict:
+def critic_update(state: TrainState, real: dict, fake: dict, gamma: int) -> dict:
     """One critic step in ``COMPUTE_DTYPE``; Adam updates the float64 weights."""
-    real, fake = _cast_batch(real, COMPUTE_DTYPE), _cast_batch(fake, COMPUTE_DTYPE)
+    real, fake = ({k: v.astype(COMPUTE_DTYPE) for k, v in b.items()} for b in (real, fake))
     with Tape() as tape:  # the tape's memory is freed on return
         ds_leaves = critic_leaves(tape, state.ds, COMPUTE_DTYPE)
         dm_leaves = critic_leaves(tape, state.dm, COMPUTE_DTYPE) if (gamma and state.dm) else None
@@ -803,12 +800,12 @@ def train_epoch(state: TrainState, data: RealData, synth_dir: Optional[str] = No
     motion = bool(gamma and state.dm is not None)
     hat = _interpolate(real, fake, state.rng, motion)
     with Tape() as tape:
-        penalty = float(frame_penalty(state.ds, hat.x3d, hat.xcos, hat.x2d, cfg.alpha, tape).values)
+        frame_pen = float(frame_penalty(state.ds, hat, cfg.alpha, tape).values)
     if motion:
         with Tape() as tape:
-            motion_pen = float(motion_penalty(state.dm, hat.motion, cfg.alpha, tape).values)
-        m_real = discriminate_motion(state.dm, real.motion)
-        m_fake = discriminate_motion(state.dm, fake.motion)
+            motion_pen = float(motion_penalty(state.dm, hat, cfg.alpha, tape).values)
+        m_real = discriminate(state.dm, real)
+        m_fake = discriminate(state.dm, fake)
         motion_gap = float(m_real.mean() - m_fake.mean())
     else:
         motion_pen = 0.0
@@ -818,7 +815,7 @@ def train_epoch(state: TrainState, data: RealData, synth_dir: Optional[str] = No
         "epoch": state.epoch,
         "gamma": gamma,
         "d_gap": float(np.mean(d_gaps)),
-        "penalty": penalty,
+        "penalty": frame_pen,
         "motion_gap": motion_gap,
         "motion_penalty": motion_pen,
         "gen_loss": float(np.mean(gen_losses)),
@@ -860,10 +857,16 @@ def load_generator(path, topology: Optional[SkeletonTopology] = None,
     nets, _, extra = nn.load_checkpoint(path)
     topology = topology or default_topology()
     if "topology" in extra and extra["topology"] != topology_hash(topology):
-        raise ValueError(f"checkpoint was trained against topology {extra['topology']}, "
+        raise ValueError(f"{path}: checkpoint was trained against topology {extra['topology']}, "
                          f"not {topology_hash(topology)}")
-    return DhGenerator(net=nets["gen"], topology=topology,
-                       table=table or default_constraint_table(),
-                       camera=camera or default_camera(),
-                       mode=extra.get("mode", "single"), frames=int(extra.get("frames", "1")),
-                       bounds=bounds or GlobalBounds())
+    if "gen" not in nets:
+        raise ValueError(f"{path}: checkpoint holds no generator net 'gen' "
+                         f"(nets: {', '.join(nets) or 'none'})")
+    try:
+        return DhGenerator(net=nets["gen"], topology=topology,
+                           table=table or default_constraint_table(),
+                           camera=camera or default_camera(),
+                           mode=extra.get("mode", "single"), frames=int(extra.get("frames", "1")),
+                           bounds=bounds or GlobalBounds())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -132,17 +132,6 @@ class SkeletonTopology:
     def keypoint_count(self) -> int:
         return len(self.keypoint_names)
 
-    def length_ids(self) -> np.ndarray:
-        return np.array([i for i, k in enumerate(self.param_kinds) if k == "length"])
-
-    def param_rest(self) -> np.ndarray:
-        """Rest value per canonical id: 0 for angles, rest bone length for lengths."""
-        rest = np.zeros(len(self.param_names))
-        for (b, r, fld), pid in self.param_index.items():
-            if self.param_kinds[pid] == "length":
-                rest[pid] = getattr(self.branches[b].rows[r], fld)
-        return rest
-
     def validate(self) -> None:
         if len(self.branches) != N_BRANCHES:
             raise ValueError(f"expected {N_BRANCHES} branches, got {len(self.branches)}")

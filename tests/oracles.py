@@ -73,6 +73,15 @@ def fk_naive(topology, params, g):
     return kps
 
 
+def param_rest_ref(topology):
+    """Rest value per canonical id: 0 for angles, rest bone length for lengths."""
+    rest = np.zeros(len(topology.param_names))
+    for (b, r, fld), pid in topology.param_index.items():
+        if topology.param_kinds[pid] == "length":
+            rest[pid] = getattr(topology.branches[b].rows[r], fld)
+    return rest
+
+
 def central_difference(f, x, h=1e-6):
     """Gradient of scalar f at x (flat array), one coordinate at a time."""
     x = np.asarray(x, dtype=float)

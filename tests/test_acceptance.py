@@ -125,7 +125,7 @@ def test_criterion_telescoping_identities(pairs, topology, camera):
         seq3d = sk.forward_kinematics_batch(topology, params, g)
         seq2d = rng.normal(size=(frames, 16, 2)) * 50
         # the motion critic's difference streams
-        m = gan.feature_batch(seq3d[None], seq2d[None], camera, pairs, video=True).motion
+        m = gan.feature_batch(seq3d[None], seq2d[None], camera, pairs, video=True)
         d3 = m["diff3d"].reshape(frames - 1, 16, 3)
         s3 = d3.sum(axis=(0, 1))
         brute3 = np.zeros(3)
@@ -221,13 +221,13 @@ def test_criterion_autodiff_gradient_checks(pairs, camera):
     # runs, on a tiny frame critic and a tiny motion critic (T = 3)
     cfg = gan.TrainConfig(mode="video", frames=3, enc_hidden=(4,), head_hidden=(3,))
     rng = RNG(108)
-    fb = gan.feature_batch(rng.normal(size=(3, 3, 16, 3)), rng.normal(size=(3, 3, 16, 2)) * 50,
-                           camera, pairs, video=True)
+    streams = gan.feature_batch(rng.normal(size=(3, 3, 16, 3)),
+                                rng.normal(size=(3, 3, 16, 2)) * 50, camera, pairs, video=True)
     critics = (
         (gan.build_frame_critic(cfg, 14, RNG(109)),
-         lambda critic, tape, p: gan.frame_penalty(critic, fb.x3d, fb.xcos, fb.x2d, 10.0, tape, p)),
+         lambda critic, tape, p: gan.frame_penalty(critic, streams, 10.0, tape, p)),
         (gan.build_motion_critic(cfg, 14, RNG(110)),
-         lambda critic, tape, p: gan.motion_penalty(critic, fb.motion, 10.0, tape, p)))
+         lambda critic, tape, p: gan.motion_penalty(critic, streams, 10.0, tape, p)))
     for critic, penalty in critics:
         tape = ad.Tape()
         leaves = gan.critic_leaves(tape, critic)
@@ -248,12 +248,13 @@ def test_criterion_autodiff_gradient_checks(pairs, camera):
 def test_criterion_gradient_penalty_analytic_cases():
     t0 = time.perf_counter()
     rng = RNG(110)
-    x3d, xcos, x2d = rng.normal(size=(5, 48)), rng.normal(size=(5, 14)), rng.normal(size=(5, 32))
+    streams = dict(zip(gan.FRAME_STREAMS, (rng.normal(size=(5, 48)), rng.normal(size=(5, 14)),
+                                           rng.normal(size=(5, 32)))))
     # all-zero weights: zero input gradient
-    pen = gan.frame_penalty(linear_frame_critic(0.0), x3d, xcos, x2d, 10.0, ad.Tape())
+    pen = gan.frame_penalty(linear_frame_critic(0.0), streams, 10.0, ad.Tape())
     assert float(pen.values) == 10.0
     # weight 1 from one x3d input into one head channel: unit input gradient
-    pen0 = gan.frame_penalty(linear_frame_critic(1.0), x3d, xcos, x2d, 10.0, ad.Tape())
+    pen0 = gan.frame_penalty(linear_frame_critic(1.0), streams, 10.0, ad.Tape())
     assert float(pen0.values) == 0.0
     report("gradient-penalty analytic cases (alpha*1 and 0, exact)", 5, t0)
 
@@ -284,8 +285,8 @@ def test_criterion_smoke_gan_run():
         real = gan._real_minibatch(data, eval_idx % len(data), pairs, False)
         fake, _ = gan._fake_minibatch(state, 1024, pairs, False)
         with ad.Tape() as tape:
-            s_real = gan.frame_score(state.ds, real.x3d, real.xcos, real.x2d, tape)[0].values
-            s_fake = gan.frame_score(state.ds, fake.x3d, fake.xcos, fake.x2d, tape)[0].values
+            s_real = gan.frame_score(state.ds, real, tape)[0].values
+            s_fake = gan.frame_score(state.ds, fake, tape)[0].values
         return float(s_real.mean() - s_fake.mean())
 
     gap1 = run_once()

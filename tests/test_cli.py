@@ -263,6 +263,22 @@ class TestTrain:
             digests.append(hashlib.sha256((out_dir / "epoch_000.txt").read_bytes()).hexdigest())
         assert digests[0] == digests[1]
 
+    @pytest.mark.parametrize("text,says", [
+        ('{"epochz": 2}', "'epochz'"),
+        ('{"gen_hidden": 5}', "gen_hidden must be a tuple of positive layer widths, got 5"),
+        ('[{"epochs": 2}]', "expected a JSON object, got list"),
+        ('{"bounds": {"lo": [0]}}', "bounds need 6 'lo' values, got 1"),
+        ('{"enc_hidden": []}', "enc_hidden needs at least one layer"),
+    ])
+    def test_malformed_config_is_a_data_error_naming_the_file(self, capsys, tmp_path, text,
+                                                              says):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code, _, err = run(capsys, "train", "--config", str(path), "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert err.startswith(f"error: {path}: bad training config: ") and says in err
+        assert not (tmp_path / "run").exists()
+
     def test_divergence_is_a_data_error(self, capsys, tmp_path, monkeypatch):
         from dhpose import gan
         init = gan.init_train_state
@@ -309,6 +325,28 @@ class TestSynthFromCheckpoint:
                            "--out", str(tmp_path / "d.txt"), "--checkpoint", str(ckpt))
         assert code == 2
         assert "checkpoint blob truncated" in err
+
+
+    @pytest.mark.parametrize("edit,says", [
+        ((b"net gen ", b"net foo "), "holds no generator net 'gen' (nets: foo)"),
+        ((b"meta mode single", b"meta mode bogus"), "must be 'single' or 'video', got 'bogus'"),
+    ])
+    def test_malformed_checkpoint_is_a_data_error_naming_the_file(self, capsys, tmp_path, edit,
+                                                                  says):
+        from dhpose import gan
+        ckpt = tmp_path / "gen.ckpt"
+        gan.save_generator(gan.build_generator(gan.TrainConfig(gen_hidden=(8,)),
+                                               np.random.default_rng(0)), ckpt, seed=0)
+        text = ckpt.read_bytes()
+        if edit[0] == b"net gen ":  # the net's layer lines name it too
+            text = text.replace(b"layer gen ", b"layer foo ")
+        ckpt.write_bytes(text.replace(*edit))
+        out = tmp_path / "d.txt"
+        code, _, err = run(capsys, "synth", "--count", "4", "--seed", "9", "--out", str(out),
+                           "--checkpoint", str(ckpt))
+        assert code == 2
+        assert err.startswith(f"error: {ckpt}: ") and says in err
+        assert not out.exists()
 
 
 class TestExportVideo:

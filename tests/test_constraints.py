@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from dhpose import constraints as ct
 from dhpose import skeleton as sk
+from oracles import param_rest_ref
 
 
 # constraint-table defects -> what the parse error says after the file name
@@ -127,15 +129,17 @@ class TestDefaultTable:
             assert hi == pytest.approx(np.deg2rad(150), abs=1e-12)
 
     def test_length_deltas_are_plus_minus_20_percent(self, table, topology):
-        rest = topology.param_rest()
-        for i in topology.length_ids():
+        rest = param_rest_ref(topology)
+        lengths = [i for i, kind in enumerate(topology.param_kinds) if kind == "length"]
+        assert len(lengths) == 15
+        for i in lengths:
             assert table.lo[i] == pytest.approx(-0.2 * rest[i], abs=1e-12)
             assert table.hi[i] == pytest.approx(+0.2 * rest[i], abs=1e-12)
 
     def test_femur_effective_range(self, table, topology):
         # rest 0.45 m with +/-20% deltas spans effective lengths (0.36, 0.54)
         i = table.id_of("l_femur_len")
-        rest = topology.param_rest()[i]
+        rest = param_rest_ref(topology)[i]
         assert rest == pytest.approx(0.45)
         assert rest + table.lo[i] == pytest.approx(0.36, abs=1e-12)
         assert rest + table.hi[i] == pytest.approx(0.54, abs=1e-12)
@@ -147,6 +151,11 @@ class TestDefaultTable:
         with pytest.raises(ValueError, match="knee"):
             ct.ConstraintTable(lo=np.array([-1.0]), hi=np.array([0.5]),
                                names=("l_knee_flex",), kinds=("angle",))
+
+    def test_shipped_file_hash_is_pinned(self):
+        # data/constraints.txt is the one copy of the default ranges
+        text = ct.table_to_text(ct.default_constraint_table())
+        assert hashlib.sha256(text.encode()).hexdigest()[:12] == "35fefa8faa1a"
 
     def test_file_round_trip(self, table, tmp_path):
         path = tmp_path / "bounds.txt"

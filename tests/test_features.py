@@ -22,9 +22,9 @@ def motion(seq3d, pairs, seq2d=None):
     seq3d = np.asarray(seq3d, dtype=np.float64)
     if seq2d is None:
         seq2d = np.zeros(seq3d.shape[:-1] + (2,))
-    fb = gan.feature_batch(seq3d[None], np.asarray(seq2d)[None], default_camera(), pairs,
-                           video=True)
-    return {k: v[0] for k, v in fb.motion.items()}
+    streams = gan.feature_batch(seq3d[None], np.asarray(seq2d)[None], default_camera(), pairs,
+                                video=True)
+    return {k: streams[k][0] for k in gan.MOTION_STREAMS}
 
 
 def brute_force_sum(diffs):
@@ -193,11 +193,12 @@ class TestBundle:
         seq3d = sk.forward_kinematics_batch(topology, params, g)
         seq2d = project_pose(seq3d, camera)
         fb = gan.feature_batch(seq3d[None], seq2d[None], camera, pairs, video=True)
-        assert (fb.x3d.shape, fb.xcos.shape, fb.x2d.shape) == ((5, 48), (5, 14), (5, 32))
-        widths = {"seq3d": 5 * 48, "diff3d": 4 * 48, "cosseq": 5 * 14, "cosdiff": 4 * 14,
-                  "seq2d": 5 * 32, "root2d": 4 * 2}
-        assert {k: v.shape for k, v in fb.motion.items()} == {k: (1, w) for k, w in widths.items()}
-        total = fb.motion["diff3d"].reshape(-1, 3).sum(axis=0)
+        shapes = {"x3d": (5, 48), "xcos": (5, 14), "x2d": (5, 32), "seq3d": (1, 5 * 48),
+                  "diff3d": (1, 4 * 48), "cosseq": (1, 5 * 14), "cosdiff": (1, 4 * 14),
+                  "seq2d": (1, 5 * 32), "root2d": (1, 4 * 2)}
+        assert {k: v.shape for k, v in fb.items()} == shapes
+        assert list(fb) == [*gan.FRAME_STREAMS, *gan.MOTION_STREAMS]
+        total = fb["diff3d"].reshape(-1, 3).sum(axis=0)
         assert np.allclose(total, (seq3d[-1] - seq3d[0]).sum(axis=0), atol=1e-12)
 
     def test_mismatched_lengths_rejected(self, topology, pairs, camera):

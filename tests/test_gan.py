@@ -25,12 +25,6 @@ def tiny_config(**kw):
     return gan.TrainConfig(**base)
 
 
-def frame_scores(critic, x3d, xcos, x2d):
-    """The frame critic's (B,) scores of numpy streams, scored on a throwaway tape."""
-    with ad.Tape() as tape:
-        return gan.frame_score(critic, x3d, xcos, x2d, tape)[0].values[:, 0]
-
-
 def zero_nets(critic):
     for net in critic.nets().values():
         for layer in net.layers:
@@ -100,6 +94,12 @@ class TestGenerate:
         with pytest.raises(ValueError, match="54"):
             gan.DhGenerator(net=bad, topology=topology, table=table, camera=camera)
 
+    def test_unknown_mode_rejected(self, topology, table, camera):
+        # any mode but "single" would otherwise be taken for video
+        net = nn.mlp_init([16, 54], ["linear"], RNG(7))
+        with pytest.raises(ValueError, match="'bogus'"):
+            gan.DhGenerator(net=net, topology=topology, table=table, camera=camera, mode="bogus")
+
     def test_tape_path_matches_numpy_path(self, pairs):
         cfg = tiny_config()
         gen = gan.build_generator(cfg, RNG(8))
@@ -128,10 +128,10 @@ class TestGenerate:
         gen = gan.build_generator(cfg, RNG(60))
         z = gan.sample_latent(5, cfg.z_dim, RNG(61))
         out = gan.generate(gen, z)
-        want = gan.feature_batch(out.pose3d, out.pose2d, gen.camera, pairs, video=True).motion
+        want = gan.feature_batch(out.pose3d, out.pose2d, gen.camera, pairs, video=True)
         tape = ad.Tape()
         leaves = nn.mlp_leaves(tape, gen.net, gan.COMPUTE_DTYPE)
-        got = gan.generate_on_tape(gen, z, tape, leaves, pairs).motion
+        got = gan.generate_on_tape(gen, z, tape, leaves, pairs).streams
         assert got.keys() == want.keys()
         for k in want:
             assert got[k].values.shape == want[k].shape, k
@@ -226,22 +226,20 @@ class TestFrameCritic:
         cfg = tiny_config()
         gen = gan.build_generator(cfg, RNG(seed))
         out = gan.generate(gen, gan.sample_latent(n, cfg.z_dim, RNG(seed + 1)))
-        fb = gan.feature_batch(out.pose3d, out.pose2d, gen.camera, pairs)
-        return fb.x3d, fb.xcos, fb.x2d
+        return gan.feature_batch(out.pose3d, out.pose2d, gen.camera, pairs)
 
     def test_zero_weights_score_zero(self, pairs):
         cfg = tiny_config()
         critic = gan.build_frame_critic(cfg, 14, RNG(13))
         zero_nets(critic)
-        x3d, xcos, x2d = self._streams(pairs)
-        assert np.all(frame_scores(critic, x3d, xcos, x2d) == 0.0)
+        assert np.all(gan.discriminate(critic, self._streams(pairs)) == 0.0)
 
     def test_deterministic(self, pairs):
         cfg = tiny_config()
         critic = gan.build_frame_critic(cfg, 14, RNG(14))
-        x3d, xcos, x2d = self._streams(pairs)
-        s1 = frame_scores(critic, x3d, xcos, x2d)
-        s2 = frame_scores(critic, x3d, xcos, x2d)
+        streams = self._streams(pairs)
+        s1 = gan.discriminate(critic, streams)
+        s2 = gan.discriminate(critic, streams)
         assert np.array_equal(s1, s2)
 
     @pytest.mark.parametrize("mode,frames", [("single", 1), ("video", 3)])
@@ -253,11 +251,11 @@ class TestFrameCritic:
     def test_cosine_stream_wired_in(self, pairs):
         cfg = tiny_config()
         critic = gan.build_frame_critic(cfg, 14, RNG(15))
-        x3d, xcos, x2d = self._streams(pairs)
-        s1 = frame_scores(critic, x3d, xcos, x2d)
-        xcos2 = xcos.copy()
+        streams = self._streams(pairs)
+        s1 = gan.discriminate(critic, streams)
+        xcos2 = streams["xcos"].copy()
         xcos2[:, 3] += 0.25
-        s2 = frame_scores(critic, x3d, xcos2, x2d)
+        s2 = gan.discriminate(critic, dict(streams, xcos=xcos2))
         assert np.max(np.abs(s1 - s2)) > 0.0
 
 
@@ -266,32 +264,32 @@ class TestMotionCritic:
         cfg = tiny_config(mode="video", frames=frames)
         gen = gan.build_generator(cfg, RNG(seed))
         out = gan.generate(gen, gan.sample_latent(n, cfg.z_dim, RNG(seed + 1)))
-        return gan.feature_batch(out.pose3d, out.pose2d, gen.camera, pairs, video=True).motion, cfg
+        return gan.feature_batch(out.pose3d, out.pose2d, gen.camera, pairs, video=True), cfg
 
     def test_zero_weights_score_zero(self, pairs):
         streams, cfg = self._streams(pairs)
         critic = gan.build_motion_critic(cfg, 14, RNG(17))
         zero_nets(critic)
-        assert np.all(gan.discriminate_motion(critic, streams) == 0.0)
+        assert np.all(gan.discriminate(critic, streams) == 0.0)
 
     def test_score_is_sum_of_branches(self, pairs):
         streams, cfg = self._streams(pairs)
         critic = gan.build_motion_critic(cfg, 14, RNG(18))
         tape = ad.Tape()
-        total, info = gan.motion_score(critic, streams, tape)
-        parts = sum(info[tag]["score"].values for tag in ("3d", "cos", "2d"))
-        assert np.allclose(total.values, parts, atol=1e-12)
+        total, parts = gan.motion_score(critic, streams, tape)
+        assert len(parts) == len(critic.BRANCHES) == 3
+        assert np.allclose(total.values, sum(p["score"].values for p in parts), atol=1e-12)
 
     def test_branch_ablation_removes_exactly_its_contribution(self, pairs):
         streams, cfg = self._streams(pairs)
         critic = gan.build_motion_critic(cfg, 14, RNG(19))
         tape = ad.Tape()
-        before, info = gan.motion_score(critic, streams, tape)
-        contribution = info["2d"]["score"].values.copy()
+        before, parts = gan.motion_score(critic, streams, tape)
+        contribution = parts[2]["score"].values.copy()  # the head2d branch
         for layer in critic.head2d.layers:
             layer.w = np.zeros_like(layer.w)
             layer.b = np.zeros_like(layer.b)
-        after = gan.discriminate_motion(critic, streams)
+        after = gan.discriminate(critic, streams)
         assert np.allclose(before.values[:, 0] - after, contribution[:, 0], atol=1e-12)
 
     def test_frame_order_changes_the_score(self, pairs, topology, camera):
@@ -305,12 +303,12 @@ class TestMotionCritic:
         g[:, 5] = 4.0
         seq3d = sk.forward_kinematics_batch(topology, params, g)
         seq2d = project_pose(seq3d, camera)
-        ordered = gan.feature_batch(seq3d[None], seq2d[None], camera, pairs, video=True).motion
+        ordered = gan.feature_batch(seq3d[None], seq2d[None], camera, pairs, video=True)
         perm = np.array([2, 0, 4, 1, 3])
         shuffled = gan.feature_batch(seq3d[perm][None], seq2d[perm][None], camera, pairs,
-                                     video=True).motion
-        s_ord = gan.discriminate_motion(critic, ordered)
-        s_shuf = gan.discriminate_motion(critic, shuffled)
+                                     video=True)
+        s_ord = gan.discriminate(critic, ordered)
+        s_shuf = gan.discriminate(critic, shuffled)
         assert abs(float(s_ord[0] - s_shuf[0])) > 1e-9
 
     def test_root2d_is_the_normalized_root_trajectory(self, pairs, camera):
@@ -326,7 +324,7 @@ class TestMotionCritic:
         pose = sk.rest_pose(topology) + [0, 0, 4.0]
         seq3d = np.stack([pose] * 4)[None]
         seq2d = project_pose(seq3d, camera)
-        streams = gan.feature_batch(seq3d, seq2d, camera, pairs, video=True).motion
+        streams = gan.feature_batch(seq3d, seq2d, camera, pairs, video=True)
         assert np.all(streams["diff3d"] == 0)
         assert np.all(streams["cosdiff"] == 0)
         assert np.all(streams["root2d"] == 0)
@@ -401,9 +399,21 @@ class TestCriticLoss:
 
     def test_shape_mismatch_rejected(self, pairs):
         real, fake, _ = self._batches(pairs)
-        short = gan.FeatureBatch(x3d=fake.x3d[:-1], xcos=fake.xcos[:-1], x2d=fake.x2d[:-1])
-        with pytest.raises(ad.ShapeError):
+        short = {k: v[:-1] for k, v in fake.items()}
+        with pytest.raises(ad.ShapeError, match="x3d shapes differ"):
             gan.critic_loss(sum_critic(), None, real, short, 1.0, 0, RNG(3), ad.Tape())
+
+    def test_stream_set_mismatch_rejected(self, pairs):
+        cfg = tiny_config(mode="video", frames=3)
+        gen = gan.build_generator(cfg, RNG(36))
+        a = gan.generate(gen, gan.sample_latent(4, cfg.z_dim, RNG(37)))
+        real = gan.feature_batch(a.pose3d, a.pose2d, gen.camera, pairs, video=True)
+        fake = {k: v for k, v in real.items() if k != "root2d"}
+        with pytest.raises(ad.ShapeError, match="differ in streams \\['root2d'\\]"):
+            gan.critic_loss(sum_critic(), None, real, fake, 1.0, 0, RNG(5), ad.Tape())
+        single = gan.feature_batch(a.pose3d[:, 0], a.pose2d[:, 0], gen.camera, pairs)
+        with pytest.raises(ad.ShapeError, match="cosdiff"):
+            gan.critic_loss(sum_critic(), None, single, real, 1.0, 0, RNG(6), ad.Tape())
 
     def test_gamma_one_needs_motion_streams(self, pairs):
         real, fake, cfg = self._batches(pairs)
@@ -432,7 +442,7 @@ class TestGeneratorLoss:
         fake, tape, cfg, _ = self._fake(pairs)
         critic = gan.build_frame_critic(cfg, 14, RNG(33))
         loss = gan.generator_loss(critic, None, fake, 0, tape)
-        scores = frame_scores(critic, fake.x3d.values, fake.xcos.values, fake.x2d.values)
+        scores = gan.discriminate(critic, {k: t.values for k, t in fake.streams.items()})
         assert float(loss.values) == pytest.approx(-scores.mean(), abs=1e-12)
 
     def test_head_bias_shift_moves_loss_linearly(self, pairs):
@@ -483,8 +493,8 @@ class TestEndToEndGradients:
 
         def loss_value():
             out = generate_ref(gen, z)
-            fb = gan.feature_batch(out.pose3d, out.pose2d, gen.camera, pairs)
-            return -frame_scores(critic, fb.x3d, fb.xcos, fb.x2d).mean()
+            return -gan.discriminate(
+                critic, gan.feature_batch(out.pose3d, out.pose2d, gen.camera, pairs)).mean()
 
         tape = ad.Tape()
         leaves = nn.mlp_leaves(tape, gen.net)
@@ -609,8 +619,8 @@ class TestTrainEpoch:
         dtype = gan.COMPUTE_DTYPE
         with ad.Tape() as tape:
             params = gan.critic_leaves(tape, before, dtype)
-            s_real, s_fake = (gan.frame_score(before, b.x3d.astype(dtype), b.xcos.astype(dtype),
-                                              b.x2d.astype(dtype), tape, params)[0].values[:, 0]
+            s_real, s_fake = (gan.frame_score(before, {k: v.astype(dtype) for k, v in b.items()},
+                                              tape, params)[0].values[:, 0]
                               for b in (real, fake))
         calls = []
         mlp_eval = nn.mlp_eval
@@ -673,11 +683,12 @@ class TestTrainEpoch:
         fake = outs[0]
         for t in (fake.params, fake.globals_, fake.pose3d):
             assert t.values.dtype == np.float64
-        for t in (fake.x3d, fake.xcos, fake.x2d, *fake.motion.values()):
+        assert len(fake.streams) == 9
+        for t in fake.streams.values():
             assert t.values.dtype == np.float32
         # each stream is the float64 geometry rounded once
         x3d = fake.pose3d.values.reshape(-1, 48)
-        assert np.array_equal(fake.x3d.values, x3d.astype(np.float32))
+        assert np.array_equal(fake.streams["x3d"].values, x3d.astype(np.float32))
         assert m["violations"] == 0
         after = weights(state.gen.net)
         assert len(after) == len(before)
@@ -699,8 +710,8 @@ class TestTrainEpoch:
             gan.critic_update(state, real, fake, 0)
         real = gan._real_minibatch(data, np.arange(len(data)), pairs, False)
         fake, _ = gan._fake_minibatch(state, 256, pairs, False)
-        s_real = frame_scores(state.ds, real.x3d, real.xcos, real.x2d)
-        s_fake = frame_scores(state.ds, fake.x3d, fake.xcos, fake.x2d)
+        s_real = gan.discriminate(state.ds, real)
+        s_fake = gan.discriminate(state.ds, fake)
         assert s_real.mean() - s_fake.mean() > 0.0
 
 
@@ -734,5 +745,5 @@ class TestConfigAndCheckpoints:
         path = tmp_path / "gen.ckpt"
         nn.save_checkpoint(path, {"gen": gen.net}, 48,
                            extra={"mode": "single", "frames": "1", "topology": "deadbeef0000"})
-        with pytest.raises(ValueError, match="topology"):
+        with pytest.raises(ValueError, match="gen.ckpt: checkpoint was trained against topology"):
             gan.load_generator(path)

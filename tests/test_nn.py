@@ -22,8 +22,9 @@ def input_gradient(net, x, tape, params=None):
 
 
 def frame_inputs(n, rng):
-    """Random x3d, xcos and x2d streams of ``n`` poses."""
-    return rng.normal(size=(n, 48)), rng.normal(size=(n, 14)), rng.normal(size=(n, 32))
+    """Random x3d, xcos and x2d streams of ``n`` poses, by name."""
+    return dict(zip(gan.FRAME_STREAMS, (rng.normal(size=(n, 48)), rng.normal(size=(n, 14)),
+                                        rng.normal(size=(n, 32)))))
 
 
 def reference_forward(net, x):
@@ -174,7 +175,7 @@ class TestInputGradient:
         critic = linear_frame_critic(1.0)
         critic.head = nn.mlp_init([3, 2], ["linear"], RNG(11))
         with pytest.raises(ValueError, match="scalar"):
-            gan.frame_penalty(critic, *frame_inputs(2, RNG(11)), 1.0, ad.Tape())
+            gan.frame_penalty(critic, frame_inputs(2, RNG(11)), 1.0, ad.Tape())
 
 
 class TestGradientPenalty:
@@ -183,28 +184,28 @@ class TestGradientPenalty:
     def test_constant_critic_gives_alpha(self):
         critic = linear_frame_critic(0.0)
         critic.head.layers[0].b = np.array([3.7])
-        pen = gan.frame_penalty(critic, *frame_inputs(6, RNG(12)), 1.0, ad.Tape())
+        pen = gan.frame_penalty(critic, frame_inputs(6, RNG(12)), 1.0, ad.Tape())
         assert pen.values == pytest.approx(1.0, abs=0)
 
     def test_alpha_ten_constant_critic(self):
-        inputs = (np.zeros((4, 48)), np.zeros((4, 14)), np.zeros((4, 32)))
-        pen = gan.frame_penalty(linear_frame_critic(0.0), *inputs, 10.0, ad.Tape())
+        inputs = {k: np.zeros((4, w)) for k, w in zip(gan.FRAME_STREAMS, (48, 14, 32))}
+        pen = gan.frame_penalty(linear_frame_critic(0.0), inputs, 10.0, ad.Tape())
         assert pen.values == pytest.approx(10.0, abs=0)
 
     def test_unit_norm_linear_critic_gives_zero(self):
-        pen = gan.frame_penalty(linear_frame_critic(1.0), *frame_inputs(8, RNG(13)), 10.0,
+        pen = gan.frame_penalty(linear_frame_critic(1.0), frame_inputs(8, RNG(13)), 10.0,
                                 ad.Tape())
         assert pen.values == pytest.approx(0.0, abs=1e-15)
 
     def test_norm_four_critic_gives_alpha_times_nine(self):
         # away from norms 0 and 1, where |g| and |g|^2 agree
-        pen = gan.frame_penalty(linear_frame_critic(2.0), *frame_inputs(8, RNG(15)), 10.0,
+        pen = gan.frame_penalty(linear_frame_critic(2.0), frame_inputs(8, RNG(15)), 10.0,
                                 ad.Tape())
         assert float(pen.values) == 90.0
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError, match="alpha"):
-            gan.frame_penalty(linear_frame_critic(1.0), *frame_inputs(2, RNG(14)), -1.0,
+            gan.frame_penalty(linear_frame_critic(1.0), frame_inputs(2, RNG(14)), -1.0,
                               ad.Tape())
 
 
