@@ -10,7 +10,7 @@ Usage: python scripts/make_smoke_corpus.py --count 2048 --seed 0 --out smoke.txt
 
 import argparse
 
-from dhpose.dataset import make_band_corpus, real_data_to_records, save_dataset
+from dhpose.dataset import make_band_corpus, rows_of, save_dataset
 
 
 def main():
@@ -26,9 +26,9 @@ def main():
     data = make_band_corpus(args.count, args.seed, mode=args.mode,
                             frames=args.frames if args.mode == "video" else 1,
                             band=args.band)
-    save_dataset(real_data_to_records(data, provenance="real"), args.out)
-    n = data.pose3d.shape[0] * (data.pose3d.shape[1] if data.video else 1)
-    print(f"wrote {n} real records to {args.out}")
+    rows = rows_of(data, provenance="real")
+    save_dataset(rows, args.out)
+    print(f"wrote {len(rows.values)} real records to {args.out}")
 
 
 if __name__ == "__main__":

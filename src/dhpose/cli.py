@@ -129,15 +129,13 @@ def cmd_project(args) -> int:
 
 def cmd_features(args) -> int:
     topology = _topology_from(args)
-    records = [r for r in ds.iter_dataset(args.data, topology)
-               if r.sequence_id == args.sequence]
-    if not records:
+    rows = ds.RowBlock.concat(block.take(block.sequence_id == args.sequence)
+                              for block in ds.iter_blocks(args.data, topology))
+    if not len(rows.values):
         raise ValueError(f"{args.data}: no records with sequence id {args.sequence}")
-    records.sort(key=lambda r: r.frame_index)
-    seq3d = np.stack([r.pose3d for r in records])[None]
-    seq2d = np.stack([r.pose2d for r in records])[None]
-    streams = gan.feature_batch(seq3d, seq2d, records[0].camera, adjacent_bone_pairs(topology),
-                                video=True)
+    cams, seq3d, seq2d = rows.take(np.argsort(rows.frame_index, kind="stable")).columns()
+    streams = gan.feature_batch(seq3d[None], seq2d[None], CameraIntrinsics.from_array(cams[0]),
+                                adjacent_bone_pairs(topology), video=True)
     motion = {k: streams[k][0] for k in gan.MOTION_STREAMS}
     sums = {"diff3d": motion["diff3d"].reshape(-1, 3).sum(axis=0),
             "cosdiff": motion["cosdiff"].sum(keepdims=True),
@@ -146,7 +144,7 @@ def cmd_features(args) -> int:
     def row(values):
         return " ".join(f"{v:.9g}" for v in values)
 
-    out = ["# dhpose critic streams v1", f"frames {len(records)} pairs {streams['xcos'].shape[1]}"]
+    out = ["# dhpose critic streams v1", f"frames {len(seq3d)} pairs {streams['xcos'].shape[1]}"]
     out += [f"sum {k} {row(v)}" for k, v in sums.items()]
     out += [f"{name} {t} {row(v)}" for name in gan.FRAME_STREAMS
             for t, v in enumerate(streams[name])]
@@ -316,9 +314,10 @@ def cmd_selftest(args) -> int:
             ds.synthesize_dataset(gen, 200, "single", args.seed, p1)
             ds.synthesize_dataset(gen, 200, "single", args.seed, p2)
             assert open(p1, "rb").read() == open(p2, "rb").read(), "files differ"
-            for rec in ds.iter_dataset(p1, topology):
-                uv = project_pose(rec.pose3d, rec.camera)
-                assert np.max(np.abs(uv - rec.pose2d)) < 1e-6, "projection inconsistency"
+            cams, pose3d, pose2d = ds.load_dataset(p1, topology).columns()
+            assert np.all(cams == gen.camera.as_array()), "camera rows differ"
+            uv = project_pose(pose3d, gen.camera)
+            assert np.max(np.abs(uv - pose2d)) < 1e-6, "projection inconsistency"
 
     check("rest pose matches shipped file", t_rest)
     check("forward kinematics vs naive oracle", t_fk_oracle)

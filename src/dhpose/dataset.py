@@ -3,10 +3,11 @@
 The native format is line-delimited text: one header line carrying the
 format version and topology hash, then one record per line with a fixed
 field order and reals printed to 13 significant digits.  A flat binary
-variant (little-endian float32) exists for bulk synthesis.  Both formats
-share one columnar row layout (``RowBlock``) and are written and read a
-block of rows at a time.  Synthesis streams batches to disk, so memory
-stays bounded no matter the count.
+variant (little-endian float32) exists for bulk synthesis.  In memory,
+dataset rows are always a ``RowBlock`` (columns); ``RealData`` is their
+grouped training view.  Both formats are written and read a block of rows
+at a time, and synthesis streams batches to disk, so memory stays bounded
+no matter the count.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -28,9 +29,9 @@ from .skeleton import (N_PARAMS, SkeletonTopology, default_topology,
 FORMAT_VERSION = "v1"
 _HEADER_PREFIX = "# dhpose dataset"
 _PROVENANCES = ("real", "synthetic")  # a row's provenance code indexes this
-_VALUES_PER_ROW = 5 + 48 + 32  # camera (fx fy cx cy z_min), pose3d, pose2d
+_VALUES_PER_ROW = 5 + 48 + 32  # camera, pose3d, pose2d
 _FIELDS_PER_ROW = 3 + _VALUES_PER_ROW  # provenance, sequence id, frame index, values
-_BLOCK_ROWS = 256  # rows packed, formatted or parsed at a time; bounds transient memory
+_BLOCK_ROWS = 256  # rows formatted or parsed at a time; bounds transient memory
 _TEXT_ROW = "%s %d %d " + " ".join(["%.13g"] * _VALUES_PER_ROW) + "\n"
 _TEXT_DTYPE = np.dtype([("provenance", "U16"), ("sequence_id", "i8"), ("frame_index", "i8"),
                         ("values", "f8", (_VALUES_PER_ROW,))])
@@ -47,98 +48,103 @@ class DatasetParseError(ValueError):
 
 
 @dataclass
-class DatasetRecord:
-    pose3d: np.ndarray  # (16, 3) meters, camera space
-    pose2d: np.ndarray  # (16, 2) pixels
-    camera: CameraIntrinsics
-    sequence_id: int = 0
-    frame_index: int = 0
-    provenance: str = "synthetic"
+class RealData:
+    """Training corpus: single frames (N, 16, ...) or sequences (N, T, 16, ...)."""
 
-    def __post_init__(self):
-        if self.provenance not in _PROVENANCES:
-            raise ValueError(f"provenance must be 'real' or 'synthetic', got {self.provenance!r}")
+    pose3d: np.ndarray
+    pose2d: np.ndarray
+    cams: np.ndarray  # (N, 5) fx fy cx cy z_min rows
+
+    def __len__(self) -> int:
+        return self.pose3d.shape[0]
+
+    @property
+    def video(self) -> bool:
+        return self.pose3d.ndim == 4
 
 
 class RowBlock(NamedTuple):
-    """Dataset rows in columns: the one layout every reader and writer uses."""
+    """Dataset rows in columns: the one in-memory form of dataset rows."""
 
-    provenance: np.ndarray   # (N,) codes indexing _PROVENANCES
+    provenance: np.ndarray   # (N,) int8 codes indexing _PROVENANCES
     sequence_id: np.ndarray  # (N,) int64
     frame_index: np.ndarray  # (N,) int64
     values: np.ndarray       # (N, 85) float64: camera 5, pose3d 48, pose2d 32
 
+    def take(self, index) -> RowBlock:
+        """The rows at ``index`` (a slice, a mask or an integer array of any shape)."""
+        return RowBlock(*(col[index] for col in self))
 
-def _columns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Contiguous (cameras, pose3d, pose2d) arrays of an (..., 85) value block."""
-    lead = values.shape[:-1]
-    return (np.ascontiguousarray(values[..., 0:5]),
-            np.ascontiguousarray(values[..., 5:53]).reshape(lead + (16, 3)),
-            np.ascontiguousarray(values[..., 53:85]).reshape(lead + (16, 2)))
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Contiguous (cameras, pose3d, pose2d) arrays of the rows' values,
+        (..., 5), (..., 16, 3) and (..., 16, 2) for (..., 85) values."""
+        lead = self.values.shape[:-1]
+        return (np.ascontiguousarray(self.values[..., 0:5]),
+                np.ascontiguousarray(self.values[..., 5:53]).reshape(lead + (16, 3)),
+                np.ascontiguousarray(self.values[..., 53:85]).reshape(lead + (16, 2)))
+
+    @classmethod
+    def concat(cls, blocks: Iterable[RowBlock]) -> RowBlock:
+        """The rows of ``blocks`` in order, as one block (no rows for no blocks)."""
+        return cls(*(np.concatenate(col) for col in zip(_NO_ROWS, *blocks)))
 
 
-def _pack(provenance, sequence_id, frame_index, cameras, pose3d, pose2d) -> RowBlock:
-    """Rows from per-row fields; a scalar provenance or a single camera row broadcasts."""
-    seq = np.asarray(sequence_id, dtype=np.int64)
-    n = len(seq)
+_NO_ROWS = RowBlock(np.empty(0, np.int8), np.empty(0, np.int64), np.empty(0, np.int64),
+                    np.empty((0, _VALUES_PER_ROW)))
+
+
+def rows_of(data: RealData, provenance: str = "real", first_id: int = 0) -> RowBlock:
+    """Dataset rows of training arrays: sequence ids run from ``first_id``,
+    frame indices from 0, and a sequence's camera row repeats on its frames."""
+    count = len(data)
+    frames = data.pose3d.shape[1] if data.video else 1
+    n = count * frames
     values = np.empty((n, _VALUES_PER_ROW))
-    values[:, 0:5] = cameras
-    values[:, 5:53] = np.reshape(pose3d, (n, 48))
-    values[:, 53:85] = np.reshape(pose2d, (n, 32))
-    codes = np.broadcast_to(np.asarray(provenance, dtype=np.int8), (n,))
-    return RowBlock(codes, seq, np.asarray(frame_index, dtype=np.int64), values)
+    values[:, 0:5] = np.repeat(data.cams, frames, axis=0)
+    values[:, 5:53] = np.reshape(data.pose3d, (n, 48))
+    values[:, 53:85] = np.reshape(data.pose2d, (n, 32))
+    return RowBlock(np.full(n, _PROVENANCES.index(provenance), dtype=np.int8),
+                    np.repeat(np.arange(first_id, first_id + count), frames),
+                    np.tile(np.arange(frames), count), values)
 
 
-def _record_blocks(records) -> Iterator[RowBlock]:
-    it = iter(records)
-    while chunk := list(islice(it, _BLOCK_ROWS)):
-        yield _pack([_PROVENANCES.index(r.provenance) for r in chunk],
-                    [r.sequence_id for r in chunk], [r.frame_index for r in chunk],
-                    [r.camera.as_array() for r in chunk],
-                    [np.asarray(r.pose3d).ravel() for r in chunk],
-                    [np.asarray(r.pose2d).ravel() for r in chunk])
-
-
-def _text_rows(block: RowBlock) -> Iterator[str]:
-    """The block's text lines, joined ``_BLOCK_ROWS`` rows at a time."""
-    names = [_PROVENANCES[c] for c in block.provenance.tolist()]
-    for i in range(0, len(names), _BLOCK_ROWS):
-        rows = slice(i, i + _BLOCK_ROWS)
-        yield "".join([_TEXT_ROW % (p, s, f, *v) for p, s, f, v in
-                       zip(names[rows], block.sequence_id[rows].tolist(),
-                           block.frame_index[rows].tolist(), block.values[rows].tolist())])
-
-
-def _binary_rows(block: RowBlock) -> bytes:
-    rows = np.empty((len(block.values), _FIELDS_PER_ROW), dtype="<f4")
-    rows[:, 0] = block.provenance
-    rows[:, 1] = block.sequence_id
-    rows[:, 2] = block.frame_index
-    rows[:, 3:] = block.values
-    return rows.tobytes()
-
-
-def _records(block: RowBlock) -> Iterator[DatasetRecord]:
-    cams, pose3d, pose2d = _columns(block.values)
-    for code, seq, frame, cam, p3, p2 in zip(block.provenance.tolist(),
-                                             block.sequence_id.tolist(),
-                                             block.frame_index.tolist(), cams, pose3d, pose2d):
-        yield DatasetRecord(pose3d=p3, pose2d=p2, camera=CameraIntrinsics.from_array(cam),
-                            sequence_id=seq, frame_index=frame, provenance=_PROVENANCES[code])
-
-
-def _header(topology: Optional[SkeletonTopology]) -> str:
+def _head(fmt: str, count: int, topology: Optional[SkeletonTopology]) -> bytes:
+    """A dataset file's header line and, for ``binary``, its count line."""
+    if fmt not in ("text", "binary"):
+        raise ValueError(f"format must be 'text' or 'binary', got {fmt!r}")
     h = topology_hash(topology or default_topology())
-    return f"{_HEADER_PREFIX} {FORMAT_VERSION} topology={h}"
+    head = f"{_HEADER_PREFIX} {FORMAT_VERSION} topology={h}\n"
+    if fmt == "binary":
+        head += f"binary {count} {_FIELDS_PER_ROW}\n"
+    return head.encode()
 
 
-def save_dataset(records: Sequence[DatasetRecord], path,
+def _write_rows(fh, rows: RowBlock, binary: bool) -> None:
+    """Append rows to a dataset file ``_BLOCK_ROWS`` at a time: text lines
+    from one ``%``-template, or ``<f4`` records of all 88 fields."""
+    for i in range(0, len(rows.values), _BLOCK_ROWS):
+        block = rows.take(slice(i, i + _BLOCK_ROWS))
+        if binary:
+            out = np.empty((len(block.values), _FIELDS_PER_ROW), dtype="<f4")
+            out[:, 0] = block.provenance
+            out[:, 1] = block.sequence_id
+            out[:, 2] = block.frame_index
+            out[:, 3:] = block.values
+            fh.write(out.tobytes())
+        else:
+            fh.write("".join([_TEXT_ROW % (_PROVENANCES[p], s, f, *v) for p, s, f, v in
+                              zip(block.provenance.tolist(), block.sequence_id.tolist(),
+                                  block.frame_index.tolist(), block.values.tolist())]).encode())
+
+
+def save_dataset(rows: RowBlock, path, fmt: str = "text",
                  topology: Optional[SkeletonTopology] = None) -> None:
-    """Write records as line-delimited text; lossless to 13 significant digits."""
-    with open(path, "w") as fh:
-        fh.write(_header(topology) + "\n")
-        for block in _record_blocks(records):
-            fh.writelines(_text_rows(block))
+    """Write rows as text (lossless to 13 significant digits) or as binary
+    float32 records."""
+    head = _head(fmt, len(rows.values), topology)
+    with open(path, "wb") as fh:
+        fh.write(head)
+        _write_rows(fh, rows, fmt == "binary")
 
 
 def _parse_header(path, line: str) -> str:
@@ -198,73 +204,20 @@ def _decode(path, raw: bytes, line_no: int) -> str:
                                                f"at column {exc.start + 1}") from exc
 
 
-def _iter_blocks(path, topology: Optional[SkeletonTopology] = None) -> Iterator[RowBlock]:
-    """Stream a text dataset as blocks of at most ``_BLOCK_ROWS`` lines each.
-
-    Lines are decoded one at a time, so bytes that are not UTF-8 (a binary
-    file with a damaged count line, say) are reported with their line.
-    """
-    with open(path, "rb") as fh:
-        first = _decode(path, fh.readline(), 1).rstrip("\n")
-        _check_topology(path, _parse_header(path, first), topology)
-        line_no = 1
-        while chunk := list(islice(fh, _BLOCK_ROWS)):
-            lines = [_decode(path, raw, n) for n, raw in enumerate(chunk, start=line_no + 1)]
-            kept = [(n, line) for n, line in enumerate(lines, start=line_no + 1)
-                    if not line.isspace()]
-            line_no += len(chunk)
-            if kept:
-                line_nos, lines = zip(*kept)
-                yield _parse_rows(path, list(lines), list(line_nos))
-
-
-def iter_dataset(path, topology: Optional[SkeletonTopology] = None) -> Iterator[DatasetRecord]:
-    """Stream records from a text dataset file."""
-    for block in _iter_blocks(path, topology):
-        yield from _records(block)
-
-
-def load_dataset(path, topology: Optional[SkeletonTopology] = None) -> list[DatasetRecord]:
-    return list(iter_dataset(path, topology))
-
-
-def save_dataset_binary(records: Sequence[DatasetRecord], path,
-                        topology: Optional[SkeletonTopology] = None) -> None:
-    with open(path, "wb") as fh:
-        fh.write((_header(topology) + "\n").encode())
-        fh.write(f"binary {len(records)} {_FIELDS_PER_ROW}\n".encode())
-        for block in _record_blocks(records):
-            fh.write(_binary_rows(block))
-
-
-def _is_binary(path) -> bool:
-    """True when the line after the header is a binary dataset's ``binary N W`` line."""
-    with open(path, "rb") as fh:
-        fh.readline()
-        return fh.readline().split()[:1] == [b"binary"]
-
-
-def _read_binary(path, topology: Optional[SkeletonTopology] = None) -> RowBlock:
-    """All rows of a binary dataset, after checking its count line and every record."""
-    with open(path, "rb") as fh:
-        first = fh.readline().decode().rstrip("\n")
-        _check_topology(path, _parse_header(path, first), topology)
-        meta = fh.readline().decode().split()
-        if len(meta) != 3 or meta[0] != "binary":
-            raise DatasetParseError(path, 2, f"expected 'binary <count> {_FIELDS_PER_ROW}', "
-                                             f"got {' '.join(meta)!r}")
-        try:
-            count, width = int(meta[1]), int(meta[2])
-        except ValueError as exc:
-            raise DatasetParseError(path, 2, str(exc)) from exc
-        if count < 0 or width != _FIELDS_PER_ROW:
-            raise DatasetParseError(path, 2, f"expected 'binary <count> {_FIELDS_PER_ROW}', "
-                                             f"got {' '.join(meta)!r}")
-        start = fh.tell()
-        blob = fh.read(count * width * 4)
-        if len(blob) != count * width * 4:
-            raise DatasetParseError(path, 2, f"binary payload truncated: expected "
-                                             f"{count * width * 4} bytes, got {len(blob)}")
+def _read_binary(path, fh, meta_line: bytes) -> RowBlock:
+    """All rows of a binary dataset whose count line was just read from
+    ``fh``, after checking that line and every record."""
+    meta = _decode(path, meta_line, 2).split()
+    count = int(meta[1]) if len(meta) == 3 and meta[1].isdigit() else -1
+    width = _FIELDS_PER_ROW
+    if count < 0 or meta[2] != str(width):
+        raise DatasetParseError(path, 2, f"expected 'binary <count> {width}', "
+                                         f"got {' '.join(meta)!r}")
+    start = fh.tell()
+    blob = fh.read(count * width * 4)
+    if len(blob) != count * width * 4:
+        raise DatasetParseError(path, 2, f"binary payload truncated: expected "
+                                         f"{count * width * 4} bytes, got {len(blob)}")
     rows = np.frombuffer(blob, dtype="<f4").reshape(count, width).astype(np.float64)
     bad = np.flatnonzero(~np.isin(rows[:, 0], np.arange(len(_PROVENANCES))))
     if bad.size:
@@ -280,8 +233,38 @@ def _read_binary(path, topology: Optional[SkeletonTopology] = None) -> RowBlock:
                     rows[:, 2].astype(np.int64), rows[:, 3:])
 
 
-def load_dataset_binary(path, topology: Optional[SkeletonTopology] = None) -> list[DatasetRecord]:
-    return list(_records(_read_binary(path, topology)))
+def iter_blocks(path, topology: Optional[SkeletonTopology] = None) -> Iterator[RowBlock]:
+    """Stream a dataset file's rows: a text file in blocks of at most
+    ``_BLOCK_ROWS`` lines, a binary one (its second line reads ``binary N
+    88``) as one block.  A malformed or non-finite field raises
+    ``DatasetParseError`` naming the line (text) or the record and its byte
+    offset (binary).
+
+    Text lines are decoded one at a time, so bytes that are not UTF-8 (a
+    binary file with a damaged count line, say) are reported with their line.
+    """
+    with open(path, "rb") as fh:
+        first = _decode(path, fh.readline(), 1).rstrip("\n")
+        _check_topology(path, _parse_header(path, first), topology)
+        line_no = 1
+        second = fh.readline()
+        if second.split()[:1] == [b"binary"]:
+            yield _read_binary(path, fh, second)
+            return
+        fh.seek(-len(second), 1)
+        while chunk := list(islice(fh, _BLOCK_ROWS)):
+            lines = [_decode(path, raw, n) for n, raw in enumerate(chunk, start=line_no + 1)]
+            kept = [(n, line) for n, line in enumerate(lines, start=line_no + 1)
+                    if not line.isspace()]
+            line_no += len(chunk)
+            if kept:
+                line_nos, lines = zip(*kept)
+                yield _parse_rows(path, list(lines), list(line_nos))
+
+
+def load_dataset(path, topology: Optional[SkeletonTopology] = None) -> RowBlock:
+    """Every row of a text or binary dataset file (see ``iter_blocks``)."""
+    return RowBlock.concat(iter_blocks(path, topology))
 
 
 # --------------------------------------------------------------------------
@@ -313,23 +296,16 @@ def synthesize_dataset(gen, count: int, mode: str, seed: int, path,
         raise ValueError(f"count must be >= 1, got {count}")
     if mode != gen.mode:
         raise ValueError(f"generator is a {gen.mode!r} model; requested {mode!r}")
-    if fmt not in ("text", "binary"):
-        raise ValueError(f"format must be 'text' or 'binary', got {fmt!r}")
+    frames = gen.frames if mode == "video" else 1
+    head = _head(fmt, count * frames, gen.topology)
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    frames = gen.frames if mode == "video" else 1
     cam_row = gen.camera.as_array()
     violations = 0
     resampled = 0
     written = 0  # sequences in video mode, records otherwise
-    binary = fmt == "binary"
-    with open(path, "wb" if binary else "w") as fh:
-        header = _header(gen.topology)
-        if binary:
-            fh.write((header + "\n").encode())
-            fh.write(f"binary {count * frames} {_FIELDS_PER_ROW}\n".encode())
-        else:
-            fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write(head)
         empty_rounds = 0
         while written < count:
             n = min(batch, count - written)
@@ -351,14 +327,8 @@ def synthesize_dataset(gen, count: int, mode: str, seed: int, path,
             k = keep.size
             if k == 0:
                 continue
-            seq_ids = np.repeat(np.arange(written, written + k), frames)
-            frame_ids = np.tile(np.arange(frames), k)
-            block = _pack(_PROVENANCES.index("synthetic"), seq_ids, frame_ids, cam_row,
-                          pose3d, pose2d)
-            if binary:
-                fh.write(_binary_rows(block))
-            else:
-                fh.writelines(_text_rows(block))
+            data = RealData(pose3d, pose2d, np.broadcast_to(cam_row, (k, 5)))
+            _write_rows(fh, rows_of(data, "synthetic", written), fmt == "binary")
             written += k
     return SynthSummary(records=count * frames, sequences=count if mode == "video" else 0,
                         violations=violations, resampled=resampled,
@@ -442,10 +412,8 @@ def make_band_corpus(count: int, seed: int,
     """Poses drawn from a narrow band around the mid-range configuration.
 
     Serves as a stand-in "real" distribution for smoke training: plausible,
-    low-variance, and entirely synthetic.  Returns a ``gan.RealData``.
+    low-variance, and entirely synthetic.
     """
-    from .gan import RealData
-
     topology = topology or default_topology()
     table = table or default_constraint_table()
     camera = camera or CameraIntrinsics()
@@ -469,25 +437,7 @@ def make_band_corpus(count: int, seed: int,
     return RealData(pose3d=pose3d, pose2d=pose2d, cams=cams)
 
 
-def real_data_to_records(data, provenance: str = "real") -> list[DatasetRecord]:
-    """Flatten a ``gan.RealData`` into dataset records."""
-    records = []
-    if data.video:
-        for s in range(len(data)):
-            cam = CameraIntrinsics.from_array(data.cams[s])
-            for t in range(data.pose3d.shape[1]):
-                records.append(DatasetRecord(pose3d=data.pose3d[s, t], pose2d=data.pose2d[s, t],
-                                             camera=cam, sequence_id=s, frame_index=t,
-                                             provenance=provenance))
-    else:
-        for s in range(len(data)):
-            records.append(DatasetRecord(pose3d=data.pose3d[s], pose2d=data.pose2d[s],
-                                         camera=CameraIntrinsics.from_array(data.cams[s]),
-                                         sequence_id=s, frame_index=0, provenance=provenance))
-    return records
-
-
-def real_data_from_dataset(path, mode: str = "single", frames: int = 1):
+def real_data_from_dataset(path, mode: str = "single", frames: int = 1) -> RealData:
     """Load a text or binary dataset file into training arrays (grouping
     frames by sequence); the format is told by the file's second line.
 
@@ -496,14 +446,11 @@ def real_data_from_dataset(path, mode: str = "single", frames: int = 1):
     ``frames`` rows of each sequence are kept, with the first one's camera,
     and sequences with fewer rows are skipped.
     """
-    from .gan import RealData
-
-    blocks = [_read_binary(path)] if _is_binary(path) else list(_iter_blocks(path))
-    if not blocks or not len(blocks[0].values):
+    rows = load_dataset(path)
+    if not len(rows.values):
         raise ValueError(f"{path}: dataset is empty")
-    rows = RowBlock(*(np.concatenate(col) for col in zip(*blocks)))
     if mode == "single":
-        cams, pose3d, pose2d = _columns(rows.values)
+        cams, pose3d, pose2d = rows.columns()
         return RealData(pose3d=pose3d, pose2d=pose2d, cams=cams)
     order = np.lexsort((rows.frame_index, rows.sequence_id))  # stable
     seq = rows.sequence_id[order]
@@ -512,5 +459,5 @@ def real_data_from_dataset(path, mode: str = "single", frames: int = 1):
     starts = starts[sizes >= frames]
     if not starts.size:
         raise ValueError(f"{path}: no sequences of length {frames} found")
-    cams, pose3d, pose2d = _columns(rows.values[order[starts[:, None] + np.arange(frames)]])
+    cams, pose3d, pose2d = rows.take(order[starts[:, None] + np.arange(frames)]).columns()
     return RealData(pose3d=pose3d, pose2d=pose2d, cams=cams[:, 0])

@@ -37,6 +37,7 @@ from . import nn
 from .autodiff import ShapeError, Tape, Tensor
 from .camera import CameraIntrinsics, default_camera, project
 from .constraints import ConstraintTable, count_violations, default_constraint_table, squash
+from .dataset import RealData
 from .features import AdjacentBonePairs, adjacent_bone_pairs, bone_vectors, joint_cosines
 from .skeleton import (N_ANGLE_PARAMS, N_LENGTH_PARAMS, N_PARAMS, ROOT_KEYPOINT, SkeletonTopology,
                        chain_frames, chain_vjp, default_topology, forward_kinematics_batch,
@@ -649,22 +650,6 @@ def generator_loss(ds: FrameCritic, dm: Optional[MotionCritic], fake: TapeGenOut
 
 # --------------------------------------------------------------------------
 # Training loop
-
-@dataclass
-class RealData:
-    """Training corpus: single frames (N, 16, ...) or sequences (N, T, 16, ...)."""
-
-    pose3d: np.ndarray
-    pose2d: np.ndarray
-    cams: np.ndarray  # (N, 5) fx fy cx cy z_min rows
-
-    def __len__(self) -> int:
-        return self.pose3d.shape[0]
-
-    @property
-    def video(self) -> bool:
-        return self.pose3d.ndim == 4
-
 
 @dataclass
 class TrainState:

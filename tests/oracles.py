@@ -122,29 +122,27 @@ def replaced(nets: dict, slot, values) -> dict:
     return nets
 
 
-def record_line_ref(provenance, seq, frame, cam, pose3d, pose2d):
-    """One dataset text row, each real formatted on its own to 13 significant digits."""
-    def fmt(values):
-        return " ".join(f"{v:.13g}" for v in values)
-
-    return (f"{provenance} {seq} {frame} {fmt(cam)} "
-            f"{fmt(np.ravel(pose3d))} {fmt(np.ravel(pose2d))}")
+def record_line_ref(provenance, seq, frame, values):
+    """One dataset text row from a ``RowBlock`` row's provenance code, ids
+    and 85 values, each real formatted on its own to 13 significant digits."""
+    return (f"{('real', 'synthetic')[provenance]} {seq} {frame} "
+            + " ".join(f"{v:.13g}" for v in values))
 
 
-def group_sequences_ref(records, frames):
-    """Video training arrays from records: sequences by id, frames by index."""
+def group_sequences_ref(rows, frames):
+    """Video training arrays from a ``RowBlock``: sequences by id, frames by index."""
     by_seq = {}
-    for r in records:
-        by_seq.setdefault(r.sequence_id, []).append(r)
+    for i, seq_id in enumerate(rows.sequence_id.tolist()):
+        by_seq.setdefault(seq_id, []).append(i)
     seqs3, seqs2, cams = [], [], []
     for seq_id in sorted(by_seq):
-        group = sorted(by_seq[seq_id], key=lambda r: r.frame_index)
+        group = sorted(by_seq[seq_id], key=lambda i: rows.frame_index[i])
         if len(group) < frames:
             continue
         group = group[:frames]
-        seqs3.append(np.stack([r.pose3d for r in group]))
-        seqs2.append(np.stack([r.pose2d for r in group]))
-        cams.append(group[0].camera.as_array())
+        seqs3.append(np.stack([rows.values[i, 5:53].reshape(16, 3) for i in group]))
+        seqs2.append(np.stack([rows.values[i, 53:85].reshape(16, 2) for i in group]))
+        cams.append(rows.values[group[0], 0:5])
     return np.stack(seqs3), np.stack(seqs2), np.stack(cams)
 
 

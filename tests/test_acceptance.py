@@ -18,7 +18,7 @@ from dhpose import dataset as dsio
 from dhpose import gan
 from dhpose import nn
 from dhpose import skeleton as sk
-from dhpose.camera import project_pose
+from dhpose.camera import CameraIntrinsics, project_pose
 from dhpose.features import joint_cosines
 from oracles import central_difference, fk_naive, linear_frame_critic, replaced, weight_slots
 
@@ -303,12 +303,11 @@ def test_criterion_synthesis_determinism(tmp_path, topology, table):
     assert cli.run_cli(["synth", "--count", "10000", "--seed", "77", "--out", str(a)]) == 0
     assert cli.run_cli(["synth", "--count", "10000", "--seed", "77", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes(), "same-seed synthesis differs"
-    n = 0
-    for rec in dsio.iter_dataset(a, topology):
-        uv = project_pose(rec.pose3d, rec.camera)
-        assert np.max(np.abs(uv - rec.pose2d)) < 1e-6
-        n += 1
-    assert n == 10_000
+    cams, pose3d, pose2d = dsio.load_dataset(a, topology).columns()
+    assert np.all(cams == cams[0])
+    uv = project_pose(pose3d, CameraIntrinsics.from_array(cams[0]))
+    assert np.max(np.abs(uv - pose2d)) < 1e-6
+    assert len(cams) == 10_000
     report("synthesis determinism and consistency (10k records, 1e-6 px)", 60, t0)
 
 

@@ -179,7 +179,7 @@ class TestTrain:
         assert all(m["violations"] == 0 for m in metrics)
         assert (out_dir / "gen.ckpt").exists()
         assert (out_dir / "epoch_000.txt").exists()
-        assert len(dsio.load_dataset(out_dir / "epoch_000.txt")) == 24
+        assert len(dsio.load_dataset(out_dir / "epoch_000.txt").values) == 24
 
     def test_metrics_and_checkpoint_record_the_blas_threads(self, capsys, tmp_path,
                                                             monkeypatch):
@@ -201,16 +201,15 @@ class TestTrain:
         assert gen.mode == "single"
 
     def test_train_from_config_and_data(self, capsys, tmp_path):
-        self._train_from(capsys, tmp_path, dsio.save_dataset)
+        self._train_from(capsys, tmp_path, "text")
 
     def test_train_from_binary_data(self, capsys, tmp_path):
-        self._train_from(capsys, tmp_path, dsio.save_dataset_binary)
+        self._train_from(capsys, tmp_path, "binary")
 
-    def _train_from(self, capsys, tmp_path, save):
+    def _train_from(self, capsys, tmp_path, fmt):
         from dhpose import gan
         data = tmp_path / "data"
-        corpus = dsio.make_band_corpus(16, 2)
-        save(dsio.real_data_to_records(corpus), data)
+        dsio.save_dataset(dsio.rows_of(dsio.make_band_corpus(16, 2)), data, fmt=fmt)
         cfg = gan.TrainConfig(mode="single", epochs=1, beta_epoch=1, seed=2, batch_size=8,
                               critic_steps=1, gen_hidden=(16,), enc_hidden=(8,),
                               head_hidden=(4,))
@@ -224,7 +223,7 @@ class TestTrain:
 
     def test_undecodable_data_is_a_data_error(self, capsys, tmp_path):
         data = tmp_path / "damaged.bin"
-        dsio.save_dataset_binary(dsio.real_data_to_records(dsio.make_band_corpus(4, 2)), data)
+        dsio.save_dataset(dsio.rows_of(dsio.make_band_corpus(4, 2)), data, fmt="binary")
         data.write_bytes(data.read_bytes().replace(b"binary 4 88", b"binray 4 88", 1))
         code, _, err = run(capsys, "train", "--data", str(data), "--epochs", "1",
                            "--batch", "2", "--out", str(tmp_path / "run"))
@@ -308,7 +307,7 @@ class TestSynthFromCheckpoint:
         code, _, _ = run(capsys, "synth", "--count", "50", "--seed", "9",
                          "--out", str(data), "--checkpoint", str(out_dir / "gen.ckpt"))
         assert code == 0
-        assert len(dsio.load_dataset(data)) == 50
+        assert len(dsio.load_dataset(data).values) == 50
         # a fresh untrained generator with the same seed gives different poses
         other = tmp_path / "untrained.txt"
         run(capsys, "synth", "--count", "50", "--seed", "9", "--out", str(other))

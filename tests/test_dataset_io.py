@@ -13,16 +13,11 @@ from oracles import group_sequences_ref, record_line_ref
 RNG = np.random.default_rng
 
 
-def random_records(n, seed=0, provenance="synthetic"):
-    rng = RNG(seed)
+def random_rows(n, seed=0, provenance="synthetic"):
+    pose3d = RNG(seed).normal(0, 0.5, (n, 16, 3)) + [0, 0, 4.0]
     cam = default_camera()
-    records = []
-    for i in range(n):
-        pose3d = rng.normal(0, 0.5, (16, 3)) + [0, 0, 4.0]
-        records.append(dsio.DatasetRecord(
-            pose3d=pose3d, pose2d=project_pose(pose3d, cam), camera=cam,
-            sequence_id=i, frame_index=0, provenance=provenance))
-    return records
+    data = dsio.RealData(pose3d, project_pose(pose3d, cam), np.tile(cam.as_array(), (n, 1)))
+    return dsio.rows_of(data, provenance)
 
 
 def tiny_generator(seed=0, mode="single", frames=1):
@@ -33,38 +28,35 @@ def tiny_generator(seed=0, mode="single", frames=1):
 
 class TestRoundTrip:
     def test_text_round_trip_1000_records(self, tmp_path):
-        records = random_records(1000, seed=1)
+        rows = random_rows(1000, seed=1)
         path = tmp_path / "data.txt"
-        dsio.save_dataset(records, path)
+        dsio.save_dataset(rows, path)
         loaded = dsio.load_dataset(path)
-        assert len(loaded) == 1000
-        for a, b in zip(records, loaded):
-            assert np.max(np.abs(a.pose3d - b.pose3d)) < 1e-9
-            assert np.max(np.abs(a.pose2d - b.pose2d)) < 1e-9
-            assert a.camera == b.camera
-            assert (a.sequence_id, a.frame_index, a.provenance) == \
-                (b.sequence_id, b.frame_index, b.provenance)
+        assert len(loaded.values) == 1000
+        assert np.max(np.abs(rows.values[:, 5:] - loaded.values[:, 5:])) < 1e-9
+        assert np.array_equal(rows.values[:, :5], loaded.values[:, :5])
+        for name in ("sequence_id", "frame_index", "provenance"):
+            assert np.array_equal(getattr(rows, name), getattr(loaded, name)), name
 
     def test_empty_dataset(self, tmp_path):
         path = tmp_path / "empty.txt"
-        dsio.save_dataset([], path)
+        dsio.save_dataset(random_rows(0), path)
         assert path.read_text().startswith("# dhpose dataset v1 topology=")
-        assert dsio.load_dataset(path) == []
+        assert len(dsio.load_dataset(path).values) == 0
 
     def test_binary_round_trip(self, tmp_path):
-        records = random_records(64, seed=2)
+        rows = random_rows(64, seed=2)
         path = tmp_path / "data.bin"
-        dsio.save_dataset_binary(records, path)
-        loaded = dsio.load_dataset_binary(path)
-        assert len(loaded) == 64
-        for a, b in zip(records, loaded):
-            # float32 storage
-            assert np.max(np.abs(a.pose3d - b.pose3d)) < 1e-5
+        dsio.save_dataset(rows, path, fmt="binary")
+        loaded = dsio.load_dataset(path)
+        assert len(loaded.values) == 64
+        # float32 storage
+        assert np.max(np.abs(rows.values[:, 5:53] - loaded.values[:, 5:53])) < 1e-5
 
     def test_corrupt_line_names_line_number(self, tmp_path):
-        records = random_records(10, seed=3)
+        rows = random_rows(10, seed=3)
         path = tmp_path / "data.txt"
-        dsio.save_dataset(records, path)
+        dsio.save_dataset(rows, path)
         lines = path.read_text().splitlines()
         lines[6] = lines[6] + " 999"  # line 7 of the file (header is line 1)
         path.write_text("\n".join(lines) + "\n")
@@ -76,9 +68,8 @@ class TestRoundTrip:
             assert exc.line_no == 7
 
     def test_topology_hash_mismatch_warns(self, tmp_path, topology):
-        records = random_records(3, seed=4)
         path = tmp_path / "data.txt"
-        dsio.save_dataset(records, path)
+        dsio.save_dataset(random_rows(3, seed=4), path)
         text = path.read_text().replace(sk.topology_hash(topology), "000000000000")
         path.write_text(text)
         with pytest.warns(UserWarning, match="topology"):
@@ -91,20 +82,27 @@ class TestRoundTrip:
             dsio.load_dataset(path)
 
 
-def records_with_values(values, cam=None, float32=False):
-    """One record per row of 80 pose reals (48 pose3d, then 32 pose2d)."""
+def rows_with_values(values, cam=None, float32=False):
+    """One row per line of 80 pose reals (48 pose3d, then 32 pose2d), packed
+    by ``rows_of`` from float32 or float64 poses; frame indices and
+    provenance vary from row to row."""
     values = np.asarray(values, dtype=np.float32 if float32 else np.float64)
-    return [dsio.DatasetRecord(pose3d=row[:48].reshape(16, 3), pose2d=row[48:].reshape(16, 2),
-                               camera=cam or default_camera(), sequence_id=i, frame_index=i % 3,
-                               provenance=("real", "synthetic")[i % 2])
-            for i, row in enumerate(values)]
+    n = len(values)
+    cams = np.tile((cam or default_camera()).as_array(), (n, 1))
+    rows = dsio.rows_of(dsio.RealData(values[:, :48].reshape(n, 16, 3),
+                                      values[:, 48:].reshape(n, 16, 2), cams))
+    i = np.arange(n)
+    return rows._replace(provenance=(i % 2).astype(np.int8), frame_index=i % 3)
 
 
-def reference_text(records):
+def reference_text(rows):
     header = f"# dhpose dataset v1 topology={sk.topology_hash(sk.default_topology())}\n"
-    return header + "".join(
-        record_line_ref(r.provenance, r.sequence_id, r.frame_index, r.camera.as_array(),
-                        r.pose3d, r.pose2d) + "\n" for r in records)
+    return header + "".join(record_line_ref(*row) + "\n" for row in
+                            zip(rows.provenance, rows.sequence_id, rows.frame_index, rows.values))
+
+
+def concat(*blocks):
+    return dsio.RowBlock.concat(blocks)
 
 
 EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
@@ -119,30 +117,31 @@ class TestTextFormat:
 
     def test_random_rows_match_reference(self, tmp_path):
         rng = RNG(30)
-        records = records_with_values(rng.normal(0, 1, (300, 80)) * 10.0 ** rng.integers(-9, 9, (300, 1)))
-        records += random_records(50, seed=31)
+        rows = concat(rows_with_values(rng.normal(0, 1, (300, 80))
+                                       * 10.0 ** rng.integers(-9, 9, (300, 1))),
+                      random_rows(50, seed=31))
         path = tmp_path / "r.txt"
-        dsio.save_dataset(records, path)
-        assert path.read_text() == reference_text(records)
+        dsio.save_dataset(rows, path)
+        assert path.read_text() == reference_text(rows)
 
     def test_edge_values_match_reference(self, tmp_path):
         values = np.resize(np.array(EDGE_VALUES), (4, 80))
         values[1] = np.roll(values[1], 7)
         values[2:] *= -1
-        records = records_with_values(values, cam=CameraIntrinsics(1e308, 5e-324, -0.0, 0.1 + 0.2, 1e-300))
+        rows = rows_with_values(values, cam=CameraIntrinsics(1e308, 5e-324, -0.0, 0.1 + 0.2, 1e-300))
         path = tmp_path / "e.txt"
-        dsio.save_dataset(records, path)
-        assert path.read_text() == reference_text(records)
+        dsio.save_dataset(rows, path)
+        assert path.read_text() == reference_text(rows)
 
     def test_float32_inputs_match_reference(self, tmp_path):
         edges = [v for v in EDGE_VALUES if abs(v) < 1e38]
         values = np.concatenate([np.resize(np.array(edges), 80)[None],
                                  RNG(32).normal(0, 100, (20, 80))])
-        records = records_with_values(values, float32=True)
-        assert records[0].pose3d.dtype == np.float32
+        rows = rows_with_values(values, float32=True)
+        assert np.array_equal(rows.values[:, 5:], values.astype(np.float32))
         path = tmp_path / "f.txt"
-        dsio.save_dataset(records, path)
-        assert path.read_text() == reference_text(records)
+        dsio.save_dataset(rows, path)
+        assert path.read_text() == reference_text(rows)
 
     @settings(max_examples=40, deadline=None)
     @given(rows=st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
@@ -150,13 +149,10 @@ class TestTextFormat:
            cam=st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
                         min_size=5, max_size=5))
     def test_round_trip_is_exact_at_13_digits(self, tmp_path_factory, rows, cam):
-        records = records_with_values(rows, cam=CameraIntrinsics(*cam))
         path = tmp_path_factory.getbasetemp() / "roundtrip.txt"
-        dsio.save_dataset(records, path)
+        dsio.save_dataset(rows_with_values(rows, cam=CameraIntrinsics(*cam)), path)
         expected = np.array([[float(f"{v:.13g}") for v in cam + row] for row in rows])
-        loaded = dsio.load_dataset(path)
-        got = np.array([np.concatenate([r.camera.as_array(), r.pose3d.ravel(), r.pose2d.ravel()])
-                        for r in loaded])
+        got = dsio.load_dataset(path).values
         assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
         data = dsio.real_data_from_dataset(path)
         arrays = np.concatenate([data.cams, data.pose3d.reshape(-1, 48),
@@ -167,7 +163,7 @@ class TestTextFormat:
 class TestTextReader:
     def _write(self, tmp_path, n=6):
         path = tmp_path / "d.txt"
-        dsio.save_dataset(random_records(n, seed=40), path)
+        dsio.save_dataset(random_rows(n, seed=40), path)
         lines = path.read_text().splitlines()
         lines.insert(2, "   ")  # blank lines still count: record i sits on line i + 3 from here
         return path, lines
@@ -206,12 +202,12 @@ class TestTextReader:
         path, lines = self._write(tmp_path, n=11)
         lines[7:7] = ["", "\t"]
         path.write_text("\n".join(lines) + "\n")
-        loaded = dsio.load_dataset(path)
-        assert [r.sequence_id for r in loaded] == list(range(11))
-        lines[12] = lines[12] + " 1"  # record 7, after the blank lines
+        assert dsio.load_dataset(path).sequence_id.tolist() == list(range(11))
+        lines[12] = lines[12] + " 1"  # record 8, after the blank lines
         path.write_text("\n".join(lines) + "\n")
-        stream = dsio.iter_dataset(path)
-        assert [next(stream).sequence_id for _ in range(4)] == [0, 1, 2, 3]
+        # blocks of 4 raw lines from line 2: the first two come out before the bad line
+        stream = dsio.iter_blocks(path)
+        assert [next(stream).sequence_id.tolist() for _ in range(2)] == [[0, 1, 2], [3, 4]]
         with pytest.raises(dsio.DatasetParseError, match="line 13: expected 88 fields, got 89"):
             list(stream)
 
@@ -231,7 +227,7 @@ class TestTextReader:
     def test_binary_file_with_a_damaged_count_line_is_a_parse_error(self, tmp_path):
         # no longer recognised as binary, so read as text: the payload is not UTF-8
         path = tmp_path / "damaged.bin"
-        dsio.save_dataset_binary(random_records(4, seed=44), path)
+        dsio.save_dataset(random_rows(4, seed=44), path, fmt="binary")
         path.write_bytes(path.read_bytes().replace(b"binary 4 88", b"binray 4 88", 1))
         with pytest.raises(dsio.DatasetParseError, match=r"damaged\.bin: parse error at "
                                                          r"line \d+: not UTF-8 text"):
@@ -241,7 +237,7 @@ class TestTextReader:
 class TestVideoGrouping:
     def test_matches_reference_grouping(self, tmp_path):
         rng = RNG(41)
-        records = []
+        ids, values = [], []
         for seq, length in enumerate([3, 5, 2, 4, 1, 3, 6]):
             frames = rng.permutation(length)
             if length > 3:
@@ -249,13 +245,15 @@ class TestVideoGrouping:
             for f in frames:
                 pose3d = rng.normal(0, 0.5, (16, 3)) + [0, 0, 4.0]
                 cam = CameraIntrinsics(fx=1000.0 + 10 * seq + f)
-                records.append(dsio.DatasetRecord(
-                    pose3d=pose3d, pose2d=project_pose(pose3d, cam), camera=cam,
-                    sequence_id=int(100 - 7 * seq), frame_index=int(f), provenance="real"))
-        order = rng.permutation(len(records))
-        records = [records[i] for i in order]
+                ids.append((100 - 7 * seq, f))
+                values.append(np.concatenate([cam.as_array(), pose3d.ravel(),
+                                              project_pose(pose3d, cam).ravel()]))
+        order = rng.permutation(len(ids))
+        seq_ids, frame_ids = np.array(ids)[order].T
+        rows = dsio.RowBlock(np.zeros(len(ids), np.int8), seq_ids, frame_ids,
+                             np.array(values)[order])
         path = tmp_path / "v.txt"
-        dsio.save_dataset(records, path)
+        dsio.save_dataset(rows, path)
         data = dsio.real_data_from_dataset(path, mode="video", frames=3)
         p3, p2, cams = group_sequences_ref(dsio.load_dataset(path), 3)
         assert data.pose3d.shape == (5, 3, 16, 3)
@@ -269,12 +267,13 @@ class TestVideoGrouping:
 class TestTrainingArraysFromBinary:
     @pytest.mark.parametrize("mode, frames", [("single", 1), ("video", 3)])
     def test_binary_equals_float32_rounded_text(self, tmp_path, mode, frames):
-        records = random_records(60, seed=43, provenance="real")
-        for i, rec in enumerate(records):
-            rec.sequence_id, rec.frame_index = (i // 4, 3 - i % 4) if mode == "video" else (i, 0)
+        rows = random_rows(60, seed=43, provenance="real")
+        if mode == "video":
+            i = np.arange(60)
+            rows = rows._replace(sequence_id=i // 4, frame_index=3 - i % 4)
         text, binary = tmp_path / "d.txt", tmp_path / "d.bin"
-        dsio.save_dataset(records, text)
-        dsio.save_dataset_binary(records, binary)
+        dsio.save_dataset(rows, text)
+        dsio.save_dataset(rows, binary, fmt="binary")
         want = dsio.real_data_from_dataset(text, mode, frames)
         got = dsio.real_data_from_dataset(binary, mode, frames)
         assert got.pose3d.shape == want.pose3d.shape
@@ -284,14 +283,14 @@ class TestTrainingArraysFromBinary:
 
     def test_truncated_binary_is_a_parse_error_at_line_2(self, tmp_path):
         path = tmp_path / "trunc.bin"
-        dsio.save_dataset_binary(random_records(8, seed=21), path)
+        dsio.save_dataset(random_rows(8, seed=21), path, fmt="binary")
         path.write_bytes(path.read_bytes()[:-40])
         with pytest.raises(dsio.DatasetParseError, match="line 2: binary payload truncated"):
             dsio.real_data_from_dataset(path)
 
     def test_empty_binary_dataset_rejected(self, tmp_path):
         path = tmp_path / "empty.bin"
-        dsio.save_dataset_binary([], path)
+        dsio.save_dataset(random_rows(0), path, fmt="binary")
         with pytest.raises(ValueError, match="empty"):
             dsio.real_data_from_dataset(path)
 
@@ -299,17 +298,20 @@ class TestTrainingArraysFromBinary:
 class TestBinaryReader:
     def _write(self, tmp_path, n=8):
         path = tmp_path / "d.bin"
-        dsio.save_dataset_binary(random_records(n, seed=42), path)
+        dsio.save_dataset(random_rows(n, seed=42), path, fmt="binary")
         return path
 
     @pytest.mark.parametrize("meta", [b"", b"binary", b"binary 8", b"binary x 88",
-                                      b"binary 8 87", b"rows 8 88"])
+                                      b"binary 8 87", b"binary -8 88", b"rows 8 88"])
     def test_bad_count_line_is_a_parse_error(self, tmp_path, meta):
         path = self._write(tmp_path)
         header, _, rest = path.read_bytes().split(b"\n", 2)
         path.write_bytes(header + b"\n" + meta + b"\n" + rest)
-        with pytest.raises(dsio.DatasetParseError, match="line 2"):
-            dsio.load_dataset_binary(path)
+        # without a count line the file is read as text, and its payload is not UTF-8
+        says = ("line 2: expected 'binary <count> 88'" if meta.startswith(b"binary")
+                else "line 3: not UTF-8 text")
+        with pytest.raises(dsio.DatasetParseError, match=says):
+            dsio.load_dataset(path)
 
     @pytest.mark.parametrize("field, value, reason", [
         (0, 7.0, "bad provenance code 7"),
@@ -328,7 +330,7 @@ class TestBinaryReader:
         where = start + 3 * 88 * 4 if field == 0 else offset
         with pytest.raises(dsio.DatasetParseError,
                            match=f"byte {where}: record 3: {reason}") as err:
-            dsio.load_dataset_binary(path)
+            dsio.load_dataset(path)
         assert err.value.offset == where and err.value.line_no is None
 
 
@@ -346,13 +348,12 @@ class TestSynthesis:
         gen = tiny_generator(seed=6)
         path = tmp_path / "c.txt"
         dsio.synthesize_dataset(gen, 300, "single", 8, path)
-        n = 0
-        for rec in dsio.iter_dataset(path, topology):
-            uv = project_pose(rec.pose3d, rec.camera)
-            assert np.max(np.abs(uv - rec.pose2d)) < 1e-6
-            assert rec.provenance == "synthetic"
-            n += 1
-        assert n == 300
+        rows = dsio.load_dataset(path, topology)
+        cams, pose3d, pose2d = rows.columns()
+        assert np.all(cams == gen.camera.as_array())
+        assert np.max(np.abs(project_pose(pose3d, gen.camera) - pose2d)) < 1e-6
+        assert np.all(rows.provenance == dsio._PROVENANCES.index("synthetic"))
+        assert len(rows.values) == 300
 
     def test_video_sequences_keep_bone_lengths(self, tmp_path, topology):
         gen = tiny_generator(seed=7, mode="video", frames=9)
@@ -371,18 +372,17 @@ class TestSynthesis:
         path = tmp_path / "d.txt"
         summary = dsio.synthesize_dataset(gen, 100, "single", 10, path, batch=16)
         assert summary.records == 100
-        assert len(dsio.load_dataset(path)) == 100
+        assert len(dsio.load_dataset(path).values) == 100
 
     def test_binary_format(self, tmp_path):
         gen = tiny_generator(seed=9)
         path = tmp_path / "e.bin"
         dsio.synthesize_dataset(gen, 128, "single", 11, path, fmt="binary")
-        records = dsio.load_dataset_binary(path)
-        assert len(records) == 128
-        for rec in records[:16]:
-            uv = project_pose(rec.pose3d, rec.camera)
-            # float32 storage loosens the projection-consistency bound
-            assert np.max(np.abs(uv - rec.pose2d)) < 1e-2
+        cams, pose3d, pose2d = dsio.load_dataset(path).columns()
+        assert len(cams) == 128 and np.all(cams == cams[0])
+        uv = project_pose(pose3d[:16], CameraIntrinsics.from_array(cams[0]))
+        # float32 storage loosens the projection-consistency bound
+        assert np.max(np.abs(uv - pose2d[:16])) < 1e-2
 
     def test_depth_violations_resampled(self, tmp_path):
         gen = tiny_generator(seed=10)
@@ -392,8 +392,8 @@ class TestSynthesis:
         summary = dsio.synthesize_dataset(gen, 50, "single", 12, path)
         assert summary.records == 50
         assert summary.resampled > 0
-        for rec in dsio.iter_dataset(path):
-            assert np.all(rec.pose3d[:, 2] >= 3.2)
+        _, pose3d, _ = dsio.load_dataset(path).columns()
+        assert np.all(pose3d[..., 2] >= 3.2)
 
     def test_mode_mismatch_rejected(self, tmp_path):
         gen = tiny_generator(seed=11)
@@ -407,13 +407,12 @@ class TestSynthesis:
             dsio.synthesize_dataset(gen, 5, "single", 0, tmp_path / "h.txt", batch=8)
 
     def test_truncated_binary_payload_detected(self, tmp_path):
-        records = random_records(8, seed=21)
         path = tmp_path / "trunc.bin"
-        dsio.save_dataset_binary(records, path)
+        dsio.save_dataset(random_rows(8, seed=21), path, fmt="binary")
         data = path.read_bytes()
         path.write_bytes(data[:-40])
         with pytest.raises(dsio.DatasetParseError, match="truncated"):
-            dsio.load_dataset_binary(path)
+            dsio.load_dataset(path)
 
 
 class TestSkeletonVideo:
@@ -492,10 +491,9 @@ class TestBandCorpus:
 
     def test_round_trip_through_dataset_file(self, tmp_path):
         data = dsio.make_band_corpus(12, 17)
-        records = dsio.real_data_to_records(data)
-        assert all(r.provenance == "real" for r in records)
         path = tmp_path / "band.txt"
-        dsio.save_dataset(records, path)
+        dsio.save_dataset(dsio.rows_of(data), path)
+        assert all(line.startswith("real ") for line in path.read_text().splitlines()[1:])
         again = dsio.real_data_from_dataset(path)
         assert np.max(np.abs(again.pose3d - data.pose3d)) < 1e-9
 

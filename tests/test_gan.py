@@ -560,9 +560,9 @@ class TestTrainEpoch:
         state = gan.init_train_state(cfg)
         metrics = gan.train_epoch(state, data, synth_dir=str(tmp_path))
         assert metrics["synth_count"] == 24
-        records = dsio.load_dataset(metrics["synth_path"])
-        assert len(records) == 24
-        assert all(r.provenance == "synthetic" for r in records)
+        rows = dsio.load_dataset(metrics["synth_path"])
+        assert len(rows.values) == 24
+        assert np.all(rows.provenance == dsio._PROVENANCES.index("synthetic"))
 
     def test_empty_data_rejected(self):
         cfg = tiny_config(seed=43)
