@@ -43,10 +43,11 @@ def _load_params_file(path, topology) -> np.ndarray:
     """48 whitespace-separated deltas: degrees for angles, meters for lengths."""
     values = []
     with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                values.extend(float(tok) for tok in line.split())
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                values.extend(float(tok) for tok in line.split("#", 1)[0].split())
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line_no}: {exc}") from exc
     if len(values) != sk.N_PARAMS:
         raise ValueError(f"{path}: expected {sk.N_PARAMS} values, found {len(values)}")
     params = np.asarray(values)

@@ -29,6 +29,8 @@ from .skeleton import (N_PARAMS, SkeletonTopology, default_topology,
 FORMAT_VERSION = "v1"
 _HEADER_PREFIX = "# dhpose dataset"
 _PROVENANCES = ("real", "synthetic")  # a row's provenance code indexes this
+_CAMERA = ("fx", "fy", "cx", "cy", "z_min")  # a row's first values
+_POSITIVE = [0, 1, 4]  # camera values that must be > 0: fx, fy, z_min
 _VALUES_PER_ROW = 5 + 48 + 32  # camera, pose3d, pose2d
 _FIELDS_PER_ROW = 3 + _VALUES_PER_ROW  # provenance, sequence id, frame index, values
 _BLOCK_ROWS = 256  # rows formatted or parsed at a time; bounds transient memory
@@ -164,6 +166,12 @@ def _check_topology(path, file_hash: str, topology: Optional[SkeletonTopology]) 
         warnings.warn(f"{path}: dataset topology {file_hash} differs from expected {expected}")
 
 
+def _bad_camera(values: np.ndarray) -> Optional[tuple[int, int]]:
+    """(row, value column) of the first fx, fy or z_min that is not positive."""
+    bad = np.argwhere(values[:, _POSITIVE] <= 0)
+    return (bad[0][0], _POSITIVE[bad[0][1]]) if bad.size else None
+
+
 def _parse_rows(path, lines: list[str], line_nos: list[int]) -> RowBlock:
     """Parse non-blank record lines in one call; a bad line raises naming its line number."""
     try:
@@ -193,6 +201,10 @@ def _parse_rows(path, lines: list[str], line_nos: list[int]) -> RowBlock:
         i, j = bad[0]
         raise DatasetParseError(path, line_nos[i],
                                 f"non-finite value {lines[i].split()[3 + j]!r} in field {4 + j}")
+    if bad := _bad_camera(values):
+        i, j = bad
+        raise DatasetParseError(path, line_nos[i], f"non-positive {_CAMERA[j]} "
+                                                   f"{lines[i].split()[3 + j]!r} in field {4 + j}")
     return RowBlock(codes, rows["sequence_id"].copy(), rows["frame_index"].copy(), values)
 
 
@@ -229,6 +241,11 @@ def _read_binary(path, fh, meta_line: bytes) -> RowBlock:
         i, j = bad[0]
         raise DatasetParseError(path, None, f"record {i}: non-finite value in field {j + 1}",
                                 offset=start + (i * width + j) * 4)
+    if bad := _bad_camera(rows[:, 3:]):
+        i, j = bad
+        raise DatasetParseError(path, None, f"record {i}: non-positive {_CAMERA[j]} "
+                                            f"{rows[i, 3 + j]:g} in field {4 + j}",
+                                offset=start + (i * width + 3 + j) * 4)
     return RowBlock(rows[:, 0].astype(np.int8), rows[:, 1].astype(np.int64),
                     rows[:, 2].astype(np.int64), rows[:, 3:])
 
@@ -236,9 +253,9 @@ def _read_binary(path, fh, meta_line: bytes) -> RowBlock:
 def iter_blocks(path, topology: Optional[SkeletonTopology] = None) -> Iterator[RowBlock]:
     """Stream a dataset file's rows: a text file in blocks of at most
     ``_BLOCK_ROWS`` lines, a binary one (its second line reads ``binary N
-    88``) as one block.  A malformed or non-finite field raises
-    ``DatasetParseError`` naming the line (text) or the record and its byte
-    offset (binary).
+    88``) as one block.  A malformed or non-finite field, or a camera whose
+    fx, fy or z_min is not positive, raises ``DatasetParseError`` naming the
+    line (text) or the record and its byte offset (binary).
 
     Text lines are decoded one at a time, so bytes that are not UTF-8 (a
     binary file with a damaged count line, say) are reported with their line.
@@ -296,8 +313,7 @@ def synthesize_dataset(gen, count: int, mode: str, seed: int, path,
         raise ValueError(f"count must be >= 1, got {count}")
     if mode != gen.mode:
         raise ValueError(f"generator is a {gen.mode!r} model; requested {mode!r}")
-    frames = gen.frames if mode == "video" else 1
-    head = _head(fmt, count * frames, gen.topology)
+    head = _head(fmt, count * gen.frames, gen.topology)
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     cam_row = gen.camera.as_array()
@@ -330,7 +346,7 @@ def synthesize_dataset(gen, count: int, mode: str, seed: int, path,
             data = RealData(pose3d, pose2d, np.broadcast_to(cam_row, (k, 5)))
             _write_rows(fh, rows_of(data, "synthetic", written), fmt == "binary")
             written += k
-    return SynthSummary(records=count * frames, sequences=count if mode == "video" else 0,
+    return SynthSummary(records=count * gen.frames, sequences=count if mode == "video" else 0,
                         violations=violations, resampled=resampled,
                         seconds=time.perf_counter() - t0, path=str(path))
 
@@ -357,13 +373,22 @@ def export_skeleton_video(sequence, path, topology: Optional[SkeletonTopology] =
 
 
 def load_skeleton_video(path) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Read a skeleton video; a malformed line raises ``DatasetParseError`` naming it."""
+    """Read a skeleton video; a malformed line, or frame and keypoint
+    counts other than the header's ``frames=`` and ``keypoints=``, raise
+    ``DatasetParseError`` naming the line."""
     edges = []
     frames: list[list] = []
     frame_lines: list[int] = []
+    declared: dict[str, int] = {}
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             tok = raw.split()
+            if line_no == 1 and raw.startswith("#"):
+                try:
+                    declared = {k: int(v) for k, v in (t.split("=", 1) for t in tok if "=" in t)
+                                if k in ("frames", "keypoints")}
+                except ValueError as exc:
+                    raise DatasetParseError(path, 1, f"bad header count: {exc}") from exc
             if not tok or tok[0].startswith("#"):
                 continue
             if tok[0] == "edge":
@@ -383,6 +408,9 @@ def load_skeleton_video(path) -> tuple[np.ndarray, list[tuple[int, int]]]:
                 if len(tok) != 5:
                     raise DatasetParseError(path, line_no, f"expected 5 fields in a kp "
                                                            f"line, got {len(tok)}")
+                if tok[1] != str(len(frames[-1])):
+                    raise DatasetParseError(path, line_no, f"kp {tok[1]} at position "
+                                                           f"{len(frames[-1])} of its frame")
                 xyz = []
                 for t in tok[2:]:
                     try:
@@ -394,10 +422,14 @@ def load_skeleton_video(path) -> tuple[np.ndarray, list[tuple[int, int]]]:
                         raise DatasetParseError(path, line_no, f"non-finite coordinate {t!r}")
                     xyz.append(v)
                 frames[-1].append(xyz)
+    if declared.get("frames", len(frames)) != len(frames):
+        raise DatasetParseError(path, 1, f"header declares frames={declared['frames']}, "
+                                         f"the file has {len(frames)}")
+    want, by = ((declared["keypoints"], "the header") if "keypoints" in declared
+                else (len(frames[0]) if frames else 0, "the first frame"))
     for frame, line_no in zip(frames, frame_lines):
-        if len(frame) != len(frames[0]):
-            raise DatasetParseError(path, line_no, f"frame has {len(frame)} keypoints, "
-                                                   f"the first frame {len(frames[0])}")
+        if len(frame) != want:
+            raise DatasetParseError(path, line_no, f"frame has {len(frame)} keypoints, {by} {want}")
     return np.asarray(frames), edges
 
 

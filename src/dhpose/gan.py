@@ -93,6 +93,16 @@ def sample_latent(count: int, z_dim: int, rng: np.random.Generator) -> np.ndarra
     return rng.standard_normal((count, z_dim))
 
 
+def _check_frames(mode: str, frames: int) -> None:
+    """Video sequences have at least 2 frames; single mode has exactly 1."""
+    if mode not in ("single", "video"):
+        raise ValueError(f"mode must be 'single' or 'video', got {mode!r}")
+    if mode == "video" and frames < 2:
+        raise ValueError(f"video mode needs at least 2 frames, got {frames}")
+    if mode == "single" and frames != 1:
+        raise ValueError(f"single mode uses exactly 1 frame, got {frames}")
+
+
 @dataclass
 class TrainConfig:
     mode: str = "single"            # "single" | "video"
@@ -117,12 +127,7 @@ class TrainConfig:
         return 1024 if self.mode == "single" else 512
 
     def validate(self) -> None:
-        if self.mode not in ("single", "video"):
-            raise ValueError(f"mode must be 'single' or 'video', got {self.mode!r}")
-        if self.mode == "video" and self.frames < 2:
-            raise ValueError("video mode needs at least 2 frames")
-        if self.mode == "single" and self.frames != 1:
-            raise ValueError("single mode uses exactly 1 frame")
+        _check_frames(self.mode, self.frames)
         positives = dict(alpha=self.alpha, z_dim=self.z_dim, critic_steps=self.critic_steps,
                          lr=self.lr, epochs=self.epochs, batch=self.resolved_batch(),
                          beta_epoch=self.beta_epoch)
@@ -188,8 +193,7 @@ class DhGenerator:
     bounds: GlobalBounds = field(default_factory=GlobalBounds)
 
     def __post_init__(self):
-        if self.mode not in ("single", "video"):
-            raise ValueError(f"generator mode must be 'single' or 'video', got {self.mode!r}")
+        _check_frames(self.mode, self.frames)
         need = _out_width(self.mode, self.frames)
         if self.net.out_dim != need:
             raise ValueError(f"generator net emits {self.net.out_dim} values; "

@@ -219,6 +219,8 @@ def load_checkpoint(path) -> tuple[dict[str, Mlp], int, dict[str, str]]:
                 elif tok[0] == "net":
                     pass
                 elif tok[0] == "layer":
+                    if tok[5] not in ACTIVATIONS:
+                        raise ValueError(f"unknown activation {tok[5]!r}")
                     specs.append((tok[1], int(tok[3]), int(tok[4]), tok[5]))
                 elif tok[0] == "binary":
                     nbytes = int(tok[1])
@@ -227,9 +229,13 @@ def load_checkpoint(path) -> tuple[dict[str, Mlp], int, dict[str, str]]:
                     raise ValueError(f"unknown checkpoint record {tok[0]!r}")
             except (IndexError, ValueError) as exc:
                 raise ValueError(f"{path}: line {lineno}: bad checkpoint header line "
-                                 f"{raw!r}") from exc
+                                 f"{raw!r} ({exc})") from exc
         if nbytes is None:
-            raise ValueError("checkpoint has no binary section")
+            raise ValueError(f"{path}: checkpoint has no binary section")
+        need = 4 * sum(fan_in * fan_out + fan_out for _, fan_in, fan_out, _ in specs)
+        if need != nbytes:
+            raise ValueError(f"{path}: line {lineno}: the layer lines need {need} bytes, "
+                             f"this line says {nbytes}")
         payload = fh.read(nbytes)
         if len(payload) != nbytes:
             raise ValueError(f"{path}: checkpoint blob truncated: header says {nbytes} bytes, "
@@ -243,6 +249,4 @@ def load_checkpoint(path) -> tuple[dict[str, Mlp], int, dict[str, str]]:
         b = blob[pos:pos + fan_out]
         pos += fan_out
         nets.setdefault(name, Mlp([])).layers.append(LayerSpec(w=w.copy(), b=b.copy(), act=act))
-    if pos != blob.size:
-        raise ValueError("checkpoint blob size does not match the header")
     return nets, seed, extra

@@ -58,6 +58,13 @@ class TestFk:
         assert code == 2
         assert "48" in err
 
+    def test_non_numeric_param_names_file_and_line(self, capsys, tmp_path):
+        path = tmp_path / "params.txt"
+        path.write_text("# deltas\n0 0 abc\n")
+        code, _, err = run(capsys, "fk", "--params", str(path))
+        assert code == 2
+        assert err.startswith(f"error: {path}: line 2: ") and "'abc'" in err
+
 
 class TestValidate:
     def test_out_of_range_knee_exits_2_and_lists_it(self, capsys, tmp_path):
@@ -160,6 +167,40 @@ class TestSynthAndFeatures:
         assert np.allclose(root_sum, x2d[-1, :2] - x2d[0, :2], rtol=0, atol=1e-8)
         assert np.max(np.abs(x2d)) < 2.0
 
+    def test_features_of_a_binary_dataset_equal_its_text_twin(self, capsys, tmp_path):
+        dumps = []
+        for fmt in ("text", "binary"):
+            data = tmp_path / f"d.{fmt}"
+            run(capsys, "synth", "--count", "6", "--seed", "3", "--out", str(data),
+                "--mode", "video", "--frames", "4", "--format", fmt)
+            code, out, err = run(capsys, "features", "--data", str(data), "--sequence", "4")
+            assert code == 0, err
+            words, numbers = [], []
+            for tok in out.split():
+                try:
+                    numbers.append(float(tok))
+                except ValueError:
+                    words.append(tok)
+            dumps.append((words, np.array(numbers)))
+        (text_words, text), (binary_words, binary) = dumps
+        assert text_words == binary_words and text.shape == binary.shape
+        # the binary file stores float32 (relative rounding 6e-8); differences
+        # and cosines of nearby values amplify it, to about 2e-6 here
+        np.testing.assert_allclose(binary, text, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("argv", [
+        ("synth", "--mode", "video", "--frames", "0", "--count", "3", "--out"),
+        ("synth", "--mode", "video", "--frames", "1", "--count", "3", "--out"),
+        ("export-video", "--frames", "1", "--out"),
+    ])
+    def test_video_needs_two_frames(self, capsys, tmp_path, argv):
+        out = tmp_path / "out.txt"
+        code, _, err = run(capsys, *argv, str(out))
+        assert code == 2
+        frames = argv[argv.index("--frames") + 1]
+        assert err.startswith(f"error: video mode needs at least 2 frames, got {frames}")
+        assert not out.exists()
+
     def test_missing_sequence_is_a_data_error(self, capsys, tmp_path):
         data = tmp_path / "d.txt"
         run(capsys, "synth", "--count", "5", "--seed", "3", "--out", str(data))
@@ -230,6 +271,21 @@ class TestTrain:
         assert code == 2
         assert err.startswith("error: ") and "not UTF-8 text" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field, value", [(3, "-1145"), (4, "0"), (7, "-0.5")])
+    def test_non_positive_camera_is_a_data_error(self, capsys, tmp_path, field, value):
+        data = tmp_path / "data.txt"
+        dsio.save_dataset(dsio.rows_of(dsio.make_band_corpus(4, 2)), data)
+        lines = data.read_text().splitlines()
+        tok = lines[2].split()
+        tok[field] = value
+        lines[2] = " ".join(tok)
+        data.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "train", "--data", str(data), "--epochs", "1",
+                           "--batch", "2", "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert err.startswith(f"error: {data}: parse error at line 3: non-positive ")
+        assert f"'{value}' in field {field + 1}" in err
 
     def test_command_pins_blas_threads_unless_set(self, monkeypatch):
         from dhpose import __main__ as entry
@@ -329,6 +385,8 @@ class TestSynthFromCheckpoint:
     @pytest.mark.parametrize("edit,says", [
         ((b"net gen ", b"net foo "), "holds no generator net 'gen' (nets: foo)"),
         ((b"meta mode single", b"meta mode bogus"), "must be 'single' or 'video', got 'bogus'"),
+        ((b"128 8 tanh", b"128 8 relu"), "line 7: bad checkpoint header line"),
+        ((b"layer gen 1 8 54", b"layer gen 1 999 54"), "line 9: the layer lines need"),
     ])
     def test_malformed_checkpoint_is_a_data_error_naming_the_file(self, capsys, tmp_path, edit,
                                                                   says):

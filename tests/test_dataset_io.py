@@ -1,3 +1,9 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,6 +183,9 @@ class TestTextReader:
         (40, "inf", "non-finite"),
         (87, "-inf", "non-finite"),
         (20, "NaN", "non-finite"),
+        (3, "-1145", "non-positive fx '-1145' in field 4"),
+        (4, "0", "non-positive fy '0' in field 5"),
+        (7, "-0.5", "non-positive z_min '-0.5' in field 8"),
     ])
     def test_bad_field_names_its_line(self, tmp_path, field, value, reason):
         path, lines = self._write(tmp_path)
@@ -319,6 +328,9 @@ class TestBinaryReader:
         (0, np.nan, "bad provenance code nan"),
         (40, np.inf, "non-finite value in field 41"),
         (2, np.nan, "non-finite value in field 3"),
+        (3, -1145.0, "non-positive fx -1145 in field 4"),
+        (4, 0.0, "non-positive fy 0 in field 5"),
+        (7, -0.5, "non-positive z_min -0.5 in field 8"),
     ])
     def test_bad_record_names_record_and_byte_offset(self, tmp_path, field, value, reason):
         path = self._write(tmp_path)
@@ -468,6 +480,8 @@ class TestSkeletonVideo:
         (["frame 0", "kp 0 -inf 2 3"], 3, "non-finite coordinate '-inf'"),
         (["frame 0", "kp 0 1 2 3", "kp 1 1 2 3", "frame 1", "kp 0 1 2 3"], 5,
          "frame has 1 keypoints, the first frame 2"),
+        (["frame 0", "kp 1 1 2 3"], 3, "kp 1 at position 0 of its frame"),
+        (["frame 0", "kp 0 1 2 3", "kp 0 1 2 3"], 4, "kp 0 at position 1 of its frame"),
     ])
     def test_malformed_line_is_a_parse_error(self, tmp_path, lines, line_no, reason):
         path = tmp_path / "bad.txt"
@@ -475,6 +489,22 @@ class TestSkeletonVideo:
         with pytest.raises(dsio.DatasetParseError, match=f"line {line_no}: {reason}") as err:
             dsio.load_skeleton_video(path)
         assert err.value.line_no == line_no
+
+
+    @pytest.mark.parametrize("counts, lines, line_no, reason", [
+        ("frames=3 keypoints=16", ["frame 0", "kp 5 1 2 3", "kp 0 1 2 3"], 3,
+         "kp 5 at position 0 of its frame"),
+        ("frames=2 keypoints=1", ["frame 0", "kp 0 1 2 3"], 1,
+         "header declares frames=2, the file has 1"),
+        ("frames=1 keypoints=2", ["frame 0", "kp 0 1 2 3"], 2,
+         "frame has 1 keypoints, the header 2"),
+        ("frames=x keypoints=1", ["frame 0", "kp 0 1 2 3"], 1, "bad header count"),
+    ])
+    def test_counts_must_match_the_header(self, tmp_path, counts, lines, line_no, reason):
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join([f"# dhpose skeleton-video v1 {counts}"] + lines) + "\n")
+        with pytest.raises(dsio.DatasetParseError, match=f"line {line_no}: {reason}"):
+            dsio.load_skeleton_video(path)
 
 
 class TestBandCorpus:
@@ -496,6 +526,19 @@ class TestBandCorpus:
         assert all(line.startswith("real ") for line in path.read_text().splitlines()[1:])
         again = dsio.real_data_from_dataset(path)
         assert np.max(np.abs(again.pose3d - data.pose3d)) < 1e-9
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--count", "8", "--seed", "0"], "e8065c807880"),
+        (["--count", "4", "--mode", "video", "--frames", "3", "--seed", "0"], "2f79a3820200"),
+    ])
+    def test_smoke_corpus_script_output_is_pinned(self, tmp_path, argv, digest):
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / "smoke.txt"
+        subprocess.run([sys.executable, str(root / "scripts" / "make_smoke_corpus.py"), *argv,
+                        "--out", str(out)], env=env, check=True, capture_output=True, timeout=120)
+        assert hashlib.sha256(out.read_bytes()).hexdigest()[:12] == digest
 
     def test_deterministic(self):
         a = dsio.make_band_corpus(8, 18)
