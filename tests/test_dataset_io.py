@@ -107,10 +107,6 @@ def reference_text(rows):
                             zip(rows.provenance, rows.sequence_id, rows.frame_index, rows.values))
 
 
-def concat(*blocks):
-    return dsio.RowBlock.concat(blocks)
-
-
 EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
                1.7976931348623157e308, 0.1 + 0.2, 1.0, -7.0, 3.0, 1e15, 123456789012345.0,
                2.0 ** 53, 1.2345678901234, 1.2345678901235, 0.12345678901234,
@@ -123,9 +119,9 @@ class TestTextFormat:
 
     def test_random_rows_match_reference(self, tmp_path):
         rng = RNG(30)
-        rows = concat(rows_with_values(rng.normal(0, 1, (300, 80))
-                                       * 10.0 ** rng.integers(-9, 9, (300, 1))),
-                      random_rows(50, seed=31))
+        rows = dsio.RowBlock.concat([rows_with_values(rng.normal(0, 1, (300, 80))
+                                                      * 10.0 ** rng.integers(-9, 9, (300, 1))),
+                                     random_rows(50, seed=31)])
         path = tmp_path / "r.txt"
         dsio.save_dataset(rows, path)
         assert path.read_text() == reference_text(rows)
