@@ -28,7 +28,7 @@ def main():
                             band=args.band)
     rows = rows_of(data, provenance="real")
     save_dataset(rows, args.out)
-    print(f"wrote {len(rows.values)} real records to {args.out}")
+    print(f"wrote {len(rows)} real records to {args.out}")
 
 
 if __name__ == "__main__":

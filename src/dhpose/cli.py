@@ -22,6 +22,7 @@ from . import skeleton as sk
 from .__main__ import BLAS_THREAD_VARS
 from .camera import CameraIntrinsics, DepthViolationError, default_camera, project_pose
 from .features import adjacent_bone_pairs
+from .textio import ParseError, records
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -40,16 +41,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_params_file(path, topology) -> np.ndarray:
-    """48 whitespace-separated deltas: degrees for angles, meters for lengths."""
-    values = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            try:
-                values.extend(float(tok) for tok in line.split("#", 1)[0].split())
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from exc
-    if len(values) != sk.N_PARAMS:
-        raise ValueError(f"{path}: expected {sk.N_PARAMS} values, found {len(values)}")
+    """48 whitespace-separated deltas, any number to a line (line rules in
+    ``textio``): degrees for angles, meters for lengths."""
+    values, line_no = [], 1
+    with open(path, "rb") as fh:
+        for rec in records(fh, path):
+            values += rec.fields(*[float] * len(rec.tokens))
+            line_no = rec.line_no
+    if len(values) != sk.N_PARAMS:  # named at the last line with values
+        raise ParseError(path, line_no, f"expected {sk.N_PARAMS} values, found {len(values)}")
     params = np.asarray(values)
     angle = np.array([k == "angle" for k in topology.param_kinds])
     params[angle] = np.deg2rad(params[angle])
@@ -132,7 +132,7 @@ def cmd_features(args) -> int:
     topology = _topology_from(args)
     rows = ds.RowBlock.concat(block.take(block.sequence_id == args.sequence)
                               for block in ds.iter_blocks(args.data, topology))
-    if not len(rows.values):
+    if not len(rows):
         raise ValueError(f"{args.data}: no records with sequence id {args.sequence}")
     cams, seq3d, seq2d = rows.take(np.argsort(rows.frame_index, kind="stable")).columns()
     streams = gan.feature_batch(seq3d[None], seq2d[None], CameraIntrinsics.from_array(cams[0]),
@@ -401,8 +401,7 @@ def run_cli(argv) -> int:
         return EXIT_USAGE
     try:
         return args.fn(args)
-    except (ValueError, OSError, DepthViolationError, ds.DatasetParseError,
-            gan.TrainingDivergedError) as exc:
+    except (ValueError, OSError, DepthViolationError, gan.TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .textio import dense, records
 
 
 @dataclass(frozen=True)
@@ -49,10 +51,6 @@ class ConstraintTable:
 
     def id_of(self, name: str) -> int:
         return self.names.index(name)
-
-    def bounds_of(self, name: str) -> tuple[float, float]:
-        i = self.id_of(name)
-        return float(self.lo[i]), float(self.hi[i])
 
 
 @dataclass(frozen=True)
@@ -144,64 +142,21 @@ def table_to_text(table: ConstraintTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def table_from_text(text: str, source="<text>") -> ConstraintTable:
-    """Parse ``param ID NAME KIND MIN MAX`` lines (``#`` comments and blank
-    lines skipped) into a table indexed by id.
-
-    Raises ValueError naming ``source`` and the line for a malformed line, a
-    negative or duplicate id, an id that skips one (ids must run 0..N-1), or
-    a file without ``param`` lines.
-    """
-    entries = {}
-    line_of: dict[int, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        where = f"{source}: line {lineno}"
-        tok = line.split()
-        try:
-            if tok[0] != "param":
-                raise ValueError(f"unknown record {tok[0]!r}")
-            i = int(tok[1])
-            entry = (tok[2], tok[3], float(tok[4]), float(tok[5]))
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"{where}: constraint parse error: {exc}") from exc
-        if i < 0:
-            raise ValueError(f"{where}: negative param id {i}")
-        if i in entries:
-            raise ValueError(f"{where}: param {i} already given at line {line_of[i]}")
-        entries[i] = entry
-        line_of[i] = lineno
-    if not entries:
-        raise ValueError(f"{source}: no param lines")
-    for i in range(max(entries)):
-        if i not in entries:
-            after = min(k for k in entries if k > i)
-            raise ValueError(f"{source}: line {line_of[after]}: param {after} given "
-                             f"but param {i} is missing")
-    n = len(entries)
-    lo = np.empty(n)
-    hi = np.empty(n)
-    names, kinds = [], []
-    for i in range(n):
-        name, kind, a, b = entries[i]
-        if kind == "angle":
-            a, b = np.deg2rad(a), np.deg2rad(b)
-        lo[i], hi[i] = a, b
-        names.append(name)
-        kinds.append(kind)
-    return ConstraintTable(lo=lo, hi=hi, names=tuple(names), kinds=tuple(kinds))
-
-
-def save_constraint_table(table: ConstraintTable, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(table_to_text(table))
+def table_from_text(text, source="<text>") -> ConstraintTable:
+    """Parse ``param ID NAME KIND MIN MAX`` lines (``str`` or ``bytes``; line
+    rules in ``textio``) into a table indexed by id; ids must run 0..N-1."""
+    entries = []
+    for rec in records(text.splitlines(), source):
+        _, i, *entry = rec.fields("param", int, str, str, float, float)
+        entries.append((rec, i, entry))
+    names, kinds, lo, hi = zip(*dense(entries, "param", source))
+    angle = np.array(kinds) == "angle"
+    lo, hi = (np.where(angle, np.deg2rad(v), v) for v in (np.array(lo), np.array(hi)))
+    return ConstraintTable(lo=lo, hi=hi, names=names, kinds=kinds)
 
 
 def load_constraint_table(path) -> ConstraintTable:
-    with open(path) as fh:
-        return table_from_text(fh.read(), path)
+    return table_from_text(Path(path).read_bytes(), path)
 
 
 _DEFAULT: dict[str, ConstraintTable] = {}

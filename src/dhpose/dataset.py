@@ -12,12 +12,11 @@ no matter the count.
 
 from __future__ import annotations
 
-import math
 import time
 import warnings
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .camera import CameraIntrinsics, project_pose
 from .constraints import ConstraintTable, count_violations, default_constraint_table
 from .skeleton import (N_PARAMS, SkeletonTopology, default_topology,
                        forward_kinematics_batch, topology_hash)
+from .textio import ParseError, Record, decode, records
 
 FORMAT_VERSION = "v1"
 _HEADER_PREFIX = "# dhpose dataset"
@@ -37,16 +37,6 @@ _BLOCK_ROWS = 256  # rows formatted or parsed at a time; bounds transient memory
 _TEXT_ROW = "%s %d %d " + " ".join(["%.13g"] * _VALUES_PER_ROW) + "\n"
 _TEXT_DTYPE = np.dtype([("provenance", "U16"), ("sequence_id", "i8"), ("frame_index", "i8"),
                         ("values", "f8", (_VALUES_PER_ROW,))])
-
-
-class DatasetParseError(ValueError):
-    """A malformed dataset file, located by line or, in a binary payload, by byte offset."""
-
-    def __init__(self, path, line_no: Optional[int], reason: str, offset: Optional[int] = None):
-        self.line_no = line_no
-        self.offset = offset
-        where = f"line {line_no}" if offset is None else f"byte {offset}"
-        super().__init__(f"{path}: parse error at {where}: {reason}")
 
 
 @dataclass
@@ -65,7 +55,8 @@ class RealData:
         return self.pose3d.ndim == 4
 
 
-class RowBlock(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class RowBlock:
     """Dataset rows in columns: the one in-memory form of dataset rows."""
 
     provenance: np.ndarray   # (N,) int8 codes indexing _PROVENANCES
@@ -73,9 +64,12 @@ class RowBlock(NamedTuple):
     frame_index: np.ndarray  # (N,) int64
     values: np.ndarray       # (N, 85) float64: camera 5, pose3d 48, pose2d 32
 
+    def __len__(self) -> int:
+        return len(self.provenance)
+
     def take(self, index) -> RowBlock:
         """The rows at ``index`` (a slice, a mask or an integer array of any shape)."""
-        return RowBlock(*(col[index] for col in self))
+        return RowBlock(*(getattr(self, col)[index] for col in _COLUMNS))
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Contiguous (cameras, pose3d, pose2d) arrays of the rows' values,
@@ -88,9 +82,11 @@ class RowBlock(NamedTuple):
     @classmethod
     def concat(cls, blocks: Iterable[RowBlock]) -> RowBlock:
         """The rows of ``blocks`` in order, as one block (no rows for no blocks)."""
-        return cls(*(np.concatenate(col) for col in zip(_NO_ROWS, *blocks)))
+        blocks = [_NO_ROWS, *blocks]
+        return cls(*(np.concatenate([getattr(b, col) for b in blocks]) for col in _COLUMNS))
 
 
+_COLUMNS = ("provenance", "sequence_id", "frame_index", "values")
 _NO_ROWS = RowBlock(np.empty(0, np.int8), np.empty(0, np.int64), np.empty(0, np.int64),
                     np.empty((0, _VALUES_PER_ROW)))
 
@@ -124,10 +120,10 @@ def _head(fmt: str, count: int, topology: Optional[SkeletonTopology]) -> bytes:
 def _write_rows(fh, rows: RowBlock, binary: bool) -> None:
     """Append rows to a dataset file ``_BLOCK_ROWS`` at a time: text lines
     from one ``%``-template, or ``<f4`` records of all 88 fields."""
-    for i in range(0, len(rows.values), _BLOCK_ROWS):
+    for i in range(0, len(rows), _BLOCK_ROWS):
         block = rows.take(slice(i, i + _BLOCK_ROWS))
         if binary:
-            out = np.empty((len(block.values), _FIELDS_PER_ROW), dtype="<f4")
+            out = np.empty((len(block), _FIELDS_PER_ROW), dtype="<f4")
             out[:, 0] = block.provenance
             out[:, 1] = block.sequence_id
             out[:, 2] = block.frame_index
@@ -143,7 +139,7 @@ def save_dataset(rows: RowBlock, path, fmt: str = "text",
                  topology: Optional[SkeletonTopology] = None) -> None:
     """Write rows as text (lossless to 13 significant digits) or as binary
     float32 records."""
-    head = _head(fmt, len(rows.values), topology)
+    head = _head(fmt, len(rows), topology)
     with open(path, "wb") as fh:
         fh.write(head)
         _write_rows(fh, rows, fmt == "binary")
@@ -151,10 +147,10 @@ def save_dataset(rows: RowBlock, path, fmt: str = "text",
 
 def _parse_header(path, line: str) -> str:
     if not line.startswith(_HEADER_PREFIX):
-        raise DatasetParseError(path, 1, "missing dataset header")
+        raise ParseError(path, 1, "missing dataset header")
     tok = line.split()
     if len(tok) < 5 or tok[3] != FORMAT_VERSION or not tok[4].startswith("topology="):
-        raise DatasetParseError(path, 1, f"unsupported header {line!r}")
+        raise ParseError(path, 1, f"unsupported header {line!r}")
     return tok[4].split("=", 1)[1]
 
 
@@ -181,12 +177,11 @@ def _parse_rows(path, lines: list[str], line_nos: list[int]) -> RowBlock:
         for line, line_no in zip(lines, line_nos):
             fields = len(line.split())
             if fields != _FIELDS_PER_ROW:
-                raise DatasetParseError(path, line_no,
-                                        f"expected {_FIELDS_PER_ROW} fields, got {fields}")
+                raise ParseError(path, line_no, f"expected {_FIELDS_PER_ROW} fields, got {fields}")
             try:
                 np.loadtxt([line], dtype=_TEXT_DTYPE, comments=None, ndmin=1)
             except ValueError as exc:
-                raise DatasetParseError(path, line_no, str(exc).split(" at row ")[0]) from exc
+                raise ParseError(path, line_no, str(exc).split(" at row ")[0]) from exc
         raise
     codes = np.full(len(rows), -1, dtype=np.int8)
     for code, name in enumerate(_PROVENANCES):
@@ -194,58 +189,50 @@ def _parse_rows(path, lines: list[str], line_nos: list[int]) -> RowBlock:
     bad = np.flatnonzero(codes < 0)
     if bad.size:
         i = bad[0]
-        raise DatasetParseError(path, line_nos[i], f"bad provenance {lines[i].split()[0]!r}")
+        raise ParseError(path, line_nos[i], f"bad provenance {lines[i].split()[0]!r}")
     values = np.ascontiguousarray(rows["values"])
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         i, j = bad[0]
-        raise DatasetParseError(path, line_nos[i],
-                                f"non-finite value {lines[i].split()[3 + j]!r} in field {4 + j}")
+        raise ParseError(path, line_nos[i],
+                         f"non-finite value {lines[i].split()[3 + j]!r} in field {4 + j}")
     if bad := _bad_camera(values):
         i, j = bad
-        raise DatasetParseError(path, line_nos[i], f"non-positive {_CAMERA[j]} "
-                                                   f"{lines[i].split()[3 + j]!r} in field {4 + j}")
+        raise ParseError(path, line_nos[i], f"non-positive {_CAMERA[j]} "
+                                            f"{lines[i].split()[3 + j]!r} in field {4 + j}")
     return RowBlock(codes, rows["sequence_id"].copy(), rows["frame_index"].copy(), values)
-
-
-def _decode(path, raw: bytes, line_no: int) -> str:
-    try:
-        return raw.decode()
-    except UnicodeDecodeError as exc:
-        raise DatasetParseError(path, line_no, f"not UTF-8 text: byte {raw[exc.start]:#04x} "
-                                               f"at column {exc.start + 1}") from exc
 
 
 def _read_binary(path, fh, meta_line: bytes) -> RowBlock:
     """All rows of a binary dataset whose count line was just read from
     ``fh``, after checking that line and every record."""
-    meta = _decode(path, meta_line, 2).split()
+    meta = decode(path, meta_line, 2).split()
     count = int(meta[1]) if len(meta) == 3 and meta[1].isdigit() else -1
     width = _FIELDS_PER_ROW
     if count < 0 or meta[2] != str(width):
-        raise DatasetParseError(path, 2, f"expected 'binary <count> {width}', "
-                                         f"got {' '.join(meta)!r}")
+        raise ParseError(path, 2, f"expected 'binary <count> {width}', "
+                                  f"got {' '.join(meta)!r}")
     start = fh.tell()
     blob = fh.read(count * width * 4)
     if len(blob) != count * width * 4:
-        raise DatasetParseError(path, 2, f"binary payload truncated: expected "
-                                         f"{count * width * 4} bytes, got {len(blob)}")
+        raise ParseError(path, 2, f"binary payload truncated: expected "
+                                  f"{count * width * 4} bytes, got {len(blob)}")
     rows = np.frombuffer(blob, dtype="<f4").reshape(count, width).astype(np.float64)
     bad = np.flatnonzero(~np.isin(rows[:, 0], np.arange(len(_PROVENANCES))))
     if bad.size:
         i = bad[0]
-        raise DatasetParseError(path, None, f"record {i}: bad provenance code {rows[i, 0]:g}",
-                                offset=start + i * width * 4)
+        raise ParseError(path, None, f"record {i}: bad provenance code {rows[i, 0]:g}",
+                         offset=start + i * width * 4)
     bad = np.argwhere(~np.isfinite(rows))
     if bad.size:
         i, j = bad[0]
-        raise DatasetParseError(path, None, f"record {i}: non-finite value in field {j + 1}",
-                                offset=start + (i * width + j) * 4)
+        raise ParseError(path, None, f"record {i}: non-finite value in field {j + 1}",
+                         offset=start + (i * width + j) * 4)
     if bad := _bad_camera(rows[:, 3:]):
         i, j = bad
-        raise DatasetParseError(path, None, f"record {i}: non-positive {_CAMERA[j]} "
-                                            f"{rows[i, 3 + j]:g} in field {4 + j}",
-                                offset=start + (i * width + 3 + j) * 4)
+        raise ParseError(path, None, f"record {i}: non-positive {_CAMERA[j]} "
+                                     f"{rows[i, 3 + j]:g} in field {4 + j}",
+                         offset=start + (i * width + 3 + j) * 4)
     return RowBlock(rows[:, 0].astype(np.int8), rows[:, 1].astype(np.int64),
                     rows[:, 2].astype(np.int64), rows[:, 3:])
 
@@ -254,14 +241,14 @@ def iter_blocks(path, topology: Optional[SkeletonTopology] = None) -> Iterator[R
     """Stream a dataset file's rows: a text file in blocks of at most
     ``_BLOCK_ROWS`` lines, a binary one (its second line reads ``binary N
     88``) as one block.  A malformed or non-finite field, or a camera whose
-    fx, fy or z_min is not positive, raises ``DatasetParseError`` naming the
+    fx, fy or z_min is not positive, raises ``ParseError`` naming the
     line (text) or the record and its byte offset (binary).
 
     Text lines are decoded one at a time, so bytes that are not UTF-8 (a
     binary file with a damaged count line, say) are reported with their line.
     """
     with open(path, "rb") as fh:
-        first = _decode(path, fh.readline(), 1).rstrip("\n")
+        first = decode(path, fh.readline(), 1).rstrip("\n")
         _check_topology(path, _parse_header(path, first), topology)
         line_no = 1
         second = fh.readline()
@@ -270,7 +257,7 @@ def iter_blocks(path, topology: Optional[SkeletonTopology] = None) -> Iterator[R
             return
         fh.seek(-len(second), 1)
         while chunk := list(islice(fh, _BLOCK_ROWS)):
-            lines = [_decode(path, raw, n) for n, raw in enumerate(chunk, start=line_no + 1)]
+            lines = [decode(path, raw, n) for n, raw in enumerate(chunk, start=line_no + 1)]
             kept = [(n, line) for n, line in enumerate(lines, start=line_no + 1)
                     if not line.isspace()]
             line_no += len(chunk)
@@ -373,64 +360,46 @@ def export_skeleton_video(sequence, path, topology: Optional[SkeletonTopology] =
 
 
 def load_skeleton_video(path) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Read a skeleton video; a malformed line, or frame and keypoint
-    counts other than the header's ``frames=`` and ``keypoints=``, raise
-    ``DatasetParseError`` naming the line."""
-    edges = []
+    """Frames (T, K, 3) and edges of a skeleton video (line rules in
+    ``textio``); frame and keypoint counts other than the header's
+    ``frames=`` and ``keypoints=`` raise ``ParseError`` naming the line."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    declared: dict[str, int] = {}
+    if lines and lines[0].startswith(b"#"):  # the header
+        counts = dict(t.split("=", 1) for t in decode(path, lines[0], 1).split() if "=" in t)
+        keys = [k for k in ("frames", "keypoints") if k in counts]
+        declared = dict(zip(keys, Record(path, 1, [counts[k] for k in keys]).fields(
+            *[int] * len(keys))))
+    edges: list[tuple[int, int]] = []
     frames: list[list] = []
     frame_lines: list[int] = []
-    declared: dict[str, int] = {}
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            tok = raw.split()
-            if line_no == 1 and raw.startswith("#"):
-                try:
-                    declared = {k: int(v) for k, v in (t.split("=", 1) for t in tok if "=" in t)
-                                if k in ("frames", "keypoints")}
-                except ValueError as exc:
-                    raise DatasetParseError(path, 1, f"bad header count: {exc}") from exc
-            if not tok or tok[0].startswith("#"):
-                continue
-            if tok[0] == "edge":
-                if len(tok) != 3:
-                    raise DatasetParseError(path, line_no, f"expected 3 fields in an edge "
-                                                           f"line, got {len(tok)}")
-                try:
-                    edges.append((int(tok[1]), int(tok[2])))
-                except ValueError as exc:
-                    raise DatasetParseError(path, line_no, f"bad edge {raw.strip()!r}") from exc
-            elif tok[0] == "frame":
-                frames.append([])
-                frame_lines.append(line_no)
-            elif tok[0] == "kp":
-                if not frames:
-                    raise DatasetParseError(path, line_no, "kp line before any frame line")
-                if len(tok) != 5:
-                    raise DatasetParseError(path, line_no, f"expected 5 fields in a kp "
-                                                           f"line, got {len(tok)}")
-                if tok[1] != str(len(frames[-1])):
-                    raise DatasetParseError(path, line_no, f"kp {tok[1]} at position "
-                                                           f"{len(frames[-1])} of its frame")
-                xyz = []
-                for t in tok[2:]:
-                    try:
-                        v = float(t)
-                    except ValueError as exc:
-                        raise DatasetParseError(path, line_no,
-                                                f"non-numeric coordinate {t!r}") from exc
-                    if not math.isfinite(v):
-                        raise DatasetParseError(path, line_no, f"non-finite coordinate {t!r}")
-                    xyz.append(v)
-                frames[-1].append(xyz)
+    for rec in records(lines, path):
+        kind = rec.tokens[0]
+        if kind == "edge":
+            edges.append(tuple(rec.fields("edge", int, int)[1:]))
+        elif kind == "frame":
+            rec.fields("frame", int)
+            frames.append([])
+            frame_lines.append(rec.line_no)
+        elif kind == "kp":
+            if not frames:
+                raise rec.error("kp line before any frame line")
+            _, kp, *xyz = rec.fields("kp", int, float, float, float)
+            if kp != len(frames[-1]):
+                raise rec.error(f"kp {kp} at position {len(frames[-1])} of its frame")
+            frames[-1].append(xyz)
+        else:
+            raise rec.error(f"unknown record {kind!r}")
     if declared.get("frames", len(frames)) != len(frames):
-        raise DatasetParseError(path, 1, f"header declares frames={declared['frames']}, "
-                                         f"the file has {len(frames)}")
+        raise ParseError(path, 1, f"header declares frames={declared['frames']}, "
+                                  f"the file has {len(frames)}")
     want, by = ((declared["keypoints"], "the header") if "keypoints" in declared
                 else (len(frames[0]) if frames else 0, "the first frame"))
     for frame, line_no in zip(frames, frame_lines):
         if len(frame) != want:
-            raise DatasetParseError(path, line_no, f"frame has {len(frame)} keypoints, {by} {want}")
-    return np.asarray(frames), edges
+            raise ParseError(path, line_no, f"frame has {len(frame)} keypoints, {by} {want}")
+    return np.array(frames, dtype=float).reshape(len(frames), want, 3), edges
 
 
 # --------------------------------------------------------------------------
@@ -479,7 +448,7 @@ def real_data_from_dataset(path, mode: str = "single", frames: int = 1) -> RealD
     and sequences with fewer rows are skipped.
     """
     rows = load_dataset(path)
-    if not len(rows.values):
+    if not len(rows):
         raise ValueError(f"{path}: dataset is empty")
     if mode == "single":
         cams, pose3d, pose2d = rows.columns()

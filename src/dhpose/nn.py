@@ -18,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tape, Tensor
+from .textio import ParseError, Record, decode
 
 ACTIVATIONS = ("tanh", "lrelu", "linear")
 LRELU_SLOPE = 0.2
@@ -201,41 +202,40 @@ def save_checkpoint(path, nets: dict[str, Mlp], seed: int,
 
 
 def load_checkpoint(path) -> tuple[dict[str, Mlp], int, dict[str, str]]:
+    """Nets, seed and ``meta`` values; a header line that is blank or
+    malformed raises ``ParseError`` (a ``meta`` value keeps any ``#``)."""
     with open(path, "rb") as fh:
-        magic = fh.readline().decode().strip()
+        magic = decode(path, fh.readline(), 1).strip()
         if magic != "dhpose-checkpoint v1":
-            raise ValueError(f"not a checkpoint file: {magic!r}")
+            raise ParseError(path, 1, f"not a checkpoint file: {magic!r}")
         seed = 0
         extra: dict[str, str] = {}
         specs: list[tuple[str, int, int, str]] = []  # (net, in, out, act)
         nbytes = None
         for lineno, raw in enumerate(iter(fh.readline, b""), start=2):
-            try:
-                tok = raw.decode().split()
-                if tok[0] == "seed":
-                    seed = int(tok[1])
-                elif tok[0] == "meta":
-                    extra[tok[1]] = " ".join(tok[2:])
-                elif tok[0] == "net":
-                    pass
-                elif tok[0] == "layer":
-                    if tok[5] not in ACTIVATIONS:
-                        raise ValueError(f"unknown activation {tok[5]!r}")
-                    specs.append((tok[1], int(tok[3]), int(tok[4]), tok[5]))
-                elif tok[0] == "binary":
-                    nbytes = int(tok[1])
-                    break
-                else:
-                    raise ValueError(f"unknown checkpoint record {tok[0]!r}")
-            except (IndexError, ValueError) as exc:
-                raise ValueError(f"{path}: line {lineno}: bad checkpoint header line "
-                                 f"{raw!r} ({exc})") from exc
+            rec = Record(path, lineno, decode(path, raw, lineno).split())
+            kind = rec.tokens[0] if rec.tokens else ""
+            if kind == "seed":
+                seed = rec.fields("seed", int)[1]
+            elif kind == "meta" and len(rec.tokens) > 1:
+                extra[rec.tokens[1]] = " ".join(rec.tokens[2:])
+            elif kind == "net":
+                rec.fields("net", str, "layers", int)
+            elif kind == "layer":
+                _, name, _, fan_in, fan_out, act = rec.fields("layer", str, int, int, int, str)
+                if act not in ACTIVATIONS:
+                    raise rec.error(f"unknown activation {act!r}")
+                specs.append((name, fan_in, fan_out, act))
+            elif kind == "binary":
+                nbytes = rec.fields("binary", int)[1]
+                break
+            else:
+                raise rec.error(f"bad checkpoint header line {raw!r}")
         if nbytes is None:
-            raise ValueError(f"{path}: checkpoint has no binary section")
+            raise ParseError(path, None, "checkpoint has no binary section")
         need = 4 * sum(fan_in * fan_out + fan_out for _, fan_in, fan_out, _ in specs)
         if need != nbytes:
-            raise ValueError(f"{path}: line {lineno}: the layer lines need {need} bytes, "
-                             f"this line says {nbytes}")
+            raise rec.error(f"the layer lines need {need} bytes, this line says {nbytes}")
         payload = fh.read(nbytes)
         if len(payload) != nbytes:
             raise ValueError(f"{path}: checkpoint blob truncated: header says {nbytes} bytes, "

@@ -18,9 +18,12 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from importlib import resources
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+
+from .textio import ParseError, dense, records
 
 N_PARAMS = 48
 N_ANGLE_PARAMS = 33
@@ -416,75 +419,70 @@ def topology_to_text(topology: SkeletonTopology) -> str:
     return "\n".join(lines) + "\n"
 
 
-def topology_from_text(text: str) -> SkeletonTopology:
-    branch_meta: dict[int, tuple[str, int]] = {}
+def topology_from_text(text, source="<text>") -> SkeletonTopology:
+    """Parse a table as ``topology_to_text`` writes it (``str`` or ``bytes``;
+    line rules in ``textio``).  Branch, param and keypoint ids must run
+    0..N-1, and a branch's line comes before its rows."""
+    branches, params, keypoints = [], [], []  # (record, id, value) entries
     rows: dict[int, list] = {}
     kp_maps: dict[int, list] = {}
     param_index: dict[tuple[int, int, str], int] = {}
-    names: dict[int, str] = {}
-    kinds: dict[int, str] = {}
     bones: list[tuple[int, int]] = []
-    kp_names: dict[int, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tok = line.split()
-        try:
-            if tok[0] == "branch":
-                branch_meta[int(tok[1])] = (tok[2], int(tok[4]))
-            elif tok[0] == "row":
-                bi, r = int(tok[1]), int(tok[2])
-                name = tok[3]
-                a, d, alpha, theta = (float(t) for t in tok[4:8])
-                var_a, var_d, var_alpha, var_theta = (bool(int(t)) for t in tok[8:12])
-                tid, lid, kp = int(tok[12]), int(tok[13]), int(tok[14])
-                rows.setdefault(bi, []).append(DhRow(
+    for rec in records(text.splitlines(), source):
+        kind = rec.tokens[0]
+        if kind == "branch":
+            _, bi, name, _, prefix = rec.fields("branch", int, str, "shared_prefix", int)
+            branches.append((rec, bi, (name, prefix)))
+            rows.setdefault(bi, [])
+        elif kind == "row":
+            _, bi, r, name, a, d, alpha, theta, *flags, tid, lid, kp = rec.fields(
+                "row", int, int, str, *[float] * 4, *[int] * 7)
+            if bi not in rows:
+                raise rec.error(f"row of undeclared branch {bi}")
+            var_a, var_d, var_alpha, var_theta = map(bool, flags)
+            try:
+                rows[bi].append(DhRow(
                     name=name, a=a, d=d, alpha=np.deg2rad(alpha), theta=np.deg2rad(theta),
                     var_a=var_a, var_d=var_d, var_alpha=var_alpha, var_theta=var_theta))
-                if var_theta:
-                    param_index[(bi, r, "theta")] = tid
-                if var_a:
-                    param_index[(bi, r, "a")] = lid
-                if var_d:
-                    param_index[(bi, r, "d")] = lid
-                if kp >= 0:
-                    kp_maps.setdefault(bi, []).append((r, kp))
-            elif tok[0] == "param":
-                names[int(tok[1])] = tok[2]
-                kinds[int(tok[1])] = tok[3]
-            elif tok[0] == "bone":
-                bones.append((int(tok[1]), int(tok[2])))
-            elif tok[0] == "keypoint":
-                kp_names[int(tok[1])] = tok[2]
-            else:
-                raise ValueError(f"unknown record {tok[0]!r}")
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"topology parse error at line {lineno}: {exc}") from exc
-    branches = tuple(
-        KinematicBranch(name=branch_meta[bi][0], rows=tuple(rows[bi]),
-                        keypoint_map=tuple(kp_maps.get(bi, [])),
-                        shared_prefix_len=branch_meta[bi][1])
-        for bi in sorted(branch_meta))
-    n = max(names) + 1
-    topo = SkeletonTopology(
-        branches=branches, param_index=param_index,
-        param_names=tuple(names[i] for i in range(n)),
-        param_kinds=tuple(kinds[i] for i in range(n)),
-        bone_list=tuple(bones),
-        keypoint_names=tuple(kp_names[i] for i in range(len(kp_names))))
-    topo.validate()
+            except ValueError as exc:
+                raise rec.error(str(exc)) from exc
+            if var_theta:
+                param_index[(bi, r, "theta")] = tid
+            if var_a:
+                param_index[(bi, r, "a")] = lid
+            if var_d:
+                param_index[(bi, r, "d")] = lid
+            if kp >= 0:
+                kp_maps.setdefault(bi, []).append((r, kp))
+        elif kind == "param":
+            _, pid, name, pkind = rec.fields("param", int, str, str)
+            params.append((rec, pid, (name, pkind)))
+        elif kind == "bone":
+            bones.append(tuple(rec.fields("bone", int, int)[1:]))
+        elif kind == "keypoint":
+            _, kp, name = rec.fields("keypoint", int, str)
+            keypoints.append((rec, kp, name))
+        else:
+            raise rec.error(f"unknown record {kind!r}")
+    names, kinds = zip(*dense(params, "param", source))
+    branch_meta = dense(branches, "branch", source)
+    kp_names = tuple(dense(keypoints, "keypoint", source))
+    try:
+        topo = SkeletonTopology(
+            branches=tuple(KinematicBranch(name=name, rows=tuple(rows[bi]),
+                                           keypoint_map=tuple(kp_maps.get(bi, [])),
+                                           shared_prefix_len=prefix)
+                           for bi, (name, prefix) in enumerate(branch_meta)),
+            param_index=param_index, param_names=names, param_kinds=kinds,
+            bone_list=tuple(bones), keypoint_names=kp_names)
+        topo.validate()
+    except ValueError as exc:
+        raise ParseError(source, None, str(exc)) from exc
     return topo
 
 
-def save_topology(topology: SkeletonTopology, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(topology_to_text(topology))
-
-
 def load_topology(path) -> SkeletonTopology:
-    with open(path) as fh:
-        return topology_from_text(fh.read())
+    return topology_from_text(Path(path).read_bytes(), path)
 
 
 def topology_hash(topology: SkeletonTopology) -> str:
@@ -505,8 +503,8 @@ _DEFAULT: dict[str, SkeletonTopology] = {}
 def default_topology() -> SkeletonTopology:
     """The shipped canonical topology (parsed from the packaged data file)."""
     if "topology" not in _DEFAULT:
-        text = resources.files("dhpose").joinpath("data/topology.txt").read_text()
-        _DEFAULT["topology"] = topology_from_text(text)
+        resource = resources.files("dhpose").joinpath("data/topology.txt")
+        _DEFAULT["topology"] = topology_from_text(resource.read_text(), resource)
     return _DEFAULT["topology"]
 
 
@@ -515,60 +513,18 @@ def rest_pose(topology: SkeletonTopology) -> np.ndarray:
     return forward_kinematics(topology, np.zeros(N_PARAMS), GlobalTransform.identity())
 
 
-def save_rest_pose(pose, topology: SkeletonTopology, path) -> None:
-    lines = [f"# dhpose rest pose v1 topology={topology_hash(topology)}"]
-    for kp, name in enumerate(topology.keypoint_names):
-        x, y, z = pose[kp]
-        lines.append(f"keypoint {kp} {name} {x:.9g} {y:.9g} {z:.9g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def rest_pose_from_text(text: str, source="<text>") -> np.ndarray:
-    """Parse ``keypoint INDEX NAME X Y Z`` lines (``#`` comments and blank
-    lines skipped) into a (K, 3) pose.
-
-    Raises ValueError naming ``source`` and the line for a short or
-    non-numeric line, a non-finite coordinate, a duplicate index, or an
-    index that skips one (indices must run 0..K-1).
-    """
-    pose: dict[int, list[float]] = {}
-    line_of: dict[int, int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        where = f"{source}: line {lineno}"
-        tok = line.split()
-        try:
-            if len(tok) != 6 or tok[0] != "keypoint":
-                raise ValueError
-            kp = int(tok[1])
-            xyz = [float(t) for t in tok[3:]]
-        except ValueError:
-            raise ValueError(f"{where}: expected 'keypoint INDEX NAME X Y Z', "
-                             f"got {line!r}") from None
-        if kp < 0:
-            raise ValueError(f"{where}: negative keypoint index {kp}")
-        if not np.all(np.isfinite(xyz)):
-            raise ValueError(f"{where}: non-finite coordinate in {line!r}")
-        if kp in pose:
-            raise ValueError(f"{where}: keypoint {kp} already given at line {line_of[kp]}")
-        pose[kp] = xyz
-        line_of[kp] = lineno
-    if not pose:
-        raise ValueError(f"{source}: no keypoint lines")
-    for kp in range(max(pose)):
-        if kp not in pose:
-            after = min(k for k in pose if k > kp)
-            raise ValueError(f"{source}: line {line_of[after]}: keypoint {after} given "
-                             f"but keypoint {kp} is missing")
-    return np.array([pose[i] for i in range(len(pose))])
+def rest_pose_from_text(text, source="<text>") -> np.ndarray:
+    """Parse ``keypoint INDEX NAME X Y Z`` lines (``str`` or ``bytes``; line
+    rules in ``textio``) into a (K, 3) pose; indices must run 0..K-1."""
+    entries = []
+    for rec in records(text.splitlines(), source):
+        _, kp, _, *xyz = rec.fields("keypoint", int, str, float, float, float)
+        entries.append((rec, kp, xyz))
+    return np.array(dense(entries, "keypoint", source))
 
 
 def load_rest_pose(path) -> np.ndarray:
-    with open(path) as fh:
-        return rest_pose_from_text(fh.read(), path)
+    return rest_pose_from_text(Path(path).read_bytes(), path)
 
 
 def default_rest_pose() -> np.ndarray:

@@ -13,10 +13,10 @@ from oracles import param_rest_ref
 
 # constraint-table defects -> what the parse error says after the file name
 DAMAGED_TABLES = {
-    "missing": r": line \d+: param 6 given but param 5 is missing",
-    "empty": r": no param lines",
-    "duplicate": r": line \d+: param 3 already given at line \d+",
-    "negative": r": line \d+: negative param id -1",
+    "missing": r": parse error at line \d+: param 6 given but param 5 is missing",
+    "empty": r": parse error: no param lines",
+    "duplicate": r": parse error at line \d+: param 3 already given at line \d+",
+    "negative": r": parse error at line \d+: negative param id -1",
 }
 
 
@@ -118,13 +118,15 @@ class TestValidate:
 class TestDefaultTable:
     def test_knee_bounds(self, table):
         for side in ("l", "r"):
-            lo, hi = table.bounds_of(f"{side}_knee_flex")
+            i = table.id_of(f"{side}_knee_flex")
+            lo, hi = table.lo[i], table.hi[i]
             assert lo == pytest.approx(-np.pi, abs=1e-12)
             assert hi == 0.0
 
     def test_elbow_bounds(self, table):
         for side in ("l", "r"):
-            lo, hi = table.bounds_of(f"{side}_elbow_flex")
+            i = table.id_of(f"{side}_elbow_flex")
+            lo, hi = table.lo[i], table.hi[i]
             assert lo == 0.0
             assert hi == pytest.approx(np.deg2rad(150), abs=1e-12)
 
@@ -159,7 +161,7 @@ class TestDefaultTable:
 
     def test_file_round_trip(self, table, tmp_path):
         path = tmp_path / "bounds.txt"
-        ct.save_constraint_table(table, path)
+        path.write_text(ct.table_to_text(table))
         assert ct.load_constraint_table(path) == table
 
     @pytest.mark.parametrize("defect", sorted(DAMAGED_TABLES))

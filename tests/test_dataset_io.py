@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -14,6 +15,7 @@ from dhpose import gan
 from dhpose import skeleton as sk
 from dhpose.camera import CameraIntrinsics, default_camera, project_pose
 from dhpose.features import joint_cosines
+from dhpose.textio import ParseError
 from oracles import group_sequences_ref, record_line_ref
 
 RNG = np.random.default_rng
@@ -38,7 +40,7 @@ class TestRoundTrip:
         path = tmp_path / "data.txt"
         dsio.save_dataset(rows, path)
         loaded = dsio.load_dataset(path)
-        assert len(loaded.values) == 1000
+        assert len(loaded) == 1000
         assert np.max(np.abs(rows.values[:, 5:] - loaded.values[:, 5:])) < 1e-9
         assert np.array_equal(rows.values[:, :5], loaded.values[:, :5])
         for name in ("sequence_id", "frame_index", "provenance"):
@@ -48,14 +50,14 @@ class TestRoundTrip:
         path = tmp_path / "empty.txt"
         dsio.save_dataset(random_rows(0), path)
         assert path.read_text().startswith("# dhpose dataset v1 topology=")
-        assert len(dsio.load_dataset(path).values) == 0
+        assert len(dsio.load_dataset(path)) == 0
 
     def test_binary_round_trip(self, tmp_path):
         rows = random_rows(64, seed=2)
         path = tmp_path / "data.bin"
         dsio.save_dataset(rows, path, fmt="binary")
         loaded = dsio.load_dataset(path)
-        assert len(loaded.values) == 64
+        assert len(loaded) == 64
         # float32 storage
         assert np.max(np.abs(rows.values[:, 5:53] - loaded.values[:, 5:53])) < 1e-5
 
@@ -66,11 +68,11 @@ class TestRoundTrip:
         lines = path.read_text().splitlines()
         lines[6] = lines[6] + " 999"  # line 7 of the file (header is line 1)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(dsio.DatasetParseError, match="line 7"):
+        with pytest.raises(ParseError, match="line 7"):
             dsio.load_dataset(path)
         try:
             dsio.load_dataset(path)
-        except dsio.DatasetParseError as exc:
+        except ParseError as exc:
             assert exc.line_no == 7
 
     def test_topology_hash_mismatch_warns(self, tmp_path, topology):
@@ -84,7 +86,7 @@ class TestRoundTrip:
     def test_missing_header_is_a_parse_error(self, tmp_path):
         path = tmp_path / "nohdr.txt"
         path.write_text("synthetic 0 0 1 1 0 0 0.1" + " 0" * 80 + "\n")
-        with pytest.raises(dsio.DatasetParseError, match="line 1"):
+        with pytest.raises(ParseError, match="line 1"):
             dsio.load_dataset(path)
 
 
@@ -98,7 +100,7 @@ def rows_with_values(values, cam=None, float32=False):
     rows = dsio.rows_of(dsio.RealData(values[:, :48].reshape(n, 16, 3),
                                       values[:, 48:].reshape(n, 16, 2), cams))
     i = np.arange(n)
-    return rows._replace(provenance=(i % 2).astype(np.int8), frame_index=i % 3)
+    return dataclasses.replace(rows, provenance=(i % 2).astype(np.int8), frame_index=i % 3)
 
 
 def reference_text(rows):
@@ -189,17 +191,17 @@ class TestTextReader:
         tok[field] = value
         lines[4] = " ".join(tok)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(dsio.DatasetParseError, match=f"line 5: .*{reason}") as err:
+        with pytest.raises(ParseError, match=f"line 5: .*{reason}") as err:
             dsio.load_dataset(path)
         assert err.value.line_no == 5
-        with pytest.raises(dsio.DatasetParseError, match="line 5"):
+        with pytest.raises(ParseError, match="line 5"):
             dsio.real_data_from_dataset(path)
 
     @pytest.mark.parametrize("header", ["# dhpose dataset", "# dhpose dataset v1", ""])
     def test_short_header_is_a_parse_error(self, tmp_path, header):
         path = tmp_path / "h.txt"
         path.write_text(header + "\n")
-        with pytest.raises(dsio.DatasetParseError, match="line 1"):
+        with pytest.raises(ParseError, match="line 1"):
             dsio.load_dataset(path)
 
     def test_blocks_stream_and_count_lines(self, tmp_path, monkeypatch):
@@ -213,7 +215,7 @@ class TestTextReader:
         # blocks of 4 raw lines from line 2: the first two come out before the bad line
         stream = dsio.iter_blocks(path)
         assert [next(stream).sequence_id.tolist() for _ in range(2)] == [[0, 1, 2], [3, 4]]
-        with pytest.raises(dsio.DatasetParseError, match="line 13: expected 88 fields, got 89"):
+        with pytest.raises(ParseError, match="line 13: expected 88 fields, got 89"):
             list(stream)
 
 
@@ -222,11 +224,11 @@ class TestTextReader:
         raw = [line.encode() for line in lines]
         raw[4] = raw[4][:20] + b"\x80" + raw[4][20:]
         path.write_bytes(b"\n".join(raw) + b"\n")
-        with pytest.raises(dsio.DatasetParseError, match="line 5: not UTF-8 text: byte 0x80 "
+        with pytest.raises(ParseError, match="line 5: not UTF-8 text: byte 0x80 "
                                                          "at column 21") as err:
             dsio.load_dataset(path)
         assert err.value.line_no == 5
-        with pytest.raises(dsio.DatasetParseError, match="line 5: not UTF-8"):
+        with pytest.raises(ParseError, match="line 5: not UTF-8"):
             dsio.real_data_from_dataset(path)
 
     def test_binary_file_with_a_damaged_count_line_is_a_parse_error(self, tmp_path):
@@ -234,7 +236,7 @@ class TestTextReader:
         path = tmp_path / "damaged.bin"
         dsio.save_dataset(random_rows(4, seed=44), path, fmt="binary")
         path.write_bytes(path.read_bytes().replace(b"binary 4 88", b"binray 4 88", 1))
-        with pytest.raises(dsio.DatasetParseError, match=r"damaged\.bin: parse error at "
+        with pytest.raises(ParseError, match=r"damaged\.bin: parse error at "
                                                          r"line \d+: not UTF-8 text"):
             dsio.real_data_from_dataset(path)
 
@@ -275,7 +277,7 @@ class TestTrainingArraysFromBinary:
         rows = random_rows(60, seed=43, provenance="real")
         if mode == "video":
             i = np.arange(60)
-            rows = rows._replace(sequence_id=i // 4, frame_index=3 - i % 4)
+            rows = dataclasses.replace(rows, sequence_id=i // 4, frame_index=3 - i % 4)
         text, binary = tmp_path / "d.txt", tmp_path / "d.bin"
         dsio.save_dataset(rows, text)
         dsio.save_dataset(rows, binary, fmt="binary")
@@ -290,7 +292,7 @@ class TestTrainingArraysFromBinary:
         path = tmp_path / "trunc.bin"
         dsio.save_dataset(random_rows(8, seed=21), path, fmt="binary")
         path.write_bytes(path.read_bytes()[:-40])
-        with pytest.raises(dsio.DatasetParseError, match="line 2: binary payload truncated"):
+        with pytest.raises(ParseError, match="line 2: binary payload truncated"):
             dsio.real_data_from_dataset(path)
 
     def test_empty_binary_dataset_rejected(self, tmp_path):
@@ -315,7 +317,7 @@ class TestBinaryReader:
         # without a count line the file is read as text, and its payload is not UTF-8
         says = ("line 2: expected 'binary <count> 88'" if meta.startswith(b"binary")
                 else "line 3: not UTF-8 text")
-        with pytest.raises(dsio.DatasetParseError, match=says):
+        with pytest.raises(ParseError, match=says):
             dsio.load_dataset(path)
 
     @pytest.mark.parametrize("field, value, reason", [
@@ -336,7 +338,7 @@ class TestBinaryReader:
         data[offset:offset + 4] = np.array([value], dtype="<f4").tobytes()
         path.write_bytes(bytes(data))
         where = start + 3 * 88 * 4 if field == 0 else offset
-        with pytest.raises(dsio.DatasetParseError,
+        with pytest.raises(ParseError,
                            match=f"byte {where}: record 3: {reason}") as err:
             dsio.load_dataset(path)
         assert err.value.offset == where and err.value.line_no is None
@@ -361,7 +363,7 @@ class TestSynthesis:
         assert np.all(cams == gen.camera.as_array())
         assert np.max(np.abs(project_pose(pose3d, gen.camera) - pose2d)) < 1e-6
         assert np.all(rows.provenance == dsio._PROVENANCES.index("synthetic"))
-        assert len(rows.values) == 300
+        assert len(rows) == 300
 
     def test_video_sequences_keep_bone_lengths(self, tmp_path, topology):
         gen = tiny_generator(seed=7, mode="video", frames=9)
@@ -380,7 +382,7 @@ class TestSynthesis:
         path = tmp_path / "d.txt"
         summary = dsio.synthesize_dataset(gen, 100, "single", 10, path, batch=16)
         assert summary.records == 100
-        assert len(dsio.load_dataset(path).values) == 100
+        assert len(dsio.load_dataset(path)) == 100
 
     def test_binary_format(self, tmp_path):
         gen = tiny_generator(seed=9)
@@ -419,7 +421,7 @@ class TestSynthesis:
         dsio.save_dataset(random_rows(8, seed=21), path, fmt="binary")
         data = path.read_bytes()
         path.write_bytes(data[:-40])
-        with pytest.raises(dsio.DatasetParseError, match="truncated"):
+        with pytest.raises(ParseError, match="truncated"):
             dsio.load_dataset(path)
 
 
@@ -463,17 +465,22 @@ class TestSkeletonVideo:
     def test_empty_sequence_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="non-empty"):
             dsio.export_skeleton_video(np.zeros((0, 16, 3)), tmp_path / "x.txt")
+        # a file without frames still loads with the header's keypoint count
+        path = tmp_path / "empty.txt"
+        path.write_text("# dhpose skeleton-video v1 topology=x frames=0 keypoints=16\nedge 0 1\n")
+        frames, edges = dsio.load_skeleton_video(path)
+        assert frames.shape == (0, 16, 3) and edges == [(0, 1)]
 
     @pytest.mark.parametrize("lines, line_no, reason", [
         (["kp 0 1 2 3"], 2, "kp line before any frame line"),
-        (["frame 0", "kp 0 1 2"], 3, "expected 5 fields in a kp line, got 4"),
-        (["frame 0", "kp 0 1 2 3 4"], 3, "expected 5 fields in a kp line, got 6"),
-        (["edge 0"], 2, "expected 3 fields in an edge line, got 2"),
-        (["edge 0 1 2"], 2, "expected 3 fields in an edge line, got 4"),
-        (["edge 0 x"], 2, "bad edge 'edge 0 x'"),
-        (["frame 0", "kp 0 1 x 3"], 3, "non-numeric coordinate 'x'"),
-        (["frame 0", "kp 0 1 2 nan"], 3, "non-finite coordinate 'nan'"),
-        (["frame 0", "kp 0 -inf 2 3"], 3, "non-finite coordinate '-inf'"),
+        (["frame 0", "kp 0 1 2"], 3, "expected 5 fields, got 4"),
+        (["frame 0", "kp 0 1 2 3 4"], 3, "expected 5 fields, got 6"),
+        (["edge 0"], 2, "expected 3 fields, got 2"),
+        (["edge 0 1 2"], 2, "expected 3 fields, got 4"),
+        (["edge 0 x"], 2, "bad int 'x' in field 3"),
+        (["frame 0", "kp 0 1 x 3"], 3, "bad float 'x' in field 4"),
+        (["frame 0", "kp 0 1 2 nan"], 3, "non-finite value 'nan' in field 5"),
+        (["frame 0", "kp 0 -inf 2 3"], 3, "non-finite value '-inf' in field 3"),
         (["frame 0", "kp 0 1 2 3", "kp 1 1 2 3", "frame 1", "kp 0 1 2 3"], 5,
          "frame has 1 keypoints, the first frame 2"),
         (["frame 0", "kp 1 1 2 3"], 3, "kp 1 at position 0 of its frame"),
@@ -482,7 +489,7 @@ class TestSkeletonVideo:
     def test_malformed_line_is_a_parse_error(self, tmp_path, lines, line_no, reason):
         path = tmp_path / "bad.txt"
         path.write_text("\n".join(["# dhpose skeleton-video v1"] + lines) + "\n")
-        with pytest.raises(dsio.DatasetParseError, match=f"line {line_no}: {reason}") as err:
+        with pytest.raises(ParseError, match=f"line {line_no}: {reason}") as err:
             dsio.load_skeleton_video(path)
         assert err.value.line_no == line_no
 
@@ -494,12 +501,12 @@ class TestSkeletonVideo:
          "header declares frames=2, the file has 1"),
         ("frames=1 keypoints=2", ["frame 0", "kp 0 1 2 3"], 2,
          "frame has 1 keypoints, the header 2"),
-        ("frames=x keypoints=1", ["frame 0", "kp 0 1 2 3"], 1, "bad header count"),
+        ("frames=x keypoints=1", ["frame 0", "kp 0 1 2 3"], 1, "bad int 'x'"),
     ])
     def test_counts_must_match_the_header(self, tmp_path, counts, lines, line_no, reason):
         path = tmp_path / "bad.txt"
         path.write_text("\n".join([f"# dhpose skeleton-video v1 {counts}"] + lines) + "\n")
-        with pytest.raises(dsio.DatasetParseError, match=f"line {line_no}: {reason}"):
+        with pytest.raises(ParseError, match=f"line {line_no}: {reason}"):
             dsio.load_skeleton_video(path)
 
 

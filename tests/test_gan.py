@@ -561,7 +561,7 @@ class TestTrainEpoch:
         metrics = gan.train_epoch(state, data, synth_dir=str(tmp_path))
         assert metrics["synth_count"] == 24
         rows = dsio.load_dataset(metrics["synth_path"])
-        assert len(rows.values) == 24
+        assert len(rows) == 24
         assert np.all(rows.provenance == dsio._PROVENANCES.index("synthetic"))
 
     def test_empty_data_rejected(self):

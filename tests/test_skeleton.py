@@ -124,7 +124,7 @@ class TestTopology:
 
     def test_file_round_trip(self, topology, tmp_path):
         path = tmp_path / "topo.txt"
-        sk.save_topology(topology, path)
+        path.write_text(sk.topology_to_text(topology))
         again = sk.load_topology(path)
         assert again == topology
         assert sk.topology_hash(again) == sk.topology_hash(topology)
@@ -303,7 +303,9 @@ class TestRestPoseFile:
     def test_save_load_round_trip(self, topology, tmp_path):
         pose = sk.rest_pose(topology) + RNG(12).normal(0, 0.1, (16, 3))
         path = tmp_path / "pose.txt"
-        sk.save_rest_pose(pose, topology, path)
+        path.write_text("".join(f"keypoint {kp} {name} {x:.9g} {y:.9g} {z:.9g}\n"
+                                for kp, (name, (x, y, z))
+                                in enumerate(zip(topology.keypoint_names, pose))))
         assert np.max(np.abs(sk.load_rest_pose(path) - pose)) < 1e-8
 
     def test_shipped_file_and_loader_share_the_parser(self, tmp_path):
@@ -313,10 +315,10 @@ class TestRestPoseFile:
         assert np.array_equal(sk.load_rest_pose(path), sk.default_rest_pose())
 
     @pytest.mark.parametrize("text,line,match", [
-        ("keypoint 0 a 0 0 0\nkeypoint 1 b 1 2\n", 2, "expected 'keypoint INDEX NAME X Y Z'"),
-        ("keypoint 0 a 0 0 zero\n", 1, "expected 'keypoint INDEX NAME X Y Z'"),
-        ("keypoint one a 0 0 0\n", 1, "expected 'keypoint INDEX NAME X Y Z'"),
-        ("kp 0 a 0 0 0\n", 1, "expected 'keypoint INDEX NAME X Y Z'"),
+        ("keypoint 0 a 0 0 0\nkeypoint 1 b 1 2\n", 2, "expected 6 fields, got 5"),
+        ("keypoint 0 a 0 0 zero\n", 1, "bad float 'zero' in field 6"),
+        ("keypoint one a 0 0 0\n", 1, "bad int 'one' in field 2"),
+        ("kp 0 a 0 0 0\n", 1, "expected 'keypoint' in field 1, got 'kp'"),
         ("keypoint 0 a 0 nan 0\n", 1, "non-finite"),
         ("keypoint 0 a 0 0 inf\n", 1, "non-finite"),
         ("keypoint 0 a 0 0 0\nkeypoint 0 b 1 1 1\n", 2, "already given at line 1"),
@@ -330,10 +332,10 @@ class TestRestPoseFile:
         path.write_text(text)
         with pytest.raises(ValueError, match=match) as info:
             sk.load_rest_pose(path)
-        assert str(info.value).startswith(f"{path}: line {line}: ")
+        assert str(info.value).startswith(f"{path}: parse error at line {line}: ")
 
     def test_file_without_keypoints_rejected(self, tmp_path):
         path = tmp_path / "pose.txt"
         path.write_text("# nothing here\n\n")
-        with pytest.raises(ValueError, match=f"{path}: no keypoint lines"):
+        with pytest.raises(ValueError, match=f"{path}: parse error: no keypoint lines"):
             sk.load_rest_pose(path)
