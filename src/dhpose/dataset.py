@@ -24,7 +24,7 @@ from .camera import CameraIntrinsics, project_pose
 from .constraints import ConstraintTable, count_violations, default_constraint_table
 from .skeleton import (N_PARAMS, SkeletonTopology, default_topology,
                        forward_kinematics_batch, topology_hash)
-from .textio import ParseError, Record, decode, records
+from .textio import ParseError, decode, records
 
 FORMAT_VERSION = "v1"
 _HEADER_PREFIX = "# dhpose dataset"
@@ -368,9 +368,10 @@ def load_skeleton_video(path) -> tuple[np.ndarray, list[tuple[int, int]]]:
     declared: dict[str, int] = {}
     if lines and lines[0].startswith(b"#"):  # the header
         counts = dict(t.split("=", 1) for t in decode(path, lines[0], 1).split() if "=" in t)
-        keys = [k for k in ("frames", "keypoints") if k in counts]
-        declared = dict(zip(keys, Record(path, 1, [counts[k] for k in keys]).fields(
-            *[int] * len(keys))))
+        for key in [k for k in ("frames", "keypoints") if k in counts]:
+            if not counts[key].isdigit():
+                raise ParseError(path, 1, f"bad header count {key}={counts[key]!r}")
+            declared[key] = int(counts[key])
     edges: list[tuple[int, int]] = []
     frames: list[list] = []
     frame_lines: list[int] = []

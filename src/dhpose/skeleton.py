@@ -422,7 +422,7 @@ def topology_to_text(topology: SkeletonTopology) -> str:
 def topology_from_text(text, source="<text>") -> SkeletonTopology:
     """Parse a table as ``topology_to_text`` writes it (``str`` or ``bytes``;
     line rules in ``textio``).  Branch, param and keypoint ids must run
-    0..N-1, and a branch's line comes before its rows."""
+    0..N-1, and a branch's line comes before its rows, in row order."""
     branches, params, keypoints = [], [], []  # (record, id, value) entries
     rows: dict[int, list] = {}
     kp_maps: dict[int, list] = {}
@@ -439,6 +439,8 @@ def topology_from_text(text, source="<text>") -> SkeletonTopology:
                 "row", int, int, str, *[float] * 4, *[int] * 7)
             if bi not in rows:
                 raise rec.error(f"row of undeclared branch {bi}")
+            if r != len(rows[bi]):
+                raise rec.error(f"row {r} of branch {bi} where row {len(rows[bi])} belongs")
             var_a, var_d, var_alpha, var_theta = map(bool, flags)
             try:
                 rows[bi].append(DhRow(

@@ -501,7 +501,7 @@ class TestSkeletonVideo:
          "header declares frames=2, the file has 1"),
         ("frames=1 keypoints=2", ["frame 0", "kp 0 1 2 3"], 2,
          "frame has 1 keypoints, the header 2"),
-        ("frames=x keypoints=1", ["frame 0", "kp 0 1 2 3"], 1, "bad int 'x'"),
+        ("frames=x keypoints=1", ["frame 0", "kp 0 1 2 3"], 1, "bad header count"),
     ])
     def test_counts_must_match_the_header(self, tmp_path, counts, lines, line_no, reason):
         path = tmp_path / "bad.txt"

@@ -68,7 +68,7 @@ def test_bad_line_is_a_parse_error_naming_file_and_line(capsys, tmp_path, reader
 
 
 @pytest.mark.parametrize("prefix, edit", [("param 5 ", "delete"), ("branch 2 ", "renumber"),
-                                          ("keypoint 3 ", "duplicate")])
+                                          ("keypoint 3 ", "duplicate"), ("row 0 9 ", "swap")])
 def test_damaged_topology_exits_2_naming_file_and_line(capsys, tmp_path, prefix, edit):
     lines = resources.files("dhpose").joinpath("data/topology.txt").read_text().splitlines()
     i = next(n for n, line in enumerate(lines) if line.startswith(prefix))
@@ -78,9 +78,12 @@ def test_damaged_topology_exits_2_naming_file_and_line(capsys, tmp_path, prefix,
     elif edit == "renumber":  # branch 2 becomes branch 7, so its rows name no branch
         lines[i] = "branch 7 " + lines[i][len(prefix):]
         line_no, reason = i + 2, "row of undeclared branch 2"
-    else:
+    elif edit == "duplicate":
         lines.insert(i + 1, lines[i])
         line_no, reason = i + 2, f"keypoint 3 already given at line {i + 1}"
+    else:  # rows 9 and 10 of branch 0 change places
+        lines[i:i + 2] = lines[i + 1], lines[i]
+        line_no, reason = i + 1, "row 10 of branch 0 where row 9 belongs"
     path = tmp_path / "topology.txt"
     path.write_text("\n".join(lines) + "\n")
     assert cli.run_cli(["fk", "--topology", str(path)]) == 2
