@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -43,12 +44,11 @@ class _Parser(argparse.ArgumentParser):
 def _load_params_file(path, topology) -> np.ndarray:
     """48 whitespace-separated deltas, any number to a line (line rules in
     ``textio``): degrees for angles, meters for lengths."""
-    values, line_no = [], 1
-    with open(path, "rb") as fh:
-        for rec in records(fh, path):
-            values += rec.fields(*[float] * len(rec.tokens))
-            line_no = rec.line_no
-    if len(values) != sk.N_PARAMS:  # named at the last line with values
+    values, line_no = [], None
+    for rec in records(Path(path).read_bytes().splitlines(), path):
+        values += rec.fields(*[float] * len(rec.tokens))
+        line_no = rec.line_no
+    if len(values) != sk.N_PARAMS:  # named at the last line with values, if any
         raise ParseError(path, line_no, f"expected {sk.N_PARAMS} values, found {len(values)}")
     params = np.asarray(values)
     angle = np.array([k == "angle" for k in topology.param_kinds])

@@ -207,7 +207,7 @@ def _read_binary(path, fh, meta_line: bytes) -> RowBlock:
     """All rows of a binary dataset whose count line was just read from
     ``fh``, after checking that line and every record."""
     meta = decode(path, meta_line, 2).split()
-    count = int(meta[1]) if len(meta) == 3 and meta[1].isdigit() else -1
+    count = int(meta[1]) if len(meta) == 3 and meta[1].isdecimal() else -1
     width = _FIELDS_PER_ROW
     if count < 0 or meta[2] != str(width):
         raise ParseError(path, 2, f"expected 'binary <count> {width}', "
@@ -369,7 +369,7 @@ def load_skeleton_video(path) -> tuple[np.ndarray, list[tuple[int, int]]]:
     if lines and lines[0].startswith(b"#"):  # the header
         counts = dict(t.split("=", 1) for t in decode(path, lines[0], 1).split() if "=" in t)
         for key in [k for k in ("frames", "keypoints") if k in counts]:
-            if not counts[key].isdigit():
+            if not counts[key].isdecimal():
                 raise ParseError(path, 1, f"bad header count {key}={counts[key]!r}")
             declared[key] = int(counts[key])
     edges: list[tuple[int, int]] = []
@@ -380,7 +380,8 @@ def load_skeleton_video(path) -> tuple[np.ndarray, list[tuple[int, int]]]:
         if kind == "edge":
             edges.append(tuple(rec.fields("edge", int, int)[1:]))
         elif kind == "frame":
-            rec.fields("frame", int)
+            if (t := rec.fields("frame", int)[1]) != len(frames):
+                raise rec.error(f"frame {t} at position {len(frames)}")
             frames.append([])
             frame_lines.append(rec.line_no)
         elif kind == "kp":

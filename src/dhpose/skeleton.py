@@ -448,12 +448,9 @@ def topology_from_text(text, source="<text>") -> SkeletonTopology:
                     var_a=var_a, var_d=var_d, var_alpha=var_alpha, var_theta=var_theta))
             except ValueError as exc:
                 raise rec.error(str(exc)) from exc
-            if var_theta:
-                param_index[(bi, r, "theta")] = tid
-            if var_a:
-                param_index[(bi, r, "a")] = lid
-            if var_d:
-                param_index[(bi, r, "d")] = lid
+            for var, key, pid in ((var_theta, "theta", tid), (var_a, "a", lid), (var_d, "d", lid)):
+                if var:
+                    param_index[(bi, r, key)] = pid
             if kp >= 0:
                 kp_maps.setdefault(bi, []).append((r, kp))
         elif kind == "param":

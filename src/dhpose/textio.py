@@ -1,7 +1,5 @@
-"""The one line reader of every text format the program reads: a ``#``
-starts a comment, blank lines are skipped, a record's field count is exact,
-its numbers convert in full and are finite, ids run 0..N-1, and a violation
-raises ``ParseError`` naming the file and the line."""
+"""The one line reader of every text format the program reads, and its one
+error, ``ParseError``, naming the file and the line (rules: README "Data files")."""
 
 from __future__ import annotations
 
@@ -59,10 +57,10 @@ class Record(NamedTuple):
         return out
 
 
-def records(lines: Iterable[str | bytes], source, start: int = 1) -> Iterator[Record]:
-    """A ``Record`` for each of ``lines`` (numbered from ``start``) with a
-    token before any ``#``; lines of bytes are decoded first."""
-    for line_no, line in enumerate(lines, start):
+def records(lines: Iterable[str | bytes], source) -> Iterator[Record]:
+    """A ``Record`` for each of ``lines`` (numbered from 1) with a token
+    before any ``#``; lines of bytes are decoded first."""
+    for line_no, line in enumerate(lines, start=1):
         if isinstance(line, bytes):
             line = decode(source, line, line_no)
         tokens = line.split("#", 1)[0].split()

@@ -58,6 +58,20 @@ class TestFk:
         assert code == 2
         assert "48" in err
 
+    def test_params_file_with_cr_line_ends(self, capsys, tmp_path):
+        path = tmp_path / "params.txt"
+        path.write_bytes(b"# deltas\r" + b"0 " * 24 + b"\r" + b"0 " * 24 + b"\r")
+        code, out, _ = run(capsys, "fk", "--params", str(path))
+        assert code == 0
+        assert out == run(capsys, "fk")[1]
+
+    def test_params_file_without_values_names_no_line(self, capsys, tmp_path):
+        path = tmp_path / "params.txt"
+        path.write_text("# deltas\n\n")
+        code, _, err = run(capsys, "fk", "--params", str(path))
+        assert code == 2
+        assert err.startswith(f"error: {path}: parse error: expected 48 values, found 0")
+
     def test_non_numeric_param_names_file_and_line(self, capsys, tmp_path):
         path = tmp_path / "params.txt"
         path.write_text("# deltas\n0 0 abc\n")

@@ -309,7 +309,8 @@ class TestBinaryReader:
         return path
 
     @pytest.mark.parametrize("meta", [b"", b"binary", b"binary 8", b"binary x 88",
-                                      b"binary 8 87", b"binary -8 88", b"rows 8 88"])
+                                      b"binary 8 87", b"binary -8 88", b"rows 8 88",
+                                      "binary \u00b2 88".encode()])
     def test_bad_count_line_is_a_parse_error(self, tmp_path, meta):
         path = self._write(tmp_path)
         header, _, rest = path.read_bytes().split(b"\n", 2)
@@ -485,6 +486,8 @@ class TestSkeletonVideo:
          "frame has 1 keypoints, the first frame 2"),
         (["frame 0", "kp 1 1 2 3"], 3, "kp 1 at position 0 of its frame"),
         (["frame 0", "kp 0 1 2 3", "kp 0 1 2 3"], 4, "kp 0 at position 1 of its frame"),
+        (["frame 7", "kp 0 1 2 3"], 2, "frame 7 at position 0"),
+        (["frame 0", "kp 0 1 2 3", "frame 0", "kp 0 1 2 3"], 4, "frame 0 at position 1"),
     ])
     def test_malformed_line_is_a_parse_error(self, tmp_path, lines, line_no, reason):
         path = tmp_path / "bad.txt"
@@ -502,6 +505,8 @@ class TestSkeletonVideo:
         ("frames=1 keypoints=2", ["frame 0", "kp 0 1 2 3"], 2,
          "frame has 1 keypoints, the header 2"),
         ("frames=x keypoints=1", ["frame 0", "kp 0 1 2 3"], 1, "bad header count"),
+        ("frames=\u00b2 keypoints=1", ["frame 0", "kp 0 1 2 3"], 1,
+         "bad header count frames='\u00b2'"),
     ])
     def test_counts_must_match_the_header(self, tmp_path, counts, lines, line_no, reason):
         path = tmp_path / "bad.txt"
