@@ -10,7 +10,10 @@ Usage: python scripts/make_smoke_corpus.py --count 2048 --seed 0 --out smoke.txt
 
 import argparse
 
-from dhpose.dataset import make_band_corpus, rows_of, save_dataset
+from checkout import import_dhpose
+
+import_dhpose()
+from dhpose.dataset import make_band_corpus, rows_of, save_dataset  # noqa: E402
 
 
 def main():

@@ -7,6 +7,7 @@ epoch 1) through the public API, and prints one line per epoch: the sha256
 of the epoch's synthesized ``epoch_NNN.txt`` and the epoch's metrics as
 sorted JSON (without the file path).  Two versions that train identically
 print identical lines.  BLAS runs on one thread, as in the benchmark.
+``dhpose`` is imported from this checkout's ``src/`` (``checkout.py``).
 
 Usage: python scripts/same_seed_digest.py --seed 11 --epochs 2
 """
@@ -17,13 +18,16 @@ import json
 import os
 import tempfile
 
+from checkout import import_dhpose
+
 # BLAS splits its sums by thread count, so the bits depend on it: pin it
 # before numpy loads, so that digests compare across machines.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-from dhpose.dataset import make_band_corpus
-from dhpose.gan import TrainConfig, init_train_state, train_epoch
+import_dhpose()
+from dhpose.dataset import make_band_corpus  # noqa: E402
+from dhpose.gan import TrainConfig, init_train_state, train_epoch  # noqa: E402
 
 
 def main():

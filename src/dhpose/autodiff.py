@@ -2,12 +2,12 @@
 
 A ``Tape`` records every operation as it is built, so the node list is
 topologically ordered by construction.  ``backward`` walks that list in
-reverse and accumulates exact gradients, summing over fan-out.  Values are
-float32 when given as float32 and float64 otherwise; an op keeps the dtype
-of its inputs (a plain-number operand takes the dtype of the tensor it
-meets), and a gradient has the dtype of its tensor.  Every op is
-deterministic, so identical inputs give bitwise-identical forward and
-backward results.
+reverse and accumulates exact gradients, summing over fan-out; only leaves
+keep theirs.  Values are float32 when given as float32 and float64
+otherwise; an op keeps the dtype of its inputs (a plain-number operand
+takes the dtype of the tensor it meets), and a gradient has the dtype of
+its tensor.  Every op is deterministic, so identical inputs give
+bitwise-identical forward and backward results.
 
 Every tensor points at its tape and the tape lists every tensor, so a tape
 is a reference cycle.  Use it as a context manager to drop the node list on
@@ -87,7 +87,7 @@ class Tape:
 
 
 def backward(tape: Tape, out: Tensor) -> None:
-    """Populate ``.grad`` on every node ``out`` depends on.
+    """Populate ``.grad`` on every leaf ``out`` depends on; other nodes drop theirs once used.
 
     ``out`` must be scalar (size one).  Gradients accumulate over fan-out in
     fixed reverse-recording order.
@@ -104,6 +104,7 @@ def backward(tape: Tape, out: Tensor) -> None:
         if not seen or node.grad is None or node._bwd is None:
             continue
         node._bwd(node.grad)
+        node.grad = None
 
 
 def _wrap(*xs) -> list[Tensor]:

@@ -21,6 +21,17 @@ from .autodiff import Tensor
 from .textio import dense, records
 
 
+def _entry_fault(name: str, kind: str, lo: float, hi: float) -> str | None:
+    """Why one id's bounds (radians or meters) are invalid, or None."""
+    if kind not in ("angle", "length"):
+        return f"kind must be 'angle' or 'length', got {kind!r}"
+    if not lo < hi:
+        return f"min must be below max for {name}"
+    if "knee" in name and not (-np.pi - 1e-12 <= lo and hi <= 1e-12):
+        return f"knee bounds for {name} must lie within [-pi, 0]"
+    return None
+
+
 @dataclass(frozen=True)
 class ConstraintTable:
     """Per-parameter [min, max] bounds indexed by canonical id."""
@@ -35,14 +46,11 @@ class ConstraintTable:
         hi = np.asarray(self.hi, dtype=np.float64)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise ValueError("bounds must be equal-length 1D arrays")
-        if not np.all(lo < hi):
-            bad = int(np.argmin(hi - lo))
-            raise ValueError(f"min must be below max for every id (id {bad})")
-        for i, name in enumerate(self.names):
-            if "knee" in name and not (-np.pi - 1e-12 <= lo[i] and hi[i] <= 1e-12):
-                raise ValueError(f"knee bounds for {name} must lie within [-pi, 0]")
+        if not lo.shape == hi.shape == (len(self.names),) == (len(self.kinds),):
+            raise ValueError("bounds, names and kinds must be equal-length 1D sequences")
+        for i, entry in enumerate(zip(self.names, self.kinds, lo, hi)):
+            if fault := _entry_fault(*entry):
+                raise ValueError(f"id {i}: {fault}")
 
     def __eq__(self, other):
         return (isinstance(other, ConstraintTable)
@@ -144,15 +152,17 @@ def table_to_text(table: ConstraintTable) -> str:
 
 def table_from_text(text, source="<text>") -> ConstraintTable:
     """Parse ``param ID NAME KIND MIN MAX`` lines (``str`` or ``bytes``; line
-    rules in ``textio``) into a table indexed by id; ids must run 0..N-1."""
+    rules in ``textio``) into a table indexed by id; ids must run 0..N-1, and
+    an entry that ``_entry_fault`` rejects raises ``ParseError`` at its line."""
     entries = []
     for rec in records(text.splitlines(), source):
-        _, i, *entry = rec.fields("param", int, str, str, float, float)
-        entries.append((rec, i, entry))
+        _, i, name, kind, lo, hi = rec.fields("param", int, str, str, float, float)
+        lo, hi = np.deg2rad([lo, hi]) if kind == "angle" else (lo, hi)
+        if fault := _entry_fault(name, kind, lo, hi):
+            raise rec.error(fault)
+        entries.append((rec, i, (name, kind, lo, hi)))
     names, kinds, lo, hi = zip(*dense(entries, "param", source))
-    angle = np.array(kinds) == "angle"
-    lo, hi = (np.where(angle, np.deg2rad(v), v) for v in (np.array(lo), np.array(hi)))
-    return ConstraintTable(lo=lo, hi=hi, names=names, kinds=kinds)
+    return ConstraintTable(lo=np.array(lo), hi=np.array(hi), names=names, kinds=kinds)
 
 
 def load_constraint_table(path) -> ConstraintTable:

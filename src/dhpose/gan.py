@@ -715,28 +715,30 @@ def _fake_minibatch(state: TrainState, batch: int, pairs: AdjacentBonePairs,
 def critic_update(state: TrainState, real: dict, fake: dict, gamma: int) -> dict:
     """One critic step in ``COMPUTE_DTYPE``; Adam updates the float64 weights."""
     real, fake = ({k: v.astype(COMPUTE_DTYPE) for k, v in b.items()} for b in (real, fake))
-    with Tape() as tape:  # the tape's memory is freed on return
+    with Tape() as tape:
         ds_leaves = critic_leaves(tape, state.ds, COMPUTE_DTYPE)
         dm_leaves = critic_leaves(tape, state.dm, COMPUTE_DTYPE) if (gamma and state.dm) else None
         scores = {}
         loss = critic_loss(state.ds, state.dm if gamma else None, real, fake,
                            state.config.alpha, gamma, state.rng, tape, ds_leaves, dm_leaves,
                            scores)
-        _abort_if_bad(float(loss.values), "critic loss", state, {})
+        value = float(loss.values)
+        _abort_if_bad(value, "critic loss", state, {})
         ad.backward(tape, loss)
-        nn.adam_update(state.adam_ds, state.ds.nets().values(), ds_leaves.values())
-        if dm_leaves is not None:
-            nn.adam_update(state.adam_dm, state.dm.nets().values(), dm_leaves.values())
+        del loss  # so that closing the tape frees the graph
+    nn.adam_update(state.adam_ds, state.ds.nets().values(), ds_leaves.values())
+    if dm_leaves is not None:
+        nn.adam_update(state.adam_dm, state.dm.nets().values(), dm_leaves.values())
     # separation measured by the step's own forward pass, before its update
     d_gap = float(scores["real"].mean() - scores["fake"].mean())
-    return {"loss": float(loss.values), "d_gap": d_gap}
+    return {"loss": value, "d_gap": d_gap}
 
 
 def generator_update(state: TrainState, batch: int, gamma: int) -> dict:
     """One generator step: net and critics in ``COMPUTE_DTYPE``, geometry in
     float64; Adam updates the float64 weights."""
     dm = state.dm if gamma else None
-    with Tape() as tape:  # the tape's memory is freed on return
+    with Tape() as tape:
         gen_leaves = nn.mlp_leaves(tape, state.gen.net, COMPUTE_DTYPE)
         z = sample_latent(batch, state.config.z_dim, state.rng)
         fake = generate_on_tape(state.gen, z, tape, gen_leaves, state.pairs)
@@ -744,11 +746,13 @@ def generator_update(state: TrainState, batch: int, gamma: int) -> dict:
         ds_consts = critic_leaves(tape, state.ds, COMPUTE_DTYPE, var=False)
         dm_consts = None if dm is None else critic_leaves(tape, dm, COMPUTE_DTYPE, var=False)
         loss = generator_loss(state.ds, dm, fake, gamma, tape, ds_consts, dm_consts)
-        _abort_if_bad(float(loss.values), "generator loss", state, {})
+        value = float(loss.values)
+        _abort_if_bad(value, "generator loss", state, {})
         ad.backward(tape, loss)
-        nn.adam_update(state.adam_gen, [state.gen.net], [gen_leaves])
-    violations = count_violations(fake.params.values, state.gen.table)
-    return {"gen_loss": float(loss.values), "violations": violations}
+        violations = count_violations(fake.params.values, state.gen.table)
+        del loss, fake  # so that closing the tape frees the graph
+    nn.adam_update(state.adam_gen, [state.gen.net], [gen_leaves])
+    return {"gen_loss": value, "violations": violations}
 
 
 def train_epoch(state: TrainState, data: RealData, synth_dir: Optional[str] = None) -> dict:

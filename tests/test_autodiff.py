@@ -103,6 +103,19 @@ class Float64Consts(ad.Tape):
                              else values)
 
 
+def record_pullback_gradients(tape) -> list:
+    """Wrap every pullback on ``tape`` to log ``(op, dtype)`` of the gradient
+    ``backward`` hands it; backward drops that gradient afterwards."""
+    log = []
+    for n in tape.nodes:
+        if n._bwd is not None:
+            def logged(g, bwd=n._bwd, op=n.op):
+                log.append((op, g.dtype))
+                bwd(g)
+            n._bwd = logged
+    return log
+
+
 @pytest.mark.parametrize("name", sorted(OP_CASES))
 def test_float32_inputs_give_float32_values_and_gradients(name):
     build, shape = OP_CASES[name]
@@ -113,14 +126,19 @@ def test_float32_inputs_give_float32_values_and_gradients(name):
         x = tape.var(x0.astype(dtype))
         y = build(tape, x)
         w = RNG(1).normal(size=y.values.shape).astype(dtype)
-        ad.backward(tape, ad.mean(ad.mul(y, tape.const(w))))
-        results.append((tape, x, y))
-    tape, x, y = results[1]
+        out = ad.mean(ad.mul(y, tape.const(w)))
+        handed = record_pullback_gradients(tape)
+        ad.backward(tape, out)
+        results.append((tape, x, y, handed))
+    tape, x, y, handed = results[1]
     assert [n.op for n in tape.nodes if n.values.dtype != np.float32] == []
+    # every gradient: those passed through a pullback, and the leaves' own
+    assert len(handed) >= 3  # mean's mul and sum, and at least the op under test
+    assert [op for op, dtype in handed if dtype != np.float32] == []
     assert [n.op for n in tape.nodes if n.grad is not None and n.grad.dtype != np.float32] == []
     # against float64 on the same float32-rounded inputs; bound: 1e-5 of
     # max(1, |value|), about 100 float32 ulps
-    _, x64, y64 = results[0]
+    _, x64, y64, _ = results[0]
     for got, want in ((y.values, y64.values), (x.grad, x64.grad)):
         assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)) < 1e-5, name
 
@@ -159,6 +177,18 @@ def test_fan_out_accumulates():
     y = ad.add(ad.mul(x, 3.0), ad.mul(x, 4.0))  # 7x
     ad.backward(tape, ad.sum_(y))
     assert x.grad[0] == 7.0
+
+
+def test_backward_leaves_gradients_only_on_leaves():
+    tape = ad.Tape()
+    x = tape.var(np.array([1.0, -2.0, 3.0]))
+    w = tape.var(np.array([0.5, 4.0, -1.5]))
+    xw = ad.mul(x, w)
+    out = ad.sum_(ad.square(ad.add(xw, xw)))  # sum((2 x w)^2)
+    ad.backward(tape, out)
+    assert [n.op for n in tape.nodes if n._bwd is not None and n.grad is not None] == []
+    assert np.array_equal(x.grad, 8.0 * x.values * w.values ** 2)
+    assert np.array_equal(w.grad, 8.0 * w.values * x.values ** 2)
 
 
 def test_non_scalar_backward_rejected():

@@ -17,6 +17,18 @@ DAMAGED_TABLES = {
     "empty": r": parse error: no param lines",
     "duplicate": r": parse error at line \d+: param 3 already given at line \d+",
     "negative": r": parse error at line \d+: negative param id -1",
+    "kind": r": parse error at line 7: kind must be 'angle' or 'length', got 'angel'",
+    "swapped": r": parse error at line 7: min must be below max for spine_pitch",
+    "equal": r": parse error at line 7: min must be below max for spine_pitch",
+    "knee": r": parse error at line 20: knee bounds for l_knee_flex must lie within \[-pi, 0\]",
+}
+
+# defect -> (param id, the line that replaces it)
+BAD_ENTRIES = {
+    "kind": (3, "param 3 spine_pitch angel -30 45"),
+    "swapped": (3, "param 3 spine_pitch angle 45 -30"),
+    "equal": (3, "param 3 spine_pitch angle 45 45"),
+    "knee": (16, "param 16 l_knee_flex angle -180 10"),
 }
 
 
@@ -32,6 +44,9 @@ def damaged_table(defect):
         lines.append(params[3])
     elif defect == "negative":
         lines.append("param -1 extra angle -10 10")
+    else:
+        i, line = BAD_ENTRIES[defect]
+        lines[lines.index(params[i])] = line
     return "\n".join(lines) + "\n"
 
 
@@ -153,6 +168,11 @@ class TestDefaultTable:
         with pytest.raises(ValueError, match="knee"):
             ct.ConstraintTable(lo=np.array([-1.0]), hi=np.array([0.5]),
                                names=("l_knee_flex",), kinds=("angle",))
+
+    def test_names_and_kinds_must_match_the_bounds(self):
+        with pytest.raises(ValueError, match="equal-length"):
+            ct.ConstraintTable(lo=np.array([-1.0, -1.0]), hi=np.array([1.0, 1.0]),
+                               names=("a",), kinds=("angle", "angle"))
 
     def test_shipped_file_hash_is_pinned(self):
         # data/constraints.txt is the one copy of the default ranges

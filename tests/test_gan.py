@@ -1,6 +1,7 @@
 import copy
 import gc
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -606,6 +607,56 @@ class TestTrainEpoch:
             assert [r() for r in refs[1]] == [None, None]
         finally:
             gc.enable()
+
+    def test_adam_runs_after_the_tape_is_cleared(self, monkeypatch):
+        cfg = tiny_config(mode="video", frames=3, seed=45, batch_size=4, critic_steps=1,
+                          beta_epoch=1)
+        data = dsio.make_band_corpus(8, 12, mode="video", frames=3)
+        state = gan.init_train_state(cfg)
+        real = gan._real_minibatch(data, np.arange(4), state.pairs, True)
+        fake, _ = gan._fake_minibatch(state, 4, state.pairs, True)
+        nodes = []  # the tape's node count at each Adam update
+        adam_update = nn.adam_update
+
+        def recording_adam(adam, nets, leaves):
+            leaves = list(leaves)
+            nodes.append(len(leaves[0][0][0].tape.nodes))
+            adam_update(adam, nets, leaves)
+
+        monkeypatch.setattr(nn, "adam_update", recording_adam)
+        gan.critic_update(state, real, fake, 1)
+        assert nodes == [0, 0]  # frame critic, motion critic
+        gan.generator_update(state, 4, 1)
+        assert nodes == [0, 0, 0]
+
+    def test_critic_step_heap_peak_is_bounded_by_its_forward_pass(self, monkeypatch):
+        # (peak - start) / (live at backward's start - start) is 1.23 with spent
+        # gradients freed and Adam run after the tape closes; 2.17 with Adam
+        # under the open tape and every gradient kept
+        cfg = tiny_config(mode="video", frames=3, seed=3, batch_size=8, critic_steps=1,
+                          beta_epoch=1, gen_hidden=(64, 64), enc_hidden=(32, 32),
+                          head_hidden=(16,))
+        data = dsio.make_band_corpus(8, 5, mode="video", frames=3)
+        state = gan.init_train_state(cfg)
+        real = gan._real_minibatch(data, np.arange(8), state.pairs, True)
+        fake, _ = gan._fake_minibatch(state, 8, state.pairs, True)
+        gan.critic_update(state, real, fake, 1)  # Adam's moments exist from here on
+        forward = []
+        backward = ad.backward
+
+        def measuring_backward(tape, out):
+            forward.append(tracemalloc.get_traced_memory()[0])
+            backward(tape, out)
+
+        monkeypatch.setattr(ad, "backward", measuring_backward)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            gan.critic_update(state, real, fake, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) / (forward[0] - start) < 1.6
 
     def test_d_gap_is_the_step_score_gap_before_its_update(self, monkeypatch):
         cfg = tiny_config(mode="video", frames=3, seed=47, batch_size=4, critic_steps=1,
