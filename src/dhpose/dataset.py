@@ -31,6 +31,7 @@ _HEADER_PREFIX = "# dhpose dataset"
 _PROVENANCES = ("real", "synthetic")  # a row's provenance code indexes this
 _CAMERA = ("fx", "fy", "cx", "cy", "z_min")  # a row's first values
 _POSITIVE = [0, 1, 4]  # camera values that must be > 0: fx, fy, z_min
+_DEPTHS = slice(7, 53, 3)  # the keypoints' z among a row's values; each must be >= z_min
 _VALUES_PER_ROW = 5 + 48 + 32  # camera, pose3d, pose2d
 _FIELDS_PER_ROW = 3 + _VALUES_PER_ROW  # provenance, sequence id, frame index, values
 _BLOCK_ROWS = 256  # rows formatted or parsed at a time; bounds transient memory
@@ -168,6 +169,14 @@ def _bad_camera(values: np.ndarray) -> Optional[tuple[int, int]]:
     return (bad[0][0], _POSITIVE[bad[0][1]]) if bad.size else None
 
 
+def _below_near_plane(values: np.ndarray) -> Optional[tuple[int, int, int]]:
+    """(row, keypoint, value column) of the first keypoint whose z is below
+    its row's z_min.  Rounding to ``%.13g`` or to float32 is monotone, so a
+    row that was in front of the near plane when written still is."""
+    bad = np.argwhere(values[:, _DEPTHS] < values[:, 4:5])
+    return (bad[0][0], bad[0][1], _DEPTHS.start + 3 * bad[0][1]) if bad.size else None
+
+
 def _parse_rows(path, lines: list[str], line_nos: list[int]) -> RowBlock:
     """Parse non-blank record lines in one call; a bad line raises naming its line number."""
     try:
@@ -200,6 +209,11 @@ def _parse_rows(path, lines: list[str], line_nos: list[int]) -> RowBlock:
         i, j = bad
         raise ParseError(path, line_nos[i], f"non-positive {_CAMERA[j]} "
                                             f"{lines[i].split()[3 + j]!r} in field {4 + j}")
+    if bad := _below_near_plane(values):
+        i, k, j = bad
+        tok = lines[i].split()
+        raise ParseError(path, line_nos[i], f"keypoint {k} z {tok[3 + j]!r} in field {4 + j} "
+                                            f"is below z_min {tok[7]!r}")
     return RowBlock(codes, rows["sequence_id"].copy(), rows["frame_index"].copy(), values)
 
 
@@ -233,6 +247,11 @@ def _read_binary(path, fh, meta_line: bytes) -> RowBlock:
         raise ParseError(path, None, f"record {i}: non-positive {_CAMERA[j]} "
                                      f"{rows[i, 3 + j]:g} in field {4 + j}",
                          offset=start + (i * width + 3 + j) * 4)
+    if bad := _below_near_plane(rows[:, 3:]):
+        i, k, j = bad
+        raise ParseError(path, None, f"record {i}: keypoint {k} z {rows[i, 3 + j]:g} in field "
+                                     f"{4 + j} is below z_min {rows[i, 7]:g}",
+                         offset=start + (i * width + 3 + j) * 4)
     return RowBlock(rows[:, 0].astype(np.int8), rows[:, 1].astype(np.int64),
                     rows[:, 2].astype(np.int64), rows[:, 3:])
 
@@ -240,9 +259,10 @@ def _read_binary(path, fh, meta_line: bytes) -> RowBlock:
 def iter_blocks(path, topology: Optional[SkeletonTopology] = None) -> Iterator[RowBlock]:
     """Stream a dataset file's rows: a text file in blocks of at most
     ``_BLOCK_ROWS`` lines, a binary one (its second line reads ``binary N
-    88``) as one block.  A malformed or non-finite field, or a camera whose
-    fx, fy or z_min is not positive, raises ``ParseError`` naming the
-    line (text) or the record and its byte offset (binary).
+    88``) as one block.  A malformed or non-finite field, a camera whose
+    fx, fy or z_min is not positive, or a keypoint whose z is below its
+    row's z_min raises ``ParseError`` naming the line (text) or the record
+    and its byte offset (binary).
 
     Text lines are decoded one at a time, so bytes that are not UTF-8 (a
     binary file with a damaged count line, say) are reported with their line.

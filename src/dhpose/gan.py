@@ -725,7 +725,6 @@ def critic_update(state: TrainState, real: dict, fake: dict, gamma: int) -> dict
         value = float(loss.values)
         _abort_if_bad(value, "critic loss", state, {})
         ad.backward(tape, loss)
-        del loss  # so that closing the tape frees the graph
     nn.adam_update(state.adam_ds, state.ds.nets().values(), ds_leaves.values())
     if dm_leaves is not None:
         nn.adam_update(state.adam_dm, state.dm.nets().values(), dm_leaves.values())
@@ -748,9 +747,8 @@ def generator_update(state: TrainState, batch: int, gamma: int) -> dict:
         loss = generator_loss(state.ds, dm, fake, gamma, tape, ds_consts, dm_consts)
         value = float(loss.values)
         _abort_if_bad(value, "generator loss", state, {})
-        ad.backward(tape, loss)
         violations = count_violations(fake.params.values, state.gen.table)
-        del loss, fake  # so that closing the tape frees the graph
+        ad.backward(tape, loss)
     nn.adam_update(state.adam_gen, [state.gen.net], [gen_leaves])
     return {"gen_loss": value, "violations": violations}
 

@@ -89,8 +89,10 @@ def mlp_apply(net: Mlp, x: Tensor, tape: Tape,
     float64 weights as constants), returning the output and a per-layer trace.
 
     Each layer is one ``ad.linear`` node.  The trace holds ``(w, h, act,
-    mask)`` per layer, ``mask`` being the lrelu derivative (None for other
-    activations), so the analytic input gradient can reuse them.
+    mask)`` per layer, ``mask`` being the lrelu layer's bool mask ``pre >=
+    0`` (None for other activations), so the analytic input gradient can
+    reuse them.  ``mlp_vjp`` must read the trace before ``ad.backward``
+    releases its nodes.
     """
     if x.values.ndim != 2 or x.values.shape[1] != net.in_dim:
         raise ShapeError(f"input {x.values.shape} does not match first layer "
@@ -110,13 +112,15 @@ def mlp_vjp(trace: list, upstream: Tensor) -> Tensor:
 
     Returns d(upstream . out)/dx with shape (batch, in_dim).  Only tanh and
     leaky-relu hidden activations admit the double-backprop construction.
+    An lrelu layer's derivative is one ``ad.lrelu_scale`` node, which keeps
+    the layer's bool mask rather than a float copy of it.
     """
     g = upstream
     for w, h, act, mask in reversed(trace):
         if act == "tanh":
             g = ad.mul(g, ad.sub(1.0, ad.square(h)))
         elif act == "lrelu":
-            g = ad.mul(g, h.tape.const(mask))
+            g = ad.lrelu_scale(g, mask, LRELU_SLOPE)
         elif act != "linear":
             raise ValueError(f"activation {act!r} does not support double backprop")
         g = ad.matmul(g, ad.transpose2d(w))

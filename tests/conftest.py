@@ -1,14 +1,24 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
+from dhpose.__main__ import BLAS_THREAD_VARS  # loads no numpy
+
+# BLAS reads its thread count once, when numpy loads.  Pin it to one thread
+# first, as the dhpose command does, unless the caller set it: two BLAS
+# threads spin when another process holds a core, and the tests' time
+# budgets would then depend on the machine's load.
+for _var in BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+
 sys.path.insert(0, str(Path(__file__).parent))
 
-from dhpose.camera import default_camera
-from dhpose.constraints import default_constraint_table
-from dhpose.features import adjacent_bone_pairs
-from dhpose.skeleton import default_topology
+from dhpose.camera import default_camera  # noqa: E402
+from dhpose.constraints import default_constraint_table  # noqa: E402
+from dhpose.features import adjacent_bone_pairs  # noqa: E402
+from dhpose.skeleton import default_topology  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -54,6 +54,7 @@ OP_CASES = {
     "getitem": (lambda t, x: x[:, 1:3], (3, 4)),
     "concat": (lambda t, x: ad.concat([x, ad.mul(x, 2.0)], axis=1), (3, 4)),
     "stack": (lambda t, x: ad.stack([x, ad.neg(x)], axis=0), (3, 4)),
+    "lrelu_scale": (lambda t, x: ad.lrelu_scale(x, RNG(10).normal(size=(3, 4)) >= 0, 0.2), (3, 4)),
 }
 
 
@@ -128,18 +129,21 @@ def test_float32_inputs_give_float32_values_and_gradients(name):
         w = RNG(1).normal(size=y.values.shape).astype(dtype)
         out = ad.mean(ad.mul(y, tape.const(w)))
         handed = record_pullback_gradients(tape)
+        # read before backward, which releases every op node's values
+        off_dtype = [n.op for n in tape.nodes if n.values.dtype != np.float32]
+        y_values = y.values
         ad.backward(tape, out)
-        results.append((tape, x, y, handed))
-    tape, x, y, handed = results[1]
-    assert [n.op for n in tape.nodes if n.values.dtype != np.float32] == []
+        results.append((tape, x, y_values, off_dtype, handed))
+    tape, x, y_values, off_dtype, handed = results[1]
+    assert off_dtype == []
     # every gradient: those passed through a pullback, and the leaves' own
     assert len(handed) >= 3  # mean's mul and sum, and at least the op under test
     assert [op for op, dtype in handed if dtype != np.float32] == []
     assert [n.op for n in tape.nodes if n.grad is not None and n.grad.dtype != np.float32] == []
     # against float64 on the same float32-rounded inputs; bound: 1e-5 of
     # max(1, |value|), about 100 float32 ulps
-    _, x64, y64, _ = results[0]
-    for got, want in ((y.values, y64.values), (x.grad, x64.grad)):
+    _, x64, y64_values, _, _ = results[0]
+    for got, want in ((y_values, y64_values), (x.grad, x64.grad)):
         assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)) < 1e-5, name
 
 
@@ -179,16 +183,26 @@ def test_fan_out_accumulates():
     assert x.grad[0] == 7.0
 
 
-def test_backward_leaves_gradients_only_on_leaves():
+def test_backward_releases_the_graph_it_has_passed():
     tape = ad.Tape()
     x = tape.var(np.array([1.0, -2.0, 3.0]))
     w = tape.var(np.array([0.5, 4.0, -1.5]))
+    c = tape.const(np.array([2.0, 0.0, 1.0]))
     xw = ad.mul(x, w)
-    out = ad.sum_(ad.square(ad.add(xw, xw)))  # sum((2 x w)^2)
+    unreached = ad.mul(c, c)  # an op node no gradient reaches
+    out = ad.sum_(ad.add(ad.square(ad.add(xw, xw)), unreached))  # sum((2 x w)^2 + c^2)
+    after = ad.neg(xw)  # recorded after out: the sweep never passes it
+    leaves = [(leaf, leaf.values, leaf.values.copy()) for leaf in (x, w, c)]
     ad.backward(tape, out)
-    assert [n.op for n in tape.nodes if n._bwd is not None and n.grad is not None] == []
+    assert [n.op for n in tape.nodes[:-1] if n.parents
+            and (n.values is not None or n.grad is not None or n._bwd is not None)] == []
+    assert unreached.values is None and out.values is None
+    assert np.array_equal(after.values, -(x.values * w.values))
+    for leaf, values, before in leaves:
+        assert leaf.values is values and np.array_equal(values, before)
     assert np.array_equal(x.grad, 8.0 * x.values * w.values ** 2)
     assert np.array_equal(w.grad, 8.0 * w.values * x.values ** 2)
+    assert c.grad is None
 
 
 def test_non_scalar_backward_rejected():
@@ -240,8 +254,9 @@ def test_forward_backward_deterministic():
         tape = ad.Tape()
         x = tape.var(rng.normal(size=(8, 8)))
         y = ad.sum_(ad.linear(x, rng.normal(size=(8, 8)), np.zeros(8), "tanh")[0])
+        value = y.values.copy()  # backward releases it
         ad.backward(tape, y)
-        return y.values.copy(), x.grad.copy()
+        return value, x.grad.copy()
 
     v1, g1 = once()
     v2, g2 = once()
@@ -302,19 +317,52 @@ def test_linear_writes_the_reference_bits_and_leaves_its_inputs(act):
     out, mask = ad.linear(x, w, b, act)
     assert np.array_equal(out.values, dense_ref(x0, w0, b0, act))
     if act == "lrelu":
-        assert np.array_equal(mask, leaky_relu_mask_ref(x0 @ w0 + b0))
+        assert mask.dtype == bool
+        assert np.array_equal(ad.times_lrelu_derivative(np.ones(mask.shape), mask, 0.2),
+                              leaky_relu_mask_ref(x0 @ w0 + b0))
     ad.backward(tape, ad.sum_(ad.square(out)))
     for leaf, before in ((x, x0), (w, w0), (b, b0)):
         assert np.array_equal(leaf.values, before)
 
 
-def test_leaky_relu_mask_matches_the_reference_bits():
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bool_mask_products_match_the_float_mask_bits(dtype):
+    # the lrelu derivative built from the bool mask z >= 0, times z or a
+    # gradient, against the same product with the float mask {1, slope} in
+    # z's dtype: the product itself, dense_forward, lrelu_scale's forward and
+    # pullback, and linear's pullback
     rng = RNG(18)
-    edge = [0.0, -0.0, 5e-324, -5e-324, -1e-300, 1e-300, 1e308, -1e308, np.inf, -np.inf]
-    spread = rng.normal(size=2000) * 10.0 ** rng.integers(-300, 300, 2000)
-    z = np.concatenate([edge, spread]).reshape(-1, 2)
+    info = np.finfo(dtype)
+    edge = [0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal, info.tiny, -info.tiny,
+            info.max, -info.max, np.inf, -np.inf, np.nan]
+    spread = np.ldexp(rng.uniform(-1.0, 1.0, 2000), rng.integers(info.minexp, info.maxexp, 2000))
+    z = np.concatenate([edge, spread, [0.5]]).astype(dtype).reshape(-1, 2)
+    g = rng.normal(size=z.shape).astype(dtype)
+    x, w, b = (rng.normal(size=shape).astype(dtype) for shape in ((40, 8), (8, 6), (6,)))
+
+    def bits(a):
+        assert a.dtype == dtype
+        return a.view(np.int32 if dtype == np.float32 else np.int64)
+
     for slope in (0.2, 0.01, 0.3):
-        got = ad.leaky_relu_mask(z, slope)
-        ref = leaky_relu_mask_ref(z, slope)
-        assert got.dtype == ref.dtype and got.shape == ref.shape
-        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        ref = leaky_relu_mask_ref(z, slope).astype(dtype)
+        mask = z >= 0.0
+        assert np.array_equal(bits(ad.times_lrelu_derivative(z, mask, slope)), bits(z * ref))
+        out, got_mask = ad.dense_forward(x, w, b, "lrelu", slope)
+        assert np.array_equal(got_mask, x @ w + b >= 0.0)
+        assert np.array_equal(bits(out), bits(dense_ref(x, w, b, "lrelu", slope)))
+        tape = ad.Tape()
+        a = tape.var(g)
+        y = ad.lrelu_scale(a, mask, slope)
+        assert np.array_equal(bits(y.values), bits(g * ref))
+        with np.errstate(over="ignore", invalid="ignore"):  # the sum of z * ...
+            ad.backward(tape, ad.sum_(ad.mul(y, tape.const(z))))
+        assert np.array_equal(bits(a.grad), bits(z * ref))
+        tape = ad.Tape()
+        xt = tape.var(x)
+        out, _ = ad.linear(xt, w, b, "lrelu", slope)
+        up = rng.normal(size=out.shape).astype(dtype)
+        ad.backward(tape, ad.sum_(ad.mul(out, tape.const(up))))
+        pre = x @ w + b
+        assert np.array_equal(bits(xt.grad),
+                              bits((up * leaky_relu_mask_ref(pre, slope).astype(dtype)) @ w.T))

@@ -13,6 +13,7 @@ from dhpose import cli
 from dhpose import dataset as dsio
 from dhpose import skeleton as sk
 from test_constraints import DAMAGED_TABLES, damaged_table
+from test_dataset_io import move_behind_the_camera
 
 
 def run(capsys, *argv):
@@ -217,6 +218,22 @@ class TestSynthAndFeatures:
         assert err.startswith(f"error: video mode needs at least 2 frames, got {frames}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    def test_keypoint_behind_the_camera_is_a_data_error(self, capsys, tmp_path, fmt):
+        data = tmp_path / f"d.{fmt}"
+        code, _, _ = run(capsys, "synth", "--count", "300", "--seed", "3", "--out", str(data),
+                         "--format", fmt)
+        assert code == 0
+        where = move_behind_the_camera(data, fmt, 137)
+        says = ("line {}: keypoint 0 z '-50' in field 11 is below z_min '0.1'" if fmt == "text"
+                else "byte {}: record 137: keypoint 0 z -50 in field 11 is below z_min 0.1")
+        for argv in (("features", "--data", str(data), "--sequence", "137"),
+                     ("train", "--data", str(data), "--epochs", "1", "--batch", "2",
+                      "--out", str(tmp_path / "run"))):
+            code, _, err = run(capsys, *argv)
+            assert code == 2
+            assert err.startswith(f"error: {data}: parse error at {says.format(where)}")
+
     def test_missing_sequence_is_a_data_error(self, capsys, tmp_path):
         data = tmp_path / "d.txt"
         run(capsys, "synth", "--count", "5", "--seed", "3", "--out", str(data))
@@ -315,6 +332,27 @@ class TestTrain:
         assert calls[0]["OPENBLAS_NUM_THREADS"] == "1"
         assert calls[0]["MKL_NUM_THREADS"] == "1"
         assert calls[0]["OMP_NUM_THREADS"] == "3"
+
+    @pytest.mark.parametrize("caller", [{}, {"OMP_NUM_THREADS": "3"}])
+    def test_tests_pin_blas_threads_unless_set(self, caller):
+        # tests/conftest.py, run on its own: each variable reads "1" unless the
+        # caller set it, and nothing has loaded numpy when it sets them
+        from dhpose.__main__ import BLAS_THREAD_VARS
+        tests = Path(__file__).resolve().parent
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tests.parent / "src"),
+                                                         env.get("PYTHONPATH")]))
+        probe = ("import os, runpy, sys\n"
+                 "import dhpose.__main__\n"
+                 "print('numpy' in sys.modules)\n"
+                 "runpy.run_path(sys.argv[1])\n"
+                 "print(*(os.environ[v] for v in dhpose.__main__.BLAS_THREAD_VARS))\n")
+        proc = subprocess.run([sys.executable, "-c", probe, str(tests / "conftest.py")],
+                              env={**env, **caller}, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        want = [caller.get(var, "1") for var in BLAS_THREAD_VARS]
+        assert proc.stdout.split("\n")[:2] == ["False", " ".join(want)]
 
     def test_same_digest_with_blas_threads_unset_or_pinned(self, tmp_path):
         # the dhpose command pins BLAS to one thread unless told otherwise, so a

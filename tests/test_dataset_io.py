@@ -153,6 +153,11 @@ class TestTextFormat:
            cam=st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
                         min_size=5, max_size=5))
     def test_round_trip_is_exact_at_13_digits(self, tmp_path_factory, rows, cam):
+        # the reader takes keypoints in front of the near plane only: lift each
+        # z to z_min at least
+        rows = np.array(rows)
+        rows[:, 2:48:3] = np.maximum(rows[:, 2:48:3], cam[4])
+        rows = rows.tolist()
         path = tmp_path_factory.getbasetemp() / "roundtrip.txt"
         dsio.save_dataset(rows_with_values(rows, cam=CameraIntrinsics(*cam)), path)
         expected = np.array([[float(f"{v:.13g}") for v in cam + row] for row in rows])
@@ -343,6 +348,73 @@ class TestBinaryReader:
                            match=f"byte {where}: record 3: {reason}") as err:
             dsio.load_dataset(path)
         assert err.value.offset == where and err.value.line_no is None
+
+
+def move_behind_the_camera(path, fmt, record, keypoint=0, z="-50", u="12345"):
+    """Edit record ``record`` of a dataset file in place: keypoint ``keypoint``
+    to depth ``z`` and pixel column ``u`` (text tokens, stored as float32 in
+    binary).  Returns the edited line (text) or the z field's byte offset
+    (binary)."""
+    z_field, u_field = 3 + 5 + 3 * keypoint + 2, 3 + 53 + 2 * keypoint
+    data = bytearray(path.read_bytes())
+    if fmt == "text":
+        lines = data.decode().split("\n")
+        tok = lines[record + 1].split()
+        tok[z_field], tok[u_field] = z, u
+        lines[record + 1] = " ".join(tok)
+        path.write_text("\n".join(lines))
+        return record + 2
+    start = data.index(b"\n", data.index(b"\nbinary ") + 1) + 1
+    offset = start + (record * 88 + z_field) * 4
+    for field, value in ((z_field, z), (u_field, u)):
+        at = start + (record * 88 + field) * 4
+        data[at:at + 4] = np.array([float(value)], dtype="<f4").tobytes()
+    path.write_bytes(bytes(data))
+    return offset
+
+
+class TestDepthCheck:
+    """A keypoint whose z is below its row's z_min is a parse error."""
+
+    @pytest.fixture(scope="class")
+    def synthesized(self, tmp_path_factory):
+        # 300 records per format, as ``dhpose synth`` writes them
+        gen = tiny_generator(seed=8)
+        paths = {}
+        for fmt in ("text", "binary"):
+            paths[fmt] = tmp_path_factory.mktemp("depth") / f"d.{fmt}"
+            dsio.synthesize_dataset(gen, 300, "single", 9, paths[fmt], fmt=fmt)
+        return paths
+
+    def test_synthesized_files_load(self, synthesized):
+        for path in synthesized.values():
+            assert len(dsio.load_dataset(path)) == 300
+
+    @pytest.mark.parametrize("keypoint, z, says", [(0, "-50", "'-50'"),
+                                                   (15, "0.0999999", "'0.0999999'")])
+    def test_text_row_names_its_line(self, synthesized, tmp_path, keypoint, z, says):
+        path = tmp_path / "d.txt"
+        path.write_bytes(synthesized["text"].read_bytes())
+        line = move_behind_the_camera(path, "text", 137, keypoint, z)
+        field = 3 + 5 + 3 * keypoint + 3
+        with pytest.raises(ParseError, match=f"line {line}: keypoint {keypoint} z {says} in "
+                                             f"field {field} is below z_min '0.1'") as err:
+            dsio.load_dataset(path)
+        assert err.value.line_no == line == 139
+
+    @pytest.mark.parametrize("keypoint, z, says", [(0, "-50", "-50"),
+                                                   (15, "0.0999999", "0.0999999")])
+    def test_binary_record_names_its_byte_offset(self, synthesized, tmp_path, keypoint, z,
+                                                 says):
+        path = tmp_path / "d.bin"
+        path.write_bytes(synthesized["binary"].read_bytes())
+        offset = move_behind_the_camera(path, "binary", 137, keypoint, z)
+        field = 3 + 5 + 3 * keypoint + 3
+        with pytest.raises(ParseError, match=f"byte {offset}: record 137: keypoint {keypoint} "
+                                             f"z {says} in field {field} is below z_min 0.1"
+                           ) as err:
+            dsio.load_dataset(path)
+        assert err.value.offset == offset and err.value.line_no is None
 
 
 class TestSynthesis:

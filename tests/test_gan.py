@@ -658,6 +658,36 @@ class TestTrainEpoch:
             tracemalloc.stop()
         assert (peak - start) / (forward[0] - start) < 1.6
 
+    def test_critic_step_backward_adds_little_to_the_heap(self, monkeypatch):
+        # (peak during backward - live at its start) / (live at its start -
+        # step start) is 0.036 with backward releasing each node it has
+        # passed; 0.23 with every value kept until the tape closes
+        cfg = tiny_config(mode="video", frames=3, seed=3, batch_size=8, critic_steps=1,
+                          beta_epoch=1, gen_hidden=(64, 64), enc_hidden=(32, 32),
+                          head_hidden=(16,))
+        data = dsio.make_band_corpus(8, 5, mode="video", frames=3)
+        state = gan.init_train_state(cfg)
+        real = gan._real_minibatch(data, np.arange(8), state.pairs, True)
+        fake, _ = gan._fake_minibatch(state, 8, state.pairs, True)
+        gan.critic_update(state, real, fake, 1)  # Adam's moments exist from here on
+        live, peak = [], []
+        backward = ad.backward
+
+        def measuring_backward(tape, out):
+            live.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            backward(tape, out)
+            peak.append(tracemalloc.get_traced_memory()[1])
+
+        monkeypatch.setattr(ad, "backward", measuring_backward)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            gan.critic_update(state, real, fake, 1)
+        finally:
+            tracemalloc.stop()
+        assert (peak[0] - live[0]) / (live[0] - start) < 0.1
+
     def test_d_gap_is_the_step_score_gap_before_its_update(self, monkeypatch):
         cfg = tiny_config(mode="video", frames=3, seed=47, batch_size=4, critic_steps=1,
                           beta_epoch=1)
@@ -726,20 +756,24 @@ class TestTrainEpoch:
         generate_on_tape = gan.generate_on_tape
 
         def recording_generate(*args):
-            outs.append(generate_on_tape(*args))
-            return outs[-1]
+            fake = generate_on_tape(*args)
+            # the values, read before the step's backward releases them
+            outs.append(({name: getattr(fake, name).values
+                          for name in ("params", "globals_", "pose3d")},
+                         {k: t.values for k, t in fake.streams.items()}))
+            return fake
 
         monkeypatch.setattr(gan, "generate_on_tape", recording_generate)
         m = gan.generator_update(state, 4, 1)
-        fake = outs[0]
-        for t in (fake.params, fake.globals_, fake.pose3d):
-            assert t.values.dtype == np.float64
-        assert len(fake.streams) == 9
-        for t in fake.streams.values():
-            assert t.values.dtype == np.float32
+        geometry, streams = outs[0]
+        for values in geometry.values():
+            assert values.dtype == np.float64
+        assert len(streams) == 9
+        for values in streams.values():
+            assert values.dtype == np.float32
         # each stream is the float64 geometry rounded once
-        x3d = fake.pose3d.values.reshape(-1, 48)
-        assert np.array_equal(fake.streams["x3d"].values, x3d.astype(np.float32))
+        x3d = geometry["pose3d"].reshape(-1, 48)
+        assert np.array_equal(streams["x3d"], x3d.astype(np.float32))
         assert m["violations"] == 0
         after = weights(state.gen.net)
         assert len(after) == len(before)

@@ -29,6 +29,22 @@ def test_scripts_run_without_pythonpath(tmp_path):
     assert "--seed" in proc.stdout
 
 
+def test_heap_by_phase_prints_every_phase(tmp_path):
+    proc = run_script("heap_by_phase.py", "--seed", "3", "--count", "8", "--batch", "4",
+                      "--frames", "3", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("heap by phase, seed 3, video T=3, batch 4, 8 sequences")
+    rows = {line.split()[0]: line.split()[1:] for line in lines[2:-1]}
+    # two generator steps of five critic steps each; one end-of-epoch log and synthesis
+    assert {name: int(row[0]) for name, row in rows.items()} == {
+        "critic_update": 10, "generator_update": 2, "frame_penalty": 1, "motion_penalty": 1,
+        "synthesize_dataset": 1}
+    epoch_peak = float(lines[-1].split()[-1])
+    for calls, above, absolute in rows.values():
+        assert 0 < float(above) <= float(absolute) <= epoch_peak
+
+
 @pytest.fixture
 def checkout(monkeypatch):
     monkeypatch.syspath_prepend(str(SCRIPTS))  # sys.path is restored afterwards
