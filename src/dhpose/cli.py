@@ -1,7 +1,7 @@
 """Command-line surface.
 
-Subcommands: fk, validate, project, features, synth, train, export-video,
-selftest.  Exit codes: 0 success, 1 usage error, 2 data error.
+Subcommands: fk, validate, project, features, synth, train, export-video.
+Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
 from __future__ import annotations
@@ -10,9 +10,7 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -222,114 +220,6 @@ def cmd_export_video(args) -> int:
     return EXIT_OK
 
 
-def cmd_selftest(args) -> int:
-    failures = []
-
-    def check(name, fn):
-        try:
-            fn()
-            print(f"ok - {name}")
-        except Exception as exc:  # noqa: BLE001 - report and continue
-            failures.append(name)
-            print(f"FAIL - {name}: {exc}")
-
-    topology = _topology_from(args)
-    table = _table_from(args)
-    rng = np.random.default_rng(args.seed)
-
-    def naive_fk(params, globals_):
-        kps = np.zeros((topology.keypoint_count, 3))
-        for bi, br in enumerate(topology.branches):
-            rows = []
-            for r, row in enumerate(br.rows):
-                # a plain record: a resolved link length may be negative, which DhRow rejects
-                dh = {f: getattr(row, f) for f in ("a", "d", "alpha", "theta")}
-                for f in ("a", "d", "theta"):
-                    if (bi, r, f) in topology.param_index:
-                        dh[f] += params[topology.param_index[(bi, r, f)]]
-                rows.append(SimpleNamespace(**dh))
-            frames = sk.compose_chain(rows)
-            for row_idx, kp in br.keypoint_map:
-                kps[kp] = frames[row_idx][:3, 3]
-        return kps @ sk.rotation_xyz(*globals_[:3]).T + globals_[3:]
-
-    def t_rest():
-        ref = sk.default_rest_pose()
-        got = sk.rest_pose(topology)
-        assert np.max(np.abs(got - ref)) < 1e-9, "rest pose differs from the shipped file"
-
-    def t_fk_oracle():
-        p = rng.uniform(-1, 1, (100, 48))
-        g = rng.uniform(-1, 1, (100, 6))
-        fast = sk.forward_kinematics_batch(topology, p, g)
-        for i in range(100):
-            assert np.max(np.abs(fast[i] - naive_fk(p[i], g[i]))) < 1e-9
-
-    def t_rigidity():
-        p = rng.uniform(-1, 1, (100, 48))
-        p[:, 33:] = 0.0
-        g = np.zeros((100, 6))
-        poses = sk.forward_kinematics_batch(topology, p, g)
-        lengths = sk.bone_lengths(topology, poses)
-        assert np.max(np.abs(lengths - lengths[0])) < 1e-9, "bone lengths drifted"
-
-    def t_squash():
-        raw = rng.standard_normal((10000, 48))
-        sq = ct.squash_params(raw, table)
-        assert ct.count_violations(sq, table) == 0
-
-    def t_telescoping():
-        seq = rng.normal(size=(7, 16, 3))
-        streams = gan.feature_batch(seq[None], rng.normal(size=(1, 7, 16, 2)), default_camera(),
-                                    adjacent_bone_pairs(topology), video=True)
-        total = streams["diff3d"].reshape(-1, 3).sum(axis=0)
-        brute = sum(seq[t, i] - seq[t - 1, i] for t in range(1, 7) for i in range(16))
-        assert np.max(np.abs(total - brute)) < 1e-12
-
-    def t_gradcheck():
-        from . import autodiff as ad
-        from . import nn
-        net = nn.mlp_init([4, 8, 1], ["tanh", "linear"], np.random.default_rng(0))
-        x = np.random.default_rng(1).normal(size=(3, 4))
-        tape = ad.Tape()
-        leaves = nn.mlp_leaves(tape, net)
-        out = ad.mean(nn.mlp_apply(net, tape.const(x), tape, leaves)[0])
-        ad.backward(tape, out)
-        w = net.layers[0].w
-        h = 1e-6
-        w2 = w.copy()
-        w2[0, 0] += h
-        net2 = nn.Mlp([nn.LayerSpec(w2, net.layers[0].b, "tanh"), net.layers[1]])
-        w3 = w.copy()
-        w3[0, 0] -= h
-        net3 = nn.Mlp([nn.LayerSpec(w3, net.layers[0].b, "tanh"), net.layers[1]])
-        fd = (nn.mlp_eval(net2, x).mean() - nn.mlp_eval(net3, x).mean()) / (2 * h)
-        got = leaves[0][0].grad[0, 0]
-        assert abs(fd - got) < 1e-5 * max(1.0, abs(fd))
-
-    def t_synth_determinism():
-        with tempfile.TemporaryDirectory() as tmp:
-            gen = _untrained_generator(args.seed, "single", 1, topology, table)
-            p1 = os.path.join(tmp, "a.txt")
-            p2 = os.path.join(tmp, "b.txt")
-            ds.synthesize_dataset(gen, 200, "single", args.seed, p1)
-            ds.synthesize_dataset(gen, 200, "single", args.seed, p2)
-            assert open(p1, "rb").read() == open(p2, "rb").read(), "files differ"
-            cams, pose3d, pose2d = ds.load_dataset(p1, topology).columns()
-            assert np.all(cams == gen.camera.as_array()), "camera rows differ"
-            uv = project_pose(pose3d, gen.camera)
-            assert np.max(np.abs(uv - pose2d)) < 1e-6, "projection inconsistency"
-
-    check("rest pose matches shipped file", t_rest)
-    check("forward kinematics vs naive oracle", t_fk_oracle)
-    check("bone-length invariance", t_rigidity)
-    check("constraint squash soundness", t_squash)
-    check("trajectory telescoping", t_telescoping)
-    check("autodiff finite-difference spot check", t_gradcheck)
-    check("synthesis determinism and projection consistency", t_synth_determinism)
-    return EXIT_OK if not failures else EXIT_DATA
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="dhpose", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
@@ -384,8 +274,6 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", default=None)
     p.set_defaults(fn=cmd_export_video)
 
-    p = sub.add_parser("selftest", parents=[common], help="run the built-in oracle checks")
-    p.set_defaults(fn=cmd_selftest)
     return parser
 
 

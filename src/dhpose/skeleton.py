@@ -19,7 +19,6 @@ import hashlib
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -192,39 +191,6 @@ def check_params(params) -> np.ndarray:
     if not np.all(np.isfinite(params)):
         raise ValueError("parameters must be finite")
     return params
-
-
-def dh_matrix(a: float, d: float, alpha: float, theta: float) -> np.ndarray:
-    """Homogeneous transform of one DH link.
-
-    Rotation about x by the twist ``alpha`` and translation ``a`` along x,
-    followed by rotation ``theta`` about z and offset ``d`` along z.
-    """
-    vals = np.array([a, d, alpha, theta], dtype=np.float64)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(f"dh_matrix needs finite inputs, got {vals}")
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    ct, st = np.cos(theta), np.sin(theta)
-    return np.array([
-        [ct, -st, 0.0, a],
-        [st * ca, ct * ca, -sa, -d * sa],
-        [st * sa, ct * sa, ca, d * ca],
-        [0.0, 0.0, 0.0, 1.0],
-    ])
-
-
-def compose_chain(rows: Sequence[DhRow]) -> list[np.ndarray]:
-    """Cumulative transforms of a resolved chain: M'_0, M'_0 M_1, ...  A row
-    is anything with ``a``, ``d``, ``alpha`` and ``theta``."""
-    rows = list(rows)
-    if not rows:
-        raise ValueError("compose_chain needs at least one row")
-    out = []
-    cur = np.eye(4)
-    for row in rows:
-        cur = cur @ dh_matrix(row.a, row.d, row.alpha, row.theta)
-        out.append(cur)
-    return out
 
 
 def _compiled_branch(topology: SkeletonTopology, bi: int) -> dict:
@@ -525,7 +491,3 @@ def rest_pose_from_text(text, source="<text>") -> np.ndarray:
 def load_rest_pose(path) -> np.ndarray:
     return rest_pose_from_text(Path(path).read_bytes(), path)
 
-
-def default_rest_pose() -> np.ndarray:
-    resource = resources.files("dhpose").joinpath("data/rest_pose.txt")
-    return rest_pose_from_text(resource.read_text(), resource)

@@ -1,5 +1,6 @@
 import os
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -18,12 +19,19 @@ sys.path.insert(0, str(Path(__file__).parent))
 from dhpose.camera import default_camera  # noqa: E402
 from dhpose.constraints import default_constraint_table  # noqa: E402
 from dhpose.features import adjacent_bone_pairs  # noqa: E402
-from dhpose.skeleton import default_topology  # noqa: E402
+from dhpose.skeleton import default_topology, rest_pose_from_text  # noqa: E402
 
 
 @pytest.fixture(scope="session")
 def topology():
     return default_topology()
+
+
+@pytest.fixture(scope="session")
+def shipped_rest_pose():
+    """``data/rest_pose.txt``: the T-pose zero deltas give, the tests' FK oracle."""
+    resource = resources.files("dhpose").joinpath("data/rest_pose.txt")
+    return rest_pose_from_text(resource.read_text(), resource)
 
 
 @pytest.fixture(scope="session")

@@ -45,6 +45,25 @@ def rot_z_ref(t):
     return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]], dtype=float)
 
 
+def resolved_rows(topology, params, bi):
+    """``(a, d, alpha, theta)`` of each row of branch ``bi``: its rest
+    values plus the deltas of ``params`` that the row's variable slots name."""
+    rows = []
+    for r, row in enumerate(topology.branches[bi].rows):
+        a, d, alpha, theta = row.a, row.d, row.alpha, row.theta
+        tid = topology.param_index.get((bi, r, "theta"))
+        if tid is not None:
+            theta = theta + params[tid]
+        aid = topology.param_index.get((bi, r, "a"))
+        if aid is not None:
+            a = a + params[aid]
+        did = topology.param_index.get((bi, r, "d"))
+        if did is not None:
+            d = d + params[did]
+        rows.append((a, d, alpha, theta))
+    return rows
+
+
 def fk_naive(topology, params, g):
     """Matrix-chain forward kinematics, one joint at a time."""
     params = np.asarray(params, dtype=float)
@@ -54,17 +73,7 @@ def fk_naive(topology, params, g):
     for bi, branch in enumerate(topology.branches):
         cum = []
         current = np.eye(4)
-        for r, row in enumerate(branch.rows):
-            a, d, alpha, theta = row.a, row.d, row.alpha, row.theta
-            tid = topology.param_index.get((bi, r, "theta"))
-            if tid is not None:
-                theta = theta + params[tid]
-            aid = topology.param_index.get((bi, r, "a"))
-            if aid is not None:
-                a = a + params[aid]
-            did = topology.param_index.get((bi, r, "d"))
-            if did is not None:
-                d = d + params[did]
+        for a, d, alpha, theta in resolved_rows(topology, params, bi):
             current = np.dot(current, dh_ref(a, d, alpha, theta))
             cum.append(current.copy())
         for row_idx, kp in branch.keypoint_map:

@@ -21,6 +21,7 @@ from dhpose import skeleton as sk
 from dhpose.camera import CameraIntrinsics, project_pose
 from dhpose.features import joint_cosines
 from oracles import central_difference, fk_naive, linear_frame_critic, replaced, weight_slots
+from test_skeleton import rigidity_error
 
 RNG = np.random.default_rng
 
@@ -49,25 +50,12 @@ def test_criterion_fk_oracle_equivalence(topology):
 def test_criterion_rigidity_suite(topology):
     t0 = time.perf_counter()
     rng = RNG(101)
-    # orthonormality of every cumulative rotation block
-    for _ in range(1000):
-        params = rng.uniform(-1.5, 1.5, 48)
-        params[33:] *= 0.05
-        for bi, branch in enumerate(topology.branches):
-            rows = []
-            for r, row in enumerate(branch.rows):
-                theta, a, d = row.theta, row.a, row.d
-                tid = topology.param_index.get((bi, r, "theta"))
-                aid = topology.param_index.get((bi, r, "a"))
-                did = topology.param_index.get((bi, r, "d"))
-                theta += params[tid] if tid is not None else 0.0
-                a += params[aid] if aid is not None else 0.0
-                d += params[did] if did is not None else 0.0
-                rows.append(sk.DhRow(row.name, a, d, row.alpha, theta))
-            for cum in sk.compose_chain(rows):
-                r3 = cum[:3, :3]
-                assert np.max(np.abs(r3.T @ r3 - np.eye(3))) <= 1e-9
-                assert abs(np.linalg.det(r3) - 1.0) <= 1e-9
+    # orthonormality of the rotation block of every frame FK composes
+    params = rng.uniform(-1.5, 1.5, (1000, 48))
+    params[:, 33:] *= 0.05
+    ortho, det = rigidity_error(sk.chain_frames(topology, params)[1])
+    assert ortho <= 1e-9, f"a frame's rotation is off orthonormal by {ortho:.3g}"
+    assert det <= 1e-9, f"a frame's rotation has |det - 1| = {det:.3g}"
     # bone lengths fixed while angles are randomized
     params = np.zeros((1000, 48))
     params[:, :33] = rng.uniform(-1.5, 1.5, (1000, 33))

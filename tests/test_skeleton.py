@@ -4,35 +4,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dhpose import skeleton as sk
-from oracles import dh_ref, fk_naive
+from oracles import dh_ref, fk_naive, resolved_rows
 
 RNG = np.random.default_rng
 
 
+def dh_kernel(a, d, alpha, theta):
+    """One link's transform from ``_dh_matrices_batch``, the kernel FK runs."""
+    return sk._dh_matrices_batch(np.array([a]), np.array([d]), np.cos(alpha), np.sin(alpha),
+                                 np.array([theta]))[0]
+
+
 class TestDhMatrix:
     def test_identity_case(self):
-        assert np.allclose(sk.dh_matrix(0, 0, 0, 0), np.eye(4), atol=0)
+        assert np.allclose(dh_kernel(0, 0, 0, 0), np.eye(4), atol=0)
 
     def test_pure_link_length(self):
-        m = sk.dh_matrix(0.7, 0, 0, 0)
+        m = dh_kernel(0.7, 0, 0, 0)
         assert np.allclose(m[:3, :3], np.eye(3))
         assert np.allclose(m[:, 3], [0.7, 0, 0, 1])
 
     def test_joint_angle_quarter_turn(self):
-        m = sk.dh_matrix(0, 0, 0, np.pi / 2)
+        m = dh_kernel(0, 0, 0, np.pi / 2)
         assert np.allclose(m[0], [0, -1, 0, 0], atol=1e-15)
         assert np.allclose(m[1], [1, 0, 0, 0], atol=1e-15)
 
     def test_offset_with_quarter_twist(self):
         d = 0.3
-        m = sk.dh_matrix(0, d, np.pi / 2, 0)
+        m = dh_kernel(0, d, np.pi / 2, 0)
         assert np.allclose(m[:, 3], [0, -d, 0, 1], atol=1e-15)
 
     def test_bottom_row_and_orthonormal_rotation(self):
         rng = RNG(0)
         for _ in range(100):
             a, d, alpha, theta = rng.uniform(-2, 2, 4)
-            m = sk.dh_matrix(abs(a), d, alpha, theta)
+            m = dh_kernel(abs(a), d, alpha, theta)
             r = m[:3, :3]
             assert np.allclose(r.T @ r, np.eye(3), atol=1e-12)
             assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
@@ -42,48 +48,43 @@ class TestDhMatrix:
         rng = RNG(1)
         for _ in range(50):
             a, d, alpha, theta = rng.uniform(-3, 3, 4)
-            assert np.allclose(sk.dh_matrix(abs(a), d, alpha, theta),
+            assert np.allclose(dh_kernel(abs(a), d, alpha, theta),
                                dh_ref(abs(a), d, alpha, theta), atol=1e-15)
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            sk.dh_matrix(0, np.nan, 0, 0)
-        with pytest.raises(ValueError, match="finite"):
-            sk.dh_matrix(np.inf, 0, 0, 0)
+
+def rigidity_error(frames) -> tuple[float, float]:
+    """Largest |R^T R - I| entry and largest |det R - 1| over the rotation
+    blocks R of every (B, 4, 4) frame ``chain_frames`` returns."""
+    r3 = np.stack([cum for branch in frames for cum in branch], axis=1)[..., :3, :3]
+    return (float(np.max(np.abs(np.swapaxes(r3, -1, -2) @ r3 - np.eye(3)))),
+            float(np.max(np.abs(np.linalg.det(r3) - 1.0))))
 
 
 class TestComposeChain:
-    def test_collinear_translations_add(self):
-        rows = [sk.DhRow("a", a=0.3), sk.DhRow("b", a=0.5)]
-        out = sk.compose_chain(rows)
-        assert np.allclose(out[1][:3, 3], [0.8, 0, 0])
+    """The cumulative transforms ``chain_frames`` composes, which FK reads its
+    keypoints from and ``chain_vjp`` its axes, against products of ``dh_ref``."""
 
-    def test_single_row_is_base_case(self):
-        row = sk.DhRow("only", a=0.2, d=0.1, alpha=0.4, theta=-0.3)
-        out = sk.compose_chain([row])
-        assert len(out) == 1
-        assert np.allclose(out[0], sk.dh_matrix(0.2, 0.1, 0.4, -0.3))
+    def test_single_row_is_base_case(self, topology):
+        # the first frame of every chain is its first row's own transform, bit for bit
+        params = RNG(3).uniform(-1, 1, (10, 48))
+        params[:, 33:] *= 0.05
+        _, frames = sk.chain_frames(topology, params)
+        for i in range(10):
+            for bi in range(len(topology.branches)):
+                first = resolved_rows(topology, params[i], bi)[0]
+                assert np.array_equal(frames[bi][0][i], dh_kernel(*first))
 
-    def test_quarter_turn_then_link(self):
-        # hand product: Rz(90deg) applied to (L, 0, 0) lands on (0, L, 0)
-        rows = [sk.DhRow("turn", theta=np.pi / 2), sk.DhRow("link", a=0.6)]
-        out = sk.compose_chain(rows)
-        assert np.allclose(out[1][:3, 3], [0, 0.6, 0], atol=1e-15)
-
-    def test_cumulative_prefix_products(self):
+    def test_cumulative_prefix_products(self, topology):
         rng = RNG(2)
-        rows = [sk.DhRow(f"r{i}", a=float(abs(rng.uniform())), d=float(rng.uniform()),
-                         alpha=float(rng.uniform(-2, 2)), theta=float(rng.uniform(-2, 2)))
-                for i in range(6)]
-        out = sk.compose_chain(rows)
-        expect = np.eye(4)
-        for row, cum in zip(rows, out):
-            expect = expect @ dh_ref(row.a, row.d, row.alpha, row.theta)
-            assert np.allclose(cum, expect, atol=1e-12)
-
-    def test_empty_chain_rejected(self):
-        with pytest.raises(ValueError, match="at least one row"):
-            sk.compose_chain([])
+        params = rng.uniform(-1, 1, (50, 48))
+        params[:, 33:] *= 0.05  # keep link lengths physical
+        _, frames = sk.chain_frames(topology, params)
+        for i in range(50):
+            for bi in range(len(topology.branches)):
+                expect = np.eye(4)
+                for r, (a, d, alpha, theta) in enumerate(resolved_rows(topology, params[i], bi)):
+                    expect = expect @ dh_ref(a, d, alpha, theta)
+                    assert np.max(np.abs(frames[bi][r][i] - expect)) < 1e-12
 
 
 class TestTopology:
@@ -143,10 +144,8 @@ class TestTopology:
 
 
 class TestForwardKinematics:
-    def test_rest_pose_matches_shipped_oracle(self, topology):
-        ref = sk.default_rest_pose()
-        got = sk.rest_pose(topology)
-        assert np.max(np.abs(got - ref)) < 1e-9
+    def test_rest_pose_matches_shipped_oracle(self, topology, shipped_rest_pose):
+        assert np.max(np.abs(sk.rest_pose(topology) - shipped_rest_pose)) < 1e-9
 
     def test_pure_translation(self, topology):
         rest = sk.rest_pose(topology)
@@ -194,21 +193,11 @@ class TestForwardKinematics:
             assert np.allclose(pose[0], [g.tx, g.ty, g.tz], atol=1e-12)
 
     def test_rigidity_of_cumulative_transforms(self, topology):
-        rng = RNG(7)
-        for _ in range(100):
-            params = rng.uniform(-1.5, 1.5, 48)
-            for bi, branch in enumerate(topology.branches):
-                rows = []
-                for r, row in enumerate(branch.rows):
-                    theta = row.theta
-                    tid = topology.param_index.get((bi, r, "theta"))
-                    if tid is not None:
-                        theta += params[tid]
-                    rows.append(sk.DhRow(row.name, row.a, row.d, row.alpha, theta))
-                for cum in sk.compose_chain(rows):
-                    r3 = cum[:3, :3]
-                    assert np.max(np.abs(r3.T @ r3 - np.eye(3))) < 1e-9
-                    assert abs(np.linalg.det(r3) - 1.0) < 1e-9
+        # rotation blocks do not depend on the length deltas
+        _, frames = sk.chain_frames(topology, RNG(7).uniform(-1.5, 1.5, (100, 48)))
+        ortho, det = rigidity_error(frames)
+        assert ortho < 1e-9
+        assert det < 1e-9
 
     def test_bone_lengths_invariant_under_angles(self, topology):
         rng = RNG(8)
@@ -227,28 +216,32 @@ class TestForwardKinematics:
         assert lengths[4] == pytest.approx(0.54, abs=1e-12)
 
     def test_shared_prefix_consistency(self, topology):
-        # recompute every branch independently; keypoints on shared rows must agree
-        rng = RNG(9)
-        for _ in range(20):
-            params = rng.uniform(-1, 1, 48)
-            params[33:] *= 0.02  # keep resolved link lengths non-negative
-            by_branch = {}
-            for bi, branch in enumerate(topology.branches):
-                rows = []
-                for r, row in enumerate(branch.rows):
-                    a, d, theta = row.a, row.d, row.theta
-                    tid = topology.param_index.get((bi, r, "theta"))
-                    aid = topology.param_index.get((bi, r, "a"))
-                    did = topology.param_index.get((bi, r, "d"))
-                    theta += params[tid] if tid is not None else 0.0
-                    a += params[aid] if aid is not None else 0.0
-                    d += params[did] if did is not None else 0.0
-                    rows.append(sk.DhRow(row.name, a, d, row.alpha, theta))
-                by_branch[bi] = sk.compose_chain(rows)
-            for bi, branch in enumerate(topology.branches[1:], start=1):
-                p = branch.shared_prefix_len
-                for r in range(p):
-                    assert np.max(np.abs(by_branch[bi][r] - by_branch[0][r])) < 1e-12
+        # every branch's frames on its shared rows are the root branch's frames
+        params = RNG(9).uniform(-1, 1, (20, 48))
+        params[:, 33:] *= 0.02  # keep link lengths physical
+        _, frames = sk.chain_frames(topology, params)
+        for bi, branch in enumerate(topology.branches[1:], start=1):
+            for r in range(branch.shared_prefix_len):
+                assert np.max(np.abs(frames[bi][r] - frames[0][r])) < 1e-12
+
+    @pytest.mark.parametrize("defect, match", [
+        ("nan params", "finite"), ("inf globals", "finite"), ("-inf globals", "finite"),
+        ("(B, 47) params", r"\(batch, 48\) parameters"), ("(B, 5) globals", r"\(batch, 6\) global"),
+    ])
+    def test_batch_rejects_bad_input(self, topology, defect, match):
+        params, globals_ = np.zeros((3, 48)), np.zeros((3, 6))
+        if defect == "nan params":
+            params[1, 7] = np.nan
+        elif defect == "inf globals":
+            globals_[2, 4] = np.inf
+        elif defect == "-inf globals":
+            globals_[0, 1] = -np.inf
+        elif defect == "(B, 47) params":
+            params = params[:, :47]
+        else:
+            globals_ = globals_[:, :5]
+        with pytest.raises(ValueError, match=match):
+            sk.forward_kinematics_batch(topology, params, globals_)
 
 
 class TestGlobalTransform:
@@ -308,11 +301,11 @@ class TestRestPoseFile:
                                 in enumerate(zip(topology.keypoint_names, pose))))
         assert np.max(np.abs(sk.load_rest_pose(path) - pose)) < 1e-8
 
-    def test_shipped_file_and_loader_share_the_parser(self, tmp_path):
+    def test_shipped_file_and_loader_share_the_parser(self, tmp_path, shipped_rest_pose):
         from importlib import resources
         path = tmp_path / "pose.txt"
         path.write_text(resources.files("dhpose").joinpath("data/rest_pose.txt").read_text())
-        assert np.array_equal(sk.load_rest_pose(path), sk.default_rest_pose())
+        assert np.array_equal(sk.load_rest_pose(path), shipped_rest_pose)
 
     @pytest.mark.parametrize("text,line,match", [
         ("keypoint 0 a 0 0 0\nkeypoint 1 b 1 2\n", 2, "expected 6 fields, got 5"),

@@ -6,12 +6,14 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dhpose import cli, gan, nn
 from dhpose import constraints as ct
 from dhpose import dataset as dsio
 from dhpose import skeleton as sk
-from dhpose.textio import ParseError
+from dhpose.textio import ParseError, dense, records
 
 
 def _checkpoint(path):
@@ -88,3 +90,37 @@ def test_damaged_topology_exits_2_naming_file_and_line(capsys, tmp_path, prefix,
     path.write_text("\n".join(lines) + "\n")
     assert cli.run_cli(["fk", "--topology", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {path}: parse error at line {line_no}: {reason}\n"
+
+
+# tokens that mostly fit each kind of field, and a few that do not
+_FITTING = {int: [b"0", b"3", b"-1", b"2.5"], float: [b"2.5", b"-0", b"7", b"1e999", b"nan"],
+            str: [b"x", b"0", "\u00e9".encode()], "kw": [b"kw", b"kw", b"x"]}
+
+
+@st.composite
+def _reader_inputs(draw):
+    """Byte lines for ``records``, kinds for ``Record.fields`` and ids for
+    ``dense``: lines are arbitrary bytes or near the grammar, so that every
+    stage runs and fails."""
+    kinds = draw(st.lists(st.sampled_from(list(_FITTING)), max_size=4))
+    fitting = st.tuples(*[st.sampled_from(_FITTING[k]) for k in kinds]).map(b" ".join)
+    near = st.lists(st.sampled_from(sum(_FITTING.values(), [b"#", b"\xff"])), max_size=5)
+    line = st.one_of(fitting, fitting.map(lambda b: b + b" # note"), near.map(b" ".join),
+                     st.binary(max_size=30))
+    lines = draw(st.lists(line, max_size=8))
+    n = len(lines)
+    ids = draw(st.one_of(st.permutations(range(n)), st.lists(st.integers(-2, 9), min_size=n,
+                                                             max_size=n)))
+    return lines, kinds, ids
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reader_inputs())
+def test_fuzzed_lines_raise_only_a_parse_error_naming_source_and_line(inputs):
+    lines, kinds, ids = inputs
+    try:
+        dense([(rec, i, rec.fields(*kinds)) for rec, i in zip(records(lines, "fuzz.txt"), ids)],
+              "item", "fuzz.txt")
+    except ParseError as exc:
+        assert str(exc).startswith("fuzz.txt: parse error")
+        assert exc.line_no is None or 1 <= exc.line_no <= len(lines)
