@@ -44,13 +44,6 @@ from .skeleton import (N_ANGLE_PARAMS, N_LENGTH_PARAMS, N_PARAMS, ROOT_KEYPOINT,
                        rotation_xyz)
 
 N_GLOBAL = 6
-# dtype of the generator net on every path (inference, synthesis and the
-# generator step) and of the forward pass, gradient penalty and backward
-# pass of every training step.  Weights stay float64 masters, updated by
-# Adam in float64; the net's raw output is cast to float64 before the
-# squash, so geometry (squash, FK, depth check, projection, cosines) stays
-# float64, as does critic scoring outside training steps.
-COMPUTE_DTYPE = np.float32
 
 
 class TrainingDivergedError(RuntimeError):
@@ -251,12 +244,12 @@ def _split_raw(gen: DhGenerator, raw: Tensor) -> tuple[Tensor, Tensor]:
 def generate_poses(gen: DhGenerator, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Latents to squashed (params, globals, pose3d), no projection yet.
 
-    The net runs in ``COMPUTE_DTYPE``, as in ``generate_on_tape``; its raw
+    The net runs in its weights' dtype, as in ``generate_on_tape``; its raw
     output is cast to float64, and everything after it is float64."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != gen.net.in_dim:
         raise ShapeError(f"latent shape {z.shape} does not match z_dim {gen.net.in_dim}")
-    raw = nn.mlp_eval(gen.net, z, COMPUTE_DTYPE).astype(np.float64)
+    raw = nn.mlp_eval(gen.net, z).astype(np.float64)
     with Tape() as tape:
         params, globals_ = (x.values for x in _split_raw(gen, tape.const(raw)))
     pose3d = forward_kinematics_batch(gen.topology, params, globals_)
@@ -404,7 +397,7 @@ def generate_on_tape(gen: DhGenerator, z, tape: Tape, gen_params: list,
     dtype, and the critic streams come out in it; squash, FK, the depth check
     and projection run in float64."""
     dtype = gen_params[0][0].values.dtype
-    raw, _ = nn.mlp_apply(gen.net, tape.const(np.asarray(z, dtype=dtype)), tape, gen_params)
+    raw, _ = nn.mlp_apply(gen.net, z, tape, gen_params)
     params, globals_ = _split_raw(gen, ad.astype(raw, np.float64))
     pose3d = _fk_tape(gen.topology, params, globals_)
     if np.any(pose3d.values[:, :, 2] < gen.camera.z_min):
@@ -493,23 +486,19 @@ def build_motion_critic(cfg: TrainConfig, n_pairs: int, rng) -> MotionCritic:
         head2d=_head(2 * e, cfg.head_hidden, rng))
 
 
-def critic_leaves(tape: Tape, critic, dtype=np.float64, var: bool = True) -> dict[str, list]:
+def critic_leaves(tape: Tape, critic, var: bool = True) -> dict[str, list]:
     """Each net's ``nn.mlp_leaves`` list, by field name in field order."""
-    return {name: nn.mlp_leaves(tape, net, dtype, var) for name, net in critic.nets().items()}
-
-
-def _as_tensor(x, tape: Tape) -> Tensor:
-    return x if isinstance(x, Tensor) else tape.const(x)
+    return {name: nn.mlp_leaves(tape, net, var) for name, net in critic.nets().items()}
 
 
 def _fused_score(critic, inputs, encoders, head: str, tape: Tape,
                  params: Optional[dict]) -> tuple[Tensor, dict]:
     """Encoders over their inputs, concatenated into a head: the score (B, 1)
     and the traces its input gradients need.  ``params`` is a
-    ``critic_leaves`` dict, or None for the float64 weights as constants."""
+    ``critic_leaves`` dict, or None for the weights as constants."""
     params = params or {}
-    outs, traces = zip(*(nn.mlp_apply(getattr(critic, name), _as_tensor(x, tape), tape,
-                                      params.get(name)) for x, name in zip(inputs, encoders)))
+    outs, traces = zip(*(nn.mlp_apply(getattr(critic, name), x, tape, params.get(name))
+                         for x, name in zip(inputs, encoders)))
     score, head_trace = nn.mlp_apply(getattr(critic, head), ad.concat(outs, axis=1), tape,
                                      params.get(head))
     return score, {"traces": traces, "head_trace": head_trace,
@@ -557,10 +546,9 @@ frame_penalty = motion_penalty = penalty
 
 
 def discriminate(critic, streams: dict) -> np.ndarray:
-    """Deterministic critic scores, (B,), numpy in and out (float64)."""
+    """Deterministic critic scores, (B,), numpy in and out, in the weights' dtype."""
     with Tape() as tape:
-        return score(critic, {k: np.asarray(v, dtype=np.float64) for k, v in streams.items()},
-                     tape)[0].values[:, 0]
+        return score(critic, streams, tape)[0].values[:, 0]
 
 
 # --------------------------------------------------------------------------
@@ -640,7 +628,7 @@ def generator_loss(ds: FrameCritic, dm: Optional[MotionCritic], fake: TapeGenOut
     """Adversarial complement: -E[D_s(fake)] - gamma * E[D_m(fake)].
 
     The critics score with ``ds_params``/``dm_params`` when given, else with
-    their float64 weights as constants.
+    their weights as constants.
     """
     s, _ = frame_score(ds, fake.streams, tape, ds_params)
     loss = ad.neg(ad.mean(s))
@@ -713,11 +701,10 @@ def _fake_minibatch(state: TrainState, batch: int, pairs: AdjacentBonePairs,
 
 
 def critic_update(state: TrainState, real: dict, fake: dict, gamma: int) -> dict:
-    """One critic step in ``COMPUTE_DTYPE``; Adam updates the float64 weights."""
-    real, fake = ({k: v.astype(COMPUTE_DTYPE) for k, v in b.items()} for b in (real, fake))
+    """One critic step in the weights' dtype; Adam updates the weights."""
     with Tape() as tape:
-        ds_leaves = critic_leaves(tape, state.ds, COMPUTE_DTYPE)
-        dm_leaves = critic_leaves(tape, state.dm, COMPUTE_DTYPE) if (gamma and state.dm) else None
+        ds_leaves = critic_leaves(tape, state.ds)
+        dm_leaves = critic_leaves(tape, state.dm) if (gamma and state.dm) else None
         scores = {}
         loss = critic_loss(state.ds, state.dm if gamma else None, real, fake,
                            state.config.alpha, gamma, state.rng, tape, ds_leaves, dm_leaves,
@@ -734,16 +721,16 @@ def critic_update(state: TrainState, real: dict, fake: dict, gamma: int) -> dict
 
 
 def generator_update(state: TrainState, batch: int, gamma: int) -> dict:
-    """One generator step: net and critics in ``COMPUTE_DTYPE``, geometry in
-    float64; Adam updates the float64 weights."""
+    """One generator step: net and critics in their weights' dtype, geometry
+    in float64; Adam updates the generator's weights."""
     dm = state.dm if gamma else None
     with Tape() as tape:
-        gen_leaves = nn.mlp_leaves(tape, state.gen.net, COMPUTE_DTYPE)
+        gen_leaves = nn.mlp_leaves(tape, state.gen.net)
         z = sample_latent(batch, state.config.z_dim, state.rng)
         fake = generate_on_tape(state.gen, z, tape, gen_leaves, state.pairs)
         # the critics score with constant weights: they get no gradient here
-        ds_consts = critic_leaves(tape, state.ds, COMPUTE_DTYPE, var=False)
-        dm_consts = None if dm is None else critic_leaves(tape, dm, COMPUTE_DTYPE, var=False)
+        ds_consts = critic_leaves(tape, state.ds, var=False)
+        dm_consts = None if dm is None else critic_leaves(tape, dm, var=False)
         loss = generator_loss(state.ds, dm, fake, gamma, tape, ds_consts, dm_consts)
         value = float(loss.values)
         _abort_if_bad(value, "generator loss", state, {})

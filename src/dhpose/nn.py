@@ -22,6 +22,9 @@ from .textio import ParseError, Record, decode
 
 ACTIVATIONS = ("tanh", "lrelu", "linear")
 LRELU_SLOPE = 0.2
+# dtype of every net's weights, so of Adam's moments and of each pass through
+# a net (its input is cast to the weights' dtype); geometry stays float64
+COMPUTE_DTYPE = np.float32
 
 
 @dataclass
@@ -51,42 +54,41 @@ class Mlp:
 
 
 def mlp_init(sizes: Sequence[int], acts: Sequence[str], rng: np.random.Generator) -> Mlp:
-    """Layers sized ``sizes[i] -> sizes[i+1]`` with scaled-normal weights."""
+    """Layers sized ``sizes[i] -> sizes[i+1]`` with scaled-normal weights,
+    drawn in float64 and rounded to ``COMPUTE_DTYPE``."""
     if len(acts) != len(sizes) - 1:
         raise ValueError(f"need {len(sizes) - 1} activations, got {len(acts)}")
     layers = []
     for fan_in, fan_out, act in zip(sizes[:-1], sizes[1:], acts):
-        w = rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in)
-        layers.append(LayerSpec(w=w, b=np.zeros(fan_out), act=act))
+        w = (rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in)).astype(COMPUTE_DTYPE)
+        layers.append(LayerSpec(w=w, b=np.zeros(fan_out, COMPUTE_DTYPE), act=act))
     return Mlp(layers)
 
 
-def mlp_eval(net: Mlp, x, dtype=np.float64) -> np.ndarray:
-    """Plain numpy forward pass (inference path, no tape) in ``dtype``: the
-    input and each layer's weights are cast to it, as ``mlp_leaves`` does."""
-    h = np.asarray(x, dtype=dtype)
+def mlp_eval(net: Mlp, x) -> np.ndarray:
+    """Plain numpy forward pass (inference path, no tape) with the input
+    cast to the weights' dtype."""
+    h = np.asarray(x, dtype=net.layers[0].w.dtype)
     if h.ndim != 2 or h.shape[1] != net.in_dim:
         raise ShapeError(f"input {h.shape} does not match first layer "
                          f"({net.in_dim} features expected)")
     for layer in net.layers:
-        h, _ = ad.dense_forward(h, layer.w.astype(dtype, copy=False),
-                                layer.b.astype(dtype, copy=False), layer.act, LRELU_SLOPE)
+        h, _ = ad.dense_forward(h, layer.w, layer.b, layer.act, LRELU_SLOPE)
     return h
 
 
-def mlp_leaves(tape: Tape, net: Mlp, dtype=np.float64, var: bool = True) -> list:
-    """Each layer's ``(w, b)`` on the tape, in layer order, as ``dtype``
-    copies of the float64 weights (the weights themselves for float64):
-    differentiable leaves, or constants when not ``var``."""
+def mlp_leaves(tape: Tape, net: Mlp, var: bool = True) -> list:
+    """Each layer's ``(w, b)`` on the tape, in layer order: differentiable
+    leaves, or constants when not ``var``, whose values are the layer's
+    arrays themselves."""
     leaf = tape.var if var else tape.const
-    return [(leaf(layer.w.astype(dtype, copy=False)), leaf(layer.b.astype(dtype, copy=False)))
-            for layer in net.layers]
+    return [(leaf(layer.w), leaf(layer.b)) for layer in net.layers]
 
 
-def mlp_apply(net: Mlp, x: Tensor, tape: Tape,
-              params: Optional[list] = None) -> tuple[Tensor, list]:
-    """Forward pass with the ``mlp_leaves`` list ``params`` (by default the
-    float64 weights as constants), returning the output and a per-layer trace.
+def mlp_apply(net: Mlp, x, tape: Tape, params: Optional[list] = None) -> tuple[Tensor, list]:
+    """Forward pass of ``x``, a tensor or a numpy input (a constant in the
+    weights' dtype), with the ``mlp_leaves`` list ``params`` (by default the
+    weights as constants), returning the output and a per-layer trace.
 
     Each layer is one ``ad.linear`` node.  The trace holds ``(w, h, act,
     mask)`` per layer, ``mask`` being the lrelu layer's bool mask ``pre >=
@@ -94,6 +96,8 @@ def mlp_apply(net: Mlp, x: Tensor, tape: Tape,
     reuse them.  ``mlp_vjp`` must read the trace before ``ad.backward``
     releases its nodes.
     """
+    if not isinstance(x, Tensor):
+        x = tape.const(np.asarray(x, net.layers[0].w.dtype))
     if x.values.ndim != 2 or x.values.shape[1] != net.in_dim:
         raise ShapeError(f"input {x.values.shape} does not match first layer "
                          f"({net.in_dim} features expected)")
@@ -140,12 +144,9 @@ class AdamState:
 
 def adam_step(state: AdamState, params: list[np.ndarray],
               grads: list[np.ndarray]) -> list[np.ndarray]:
-    """One Adam update; returns new parameter arrays, in order.
-
-    Gradients of another dtype (float32 from a float32 training step) are
-    cast to the parameters' dtype first, so the moments and the update are
-    computed in the parameters' precision.
-    """
+    """One Adam update; returns new parameter arrays, in order.  The
+    moments take the parameters' dtype, as do the gradients of a training
+    step, which are used as they are."""
     if len(grads) != len(params) or len(state.m) not in (0, len(params)):
         raise ShapeError(f"{len(params)} parameters, {len(grads)} gradients and "
                          f"{len(state.m)} moments do not match")
@@ -156,7 +157,6 @@ def adam_step(state: AdamState, params: list[np.ndarray],
     t = state.step
     new = []
     for i, (p, g, m, v) in enumerate(zip(params, grads, state.m, state.v)):
-        g = g.astype(p.dtype, copy=False)
         if g.shape != p.shape:
             raise ShapeError(f"gradient shape {g.shape} does not match parameter "
                              f"{i} shape {p.shape}")
@@ -244,7 +244,7 @@ def load_checkpoint(path) -> tuple[dict[str, Mlp], int, dict[str, str]]:
         if len(payload) != nbytes:
             raise ValueError(f"{path}: checkpoint blob truncated: header says {nbytes} bytes, "
                              f"file holds {len(payload)}")
-        blob = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        blob = np.frombuffer(payload, dtype="<f4").astype(COMPUTE_DTYPE)
     nets: dict[str, Mlp] = {}
     pos = 0
     for name, fan_in, fan_out, act in specs:
@@ -252,5 +252,5 @@ def load_checkpoint(path) -> tuple[dict[str, Mlp], int, dict[str, str]]:
         pos += fan_in * fan_out
         b = blob[pos:pos + fan_out]
         pos += fan_out
-        nets.setdefault(name, Mlp([])).layers.append(LayerSpec(w=w.copy(), b=b.copy(), act=act))
+        nets.setdefault(name, Mlp([])).layers.append(LayerSpec(w=w, b=b, act=act))
     return nets, seed, extra

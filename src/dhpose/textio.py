@@ -4,7 +4,13 @@ error, ``ParseError``, naming the file and the line (rules: README "Data files")
 from __future__ import annotations
 
 import math
+import re
 from typing import Iterable, Iterator, NamedTuple, Optional
+
+
+# what an int or float token may be: ASCII only, so Python's underscores and
+# non-ASCII digits are refused, and inf/nan reach the non-finite check
+_NUMBER = re.compile(r"[+-]?([0-9.eE+-]+|inf(inity)?|nan)", re.ASCII | re.IGNORECASE)
 
 
 class ParseError(ValueError):
@@ -40,13 +46,16 @@ class Record(NamedTuple):
     def fields(self, *kinds) -> list:
         """One value per token: a type (``int``, ``float``, ``str``) converts
         its token, a string is a keyword the token must equal.  A wrong token
-        count, a failed conversion or a non-finite float raises ``ParseError``."""
+        count, a number that is not ASCII (``_NUMBER``), a failed conversion or
+        a non-finite float raises ``ParseError``."""
         if len(self.tokens) != len(kinds):
             raise self.error(f"expected {len(kinds)} fields, got {len(self.tokens)}")
         out = []
         for i, (kind, tok) in enumerate(zip(kinds, self.tokens), start=1):
             if isinstance(kind, str) and tok != kind:
                 raise self.error(f"expected {kind!r} in field {i}, got {tok!r}")
+            if kind in (int, float) and not _NUMBER.fullmatch(tok):
+                raise self.error(f"bad {kind.__name__} {tok!r} in field {i}")
             try:
                 value = tok if isinstance(kind, str) else kind(tok)
             except ValueError as exc:

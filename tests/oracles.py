@@ -5,6 +5,7 @@ the package's vectorized code paths.
 """
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -108,6 +109,20 @@ def central_difference(f, x, h=1e-6):
     return grad
 
 
+def float64_copy(model):
+    """A copy of an ``nn.Mlp``, a critic or a generator whose layers hold
+    float64 copies of its weights: the precision finite differences need,
+    which the float32 weights of training are too coarse for."""
+    from dhpose import nn
+
+    if isinstance(model, nn.Mlp):
+        return nn.Mlp([nn.LayerSpec(layer.w.astype(np.float64), layer.b.astype(np.float64),
+                                    layer.act) for layer in model.layers])
+    if hasattr(model, "nets"):
+        return type(model)(**{name: float64_copy(net) for name, net in model.nets().items()})
+    return dataclasses.replace(model, net=float64_copy(model.net))
+
+
 def weights(*nets) -> list:
     """The weight arrays of ``nets`` by position: nets in order, then layer
     order, ``w`` then ``b``."""
@@ -172,7 +187,7 @@ def dense_ref(x, w, b, act, slope=0.2):
 
 
 def generate_ref(gen, z):
-    """The generator pipeline with its net in float64: float64 ``mlp_eval``,
+    """The generator pipeline with a float64 copy of its net: ``mlp_eval``,
     then the package's split and squash, FK and projection.
 
     A float64 reference for finite differences, which the float32 net of
@@ -183,7 +198,7 @@ def generate_ref(gen, z):
     from dhpose.camera import project_pose
     from dhpose.skeleton import forward_kinematics_batch
 
-    raw = nn.mlp_eval(gen.net, z)
+    raw = nn.mlp_eval(float64_copy(gen.net), z)
     with ad.Tape() as tape:
         params, globals_ = (x.values for x in gan._split_raw(gen, tape.const(raw)))
     pose3d = forward_kinematics_batch(gen.topology, params, globals_)

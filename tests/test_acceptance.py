@@ -20,7 +20,8 @@ from dhpose import nn
 from dhpose import skeleton as sk
 from dhpose.camera import CameraIntrinsics, project_pose
 from dhpose.features import joint_cosines
-from oracles import central_difference, fk_naive, linear_frame_critic, replaced, weight_slots
+from oracles import (central_difference, fk_naive, float64_copy, linear_frame_critic, replaced,
+                     weight_slots)
 from test_skeleton import rigidity_error
 
 RNG = np.random.default_rng
@@ -192,7 +193,8 @@ def test_criterion_autodiff_gradient_checks(pairs, camera):
         assert np.max(np.abs(grad - fd) / scale) <= 1e-5, name
 
     # random 3-layer critic: parameter gradients against central differences
-    net = nn.mlp_init([6, 10, 8, 1], ["tanh", "lrelu", "linear"], RNG(106))
+    # float64 copies of the nets: float32 weights are too coarse for these steps
+    net = float64_copy(nn.mlp_init([6, 10, 8, 1], ["tanh", "lrelu", "linear"], RNG(106)))
     x = RNG(107).normal(size=(4, 6))
     tape = ad.Tape()
     leaves = nn.mlp_leaves(tape, net)
@@ -212,9 +214,9 @@ def test_criterion_autodiff_gradient_checks(pairs, camera):
     streams = gan.feature_batch(rng.normal(size=(3, 3, 16, 3)),
                                 rng.normal(size=(3, 3, 16, 2)) * 50, camera, pairs, video=True)
     critics = (
-        (gan.build_frame_critic(cfg, 14, RNG(109)),
+        (float64_copy(gan.build_frame_critic(cfg, 14, RNG(109))),
          lambda critic, tape, p: gan.frame_penalty(critic, streams, 10.0, tape, p)),
-        (gan.build_motion_critic(cfg, 14, RNG(110)),
+        (float64_copy(gan.build_motion_critic(cfg, 14, RNG(110))),
          lambda critic, tape, p: gan.motion_penalty(critic, streams, 10.0, tape, p)))
     for critic, penalty in critics:
         tape = ad.Tape()

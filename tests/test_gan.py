@@ -14,7 +14,7 @@ from dhpose import gan
 from dhpose import nn
 from dhpose import skeleton as sk
 from dhpose.features import joint_cosines
-from oracles import central_difference, generate_ref, weight_slots, weights
+from oracles import central_difference, float64_copy, generate_ref, weight_slots, weights
 
 RNG = np.random.default_rng
 
@@ -107,7 +107,7 @@ class TestGenerate:
         z = gan.sample_latent(6, cfg.z_dim, RNG(9))
         out = gan.generate(gen, z)
         tape = ad.Tape()
-        leaves = nn.mlp_leaves(tape, gen.net, gan.COMPUTE_DTYPE)
+        leaves = nn.mlp_leaves(tape, gen.net)
         fk = gan.generate_on_tape(gen, z, tape, leaves, pairs)
         assert np.max(np.abs(fk.pose3d.values - out.pose3d)) < 1e-12
         assert np.max(np.abs(fk.params.values - out.params)) < 1e-12
@@ -118,7 +118,7 @@ class TestGenerate:
         z = gan.sample_latent(3, cfg.z_dim, RNG(11))
         out = gan.generate(gen, z)
         tape = ad.Tape()
-        leaves = nn.mlp_leaves(tape, gen.net, gan.COMPUTE_DTYPE)
+        leaves = nn.mlp_leaves(tape, gen.net)
         fk = gan.generate_on_tape(gen, z, tape, leaves, pairs)
         assert np.max(np.abs(fk.pose3d.values.reshape(3, 4, 16, 3) - out.pose3d)) < 1e-12
 
@@ -131,7 +131,7 @@ class TestGenerate:
         out = gan.generate(gen, z)
         want = gan.feature_batch(out.pose3d, out.pose2d, gen.camera, pairs, video=True)
         tape = ad.Tape()
-        leaves = nn.mlp_leaves(tape, gen.net, gan.COMPUTE_DTYPE)
+        leaves = nn.mlp_leaves(tape, gen.net)
         got = gan.generate_on_tape(gen, z, tape, leaves, pairs).streams
         assert got.keys() == want.keys()
         for k in want:
@@ -157,10 +157,10 @@ class TestGenerate:
         monkeypatch.setattr(nn, "mlp_apply", recording("tape", nn.mlp_apply))
         gan.generate_poses(gen, z)
         tape = ad.Tape()
-        leaves = nn.mlp_leaves(tape, gen.net, gan.COMPUTE_DTYPE)
+        leaves = nn.mlp_leaves(tape, gen.net)
         gan.generate_on_tape(gen, z, tape, leaves, pairs)
         numpy_raw, tape_raw = outs["numpy"], outs["tape"][0].values
-        assert numpy_raw.dtype == tape_raw.dtype == gan.COMPUTE_DTYPE
+        assert numpy_raw.dtype == tape_raw.dtype == nn.COMPUTE_DTYPE
         assert np.array_equal(numpy_raw, tape_raw)
 
 
@@ -216,7 +216,7 @@ class TestGeometryOps:
         cfg = gan.TrainConfig(mode="video", frames=9, batch_size=64, seed=79)
         gen = gan.build_generator(cfg, RNG(79))
         tape = ad.Tape()
-        leaves = nn.mlp_leaves(tape, gen.net, gan.COMPUTE_DTYPE)
+        leaves = nn.mlp_leaves(tape, gen.net)
         before = len(tape.nodes)
         gan.generate_on_tape(gen, gan.sample_latent(64, cfg.z_dim, RNG(80)), tape, leaves, pairs)
         assert len(tape.nodes) - before < 200
@@ -424,9 +424,12 @@ class TestCriticLoss:
 
 
 class TestGeneratorLoss:
+    """Generator and critics on float64 copies of their weights, so that the
+    loss matches ``discriminate`` to 1e-12."""
+
     def _fake(self, pairs, seed=31):
         cfg = tiny_config()
-        gen = gan.build_generator(cfg, RNG(seed))
+        gen = float64_copy(gan.build_generator(cfg, RNG(seed)))
         tape = ad.Tape()
         leaves = nn.mlp_leaves(tape, gen.net)
         z = gan.sample_latent(6, cfg.z_dim, RNG(seed + 1))
@@ -434,21 +437,21 @@ class TestGeneratorLoss:
 
     def test_zero_critics_give_zero(self, pairs):
         fake, tape, cfg, _ = self._fake(pairs)
-        critic = gan.build_frame_critic(cfg, 14, RNG(32))
+        critic = float64_copy(gan.build_frame_critic(cfg, 14, RNG(32)))
         zero_nets(critic)
         loss = gan.generator_loss(critic, None, fake, 0, tape)
         assert float(loss.values) == 0.0
 
     def test_gamma_zero_is_negative_frame_expectation(self, pairs):
         fake, tape, cfg, _ = self._fake(pairs)
-        critic = gan.build_frame_critic(cfg, 14, RNG(33))
+        critic = float64_copy(gan.build_frame_critic(cfg, 14, RNG(33)))
         loss = gan.generator_loss(critic, None, fake, 0, tape)
         scores = gan.discriminate(critic, {k: t.values for k, t in fake.streams.items()})
         assert float(loss.values) == pytest.approx(-scores.mean(), abs=1e-12)
 
     def test_head_bias_shift_moves_loss_linearly(self, pairs):
         fake, tape, cfg, _ = self._fake(pairs)
-        critic = gan.build_frame_critic(cfg, 14, RNG(34))
+        critic = float64_copy(gan.build_frame_critic(cfg, 14, RNG(34)))
         l1 = float(gan.generator_loss(critic, None, fake, 0, tape).values)
         critic.head.layers[-1].b = critic.head.layers[-1].b + 2.5
         l2 = float(gan.generator_loss(critic, None, fake, 0, ad.Tape()).values)
@@ -456,7 +459,7 @@ class TestGeneratorLoss:
 
     def test_gradients_reach_generator_through_kinematics(self, pairs):
         fake, tape, cfg, leaves = self._fake(pairs)
-        critic = gan.build_frame_critic(cfg, 14, RNG(35))
+        critic = float64_copy(gan.build_frame_critic(cfg, 14, RNG(35)))
         loss = gan.generator_loss(critic, None, fake, 0, tape)
         ad.backward(tape, loss)
         total = sum(float(np.abs(t.grad).sum()) for pair in leaves for t in pair
@@ -468,7 +471,8 @@ class TestEndToEndGradients:
     """Finite-difference checks of the complete differentiable paths.
 
     The loss values for the difference quotients come from the plain numpy
-    pipeline, so these also pin tape forward == numpy forward."""
+    pipeline, so these also pin tape forward == numpy forward.  The nets are
+    float64 copies: float32 weights are too coarse for h = 1e-6."""
 
     def _spot_check(self, nets, leaves, loss_value, rng, tol):
         for key, value, leaf in weight_slots(nets, leaves):
@@ -488,8 +492,8 @@ class TestEndToEndGradients:
     def test_generator_loss_gradient_through_the_full_pipeline(self, pairs):
         cfg = gan.TrainConfig(mode="single", z_dim=6, gen_hidden=(8,), enc_hidden=(6,),
                               head_hidden=(4,), epochs=2, beta_epoch=2, seed=50, batch_size=2)
-        gen = gan.build_generator(cfg, RNG(50))
-        critic = gan.build_frame_critic(cfg, 14, RNG(51))
+        gen = float64_copy(gan.build_generator(cfg, RNG(50)))
+        critic = float64_copy(gan.build_frame_critic(cfg, 14, RNG(51)))
         z = gan.sample_latent(3, cfg.z_dim, RNG(52))
 
         def loss_value():
@@ -509,7 +513,7 @@ class TestEndToEndGradients:
         cfg = gan.TrainConfig(mode="single", z_dim=6, gen_hidden=(8,), enc_hidden=(5,),
                               head_hidden=(3,), epochs=2, beta_epoch=2, seed=54, batch_size=2)
         gen = gan.build_generator(cfg, RNG(54))
-        critic = gan.build_frame_critic(cfg, 14, RNG(55))
+        critic = float64_copy(gan.build_frame_critic(cfg, 14, RNG(55)))
         a = gan.generate(gen, gan.sample_latent(3, cfg.z_dim, RNG(56)))
         b = gan.generate(gen, gan.sample_latent(3, cfg.z_dim, RNG(57)))
         real = gan.feature_batch(a.pose3d, a.pose2d, gen.camera, pairs)
@@ -696,12 +700,9 @@ class TestTrainEpoch:
         real = gan._real_minibatch(data, np.arange(4), state.pairs, True)
         fake, _ = gan._fake_minibatch(state, 4, state.pairs, True)
         before = copy.deepcopy(state.ds)
-        # the step scores in the compute dtype: so does the reference
-        dtype = gan.COMPUTE_DTYPE
         with ad.Tape() as tape:
-            params = gan.critic_leaves(tape, before, dtype)
-            s_real, s_fake = (gan.frame_score(before, {k: v.astype(dtype) for k, v in b.items()},
-                                              tape, params)[0].values[:, 0]
+            params = gan.critic_leaves(tape, before)
+            s_real, s_fake = (gan.frame_score(before, b, tape, params)[0].values[:, 0]
                               for b in (real, fake))
         calls = []
         mlp_eval = nn.mlp_eval
@@ -716,56 +717,68 @@ class TestTrainEpoch:
         assert m["d_gap"] == float(s_real.mean() - s_fake.mean())
         assert not np.array_equal(state.ds.head.layers[0].w, before.head.layers[0].w)
 
-    def test_critic_step_computes_in_float32_and_updates_float64_masters(self, monkeypatch):
+    def test_critic_step_computes_and_updates_float32_weights(self, monkeypatch):
         cfg = tiny_config(mode="video", frames=3, seed=48, batch_size=4, critic_steps=1,
                           beta_epoch=1)
         data = dsio.make_band_corpus(8, 15, mode="video", frames=3)
         state = gan.init_train_state(cfg)
         real = gan._real_minibatch(data, np.arange(4), state.pairs, True)
         fake, _ = gan._fake_minibatch(state, 4, state.pairs, True)
-        masters = [weights(*critic.nets().values()) for critic in (state.ds, state.dm)]
+        before = [weights(*critic.nets().values()) for critic in (state.ds, state.dm)]
         adams = copy.deepcopy([state.adam_ds, state.adam_dm])
-        calls = []
-        adam_step = nn.adam_step
+        leaves, calls = [], []
+        critic_leaves, adam_step = gan.critic_leaves, nn.adam_step
+
+        def recording_leaves(*args, **kwargs):
+            leaves.append(critic_leaves(*args, **kwargs))
+            return leaves[-1]
 
         def recording_adam(adam, params, grads):
             calls.append((params, grads))
             return adam_step(adam, params, grads)
 
+        monkeypatch.setattr(gan, "critic_leaves", recording_leaves)
         monkeypatch.setattr(nn, "adam_step", recording_adam)
         gan.critic_update(state, real, fake, 1)
-        assert len(calls) == 2
-        for (params, grads), adam, critic, before in zip(calls, adams, (state.ds, state.dm),
-                                                         masters):
-            assert len(params) == len(before)
-            assert all(p is m for p, m in zip(params, before))  # not the float32 leaves
-            assert {g.dtype for g in grads} == {np.dtype(np.float32)}
-            expected = adam_step(adam, before, grads)
+        assert len(leaves) == len(calls) == 2
+        f32 = {np.dtype(np.float32)}
+        for (params, grads), net_leaves, adam, critic, old in zip(
+                calls, leaves, adams, (state.ds, state.dm), before, strict=True):
+            # a leaf is its layer's array, not a copy, and Adam reads that array
+            values = [t.values for pairs in net_leaves.values() for pair in pairs for t in pair]
+            assert all(v is a for v, a in zip(values, old, strict=True))
+            assert all(p is a for p, a in zip(params, old, strict=True))
+            assert {v.dtype for v in values} == {g.dtype for g in grads} == f32
+            expected = adam_step(adam, old, grads)
             after = weights(*critic.nets().values())
-            assert len(after) == len(expected)
-            for k, (a, e) in enumerate(zip(after, expected)):
-                assert a.dtype == np.float64
+            assert {a.dtype for a in after} == f32
+            for k, (a, e) in enumerate(zip(after, expected, strict=True)):
                 assert np.array_equal(a, e), k
+        for adam in (state.adam_ds, state.adam_dm):
+            assert {a.dtype for a in adam.m + adam.v} == f32
 
     def test_generator_step_keeps_geometry_float64_and_streams_float32(self, monkeypatch):
         cfg = tiny_config(mode="video", frames=3, seed=49, batch_size=4, critic_steps=1,
                           beta_epoch=1)
         state = gan.init_train_state(cfg)
-        before = copy.deepcopy(weights(state.gen.net))
+        before = weights(state.gen.net)
         outs = []
         generate_on_tape = gan.generate_on_tape
 
-        def recording_generate(*args):
-            fake = generate_on_tape(*args)
+        def recording_generate(gen, z, tape, gen_params, pairs):
+            fake = generate_on_tape(gen, z, tape, gen_params, pairs)
             # the values, read before the step's backward releases them
             outs.append(({name: getattr(fake, name).values
                           for name in ("params", "globals_", "pose3d")},
-                         {k: t.values for k, t in fake.streams.items()}))
+                         {k: t.values for k, t in fake.streams.items()},
+                         [t.values for pair in gen_params for t in pair]))
             return fake
 
         monkeypatch.setattr(gan, "generate_on_tape", recording_generate)
         m = gan.generator_update(state, 4, 1)
-        geometry, streams = outs[0]
+        geometry, streams, leaves = outs[0]
+        # the net's leaves are its float32 weight arrays themselves
+        assert all(v is a for v, a in zip(leaves, before, strict=True))
         for values in geometry.values():
             assert values.dtype == np.float64
         assert len(streams) == 9
@@ -778,8 +791,10 @@ class TestTrainEpoch:
         after = weights(state.gen.net)
         assert len(after) == len(before)
         for k, (a, b) in enumerate(zip(after, before)):
-            assert a.dtype == np.float64
+            assert a.dtype == b.dtype == np.float32
             assert not np.array_equal(a, b), k
+        adam = state.adam_gen
+        assert {a.dtype for a in adam.m + adam.v} == {np.dtype(np.float32)}
 
     def test_smoke_separation_short(self):
         # critic-only training separates band poses from untrained-generator fakes
@@ -813,16 +828,20 @@ class TestConfigAndCheckpoints:
             gan.TrainConfig(mode="both").validate()
 
     def test_generator_checkpoint_round_trip(self, tmp_path):
-        cfg = tiny_config(seed=46)
-        gen = gan.build_generator(cfg, RNG(46))
+        # a trained generator reloads to the generator that wrote it, bit for bit
+        cfg = tiny_config(seed=46, epochs=1, beta_epoch=1)
+        state = gan.init_train_state(cfg)
+        gan.train_epoch(state, dsio.make_band_corpus(32, 46))
         path = tmp_path / "gen.ckpt"
-        gan.save_generator(gen, path, seed=46)
+        gan.save_generator(state.gen, path, seed=46)
         loaded = gan.load_generator(path)
+        for k, (w0, w1) in enumerate(zip(weights(state.gen.net), weights(loaded.net), strict=True)):
+            assert w0.dtype == w1.dtype and np.array_equal(w0, w1), k
         z = gan.sample_latent(4, cfg.z_dim, RNG(47))
-        a = gan.generate(gen, z)
+        a = gan.generate(state.gen, z)
         b = gan.generate(loaded, z)
-        # float32 checkpoint storage: poses agree to single precision
-        assert np.max(np.abs(a.pose3d - b.pose3d)) < 1e-4
+        for name in ("params", "pose3d", "pose2d"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_checkpoint_topology_mismatch_detected(self, tmp_path, topology):
         cfg = tiny_config(seed=48)

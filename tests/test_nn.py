@@ -3,8 +3,8 @@ import pytest
 
 from dhpose import autodiff as ad
 from dhpose import gan, nn
-from oracles import (central_difference, dense_ref, linear_frame_critic, replaced, weight_slots,
-                     weights)
+from oracles import (central_difference, dense_ref, float64_copy, linear_frame_critic, replaced,
+                     weight_slots, weights)
 
 RNG = np.random.default_rng
 
@@ -64,21 +64,23 @@ class TestForward:
                              + [pytest.param(a, np.float32, id=f"{a}-float32")
                                 for a in nn.ACTIVATIONS])
     def test_eval_and_tape_write_the_reference_bits(self, act, dtype):
+        # both passes run in the weights' dtype: float32 from mlp_init, or a
+        # float64 copy
         net = nn.mlp_init([6, 8, 5, 3], [act] * 3, RNG(2))
+        if dtype == np.float64:
+            net = float64_copy(net)
         before = [a.copy() for a in weights(net)]
         x = RNG(3).normal(size=(7, 6))
         x0 = x.copy()
         ref = x0.astype(dtype)
         for layer in net.layers:
-            ref = dense_ref(ref, layer.w.astype(dtype), layer.b.astype(dtype), layer.act)
+            ref = dense_ref(ref, layer.w, layer.b, layer.act)
         assert ref.dtype == dtype
-        assert np.array_equal(nn.mlp_eval(net, x, dtype), ref)
+        assert np.array_equal(nn.mlp_eval(net, x), ref)
         tape = ad.Tape()
-        out, _ = nn.mlp_apply(net, tape.const(x.astype(dtype)), tape,
-                              nn.mlp_leaves(tape, net, dtype))
+        out, _ = nn.mlp_apply(net, tape.const(x.astype(dtype)), tape, nn.mlp_leaves(tape, net))
         assert np.array_equal(out.values, ref)
         if dtype == np.float64:
-            assert np.array_equal(nn.mlp_eval(net, x), ref)
             assert np.array_equal(forward(net, x).values, ref)
         assert np.array_equal(x, x0)
         for value, old in zip(weights(net), before, strict=True):
@@ -104,7 +106,7 @@ class TestForward:
 
 class TestParameterGradients:
     def test_against_finite_differences(self):
-        net = nn.mlp_init([5, 7, 4, 1], ["tanh", "lrelu", "linear"], RNG(3))
+        net = float64_copy(nn.mlp_init([5, 7, 4, 1], ["tanh", "lrelu", "linear"], RNG(3)))
         x = RNG(4).normal(size=(6, 5))
         tape = ad.Tape()
         leaves = nn.mlp_leaves(tape, net)
@@ -134,7 +136,7 @@ class TestInputGradient:
         assert np.allclose(np.linalg.norm(g.values, axis=1), np.sqrt(n), atol=1e-12)
 
     def test_matches_finite_differences_of_the_scalar(self):
-        net = nn.mlp_init([4, 8, 1], ["tanh", "linear"], RNG(7))
+        net = float64_copy(nn.mlp_init([4, 8, 1], ["tanh", "linear"], RNG(7)))
         x0 = RNG(8).normal(size=(1, 4))
         g = input_gradient(net, x0, ad.Tape())
         fd = central_difference(lambda v: float(nn.mlp_eval(net, v.reshape(1, 4))[0, 0]),
@@ -144,7 +146,7 @@ class TestInputGradient:
 
     def test_lrelu_net_matches_finite_differences_of_the_scalar(self):
         # the critics' activation: the pullback must apply the lrelu mask
-        net = nn.mlp_init([4, 8, 1], ["lrelu", "linear"], RNG(15))
+        net = float64_copy(nn.mlp_init([4, 8, 1], ["lrelu", "linear"], RNG(15)))
         x0 = RNG(16).normal(size=(1, 4))
         g = input_gradient(net, x0, ad.Tape())
         fd = central_difference(lambda v: float(nn.mlp_eval(net, v.reshape(1, 4))[0, 0]),
@@ -154,7 +156,7 @@ class TestInputGradient:
 
     def test_double_backprop_matches_finite_differences(self):
         # parameter gradient of |grad_x D|^2 against central differences
-        net = nn.mlp_init([3, 5, 1], ["tanh", "linear"], RNG(9))
+        net = float64_copy(nn.mlp_init([3, 5, 1], ["tanh", "linear"], RNG(9)))
         x = RNG(10).normal(size=(2, 3))
 
         tape = ad.Tape()
@@ -302,9 +304,10 @@ class TestCheckpoint:
         for name in nets:
             for l0, l1 in zip(nets[name].layers, loaded[name].layers):
                 assert l0.act == l1.act
-                # float32 storage: relative error bounded by single precision
-                assert np.max(np.abs(l0.w - l1.w)) < 1e-6
-                assert np.max(np.abs(l0.b - l1.b)) < 1e-6
+                # float32 weights in float32 storage: reloaded exactly
+                for a0, a1 in ((l0.w, l1.w), (l0.b, l1.b)):
+                    assert a1.dtype == a0.dtype == np.float32
+                    assert np.array_equal(a0, a1)
 
     def test_bytes_deterministic(self, tmp_path):
         net = {"gen": nn.mlp_init([4, 4], ["linear"], RNG(16))}

@@ -43,7 +43,12 @@ READERS = {
 }
 
 
-@pytest.mark.parametrize("defect", ["non-utf8", "nan", "short"])
+# numbers Python's int and float read but the file grammar does not
+NOT_ASCII = {"arabic-indic-digit": "\u0661", "underscore": "1_0.5",
+             "arabic-indic-float": "\u0663.5"}
+
+
+@pytest.mark.parametrize("defect", ["non-utf8", "nan", "short", *NOT_ASCII])
 @pytest.mark.parametrize("reader", sorted(READERS))
 def test_bad_line_is_a_parse_error_naming_file_and_line(capsys, tmp_path, reader, defect):
     write, line_no, field, load, argv = READERS[reader]
@@ -55,6 +60,8 @@ def test_bad_line_is_a_parse_error_naming_file_and_line(capsys, tmp_path, reader
         tokens[field] += b"\x80"
     elif defect == "nan":
         tokens[field] = b"nan"
+    elif defect in NOT_ASCII:
+        tokens[field] = NOT_ASCII[defect].encode()
     else:
         tokens.pop()
     lines[line_no - 1] = b" ".join(tokens)
