@@ -7,9 +7,9 @@ epoch 1): epoch 0 warms up, epoch 1 is measured.  For each phase it prints
 the number of calls and, as the maximum over its calls, the heap peak above
 the heap at the call's start and the absolute heap peak (everything traced
 from before the corpus is built).  The phases are the critic step, the
-generator step, the end-of-epoch penalty log of each critic, and the
-end-of-epoch synthesis; a penalty computed inside a critic step is part of
-that step.
+generator step, the end-of-epoch log (one ``critic_loss`` call), and the
+end-of-epoch synthesis; only the outermost call is measured, so the
+``critic_loss`` of a critic step is part of that step.
 BLAS runs on one thread, as in the benchmark.  ``dhpose`` is imported from
 this checkout's ``src/`` (``checkout.py``).
 
@@ -30,8 +30,8 @@ import_dhpose()
 from dhpose import dataset, gan  # noqa: E402
 
 # (module, attribute): each is patched by module attribute, as perfbench does
-PHASES = ((gan, "critic_update"), (gan, "generator_update"), (gan, "frame_penalty"),
-          (gan, "motion_penalty"), (dataset, "synthesize_dataset"))
+PHASES = ((gan, "critic_update"), (gan, "generator_update"), (gan, "critic_loss"),
+          (dataset, "synthesize_dataset"))
 MB = 2 ** 20
 
 

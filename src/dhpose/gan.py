@@ -11,9 +11,10 @@ values per frame.
 The frame critic scores single poses from three streams (3D pose, bone
 cosines, normalized 2D pose).  The motion critic has three two-stream
 branches (sequence plus its first differences of the same three signals);
-its score is the sum of the branch heads.  Both train with the
-gradient-penalty objective; the motion terms are gated on by a step
-schedule over epochs.
+its score is the sum of the branch heads.  A critic is its branch table
+(``FRAME_BRANCHES``, ``MOTION_BRANCHES``) and the nets it names.  Both
+train with the gradient-penalty objective; the motion terms are gated on by
+a step schedule over epochs.
 
 The pipeline from raw net output to critic streams is written once, over
 autodiff tape ops: the split and squash (``_split_raw``), FK and the bone
@@ -27,7 +28,8 @@ functions on constants on a throwaway tape (``generate_poses``,
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+import numbers
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -66,7 +68,12 @@ class GlobalBounds:
             values = tuple(float(v) for v in getattr(self, name))
             if len(values) != N_GLOBAL:
                 raise ValueError(f"bounds need {N_GLOBAL} {name!r} values, got {len(values)}")
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"bounds need finite {name!r} values, got {list(values)}")
             object.__setattr__(self, name, values)
+        for i, (lo, hi) in enumerate(zip(self.lo, self.hi)):
+            if not lo < hi:
+                raise ValueError(f"bounds need lo < hi, got lo {lo} and hi {hi} at index {i}")
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
@@ -84,6 +91,11 @@ def sample_latent(count: int, z_dim: int, rng: np.random.Generator) -> np.ndarra
     if count <= 0:
         raise ValueError(f"count must be positive, got {count}")
     return rng.standard_normal((count, z_dim))
+
+
+def _is_int(value) -> bool:
+    """A true integer: JSON's 2.5 and true are not counts."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _check_frames(mode: str, frames: int) -> None:
@@ -120,6 +132,17 @@ class TrainConfig:
         return 1024 if self.mode == "single" else 512
 
     def validate(self) -> None:
+        counts = dict(frames=self.frames, z_dim=self.z_dim, critic_steps=self.critic_steps,
+                      epochs=self.epochs, batch=self.resolved_batch(),
+                      beta_epoch=self.beta_epoch, seed=self.seed)
+        for name, value in counts.items():
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("alpha", "lr"):
+            value = getattr(self, name)
+            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+                    or not np.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         _check_frames(self.mode, self.frames)
         positives = dict(alpha=self.alpha, z_dim=self.z_dim, critic_steps=self.critic_steps,
                          lr=self.lr, epochs=self.epochs, batch=self.resolved_batch(),
@@ -127,12 +150,15 @@ class TrainConfig:
         for name, value in positives.items():
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a path, got {self.out_dir!r}")
         if self.beta_epoch > self.epochs:
             raise ValueError(f"beta_epoch {self.beta_epoch} exceeds epochs {self.epochs}")
         for name in ("gen_hidden", "enc_hidden", "head_hidden"):
             widths = getattr(self, name)
-            if not isinstance(widths, tuple) or not all(isinstance(w, int) and w > 0
-                                                        for w in widths):
+            if not isinstance(widths, tuple) or not all(_is_int(w) and w > 0 for w in widths):
                 raise ValueError(f"{name} must be a tuple of positive layer widths, got {widths!r}")
         if not self.enc_hidden:
             raise ValueError("enc_hidden needs at least one layer: the critic heads read its width")
@@ -334,6 +360,17 @@ FRAME_STREAMS = ("x3d", "xcos", "x2d")
 MOTION_STREAMS = ("seq3d", "diff3d", "cosseq", "cosdiff", "seq2d", "root2d")
 
 
+def stream_widths(n_pairs: int, frames: int) -> dict[str, int]:
+    """Each stream's width, for poses of 16 keypoints with ``n_pairs``
+    adjacent bone pairs in sequences of ``frames`` (T): a frame stream holds
+    one pose, a sequence stream T poses and a difference stream T - 1 steps
+    (root2d: of the root keypoint's 2 image coordinates only)."""
+    t = frames
+    return {"x3d": 48, "xcos": n_pairs, "x2d": 32,
+            "seq3d": t * 48, "diff3d": (t - 1) * 48, "cosseq": t * n_pairs,
+            "cosdiff": (t - 1) * n_pairs, "seq2d": t * 32, "root2d": (t - 1) * 2}
+
+
 def frame_streams(pose3d: Tensor, pose2d: Tensor, cam,
                   pairs: AdjacentBonePairs) -> tuple[Tensor, Tensor, Tensor]:
     """The frame critic's streams of (N, K, 3) and (N, K, 2) poses: x3d, the
@@ -415,80 +452,43 @@ def generate_on_tape(gen: DhGenerator, z, tape: Tape, gen_params: list,
 # --------------------------------------------------------------------------
 # Critics
 
-class _Critic:
-    def nets(self) -> dict[str, nn.Mlp]:
-        """The nets by name, in field order (the order of their parameters)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+# A critic's branches, each (its streams, their encoders, its head): every
+# encoder reads its stream, the head reads their outputs side by side, and
+# the score is the sum of the heads.  Each motion branch reads a sequence and
+# its differences.
+FRAME_BRANCHES = ((FRAME_STREAMS, ("enc3d", "enc_cos", "enc2d"), "head"),)
+MOTION_BRANCHES = ((("seq3d", "diff3d"), ("enc3d_seq", "enc3d_diff"), "head3d"),
+                   (("cosseq", "cosdiff"), ("enc_cos_seq", "enc_cos_diff"), "head_cos"),
+                   (("seq2d", "root2d"), ("enc2d_seq", "enc2d_diff"), "head2d"))
 
 
 @dataclass
-class FrameCritic(_Critic):
-    """Three stream encoders (3D pose, cosines, 2D pose) + fusion head."""
+class Critic:
+    """A branch table and its nets by name, each branch's encoders then its
+    head: the order they are created in and the order of their parameters."""
 
-    enc3d: nn.Mlp
-    enc_cos: nn.Mlp
-    enc2d: nn.Mlp
-    head: nn.Mlp
-
-    # ((streams, their encoders, head), ...): the score is the sum of the heads
-    BRANCHES = ((FRAME_STREAMS, ("enc3d", "enc_cos", "enc2d"), "head"),)
+    branches: tuple
+    nets: dict[str, nn.Mlp]
 
 
-@dataclass
-class MotionCritic(_Critic):
-    """Three two-stream branches; the score is the sum of the branch heads."""
-
-    enc3d_seq: nn.Mlp
-    enc3d_diff: nn.Mlp
-    head3d: nn.Mlp
-    enc_cos_seq: nn.Mlp
-    enc_cos_diff: nn.Mlp
-    head_cos: nn.Mlp
-    enc2d_seq: nn.Mlp
-    enc2d_diff: nn.Mlp
-    head2d: nn.Mlp
-
-    # as FrameCritic's; each branch reads a sequence and its differences
-    BRANCHES = ((("seq3d", "diff3d"), ("enc3d_seq", "enc3d_diff"), "head3d"),
-                (("cosseq", "cosdiff"), ("enc_cos_seq", "enc_cos_diff"), "head_cos"),
-                (("seq2d", "root2d"), ("enc2d_seq", "enc2d_diff"), "head2d"))
+def build_critic(branches: tuple, cfg: TrainConfig, n_pairs: int, rng) -> Critic:
+    """Encoders of ``cfg.enc_hidden`` lrelu layers, each reading its stream's
+    ``stream_widths`` width, and heads of ``cfg.head_hidden`` lrelu layers
+    ending in a linear score."""
+    widths = stream_widths(n_pairs, cfg.frames)
+    enc, head = cfg.enc_hidden, cfg.head_hidden
+    nets = {}
+    for keys, encoders, head_name in branches:
+        for key, name in zip(keys, encoders, strict=True):
+            nets[name] = nn.mlp_init([widths[key], *enc], ["lrelu"] * len(enc), rng)
+        nets[head_name] = nn.mlp_init([len(encoders) * enc[-1], *head, 1],
+                                      ["lrelu"] * len(head) + ["linear"], rng)
+    return Critic(branches, nets)
 
 
-def _encoder(in_dim: int, hidden: tuple, rng) -> nn.Mlp:
-    return nn.mlp_init([in_dim, *hidden], ["lrelu"] * len(hidden), rng)
-
-
-def _head(in_dim: int, hidden: tuple, rng) -> nn.Mlp:
-    return nn.mlp_init([in_dim, *hidden, 1], ["lrelu"] * len(hidden) + ["linear"], rng)
-
-
-def build_frame_critic(cfg: TrainConfig, n_pairs: int, rng) -> FrameCritic:
-    e = cfg.enc_hidden[-1]
-    return FrameCritic(
-        enc3d=_encoder(48, cfg.enc_hidden, rng),
-        enc_cos=_encoder(n_pairs, cfg.enc_hidden, rng),
-        enc2d=_encoder(32, cfg.enc_hidden, rng),
-        head=_head(3 * e, cfg.head_hidden, rng))
-
-
-def build_motion_critic(cfg: TrainConfig, n_pairs: int, rng) -> MotionCritic:
-    t = cfg.frames
-    e = cfg.enc_hidden[-1]
-    return MotionCritic(
-        enc3d_seq=_encoder(t * 48, cfg.enc_hidden, rng),
-        enc3d_diff=_encoder((t - 1) * 48, cfg.enc_hidden, rng),
-        head3d=_head(2 * e, cfg.head_hidden, rng),
-        enc_cos_seq=_encoder(t * n_pairs, cfg.enc_hidden, rng),
-        enc_cos_diff=_encoder((t - 1) * n_pairs, cfg.enc_hidden, rng),
-        head_cos=_head(2 * e, cfg.head_hidden, rng),
-        enc2d_seq=_encoder(t * 32, cfg.enc_hidden, rng),
-        enc2d_diff=_encoder((t - 1) * 2, cfg.enc_hidden, rng),
-        head2d=_head(2 * e, cfg.head_hidden, rng))
-
-
-def critic_leaves(tape: Tape, critic, var: bool = True) -> dict[str, list]:
-    """Each net's ``nn.mlp_leaves`` list, by field name in field order."""
-    return {name: nn.mlp_leaves(tape, net, var) for name, net in critic.nets().items()}
+def critic_leaves(tape: Tape, critic: Critic, var: bool = True) -> dict[str, list]:
+    """Each net's ``nn.mlp_leaves`` list, by name in the order of ``critic.nets``."""
+    return {name: nn.mlp_leaves(tape, net, var) for name, net in critic.nets.items()}
 
 
 def _fused_score(critic, inputs, encoders, head: str, tape: Tape,
@@ -497,9 +497,9 @@ def _fused_score(critic, inputs, encoders, head: str, tape: Tape,
     and the traces its input gradients need.  ``params`` is a
     ``critic_leaves`` dict, or None for the weights as constants."""
     params = params or {}
-    outs, traces = zip(*(nn.mlp_apply(getattr(critic, name), x, tape, params.get(name))
+    outs, traces = zip(*(nn.mlp_apply(critic.nets[name], x, tape, params.get(name))
                          for x, name in zip(inputs, encoders)))
-    score, head_trace = nn.mlp_apply(getattr(critic, head), ad.concat(outs, axis=1), tape,
+    score, head_trace = nn.mlp_apply(critic.nets[head], ad.concat(outs, axis=1), tape,
                                      params.get(head))
     return score, {"traces": traces, "head_trace": head_trace,
                    "widths": [out.shape[1] for out in outs], "score": score}
@@ -507,10 +507,10 @@ def _fused_score(critic, inputs, encoders, head: str, tape: Tape,
 
 def score(critic, streams: dict, tape: Tape,
           params: Optional[dict] = None) -> tuple[Tensor, list]:
-    """Per-sample score (B, 1), the sum of the critic's ``BRANCHES`` heads,
-    plus each branch's ``_fused_score`` parts, in branch order."""
+    """Per-sample score (B, 1), the sum of the critic's branch heads, plus
+    each branch's ``_fused_score`` parts, in branch order."""
     total, parts = None, []
-    for keys, encoders, head in critic.BRANCHES:
+    for keys, encoders, head in critic.branches:
         s, part = _fused_score(critic, [streams[k] for k in keys], encoders, head, tape, params)
         total = s if total is None else ad.add(total, s)
         parts.append(part)
@@ -579,50 +579,60 @@ def _check_matching(real: dict, fake: dict) -> None:
             raise ShapeError(f"real/fake {k} shapes differ: {real[k].shape} vs {fake[k].shape}")
 
 
-def _interpolate(real: dict, fake: dict, rng: np.random.Generator, motion: bool) -> dict:
+def _interpolate(real: dict, fake: dict, rng: np.random.Generator, critics) -> dict:
     """The penalty inputs: per sample eps * real + (1 - eps) * fake with eps
-    uniform, one draw for the frame streams and, when ``motion``, one for
-    the motion streams."""
+    uniform, one draw for the streams of each critic in turn."""
     hat = {}
-    for group in (FRAME_STREAMS, MOTION_STREAMS) if motion else (FRAME_STREAMS,):
-        eps = rng.uniform(size=(real[group[0]].shape[0], 1))
-        for k in group:
+    for critic in critics:
+        keys = [k for streams, _, _ in critic.branches for k in streams]
+        eps = rng.uniform(size=(real[keys[0]].shape[0], 1))
+        for k in keys:
             e = eps.astype(real[k].dtype, copy=False)
             hat[k] = e * real[k] + (1.0 - e) * fake[k]
     return hat
 
 
-def critic_loss(ds: FrameCritic, dm: Optional[MotionCritic], real: dict,
-                fake: dict, alpha: float, gamma: int, rng: np.random.Generator,
-                tape: Tape, ds_params: Optional[dict] = None,
-                dm_params: Optional[dict] = None, scores: Optional[dict] = None) -> Tensor:
-    """Critic objective: E[D(fake)] - E[D(real)] + alpha * penalty, with the
-    motion-critic terms gated by ``gamma``.
+def _active_critics(ds: Critic, dm: Optional[Critic], gamma: int, streams: dict,
+                    ds_params: Optional[dict], dm_params: Optional[dict]) -> list:
+    """(name, critic, params, its score alias, its penalty alias) of each
+    critic a loss trains: the frame critic, and the motion critic while
+    ``gamma`` is on, which needs the motion ``streams``."""
+    active = [("frame", ds, ds_params, frame_score, frame_penalty)]
+    if gamma and dm is not None:
+        if not streams.keys() >= set(MOTION_STREAMS):
+            raise ShapeError("motion terms are on but the batches carry no motion streams")
+        active.append(("motion", dm, dm_params, motion_score, motion_penalty))
+    return active
 
-    Interpolates real and fake per sample with uniform weights for the
-    penalty inputs.  A ``scores`` dict, if given, receives the per-sample
-    frame scores (B,) of this forward pass under ``"real"`` and ``"fake"``.
+
+def critic_loss(ds: Critic, dm: Optional[Critic], real: dict, fake: dict, alpha: float,
+                gamma: int, rng: np.random.Generator, tape: Tape,
+                ds_params: Optional[dict] = None,
+                dm_params: Optional[dict] = None) -> tuple[Tensor, dict]:
+    """Critic objective: over the active critics (the motion critic gated by
+    ``gamma``), the sum of E[D(fake)] - E[D(real)] + alpha * penalty, the
+    penalty at per-sample uniform interpolations of real and fake.
+
+    Also returns each active critic's terms by name ("frame", "motion"): the
+    per-sample scores (B,) of this forward pass under "real" and "fake", and
+    the penalty's value under "penalty".
     """
     _check_matching(real, fake)
-    motion = bool(gamma and dm is not None)
-    if motion and not real.keys() >= set(MOTION_STREAMS):
-        raise ShapeError("motion terms are on but the batches carry no motion streams")
-    hat = _interpolate(real, fake, rng, motion)
-    s_fake, _ = frame_score(ds, fake, tape, ds_params)
-    s_real, _ = frame_score(ds, real, tape, ds_params)
-    if scores is not None:
-        scores["real"], scores["fake"] = s_real.values[:, 0], s_fake.values[:, 0]
-    pen = frame_penalty(ds, hat, alpha, tape, ds_params)
-    loss = ad.add(ad.sub(ad.mean(s_fake), ad.mean(s_real)), pen)
-    if motion:
-        m_fake, _ = motion_score(dm, fake, tape, dm_params)
-        m_real, _ = motion_score(dm, real, tape, dm_params)
-        m_pen = motion_penalty(dm, hat, alpha, tape, dm_params)
-        loss = ad.add(loss, ad.add(ad.sub(ad.mean(m_fake), ad.mean(m_real)), m_pen))
-    return loss
+    active = _active_critics(ds, dm, gamma, real, ds_params, dm_params)
+    hat = _interpolate(real, fake, rng, [critic for _, critic, *_ in active])
+    loss, terms = None, {}
+    for name, critic, params, score_of, penalty_of in active:
+        s_fake, _ = score_of(critic, fake, tape, params)
+        s_real, _ = score_of(critic, real, tape, params)
+        pen = penalty_of(critic, hat, alpha, tape, params)
+        term = ad.add(ad.sub(ad.mean(s_fake), ad.mean(s_real)), pen)
+        loss = term if loss is None else ad.add(loss, term)
+        terms[name] = {"real": s_real.values[:, 0], "fake": s_fake.values[:, 0],
+                       "penalty": float(pen.values)}
+    return loss, terms
 
 
-def generator_loss(ds: FrameCritic, dm: Optional[MotionCritic], fake: TapeGenOutput,
+def generator_loss(ds: Critic, dm: Optional[Critic], fake: TapeGenOutput,
                    gamma: int, tape: Tape, ds_params: Optional[dict] = None,
                    dm_params: Optional[dict] = None) -> Tensor:
     """Adversarial complement: -E[D_s(fake)] - gamma * E[D_m(fake)].
@@ -630,13 +640,11 @@ def generator_loss(ds: FrameCritic, dm: Optional[MotionCritic], fake: TapeGenOut
     The critics score with ``ds_params``/``dm_params`` when given, else with
     their weights as constants.
     """
-    s, _ = frame_score(ds, fake.streams, tape, ds_params)
-    loss = ad.neg(ad.mean(s))
-    if gamma and dm is not None:
-        if not fake.streams.keys() >= set(MOTION_STREAMS):
-            raise ShapeError("motion terms are on but the generator emitted no sequences")
-        m, _ = motion_score(dm, fake.streams, tape, dm_params)
-        loss = ad.sub(loss, ad.mean(m))
+    loss = None
+    for _, critic, params, score_of, _ in _active_critics(ds, dm, gamma, fake.streams,
+                                                          ds_params, dm_params):
+        s = ad.mean(score_of(critic, fake.streams, tape, params)[0])
+        loss = ad.neg(s) if loss is None else ad.sub(loss, s)
     return loss
 
 
@@ -647,8 +655,8 @@ def generator_loss(ds: FrameCritic, dm: Optional[MotionCritic], fake: TapeGenOut
 class TrainState:
     config: TrainConfig
     gen: DhGenerator
-    ds: FrameCritic
-    dm: Optional[MotionCritic]
+    ds: Critic
+    dm: Optional[Critic]
     pairs: AdjacentBonePairs
     adam_gen: nn.AdamState
     adam_ds: nn.AdamState
@@ -666,8 +674,8 @@ def init_train_state(config: TrainConfig,
     gen = build_generator(config, rng, topology, table, camera)
     pairs = adjacent_bone_pairs(gen.topology)
     n_pairs = len(pairs.pairs)
-    ds = build_frame_critic(config, n_pairs, rng)
-    dm = build_motion_critic(config, n_pairs, rng) if config.mode == "video" else None
+    ds = build_critic(FRAME_BRANCHES, config, n_pairs, rng)
+    dm = build_critic(MOTION_BRANCHES, config, n_pairs, rng) if config.mode == "video" else None
     return TrainState(config=config, gen=gen, ds=ds, dm=dm, pairs=pairs,
                       adam_gen=nn.AdamState(lr=config.lr),
                       adam_ds=nn.AdamState(lr=config.lr),
@@ -705,19 +713,17 @@ def critic_update(state: TrainState, real: dict, fake: dict, gamma: int) -> dict
     with Tape() as tape:
         ds_leaves = critic_leaves(tape, state.ds)
         dm_leaves = critic_leaves(tape, state.dm) if (gamma and state.dm) else None
-        scores = {}
-        loss = critic_loss(state.ds, state.dm if gamma else None, real, fake,
-                           state.config.alpha, gamma, state.rng, tape, ds_leaves, dm_leaves,
-                           scores)
+        loss, terms = critic_loss(state.ds, state.dm, real, fake, state.config.alpha, gamma,
+                                  state.rng, tape, ds_leaves, dm_leaves)
         value = float(loss.values)
         _abort_if_bad(value, "critic loss", state, {})
         ad.backward(tape, loss)
-    nn.adam_update(state.adam_ds, state.ds.nets().values(), ds_leaves.values())
+    nn.adam_update(state.adam_ds, state.ds.nets.values(), ds_leaves.values())
     if dm_leaves is not None:
-        nn.adam_update(state.adam_dm, state.dm.nets().values(), dm_leaves.values())
+        nn.adam_update(state.adam_dm, state.dm.nets.values(), dm_leaves.values())
     # separation measured by the step's own forward pass, before its update
-    d_gap = float(scores["real"].mean() - scores["fake"].mean())
-    return {"loss": value, "d_gap": d_gap}
+    frame = terms["frame"]
+    return {"loss": value, "d_gap": float(frame["real"].mean() - frame["fake"].mean())}
 
 
 def generator_update(state: TrainState, batch: int, gamma: int) -> dict:
@@ -771,31 +777,21 @@ def train_epoch(state: TrainState, data: RealData, synth_dir: Optional[str] = No
         g = generator_update(state, batch, gamma)
         violations += g["violations"]
         gen_losses.append(g["gen_loss"])
-    # penalty magnitude at the end of the epoch, for the log
+    # the critic objective's terms on a fresh batch, with constant weights, for the log
     idx = state.rng.integers(0, len(data), size=batch)
     real = _real_minibatch(data, idx, state.pairs, video)
     fake, _ = _fake_minibatch(state, batch, state.pairs, video)
-    motion = bool(gamma and state.dm is not None)
-    hat = _interpolate(real, fake, state.rng, motion)
     with Tape() as tape:
-        frame_pen = float(frame_penalty(state.ds, hat, cfg.alpha, tape).values)
-    if motion:
-        with Tape() as tape:
-            motion_pen = float(motion_penalty(state.dm, hat, cfg.alpha, tape).values)
-        m_real = discriminate(state.dm, real)
-        m_fake = discriminate(state.dm, fake)
-        motion_gap = float(m_real.mean() - m_fake.mean())
-    else:
-        motion_pen = 0.0
-        motion_gap = 0.0
-
+        terms = critic_loss(state.ds, state.dm, real, fake, cfg.alpha, gamma, state.rng,
+                            tape)[1]
+    motion = terms.get("motion")
     metrics = {
         "epoch": state.epoch,
         "gamma": gamma,
         "d_gap": float(np.mean(d_gaps)),
-        "penalty": frame_pen,
-        "motion_gap": motion_gap,
-        "motion_penalty": motion_pen,
+        "penalty": terms["frame"]["penalty"],
+        "motion_gap": float(motion["real"].mean() - motion["fake"].mean()) if motion else 0.0,
+        "motion_penalty": motion["penalty"] if motion else 0.0,
         "gen_loss": float(np.mean(gen_losses)),
         "violations": int(violations),
         "steps": steps,

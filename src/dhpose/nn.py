@@ -5,7 +5,7 @@ A gradient penalty needs d(|grad_x D|)/d(params), i.e. gradients of a
 gradient.  Rather than a higher-order tape, ``mlp_vjp`` builds the input
 gradient *as tape operations* (transposed weight products and activation
 derivatives), so one ordinary backward pass differentiates it; the critics'
-penalty (``gan._penalty``) is built on it.
+penalty (``gan.penalty``) is built on it.
 """
 
 from __future__ import annotations

@@ -119,7 +119,8 @@ def float64_copy(model):
         return nn.Mlp([nn.LayerSpec(layer.w.astype(np.float64), layer.b.astype(np.float64),
                                     layer.act) for layer in model.layers])
     if hasattr(model, "nets"):
-        return type(model)(**{name: float64_copy(net) for name, net in model.nets().items()})
+        return dataclasses.replace(model, nets={name: float64_copy(net)
+                                                for name, net in model.nets.items()})
     return dataclasses.replace(model, net=float64_copy(model.net))
 
 
@@ -220,8 +221,8 @@ def linear_frame_critic(weight, n_pairs=14):
     def layer(fan_in):
         return nn.Mlp([nn.LayerSpec(np.zeros((fan_in, 1)), np.zeros(1), "linear")])
 
-    critic = gan.FrameCritic(enc3d=layer(48), enc_cos=layer(n_pairs), enc2d=layer(32),
-                             head=layer(3))
-    critic.enc3d.layers[0].w[0, 0] = weight
-    critic.head.layers[0].w[0, 0] = weight
+    critic = gan.Critic(gan.FRAME_BRANCHES, {"enc3d": layer(48), "enc_cos": layer(n_pairs),
+                                             "enc2d": layer(32), "head": layer(3)})
+    critic.nets["enc3d"].layers[0].w[0, 0] = weight
+    critic.nets["head"].layers[0].w[0, 0] = weight
     return critic

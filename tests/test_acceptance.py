@@ -214,17 +214,17 @@ def test_criterion_autodiff_gradient_checks(pairs, camera):
     streams = gan.feature_batch(rng.normal(size=(3, 3, 16, 3)),
                                 rng.normal(size=(3, 3, 16, 2)) * 50, camera, pairs, video=True)
     critics = (
-        (float64_copy(gan.build_frame_critic(cfg, 14, RNG(109))),
+        (float64_copy(gan.build_critic(gan.FRAME_BRANCHES, cfg, 14, RNG(109))),
          lambda critic, tape, p: gan.frame_penalty(critic, streams, 10.0, tape, p)),
-        (float64_copy(gan.build_motion_critic(cfg, 14, RNG(110))),
+        (float64_copy(gan.build_critic(gan.MOTION_BRANCHES, cfg, 14, RNG(110))),
          lambda critic, tape, p: gan.motion_penalty(critic, streams, 10.0, tape, p)))
     for critic, penalty in critics:
         tape = ad.Tape()
         leaves = gan.critic_leaves(tape, critic)
         ad.backward(tape, penalty(critic, tape, leaves))
-        for slot, value, leaf in weight_slots(critic.nets(), leaves):
+        for slot, value, leaf in weight_slots(critic.nets, leaves):
             def f(values, slot=slot):
-                trial = type(critic)(**replaced(critic.nets(), slot, values))
+                trial = gan.Critic(critic.branches, replaced(critic.nets, slot, values))
                 with ad.Tape() as t:
                     return float(penalty(trial, t, None).values)
 

@@ -377,6 +377,18 @@ class TestTrain:
         ('[{"epochs": 2}]', "expected a JSON object, got list"),
         ('{"bounds": {"lo": [0]}}', "bounds need 6 'lo' values, got 1"),
         ('{"enc_hidden": []}', "enc_hidden needs at least one layer"),
+        ('{"epochs": 2.5}', "epochs must be an integer, got 2.5"),
+        ('{"critic_steps": true}', "critic_steps must be an integer, got True"),
+        ('{"seed": 1.0}', "seed must be an integer, got 1.0"),
+        ('{"out_dir": 5}', "out_dir must be a path, got 5"),
+        ('{"gen_hidden": [32, true]}', "gen_hidden must be a tuple of positive layer widths"),
+        ('{"alpha": NaN}', "alpha must be a finite number, got nan"),
+        ('{"lr": Infinity}', "lr must be a finite number, got inf"),
+        ('{"bounds": {"lo": [0, 0, 0, 0, 0, NaN]}}', "bounds need finite 'lo' values"),
+        ('{"bounds": {"lo": [0, 0, 0, 0, 0, 7]}}', "bounds need lo < hi, got lo 7.0 and hi 6.0 "
+                                                   "at index 5"),
+        ('{"bounds": {"lo": [0, 0, 0, 0, 0, 6]}}', "bounds need lo < hi, got lo 6.0 and hi 6.0 "
+                                                   "at index 5"),
     ])
     def test_malformed_config_is_a_data_error_naming_the_file(self, capsys, tmp_path, text,
                                                               says):
@@ -393,7 +405,7 @@ class TestTrain:
 
         def diverging_state(*args, **kwargs):
             state = init(*args, **kwargs)
-            state.ds.head.layers[0].w[:] = np.nan
+            state.ds.nets["head"].layers[0].w[:] = np.nan
             return state
 
         monkeypatch.setattr(gan, "init_train_state", diverging_state)

@@ -27,7 +27,7 @@ def tiny_config(**kw):
 
 
 def zero_nets(critic):
-    for net in critic.nets().values():
+    for net in critic.nets.values():
         for layer in net.layers:
             layer.w = np.zeros_like(layer.w)
             layer.b = np.zeros_like(layer.b)
@@ -231,13 +231,13 @@ class TestFrameCritic:
 
     def test_zero_weights_score_zero(self, pairs):
         cfg = tiny_config()
-        critic = gan.build_frame_critic(cfg, 14, RNG(13))
+        critic = gan.build_critic(gan.FRAME_BRANCHES, cfg, 14, RNG(13))
         zero_nets(critic)
         assert np.all(gan.discriminate(critic, self._streams(pairs)) == 0.0)
 
     def test_deterministic(self, pairs):
         cfg = tiny_config()
-        critic = gan.build_frame_critic(cfg, 14, RNG(14))
+        critic = gan.build_critic(gan.FRAME_BRANCHES, cfg, 14, RNG(14))
         streams = self._streams(pairs)
         s1 = gan.discriminate(critic, streams)
         s2 = gan.discriminate(critic, streams)
@@ -251,7 +251,7 @@ class TestFrameCritic:
 
     def test_cosine_stream_wired_in(self, pairs):
         cfg = tiny_config()
-        critic = gan.build_frame_critic(cfg, 14, RNG(15))
+        critic = gan.build_critic(gan.FRAME_BRANCHES, cfg, 14, RNG(15))
         streams = self._streams(pairs)
         s1 = gan.discriminate(critic, streams)
         xcos2 = streams["xcos"].copy()
@@ -269,25 +269,25 @@ class TestMotionCritic:
 
     def test_zero_weights_score_zero(self, pairs):
         streams, cfg = self._streams(pairs)
-        critic = gan.build_motion_critic(cfg, 14, RNG(17))
+        critic = gan.build_critic(gan.MOTION_BRANCHES, cfg, 14, RNG(17))
         zero_nets(critic)
         assert np.all(gan.discriminate(critic, streams) == 0.0)
 
     def test_score_is_sum_of_branches(self, pairs):
         streams, cfg = self._streams(pairs)
-        critic = gan.build_motion_critic(cfg, 14, RNG(18))
+        critic = gan.build_critic(gan.MOTION_BRANCHES, cfg, 14, RNG(18))
         tape = ad.Tape()
         total, parts = gan.motion_score(critic, streams, tape)
-        assert len(parts) == len(critic.BRANCHES) == 3
+        assert len(parts) == len(critic.branches) == 3
         assert np.allclose(total.values, sum(p["score"].values for p in parts), atol=1e-12)
 
     def test_branch_ablation_removes_exactly_its_contribution(self, pairs):
         streams, cfg = self._streams(pairs)
-        critic = gan.build_motion_critic(cfg, 14, RNG(19))
+        critic = gan.build_critic(gan.MOTION_BRANCHES, cfg, 14, RNG(19))
         tape = ad.Tape()
         before, parts = gan.motion_score(critic, streams, tape)
         contribution = parts[2]["score"].values.copy()  # the head2d branch
-        for layer in critic.head2d.layers:
+        for layer in critic.nets["head2d"].layers:
             layer.w = np.zeros_like(layer.w)
             layer.b = np.zeros_like(layer.b)
         after = gan.discriminate(critic, streams)
@@ -296,7 +296,7 @@ class TestMotionCritic:
     def test_frame_order_changes_the_score(self, pairs, topology, camera):
         from dhpose.camera import project_pose
         cfg = tiny_config(mode="video", frames=5)
-        critic = gan.build_motion_critic(cfg, 14, RNG(20))
+        critic = gan.build_critic(gan.MOTION_BRANCHES, cfg, 14, RNG(20))
         rng = RNG(21)
         params = np.zeros((5, 48))
         params[:, :33] = np.linspace(0, 0.6, 5)[:, None] * rng.uniform(-1, 1, 33)
@@ -331,6 +331,33 @@ class TestMotionCritic:
         assert np.all(streams["root2d"] == 0)
 
 
+class TestBuildCritic:
+    @pytest.mark.parametrize("mode,frames", [("single", 1), ("video", 2), ("video", 3),
+                                             ("video", 9)])
+    def test_stream_widths_are_the_widths_feature_batch_emits(self, pairs, mode, frames):
+        data = dsio.make_band_corpus(2, 3, mode=mode, frames=frames)
+        streams = gan.feature_batch(data.pose3d, data.pose2d, data.cams, pairs,
+                                    video=mode == "video")
+        names = gan.FRAME_STREAMS + (gan.MOTION_STREAMS if mode == "video" else ())
+        assert list(streams) == list(names)
+        widths = gan.stream_widths(len(pairs.pairs), frames)
+        assert {k: v.shape[1] for k, v in streams.items()} == {k: widths[k] for k in names}
+
+    @pytest.mark.parametrize("branches", [gan.FRAME_BRANCHES, gan.MOTION_BRANCHES],
+                             ids=["frame", "motion"])
+    def test_nets_are_each_branch_encoders_then_head(self, branches):
+        cfg = tiny_config(mode="video", frames=3)
+        critic = gan.build_critic(branches, cfg, 14, RNG(60))
+        assert critic.branches is branches
+        assert list(critic.nets) == [name for _, encoders, head in branches
+                                     for name in (*encoders, head)]
+        widths = gan.stream_widths(14, 3)
+        for streams, encoders, head in branches:
+            assert [critic.nets[e].in_dim for e in encoders] == [widths[k] for k in streams]
+            assert critic.nets[head].in_dim == len(encoders) * cfg.enc_hidden[-1]
+            assert critic.nets[head].out_dim == 1
+
+
 class TestSchedule:
     def test_before_threshold(self):
         assert gan.gamma_schedule(3, 4) == 0
@@ -357,8 +384,8 @@ def sum_critic():
         return nn.Mlp([nn.LayerSpec(np.eye(dim), np.zeros(dim), "linear")])
 
     head = nn.Mlp([nn.LayerSpec(np.ones((48 + 14 + 32, 1)), np.zeros(1), "linear")])
-    return gan.FrameCritic(enc3d=identity_enc(48), enc_cos=identity_enc(14),
-                           enc2d=identity_enc(32), head=head)
+    return gan.Critic(gan.FRAME_BRANCHES, {"enc3d": identity_enc(48), "enc_cos": identity_enc(14),
+                                           "enc2d": identity_enc(32), "head": head})
 
 
 class TestCriticLoss:
@@ -373,9 +400,9 @@ class TestCriticLoss:
 
     def test_zero_critic_gives_alpha(self, pairs):
         real, fake, cfg = self._batches(pairs)
-        critic = gan.build_frame_critic(cfg, 14, RNG(23))
+        critic = gan.build_critic(gan.FRAME_BRANCHES, cfg, 14, RNG(23))
         zero_nets(critic)
-        loss = gan.critic_loss(critic, None, real, fake, 10.0, 0, RNG(0), ad.Tape())
+        loss, _ = gan.critic_loss(critic, None, real, fake, 10.0, 0, RNG(0), ad.Tape())
         assert float(loss.values) == pytest.approx(10.0, abs=0)
 
     def test_gamma_zero_ignores_motion_critic(self, pairs):
@@ -385,17 +412,17 @@ class TestCriticLoss:
         b = gan.generate(gen, gan.sample_latent(4, cfg.z_dim, RNG(26)))
         real = gan.feature_batch(a.pose3d, a.pose2d, gen.camera, pairs, video=True)
         fake = gan.feature_batch(b.pose3d, b.pose2d, gen.camera, pairs, video=True)
-        ds = gan.build_frame_critic(cfg, 14, RNG(27))
-        dm1 = gan.build_motion_critic(cfg, 14, RNG(28))
-        dm2 = gan.build_motion_critic(cfg, 14, RNG(29))
-        l1 = gan.critic_loss(ds, dm1, real, fake, 10.0, 0, RNG(1), ad.Tape())
-        l2 = gan.critic_loss(ds, dm2, real, fake, 10.0, 0, RNG(1), ad.Tape())
+        ds = gan.build_critic(gan.FRAME_BRANCHES, cfg, 14, RNG(27))
+        dm1 = gan.build_critic(gan.MOTION_BRANCHES, cfg, 14, RNG(28))
+        dm2 = gan.build_critic(gan.MOTION_BRANCHES, cfg, 14, RNG(29))
+        l1, _ = gan.critic_loss(ds, dm1, real, fake, 10.0, 0, RNG(1), ad.Tape())
+        l2, _ = gan.critic_loss(ds, dm2, real, fake, 10.0, 0, RNG(1), ad.Tape())
         assert float(l1.values) == float(l2.values)
 
     def test_identical_batches_and_unit_critic_alpha_zero(self, pairs):
         real, fake, _ = self._batches(pairs)
         critic = sum_critic()
-        loss = gan.critic_loss(critic, None, real, real, 0.0, 0, RNG(2), ad.Tape())
+        loss, _ = gan.critic_loss(critic, None, real, real, 0.0, 0, RNG(2), ad.Tape())
         assert float(loss.values) == pytest.approx(0.0, abs=1e-9)
 
     def test_shape_mismatch_rejected(self, pairs):
@@ -418,7 +445,7 @@ class TestCriticLoss:
 
     def test_gamma_one_needs_motion_streams(self, pairs):
         real, fake, cfg = self._batches(pairs)
-        dm = gan.build_motion_critic(tiny_config(mode="video", frames=3), 14, RNG(30))
+        dm = gan.build_critic(gan.MOTION_BRANCHES, tiny_config(mode="video", frames=3), 14, RNG(30))
         with pytest.raises(ad.ShapeError, match="motion"):
             gan.critic_loss(sum_critic(), dm, real, fake, 1.0, 1, RNG(4), ad.Tape())
 
@@ -437,29 +464,29 @@ class TestGeneratorLoss:
 
     def test_zero_critics_give_zero(self, pairs):
         fake, tape, cfg, _ = self._fake(pairs)
-        critic = float64_copy(gan.build_frame_critic(cfg, 14, RNG(32)))
+        critic = float64_copy(gan.build_critic(gan.FRAME_BRANCHES, cfg, 14, RNG(32)))
         zero_nets(critic)
         loss = gan.generator_loss(critic, None, fake, 0, tape)
         assert float(loss.values) == 0.0
 
     def test_gamma_zero_is_negative_frame_expectation(self, pairs):
         fake, tape, cfg, _ = self._fake(pairs)
-        critic = float64_copy(gan.build_frame_critic(cfg, 14, RNG(33)))
+        critic = float64_copy(gan.build_critic(gan.FRAME_BRANCHES, cfg, 14, RNG(33)))
         loss = gan.generator_loss(critic, None, fake, 0, tape)
         scores = gan.discriminate(critic, {k: t.values for k, t in fake.streams.items()})
         assert float(loss.values) == pytest.approx(-scores.mean(), abs=1e-12)
 
     def test_head_bias_shift_moves_loss_linearly(self, pairs):
         fake, tape, cfg, _ = self._fake(pairs)
-        critic = float64_copy(gan.build_frame_critic(cfg, 14, RNG(34)))
+        critic = float64_copy(gan.build_critic(gan.FRAME_BRANCHES, cfg, 14, RNG(34)))
         l1 = float(gan.generator_loss(critic, None, fake, 0, tape).values)
-        critic.head.layers[-1].b = critic.head.layers[-1].b + 2.5
+        critic.nets["head"].layers[-1].b = critic.nets["head"].layers[-1].b + 2.5
         l2 = float(gan.generator_loss(critic, None, fake, 0, ad.Tape()).values)
         assert l2 == pytest.approx(l1 - 2.5, abs=1e-9)
 
     def test_gradients_reach_generator_through_kinematics(self, pairs):
         fake, tape, cfg, leaves = self._fake(pairs)
-        critic = float64_copy(gan.build_frame_critic(cfg, 14, RNG(35)))
+        critic = float64_copy(gan.build_critic(gan.FRAME_BRANCHES, cfg, 14, RNG(35)))
         loss = gan.generator_loss(critic, None, fake, 0, tape)
         ad.backward(tape, loss)
         total = sum(float(np.abs(t.grad).sum()) for pair in leaves for t in pair
@@ -493,7 +520,7 @@ class TestEndToEndGradients:
         cfg = gan.TrainConfig(mode="single", z_dim=6, gen_hidden=(8,), enc_hidden=(6,),
                               head_hidden=(4,), epochs=2, beta_epoch=2, seed=50, batch_size=2)
         gen = float64_copy(gan.build_generator(cfg, RNG(50)))
-        critic = float64_copy(gan.build_frame_critic(cfg, 14, RNG(51)))
+        critic = float64_copy(gan.build_critic(gan.FRAME_BRANCHES, cfg, 14, RNG(51)))
         z = gan.sample_latent(3, cfg.z_dim, RNG(52))
 
         def loss_value():
@@ -513,7 +540,7 @@ class TestEndToEndGradients:
         cfg = gan.TrainConfig(mode="single", z_dim=6, gen_hidden=(8,), enc_hidden=(5,),
                               head_hidden=(3,), epochs=2, beta_epoch=2, seed=54, batch_size=2)
         gen = gan.build_generator(cfg, RNG(54))
-        critic = float64_copy(gan.build_frame_critic(cfg, 14, RNG(55)))
+        critic = float64_copy(gan.build_critic(gan.FRAME_BRANCHES, cfg, 14, RNG(55)))
         a = gan.generate(gen, gan.sample_latent(3, cfg.z_dim, RNG(56)))
         b = gan.generate(gen, gan.sample_latent(3, cfg.z_dim, RNG(57)))
         real = gan.feature_batch(a.pose3d, a.pose2d, gen.camera, pairs)
@@ -521,15 +548,15 @@ class TestEndToEndGradients:
 
         def loss_value():
             return float(gan.critic_loss(critic, None, real, fake, 10.0, 0,
-                                         RNG(58), ad.Tape()).values)
+                                         RNG(58), ad.Tape())[0].values)
 
         tape = ad.Tape()
         leaves = gan.critic_leaves(tape, critic)
-        loss = gan.critic_loss(critic, None, real, fake, 10.0, 0, RNG(58), tape, leaves)
+        loss, _ = gan.critic_loss(critic, None, real, fake, 10.0, 0, RNG(58), tape, leaves)
         assert float(loss.values) == pytest.approx(loss_value(), abs=1e-12)
         ad.backward(tape, loss)
-        assert list(leaves) == list(critic.nets())
-        self._spot_check(critic.nets(), leaves, loss_value, RNG(59), tol=1e-4)
+        assert list(leaves) == list(critic.nets)
+        self._spot_check(critic.nets, leaves, loss_value, RNG(59), tol=1e-4)
 
 
 class TestTrainEpoch:
@@ -559,6 +586,37 @@ class TestTrainEpoch:
         assert history[4]["gamma"] == 1
         assert history[4]["motion_penalty"] != 0.0
 
+    def test_log_is_the_terms_of_one_critic_loss_on_a_fresh_batch(self, monkeypatch):
+        cfg = tiny_config(mode="video", frames=3, seed=50, batch_size=4, critic_steps=2,
+                          beta_epoch=1)
+        data = dsio.make_band_corpus(8, 16, mode="video", frames=3)
+        state = gan.init_train_state(cfg)
+        calls = []
+        critic_loss = gan.critic_loss
+
+        def recording_loss(*args, **kwargs):
+            loss, terms = critic_loss(*args, **kwargs)
+            calls.append((args, kwargs, terms))
+            return loss, terms
+
+        monkeypatch.setattr(gan, "critic_loss", recording_loss)
+        for gamma in (0, 1):
+            m = gan.train_epoch(state, data)
+            assert m["gamma"] == gamma
+            # each step's call, then the log's: the same objective with constant weights
+            assert len(calls) == (gamma + 1) * (m["steps"] * cfg.critic_steps + 1)
+            args, kwargs, terms = calls[-1]
+            assert len(args) == 8 and not kwargs
+            assert args[2] is not calls[-2][0][2]
+            assert m["penalty"] == terms["frame"]["penalty"]
+            if gamma:
+                motion = terms["motion"]
+                assert m["motion_penalty"] == motion["penalty"] != 0.0
+                assert m["motion_gap"] == float(motion["real"].mean() - motion["fake"].mean())
+            else:
+                assert list(terms) == ["frame"]
+                assert m["motion_penalty"] == m["motion_gap"] == 0.0
+
     def test_epoch_synthesis_matches_corpus_size(self, tmp_path):
         cfg = tiny_config(seed=42, batch_size=8, critic_steps=1)
         data = dsio.make_band_corpus(24, 9)
@@ -580,7 +638,7 @@ class TestTrainEpoch:
         cfg = tiny_config(seed=45, batch_size=4, critic_steps=1)
         data = dsio.make_band_corpus(8, 12)
         state = gan.init_train_state(cfg)
-        state.ds.head.layers[0].w[:] = np.nan
+        state.ds.nets["head"].layers[0].w[:] = np.nan
         with pytest.raises(gan.TrainingDivergedError) as err:
             gan.train_epoch(state, data)
         assert err.value.snapshot["what"] == "critic loss"
@@ -715,7 +773,7 @@ class TestTrainEpoch:
         m = gan.critic_update(state, real, fake, 1)
         assert len(calls) == 0
         assert m["d_gap"] == float(s_real.mean() - s_fake.mean())
-        assert not np.array_equal(state.ds.head.layers[0].w, before.head.layers[0].w)
+        assert not np.array_equal(state.ds.nets["head"].layers[0].w, before.nets["head"].layers[0].w)
 
     def test_critic_step_computes_and_updates_float32_weights(self, monkeypatch):
         cfg = tiny_config(mode="video", frames=3, seed=48, batch_size=4, critic_steps=1,
@@ -724,7 +782,7 @@ class TestTrainEpoch:
         state = gan.init_train_state(cfg)
         real = gan._real_minibatch(data, np.arange(4), state.pairs, True)
         fake, _ = gan._fake_minibatch(state, 4, state.pairs, True)
-        before = [weights(*critic.nets().values()) for critic in (state.ds, state.dm)]
+        before = [weights(*critic.nets.values()) for critic in (state.ds, state.dm)]
         adams = copy.deepcopy([state.adam_ds, state.adam_dm])
         leaves, calls = [], []
         critic_leaves, adam_step = gan.critic_leaves, nn.adam_step
@@ -750,7 +808,7 @@ class TestTrainEpoch:
             assert all(p is a for p, a in zip(params, old, strict=True))
             assert {v.dtype for v in values} == {g.dtype for g in grads} == f32
             expected = adam_step(adam, old, grads)
-            after = weights(*critic.nets().values())
+            after = weights(*critic.nets.values())
             assert {a.dtype for a in after} == f32
             for k, (a, e) in enumerate(zip(after, expected, strict=True)):
                 assert np.array_equal(a, e), k

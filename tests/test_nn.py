@@ -175,7 +175,7 @@ class TestInputGradient:
 
     def test_non_scalar_net_rejected(self):
         critic = linear_frame_critic(1.0)
-        critic.head = nn.mlp_init([3, 2], ["linear"], RNG(11))
+        critic.nets["head"] = nn.mlp_init([3, 2], ["linear"], RNG(11))
         with pytest.raises(ValueError, match="scalar"):
             gan.frame_penalty(critic, frame_inputs(2, RNG(11)), 1.0, ad.Tape())
 
@@ -185,7 +185,7 @@ class TestGradientPenalty:
 
     def test_constant_critic_gives_alpha(self):
         critic = linear_frame_critic(0.0)
-        critic.head.layers[0].b = np.array([3.7])
+        critic.nets["head"].layers[0].b = np.array([3.7])
         pen = gan.frame_penalty(critic, frame_inputs(6, RNG(12)), 1.0, ad.Tape())
         assert pen.values == pytest.approx(1.0, abs=0)
 
