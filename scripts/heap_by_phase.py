@@ -17,14 +17,10 @@ Usage: python scripts/heap_by_phase.py --seed 4501
 """
 
 import argparse
-import os
 import tempfile
 import tracemalloc
 
 from checkout import import_dhpose
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
 
 import_dhpose()
 from dhpose import dataset, gan  # noqa: E402

@@ -15,15 +15,9 @@ Usage: python scripts/same_seed_digest.py --seed 11 --epochs 2
 import argparse
 import hashlib
 import json
-import os
 import tempfile
 
 from checkout import import_dhpose
-
-# BLAS splits its sums by thread count, so the bits depend on it: pin it
-# before numpy loads, so that digests compare across machines.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
 
 import_dhpose()
 from dhpose.dataset import make_band_corpus  # noqa: E402

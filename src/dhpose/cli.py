@@ -89,13 +89,6 @@ def _untrained_generator(seed, mode, frames, topology, table):
     return gan.build_generator(cfg, np.random.default_rng(seed), topology, table)
 
 
-def _generator_from(args, topology, table):
-    if getattr(args, "checkpoint", None):
-        return gan.load_generator(args.checkpoint, topology, table)
-    return _untrained_generator(args.seed, args.mode, getattr(args, "frames", 1),
-                                topology, table)
-
-
 def cmd_fk(args) -> int:
     topology = _topology_from(args)
     params = _load_params_file(args.params, topology) if args.params else np.zeros(sk.N_PARAMS)
@@ -155,9 +148,11 @@ def cmd_features(args) -> int:
 def cmd_synth(args) -> int:
     topology = _topology_from(args)
     table = _table_from(args)
-    gen = _generator_from(args, topology, table)
-    mode = gen.mode
-    summary = ds.synthesize_dataset(gen, args.count, mode, args.seed, args.out,
+    if args.checkpoint:
+        gen = gan.load_generator(args.checkpoint, topology, table)
+    else:
+        gen = _untrained_generator(args.seed, args.mode, args.frames, topology, table)
+    summary = ds.synthesize_dataset(gen, args.count, gen.mode, args.seed, args.out,
                                     fmt=args.format, batch=args.batch)
     print(f"wrote {summary.records} records to {summary.path} "
           f"({summary.violations} violations, {summary.resampled} resampled, "
@@ -220,67 +215,93 @@ def cmd_export_video(args) -> int:
     return EXIT_OK
 
 
+# Per subcommand: the option that fixes others, and their defaults without
+# it.  Given both, the fixed option would be ignored: that is a usage error.
+_FIXED_BY = {"train": ("config", dict(mode="single", frames=9, epochs=2, batch=64, seed=0)),
+             "synth": ("checkpoint", dict(mode="single", frames=9)),
+             "export-video": ("checkpoint", dict(frames=9))}
+
+
 def build_parser() -> _Parser:
+    """Each subcommand takes only the options it reads."""
     parser = _Parser(prog="dhpose", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--config", default=None, help="JSON training config")
-    common.add_argument("--topology", default=None, help="topology table file")
-    common.add_argument("--constraints", default=None, help="constraint table file")
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("fk", parents=[common], help="forward kinematics of a parameter file")
+    def command(name, fn, summary, *, topology=True, constraints=False):
+        p = sub.add_parser(name, help=summary)
+        if topology:
+            p.add_argument("--topology", default=None, help="topology table file")
+        if constraints:
+            p.add_argument("--constraints", default=None, help="constraint table file")
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("fk", cmd_fk, "forward kinematics of a parameter file")
     p.add_argument("--params", default=None, help="48 deltas (degrees/meters); zeros if omitted")
     p.add_argument("--transform", default=None, help="global rx,ry,rz (deg), tx,ty,tz (m)")
-    p.set_defaults(fn=cmd_fk)
 
-    p = sub.add_parser("validate", parents=[common], help="check a parameter file against bounds")
+    p = command("validate", cmd_validate, "check a parameter file against bounds",
+                constraints=True)
     p.add_argument("--params", required=True)
-    p.set_defaults(fn=cmd_validate)
 
-    p = sub.add_parser("project", parents=[common], help="project a pose file to pixels")
+    p = command("project", cmd_project, "project a pose file to pixels", topology=False)
     p.add_argument("--pose", required=True, help="keypoint file as written by fk")
     p.add_argument("--camera", default=None, help="fx,fy,cx,cy,z_min")
-    p.set_defaults(fn=cmd_project)
 
-    p = sub.add_parser("features", parents=[common], help="dump critic features of a sequence")
+    p = command("features", cmd_features, "dump critic features of a sequence")
     p.add_argument("--data", required=True, help="dataset file")
     p.add_argument("--sequence", type=int, default=0)
-    p.set_defaults(fn=cmd_features)
 
-    p = sub.add_parser("synth", parents=[common], help="synthesize a 2D-3D pair dataset")
+    p = command("synth", cmd_synth, "synthesize a 2D-3D pair dataset", constraints=True)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=("single", "video"), default="single")
-    p.add_argument("--frames", type=int, default=9)
+    p.add_argument("--mode", choices=("single", "video"), default=None)
+    p.add_argument("--frames", type=int, default=None)
     p.add_argument("--format", choices=("text", "binary"), default="text")
     p.add_argument("--batch", type=int, default=2048)
     p.add_argument("--checkpoint", default=None)
-    p.set_defaults(fn=cmd_synth)
 
-    p = sub.add_parser("train", parents=[common], help="adversarial training")
+    p = command("train", cmd_train, "adversarial training", constraints=True)
+    p.add_argument("--config", default=None, help="JSON training config")
     p.add_argument("--data", default=None, help="dataset file; stand-in corpus if omitted")
     p.add_argument("--band-count", type=int, default=256)
-    p.add_argument("--mode", choices=("single", "video"), default="single")
-    p.add_argument("--frames", type=int, default=9)
-    p.add_argument("--epochs", type=int, default=2)
-    p.add_argument("--batch", type=int, default=64)
+    p.add_argument("--mode", choices=("single", "video"), default=None)
+    p.add_argument("--frames", type=int, default=None)
+    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--batch", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("export-video", parents=[common], help="write a skeleton video file")
+    p = command("export-video", cmd_export_video, "write a skeleton video file",
+                constraints=True)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--frames", type=int, default=9)
+    p.add_argument("--frames", type=int, default=None)
     p.add_argument("--checkpoint", default=None)
-    p.set_defaults(fn=cmd_export_video)
 
     return parser
+
+
+def _parse(parser: _Parser, argv) -> argparse.Namespace:
+    """Parse ``argv``, then reject an option given with the one that fixes it
+    (``_FIXED_BY``) and fill in the defaults of the others."""
+    args = parser.parse_args(argv)
+    owner, defaults = _FIXED_BY.get(args.command, (None, {}))
+    given = [f"--{name}" for name in defaults if getattr(args, name) is not None]
+    if given and getattr(args, owner):
+        parser.error(f"{', '.join(given)} cannot be combined with --{owner}, which fixes "
+                     f"{'it' if len(given) == 1 else 'them'}")
+    for name, value in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+    return args
 
 
 def run_cli(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

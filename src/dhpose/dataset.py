@@ -35,6 +35,7 @@ _DEPTHS = slice(7, 53, 3)  # the keypoints' z among a row's values; each must be
 _VALUES_PER_ROW = 5 + 48 + 32  # camera, pose3d, pose2d
 _FIELDS_PER_ROW = 3 + _VALUES_PER_ROW  # provenance, sequence id, frame index, values
 _BLOCK_ROWS = 256  # rows formatted or parsed at a time; bounds transient memory
+_F4_EXACT = 2 ** 24  # a binary (float32) field holds every integer up to this magnitude
 _TEXT_ROW = "%s %d %d " + " ".join(["%.13g"] * _VALUES_PER_ROW) + "\n"
 _TEXT_DTYPE = np.dtype([("provenance", "U16"), ("sequence_id", "i8"), ("frame_index", "i8"),
                         ("values", "f8", (_VALUES_PER_ROW,))])
@@ -120,10 +121,17 @@ def _head(fmt: str, count: int, topology: Optional[SkeletonTopology]) -> bytes:
 
 def _write_rows(fh, rows: RowBlock, binary: bool) -> None:
     """Append rows to a dataset file ``_BLOCK_ROWS`` at a time: text lines
-    from one ``%``-template, or ``<f4`` records of all 88 fields."""
+    from one ``%``-template, or ``<f4`` records of all 88 fields, which a
+    block with an id or index that float32 cannot hold exactly never reaches."""
     for i in range(0, len(rows), _BLOCK_ROWS):
         block = rows.take(slice(i, i + _BLOCK_ROWS))
         if binary:
+            ids = block.sequence_id, block.frame_index
+            if np.abs(ids).max() > _F4_EXACT:
+                col, row = np.argwhere(np.abs(ids) > _F4_EXACT)[0]
+                raise ValueError(f"row {i + row}: {('sequence id', 'frame index')[col]} "
+                                 f"{ids[col][row]} is beyond 2**24, the largest a binary "
+                                 f"dataset's float32 fields hold exactly; use the text format")
             out = np.empty((len(block), _FIELDS_PER_ROW), dtype="<f4")
             out[:, 0] = block.provenance
             out[:, 1] = block.sequence_id
@@ -242,6 +250,12 @@ def _read_binary(path, fh, meta_line: bytes) -> RowBlock:
         i, j = bad[0]
         raise ParseError(path, None, f"record {i}: non-finite value in field {j + 1}",
                          offset=start + (i * width + j) * 4)
+    bad = np.argwhere(rows[:, 1:3] != np.round(rows[:, 1:3]))
+    if bad.size:
+        i, j = bad[0]
+        raise ParseError(path, None, f"record {i}: {('sequence id', 'frame index')[j]} "
+                                     f"{rows[i, 1 + j]:g} in field {2 + j} is not an integer",
+                         offset=start + (i * width + 1 + j) * 4)
     if bad := _bad_camera(rows[:, 3:]):
         i, j = bad
         raise ParseError(path, None, f"record {i}: non-positive {_CAMERA[j]} "
@@ -318,6 +332,10 @@ def synthesize_dataset(gen, count: int, mode: str, seed: int, path,
 
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if fmt == "binary" and count - 1 > _F4_EXACT:  # sequence ids run from 0
+        raise ValueError(f"{count} sequences need ids up to {count - 1}, beyond 2**24, the "
+                         f"largest a binary dataset's float32 fields hold exactly; use the "
+                         f"text format")
     if mode != gen.mode:
         raise ValueError(f"generator is a {gen.mode!r} model; requested {mode!r}")
     head = _head(fmt, count * gen.frames, gen.topology)

@@ -486,9 +486,9 @@ def build_critic(branches: tuple, cfg: TrainConfig, n_pairs: int, rng) -> Critic
     return Critic(branches, nets)
 
 
-def critic_leaves(tape: Tape, critic: Critic, var: bool = True) -> dict[str, list]:
+def critic_leaves(tape: Tape, critic: Critic) -> dict[str, list]:
     """Each net's ``nn.mlp_leaves`` list, by name in the order of ``critic.nets``."""
-    return {name: nn.mlp_leaves(tape, net, var) for name, net in critic.nets.items()}
+    return {name: nn.mlp_leaves(tape, net) for name, net in critic.nets.items()}
 
 
 def _fused_score(critic, inputs, encoders, head: str, tape: Tape,
@@ -592,39 +592,43 @@ def _interpolate(real: dict, fake: dict, rng: np.random.Generator, critics) -> d
     return hat
 
 
-def _active_critics(ds: Critic, dm: Optional[Critic], gamma: int, streams: dict,
-                    ds_params: Optional[dict], dm_params: Optional[dict]) -> list:
-    """(name, critic, params, its score alias, its penalty alias) of each
-    critic a loss trains: the frame critic, and the motion critic while
-    ``gamma`` is on, which needs the motion ``streams``."""
-    active = [("frame", ds, ds_params, frame_score, frame_penalty)]
-    if gamma and dm is not None:
-        if not streams.keys() >= set(MOTION_STREAMS):
-            raise ShapeError("motion terms are on but the batches carry no motion streams")
-        active.append(("motion", dm, dm_params, motion_score, motion_penalty))
-    return active
+def active_critics(critics: dict, gamma: int) -> dict:
+    """The critics a loss trains, by name: the frame critic, and the motion
+    critic while ``gamma`` is on."""
+    return {name: critic for name, critic in critics.items() if gamma or name != "motion"}
 
 
-def critic_loss(ds: Critic, dm: Optional[Critic], real: dict, fake: dict, alpha: float,
-                gamma: int, rng: np.random.Generator, tape: Tape,
-                ds_params: Optional[dict] = None,
-                dm_params: Optional[dict] = None) -> tuple[Tensor, dict]:
-    """Critic objective: over the active critics (the motion critic gated by
-    ``gamma``), the sum of E[D(fake)] - E[D(real)] + alpha * penalty, the
-    penalty at per-sample uniform interpolations of real and fake.
+def _alias(name: str, kind: str):
+    """The critic ``name``'s perfbench alias for ``kind`` ("score" or
+    "penalty"), looked up when called so that a patched alias is the one run."""
+    return globals()[f"{name}_{kind}"]
 
-    Also returns each active critic's terms by name ("frame", "motion"): the
-    per-sample scores (B,) of this forward pass under "real" and "fake", and
-    the penalty's value under "penalty".
+
+def _check_motion_streams(critics: dict, streams: dict) -> None:
+    if "motion" in critics and not streams.keys() >= set(MOTION_STREAMS):
+        raise ShapeError("motion terms are on but the batches carry no motion streams")
+
+
+def critic_loss(critics: dict, real: dict, fake: dict, alpha: float, rng: np.random.Generator,
+                tape: Tape, params: Optional[dict] = None) -> tuple[Tensor, dict]:
+    """Critic objective: over the active ``critics`` (see ``active_critics``),
+    the sum of E[D(fake)] - E[D(real)] + alpha * penalty, the penalty at
+    per-sample uniform interpolations of real and fake.  ``params`` holds each
+    critic's ``critic_leaves`` by name, or is None for the weights as constants.
+
+    Also returns each critic's terms by name: the per-sample scores (B,) of
+    this forward pass under "real" and "fake", and the penalty's value under
+    "penalty".
     """
     _check_matching(real, fake)
-    active = _active_critics(ds, dm, gamma, real, ds_params, dm_params)
-    hat = _interpolate(real, fake, rng, [critic for _, critic, *_ in active])
+    _check_motion_streams(critics, real)
+    hat = _interpolate(real, fake, rng, critics.values())
     loss, terms = None, {}
-    for name, critic, params, score_of, penalty_of in active:
-        s_fake, _ = score_of(critic, fake, tape, params)
-        s_real, _ = score_of(critic, real, tape, params)
-        pen = penalty_of(critic, hat, alpha, tape, params)
+    for name, critic in critics.items():
+        leaves = (params or {}).get(name)
+        s_fake, _ = _alias(name, "score")(critic, fake, tape, leaves)
+        s_real, _ = _alias(name, "score")(critic, real, tape, leaves)
+        pen = _alias(name, "penalty")(critic, hat, alpha, tape, leaves)
         term = ad.add(ad.sub(ad.mean(s_fake), ad.mean(s_real)), pen)
         loss = term if loss is None else ad.add(loss, term)
         terms[name] = {"real": s_real.values[:, 0], "fake": s_fake.values[:, 0],
@@ -632,18 +636,14 @@ def critic_loss(ds: Critic, dm: Optional[Critic], real: dict, fake: dict, alpha:
     return loss, terms
 
 
-def generator_loss(ds: Critic, dm: Optional[Critic], fake: TapeGenOutput,
-                   gamma: int, tape: Tape, ds_params: Optional[dict] = None,
-                   dm_params: Optional[dict] = None) -> Tensor:
-    """Adversarial complement: -E[D_s(fake)] - gamma * E[D_m(fake)].
-
-    The critics score with ``ds_params``/``dm_params`` when given, else with
-    their weights as constants.
-    """
+def generator_loss(critics: dict, fake: TapeGenOutput, tape: Tape) -> Tensor:
+    """Adversarial complement: -E[D_s(fake)] - gamma * E[D_m(fake)] over the
+    active ``critics``, which score with their weights as constants: they get
+    no gradient here."""
+    _check_motion_streams(critics, fake.streams)
     loss = None
-    for _, critic, params, score_of, _ in _active_critics(ds, dm, gamma, fake.streams,
-                                                          ds_params, dm_params):
-        s = ad.mean(score_of(critic, fake.streams, tape, params)[0])
+    for name, critic in critics.items():
+        s = ad.mean(_alias(name, "score")(critic, fake.streams, tape)[0])
         loss = ad.neg(s) if loss is None else ad.sub(loss, s)
     return loss
 
@@ -655,12 +655,9 @@ def generator_loss(ds: Critic, dm: Optional[Critic], fake: TapeGenOutput,
 class TrainState:
     config: TrainConfig
     gen: DhGenerator
-    ds: Critic
-    dm: Optional[Critic]
+    critics: dict[str, Critic]      # "frame", then "motion" in video mode
     pairs: AdjacentBonePairs
-    adam_gen: nn.AdamState
-    adam_ds: nn.AdamState
-    adam_dm: Optional[nn.AdamState]
+    adam: dict[str, nn.AdamState]   # "gen", then each critic's by name
     rng: np.random.Generator
     epoch: int = 0
 
@@ -674,13 +671,11 @@ def init_train_state(config: TrainConfig,
     gen = build_generator(config, rng, topology, table, camera)
     pairs = adjacent_bone_pairs(gen.topology)
     n_pairs = len(pairs.pairs)
-    ds = build_critic(FRAME_BRANCHES, config, n_pairs, rng)
-    dm = build_critic(MOTION_BRANCHES, config, n_pairs, rng) if config.mode == "video" else None
-    return TrainState(config=config, gen=gen, ds=ds, dm=dm, pairs=pairs,
-                      adam_gen=nn.AdamState(lr=config.lr),
-                      adam_ds=nn.AdamState(lr=config.lr),
-                      adam_dm=nn.AdamState(lr=config.lr) if dm else None,
-                      rng=rng)
+    critics = {"frame": build_critic(FRAME_BRANCHES, config, n_pairs, rng)}
+    if config.mode == "video":
+        critics["motion"] = build_critic(MOTION_BRANCHES, config, n_pairs, rng)
+    adam = {name: nn.AdamState(lr=config.lr) for name in ("gen", *critics)}
+    return TrainState(config=config, gen=gen, critics=critics, pairs=pairs, adam=adam, rng=rng)
 
 
 def _abort_if_bad(value: float, what: str, state: TrainState, extra: dict):
@@ -710,17 +705,16 @@ def _fake_minibatch(state: TrainState, batch: int, pairs: AdjacentBonePairs,
 
 def critic_update(state: TrainState, real: dict, fake: dict, gamma: int) -> dict:
     """One critic step in the weights' dtype; Adam updates the weights."""
+    critics = active_critics(state.critics, gamma)
     with Tape() as tape:
-        ds_leaves = critic_leaves(tape, state.ds)
-        dm_leaves = critic_leaves(tape, state.dm) if (gamma and state.dm) else None
-        loss, terms = critic_loss(state.ds, state.dm, real, fake, state.config.alpha, gamma,
-                                  state.rng, tape, ds_leaves, dm_leaves)
+        leaves = {name: critic_leaves(tape, critic) for name, critic in critics.items()}
+        loss, terms = critic_loss(critics, real, fake, state.config.alpha, state.rng, tape,
+                                  leaves)
         value = float(loss.values)
         _abort_if_bad(value, "critic loss", state, {})
         ad.backward(tape, loss)
-    nn.adam_update(state.adam_ds, state.ds.nets.values(), ds_leaves.values())
-    if dm_leaves is not None:
-        nn.adam_update(state.adam_dm, state.dm.nets.values(), dm_leaves.values())
+    for name, critic in critics.items():
+        nn.adam_update(state.adam[name], critic.nets.values(), leaves[name].values())
     # separation measured by the step's own forward pass, before its update
     frame = terms["frame"]
     return {"loss": value, "d_gap": float(frame["real"].mean() - frame["fake"].mean())}
@@ -729,20 +723,16 @@ def critic_update(state: TrainState, real: dict, fake: dict, gamma: int) -> dict
 def generator_update(state: TrainState, batch: int, gamma: int) -> dict:
     """One generator step: net and critics in their weights' dtype, geometry
     in float64; Adam updates the generator's weights."""
-    dm = state.dm if gamma else None
     with Tape() as tape:
         gen_leaves = nn.mlp_leaves(tape, state.gen.net)
         z = sample_latent(batch, state.config.z_dim, state.rng)
         fake = generate_on_tape(state.gen, z, tape, gen_leaves, state.pairs)
-        # the critics score with constant weights: they get no gradient here
-        ds_consts = critic_leaves(tape, state.ds, var=False)
-        dm_consts = None if dm is None else critic_leaves(tape, dm, var=False)
-        loss = generator_loss(state.ds, dm, fake, gamma, tape, ds_consts, dm_consts)
+        loss = generator_loss(active_critics(state.critics, gamma), fake, tape)
         value = float(loss.values)
         _abort_if_bad(value, "generator loss", state, {})
         violations = count_violations(fake.params.values, state.gen.table)
         ad.backward(tape, loss)
-    nn.adam_update(state.adam_gen, [state.gen.net], [gen_leaves])
+    nn.adam_update(state.adam["gen"], [state.gen.net], [gen_leaves])
     return {"gen_loss": value, "violations": violations}
 
 
@@ -782,8 +772,8 @@ def train_epoch(state: TrainState, data: RealData, synth_dir: Optional[str] = No
     real = _real_minibatch(data, idx, state.pairs, video)
     fake, _ = _fake_minibatch(state, batch, state.pairs, video)
     with Tape() as tape:
-        terms = critic_loss(state.ds, state.dm, real, fake, cfg.alpha, gamma, state.rng,
-                            tape)[1]
+        terms = critic_loss(active_critics(state.critics, gamma), real, fake, cfg.alpha,
+                            state.rng, tape)[1]
     motion = terms.get("motion")
     metrics = {
         "epoch": state.epoch,

@@ -207,15 +207,19 @@ def save_checkpoint(path, nets: dict[str, Mlp], seed: int,
 
 def load_checkpoint(path) -> tuple[dict[str, Mlp], int, dict[str, str]]:
     """Nets, seed and ``meta`` values; a header line that is blank or
-    malformed raises ``ParseError`` (a ``meta`` value keeps any ``#``)."""
+    malformed raises ``ParseError`` (a ``meta`` value keeps any ``#``), as do
+    ``layer`` lines that do not form their net: each follows its ``net`` line,
+    numbered by position, reading what the layer before it emits, as many as
+    the ``net`` line says."""
     with open(path, "rb") as fh:
         magic = decode(path, fh.readline(), 1).strip()
         if magic != "dhpose-checkpoint v1":
             raise ParseError(path, 1, f"not a checkpoint file: {magic!r}")
         seed = 0
         extra: dict[str, str] = {}
-        specs: list[tuple[str, int, int, str]] = []  # (net, in, out, act)
-        nbytes = None
+        # by net: the layer count and line of its net line, and (in, out, act) per layer
+        specs: dict[str, tuple[int, Record, list[tuple[int, int, str]]]] = {}
+        nbytes = net = None
         for lineno, raw in enumerate(iter(fh.readline, b""), start=2):
             rec = Record(path, lineno, decode(path, raw, lineno).split())
             kind = rec.tokens[0] if rec.tokens else ""
@@ -224,12 +228,27 @@ def load_checkpoint(path) -> tuple[dict[str, Mlp], int, dict[str, str]]:
             elif kind == "meta" and len(rec.tokens) > 1:
                 extra[rec.tokens[1]] = " ".join(rec.tokens[2:])
             elif kind == "net":
-                rec.fields("net", str, "layers", int)
+                _, net, _, count = rec.fields("net", str, "layers", int)
+                if net in specs:
+                    raise rec.error(f"net {net!r} is declared twice")
+                if count < 1:
+                    raise rec.error(f"net {net!r} needs at least one layer, got {count}")
+                specs[net] = (count, rec, [])
             elif kind == "layer":
-                _, name, _, fan_in, fan_out, act = rec.fields("layer", str, int, int, int, str)
+                _, name, index, fan_in, fan_out, act = rec.fields("layer", str, int, int, int, str)
                 if act not in ACTIVATIONS:
                     raise rec.error(f"unknown activation {act!r}")
-                specs.append((name, fan_in, fan_out, act))
+                if min(fan_in, fan_out) < 1:
+                    raise rec.error(f"layer sizes must be positive, got {fan_in} x {fan_out}")
+                if name != net:
+                    raise rec.error(f"a layer of net {name!r} outside that net's lines")
+                layers = specs[net][2]
+                if index != len(layers):
+                    raise rec.error(f"layer {index} of net {net!r} is its layer {len(layers)}")
+                if layers and fan_in != layers[-1][1]:
+                    raise rec.error(f"layer {index} of net {net!r} reads {fan_in} values; "
+                                    f"layer {index - 1} emits {layers[-1][1]}")
+                layers.append((fan_in, fan_out, act))
             elif kind == "binary":
                 nbytes = rec.fields("binary", int)[1]
                 break
@@ -237,7 +256,11 @@ def load_checkpoint(path) -> tuple[dict[str, Mlp], int, dict[str, str]]:
                 raise rec.error(f"bad checkpoint header line {raw!r}")
         if nbytes is None:
             raise ParseError(path, None, "checkpoint has no binary section")
-        need = 4 * sum(fan_in * fan_out + fan_out for _, fan_in, fan_out, _ in specs)
+        for name, (count, net_rec, layers) in specs.items():
+            if len(layers) != count:
+                raise net_rec.error(f"net {name!r} has {len(layers)} layer lines, not {count}")
+        need = 4 * sum(fan_in * fan_out + fan_out
+                       for _, _, layers in specs.values() for fan_in, fan_out, _ in layers)
         if need != nbytes:
             raise rec.error(f"the layer lines need {need} bytes, this line says {nbytes}")
         payload = fh.read(nbytes)
@@ -247,10 +270,12 @@ def load_checkpoint(path) -> tuple[dict[str, Mlp], int, dict[str, str]]:
         blob = np.frombuffer(payload, dtype="<f4").astype(COMPUTE_DTYPE)
     nets: dict[str, Mlp] = {}
     pos = 0
-    for name, fan_in, fan_out, act in specs:
-        w = blob[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out)
-        pos += fan_in * fan_out
-        b = blob[pos:pos + fan_out]
-        pos += fan_out
-        nets.setdefault(name, Mlp([])).layers.append(LayerSpec(w=w, b=b, act=act))
+    for name, (_, _, layers) in specs.items():
+        nets[name] = Mlp([])
+        for fan_in, fan_out, act in layers:
+            w = blob[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out)
+            pos += fan_in * fan_out
+            b = blob[pos:pos + fan_out]
+            pos += fan_out
+            nets[name].layers.append(LayerSpec(w=w, b=b, act=act))
     return nets, seed, extra

@@ -275,8 +275,8 @@ def test_criterion_smoke_gan_run():
         real = gan._real_minibatch(data, eval_idx % len(data), pairs, False)
         fake, _ = gan._fake_minibatch(state, 1024, pairs, False)
         with ad.Tape() as tape:
-            s_real = gan.frame_score(state.ds, real, tape)[0].values
-            s_fake = gan.frame_score(state.ds, fake, tape)[0].values
+            s_real = gan.frame_score(state.critics["frame"], real, tape)[0].values
+            s_fake = gan.frame_score(state.critics["frame"], fake, tape)[0].values
         return float(s_real.mean() - s_fake.mean())
 
     gap1 = run_once()

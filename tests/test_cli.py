@@ -405,7 +405,7 @@ class TestTrain:
 
         def diverging_state(*args, **kwargs):
             state = init(*args, **kwargs)
-            state.ds.nets["head"].layers[0].w[:] = np.nan
+            state.critics["frame"].nets["head"].layers[0].w[:] = np.nan
             return state
 
         monkeypatch.setattr(gan, "init_train_state", diverging_state)
@@ -451,7 +451,8 @@ class TestSynthFromCheckpoint:
         ((b"net gen ", b"net foo "), "holds no generator net 'gen' (nets: foo)"),
         ((b"meta mode single", b"meta mode bogus"), "must be 'single' or 'video', got 'bogus'"),
         ((b"128 8 tanh", b"128 8 relu"), "line 7: unknown activation 'relu'"),
-        ((b"layer gen 1 8 54", b"layer gen 1 999 54"), "line 9: the layer lines need"),
+        ((b"layer gen 1 8 54", b"layer gen 1 999 54"),
+         "line 8: layer 1 of net 'gen' reads 999 values; layer 0 emits 8"),
     ])
     def test_malformed_checkpoint_is_a_data_error_naming_the_file(self, capsys, tmp_path, edit,
                                                                   says):
@@ -505,6 +506,40 @@ class TestUsageAndSelftest:
     def test_missing_required_flag_exits_1(self, capsys):
         code, _, _ = run(capsys, "synth", "--count", "5")
         assert code == 1
+
+    @pytest.mark.parametrize("argv, says", [
+        # an option that another one fixes would be ignored
+        *((("train", "--config", "c.json", flag, "9"), f"{flag} cannot be combined with --config")
+          for flag in ("--frames", "--epochs", "--batch", "--seed")),
+        (("train", "--config", "c.json", "--mode", "video"),
+         "--mode cannot be combined with --config, which fixes it"),
+        (("train", "--config", "c.json", "--epochs", "3", "--seed", "9", "--mode", "video"),
+         "--mode, --epochs, --seed cannot be combined with --config, which fixes them"),
+        (("synth", "--checkpoint", "g.ckpt", "--mode", "video", "--count", "3", "--out", "o"),
+         "--mode cannot be combined with --checkpoint, which fixes it"),
+        (("synth", "--checkpoint", "g.ckpt", "--frames", "9", "--count", "3", "--out", "o"),
+         "--frames cannot be combined with --checkpoint"),
+        (("export-video", "--checkpoint", "g.ckpt", "--frames", "9", "--out", "o"),
+         "--frames cannot be combined with --checkpoint"),
+        # an option that the subcommand does not read
+        (("fk", "--config", "c.json"), "unrecognized arguments: --config"),
+        (("fk", "--constraints", "t.txt"), "unrecognized arguments: --constraints"),
+        (("fk", "--seed", "1"), "unrecognized arguments: --seed"),
+        (("validate", "--params", "p.txt", "--seed", "1"), "unrecognized arguments: --seed"),
+        (("project", "--pose", "p.txt", "--topology", "t.txt"),
+         "unrecognized arguments: --topology"),
+        (("features", "--data", "d.txt", "--constraints", "t.txt"),
+         "unrecognized arguments: --constraints"),
+        (("synth", "--count", "3", "--out", "o", "--config", "c.json"),
+         "unrecognized arguments: --config"),
+        (("export-video", "--out", "o", "--config", "c.json"), "unrecognized arguments: --config"),
+    ])
+    def test_no_option_is_accepted_and_ignored(self, capsys, tmp_path, monkeypatch, argv, says):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert f"error: {says}" in err
+        assert out == "" and list(tmp_path.iterdir()) == []
 
     def test_help_names_exactly_the_subcommands(self):
         # the module docstring is the text ``dhpose --help`` prints

@@ -332,6 +332,8 @@ class TestBinaryReader:
         (0, np.nan, "bad provenance code nan"),
         (40, np.inf, "non-finite value in field 41"),
         (2, np.nan, "non-finite value in field 3"),
+        (1, 1.5, "sequence id 1.5 in field 2 is not an integer"),
+        (2, -7.25, "frame index -7.25 in field 3 is not an integer"),
         (3, -1145.0, "non-positive fx -1145 in field 4"),
         (4, 0.0, "non-positive fy 0 in field 5"),
         (7, -0.5, "non-positive z_min -0.5 in field 8"),
@@ -348,6 +350,25 @@ class TestBinaryReader:
                            match=f"byte {where}: record 3: {reason}") as err:
             dsio.load_dataset(path)
         assert err.value.offset == where and err.value.line_no is None
+
+
+    def test_ids_beyond_float32_integers_are_not_written(self, tmp_path):
+        # float32 holds every integer up to 2**24; 2**24 + 1 would read back as 2**24
+        rows = random_rows(300)
+        rows.sequence_id[256:258] = [2 ** 24, 2 ** 24 + 1]
+        text = tmp_path / "d.txt"
+        dsio.save_dataset(rows, text)
+        assert dsio.load_dataset(text).sequence_id[256:258].tolist() == [2 ** 24, 2 ** 24 + 1]
+        path = tmp_path / "d.bin"
+        with pytest.raises(ValueError, match="row 257: sequence id 16777217 is beyond 2\\*\\*24"):
+            dsio.save_dataset(rows, path, fmt="binary")
+        # the first block is written; the block holding the id is not
+        head = len(path.read_bytes().split(b"binary 300 88\n")[0]) + len(b"binary 300 88\n")
+        assert path.stat().st_size == head + 256 * 88 * 4
+        rows.sequence_id[256:258] = 0
+        rows.frame_index[3] = -(2 ** 24 + 2)
+        with pytest.raises(ValueError, match="row 3: frame index -16777218 is beyond"):
+            dsio.save_dataset(rows, path, fmt="binary")
 
 
 def move_behind_the_camera(path, fmt, record, keypoint=0, z="-50", u="12345"):
@@ -488,6 +509,18 @@ class TestSynthesis:
         gen.camera = CameraIntrinsics(z_min=50.0)  # beyond any translation bound
         with pytest.raises(RuntimeError, match="near plane"):
             dsio.synthesize_dataset(gen, 5, "single", 0, tmp_path / "h.txt", batch=8)
+
+    def test_binary_count_beyond_float32_ids_is_rejected_before_the_file_opens(self, tmp_path,
+                                                                                monkeypatch):
+        def no_synthesis(*args):
+            raise AssertionError("synthesis started")
+
+        monkeypatch.setattr(gan, "generate_poses", no_synthesis)
+        path = tmp_path / "big.bin"
+        with pytest.raises(ValueError, match="16777218 sequences need ids up to 16777217"):
+            dsio.synthesize_dataset(tiny_generator(seed=13), 2 ** 24 + 2, "single", 0, path,
+                                    fmt="binary")
+        assert not path.exists()
 
     def test_truncated_binary_payload_detected(self, tmp_path):
         path = tmp_path / "trunc.bin"

@@ -402,34 +402,30 @@ class TestCriticLoss:
         real, fake, cfg = self._batches(pairs)
         critic = gan.build_critic(gan.FRAME_BRANCHES, cfg, 14, RNG(23))
         zero_nets(critic)
-        loss, _ = gan.critic_loss(critic, None, real, fake, 10.0, 0, RNG(0), ad.Tape())
+        loss, _ = gan.critic_loss({"frame": critic}, real, fake, 10.0, RNG(0), ad.Tape())
         assert float(loss.values) == pytest.approx(10.0, abs=0)
 
-    def test_gamma_zero_ignores_motion_critic(self, pairs):
-        cfg = tiny_config(mode="video", frames=3)
-        gen = gan.build_generator(cfg, RNG(24))
-        a = gan.generate(gen, gan.sample_latent(4, cfg.z_dim, RNG(25)))
-        b = gan.generate(gen, gan.sample_latent(4, cfg.z_dim, RNG(26)))
-        real = gan.feature_batch(a.pose3d, a.pose2d, gen.camera, pairs, video=True)
-        fake = gan.feature_batch(b.pose3d, b.pose2d, gen.camera, pairs, video=True)
-        ds = gan.build_critic(gan.FRAME_BRANCHES, cfg, 14, RNG(27))
-        dm1 = gan.build_critic(gan.MOTION_BRANCHES, cfg, 14, RNG(28))
-        dm2 = gan.build_critic(gan.MOTION_BRANCHES, cfg, 14, RNG(29))
-        l1, _ = gan.critic_loss(ds, dm1, real, fake, 10.0, 0, RNG(1), ad.Tape())
-        l2, _ = gan.critic_loss(ds, dm2, real, fake, 10.0, 0, RNG(1), ad.Tape())
-        assert float(l1.values) == float(l2.values)
+    def test_active_critics_gate_the_motion_critic(self):
+        assert list(gan.init_train_state(tiny_config()).critics) == ["frame"]
+        state = gan.init_train_state(tiny_config(mode="video", frames=3))
+        assert list(state.critics) == ["frame", "motion"]
+        assert list(state.adam) == ["gen", *state.critics]
+        off, on = (gan.active_critics(state.critics, gamma) for gamma in (0, 1))
+        assert list(off) == ["frame"] and off["frame"] is state.critics["frame"]
+        assert list(on) == ["frame", "motion"]
+        assert all(on[name] is state.critics[name] for name in on)
 
     def test_identical_batches_and_unit_critic_alpha_zero(self, pairs):
         real, fake, _ = self._batches(pairs)
         critic = sum_critic()
-        loss, _ = gan.critic_loss(critic, None, real, real, 0.0, 0, RNG(2), ad.Tape())
+        loss, _ = gan.critic_loss({"frame": critic}, real, real, 0.0, RNG(2), ad.Tape())
         assert float(loss.values) == pytest.approx(0.0, abs=1e-9)
 
     def test_shape_mismatch_rejected(self, pairs):
         real, fake, _ = self._batches(pairs)
         short = {k: v[:-1] for k, v in fake.items()}
         with pytest.raises(ad.ShapeError, match="x3d shapes differ"):
-            gan.critic_loss(sum_critic(), None, real, short, 1.0, 0, RNG(3), ad.Tape())
+            gan.critic_loss({"frame": sum_critic()}, real, short, 1.0, RNG(3), ad.Tape())
 
     def test_stream_set_mismatch_rejected(self, pairs):
         cfg = tiny_config(mode="video", frames=3)
@@ -438,16 +434,17 @@ class TestCriticLoss:
         real = gan.feature_batch(a.pose3d, a.pose2d, gen.camera, pairs, video=True)
         fake = {k: v for k, v in real.items() if k != "root2d"}
         with pytest.raises(ad.ShapeError, match="differ in streams \\['root2d'\\]"):
-            gan.critic_loss(sum_critic(), None, real, fake, 1.0, 0, RNG(5), ad.Tape())
+            gan.critic_loss({"frame": sum_critic()}, real, fake, 1.0, RNG(5), ad.Tape())
         single = gan.feature_batch(a.pose3d[:, 0], a.pose2d[:, 0], gen.camera, pairs)
         with pytest.raises(ad.ShapeError, match="cosdiff"):
-            gan.critic_loss(sum_critic(), None, single, real, 1.0, 0, RNG(6), ad.Tape())
+            gan.critic_loss({"frame": sum_critic()}, single, real, 1.0, RNG(6), ad.Tape())
 
     def test_gamma_one_needs_motion_streams(self, pairs):
         real, fake, cfg = self._batches(pairs)
         dm = gan.build_critic(gan.MOTION_BRANCHES, tiny_config(mode="video", frames=3), 14, RNG(30))
         with pytest.raises(ad.ShapeError, match="motion"):
-            gan.critic_loss(sum_critic(), dm, real, fake, 1.0, 1, RNG(4), ad.Tape())
+            gan.critic_loss({"frame": sum_critic(), "motion": dm}, real, fake, 1.0, RNG(4),
+                            ad.Tape())
 
 
 class TestGeneratorLoss:
@@ -466,28 +463,28 @@ class TestGeneratorLoss:
         fake, tape, cfg, _ = self._fake(pairs)
         critic = float64_copy(gan.build_critic(gan.FRAME_BRANCHES, cfg, 14, RNG(32)))
         zero_nets(critic)
-        loss = gan.generator_loss(critic, None, fake, 0, tape)
+        loss = gan.generator_loss({"frame": critic}, fake, tape)
         assert float(loss.values) == 0.0
 
     def test_gamma_zero_is_negative_frame_expectation(self, pairs):
         fake, tape, cfg, _ = self._fake(pairs)
         critic = float64_copy(gan.build_critic(gan.FRAME_BRANCHES, cfg, 14, RNG(33)))
-        loss = gan.generator_loss(critic, None, fake, 0, tape)
+        loss = gan.generator_loss({"frame": critic}, fake, tape)
         scores = gan.discriminate(critic, {k: t.values for k, t in fake.streams.items()})
         assert float(loss.values) == pytest.approx(-scores.mean(), abs=1e-12)
 
     def test_head_bias_shift_moves_loss_linearly(self, pairs):
         fake, tape, cfg, _ = self._fake(pairs)
         critic = float64_copy(gan.build_critic(gan.FRAME_BRANCHES, cfg, 14, RNG(34)))
-        l1 = float(gan.generator_loss(critic, None, fake, 0, tape).values)
+        l1 = float(gan.generator_loss({"frame": critic}, fake, tape).values)
         critic.nets["head"].layers[-1].b = critic.nets["head"].layers[-1].b + 2.5
-        l2 = float(gan.generator_loss(critic, None, fake, 0, ad.Tape()).values)
+        l2 = float(gan.generator_loss({"frame": critic}, fake, ad.Tape()).values)
         assert l2 == pytest.approx(l1 - 2.5, abs=1e-9)
 
     def test_gradients_reach_generator_through_kinematics(self, pairs):
         fake, tape, cfg, leaves = self._fake(pairs)
         critic = float64_copy(gan.build_critic(gan.FRAME_BRANCHES, cfg, 14, RNG(35)))
-        loss = gan.generator_loss(critic, None, fake, 0, tape)
+        loss = gan.generator_loss({"frame": critic}, fake, tape)
         ad.backward(tape, loss)
         total = sum(float(np.abs(t.grad).sum()) for pair in leaves for t in pair
                     if t.grad is not None)
@@ -531,7 +528,7 @@ class TestEndToEndGradients:
         tape = ad.Tape()
         leaves = nn.mlp_leaves(tape, gen.net)
         fake = gan.generate_on_tape(gen, z, tape, leaves, pairs)
-        loss = gan.generator_loss(critic, None, fake, 0, tape)
+        loss = gan.generator_loss({"frame": critic}, fake, tape)
         assert float(loss.values) == pytest.approx(loss_value(), abs=1e-12)
         ad.backward(tape, loss)
         self._spot_check({"gen": gen.net}, {"gen": leaves}, loss_value, RNG(53), tol=1e-4)
@@ -547,12 +544,13 @@ class TestEndToEndGradients:
         fake = gan.feature_batch(b.pose3d, b.pose2d, gen.camera, pairs)
 
         def loss_value():
-            return float(gan.critic_loss(critic, None, real, fake, 10.0, 0,
-                                         RNG(58), ad.Tape())[0].values)
+            return float(gan.critic_loss({"frame": critic}, real, fake, 10.0, RNG(58),
+                                         ad.Tape())[0].values)
 
         tape = ad.Tape()
         leaves = gan.critic_leaves(tape, critic)
-        loss, _ = gan.critic_loss(critic, None, real, fake, 10.0, 0, RNG(58), tape, leaves)
+        loss, _ = gan.critic_loss({"frame": critic}, real, fake, 10.0, RNG(58), tape,
+                                  {"frame": leaves})
         assert float(loss.values) == pytest.approx(loss_value(), abs=1e-12)
         ad.backward(tape, loss)
         assert list(leaves) == list(critic.nets)
@@ -606,8 +604,9 @@ class TestTrainEpoch:
             # each step's call, then the log's: the same objective with constant weights
             assert len(calls) == (gamma + 1) * (m["steps"] * cfg.critic_steps + 1)
             args, kwargs, terms = calls[-1]
-            assert len(args) == 8 and not kwargs
-            assert args[2] is not calls[-2][0][2]
+            assert len(args) == 6 and not kwargs
+            assert list(args[0]) == list(terms)
+            assert args[1] is not calls[-2][0][1]
             assert m["penalty"] == terms["frame"]["penalty"]
             if gamma:
                 motion = terms["motion"]
@@ -638,7 +637,7 @@ class TestTrainEpoch:
         cfg = tiny_config(seed=45, batch_size=4, critic_steps=1)
         data = dsio.make_band_corpus(8, 12)
         state = gan.init_train_state(cfg)
-        state.ds.nets["head"].layers[0].w[:] = np.nan
+        state.critics["frame"].nets["head"].layers[0].w[:] = np.nan
         with pytest.raises(gan.TrainingDivergedError) as err:
             gan.train_epoch(state, data)
         assert err.value.snapshot["what"] == "critic loss"
@@ -757,7 +756,7 @@ class TestTrainEpoch:
         state = gan.init_train_state(cfg)
         real = gan._real_minibatch(data, np.arange(4), state.pairs, True)
         fake, _ = gan._fake_minibatch(state, 4, state.pairs, True)
-        before = copy.deepcopy(state.ds)
+        before = copy.deepcopy(state.critics["frame"])
         with ad.Tape() as tape:
             params = gan.critic_leaves(tape, before)
             s_real, s_fake = (gan.frame_score(before, b, tape, params)[0].values[:, 0]
@@ -773,7 +772,8 @@ class TestTrainEpoch:
         m = gan.critic_update(state, real, fake, 1)
         assert len(calls) == 0
         assert m["d_gap"] == float(s_real.mean() - s_fake.mean())
-        assert not np.array_equal(state.ds.nets["head"].layers[0].w, before.nets["head"].layers[0].w)
+        after = state.critics["frame"].nets["head"].layers[0].w
+        assert not np.array_equal(after, before.nets["head"].layers[0].w)
 
     def test_critic_step_computes_and_updates_float32_weights(self, monkeypatch):
         cfg = tiny_config(mode="video", frames=3, seed=48, batch_size=4, critic_steps=1,
@@ -782,8 +782,8 @@ class TestTrainEpoch:
         state = gan.init_train_state(cfg)
         real = gan._real_minibatch(data, np.arange(4), state.pairs, True)
         fake, _ = gan._fake_minibatch(state, 4, state.pairs, True)
-        before = [weights(*critic.nets.values()) for critic in (state.ds, state.dm)]
-        adams = copy.deepcopy([state.adam_ds, state.adam_dm])
+        before = [weights(*critic.nets.values()) for critic in state.critics.values()]
+        adams = copy.deepcopy([state.adam[name] for name in state.critics])
         leaves, calls = [], []
         critic_leaves, adam_step = gan.critic_leaves, nn.adam_step
 
@@ -801,7 +801,7 @@ class TestTrainEpoch:
         assert len(leaves) == len(calls) == 2
         f32 = {np.dtype(np.float32)}
         for (params, grads), net_leaves, adam, critic, old in zip(
-                calls, leaves, adams, (state.ds, state.dm), before, strict=True):
+                calls, leaves, adams, state.critics.values(), before, strict=True):
             # a leaf is its layer's array, not a copy, and Adam reads that array
             values = [t.values for pairs in net_leaves.values() for pair in pairs for t in pair]
             assert all(v is a for v, a in zip(values, old, strict=True))
@@ -812,7 +812,7 @@ class TestTrainEpoch:
             assert {a.dtype for a in after} == f32
             for k, (a, e) in enumerate(zip(after, expected, strict=True)):
                 assert np.array_equal(a, e), k
-        for adam in (state.adam_ds, state.adam_dm):
+        for adam in (state.adam[name] for name in state.critics):
             assert {a.dtype for a in adam.m + adam.v} == f32
 
     def test_generator_step_keeps_geometry_float64_and_streams_float32(self, monkeypatch):
@@ -851,7 +851,7 @@ class TestTrainEpoch:
         for k, (a, b) in enumerate(zip(after, before)):
             assert a.dtype == b.dtype == np.float32
             assert not np.array_equal(a, b), k
-        adam = state.adam_gen
+        adam = state.adam["gen"]
         assert {a.dtype for a in adam.m + adam.v} == {np.dtype(np.float32)}
 
     def test_smoke_separation_short(self):
@@ -868,8 +868,8 @@ class TestTrainEpoch:
             gan.critic_update(state, real, fake, 0)
         real = gan._real_minibatch(data, np.arange(len(data)), pairs, False)
         fake, _ = gan._fake_minibatch(state, 256, pairs, False)
-        s_real = gan.discriminate(state.ds, real)
-        s_fake = gan.discriminate(state.ds, fake)
+        s_real = gan.discriminate(state.critics["frame"], real)
+        s_fake = gan.discriminate(state.critics["frame"], fake)
         assert s_real.mean() - s_fake.mean() > 0.0
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from dhpose import autodiff as ad
 from dhpose import gan, nn
+from dhpose.textio import ParseError
 from oracles import (central_difference, dense_ref, float64_copy, linear_frame_critic, replaced,
                      weight_slots, weights)
 
@@ -335,6 +336,37 @@ class TestCheckpoint:
         path.write_bytes(b"\n".join(lines) + b"binary" + blob)
         with pytest.raises(ValueError, match="line 3"):
             nn.load_checkpoint(path)
+
+    def test_layers_that_do_not_chain_are_a_parse_error_at_the_second(self, tmp_path):
+        rng = RNG(21)
+        net = nn.Mlp([nn.mlp_init([4, 3], ["tanh"], rng).layers[0],
+                      nn.mlp_init([5, 2], ["linear"], rng).layers[0]])
+        path = tmp_path / "split.ckpt"
+        nn.save_checkpoint(path, {"gen": net}, seed=1)  # its byte count matches its layers
+        with pytest.raises(ParseError, match="line 5: layer 1 of net 'gen' reads 5 values; "
+                                             "layer 0 emits 3") as err:
+            nn.load_checkpoint(path)
+        assert err.value.line_no == 5
+
+    @pytest.mark.parametrize("edit, line_no, says", [
+        ((b"net gen layers 2", b"net gen layers 7"), 3, "net 'gen' has 2 layer lines, not 7"),
+        ((b"net gen layers 2", b"net gen layers 0"), 3, "net 'gen' needs at least one layer"),
+        ((b"layer gen 1 ", b"layer gen 9 "), 5, "layer 9 of net 'gen' is its layer 1"),
+        ((b"layer gen 1 ", b"layer foo 1 "), 5, "a layer of net 'foo' outside that net's"),
+        ((b"layer gen 0 4 3", b"layer gen 0 0 3"), 4, "layer sizes must be positive, got 0 x 3"),
+        ((b"net gen layers 2\n", b"net gen layers 2\nnet gen layers 2\n"), 4,
+         "net 'gen' is declared twice"),
+    ])
+    def test_layer_lines_must_form_the_net_their_net_line_declares(self, tmp_path, edit,
+                                                                    line_no, says):
+        net = {"gen": nn.mlp_init([4, 3, 2], ["tanh", "linear"], RNG(22))}
+        path = tmp_path / "bad.ckpt"
+        nn.save_checkpoint(path, net, seed=1)
+        head, blob = path.read_bytes().split(b"binary", 1)
+        path.write_bytes(head.replace(*edit) + b"binary" + blob)
+        with pytest.raises(ParseError, match=f"line {line_no}: {says}") as err:
+            nn.load_checkpoint(path)
+        assert err.value.line_no == line_no
 
     def test_truncated_blob_names_the_expected_and_actual_byte_counts(self, tmp_path):
         net = {"gen": nn.mlp_init([8, 16, 4], ["tanh", "linear"], RNG(20))}

@@ -64,3 +64,12 @@ def test_checkout_without_sources_is_refused(checkout, monkeypatch, tmp_path):
     monkeypatch.setattr(checkout, "SRC", tmp_path / "src")
     with pytest.raises(SystemExit, match="no dhpose sources at"):
         checkout.import_dhpose()
+
+
+def test_import_dhpose_pins_blas_to_one_thread(checkout, monkeypatch):
+    from dhpose.__main__ import BLAS_THREAD_VARS
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "4")  # a caller's own setting is overridden
+    checkout.import_dhpose()
+    assert {var: os.environ[var] for var in BLAS_THREAD_VARS} == dict.fromkeys(BLAS_THREAD_VARS,
+                                                                                "1")
