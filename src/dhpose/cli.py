@@ -215,11 +215,12 @@ def cmd_export_video(args) -> int:
     return EXIT_OK
 
 
-# Per subcommand: the option that fixes others, and their defaults without
+# Per subcommand: each option that fixes others, and their defaults without
 # it.  Given both, the fixed option would be ignored: that is a usage error.
-_FIXED_BY = {"train": ("config", dict(mode="single", frames=9, epochs=2, batch=64, seed=0)),
-             "synth": ("checkpoint", dict(mode="single", frames=9)),
-             "export-video": ("checkpoint", dict(frames=9))}
+_FIXED_BY = {"train": [("config", dict(mode="single", frames=9, epochs=2, batch=64, seed=0)),
+                       ("data", dict(band_count=256))],
+             "synth": [("checkpoint", dict(mode="single", frames=9))],
+             "export-video": [("checkpoint", dict(frames=9))]}
 
 
 def build_parser() -> _Parser:
@@ -265,7 +266,7 @@ def build_parser() -> _Parser:
     p = command("train", cmd_train, "adversarial training", constraints=True)
     p.add_argument("--config", default=None, help="JSON training config")
     p.add_argument("--data", default=None, help="dataset file; stand-in corpus if omitted")
-    p.add_argument("--band-count", type=int, default=256)
+    p.add_argument("--band-count", type=int, default=None)
     p.add_argument("--mode", choices=("single", "video"), default=None)
     p.add_argument("--frames", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
@@ -287,14 +288,15 @@ def _parse(parser: _Parser, argv) -> argparse.Namespace:
     """Parse ``argv``, then reject an option given with the one that fixes it
     (``_FIXED_BY``) and fill in the defaults of the others."""
     args = parser.parse_args(argv)
-    owner, defaults = _FIXED_BY.get(args.command, (None, {}))
-    given = [f"--{name}" for name in defaults if getattr(args, name) is not None]
-    if given and getattr(args, owner):
-        parser.error(f"{', '.join(given)} cannot be combined with --{owner}, which fixes "
-                     f"{'it' if len(given) == 1 else 'them'}")
-    for name, value in defaults.items():
-        if getattr(args, name) is None:
-            setattr(args, name, value)
+    for owner, defaults in _FIXED_BY.get(args.command, []):
+        given = [f"--{name.replace('_', '-')}" for name in defaults
+                 if getattr(args, name) is not None]
+        if given and getattr(args, owner):
+            parser.error(f"{', '.join(given)} cannot be combined with --{owner}, which fixes "
+                         f"{'it' if len(given) == 1 else 'them'}")
+        for name, value in defaults.items():
+            if getattr(args, name) is None:
+                setattr(args, name, value)
     return args
 
 

@@ -10,6 +10,7 @@ an autodiff tape node: training differentiates through it, and numpy callers
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -148,6 +149,11 @@ def table_to_text(table: ConstraintTable) -> str:
             lo, hi = np.rad2deg(lo), np.rad2deg(hi)
         lines.append(f"param {i} {name} {kind} {lo:.9g} {hi:.9g}")
     return "\n".join(lines) + "\n"
+
+
+def table_hash(table: ConstraintTable) -> str:
+    """Stable 12-hex digest of ``table_to_text``; stamped into checkpoints."""
+    return hashlib.sha256(table_to_text(table).encode()).hexdigest()[:12]
 
 
 def table_from_text(text, source="<text>") -> ConstraintTable:

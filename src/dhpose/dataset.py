@@ -29,9 +29,10 @@ from .textio import ParseError, decode, records
 FORMAT_VERSION = "v1"
 _HEADER_PREFIX = "# dhpose dataset"
 _PROVENANCES = ("real", "synthetic")  # a row's provenance code indexes this
-_CAMERA = ("fx", "fy", "cx", "cy", "z_min")  # a row's first values
-_POSITIVE = [0, 1, 4]  # camera values that must be > 0: fx, fy, z_min
-_DEPTHS = slice(7, 53, 3)  # the keypoints' z among a row's values; each must be >= z_min
+_IDS = ("sequence id", "frame index")  # fields 1 and 2
+_CAMERA = ("fx", "fy", "cx", "cy", "z_min")  # fields 3 to 7
+_POSITIVE = [3, 4, 7]  # fields that must be > 0: fx, fy, z_min
+_DEPTHS = slice(10, 56, 3)  # the keypoints' z fields; each must be >= its row's z_min
 _VALUES_PER_ROW = 5 + 48 + 32  # camera, pose3d, pose2d
 _FIELDS_PER_ROW = 3 + _VALUES_PER_ROW  # provenance, sequence id, frame index, values
 _BLOCK_ROWS = 256  # rows formatted or parsed at a time; bounds transient memory
@@ -72,6 +73,11 @@ class RowBlock:
     def take(self, index) -> RowBlock:
         """The rows at ``index`` (a slice, a mask or an integer array of any shape)."""
         return RowBlock(*(getattr(self, col)[index] for col in _COLUMNS))
+
+    def fields(self) -> np.ndarray:
+        """The rows' (N, 88) fields as the files lay them out, in float64:
+        provenance code, sequence id, frame index, then the 85 values."""
+        return np.column_stack((self.provenance, self.sequence_id, self.frame_index, self.values))
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Contiguous (cameras, pose3d, pose2d) arrays of the rows' values,
@@ -129,15 +135,10 @@ def _write_rows(fh, rows: RowBlock, binary: bool) -> None:
             ids = block.sequence_id, block.frame_index
             if np.abs(ids).max() > _F4_EXACT:
                 col, row = np.argwhere(np.abs(ids) > _F4_EXACT)[0]
-                raise ValueError(f"row {i + row}: {('sequence id', 'frame index')[col]} "
+                raise ValueError(f"row {i + row}: {_IDS[col]} "
                                  f"{ids[col][row]} is beyond 2**24, the largest a binary "
                                  f"dataset's float32 fields hold exactly; use the text format")
-            out = np.empty((len(block), _FIELDS_PER_ROW), dtype="<f4")
-            out[:, 0] = block.provenance
-            out[:, 1] = block.sequence_id
-            out[:, 2] = block.frame_index
-            out[:, 3:] = block.values
-            fh.write(out.tobytes())
+            fh.write(block.fields().astype("<f4").tobytes())
         else:
             fh.write("".join([_TEXT_ROW % (_PROVENANCES[p], s, f, *v) for p, s, f, v in
                               zip(block.provenance.tolist(), block.sequence_id.tolist(),
@@ -171,18 +172,32 @@ def _check_topology(path, file_hash: str, topology: Optional[SkeletonTopology]) 
         warnings.warn(f"{path}: dataset topology {file_hash} differs from expected {expected}")
 
 
-def _bad_camera(values: np.ndarray) -> Optional[tuple[int, int]]:
-    """(row, value column) of the first fx, fy or z_min that is not positive."""
-    bad = np.argwhere(values[:, _POSITIVE] <= 0)
-    return (bad[0][0], _POSITIVE[bad[0][1]]) if bad.size else None
-
-
-def _below_near_plane(values: np.ndarray) -> Optional[tuple[int, int, int]]:
-    """(row, keypoint, value column) of the first keypoint whose z is below
-    its row's z_min.  Rounding to ``%.13g`` or to float32 is monotone, so a
-    row that was in front of the near plane when written still is."""
-    bad = np.argwhere(values[:, _DEPTHS] < values[:, 4:5])
-    return (bad[0][0], bad[0][1], _DEPTHS.start + 3 * bad[0][1]) if bad.size else None
+def _check_fields(fields: np.ndarray, fail, show) -> None:
+    """Check a block's (N, 88) fields and raise ``fail(i, j, reason)`` for
+    the first fault, row ``i``'s field ``j``; ``show(i, j)`` is how the
+    reason shows a field.  The checks, in order: a provenance code, finite
+    fields, integral ids, positive fx, fy and z_min, and each keypoint's z
+    at or beyond its row's z_min.  Rounding to ``%.13g`` or to float32 is
+    monotone, so a row that was in front of the near plane when written
+    still is."""
+    ids = fields[:, 1:3]
+    checks = (  # (fault mask, the field of each mask column, the reason for row i's field j)
+        (~np.isin(fields[:, :1], np.arange(len(_PROVENANCES))), [0],
+         lambda i, j: f"bad provenance {show(i, j)}"),
+        (~np.isfinite(fields), range(_FIELDS_PER_ROW),
+         lambda i, j: f"non-finite value {show(i, j)} in field {j + 1}"),
+        (ids != np.round(ids), [1, 2],
+         lambda i, j: f"{_IDS[j - 1]} {show(i, j)} in field {j + 1} is not an integer"),
+        (fields[:, _POSITIVE] <= 0, _POSITIVE,
+         lambda i, j: f"non-positive {_CAMERA[j - 3]} {show(i, j)} in field {j + 1}"),
+        (fields[:, _DEPTHS] < fields[:, 7:8], range(_FIELDS_PER_ROW)[_DEPTHS],
+         lambda i, j: f"keypoint {(j - _DEPTHS.start) // 3} z {show(i, j)} in field {j + 1} "
+                      f"is below z_min {show(i, 7)}"),
+    )
+    for faults, at, reason in checks:
+        if faults.any():
+            i, col = np.argwhere(faults)[0]
+            raise fail(i, at[col], reason(i, at[col]))
 
 
 def _parse_rows(path, lines: list[str], line_nos: list[int]) -> RowBlock:
@@ -203,26 +218,11 @@ def _parse_rows(path, lines: list[str], line_nos: list[int]) -> RowBlock:
     codes = np.full(len(rows), -1, dtype=np.int8)
     for code, name in enumerate(_PROVENANCES):
         codes[rows["provenance"] == name] = code
-    bad = np.flatnonzero(codes < 0)
-    if bad.size:
-        i = bad[0]
-        raise ParseError(path, line_nos[i], f"bad provenance {lines[i].split()[0]!r}")
-    values = np.ascontiguousarray(rows["values"])
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        i, j = bad[0]
-        raise ParseError(path, line_nos[i],
-                         f"non-finite value {lines[i].split()[3 + j]!r} in field {4 + j}")
-    if bad := _bad_camera(values):
-        i, j = bad
-        raise ParseError(path, line_nos[i], f"non-positive {_CAMERA[j]} "
-                                            f"{lines[i].split()[3 + j]!r} in field {4 + j}")
-    if bad := _below_near_plane(values):
-        i, k, j = bad
-        tok = lines[i].split()
-        raise ParseError(path, line_nos[i], f"keypoint {k} z {tok[3 + j]!r} in field {4 + j} "
-                                            f"is below z_min {tok[7]!r}")
-    return RowBlock(codes, rows["sequence_id"].copy(), rows["frame_index"].copy(), values)
+    block = RowBlock(codes, rows["sequence_id"].copy(), rows["frame_index"].copy(),
+                     np.ascontiguousarray(rows["values"]))
+    _check_fields(block.fields(), lambda i, j, reason: ParseError(path, line_nos[i], reason),
+                  lambda i, j: repr(lines[i].split()[j]))
+    return block
 
 
 def _read_binary(path, fh, meta_line: bytes) -> RowBlock:
@@ -240,32 +240,9 @@ def _read_binary(path, fh, meta_line: bytes) -> RowBlock:
         raise ParseError(path, 2, f"binary payload truncated: expected "
                                   f"{count * width * 4} bytes, got {len(blob)}")
     rows = np.frombuffer(blob, dtype="<f4").reshape(count, width).astype(np.float64)
-    bad = np.flatnonzero(~np.isin(rows[:, 0], np.arange(len(_PROVENANCES))))
-    if bad.size:
-        i = bad[0]
-        raise ParseError(path, None, f"record {i}: bad provenance code {rows[i, 0]:g}",
-                         offset=start + i * width * 4)
-    bad = np.argwhere(~np.isfinite(rows))
-    if bad.size:
-        i, j = bad[0]
-        raise ParseError(path, None, f"record {i}: non-finite value in field {j + 1}",
-                         offset=start + (i * width + j) * 4)
-    bad = np.argwhere(rows[:, 1:3] != np.round(rows[:, 1:3]))
-    if bad.size:
-        i, j = bad[0]
-        raise ParseError(path, None, f"record {i}: {('sequence id', 'frame index')[j]} "
-                                     f"{rows[i, 1 + j]:g} in field {2 + j} is not an integer",
-                         offset=start + (i * width + 1 + j) * 4)
-    if bad := _bad_camera(rows[:, 3:]):
-        i, j = bad
-        raise ParseError(path, None, f"record {i}: non-positive {_CAMERA[j]} "
-                                     f"{rows[i, 3 + j]:g} in field {4 + j}",
-                         offset=start + (i * width + 3 + j) * 4)
-    if bad := _below_near_plane(rows[:, 3:]):
-        i, k, j = bad
-        raise ParseError(path, None, f"record {i}: keypoint {k} z {rows[i, 3 + j]:g} in field "
-                                     f"{4 + j} is below z_min {rows[i, 7]:g}",
-                         offset=start + (i * width + 3 + j) * 4)
+    _check_fields(rows, lambda i, j, reason: ParseError(path, None, f"record {i}: {reason}",
+                                                        offset=start + (i * width + j) * 4),
+                  lambda i, j: f"{rows[i, j]:g}")
     return RowBlock(rows[:, 0].astype(np.int8), rows[:, 1].astype(np.int64),
                     rows[:, 2].astype(np.int64), rows[:, 3:])
 
@@ -273,10 +250,9 @@ def _read_binary(path, fh, meta_line: bytes) -> RowBlock:
 def iter_blocks(path, topology: Optional[SkeletonTopology] = None) -> Iterator[RowBlock]:
     """Stream a dataset file's rows: a text file in blocks of at most
     ``_BLOCK_ROWS`` lines, a binary one (its second line reads ``binary N
-    88``) as one block.  A malformed or non-finite field, a camera whose
-    fx, fy or z_min is not positive, or a keypoint whose z is below its
-    row's z_min raises ``ParseError`` naming the line (text) or the record
-    and its byte offset (binary).
+    88``) as one block.  A malformed field, or a row that ``_check_fields``
+    rejects, raises ``ParseError`` naming the line (text) or the record and
+    its byte offset (binary).
 
     Text lines are decoded one at a time, so bytes that are not UTF-8 (a
     binary file with a damaged count line, say) are reported with their line.

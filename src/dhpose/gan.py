@@ -38,12 +38,13 @@ from . import autodiff as ad
 from . import nn
 from .autodiff import ShapeError, Tape, Tensor
 from .camera import CameraIntrinsics, default_camera, project
-from .constraints import ConstraintTable, count_violations, default_constraint_table, squash
+from .constraints import (ConstraintTable, count_violations, default_constraint_table, squash,
+                          table_hash)
 from .dataset import RealData
 from .features import AdjacentBonePairs, adjacent_bone_pairs, bone_vectors, joint_cosines
 from .skeleton import (N_ANGLE_PARAMS, N_LENGTH_PARAMS, N_PARAMS, ROOT_KEYPOINT, SkeletonTopology,
                        chain_frames, chain_vjp, default_topology, forward_kinematics_batch,
-                       rotation_xyz)
+                       rotation_xyz, topology_hash)
 
 N_GLOBAL = 6
 
@@ -803,34 +804,44 @@ def train_epoch(state: TrainState, data: RealData, synth_dir: Optional[str] = No
 
 def save_generator(gen: DhGenerator, path, seed: int,
                    meta: Optional[dict[str, str]] = None) -> None:
-    """Write the generator net; ``meta`` adds header lines that
+    """Write the generator net and what shapes its output besides: mode,
+    frames, the hashes of its topology and constraint table, and its bounds
+    (``repr``, so they read back exactly); ``meta`` adds header lines that
     ``load_generator`` ignores."""
-    from .skeleton import topology_hash
-
     nn.save_checkpoint(path, {"gen": gen.net}, seed,
                        extra={"mode": gen.mode, "frames": str(gen.frames),
-                              "topology": topology_hash(gen.topology), **(meta or {})})
+                              "topology": topology_hash(gen.topology),
+                              "constraints": table_hash(gen.table),
+                              "bounds": " ".join(map(repr, gen.bounds.lo + gen.bounds.hi)),
+                              **(meta or {})})
 
 
 def load_generator(path, topology: Optional[SkeletonTopology] = None,
                    table: Optional[ConstraintTable] = None,
-                   camera: Optional[CameraIntrinsics] = None,
-                   bounds: Optional[GlobalBounds] = None) -> DhGenerator:
-    from .skeleton import topology_hash
-
+                   camera: Optional[CameraIntrinsics] = None) -> DhGenerator:
+    """The generator of a ``save_generator`` checkpoint, with its bounds.  A
+    topology or constraint table other than the one it was trained against
+    raises ValueError naming both hashes.  A checkpoint without ``meta
+    bounds`` or ``meta constraints`` lines gets the default bounds or takes
+    any table."""
     nets, _, extra = nn.load_checkpoint(path)
     topology = topology or default_topology()
-    if "topology" in extra and extra["topology"] != topology_hash(topology):
-        raise ValueError(f"{path}: checkpoint was trained against topology {extra['topology']}, "
-                         f"not {topology_hash(topology)}")
+    table = table or default_constraint_table()
+    for key, digest in (("topology", topology_hash(topology)), ("constraints", table_hash(table))):
+        if key in extra and extra[key] != digest:
+            raise ValueError(f"{path}: checkpoint was trained against {key} {extra[key]}, "
+                             f"not {digest}")
     if "gen" not in nets:
         raise ValueError(f"{path}: checkpoint holds no generator net 'gen' "
                          f"(nets: {', '.join(nets) or 'none'})")
     try:
-        return DhGenerator(net=nets["gen"], topology=topology,
-                           table=table or default_constraint_table(),
+        bounds = GlobalBounds()
+        if "bounds" in extra:
+            values = [float(v) for v in extra["bounds"].split()]
+            bounds = GlobalBounds(values[:N_GLOBAL], values[N_GLOBAL:])
+        return DhGenerator(net=nets["gen"], topology=topology, table=table,
                            camera=camera or default_camera(),
                            mode=extra.get("mode", "single"), frames=int(extra.get("frames", "1")),
-                           bounds=bounds or GlobalBounds())
+                           bounds=bounds)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

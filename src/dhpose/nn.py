@@ -210,7 +210,7 @@ def load_checkpoint(path) -> tuple[dict[str, Mlp], int, dict[str, str]]:
     malformed raises ``ParseError`` (a ``meta`` value keeps any ``#``), as do
     ``layer`` lines that do not form their net: each follows its ``net`` line,
     numbered by position, reading what the layer before it emits, as many as
-    the ``net`` line says."""
+    the ``net`` line says, and a blob shorter than the ``binary`` line says."""
     with open(path, "rb") as fh:
         magic = decode(path, fh.readline(), 1).strip()
         if magic != "dhpose-checkpoint v1":
@@ -265,8 +265,8 @@ def load_checkpoint(path) -> tuple[dict[str, Mlp], int, dict[str, str]]:
             raise rec.error(f"the layer lines need {need} bytes, this line says {nbytes}")
         payload = fh.read(nbytes)
         if len(payload) != nbytes:
-            raise ValueError(f"{path}: checkpoint blob truncated: header says {nbytes} bytes, "
-                             f"file holds {len(payload)}")
+            raise rec.error(f"binary payload truncated: expected {nbytes} bytes, "
+                            f"got {len(payload)}")
         blob = np.frombuffer(payload, dtype="<f4").astype(COMPUTE_DTYPE)
     nets: dict[str, Mlp] = {}
     pos = 0

@@ -435,6 +435,47 @@ class TestSynthFromCheckpoint:
         assert data.read_bytes() != other.read_bytes()
 
 
+    def test_synth_keeps_the_trained_bounds(self, capsys, tmp_path):
+        # the config's bounds put the root near (0.5, 0.5, 8.0): so must the checkpoint
+        from dhpose import gan
+        lo, hi = (-0.1, -0.1, -0.1, 0.49, 0.49, 7.99), (0.1, 0.1, 0.1, 0.51, 0.51, 8.01)
+        cfg = gan.TrainConfig(mode="single", epochs=1, beta_epoch=1, seed=3, batch_size=8,
+                              critic_steps=1, gen_hidden=(16,), enc_hidden=(8,),
+                              head_hidden=(4,), bounds=gan.GlobalBounds(lo, hi))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.to_json())
+        out_dir = tmp_path / "run"
+        code, _, _ = run(capsys, "train", "--config", str(cfg_path), "--band-count", "16",
+                         "--out", str(out_dir))
+        assert code == 0
+        data = tmp_path / "from_ckpt.txt"
+        code, _, _ = run(capsys, "synth", "--count", "50", "--seed", "9",
+                         "--out", str(data), "--checkpoint", str(out_dir / "gen.ckpt"))
+        assert code == 0
+        for path in (out_dir / "epoch_000.txt", data):
+            roots = dsio.load_dataset(path).columns()[1][:, sk.ROOT_KEYPOINT]
+            assert np.all((roots >= lo[3:]) & (roots <= hi[3:])), path
+
+    def test_synth_refuses_a_table_the_generator_was_not_trained_with(self, capsys, tmp_path):
+        from dhpose import constraints as ct
+        default = ct.table_to_text(ct.default_constraint_table())
+        tight = tmp_path / "tight.txt"
+        tight.write_text(default.replace("spine_len length -0.05 0.05", "spine_len length 0 0.01"))
+        assert tight.read_text() != default
+        out_dir = tmp_path / "run"
+        code, _, _ = run(capsys, "train", "--constraints", str(tight), "--band-count", "8",
+                         "--epochs", "1", "--batch", "4", "--out", str(out_dir), "--seed", "6")
+        assert code == 0
+        ckpt, data = str(out_dir / "gen.ckpt"), str(tmp_path / "d.txt")
+        code, _, err = run(capsys, "synth", "--count", "5", "--out", data, "--checkpoint", ckpt)
+        assert code == 2
+        hashes = [ct.table_hash(ct.load_constraint_table(tight)),
+                  ct.table_hash(ct.default_constraint_table())]
+        assert f"trained against constraints {hashes[0]}, not {hashes[1]}" in err
+        code, out, _ = run(capsys, "synth", "--count", "5", "--out", data, "--checkpoint", ckpt,
+                           "--constraints", str(tight))
+        assert code == 0 and "(0 violations" in out
+
     def test_truncated_checkpoint_is_a_data_error(self, capsys, tmp_path):
         out_dir = tmp_path / "run"
         run(capsys, "train", "--band-count", "8", "--epochs", "1", "--batch", "4",
@@ -444,15 +485,16 @@ class TestSynthFromCheckpoint:
         code, _, err = run(capsys, "synth", "--count", "5", "--seed", "9",
                            "--out", str(tmp_path / "d.txt"), "--checkpoint", str(ckpt))
         assert code == 2
-        assert "checkpoint blob truncated" in err
+        assert "parse error at line 13: binary payload truncated" in err
 
 
     @pytest.mark.parametrize("edit,says", [
         ((b"net gen ", b"net foo "), "holds no generator net 'gen' (nets: foo)"),
         ((b"meta mode single", b"meta mode bogus"), "must be 'single' or 'video', got 'bogus'"),
-        ((b"128 8 tanh", b"128 8 relu"), "line 7: unknown activation 'relu'"),
+        ((b"128 8 tanh", b"128 8 relu"), "line 9: unknown activation 'relu'"),
         ((b"layer gen 1 8 54", b"layer gen 1 999 54"),
-         "line 8: layer 1 of net 'gen' reads 999 values; layer 0 emits 8"),
+         "line 10: layer 1 of net 'gen' reads 999 values; layer 0 emits 8"),
+        ((b"meta bounds ", b"meta bounds 7.5 "), "bounds need 6 'hi' values, got 7"),
     ])
     def test_malformed_checkpoint_is_a_data_error_naming_the_file(self, capsys, tmp_path, edit,
                                                                   says):
@@ -521,6 +563,8 @@ class TestUsageAndSelftest:
          "--frames cannot be combined with --checkpoint"),
         (("export-video", "--checkpoint", "g.ckpt", "--frames", "9", "--out", "o"),
          "--frames cannot be combined with --checkpoint"),
+        (("train", "--data", "d.txt", "--band-count", "3", "--epochs", "1", "--batch", "8"),
+         "--band-count cannot be combined with --data, which fixes it"),
         # an option that the subcommand does not read
         (("fk", "--config", "c.json"), "unrecognized arguments: --config"),
         (("fk", "--constraints", "t.txt"), "unrecognized arguments: --constraints"),

@@ -327,11 +327,11 @@ class TestBinaryReader:
             dsio.load_dataset(path)
 
     @pytest.mark.parametrize("field, value, reason", [
-        (0, 7.0, "bad provenance code 7"),
-        (0, 0.5, "bad provenance code 0.5"),
-        (0, np.nan, "bad provenance code nan"),
-        (40, np.inf, "non-finite value in field 41"),
-        (2, np.nan, "non-finite value in field 3"),
+        (0, 7.0, "bad provenance 7"),
+        (0, 0.5, "bad provenance 0.5"),
+        (0, np.nan, "bad provenance nan"),
+        (40, np.inf, "non-finite value inf in field 41"),
+        (2, np.nan, "non-finite value nan in field 3"),
         (1, 1.5, "sequence id 1.5 in field 2 is not an integer"),
         (2, -7.25, "frame index -7.25 in field 3 is not an integer"),
         (3, -1145.0, "non-positive fx -1145 in field 4"),
@@ -369,6 +369,39 @@ class TestBinaryReader:
         rows.frame_index[3] = -(2 ** 24 + 2)
         with pytest.raises(ValueError, match="row 3: frame index -16777218 is beyond"):
             dsio.save_dataset(rows, path, fmt="binary")
+
+
+@pytest.mark.parametrize("field, token, value, reason", [
+    (0, "robot", 7, "bad provenance {}"),
+    (3, "nan", np.nan, "non-finite value {} in field 4"),
+    (60, "nan", np.nan, "non-finite value {} in field 61"),
+    (3, "-1145", -1145, "non-positive fx {} in field 4"),
+    (7, "0", 0, "non-positive z_min {} in field 8"),
+    (13, "-50", -50, "keypoint 1 z {} in field 14 is below z_min {}"),
+])
+def test_both_readers_give_one_reason(tmp_path, field, token, value, reason):
+    """The same fault in the same field of the same rows: the formats differ
+    only in where it is (a line; a record and its byte offset) and in how a
+    field is shown (its token; ``%g``)."""
+    rows, record = random_rows(8, seed=44), 5
+    text, binary = tmp_path / "d.txt", tmp_path / "d.bin"
+    dsio.save_dataset(rows, text)
+    lines = text.read_text().splitlines()
+    tok = lines[1 + record].split()
+    tok[field] = token
+    lines[1 + record] = " ".join(tok)
+    text.write_text("\n".join(lines) + "\n")
+    dsio.save_dataset(rows, binary, fmt="binary")
+    data = bytearray(binary.read_bytes())
+    offset = data.index(b"binary 8 88\n") + len(b"binary 8 88\n") + (record * 88 + field) * 4
+    data[offset:offset + 4] = np.array([value], dtype="<f4").tobytes()
+    binary.write_bytes(bytes(data))
+    for path, says in ((text, f"line {record + 2}: " + reason.format(repr(token), "'0.1'")),
+                       (binary, f"byte {offset}: record {record}: "
+                                + reason.format(f"{value:g}", "0.1"))):
+        with pytest.raises(ParseError) as err:
+            dsio.load_dataset(path)
+        assert str(err.value) == f"{path}: parse error at {says}"
 
 
 def move_behind_the_camera(path, fmt, record, keypoint=0, z="-50", u="12345"):

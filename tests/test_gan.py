@@ -901,6 +901,20 @@ class TestConfigAndCheckpoints:
         for name in ("params", "pose3d", "pose2d"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
+    def test_checkpoint_keeps_the_bounds_exactly(self, tmp_path):
+        bounds = gan.GlobalBounds((-0.1, -1 / 3, -0.2, 0.49, 0.1 + 0.2, 7.99),
+                                  (0.1, 2 / 3, np.pi / 7, 0.51, 0.6, 8.01))
+        gen = gan.build_generator(tiny_config(seed=49, bounds=bounds), RNG(49))
+        path = tmp_path / "gen.ckpt"
+        gan.save_generator(gen, path, seed=49)
+        assert gan.load_generator(path).bounds == bounds
+        # a checkpoint without the lines loads with the default bounds, and any table
+        nn.save_checkpoint(path, {"gen": gen.net}, 49, extra={"mode": "single", "frames": "1"})
+        table = ct.default_constraint_table()
+        other = ct.ConstraintTable(table.lo / 2, table.hi / 2, table.names, table.kinds)
+        loaded = gan.load_generator(path, table=other)
+        assert loaded.bounds == gan.GlobalBounds() and loaded.table is other
+
     def test_checkpoint_topology_mismatch_detected(self, tmp_path, topology):
         cfg = tiny_config(seed=48)
         gen = gan.build_generator(cfg, RNG(48))

@@ -374,9 +374,11 @@ class TestCheckpoint:
         nn.save_checkpoint(path, net, seed=1)
         path.write_bytes(path.read_bytes()[:-100])
         nbytes = 4 * (8 * 16 + 16 + 16 * 4 + 4)
-        with pytest.raises(ValueError, match=f"short.ckpt: checkpoint blob truncated: header says "
-                                             f"{nbytes} bytes, file holds {nbytes - 100}"):
+        with pytest.raises(ParseError, match=f"short.ckpt: parse error at line 6: binary payload "
+                                             f"truncated: expected {nbytes} bytes, "
+                                             f"got {nbytes - 100}") as err:
             nn.load_checkpoint(path)
+        assert err.value.line_no == 6
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "bogus.ckpt"
