@@ -13,7 +13,7 @@ import argparse
 from checkout import import_dhpose
 
 import_dhpose()
-from dhpose.dataset import make_band_corpus, rows_of, save_dataset  # noqa: E402
+from dhpose.dataset import make_band_corpus, resolve_frames, rows_of, save_dataset  # noqa: E402
 
 
 def main():
@@ -22,13 +22,15 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", required=True)
     ap.add_argument("--mode", choices=("single", "video"), default="single")
-    ap.add_argument("--frames", type=int, default=9)
+    ap.add_argument("--frames", type=int, default=None, help="video mode only; default 9")
     ap.add_argument("--band", type=float, default=0.05,
                     help="band width as a fraction of each constraint range")
     args = ap.parse_args()
-    data = make_band_corpus(args.count, args.seed, mode=args.mode,
-                            frames=args.frames if args.mode == "video" else 1,
-                            band=args.band)
+    try:
+        data = make_band_corpus(args.count, args.seed, mode=args.mode,
+                                frames=resolve_frames(args.mode, args.frames), band=args.band)
+    except ValueError as exc:
+        ap.error(str(exc))
     rows = rows_of(data, provenance="real")
     save_dataset(rows, args.out)
     print(f"wrote {len(rows)} real records to {args.out}")

@@ -85,7 +85,8 @@ def _print_pose(pose, topology, fh=None):
 
 
 def _untrained_generator(seed, mode, frames, topology, table):
-    cfg = gan.TrainConfig(mode=mode, frames=frames if mode == "video" else 1, seed=seed)
+    ds.check_mode(mode, frames)
+    cfg = gan.TrainConfig(mode=mode, frames=frames, seed=seed)
     return gan.build_generator(cfg, np.random.default_rng(seed), topology, table)
 
 
@@ -127,11 +128,11 @@ def cmd_features(args) -> int:
         raise ValueError(f"{args.data}: no records with sequence id {args.sequence}")
     cams, seq3d, seq2d = rows.take(np.argsort(rows.frame_index, kind="stable")).columns()
     streams = gan.feature_batch(seq3d[None], seq2d[None], CameraIntrinsics.from_array(cams[0]),
-                                adjacent_bone_pairs(topology), video=True)
-    motion = {k: streams[k][0] for k in gan.MOTION_STREAMS}
+                                adjacent_bone_pairs(topology))
+    motion = {k: streams[k][0] for k in gan.MOTION_STREAMS if k in streams}  # none at 1 frame
     sums = {"diff3d": motion["diff3d"].reshape(-1, 3).sum(axis=0),
             "cosdiff": motion["cosdiff"].sum(keepdims=True),
-            "root2d": motion["root2d"].reshape(-1, 2).sum(axis=0)}
+            "root2d": motion["root2d"].reshape(-1, 2).sum(axis=0)} if motion else {}
 
     def row(values):
         return " ".join(f"{v:.9g}" for v in values)
@@ -165,9 +166,9 @@ def cmd_train(args) -> int:
         with open(args.config) as fh:
             cfg = gan.TrainConfig.from_json(fh.read(), args.config)
     else:
-        cfg = gan.TrainConfig(mode=args.mode, frames=args.frames if args.mode == "video" else 1,
-                              epochs=args.epochs, seed=args.seed,
-                              batch_size=args.batch, beta_epoch=min(4, args.epochs))
+        cfg = gan.TrainConfig(mode=args.mode, frames=args.frames, epochs=args.epochs,
+                              seed=args.seed, batch_size=args.batch,
+                              beta_epoch=min(4, args.epochs))
     if args.out:
         cfg.out_dir = args.out
     cfg.validate()
@@ -204,7 +205,7 @@ def cmd_export_video(args) -> int:
     table = _table_from(args)
     if args.checkpoint:
         gen = gan.load_generator(args.checkpoint, topology, table)
-        if gen.mode != "video":
+        if gen.frames < 2:
             raise ValueError("checkpoint is a single-frame model; video export needs sequences")
     else:
         gen = _untrained_generator(args.seed, "video", args.frames, topology, table)
@@ -217,10 +218,10 @@ def cmd_export_video(args) -> int:
 
 # Per subcommand: each option that fixes others, and their defaults without
 # it.  Given both, the fixed option would be ignored: that is a usage error.
-_FIXED_BY = {"train": [("config", dict(mode="single", frames=9, epochs=2, batch=64, seed=0)),
+_FIXED_BY = {"train": [("config", dict(mode="single", frames=None, epochs=2, batch=64, seed=0)),
                        ("data", dict(band_count=256))],
-             "synth": [("checkpoint", dict(mode="single", frames=9))],
-             "export-video": [("checkpoint", dict(frames=9))]}
+             "synth": [("checkpoint", dict(mode="single", frames=None))],
+             "export-video": [("checkpoint", dict(frames=None))]}
 
 
 def build_parser() -> _Parser:
@@ -286,7 +287,7 @@ def build_parser() -> _Parser:
 
 def _parse(parser: _Parser, argv) -> argparse.Namespace:
     """Parse ``argv``, then reject an option given with the one that fixes it
-    (``_FIXED_BY``) and fill in the defaults of the others."""
+    (``_FIXED_BY``), fill in the defaults of the others and resolve T."""
     args = parser.parse_args(argv)
     for owner, defaults in _FIXED_BY.get(args.command, []):
         given = [f"--{name.replace('_', '-')}" for name in defaults
@@ -297,6 +298,11 @@ def _parse(parser: _Parser, argv) -> argparse.Namespace:
         for name, value in defaults.items():
             if getattr(args, name) is None:
                 setattr(args, name, value)
+    if "frames" in vars(args):
+        try:
+            args.frames = ds.resolve_frames(getattr(args, "mode", "video"), args.frames)
+        except ValueError as exc:
+            parser.error(f"--frames: {exc}")
     return args
 
 

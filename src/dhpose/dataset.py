@@ -42,9 +42,34 @@ _TEXT_DTYPE = np.dtype([("provenance", "U16"), ("sequence_id", "i8"), ("frame_in
                         ("values", "f8", (_VALUES_PER_ROW,))])
 
 
+def check_mode(mode: str, frames: int) -> None:
+    """``mode`` names the frames of a sample: "single" 1, "video" 2 or more."""
+    if mode not in ("single", "video"):
+        raise ValueError(f"mode must be 'single' or 'video', got {mode!r}")
+    if mode == "video" and frames < 2:
+        raise ValueError(f"video mode needs at least 2 frames, got {frames}")
+    if mode == "single" and frames != 1:
+        raise ValueError(f"single mode uses exactly 1 frame, got {frames}")
+
+
+def resolve_frames(mode: str, frames: Optional[int]) -> int:
+    """T for a mode and a frame count that may be left out: 1 in single
+    mode, where a count would be ignored (ValueError), else 9 or the count."""
+    if mode == "single" and frames is not None:
+        raise ValueError(f"a frame count ({frames}) needs video mode: single mode has 1 frame")
+    return 1 if mode == "single" else 9 if frames is None else frames
+
+
+def as_samples(rows: np.ndarray, count: int, frames: int) -> np.ndarray:
+    """Pose rows (count * T, ...) as ``count`` samples of T = ``frames``:
+    (count, T, ...), or (count, ...) at T = 1, where a sample is one pose."""
+    lead = (count,) if frames == 1 else (count, frames)
+    return rows.reshape(lead + rows.shape[1:])
+
+
 @dataclass
 class RealData:
-    """Training corpus: single frames (N, 16, ...) or sequences (N, T, 16, ...)."""
+    """Training corpus of N samples (``as_samples``): (N, 16, ...) or (N, T, 16, ...)."""
 
     pose3d: np.ndarray
     pose2d: np.ndarray
@@ -54,8 +79,8 @@ class RealData:
         return self.pose3d.shape[0]
 
     @property
-    def video(self) -> bool:
-        return self.pose3d.ndim == 4
+    def frames(self) -> int:
+        return int(np.prod(self.pose3d.shape[1:-2]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,8 +127,7 @@ _NO_ROWS = RowBlock(np.empty(0, np.int8), np.empty(0, np.int64), np.empty(0, np.
 def rows_of(data: RealData, provenance: str = "real", first_id: int = 0) -> RowBlock:
     """Dataset rows of training arrays: sequence ids run from ``first_id``,
     frame indices from 0, and a sequence's camera row repeats on its frames."""
-    count = len(data)
-    frames = data.pose3d.shape[1] if data.video else 1
+    count, frames = len(data), data.frames
     n = count * frames
     values = np.empty((n, _VALUES_PER_ROW))
     values[:, 0:5] = np.repeat(data.cams, frames, axis=0)
@@ -320,7 +344,7 @@ def synthesize_dataset(gen, count: int, mode: str, seed: int, path,
     cam_row = gen.camera.as_array()
     violations = 0
     resampled = 0
-    written = 0  # sequences in video mode, records otherwise
+    written = 0  # samples
     with open(path, "wb") as fh:
         fh.write(head)
         empty_rounds = 0
@@ -328,26 +352,24 @@ def synthesize_dataset(gen, count: int, mode: str, seed: int, path,
             n = min(batch, count - written)
             z = sample_latent(n, gen.net.in_dim, rng)
             all_params, _, all_pose3d = generate_poses(gen, z)
-            flat3d = all_pose3d.reshape(n, -1, 3)
-            ok = np.all(flat3d[:, :, 2] >= gen.camera.z_min, axis=1)
-            keep = np.flatnonzero(ok)
+            keep = np.flatnonzero(np.all(all_pose3d.reshape(n, -1, 3)[:, :, 2] >= gen.camera.z_min,
+                                         axis=1))
             resampled += n - keep.size
             empty_rounds = empty_rounds + 1 if keep.size == 0 else 0
             if empty_rounds >= 50:
                 raise RuntimeError(
                     f"no sample cleared the near plane in {empty_rounds} consecutive "
                     f"batches; the translation bounds cannot reach z_min={gen.camera.z_min}")
-            params = all_params.reshape(n, -1, N_PARAMS)[keep]
             pose3d = all_pose3d[keep]
             pose2d = project_pose(pose3d, gen.camera)
-            violations += count_violations(params.reshape(-1, N_PARAMS), gen.table)
+            violations += count_violations(all_params[keep].reshape(-1, N_PARAMS), gen.table)
             k = keep.size
             if k == 0:
                 continue
             data = RealData(pose3d, pose2d, np.broadcast_to(cam_row, (k, 5)))
             _write_rows(fh, rows_of(data, "synthetic", written), fmt == "binary")
             written += k
-    return SynthSummary(records=count * gen.frames, sequences=count if mode == "video" else 0,
+    return SynthSummary(records=count * gen.frames, sequences=count if gen.frames > 1 else 0,
                         violations=violations, resampled=resampled,
                         seconds=time.perf_counter() - t0, path=str(path))
 
@@ -431,14 +453,14 @@ def make_band_corpus(count: int, seed: int,
     Serves as a stand-in "real" distribution for smoke training: plausible,
     low-variance, and entirely synthetic.
     """
+    check_mode(mode, frames)
     topology = topology or default_topology()
     table = table or default_constraint_table()
     camera = camera or CameraIntrinsics()
     rng = np.random.default_rng(seed)
     mid = (table.lo + table.hi) / 2.0
     width = (table.hi - table.lo) * band
-    n_frames = frames if mode == "video" else 1
-    n = count * n_frames
+    n = count * frames
     params = mid + width * rng.uniform(-0.5, 0.5, size=(n, N_PARAMS))
     globals_ = np.zeros((n, 6))
     globals_[:, 1] = rng.uniform(-0.3, 0.3, n)       # mild turn
@@ -447,26 +469,26 @@ def make_band_corpus(count: int, seed: int,
     globals_[:, 5] = 4.5 + rng.uniform(-0.2, 0.2, n)  # comfortably past the near plane
     pose3d = forward_kinematics_batch(topology, params, globals_)
     pose2d = project_pose(pose3d, camera)
-    cams = np.tile(camera.as_array(), (count, 1))
-    if mode == "video":
-        pose3d = pose3d.reshape(count, n_frames, 16, 3)
-        pose2d = pose2d.reshape(count, n_frames, 16, 2)
-    return RealData(pose3d=pose3d, pose2d=pose2d, cams=cams)
+    return RealData(pose3d=as_samples(pose3d, count, frames),
+                    pose2d=as_samples(pose2d, count, frames),
+                    cams=np.tile(camera.as_array(), (count, 1)))
 
 
 def real_data_from_dataset(path, mode: str = "single", frames: int = 1) -> RealData:
     """Load a text or binary dataset file into training arrays (grouping
     frames by sequence); the format is told by the file's second line.
 
-    In video mode, sequences come in ascending id order, each sequence's
-    rows in ascending frame order (file order among equal indices); the first
-    ``frames`` rows of each sequence are kept, with the first one's camera,
-    and sequences with fewer rows are skipped.
+    At 1 frame every row is a pose, whatever its sequence id.  Otherwise
+    sequences come in ascending id order, each sequence's rows in ascending
+    frame order (file order among equal indices); the first ``frames`` rows
+    of each sequence are kept, with the first one's camera, and sequences
+    with fewer rows are skipped.
     """
+    check_mode(mode, frames)
     rows = load_dataset(path)
     if not len(rows):
         raise ValueError(f"{path}: dataset is empty")
-    if mode == "single":
+    if frames == 1:
         cams, pose3d, pose2d = rows.columns()
         return RealData(pose3d=pose3d, pose2d=pose2d, cams=cams)
     order = np.lexsort((rows.frame_index, rows.sequence_id))  # stable

@@ -2,19 +2,18 @@
 gradient-penalty training loop.
 
 The generator maps a 128-d normal latent through a fully connected net to
-48 raw parameter values plus 6 global pose values, squashes them into the
-constraint ranges, and runs forward kinematics and pinhole projection.  In
-video mode one latent emits a whole sequence: the 15 bone lengths are
-produced once and shared across frames, the 33 joint angles and 6 global
-values per frame.
+a sample of T poses (T = 1 in single mode, T >= 2 in video mode): the 33
+joint angles of each frame, the 15 bone lengths its frames share, and the 6
+global pose values of each frame.  It squashes them into the constraint
+ranges and runs forward kinematics and pinhole projection.
 
 The frame critic scores single poses from three streams (3D pose, bone
 cosines, normalized 2D pose).  The motion critic has three two-stream
 branches (sequence plus its first differences of the same three signals);
-its score is the sum of the branch heads.  A critic is its branch table
-(``FRAME_BRANCHES``, ``MOTION_BRANCHES``) and the nets it names.  Both
-train with the gradient-penalty objective; the motion terms are gated on by
-a step schedule over epochs.
+its score is the sum of the branch heads; it exists only when T >= 2.  A
+critic is its branch table (``FRAME_BRANCHES``, ``MOTION_BRANCHES``) and
+the nets it names.  Both train with the gradient-penalty objective; the
+motion terms are gated on by a step schedule over epochs.
 
 The pipeline from raw net output to critic streams is written once, over
 autodiff tape ops: the split and squash (``_split_raw``), FK and the bone
@@ -40,7 +39,7 @@ from .autodiff import ShapeError, Tape, Tensor
 from .camera import CameraIntrinsics, default_camera, project
 from .constraints import (ConstraintTable, count_violations, default_constraint_table, squash,
                           table_hash)
-from .dataset import RealData
+from .dataset import RealData, as_samples, check_mode
 from .features import AdjacentBonePairs, adjacent_bone_pairs, bone_vectors, joint_cosines
 from .skeleton import (N_ANGLE_PARAMS, N_LENGTH_PARAMS, N_PARAMS, ROOT_KEYPOINT, SkeletonTopology,
                        chain_frames, chain_vjp, default_topology, forward_kinematics_batch,
@@ -99,24 +98,14 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _check_frames(mode: str, frames: int) -> None:
-    """Video sequences have at least 2 frames; single mode has exactly 1."""
-    if mode not in ("single", "video"):
-        raise ValueError(f"mode must be 'single' or 'video', got {mode!r}")
-    if mode == "video" and frames < 2:
-        raise ValueError(f"video mode needs at least 2 frames, got {frames}")
-    if mode == "single" and frames != 1:
-        raise ValueError(f"single mode uses exactly 1 frame, got {frames}")
-
-
 @dataclass
 class TrainConfig:
-    mode: str = "single"            # "single" | "video"
-    frames: int = 1                 # sequence length in video mode (9 or 27 typical)
+    mode: str = "single"            # the name of ``frames`` (``dataset.check_mode``)
+    frames: int = 1                 # T, the poses of a sample (9 or 27 typical in video mode)
     alpha: float = 10.0             # gradient-penalty weight
     beta_epoch: int = 4             # epoch at which the motion critic turns on
     z_dim: int = 128
-    batch_size: Optional[int] = None  # default 1024 single / 512 video
+    batch_size: Optional[int] = None  # default 1024 at T = 1, 512 otherwise
     critic_steps: int = 5           # critic updates per generator update
     lr: float = 1e-4
     epochs: int = 10
@@ -130,7 +119,7 @@ class TrainConfig:
     def resolved_batch(self) -> int:
         if self.batch_size is not None:
             return self.batch_size
-        return 1024 if self.mode == "single" else 512
+        return 1024 if self.frames == 1 else 512
 
     def validate(self) -> None:
         counts = dict(frames=self.frames, z_dim=self.z_dim, critic_steps=self.critic_steps,
@@ -144,7 +133,7 @@ class TrainConfig:
             if (not isinstance(value, numbers.Real) or isinstance(value, bool)
                     or not np.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
-        _check_frames(self.mode, self.frames)
+        check_mode(self.mode, self.frames)
         positives = dict(alpha=self.alpha, z_dim=self.z_dim, critic_steps=self.critic_steps,
                          lr=self.lr, epochs=self.epochs, batch=self.resolved_batch(),
                          beta_epoch=self.beta_epoch)
@@ -194,12 +183,13 @@ class TrainConfig:
 # --------------------------------------------------------------------------
 # Generator
 
-def _out_width(mode: str, frames: int) -> int:
-    """Raw generator outputs: 48 parameters and 6 globals per pose, or per
-    sequence 15 shared bone lengths and per frame 33 angles and 6 globals."""
-    if mode == "single":
-        return N_PARAMS + N_GLOBAL
-    return N_LENGTH_PARAMS + frames * (N_ANGLE_PARAMS + N_GLOBAL)
+RAW_LAYOUT = "angles-lengths-globals"  # ``_split_raw``'s; a checkpoint's ``meta layout``
+
+
+def _out_width(frames: int) -> int:
+    """Raw generator outputs for a sample of ``frames`` poses: 33 angles and
+    6 globals per frame, and 15 bone lengths its frames share."""
+    return frames * (N_ANGLE_PARAMS + N_GLOBAL) + N_LENGTH_PARAMS
 
 
 @dataclass
@@ -208,16 +198,21 @@ class DhGenerator:
     topology: SkeletonTopology
     table: ConstraintTable
     camera: CameraIntrinsics
-    mode: str = "single"
     frames: int = 1
     bounds: GlobalBounds = field(default_factory=GlobalBounds)
 
     def __post_init__(self):
-        _check_frames(self.mode, self.frames)
-        need = _out_width(self.mode, self.frames)
+        if not _is_int(self.frames) or self.frames < 1:
+            raise ValueError(f"a sample needs at least 1 frame, got {self.frames!r}")
+        need = _out_width(self.frames)
         if self.net.out_dim != need:
             raise ValueError(f"generator net emits {self.net.out_dim} values; "
-                             f"{self.mode} mode with {self.frames} frames needs {need}")
+                             f"{self.frames} frames need {need}")
+
+    @property
+    def mode(self) -> str:
+        """The name of ``frames`` (``dataset.check_mode``)."""
+        return "single" if self.frames == 1 else "video"
 
 
 def build_generator(cfg: TrainConfig, rng: np.random.Generator,
@@ -227,20 +222,23 @@ def build_generator(cfg: TrainConfig, rng: np.random.Generator,
     topology = topology or default_topology()
     table = table or default_constraint_table()
     camera = camera or default_camera()
-    frames = cfg.frames if cfg.mode == "video" else 1
-    sizes = [cfg.z_dim, *cfg.gen_hidden, _out_width(cfg.mode, frames)]
+    sizes = [cfg.z_dim, *cfg.gen_hidden, _out_width(cfg.frames)]
     acts = ["tanh"] * len(cfg.gen_hidden) + ["linear"]
     net = nn.mlp_init(sizes, acts, rng)
+    if cfg.frames > 1:  # each output keeps the weights a seed drew for it before
+        # ``RAW_LAYOUT``: the lengths' columns came first, then each frame's angles and globals
+        per = np.arange(N_LENGTH_PARAMS, sizes[-1]).reshape(cfg.frames, -1)
+        drawn = np.r_[per[:, :N_ANGLE_PARAMS].ravel(), :N_LENGTH_PARAMS,
+                      per[:, N_ANGLE_PARAMS:].ravel()]
+        net.layers[-1].w = np.ascontiguousarray(net.layers[-1].w[:, drawn])  # biases are zeros
     return DhGenerator(net=net, topology=topology, table=table, camera=camera,
-                       mode=cfg.mode, frames=frames, bounds=cfg.bounds)
+                       frames=cfg.frames, bounds=cfg.bounds)
 
 
 @dataclass
 class GenOutput:
-    """Squashed parameters, global values, and the resulting pose pair.
-
-    Shapes are (B, ...) in single mode and (B, T, ...) in video mode.
-    """
+    """Squashed parameters, global values and the resulting pose pair, each
+    (B, T, ...), or (B, ...) at T = 1 (``dataset.as_samples``)."""
 
     params: np.ndarray
     globals_: np.ndarray
@@ -249,23 +247,19 @@ class GenOutput:
 
 
 def _split_raw(gen: DhGenerator, raw: Tensor) -> tuple[Tensor, Tensor]:
-    """Raw net output (B, out) to squashed parameters (N, 48) and global
-    values (N, 6), one row per pose: N = B, or B*T in video mode, where each
-    sequence's 15 bone lengths are emitted once and shared by its frames."""
-    table = gen.table
-    glo_lo, glo_hi = gen.bounds.arrays()
-    if gen.mode == "single":
-        return (squash(raw[:, :N_PARAMS], table.lo, table.hi),
-                squash(raw[:, N_PARAMS:], glo_lo, glo_hi))
+    """Raw net output (B, out) to squashed parameters (B*T, 48) and global
+    values (B*T, 6), one row per pose.  The raw layout is T x 33 angles, the
+    15 bone lengths a sample's frames share, then T x 6 globals: at T = 1,
+    the 48 parameters in id order, then the 6 globals."""
     b, t = raw.shape[0], gen.frames
-    lengths = squash(raw[:, :N_LENGTH_PARAMS], table.lo[N_ANGLE_PARAMS:],
-                     table.hi[N_ANGLE_PARAMS:])
-    per = ad.reshape(raw[:, N_LENGTH_PARAMS:], (b * t, N_ANGLE_PARAMS + N_GLOBAL))
-    angles = squash(per[:, :N_ANGLE_PARAMS], table.lo[:N_ANGLE_PARAMS],
-                    table.hi[:N_ANGLE_PARAMS])
+    n, lo, hi = t * N_ANGLE_PARAMS, gen.table.lo, gen.table.hi
+    angles = squash(ad.reshape(raw[:, :n], (b * t, N_ANGLE_PARAMS)), lo[:N_ANGLE_PARAMS],
+                    hi[:N_ANGLE_PARAMS])
+    lengths = squash(raw[:, n:n + N_LENGTH_PARAMS], lo[N_ANGLE_PARAMS:], hi[N_ANGLE_PARAMS:])
     shared = ad.mul(ad.reshape(lengths, (b, 1, N_LENGTH_PARAMS)), np.ones((b, t, 1)))
     params = ad.concat([angles, ad.reshape(shared, (b * t, N_LENGTH_PARAMS))], axis=1)
-    return params, squash(per[:, N_ANGLE_PARAMS:], glo_lo, glo_hi)
+    globals_ = ad.reshape(raw[:, n + N_LENGTH_PARAMS:], (b * t, N_GLOBAL))
+    return params, squash(globals_, *gen.bounds.arrays())
 
 
 def generate_poses(gen: DhGenerator, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -280,10 +274,7 @@ def generate_poses(gen: DhGenerator, z) -> tuple[np.ndarray, np.ndarray, np.ndar
     with Tape() as tape:
         params, globals_ = (x.values for x in _split_raw(gen, tape.const(raw)))
     pose3d = forward_kinematics_batch(gen.topology, params, globals_)
-    if gen.mode == "video":
-        return tuple(x.reshape(z.shape[0], gen.frames, *x.shape[1:])
-                     for x in (params, globals_, pose3d))
-    return params, globals_, pose3d
+    return tuple(as_samples(x, z.shape[0], gen.frames) for x in (params, globals_, pose3d))
 
 
 def generate(gen: DhGenerator, z) -> GenOutput:
@@ -409,12 +400,12 @@ def motion_streams(x3d: Tensor, xcos: Tensor, x2d: Tensor, frames: int) -> dict:
 
 
 def _streams(pose3d: Tensor, pose2d: Tensor, cam, pairs: AdjacentBonePairs,
-             frames: Optional[int]) -> dict:
+             frames: int) -> dict:
     """The critic streams of (N, K, 3) and (N, K, 2) poses by name: the frame
-    streams, then, unless ``frames`` is None (single mode), the motion
-    streams of their N / frames sequences."""
+    streams, then, when ``frames`` (T) is 2 or more, the motion streams of
+    their N / T sequences."""
     streams = dict(zip(FRAME_STREAMS, frame_streams(pose3d, pose2d, cam, pairs)))
-    if frames is not None:
+    if frames > 1:
         streams.update(motion_streams(*(streams[k] for k in FRAME_STREAMS), frames))
     return streams
 
@@ -423,7 +414,7 @@ def _streams(pose3d: Tensor, pose2d: Tensor, cam, pairs: AdjacentBonePairs,
 class TapeGenOutput:
     """Generator pipeline on the tape, down to the critic input streams."""
 
-    params: Tensor       # (N, 48) squashed deltas (N = B or B*T)
+    params: Tensor       # (N, 48) squashed deltas (N = B*T)
     globals_: Tensor     # (N, 6)
     pose3d: Tensor       # (N, 16, 3)
     streams: dict        # the ``_streams`` dict, in the net's dtype
@@ -442,8 +433,7 @@ def generate_on_tape(gen: DhGenerator, z, tape: Tape, gen_params: list,
         raise TrainingDivergedError(
             "generated joint in front of the near plane; widen the translation bounds",
             {"min_depth": float(pose3d.values[:, :, 2].min()), "z_min": gen.camera.z_min})
-    streams = _streams(pose3d, project(pose3d, gen.camera), gen.camera, pairs,
-                       gen.frames if gen.mode == "video" else None)
+    streams = _streams(pose3d, project(pose3d, gen.camera), gen.camera, pairs, gen.frames)
     # motion streams are cast first: this keeps the tape's node order
     streams = {k: ad.astype(streams[k], dtype) for k in (*MOTION_STREAMS, *FRAME_STREAMS)
                if k in streams}
@@ -555,20 +545,20 @@ def discriminate(critic, streams: dict) -> np.ndarray:
 # --------------------------------------------------------------------------
 # Batches and losses
 
-def feature_batch(pose3d, pose2d, cam, pairs: AdjacentBonePairs, video: bool = False) -> dict:
-    """Numpy critic streams of (B, K, 3/2) poses, or of (B, T, K, 3/2)
-    sequences with their motion streams when ``video``: the stream functions
-    run on constants.  ``cam`` is one ``CameraIntrinsics`` or (B, 5) rows
-    (see ``frame_streams``), one per pose or sequence."""
+def feature_batch(pose3d, pose2d, cam, pairs: AdjacentBonePairs) -> dict:
+    """Numpy critic streams of B samples (``dataset.as_samples``), (B, T, K,
+    3/2) or (B, K, 3/2), with their motion streams when T >= 2: the stream
+    functions run on constants.  ``cam`` is one ``CameraIntrinsics`` or
+    (B, 5) rows (see ``frame_streams``), one per sample."""
     pose3d = np.asarray(pose3d, dtype=np.float64)
     pose2d = np.asarray(pose2d, dtype=np.float64)
     kp = pose3d.shape[-2]
+    frames = pose3d[0].size // (kp * 3)
     if not isinstance(cam, CameraIntrinsics):  # a sequence's frames share its row
-        cam = np.repeat(np.asarray(cam, dtype=np.float64), pose3d[0].size // (kp * 3), axis=0)
+        cam = np.repeat(np.asarray(cam, dtype=np.float64), frames, axis=0)
     with Tape() as tape:
         streams = _streams(tape.const(pose3d.reshape(-1, kp, 3)),
-                           tape.const(pose2d.reshape(-1, kp, 2)), cam, pairs,
-                           pose3d.shape[1] if video else None)
+                           tape.const(pose2d.reshape(-1, kp, 2)), cam, pairs, frames)
     return {k: v.values for k, v in streams.items()}
 
 
@@ -656,7 +646,7 @@ def generator_loss(critics: dict, fake: TapeGenOutput, tape: Tape) -> Tensor:
 class TrainState:
     config: TrainConfig
     gen: DhGenerator
-    critics: dict[str, Critic]      # "frame", then "motion" in video mode
+    critics: dict[str, Critic]      # "frame", then "motion" when T >= 2
     pairs: AdjacentBonePairs
     adam: dict[str, nn.AdamState]   # "gen", then each critic's by name
     rng: np.random.Generator
@@ -673,7 +663,7 @@ def init_train_state(config: TrainConfig,
     pairs = adjacent_bone_pairs(gen.topology)
     n_pairs = len(pairs.pairs)
     critics = {"frame": build_critic(FRAME_BRANCHES, config, n_pairs, rng)}
-    if config.mode == "video":
+    if config.frames > 1:
         critics["motion"] = build_critic(MOTION_BRANCHES, config, n_pairs, rng)
     adam = {name: nn.AdamState(lr=config.lr) for name in ("gen", *critics)}
     return TrainState(config=config, gen=gen, critics=critics, pairs=pairs, adam=adam, rng=rng)
@@ -690,18 +680,15 @@ def _abort_if_bad(value: float, what: str, state: TrainState, extra: dict):
         raise TrainingDivergedError(f"non-finite {what} at epoch {state.epoch}", snapshot)
 
 
-def _real_minibatch(data: RealData, idx: np.ndarray, pairs: AdjacentBonePairs,
-                    video: bool) -> dict:
-    return feature_batch(data.pose3d[idx], data.pose2d[idx], data.cams[idx], pairs, video)
+def _real_minibatch(data: RealData, idx: np.ndarray, pairs: AdjacentBonePairs) -> dict:
+    return feature_batch(data.pose3d[idx], data.pose2d[idx], data.cams[idx], pairs)
 
 
-def _fake_minibatch(state: TrainState, batch: int, pairs: AdjacentBonePairs,
-                    video: bool) -> tuple[dict, int]:
+def _fake_minibatch(state: TrainState, batch: int, pairs: AdjacentBonePairs) -> tuple[dict, int]:
     z = sample_latent(batch, state.config.z_dim, state.rng)
     out = generate(state.gen, z)
     bad = count_violations(out.params.reshape(-1, N_PARAMS), state.gen.table)
-    fb = feature_batch(out.pose3d, out.pose2d, state.gen.camera, pairs, video=video)
-    return fb, bad
+    return feature_batch(out.pose3d, out.pose2d, state.gen.camera, pairs), bad
 
 
 def critic_update(state: TrainState, real: dict, fake: dict, gamma: int) -> dict:
@@ -749,10 +736,10 @@ def train_epoch(state: TrainState, data: RealData, synth_dir: Optional[str] = No
     if len(data) == 0:
         raise ValueError("training data is empty")
     cfg = state.config
-    video = cfg.mode == "video"
-    if video != data.video:
-        raise ValueError(f"config mode {cfg.mode!r} does not match the data layout")
-    gamma = gamma_schedule(state.epoch, cfg.beta_epoch) if video else 0
+    if data.frames != cfg.frames:
+        raise ValueError(f"the config has {cfg.frames} frames per sample, the data "
+                         f"{data.frames}")
+    gamma = gamma_schedule(state.epoch, cfg.beta_epoch) if "motion" in state.critics else 0
     batch = min(cfg.resolved_batch(), len(data))
     steps = max(1, len(data) // batch)
     d_gaps, gen_losses = [], []
@@ -760,8 +747,8 @@ def train_epoch(state: TrainState, data: RealData, synth_dir: Optional[str] = No
     for _ in range(steps):
         for _ in range(cfg.critic_steps):
             idx = state.rng.integers(0, len(data), size=batch)
-            real = _real_minibatch(data, idx, state.pairs, video)
-            fake, bad = _fake_minibatch(state, batch, state.pairs, video)
+            real = _real_minibatch(data, idx, state.pairs)
+            fake, bad = _fake_minibatch(state, batch, state.pairs)
             violations += bad
             m = critic_update(state, real, fake, gamma)
             d_gaps.append(m["d_gap"])
@@ -770,8 +757,8 @@ def train_epoch(state: TrainState, data: RealData, synth_dir: Optional[str] = No
         gen_losses.append(g["gen_loss"])
     # the critic objective's terms on a fresh batch, with constant weights, for the log
     idx = state.rng.integers(0, len(data), size=batch)
-    real = _real_minibatch(data, idx, state.pairs, video)
-    fake, _ = _fake_minibatch(state, batch, state.pairs, video)
+    real = _real_minibatch(data, idx, state.pairs)
+    fake, _ = _fake_minibatch(state, batch, state.pairs)
     with Tape() as tape:
         terms = critic_loss(active_critics(state.critics, gamma), real, fake, cfg.alpha,
                             state.rng, tape)[1]
@@ -795,7 +782,7 @@ def train_epoch(state: TrainState, data: RealData, synth_dir: Optional[str] = No
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, f"epoch_{state.epoch:03d}.txt")
         seed = int(state.rng.integers(0, 2 ** 31))
-        summary = synthesize_dataset(state.gen, len(data), cfg.mode, seed, path)
+        summary = synthesize_dataset(state.gen, len(data), state.gen.mode, seed, path)
         metrics["synth_count"] = summary.records
         metrics["synth_path"] = path
     state.epoch += 1
@@ -805,11 +792,11 @@ def train_epoch(state: TrainState, data: RealData, synth_dir: Optional[str] = No
 def save_generator(gen: DhGenerator, path, seed: int,
                    meta: Optional[dict[str, str]] = None) -> None:
     """Write the generator net and what shapes its output besides: mode,
-    frames, the hashes of its topology and constraint table, and its bounds
-    (``repr``, so they read back exactly); ``meta`` adds header lines that
-    ``load_generator`` ignores."""
+    frames, the raw layout (``RAW_LAYOUT``), the hashes of its topology and
+    constraint table, and its bounds (``repr``, so they read back exactly);
+    ``meta`` adds header lines that ``load_generator`` ignores."""
     nn.save_checkpoint(path, {"gen": gen.net}, seed,
-                       extra={"mode": gen.mode, "frames": str(gen.frames),
+                       extra={"mode": gen.mode, "frames": str(gen.frames), "layout": RAW_LAYOUT,
                               "topology": topology_hash(gen.topology),
                               "constraints": table_hash(gen.table),
                               "bounds": " ".join(map(repr, gen.bounds.lo + gen.bounds.hi)),
@@ -823,25 +810,35 @@ def load_generator(path, topology: Optional[SkeletonTopology] = None,
     topology or constraint table other than the one it was trained against
     raises ValueError naming both hashes.  A checkpoint without ``meta
     bounds`` or ``meta constraints`` lines gets the default bounds or takes
-    any table."""
-    nets, _, extra = nn.load_checkpoint(path)
+    any table, one without ``meta frames`` has 1 frame, and one of 2 or more
+    frames without ``meta layout`` predates ``RAW_LAYOUT`` and is refused.
+    A malformed meta value raises ``ParseError`` at its line."""
+    nets, _, meta = nn.load_checkpoint(path)
+    kinds = {"topology": [str], "constraints": [str], "mode": [str], "frames": [int],
+             "layout": [RAW_LAYOUT], "bounds": [float] * (len(meta["bounds"].tokens) - 2)
+             if "bounds" in meta else []}
+    got = {key: meta[key].fields("meta", key, *kind)[2:] for key, kind in kinds.items()
+           if key in meta}
     topology = topology or default_topology()
     table = table or default_constraint_table()
     for key, digest in (("topology", topology_hash(topology)), ("constraints", table_hash(table))):
-        if key in extra and extra[key] != digest:
-            raise ValueError(f"{path}: checkpoint was trained against {key} {extra[key]}, "
+        if key in got and got[key][0] != digest:
+            raise ValueError(f"{path}: checkpoint was trained against {key} {got[key][0]}, "
                              f"not {digest}")
     if "gen" not in nets:
         raise ValueError(f"{path}: checkpoint holds no generator net 'gen' "
                          f"(nets: {', '.join(nets) or 'none'})")
+    frames = got.get("frames", [1])[0]
+    if frames > 1 and "layout" not in got:
+        raise ValueError(f"{path}: this {frames}-frame checkpoint predates the raw output "
+                         f"layout {RAW_LAYOUT!r}, which orders its outputs otherwise; retrain it")
     try:
-        bounds = GlobalBounds()
-        if "bounds" in extra:
-            values = [float(v) for v in extra["bounds"].split()]
-            bounds = GlobalBounds(values[:N_GLOBAL], values[N_GLOBAL:])
+        if "mode" in got:
+            check_mode(got["mode"][0], frames)
+        bounds = got.get("bounds")
         return DhGenerator(net=nets["gen"], topology=topology, table=table,
-                           camera=camera or default_camera(),
-                           mode=extra.get("mode", "single"), frames=int(extra.get("frames", "1")),
-                           bounds=bounds)
+                           camera=camera or default_camera(), frames=frames,
+                           bounds=GlobalBounds() if bounds is None
+                           else GlobalBounds(bounds[:N_GLOBAL], bounds[N_GLOBAL:]))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

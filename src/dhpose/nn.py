@@ -205,18 +205,19 @@ def save_checkpoint(path, nets: dict[str, Mlp], seed: int,
         fh.write(blob.tobytes())
 
 
-def load_checkpoint(path) -> tuple[dict[str, Mlp], int, dict[str, str]]:
-    """Nets, seed and ``meta`` values; a header line that is blank or
-    malformed raises ``ParseError`` (a ``meta`` value keeps any ``#``), as do
-    ``layer`` lines that do not form their net: each follows its ``net`` line,
-    numbered by position, reading what the layer before it emits, as many as
-    the ``net`` line says, and a blob shorter than the ``binary`` line says."""
+def load_checkpoint(path) -> tuple[dict[str, Mlp], int, dict[str, Record]]:
+    """Nets, seed and the ``meta`` lines by key, as ``Record``s to read with
+    ``Record.fields``; a header line that is blank or malformed raises
+    ``ParseError`` (a ``meta`` value keeps any ``#``), as do ``layer`` lines
+    that do not form their net: each follows its ``net`` line, numbered by
+    position, reading what the layer before it emits, as many as the ``net``
+    line says, and a blob shorter than the ``binary`` line says."""
     with open(path, "rb") as fh:
         magic = decode(path, fh.readline(), 1).strip()
         if magic != "dhpose-checkpoint v1":
             raise ParseError(path, 1, f"not a checkpoint file: {magic!r}")
         seed = 0
-        extra: dict[str, str] = {}
+        extra: dict[str, Record] = {}
         # by net: the layer count and line of its net line, and (in, out, act) per layer
         specs: dict[str, tuple[int, Record, list[tuple[int, int, str]]]] = {}
         nbytes = net = None
@@ -226,7 +227,7 @@ def load_checkpoint(path) -> tuple[dict[str, Mlp], int, dict[str, str]]:
             if kind == "seed":
                 seed = rec.fields("seed", int)[1]
             elif kind == "meta" and len(rec.tokens) > 1:
-                extra[rec.tokens[1]] = " ".join(rec.tokens[2:])
+                extra[rec.tokens[1]] = rec
             elif kind == "net":
                 _, net, _, count = rec.fields("net", str, "layers", int)
                 if net in specs:

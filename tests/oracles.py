@@ -197,15 +197,15 @@ def generate_ref(gen, z):
     from dhpose import autodiff as ad
     from dhpose import gan, nn
     from dhpose.camera import project_pose
+    from dhpose.dataset import as_samples
     from dhpose.skeleton import forward_kinematics_batch
 
     raw = nn.mlp_eval(float64_copy(gen.net), z)
     with ad.Tape() as tape:
         params, globals_ = (x.values for x in gan._split_raw(gen, tape.const(raw)))
     pose3d = forward_kinematics_batch(gen.topology, params, globals_)
-    if gen.mode == "video":
-        params, globals_, pose3d = (x.reshape(raw.shape[0], gen.frames, *x.shape[1:])
-                                    for x in (params, globals_, pose3d))
+    params, globals_, pose3d = (as_samples(x, raw.shape[0], gen.frames)
+                                for x in (params, globals_, pose3d))
     return gan.GenOutput(params=params, globals_=globals_, pose3d=pose3d,
                          pose2d=project_pose(pose3d, gen.camera))
 

@@ -114,7 +114,7 @@ def test_criterion_telescoping_identities(pairs, topology, camera):
         seq3d = sk.forward_kinematics_batch(topology, params, g)
         seq2d = rng.normal(size=(frames, 16, 2)) * 50
         # the motion critic's difference streams
-        m = gan.feature_batch(seq3d[None], seq2d[None], camera, pairs, video=True)
+        m = gan.feature_batch(seq3d[None], seq2d[None], camera, pairs)
         d3 = m["diff3d"].reshape(frames - 1, 16, 3)
         s3 = d3.sum(axis=(0, 1))
         brute3 = np.zeros(3)
@@ -212,7 +212,7 @@ def test_criterion_autodiff_gradient_checks(pairs, camera):
     cfg = gan.TrainConfig(mode="video", frames=3, enc_hidden=(4,), head_hidden=(3,))
     rng = RNG(108)
     streams = gan.feature_batch(rng.normal(size=(3, 3, 16, 3)),
-                                rng.normal(size=(3, 3, 16, 2)) * 50, camera, pairs, video=True)
+                                rng.normal(size=(3, 3, 16, 2)) * 50, camera, pairs)
     critics = (
         (float64_copy(gan.build_critic(gan.FRAME_BRANCHES, cfg, 14, RNG(109))),
          lambda critic, tape, p: gan.frame_penalty(critic, streams, 10.0, tape, p)),
@@ -267,13 +267,13 @@ def test_criterion_smoke_gan_run():
         pairs = state.pairs
         for _ in range(200):
             idx = state.rng.integers(0, len(data), cfg.batch_size)
-            real = gan._real_minibatch(data, idx, pairs, False)
-            fake, bad = gan._fake_minibatch(state, cfg.batch_size, pairs, False)
+            real = gan._real_minibatch(data, idx, pairs)
+            fake, bad = gan._fake_minibatch(state, cfg.batch_size, pairs)
             assert bad == 0
             gan.critic_update(state, real, fake, 0)
         eval_idx = np.arange(1024)
-        real = gan._real_minibatch(data, eval_idx % len(data), pairs, False)
-        fake, _ = gan._fake_minibatch(state, 1024, pairs, False)
+        real = gan._real_minibatch(data, eval_idx % len(data), pairs)
+        fake, _ = gan._fake_minibatch(state, 1024, pairs)
         with ad.Tape() as tape:
             s_real = gan.frame_score(state.critics["frame"], real, tape)[0].values
             s_fake = gan.frame_score(state.critics["frame"], fake, tape)[0].values

@@ -163,6 +163,15 @@ class TestSynthAndFeatures:
         assert code1 == code2 == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_features_of_a_one_frame_sequence_are_its_frame_streams(self, capsys, tmp_path):
+        data = tmp_path / "d.txt"
+        run(capsys, "synth", "--count", "3", "--seed", "3", "--out", str(data))
+        code, out, _ = run(capsys, "features", "--data", str(data), "--sequence", "1")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1] == "frames 1 pairs 14"
+        assert [line.split()[0] for line in lines[2:]] == ["x3d", "xcos", "x2d"]
+
     def test_features_dump(self, capsys, tmp_path):
         data = tmp_path / "d.txt"
         run(capsys, "synth", "--count", "20", "--seed", "3", "--out", str(data),
@@ -269,7 +278,7 @@ class TestTrain:
                    (out_dir / "metrics.jsonl").read_text().splitlines()]
         assert [m["blas_threads"] for m in metrics] == [expected, expected]
         _, _, meta = nn.load_checkpoint(out_dir / "gen.ckpt")
-        assert json.loads(meta["blas_threads"]) == expected
+        assert json.loads(meta["blas_threads"].fields("meta", "blas_threads", str)[2]) == expected
         gen = gan.load_generator(out_dir / "gen.ckpt")
         assert gen.mode == "single"
 
@@ -485,16 +494,19 @@ class TestSynthFromCheckpoint:
         code, _, err = run(capsys, "synth", "--count", "5", "--seed", "9",
                            "--out", str(tmp_path / "d.txt"), "--checkpoint", str(ckpt))
         assert code == 2
-        assert "parse error at line 13: binary payload truncated" in err
+        assert "parse error at line 14: binary payload truncated" in err
 
 
     @pytest.mark.parametrize("edit,says", [
         ((b"net gen ", b"net foo "), "holds no generator net 'gen' (nets: foo)"),
         ((b"meta mode single", b"meta mode bogus"), "must be 'single' or 'video', got 'bogus'"),
-        ((b"128 8 tanh", b"128 8 relu"), "line 9: unknown activation 'relu'"),
+        ((b"128 8 tanh", b"128 8 relu"), "line 10: unknown activation 'relu'"),
         ((b"layer gen 1 8 54", b"layer gen 1 999 54"),
-         "line 10: layer 1 of net 'gen' reads 999 values; layer 0 emits 8"),
+         "line 11: layer 1 of net 'gen' reads 999 values; layer 0 emits 8"),
         ((b"meta bounds ", b"meta bounds 7.5 "), "bounds need 6 'hi' values, got 7"),
+        # meta values follow the ASCII-number rule of every text reader
+        ((b"meta frames 1", "meta frames \u0669".encode()), "line 4: bad int '\u0669' in field 3"),
+        ((b"meta bounds -3.14", b"meta bounds -3_0.5"), "line 8: bad float '-3_0.5"),
     ])
     def test_malformed_checkpoint_is_a_data_error_naming_the_file(self, capsys, tmp_path, edit,
                                                                   says):
@@ -565,6 +577,11 @@ class TestUsageAndSelftest:
          "--frames cannot be combined with --checkpoint"),
         (("train", "--data", "d.txt", "--band-count", "3", "--epochs", "1", "--batch", "8"),
          "--band-count cannot be combined with --data, which fixes it"),
+        # single mode fixes the frame count at 1
+        (("synth", "--frames", "5", "--count", "2", "--out", "x.txt"),
+         "--frames: a frame count (5) needs video mode: single mode has 1 frame"),
+        (("train", "--mode", "single", "--frames", "5", "--band-count", "8", "--epochs", "1"),
+         "--frames: a frame count (5) needs video mode"),
         # an option that the subcommand does not read
         (("fk", "--config", "c.json"), "unrecognized arguments: --config"),
         (("fk", "--constraints", "t.txt"), "unrecognized arguments: --constraints"),

@@ -658,12 +658,22 @@ class TestBandCorpus:
         data = dsio.make_band_corpus(40, 15)
         assert data.pose3d.shape == (40, 16, 3)
         assert data.pose2d.shape == (40, 16, 2)
-        assert not data.video
+        assert data.frames == 1
+
+    @pytest.mark.parametrize("mode, frames", [("bogus", 3), ("bogus", 1), ("single", 9),
+                                              ("video", 1)])
+    def test_mode_that_does_not_name_the_frames_is_refused(self, tmp_path, mode, frames):
+        path = tmp_path / "d.txt"
+        dsio.save_dataset(dsio.rows_of(dsio.make_band_corpus(4, 0)), path)
+        with pytest.raises(ValueError, match="mode"):
+            dsio.make_band_corpus(4, 0, mode=mode, frames=frames)
+        with pytest.raises(ValueError, match="mode"):
+            dsio.real_data_from_dataset(path, mode, frames)
 
     def test_video_mode(self):
         data = dsio.make_band_corpus(10, 16, mode="video", frames=5)
         assert data.pose3d.shape == (10, 5, 16, 3)
-        assert data.video
+        assert data.frames == 5
 
     def test_round_trip_through_dataset_file(self, tmp_path):
         data = dsio.make_band_corpus(12, 17)

@@ -22,8 +22,7 @@ def motion(seq3d, pairs, seq2d=None):
     seq3d = np.asarray(seq3d, dtype=np.float64)
     if seq2d is None:
         seq2d = np.zeros(seq3d.shape[:-1] + (2,))
-    streams = gan.feature_batch(seq3d[None], np.asarray(seq2d)[None], default_camera(), pairs,
-                                video=True)
+    streams = gan.feature_batch(seq3d[None], np.asarray(seq2d)[None], default_camera(), pairs)
     return {k: streams[k][0] for k in gan.MOTION_STREAMS}
 
 
@@ -114,11 +113,11 @@ class TestTrajectories:
         assert np.allclose(diffs, [0.01, 0, 0])
         assert np.allclose(diffs.sum(axis=0), [0.16, 0, 0])  # 16 joints x 0.01
 
-    def test_single_frame_gives_empty_diffs(self, topology, pairs):
-        m = motion(sk.rest_pose(topology)[None], pairs)
-        for key in ("diff3d", "cosdiff", "root2d"):
-            assert m[key].shape == (0,), key
-            assert m[key].sum() == 0
+    def test_single_frame_has_no_motion_streams(self, topology, pairs):
+        pose = sk.rest_pose(topology)[None, None]
+        streams = gan.feature_batch(pose, np.zeros(pose.shape[:-1] + (2,)), default_camera(),
+                                    pairs)
+        assert list(streams) == list(gan.FRAME_STREAMS)
 
     def test_cosine_step(self):
         bones = ((0, 1), (1, 2))
@@ -192,7 +191,7 @@ class TestBundle:
         g[:, 5] = 4.0
         seq3d = sk.forward_kinematics_batch(topology, params, g)
         seq2d = project_pose(seq3d, camera)
-        fb = gan.feature_batch(seq3d[None], seq2d[None], camera, pairs, video=True)
+        fb = gan.feature_batch(seq3d[None], seq2d[None], camera, pairs)
         shapes = {"x3d": (5, 48), "xcos": (5, 14), "x2d": (5, 32), "seq3d": (1, 5 * 48),
                   "diff3d": (1, 4 * 48), "cosseq": (1, 5 * 14), "cosdiff": (1, 4 * 14),
                   "seq2d": (1, 5 * 32), "root2d": (1, 4 * 2)}
@@ -205,4 +204,4 @@ class TestBundle:
         seq3d = np.stack([sk.rest_pose(topology)] * 3)[None]
         seq2d = np.zeros((1, 2, 16, 2))
         with pytest.raises(ValueError, match="do not pair"):
-            gan.feature_batch(seq3d, seq2d, camera, pairs, video=True)
+            gan.feature_batch(seq3d, seq2d, camera, pairs)

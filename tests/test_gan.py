@@ -95,11 +95,64 @@ class TestGenerate:
         with pytest.raises(ValueError, match="54"):
             gan.DhGenerator(net=bad, topology=topology, table=table, camera=camera)
 
-    def test_unknown_mode_rejected(self, topology, table, camera):
-        # any mode but "single" would otherwise be taken for video
-        net = nn.mlp_init([16, 54], ["linear"], RNG(7))
-        with pytest.raises(ValueError, match="'bogus'"):
-            gan.DhGenerator(net=net, topology=topology, table=table, camera=camera, mode="bogus")
+    def test_mode_names_the_frame_count(self, topology, table, camera):
+        # the mode is no second setting, so no mode can disagree with the frames
+        for frames, mode in ((1, "single"), (3, "video")):
+            net = nn.mlp_init([16, gan._out_width(frames)], ["linear"], RNG(7))
+            gen = gan.DhGenerator(net=net, topology=topology, table=table, camera=camera,
+                                  frames=frames)
+            assert gen.mode == mode
+        net = nn.mlp_init([16, 15], ["linear"], RNG(7))
+        with pytest.raises(ValueError, match="at least 1 frame, got 0"):
+            gan.DhGenerator(net=net, topology=topology, table=table, camera=camera, frames=0)
+
+    def test_split_at_one_frame_is_the_48_parameters_then_the_globals(self, table):
+        gen = gan.build_generator(tiny_config(), RNG(90))
+        raw = RNG(91).normal(0, 2, (7, 54))
+        lo, hi = gen.bounds.arrays()
+        with ad.Tape() as tape:
+            params, globals_ = gan._split_raw(gen, tape.const(raw))
+            want_params = ct.squash(tape.const(raw[:, :48]), table.lo, table.hi).values
+            want_globals = ct.squash(tape.const(raw[:, 48:]), lo, hi).values
+        assert np.array_equal(params.values, want_params)
+        assert np.array_equal(globals_.values, want_globals)
+
+    @staticmethod
+    def _earlier_video_columns(t):
+        """The earlier video layout was 15 shared lengths, then each frame's
+        33 angles and 6 globals: column j of the layout now was column [j] then."""
+        frame = 15 + 39 * np.arange(t)[:, None]
+        return np.r_[(frame + np.arange(33)).ravel(), np.arange(15),
+                     (frame + 33 + np.arange(6)).ravel()]
+
+    def test_video_split_is_the_earlier_split_of_permuted_columns(self, table):
+        t, b = 3, 5
+        gen = gan.build_generator(tiny_config(mode="video", frames=t), RNG(92))
+        old = RNG(93).normal(0, 2, (b, 15 + 39 * t))
+        lo, hi = gen.bounds.arrays()
+        with ad.Tape() as tape:
+            params, globals_ = gan._split_raw(gen,
+                                              tape.const(old[:, self._earlier_video_columns(t)]))
+            lengths = ct.squash(tape.const(old[:, :15]), table.lo[33:], table.hi[33:]).values
+            per = old[:, 15:].reshape(b * t, 39)
+            angles = ct.squash(tape.const(per[:, :33]), table.lo[:33], table.hi[:33]).values
+            want_globals = ct.squash(tape.const(per[:, 33:]), lo, hi).values
+        want_params = np.concatenate([angles, np.repeat(lengths, t, axis=0)], axis=1)
+        assert np.array_equal(params.values, want_params)
+        assert np.array_equal(globals_.values, want_globals)
+
+    @pytest.mark.parametrize("mode, frames", [("single", 1), ("video", 3)])
+    def test_init_gives_each_output_the_weights_a_seed_drew_for_it_before(self, mode, frames):
+        # a seed's video generator starts where it did under the earlier layout
+        cfg = tiny_config(mode=mode, frames=frames)
+        gen = gan.build_generator(cfg, RNG(97))
+        sizes = [cfg.z_dim, *cfg.gen_hidden, gan._out_width(frames)]
+        drawn = nn.mlp_init(sizes, ["tanh", "tanh", "linear"], RNG(97))
+        columns = self._earlier_video_columns(frames) if frames > 1 else np.arange(54)
+        *hidden, last = drawn.layers
+        want = [a for layer in hidden for a in (layer.w, layer.b)] + [last.w[:, columns], last.b]
+        for k, (w0, w1) in enumerate(zip(want, weights(gen.net), strict=True)):
+            assert w1.flags.c_contiguous and np.array_equal(w0, w1), k
 
     def test_tape_path_matches_numpy_path(self, pairs):
         cfg = tiny_config()
@@ -129,7 +182,7 @@ class TestGenerate:
         gen = gan.build_generator(cfg, RNG(60))
         z = gan.sample_latent(5, cfg.z_dim, RNG(61))
         out = gan.generate(gen, z)
-        want = gan.feature_batch(out.pose3d, out.pose2d, gen.camera, pairs, video=True)
+        want = gan.feature_batch(out.pose3d, out.pose2d, gen.camera, pairs)
         tape = ad.Tape()
         leaves = nn.mlp_leaves(tape, gen.net)
         got = gan.generate_on_tape(gen, z, tape, leaves, pairs).streams
@@ -247,7 +300,7 @@ class TestFrameCritic:
     def test_camera_rows_must_match_the_batch(self, pairs, mode, frames):
         data = dsio.make_band_corpus(6, 1, mode=mode, frames=frames)
         with pytest.raises(ad.ShapeError, match="camera batch"):
-            gan.feature_batch(data.pose3d, data.pose2d, data.cams[:5], pairs, video=mode == "video")
+            gan.feature_batch(data.pose3d, data.pose2d, data.cams[:5], pairs)
 
     def test_cosine_stream_wired_in(self, pairs):
         cfg = tiny_config()
@@ -265,7 +318,7 @@ class TestMotionCritic:
         cfg = tiny_config(mode="video", frames=frames)
         gen = gan.build_generator(cfg, RNG(seed))
         out = gan.generate(gen, gan.sample_latent(n, cfg.z_dim, RNG(seed + 1)))
-        return gan.feature_batch(out.pose3d, out.pose2d, gen.camera, pairs, video=True), cfg
+        return gan.feature_batch(out.pose3d, out.pose2d, gen.camera, pairs), cfg
 
     def test_zero_weights_score_zero(self, pairs):
         streams, cfg = self._streams(pairs)
@@ -304,10 +357,9 @@ class TestMotionCritic:
         g[:, 5] = 4.0
         seq3d = sk.forward_kinematics_batch(topology, params, g)
         seq2d = project_pose(seq3d, camera)
-        ordered = gan.feature_batch(seq3d[None], seq2d[None], camera, pairs, video=True)
+        ordered = gan.feature_batch(seq3d[None], seq2d[None], camera, pairs)
         perm = np.array([2, 0, 4, 1, 3])
-        shuffled = gan.feature_batch(seq3d[perm][None], seq2d[perm][None], camera, pairs,
-                                     video=True)
+        shuffled = gan.feature_batch(seq3d[perm][None], seq2d[perm][None], camera, pairs)
         s_ord = gan.discriminate(critic, ordered)
         s_shuf = gan.discriminate(critic, shuffled)
         assert abs(float(s_ord[0] - s_shuf[0])) > 1e-9
@@ -325,7 +377,7 @@ class TestMotionCritic:
         pose = sk.rest_pose(topology) + [0, 0, 4.0]
         seq3d = np.stack([pose] * 4)[None]
         seq2d = project_pose(seq3d, camera)
-        streams = gan.feature_batch(seq3d, seq2d, camera, pairs, video=True)
+        streams = gan.feature_batch(seq3d, seq2d, camera, pairs)
         assert np.all(streams["diff3d"] == 0)
         assert np.all(streams["cosdiff"] == 0)
         assert np.all(streams["root2d"] == 0)
@@ -336,8 +388,7 @@ class TestBuildCritic:
                                              ("video", 9)])
     def test_stream_widths_are_the_widths_feature_batch_emits(self, pairs, mode, frames):
         data = dsio.make_band_corpus(2, 3, mode=mode, frames=frames)
-        streams = gan.feature_batch(data.pose3d, data.pose2d, data.cams, pairs,
-                                    video=mode == "video")
+        streams = gan.feature_batch(data.pose3d, data.pose2d, data.cams, pairs)
         names = gan.FRAME_STREAMS + (gan.MOTION_STREAMS if mode == "video" else ())
         assert list(streams) == list(names)
         widths = gan.stream_widths(len(pairs.pairs), frames)
@@ -431,7 +482,7 @@ class TestCriticLoss:
         cfg = tiny_config(mode="video", frames=3)
         gen = gan.build_generator(cfg, RNG(36))
         a = gan.generate(gen, gan.sample_latent(4, cfg.z_dim, RNG(37)))
-        real = gan.feature_batch(a.pose3d, a.pose2d, gen.camera, pairs, video=True)
+        real = gan.feature_batch(a.pose3d, a.pose2d, gen.camera, pairs)
         fake = {k: v for k, v in real.items() if k != "root2d"}
         with pytest.raises(ad.ShapeError, match="differ in streams \\['root2d'\\]"):
             gan.critic_loss({"frame": sum_critic()}, real, fake, 1.0, RNG(5), ad.Tape())
@@ -558,6 +609,19 @@ class TestEndToEndGradients:
 
 
 class TestTrainEpoch:
+    @pytest.mark.parametrize("config_frames, data_frames", [(3, 5), (1, 3), (3, 1)])
+    def test_data_of_another_frame_count_is_refused_before_any_draw(self, config_frames,
+                                                                      data_frames):
+        mode = {1: "single"}.get(config_frames, "video")
+        state = gan.init_train_state(tiny_config(mode=mode, frames=config_frames, batch_size=4))
+        before = state.rng.bit_generator.state
+        data = dsio.make_band_corpus(6, 9, mode={1: "single"}.get(data_frames, "video"),
+                                     frames=data_frames)
+        with pytest.raises(ValueError, match=f"config has {config_frames} frames per sample, "
+                                             f"the data {data_frames}"):
+            gan.train_epoch(state, data)
+        assert state.rng.bit_generator.state == before
+
     def test_metrics_deterministic_and_violation_free(self):
         cfg = tiny_config(seed=40)
         data = dsio.make_band_corpus(32, 7)
@@ -650,8 +714,8 @@ class TestTrainEpoch:
                           beta_epoch=1)
         data = dsio.make_band_corpus(8, 13, mode="video", frames=3)
         state = gan.init_train_state(cfg)
-        real = gan._real_minibatch(data, np.arange(4), state.pairs, True)
-        fake, _ = gan._fake_minibatch(state, 4, state.pairs, True)
+        real = gan._real_minibatch(data, np.arange(4), state.pairs)
+        fake, _ = gan._fake_minibatch(state, 4, state.pairs)
         refs = []
         backward = ad.backward
 
@@ -674,8 +738,8 @@ class TestTrainEpoch:
                           beta_epoch=1)
         data = dsio.make_band_corpus(8, 12, mode="video", frames=3)
         state = gan.init_train_state(cfg)
-        real = gan._real_minibatch(data, np.arange(4), state.pairs, True)
-        fake, _ = gan._fake_minibatch(state, 4, state.pairs, True)
+        real = gan._real_minibatch(data, np.arange(4), state.pairs)
+        fake, _ = gan._fake_minibatch(state, 4, state.pairs)
         nodes = []  # the tape's node count at each Adam update
         adam_update = nn.adam_update
 
@@ -699,8 +763,8 @@ class TestTrainEpoch:
                           head_hidden=(16,))
         data = dsio.make_band_corpus(8, 5, mode="video", frames=3)
         state = gan.init_train_state(cfg)
-        real = gan._real_minibatch(data, np.arange(8), state.pairs, True)
-        fake, _ = gan._fake_minibatch(state, 8, state.pairs, True)
+        real = gan._real_minibatch(data, np.arange(8), state.pairs)
+        fake, _ = gan._fake_minibatch(state, 8, state.pairs)
         gan.critic_update(state, real, fake, 1)  # Adam's moments exist from here on
         forward = []
         backward = ad.backward
@@ -728,8 +792,8 @@ class TestTrainEpoch:
                           head_hidden=(16,))
         data = dsio.make_band_corpus(8, 5, mode="video", frames=3)
         state = gan.init_train_state(cfg)
-        real = gan._real_minibatch(data, np.arange(8), state.pairs, True)
-        fake, _ = gan._fake_minibatch(state, 8, state.pairs, True)
+        real = gan._real_minibatch(data, np.arange(8), state.pairs)
+        fake, _ = gan._fake_minibatch(state, 8, state.pairs)
         gan.critic_update(state, real, fake, 1)  # Adam's moments exist from here on
         live, peak = [], []
         backward = ad.backward
@@ -754,8 +818,8 @@ class TestTrainEpoch:
                           beta_epoch=1)
         data = dsio.make_band_corpus(8, 14, mode="video", frames=3)
         state = gan.init_train_state(cfg)
-        real = gan._real_minibatch(data, np.arange(4), state.pairs, True)
-        fake, _ = gan._fake_minibatch(state, 4, state.pairs, True)
+        real = gan._real_minibatch(data, np.arange(4), state.pairs)
+        fake, _ = gan._fake_minibatch(state, 4, state.pairs)
         before = copy.deepcopy(state.critics["frame"])
         with ad.Tape() as tape:
             params = gan.critic_leaves(tape, before)
@@ -780,8 +844,8 @@ class TestTrainEpoch:
                           beta_epoch=1)
         data = dsio.make_band_corpus(8, 15, mode="video", frames=3)
         state = gan.init_train_state(cfg)
-        real = gan._real_minibatch(data, np.arange(4), state.pairs, True)
-        fake, _ = gan._fake_minibatch(state, 4, state.pairs, True)
+        real = gan._real_minibatch(data, np.arange(4), state.pairs)
+        fake, _ = gan._fake_minibatch(state, 4, state.pairs)
         before = [weights(*critic.nets.values()) for critic in state.critics.values()]
         adams = copy.deepcopy([state.adam[name] for name in state.critics])
         leaves, calls = [], []
@@ -863,11 +927,11 @@ class TestTrainEpoch:
         pairs = state.pairs
         for _ in range(60):
             idx = state.rng.integers(0, len(data), 64)
-            real = gan._real_minibatch(data, idx, pairs, False)
-            fake, _ = gan._fake_minibatch(state, 64, pairs, False)
+            real = gan._real_minibatch(data, idx, pairs)
+            fake, _ = gan._fake_minibatch(state, 64, pairs)
             gan.critic_update(state, real, fake, 0)
-        real = gan._real_minibatch(data, np.arange(len(data)), pairs, False)
-        fake, _ = gan._fake_minibatch(state, 256, pairs, False)
+        real = gan._real_minibatch(data, np.arange(len(data)), pairs)
+        fake, _ = gan._fake_minibatch(state, 256, pairs)
         s_real = gan.discriminate(state.critics["frame"], real)
         s_fake = gan.discriminate(state.critics["frame"], fake)
         assert s_real.mean() - s_fake.mean() > 0.0
@@ -914,6 +978,32 @@ class TestConfigAndCheckpoints:
         other = ct.ConstraintTable(table.lo / 2, table.hi / 2, table.names, table.kinds)
         loaded = gan.load_generator(path, table=other)
         assert loaded.bounds == gan.GlobalBounds() and loaded.table is other
+
+    @staticmethod
+    def _without_layout_line(path):
+        """The checkpoint as written before the raw layout had a name."""
+        path.write_bytes(path.read_bytes().replace(b"meta layout angles-lengths-globals\n", b""))
+
+    def test_video_checkpoint_without_layout_line_is_refused(self, tmp_path):
+        path = tmp_path / "gen.ckpt"
+        gan.save_generator(gan.build_generator(tiny_config(mode="video", frames=3), RNG(94)),
+                           path, seed=94)
+        self._without_layout_line(path)
+        with pytest.raises(ValueError, match="gen.ckpt: this 3-frame checkpoint predates the "
+                                             "raw output layout .*; retrain it"):
+            gan.load_generator(path)
+
+    def test_single_checkpoint_without_layout_line_loads_bit_for_bit(self, tmp_path):
+        cfg = tiny_config(seed=95)
+        gen = gan.build_generator(cfg, RNG(95))
+        path = tmp_path / "gen.ckpt"
+        gan.save_generator(gen, path, seed=95)
+        self._without_layout_line(path)
+        loaded = gan.load_generator(path)
+        for k, (w0, w1) in enumerate(zip(weights(gen.net), weights(loaded.net), strict=True)):
+            assert np.array_equal(w0, w1), k
+        z = gan.sample_latent(4, cfg.z_dim, RNG(96))
+        assert np.array_equal(gan.generate(gen, z).pose2d, gan.generate(loaded, z).pose2d)
 
     def test_checkpoint_topology_mismatch_detected(self, tmp_path, topology):
         cfg = tiny_config(seed=48)

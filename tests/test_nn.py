@@ -300,7 +300,7 @@ class TestCheckpoint:
         nn.save_checkpoint(path, nets, seed=123, extra={"mode": "single"})
         loaded, seed, extra = nn.load_checkpoint(path)
         assert seed == 123
-        assert extra["mode"] == "single"
+        assert extra["mode"].fields("meta", "mode", str) == ["meta", "mode", "single"]
         assert set(loaded) == {"gen", "critic"}
         for name in nets:
             for l0, l1 in zip(nets[name].layers, loaded[name].layers):

@@ -29,6 +29,13 @@ def test_scripts_run_without_pythonpath(tmp_path):
     assert "--seed" in proc.stdout
 
 
+def test_smoke_corpus_refuses_a_frame_count_in_single_mode(tmp_path):
+    out = tmp_path / "smoke.txt"
+    proc = run_script("make_smoke_corpus.py", "--frames", "5", "--out", str(out), cwd=tmp_path)
+    assert proc.returncode == 2 and "a frame count (5) needs video mode" in proc.stderr
+    assert not out.exists()
+
+
 def test_heap_by_phase_prints_every_phase(tmp_path):
     proc = run_script("heap_by_phase.py", "--seed", "3", "--count", "8", "--batch", "4",
                       "--frames", "3", cwd=tmp_path)

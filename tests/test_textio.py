@@ -34,7 +34,7 @@ READERS = {
     "params": (lambda p: p.write_text("# deltas\n" + "0 0 0 0 0 0 0 0\n" * 6),
                7, 2, lambda p: cli._load_params_file(p, sk.default_topology()),
                ["fk", "--params", "{path}"]),
-    "checkpoint": (_checkpoint, 9, 3, nn.load_checkpoint,
+    "checkpoint": (_checkpoint, 10, 3, nn.load_checkpoint,
                    ["synth", "--count", "4", "--out", "{tmp}/out.txt", "--checkpoint", "{path}"]),
     "skeleton video": (lambda p: dsio.export_skeleton_video(np.ones((2, 16, 3)), p),
                        18, 2, dsio.load_skeleton_video, None),
