@@ -352,17 +352,19 @@ def synthesize_dataset(gen, count: int, mode: str, seed: int, path,
             n = min(batch, count - written)
             z = sample_latent(n, gen.net.in_dim, rng)
             all_params, _, all_pose3d = generate_poses(gen, z)
-            keep = np.flatnonzero(np.all(all_pose3d.reshape(n, -1, 3)[:, :, 2] >= gen.camera.z_min,
-                                         axis=1))
+            flat3d = all_pose3d.reshape(n, -1, 3)
+            ok = np.all(flat3d[:, :, 2] >= gen.camera.z_min, axis=1)
+            keep = np.flatnonzero(ok)
             resampled += n - keep.size
             empty_rounds = empty_rounds + 1 if keep.size == 0 else 0
             if empty_rounds >= 50:
                 raise RuntimeError(
                     f"no sample cleared the near plane in {empty_rounds} consecutive "
                     f"batches; the translation bounds cannot reach z_min={gen.camera.z_min}")
+            params = all_params.reshape(n, -1, N_PARAMS)[keep]
             pose3d = all_pose3d[keep]
             pose2d = project_pose(pose3d, gen.camera)
-            violations += count_violations(all_params[keep].reshape(-1, N_PARAMS), gen.table)
+            violations += count_violations(params.reshape(-1, N_PARAMS), gen.table)
             k = keep.size
             if k == 0:
                 continue
