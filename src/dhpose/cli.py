@@ -21,7 +21,7 @@ from . import skeleton as sk
 from .__main__ import BLAS_THREAD_VARS
 from .camera import CameraIntrinsics, DepthViolationError, default_camera, project_pose
 from .features import adjacent_bone_pairs
-from .textio import ParseError, records
+from .textio import ParseError, Record, records
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,17 +54,19 @@ def _load_params_file(path, topology) -> np.ndarray:
     return params
 
 
+def _option_numbers(option: str, spec: str, count: int) -> list[float]:
+    """``count`` comma-separated numbers of ``option``, by the number rule of
+    the file readers (``textio.Record.fields``); a bad one raises ParseError
+    naming the option."""
+    return Record(option, None, [t.strip() for t in spec.split(",")]).fields(*[float] * count)
+
+
 def _parse_camera(spec: str) -> CameraIntrinsics:
-    parts = [float(t) for t in spec.split(",")]
-    if len(parts) != 5:
-        raise ValueError(f"camera must be fx,fy,cx,cy,z_min; got {spec!r}")
-    return CameraIntrinsics.from_array(parts)
+    return CameraIntrinsics.from_array(_option_numbers("--camera", spec, 5))
 
 
 def _parse_global(spec: str) -> sk.GlobalTransform:
-    parts = [float(t) for t in spec.split(",")]
-    if len(parts) != 6:
-        raise ValueError(f"global transform must be rx,ry,rz,tx,ty,tz; got {spec!r}")
+    parts = _option_numbers("--transform", spec, 6)
     return sk.GlobalTransform(*np.deg2rad(parts[:3]), *parts[3:])
 
 
@@ -169,8 +171,6 @@ def cmd_train(args) -> int:
         cfg = gan.TrainConfig(mode=args.mode, frames=args.frames, epochs=args.epochs,
                               seed=args.seed, batch_size=args.batch,
                               beta_epoch=min(4, args.epochs))
-    if args.out:
-        cfg.out_dir = args.out
     cfg.validate()
     topology = _topology_from(args)
     table = _table_from(args)
@@ -180,14 +180,19 @@ def cmd_train(args) -> int:
         data = ds.make_band_corpus(args.band_count, cfg.seed, topology, table,
                                    mode=cfg.mode, frames=cfg.frames)
     state = gan.init_train_state(cfg, topology, table)
-    out_dir = cfg.out_dir or "."
+    out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
     # the bits of a run depend on BLAS's thread count (see dhpose.__main__)
     blas_threads = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
     with open(metrics_path, "a") as log:
         for _ in range(cfg.epochs):
-            metrics = gan.train_epoch(state, data, synth_dir=out_dir)
+            try:
+                metrics = gan.train_epoch(state, data, synth_dir=out_dir)
+            except gan.TrainingDivergedError as exc:
+                with open(os.path.join(out_dir, "diverged.json"), "w") as fh:
+                    json.dump(exc.snapshot, fh, indent=2)
+                raise
             metrics["blas_threads"] = blas_threads
             log.write(json.dumps(metrics) + "\n")
             log.flush()

@@ -4,8 +4,8 @@ Bounds live in the same space as the parameter vector: deltas from the rest
 configuration (radians for joint angles, meters for bone lengths).  Every
 default range contains zero, so the rest pose always validates.  Generator
 outputs are pushed into range by a saturating tanh squash, written once as
-an autodiff tape node: training differentiates through it, and numpy callers
-(``squash_params``, inference) run it on constants.
+an autodiff tape node: training differentiates through it, and inference
+(``gan.generate_poses``) runs it on constants.
 """
 
 from __future__ import annotations
@@ -103,15 +103,6 @@ def squash(raw: Tensor, lo: np.ndarray, hi: np.ndarray) -> Tensor:
             raw.accumulate(g * half * (1.0 - t * t))
 
     return ad.node("squash", lo + (1.0 + t) * (hi - lo) / 2.0, (raw,), bwd)
-
-
-def squash_params(raw, table: ConstraintTable) -> np.ndarray:
-    """``squash`` of unbounded reals (..., 48) into the table ranges, per id."""
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.shape[-1] != table.lo.shape[0]:
-        raise ValueError(f"expected trailing dim {table.lo.shape[0]}, got {raw.shape}")
-    with ad.Tape() as tape:
-        return squash(tape.const(raw), table.lo, table.hi).values
 
 
 def validate_params(params, table: ConstraintTable) -> ValidationReport:

@@ -16,9 +16,10 @@ the nets it names.  Both train with the gradient-penalty objective; the
 motion terms are gated on by a step schedule over epochs.
 
 The pipeline from raw net output to critic streams is written once, over
-autodiff tape ops: the split and squash (``_split_raw``), FK and the bone
-cosines (one node each, forward the numpy geometry, backward in closed
-form), projection, and the frame and motion streams.  The generator step
+autodiff tape ops: the split and squash (``_split_raw``), FK
+(``skeleton.fk``), the bone cosines (``_cosines``, one node: forward the
+numpy ``joint_cosines``, backward in closed form), projection, and the
+frame and motion streams.  The generator step
 records it; inference, synthesis and the critic batches run the same
 functions on constants on a throwaway tape (``generate_poses``,
 ``feature_batch``).
@@ -42,14 +43,16 @@ from .constraints import (ConstraintTable, count_violations, default_constraint_
 from .dataset import RealData, as_samples, check_mode
 from .features import AdjacentBonePairs, adjacent_bone_pairs, bone_vectors, joint_cosines
 from .skeleton import (N_ANGLE_PARAMS, N_LENGTH_PARAMS, N_PARAMS, ROOT_KEYPOINT, SkeletonTopology,
-                       chain_frames, chain_vjp, default_topology, forward_kinematics_batch,
-                       rotation_xyz, topology_hash)
+                       default_topology, forward_kinematics_batch, topology_hash)
+from .skeleton import fk as _fk_tape  # perfbench's gan.fk_tape span patches this name
 
 N_GLOBAL = 6
 
 
 class TrainingDivergedError(RuntimeError):
-    """Non-finite loss; carries a diagnostic snapshot dict."""
+    """Training cannot go on: a non-finite loss, or a generated joint in front
+    of the near plane.  Carries a diagnostic snapshot dict, which ``dhpose
+    train`` writes to ``diverged.json`` in its run directory."""
 
     def __init__(self, message: str, snapshot: dict):
         super().__init__(message)
@@ -114,7 +117,6 @@ class TrainConfig:
     enc_hidden: tuple = (256, 256)
     head_hidden: tuple = (128,)
     bounds: GlobalBounds = field(default_factory=GlobalBounds)
-    out_dir: Optional[str] = None
 
     def resolved_batch(self) -> int:
         if self.batch_size is not None:
@@ -142,8 +144,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive, got {value}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.out_dir is not None and not isinstance(self.out_dir, str):
-            raise ValueError(f"out_dir must be a path, got {self.out_dir!r}")
         if self.beta_epoch > self.epochs:
             raise ValueError(f"beta_epoch {self.beta_epoch} exceeds epochs {self.epochs}")
         for name in ("gen_hidden", "enc_hidden", "head_hidden"):
@@ -293,31 +293,6 @@ def generate(gen: DhGenerator, z) -> GenOutput:
 
 # --------------------------------------------------------------------------
 # Differentiable generator path (autodiff tape)
-
-def _fk_tape(topology: SkeletonTopology, params: Tensor, globals_: Tensor) -> Tensor:
-    """Forward kinematics as one tape node: (N, 48) and (N, 6) to (N, 16, 3).
-
-    Forward: the numpy FK.  Backward: ``chain_vjp`` for the parameters; an
-    angle of the global rotation Rx Ry Rz turns the posed point q about its
-    world axis w (x, Rx y, Rx Ry z), so dq = w x (q - translation).
-    """
-    g = globals_.values
-    kps, frames = chain_frames(topology, params.values)
-    rot = rotation_xyz(g[:, 0], g[:, 1], g[:, 2])
-    pose = kps @ np.swapaxes(rot, -1, -2) + g[:, None, 3:6]
-
-    def bwd(grad):
-        if globals_.requires_grad:
-            m = np.cross(pose - g[:, None, 3:6], grad).sum(axis=1)
-            cx, sx, cy, sy = np.cos(g[:, 0]), np.sin(g[:, 0]), np.cos(g[:, 1]), np.sin(g[:, 1])
-            g_rot = np.stack([m[:, 0], cx * m[:, 1] + sx * m[:, 2],
-                              sy * m[:, 0] - sx * cy * m[:, 1] + cx * cy * m[:, 2]], axis=1)
-            globals_.accumulate(np.concatenate([g_rot, grad.sum(axis=1)], axis=1))
-        if params.requires_grad:
-            params.accumulate(chain_vjp(topology, kps, frames, grad @ rot))
-
-    return ad.node("fk", pose, (params, globals_), bwd)
-
 
 def _cosines(pose: Tensor, pairs: AdjacentBonePairs) -> Tensor:
     """Adjacent-bone cosines of (N, K, 3) poses as one tape node.
@@ -669,15 +644,10 @@ def init_train_state(config: TrainConfig,
     return TrainState(config=config, gen=gen, critics=critics, pairs=pairs, adam=adam, rng=rng)
 
 
-def _abort_if_bad(value: float, what: str, state: TrainState, extra: dict):
+def _abort_if_bad(value: float, what: str, state: TrainState):
     if not np.isfinite(value):
-        snapshot = {"what": what, "value": float(value), "epoch": state.epoch, **extra}
-        if state.config.out_dir:
-            import os
-            path = os.path.join(state.config.out_dir, "diverged.json")
-            with open(path, "w") as fh:
-                json.dump(snapshot, fh, indent=2)
-        raise TrainingDivergedError(f"non-finite {what} at epoch {state.epoch}", snapshot)
+        raise TrainingDivergedError(f"non-finite {what} at epoch {state.epoch}",
+                                    {"what": what, "value": float(value), "epoch": state.epoch})
 
 
 def _real_minibatch(data: RealData, idx: np.ndarray, pairs: AdjacentBonePairs) -> dict:
@@ -699,7 +669,7 @@ def critic_update(state: TrainState, real: dict, fake: dict, gamma: int) -> dict
         loss, terms = critic_loss(critics, real, fake, state.config.alpha, state.rng, tape,
                                   leaves)
         value = float(loss.values)
-        _abort_if_bad(value, "critic loss", state, {})
+        _abort_if_bad(value, "critic loss", state)
         ad.backward(tape, loss)
     for name, critic in critics.items():
         nn.adam_update(state.adam[name], critic.nets.values(), leaves[name].values())
@@ -717,7 +687,7 @@ def generator_update(state: TrainState, batch: int, gamma: int) -> dict:
         fake = generate_on_tape(state.gen, z, tape, gen_leaves, state.pairs)
         loss = generator_loss(active_critics(state.critics, gamma), fake, tape)
         value = float(loss.values)
-        _abort_if_bad(value, "generator loss", state, {})
+        _abort_if_bad(value, "generator loss", state)
         violations = count_violations(fake.params.values, state.gen.table)
         ad.backward(tape, loss)
     nn.adam_update(state.adam["gen"], [state.gen.net], [gen_leaves])
@@ -728,7 +698,7 @@ def train_epoch(state: TrainState, data: RealData, synth_dir: Optional[str] = No
     """One epoch: alternating critic/generator updates plus end-of-epoch synthesis.
 
     Synthesizes exactly as many pairs as the training corpus holds and writes
-    them as a dataset file when ``synth_dir`` (or config.out_dir) is set.
+    them as a dataset file in ``synth_dir`` when it is given.
     The metric ``d_gap`` is the mean over the epoch's critic steps of the
     real minus fake mean frame score, each measured by the step's own
     forward pass before its update.
@@ -774,13 +744,12 @@ def train_epoch(state: TrainState, data: RealData, synth_dir: Optional[str] = No
         "violations": int(violations),
         "steps": steps,
     }
-    out_dir = synth_dir or cfg.out_dir
-    if out_dir:
+    if synth_dir:
         from .dataset import synthesize_dataset
 
         import os
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, f"epoch_{state.epoch:03d}.txt")
+        os.makedirs(synth_dir, exist_ok=True)
+        path = os.path.join(synth_dir, f"epoch_{state.epoch:03d}.txt")
         seed = int(state.rng.integers(0, 2 ** 31))
         summary = synthesize_dataset(state.gen, len(data), state.gen.mode, seed, path)
         metrics["synth_count"] = summary.records

@@ -7,7 +7,9 @@ Each row is one degree of freedom (a variable joint angle); 15 of the rows
 also carry a variable link length, one per bone of the 16-keypoint tree.
 Forward kinematics composes the per-row homogeneous transforms, reads the
 keypoint positions off the cumulative translation columns and applies a
-global rigid transform.
+global rigid transform.  It is written once, as the autodiff tape node
+``fk`` with its closed-form Jacobian: training differentiates through it,
+and ``forward_kinematics_batch`` runs it on constants.
 
 Angles are radians and lengths are meters everywhere in memory; the
 serialized table files use degrees for human editing.
@@ -19,9 +21,12 @@ import hashlib
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
+from . import autodiff as ad
+from .autodiff import Tape, Tensor
 from .textio import ParseError, dense, records
 
 N_PARAMS = 48
@@ -183,45 +188,34 @@ class SkeletonTopology:
             reached.add(child)
 
 
-def check_params(params) -> np.ndarray:
-    """Validate and return a 48-vector of parameter deltas."""
-    params = np.asarray(params, dtype=np.float64)
-    if params.shape != (N_PARAMS,):
-        raise ValueError(f"expected {N_PARAMS} parameters, got shape {params.shape}")
-    if not np.all(np.isfinite(params)):
-        raise ValueError("parameters must be finite")
-    return params
+class _BranchTable(NamedTuple):
+    """A branch's rows as FK reads them: each row's rest (theta, a, d) and
+    the parameter id of each (-1 for none), and the cosine and sine of its
+    fixed twist alpha."""
+
+    rest: np.ndarray   # (rows, 3)
+    ids: np.ndarray    # (rows, 3)
+    twist: np.ndarray  # (rows, 2)
 
 
-def _compiled_branch(topology: SkeletonTopology, bi: int) -> dict:
-    """Per-branch constant arrays and parameter gather indices for fast FK."""
-    br = topology.branches[bi]
-    n = len(br.rows)
-    comp = {
-        "a": np.array([r.a for r in br.rows]),
-        "d": np.array([r.d for r in br.rows]),
-        "cos_alpha": np.array([np.cos(r.alpha) for r in br.rows]),
-        "sin_alpha": np.array([np.sin(r.alpha) for r in br.rows]),
-        "theta": np.array([r.theta for r in br.rows]),
-        "theta_id": np.array([topology.param_index.get((bi, r, "theta"), -1) for r in range(n)]),
-        "a_id": np.array([topology.param_index.get((bi, r, "a"), -1) for r in range(n)]),
-        "d_id": np.array([topology.param_index.get((bi, r, "d"), -1) for r in range(n)]),
-        "keypoint_map": br.keypoint_map,
-        "prefix": br.shared_prefix_len,
-    }
-    return comp
+_FIELDS = ("theta", "a", "d")
 
 
-def _compiled(topology: SkeletonTopology) -> list[dict]:
+def _tables(topology: SkeletonTopology) -> list[_BranchTable]:
     cache = topology._compiled
-    if "branches" not in cache:
-        cache["branches"] = [_compiled_branch(topology, bi) for bi in range(len(topology.branches))]
-    return cache["branches"]
+    if "tables" not in cache:
+        cache["tables"] = [
+            _BranchTable(rest=np.array([[r.theta, r.a, r.d] for r in br.rows]),
+                         ids=np.array([[topology.param_index.get((bi, k, f), -1) for f in _FIELDS]
+                                       for k in range(len(br.rows))]),
+                         twist=np.array([[np.cos(r.alpha), np.sin(r.alpha)] for r in br.rows]))
+            for bi, br in enumerate(topology.branches)]
+    return cache["tables"]
 
 
-def _dh_matrices_batch(a, d, cos_alpha, sin_alpha, theta) -> np.ndarray:
-    """Stack of DH transforms for per-sample (a, d, theta); alpha is fixed."""
-    b = theta.shape[0]
+def _dh_matrices_batch(b, a, d, cos_alpha, sin_alpha, theta) -> np.ndarray:
+    """Stack of ``b`` DH transforms; each of a, d and theta is one value per
+    sample or one for all, and alpha is fixed."""
     ct, st = np.cos(theta), np.sin(theta)
     m = np.zeros((b, 4, 4))
     m[:, 0, 0] = ct
@@ -264,25 +258,18 @@ def chain_frames(topology: SkeletonTopology, params: np.ndarray
     kps = np.empty((nb, topology.keypoint_count, 3))
     frames = []
     root_cum: list[np.ndarray] = []
-    for bi, comp in enumerate(_compiled(topology)):
-        prefix = comp["prefix"]
+    for bi, (br, table) in enumerate(zip(topology.branches, _tables(topology))):
+        prefix = br.shared_prefix_len
         cur = root_cum[prefix - 1] if prefix > 0 else np.broadcast_to(np.eye(4), (nb, 4, 4))
         cum = list(root_cum[:prefix]) if bi > 0 else []
-        for k in range(prefix, len(comp["theta"])):
-            theta = np.full(nb, comp["theta"][k])
-            if comp["theta_id"][k] >= 0:
-                theta = theta + params[:, comp["theta_id"][k]]
-            a = np.full(nb, comp["a"][k])
-            if comp["a_id"][k] >= 0:
-                a = a + params[:, comp["a_id"][k]]
-            d = np.full(nb, comp["d"][k])
-            if comp["d_id"][k] >= 0:
-                d = d + params[:, comp["d_id"][k]]
-            cur = cur @ _dh_matrices_batch(a, d, comp["cos_alpha"][k], comp["sin_alpha"][k], theta)
+        for k in range(prefix, len(br.rows)):
+            theta, a, d = (v if i < 0 else v + params[:, i]
+                           for v, i in zip(table.rest[k], table.ids[k]))
+            cur = cur @ _dh_matrices_batch(nb, a, d, *table.twist[k], theta)
             cum.append(cur)
         if bi == 0:
             root_cum = cum
-        for row_idx, kp in comp["keypoint_map"]:
+        for row_idx, kp in br.keypoint_map:
             kps[:, kp] = cum[row_idx][:, :3, 3]
         frames.append(cum)
     return kps, frames
@@ -302,8 +289,8 @@ def chain_vjp(topology: SkeletonTopology, kps: np.ndarray, frames: list[list[np.
     """
     nb = kps.shape[0]
     out = np.zeros((nb, N_PARAMS))
-    for comp, cum in zip(_compiled(topology), frames):
-        rows, kp = (np.array(c) for c in zip(*comp["keypoint_map"]))
+    for br, table, cum in zip(topology.branches, _tables(topology), frames):
+        rows, kp = (np.array(c) for c in zip(*br.keypoint_map))
         # force and moment of the keypoints each row moves: sums over rows >= k
         force = np.zeros((nb, len(cum), 3))
         moment = np.zeros((nb, len(cum), 3))
@@ -317,13 +304,40 @@ def chain_vjp(topology: SkeletonTopology, kps: np.ndarray, frames: list[list[np.
                                 axis=1)
         for name, axis, g in (("theta", z, moment - np.cross(o, force)), ("d", z, force),
                               ("a", x_prev, force)):
-            ids = comp[name + "_id"]
+            ids = table.ids[:, _FIELDS.index(name)]
             out[:, ids[ids >= 0]] += np.sum(axis * g, axis=-1)[:, ids >= 0]
     return out
 
 
+def fk(topology: SkeletonTopology, params: Tensor, globals_: Tensor) -> Tensor:
+    """Forward kinematics as one tape node: (N, 48) deltas and (N, 6) global
+    values to (N, 16, 3) keypoints.
+
+    Forward: ``chain_frames``, then the global rotation Rx Ry Rz and the
+    translation.  Backward: ``chain_vjp`` for the parameters; an angle of
+    the global rotation turns the posed point q about its world axis w
+    (x, Rx y, Rx Ry z), so dq = w x (q - translation).
+    """
+    g = globals_.values
+    kps, frames = chain_frames(topology, params.values)
+    rot = rotation_xyz(g[:, 0], g[:, 1], g[:, 2])
+    pose = kps @ np.swapaxes(rot, -1, -2) + g[:, None, 3:6]
+
+    def bwd(grad):
+        if globals_.requires_grad:
+            m = np.cross(pose - g[:, None, 3:6], grad).sum(axis=1)
+            cx, sx, cy, sy = np.cos(g[:, 0]), np.sin(g[:, 0]), np.cos(g[:, 1]), np.sin(g[:, 1])
+            g_rot = np.stack([m[:, 0], cx * m[:, 1] + sx * m[:, 2],
+                              sy * m[:, 0] - sx * cy * m[:, 1] + cx * cy * m[:, 2]], axis=1)
+            globals_.accumulate(np.concatenate([g_rot, grad.sum(axis=1)], axis=1))
+        if params.requires_grad:
+            params.accumulate(chain_vjp(topology, kps, frames, grad @ rot))
+
+    return ad.node("fk", pose, (params, globals_), bwd)
+
+
 def forward_kinematics_batch(topology: SkeletonTopology, params, globals_) -> np.ndarray:
-    """Vectorized FK: (B, 48) deltas and (B, 6) global values to (B, 16, 3).
+    """``fk`` of (B, 48) deltas and (B, 6) global values, (B, 16, 3).
 
     Serial evaluation is the batch-of-one case of this routine, so batched
     and per-sample results are bitwise identical.
@@ -336,15 +350,13 @@ def forward_kinematics_batch(topology: SkeletonTopology, params, globals_) -> np
         raise ValueError(f"expected (batch, 6) global values, got {globals_.shape}")
     if not (np.all(np.isfinite(params)) and np.all(np.isfinite(globals_))):
         raise ValueError("parameters and global values must be finite")
-    kps, _ = chain_frames(topology, params)
-    rot = rotation_xyz(globals_[:, 0], globals_[:, 1], globals_[:, 2])
-    return kps @ np.swapaxes(rot, -1, -2) + globals_[:, None, 3:6]
+    with Tape() as tape:
+        return fk(topology, tape.const(params), tape.const(globals_)).values
 
 
 def forward_kinematics(topology: SkeletonTopology, params, g: GlobalTransform) -> np.ndarray:
     """3D pose (16, 3) for one parameter vector and global transform."""
-    params = check_params(params)
-    return forward_kinematics_batch(topology, params[None], g.as_array()[None])[0]
+    return forward_kinematics_batch(topology, np.expand_dims(params, 0), g.as_array()[None])[0]
 
 
 def bone_lengths(topology: SkeletonTopology, pose) -> np.ndarray:

@@ -74,7 +74,8 @@ def test_criterion_constraint_soundness(table, topology):
     total = 0
     for _ in range(10):
         raw = rng.standard_normal((100_000, 48))
-        squashed = ct.squash_params(raw, table)
+        with ad.Tape() as tape:
+            squashed = ct.squash(tape.const(raw), table.lo, table.hi).values
         assert ct.count_violations(squashed, table) == 0
         for k in knee_ids:
             assert np.all(squashed[:, k] > -np.pi)
@@ -82,20 +83,24 @@ def test_criterion_constraint_soundness(table, topology):
         total += raw.shape[0]
     assert total == 1_000_000
     # the per-sample operation agrees with the bulk check
-    for row in ct.squash_params(rng.standard_normal((1000, 48)), table):
+    with ad.Tape() as tape:
+        rows = ct.squash(tape.const(rng.standard_normal((1000, 48))), table.lo, table.hi).values
+    for row in rows:
         assert ct.validate_params(row, table).ok
     report("constraint soundness (1e6 squashes, knees strictly inside)", 30, t0)
 
 
 def test_criterion_squash_boundary_behavior(table):
     t0 = time.perf_counter()
-    mid = ct.squash_params(np.zeros(48), table)
+    with ad.Tape() as tape:
+        mid = ct.squash(tape.const(np.zeros(48)), table.lo, table.hi).values
     # tanh(0) is exactly 0, so raw=0 lands exactly on lo + (hi-lo)/2; the
     # algebraically equal (lo+hi)/2 may differ in the last ulp
     assert np.array_equal(mid, table.lo + (table.hi - table.lo) / 2)
     assert np.max(np.abs(mid - (table.lo + table.hi) / 2)) < 1e-15
-    hi = ct.squash_params(np.full(48, 20.0), table)
-    lo = ct.squash_params(np.full(48, -20.0), table)
+    with ad.Tape() as tape:
+        hi = ct.squash(tape.const(np.full(48, 20.0)), table.lo, table.hi).values
+        lo = ct.squash(tape.const(np.full(48, -20.0)), table.lo, table.hi).values
     assert np.max(np.abs(hi - table.hi)) < 1e-8
     assert np.max(np.abs(lo - table.lo)) < 1e-8
     report("squash boundary behavior (midpoint, saturation)", 5, t0)

@@ -155,6 +155,30 @@ class TestProject:
             assert out == ""
 
 
+@pytest.mark.parametrize("command, option, spec", [
+    ("fk", "--transform", "0,0,0,0,0,4"),
+    ("project", "--camera", "1145,1145,512,512,0.1"),
+], ids=["fk", "project"])
+@pytest.mark.parametrize("last, says", [
+    ("1_0", "bad float '1_0' in field {n}"),
+    ("\u0669", "bad float '\u0669' in field {n}"),  # ARABIC-INDIC DIGIT NINE
+    ("nan", "non-finite value 'nan' in field {n}"),
+    (None, "expected {n} fields, got {m}"),
+], ids=["underscore", "non-ascii-digit", "nan", "count"])
+def test_option_numbers_follow_the_file_number_rule(capsys, tmp_path, command, option, spec,
+                                                    last, says):
+    pose_file = tmp_path / "pose.txt"
+    pose_file.write_text(run(capsys, "fk", "--transform", "0,0,0,0,0,4")[1])
+    values = spec.split(",")
+    n = len(values)
+    bad = ",".join(values[:-1] + ([last] if last else []))
+    argv = [command, option, bad] + (["--pose", str(pose_file)] if command == "project" else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {option}: parse error: {says.format(n=n, m=n - 1)}\n"
+
+
 class TestSynthAndFeatures:
     def test_synth_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -389,7 +413,6 @@ class TestTrain:
         ('{"epochs": 2.5}', "epochs must be an integer, got 2.5"),
         ('{"critic_steps": true}', "critic_steps must be an integer, got True"),
         ('{"seed": 1.0}', "seed must be an integer, got 1.0"),
-        ('{"out_dir": 5}', "out_dir must be a path, got 5"),
         ('{"gen_hidden": [32, true]}', "gen_hidden must be a tuple of positive layer widths"),
         ('{"alpha": NaN}', "alpha must be a finite number, got nan"),
         ('{"lr": Infinity}', "lr must be a finite number, got inf"),
@@ -408,7 +431,9 @@ class TestTrain:
         assert err.startswith(f"error: {path}: bad training config: ") and says in err
         assert not (tmp_path / "run").exists()
 
-    def test_divergence_is_a_data_error(self, capsys, tmp_path, monkeypatch):
+    @pytest.fixture
+    def diverging(self, monkeypatch):
+        """Training states whose frame critic head has NaN weights."""
         from dhpose import gan
         init = gan.init_train_state
 
@@ -418,6 +443,8 @@ class TestTrain:
             return state
 
         monkeypatch.setattr(gan, "init_train_state", diverging_state)
+
+    def test_divergence_is_a_data_error(self, capsys, tmp_path, diverging):
         out_dir = tmp_path / "run"
         code, _, err = run(capsys, "train", "--band-count", "8", "--epochs", "1",
                            "--batch", "4", "--out", str(out_dir), "--seed", "1")
@@ -425,6 +452,14 @@ class TestTrain:
         assert err.startswith("error: non-finite critic loss")
         assert "Traceback" not in err
         assert json.loads((out_dir / "diverged.json").read_text())["what"] == "critic loss"
+
+    def test_divergence_without_out_writes_to_the_working_directory(self, capsys, tmp_path,
+                                                                     monkeypatch, diverging):
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run(capsys, "train", "--band-count", "8", "--epochs", "1", "--batch", "4",
+                         "--seed", "1")
+        assert code == 2
+        assert json.loads((tmp_path / "diverged.json").read_text())["what"] == "critic loss"
 
 
 class TestSynthFromCheckpoint:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dhpose import autodiff as ad
 from dhpose import constraints as ct
 from dhpose import skeleton as sk
 from oracles import param_rest_ref
@@ -52,23 +53,28 @@ def damaged_table(defect):
 
 class TestSquash:
     def test_zero_raw_gives_midpoint(self, table):
-        out = ct.squash_params(np.zeros(48), table)
+        with ad.Tape() as tape:
+            out = ct.squash(tape.const(np.zeros(48)), table.lo, table.hi).values
         assert np.allclose(out, (table.lo + table.hi) / 2, atol=1e-15)
 
     def test_knee_midpoint_is_minus_quarter_turn(self, table):
-        out = ct.squash_params(np.zeros(48), table)
+        with ad.Tape() as tape:
+            out = ct.squash(tape.const(np.zeros(48)), table.lo, table.hi).values
         knee = table.id_of("l_knee_flex")
         assert out[knee] == pytest.approx(-np.pi / 2, abs=1e-12)
 
     def test_saturation_towards_bounds(self, table):
-        hi = ct.squash_params(np.full(48, 20.0), table)
-        lo = ct.squash_params(np.full(48, -20.0), table)
+        with ad.Tape() as tape:
+            hi = ct.squash(tape.const(np.full(48, 20.0)), table.lo, table.hi).values
+            lo = ct.squash(tape.const(np.full(48, -20.0)), table.lo, table.hi).values
         assert np.max(np.abs(hi - table.hi)) < 1e-8
         assert np.max(np.abs(lo - table.lo)) < 1e-8
 
     def test_outputs_stay_in_range(self, table):
         rng = np.random.default_rng(0)
-        out = ct.squash_params(rng.normal(size=(20000, 48)) * 3, table)
+        with ad.Tape() as tape:
+            out = ct.squash(tape.const(rng.normal(size=(20000, 48)) * 3), table.lo,
+                            table.hi).values
         assert ct.count_violations(out, table) == 0
 
     @settings(max_examples=100, deadline=None)
@@ -78,18 +84,20 @@ class TestSquash:
         if abs(r1 - r2) < 1e-9:  # below tanh's float resolution
             return
         lo, hi = (r1, r2) if r1 < r2 else (r2, r1)
-        a = ct.squash_params(np.full(48, lo), table)
-        b = ct.squash_params(np.full(48, hi), table)
+        with ad.Tape() as tape:
+            a = ct.squash(tape.const(np.full(48, lo)), table.lo, table.hi).values
+            b = ct.squash(tape.const(np.full(48, hi)), table.lo, table.hi).values
         assert np.all(a < b)
 
     def test_rejects_non_finite(self, table):
         raw = np.zeros(48)
         raw[3] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            ct.squash_params(raw, table)
+        with ad.Tape() as tape, pytest.raises(ValueError, match="finite"):
+            ct.squash(tape.const(raw), table.lo, table.hi)
 
     def test_batch_shape(self, table):
-        out = ct.squash_params(np.zeros((5, 48)), table)
+        with ad.Tape() as tape:
+            out = ct.squash(tape.const(np.zeros((5, 48))), table.lo, table.hi).values
         assert out.shape == (5, 48)
 
 
@@ -97,7 +105,8 @@ class TestValidate:
     def test_squash_output_always_valid(self, table):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            out = ct.squash_params(rng.normal(size=48) * 4, table)
+            with ad.Tape() as tape:
+                out = ct.squash(tape.const(rng.normal(size=48) * 4), table.lo, table.hi).values
             assert ct.validate_params(out, table).ok
 
     def test_out_of_range_knee_flagged(self, table):
@@ -195,7 +204,9 @@ class TestDefaultTable:
 class TestEffectiveLengths:
     def test_squashed_lengths_keep_bones_within_20_percent(self, table, topology):
         rng = np.random.default_rng(2)
-        params = ct.squash_params(rng.normal(size=(200, 48)) * 5, table)
+        with ad.Tape() as tape:
+            params = ct.squash(tape.const(rng.normal(size=(200, 48)) * 5), table.lo,
+                               table.hi).values
         poses = sk.forward_kinematics_batch(topology, params, np.zeros((200, 6)))
         lengths = sk.bone_lengths(topology, poses)
         rest = sk.bone_lengths(topology, sk.rest_pose(topology))

@@ -14,7 +14,8 @@ from dhpose import gan
 from dhpose import nn
 from dhpose import skeleton as sk
 from dhpose.features import joint_cosines
-from oracles import central_difference, float64_copy, generate_ref, weight_slots, weights
+from oracles import float64_copy, generate_ref, weight_slots, weights
+from test_skeleton import assert_tape_gradient
 
 RNG = np.random.default_rng
 
@@ -218,51 +219,22 @@ class TestGenerate:
 
 
 class TestGeometryOps:
-    """The FK and cosine tape nodes.  Geometry is float64-only, so their
-    central-difference checks live here, not in the float32-checked OP_CASES."""
-
-    def _inputs(self, seed, n=3):
-        rng = RNG(seed)
-        return rng.uniform(-1, 1, (n, 48)), rng.uniform(-1, 1, (n, 6))
-
-    def _assert_gradient(self, op, x0, seed):
-        """The tape gradient of sum(op(x) * w) equals central differences to 1e-5."""
-        w = RNG(seed).normal(size=op(ad.Tape().const(x0)).shape)
-        tape = ad.Tape()
-        x = tape.var(x0.copy())
-        ad.backward(tape, ad.sum_(ad.mul(op(x), w)))
-        fd = central_difference(lambda v: float(np.sum(op(ad.Tape().const(v)).values * w)),
-                                x0.copy())
-        assert np.max(np.abs(x.grad - fd) / np.maximum(np.abs(fd), 1.0)) < 1e-5
-
-    def test_fk_gradient_wrt_params(self, topology):
-        p0, g0 = self._inputs(70)
-        self._assert_gradient(lambda p: gan._fk_tape(topology, p, p.tape.const(g0)), p0, 71)
-
-    def test_fk_gradient_wrt_globals(self, topology):
-        p0, g0 = self._inputs(72)
-        self._assert_gradient(lambda g: gan._fk_tape(topology, g.tape.const(p0), g), g0, 73)
+    """The cosine tape node (FK's is tested with ``skeleton.fk``).  Geometry is
+    float64-only, so its central-difference check lives here, not in the
+    float32-checked OP_CASES."""
 
     def test_cosine_gradient(self, topology, pairs):
-        p0, g0 = self._inputs(74)
+        rng = RNG(74)
+        p0, g0 = rng.uniform(-1, 1, (3, 48)), rng.uniform(-1, 1, (3, 6))
         pose = sk.forward_kinematics_batch(topology, p0, g0) + RNG(75).normal(size=(3, 16, 3)) * 0.05
-        self._assert_gradient(lambda x: gan._cosines(x, pairs), pose, 76)
+        assert_tape_gradient(lambda x: gan._cosines(x, pairs), pose, 76)
 
-    def test_forward_values_are_the_numpy_geometry(self, topology, pairs):
-        p0, g0 = self._inputs(77, n=5)
-        tape = ad.Tape()
-        pose = gan._fk_tape(topology, tape.const(p0), tape.const(g0))
-        assert np.array_equal(pose.values, sk.forward_kinematics_batch(topology, p0, g0))
-        assert np.array_equal(gan._cosines(pose, pairs).values,
-                              joint_cosines(pose.values, pairs))
-
-    def test_fk_records_at_most_two_nodes(self, topology):
-        p0, g0 = self._inputs(78)
-        tape = ad.Tape()
-        p, g = tape.var(p0), tape.var(g0)
-        before = len(tape.nodes)
-        gan._fk_tape(topology, p, g)
-        assert len(tape.nodes) - before <= 2
+    def test_cosine_forward_values_are_joint_cosines(self, topology, pairs):
+        rng = RNG(77)
+        pose = sk.forward_kinematics_batch(topology, rng.uniform(-1, 1, (5, 48)),
+                                           rng.uniform(-1, 1, (5, 6)))
+        assert np.array_equal(gan._cosines(ad.Tape().var(pose), pairs).values,
+                              joint_cosines(pose, pairs))
 
     def test_generator_pipeline_node_count_at_train_video_sizes(self, pairs):
         # the benchmark's train-video sizes: default nets, T=9, batch 64

@@ -3,16 +3,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dhpose import autodiff as ad
 from dhpose import skeleton as sk
-from oracles import dh_ref, fk_naive, resolved_rows
+from oracles import central_difference, dh_ref, fk_naive, resolved_rows
 
 RNG = np.random.default_rng
 
 
+def assert_tape_gradient(op, x0, seed):
+    """The tape gradient of sum(op(x) * w) equals central differences to 1e-5."""
+    w = RNG(seed).normal(size=op(ad.Tape().const(x0)).shape)
+    tape = ad.Tape()
+    x = tape.var(x0.copy())
+    ad.backward(tape, ad.sum_(ad.mul(op(x), w)))
+    fd = central_difference(lambda v: float(np.sum(op(ad.Tape().const(v)).values * w)),
+                            x0.copy())
+    assert np.max(np.abs(x.grad - fd) / np.maximum(np.abs(fd), 1.0)) < 1e-5
+
+
 def dh_kernel(a, d, alpha, theta):
     """One link's transform from ``_dh_matrices_batch``, the kernel FK runs."""
-    return sk._dh_matrices_batch(np.array([a]), np.array([d]), np.cos(alpha), np.sin(alpha),
-                                 np.array([theta]))[0]
+    return sk._dh_matrices_batch(1, a, d, np.cos(alpha), np.sin(alpha), theta)[0]
 
 
 class TestDhMatrix:
@@ -180,9 +191,10 @@ class TestForwardKinematics:
             one = sk.forward_kinematics_batch(topology, params[i:i + 1], globals_[i:i + 1])[0]
             assert np.array_equal(batch[i], one)
 
-    def test_wrong_param_length_rejected(self, topology):
+    @pytest.mark.parametrize("shape", [(47,), (2, 48)])
+    def test_wrong_param_length_rejected(self, topology, shape):
         with pytest.raises(ValueError, match="48"):
-            sk.forward_kinematics(topology, np.zeros(47), sk.GlobalTransform.identity())
+            sk.forward_kinematics(topology, np.zeros(shape), sk.GlobalTransform.identity())
 
     def test_pelvis_lands_on_translation(self, topology):
         rng = RNG(6)
@@ -242,6 +254,37 @@ class TestForwardKinematics:
             globals_ = globals_[:, :5]
         with pytest.raises(ValueError, match=match):
             sk.forward_kinematics_batch(topology, params, globals_)
+
+
+class TestFkNode:
+    """``fk``, the tape node the generator step differentiates through."""
+
+    @staticmethod
+    def _inputs(seed, n=3):
+        rng = RNG(seed)
+        return rng.uniform(-1, 1, (n, 48)), rng.uniform(-1, 1, (n, 6))
+
+    def test_gradient_wrt_params(self, topology):
+        p0, g0 = self._inputs(70)
+        assert_tape_gradient(lambda p: sk.fk(topology, p, p.tape.const(g0)), p0, 71)
+
+    def test_gradient_wrt_globals(self, topology):
+        p0, g0 = self._inputs(72)
+        assert_tape_gradient(lambda g: sk.fk(topology, g.tape.const(p0), g), g0, 73)
+
+    def test_recorded_values_are_the_numpy_fk(self, topology):
+        p0, g0 = self._inputs(77, n=5)
+        tape = ad.Tape()
+        pose = sk.fk(topology, tape.var(p0), tape.var(g0))
+        assert np.array_equal(pose.values, sk.forward_kinematics_batch(topology, p0, g0))
+
+    def test_records_at_most_two_nodes(self, topology):
+        p0, g0 = self._inputs(78)
+        tape = ad.Tape()
+        p, g = tape.var(p0), tape.var(g0)
+        before = len(tape.nodes)
+        sk.fk(topology, p, g)
+        assert len(tape.nodes) - before <= 2
 
 
 class TestGlobalTransform:
