@@ -19,7 +19,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .textio import dense, records
+from .skeleton import N_ANGLE_PARAMS, N_PARAMS
+from .textio import ParseError, dense, records
 
 
 def _entry_fault(name: str, kind: str, lo: float, hi: float) -> str | None:
@@ -149,16 +150,23 @@ def table_hash(table: ConstraintTable) -> str:
 
 def table_from_text(text, source="<text>") -> ConstraintTable:
     """Parse ``param ID NAME KIND MIN MAX`` lines (``str`` or ``bytes``; line
-    rules in ``textio``) into a table indexed by id; ids must run 0..N-1, and
-    an entry that ``_entry_fault`` rejects raises ``ParseError`` at its line."""
+    rules in ``textio``) into a table indexed by id.  The ids must run
+    0..47, angles 0..32 and lengths 33..47 as in ``skeleton``; an entry of
+    the other kind, or that ``_entry_fault`` rejects, raises ``ParseError``
+    at its line."""
     entries = []
     for rec in records(text.splitlines(), source):
         _, i, name, kind, lo, hi = rec.fields("param", int, str, str, float, float)
         lo, hi = np.deg2rad([lo, hi]) if kind == "angle" else (lo, hi)
         if fault := _entry_fault(name, kind, lo, hi):
             raise rec.error(fault)
+        if (kind == "angle") != (i < N_ANGLE_PARAMS):
+            raise rec.error(f"param {i} is {kind!r}: ids 0..{N_ANGLE_PARAMS - 1} are angles, "
+                            f"{N_ANGLE_PARAMS}..{N_PARAMS - 1} lengths")
         entries.append((rec, i, (name, kind, lo, hi)))
     names, kinds, lo, hi = zip(*dense(entries, "param", source))
+    if len(names) != N_PARAMS:
+        raise ParseError(source, None, f"{len(names)} params; the table needs {N_PARAMS}")
     return ConstraintTable(lo=np.array(lo), hi=np.array(hi), names=names, kinds=kinds)
 
 

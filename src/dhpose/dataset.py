@@ -358,7 +358,7 @@ def synthesize_dataset(gen, count: int, mode: str, seed: int, path,
             resampled += n - keep.size
             empty_rounds = empty_rounds + 1 if keep.size == 0 else 0
             if empty_rounds >= 50:
-                raise RuntimeError(
+                raise ValueError(
                     f"no sample cleared the near plane in {empty_rounds} consecutive "
                     f"batches; the translation bounds cannot reach z_min={gen.camera.z_min}")
             params = all_params.reshape(n, -1, N_PARAMS)[keep]

@@ -19,14 +19,16 @@ The pipeline from raw net output to critic streams is written once, over
 autodiff tape ops: the split and squash (``_split_raw``), FK
 (``skeleton.fk``), the bone cosines (``_cosines``, one node: forward the
 numpy ``joint_cosines``, backward in closed form), projection, and the
-frame and motion streams.  The generator step
-records it; inference, synthesis and the critic batches run the same
-functions on constants on a throwaway tape (``generate_poses``,
-``feature_batch``).
+frame and motion streams.  The generator step records
+``generate_on_tape``; the critic's fake batch is ``generate_on_tape`` with
+the weights as constants, and inference, synthesis and the real batches
+run the same functions on constants on a throwaway tape
+(``generate_poses``, ``feature_batch``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import numbers
 from dataclasses import dataclass, field
@@ -42,7 +44,7 @@ from .constraints import (ConstraintTable, count_violations, default_constraint_
                           table_hash)
 from .dataset import RealData, as_samples, check_mode
 from .features import AdjacentBonePairs, adjacent_bone_pairs, bone_vectors, joint_cosines
-from .skeleton import (N_ANGLE_PARAMS, N_LENGTH_PARAMS, N_PARAMS, ROOT_KEYPOINT, SkeletonTopology,
+from .skeleton import (N_ANGLE_PARAMS, N_LENGTH_PARAMS, ROOT_KEYPOINT, SkeletonTopology,
                        default_topology, forward_kinematics_batch, topology_hash)
 from .skeleton import fk as _fk_tape  # perfbench's gan.fk_tape span patches this name
 
@@ -154,11 +156,7 @@ class TrainConfig:
             raise ValueError("enc_hidden needs at least one layer: the critic heads read its width")
 
     def to_json(self) -> str:
-        d = self.__dict__.copy()
-        d["bounds"] = {"lo": list(self.bounds.lo), "hi": list(self.bounds.hi)}
-        for k in ("gen_hidden", "enc_hidden", "head_hidden"):
-            d[k] = list(d[k])
-        return json.dumps(d, indent=2)
+        return json.dumps(dataclasses.asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str, source="<json>") -> "TrainConfig":
@@ -392,15 +390,14 @@ class TapeGenOutput:
     params: Tensor       # (N, 48) squashed deltas (N = B*T)
     globals_: Tensor     # (N, 6)
     pose3d: Tensor       # (N, 16, 3)
-    streams: dict        # the ``_streams`` dict, in the net's dtype
+    streams: dict        # the ``_streams`` dict, float64
 
 
-def generate_on_tape(gen: DhGenerator, z, tape: Tape, gen_params: list,
+def generate_on_tape(gen: DhGenerator, z, tape: Tape, gen_params: Optional[list],
                      pairs: AdjacentBonePairs) -> TapeGenOutput:
-    """The net runs with the ``nn.mlp_leaves`` list ``gen_params``, in its
-    dtype, and the critic streams come out in it; squash, FK, the depth check
-    and projection run in float64."""
-    dtype = gen_params[0][0].values.dtype
+    """The net runs in its dtype with the ``nn.mlp_leaves`` list
+    ``gen_params`` (None: its weights as constants); squash, FK, the depth
+    check, projection and the critic streams run in float64."""
     raw, _ = nn.mlp_apply(gen.net, z, tape, gen_params)
     params, globals_ = _split_raw(gen, ad.astype(raw, np.float64))
     pose3d = _fk_tape(gen.topology, params, globals_)
@@ -409,9 +406,6 @@ def generate_on_tape(gen: DhGenerator, z, tape: Tape, gen_params: list,
             "generated joint in front of the near plane; widen the translation bounds",
             {"min_depth": float(pose3d.values[:, :, 2].min()), "z_min": gen.camera.z_min})
     streams = _streams(pose3d, project(pose3d, gen.camera), gen.camera, pairs, gen.frames)
-    # motion streams are cast first: this keeps the tape's node order
-    streams = {k: ad.astype(streams[k], dtype) for k in (*MOTION_STREAMS, *FRAME_STREAMS)
-               if k in streams}
     return TapeGenOutput(params=params, globals_=globals_, pose3d=pose3d, streams=streams)
 
 
@@ -656,9 +650,10 @@ def _real_minibatch(data: RealData, idx: np.ndarray, pairs: AdjacentBonePairs) -
 
 def _fake_minibatch(state: TrainState, batch: int, pairs: AdjacentBonePairs) -> tuple[dict, int]:
     z = sample_latent(batch, state.config.z_dim, state.rng)
-    out = generate(state.gen, z)
-    bad = count_violations(out.params.reshape(-1, N_PARAMS), state.gen.table)
-    return feature_batch(out.pose3d, out.pose2d, state.gen.camera, pairs), bad
+    with Tape() as tape:
+        fake = generate_on_tape(state.gen, z, tape, None, pairs)
+    bad = count_violations(fake.params.values, state.gen.table)
+    return {k: v.values for k, v in fake.streams.items()}, bad
 
 
 def critic_update(state: TrainState, real: dict, fake: dict, gamma: int) -> dict:
@@ -685,6 +680,10 @@ def generator_update(state: TrainState, batch: int, gamma: int) -> dict:
         gen_leaves = nn.mlp_leaves(tape, state.gen.net)
         z = sample_latent(batch, state.config.z_dim, state.rng)
         fake = generate_on_tape(state.gen, z, tape, gen_leaves, state.pairs)
+        # motion streams are cast first: this keeps the tape's node order
+        dtype = state.gen.net.layers[0].w.dtype
+        fake.streams = {k: ad.astype(fake.streams[k], dtype)
+                        for k in (*MOTION_STREAMS, *FRAME_STREAMS) if k in fake.streams}
         loss = generator_loss(active_critics(state.critics, gamma), fake, tape)
         value = float(loss.values)
         _abort_if_bad(value, "generator loss", state)

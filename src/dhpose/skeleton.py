@@ -5,6 +5,7 @@ their leading rows: every branch starts with the three pelvis rows, and the
 arm branches additionally share the spine and thorax rows with the torso.
 Each row is one degree of freedom (a variable joint angle); 15 of the rows
 also carry a variable link length, one per bone of the 16-keypoint tree.
+A row names the ids of the parameters that move it.
 Forward kinematics composes the per-row homogeneous transforms, reads the
 keypoint positions off the cumulative translation columns and applies a
 global rigid transform.  It is written once, as the autodiff tape node
@@ -56,17 +57,20 @@ BONE_LIST = (
 
 @dataclass(frozen=True)
 class DhRow:
-    """One link: rest DH values plus flags for the generator-controlled fields."""
+    """One link: rest DH values and the ids of the parameters that move it.
+
+    ``theta_id`` names the joint-angle delta (0..32) added to theta, and
+    ``a_id`` or ``d_id`` the bone-length delta (33..47) added to a or d; -1
+    keeps the field fixed.  The twist alpha is always fixed."""
 
     name: str
     a: float = 0.0
     d: float = 0.0
     alpha: float = 0.0
     theta: float = 0.0
-    var_a: bool = False
-    var_d: bool = False
-    var_alpha: bool = False
-    var_theta: bool = False
+    theta_id: int = -1
+    a_id: int = -1
+    d_id: int = -1
 
     def __post_init__(self):
         vals = (self.a, self.d, self.alpha, self.theta)
@@ -74,10 +78,14 @@ class DhRow:
             raise ValueError(f"row {self.name!r}: non-finite DH value {vals}")
         if self.a < 0.0:
             raise ValueError(f"row {self.name!r}: link length a must be >= 0, got {self.a}")
-        if self.var_a and self.var_d:
+        if self.a_id >= 0 and self.d_id >= 0:
             raise ValueError(f"row {self.name!r}: a bone length lives in exactly one of a, d")
-        if self.var_alpha:
-            raise ValueError(f"row {self.name!r}: variable twist angles are not supported")
+        lengths = range(N_ANGLE_PARAMS, N_PARAMS)
+        for fld, pid, ids in (("theta", self.theta_id, range(N_ANGLE_PARAMS)),
+                              ("a", self.a_id, lengths), ("d", self.d_id, lengths)):
+            if pid != -1 and pid not in ids:
+                raise ValueError(f"row {self.name!r}: {fld} id {pid} is neither -1 nor one of "
+                                 f"{ids[0]}..{ids[-1]}")
 
 
 @dataclass(frozen=True)
@@ -120,15 +128,14 @@ class GlobalTransform:
 
 @dataclass(frozen=True)
 class SkeletonTopology:
-    """The five-branch skeleton plus the canonical variable-parameter map.
+    """The five-branch skeleton and the names and kinds of its 48 parameters.
 
-    ``param_index`` maps every variable (branch, row, field) slot to one of
-    the 48 canonical parameter ids; slots shared between branches map to the
-    same id.  Ids 0..32 are joint-angle deltas, 33..47 are bone-length deltas.
-    """
+    The rows a branch owns (those past its shared prefix) carry each
+    parameter id exactly once: ids 0..32 are joint-angle deltas, 33..47
+    bone-length deltas.  A shared-prefix row is the first branch's row, ids
+    included."""
 
     branches: tuple[KinematicBranch, ...]
-    param_index: dict[tuple[int, int, str], int]
     param_names: tuple[str, ...]
     param_kinds: tuple[str, ...]  # "angle" | "length"
     keypoint_names: tuple[str, ...] = KEYPOINT_NAMES
@@ -142,40 +149,22 @@ class SkeletonTopology:
     def validate(self) -> None:
         if len(self.branches) != N_BRANCHES:
             raise ValueError(f"expected {N_BRANCHES} branches, got {len(self.branches)}")
-        ids = sorted(set(self.param_index.values()))
-        if ids != list(range(N_PARAMS)):
-            raise ValueError("canonical parameter ids must be exactly 0..47")
-        kinds = list(self.param_kinds)
-        if kinds.count("angle") != N_ANGLE_PARAMS or kinds.count("length") != N_LENGTH_PARAMS:
-            raise ValueError("expected 33 angle-type and 15 length-type parameters")
-        for pid, kind in enumerate(kinds):
-            expected = "angle" if pid < N_ANGLE_PARAMS else "length"
-            if kind != expected:
-                raise ValueError("canonical id layout is angle ids 0..32, length ids 33..47")
-        n_dof = sum(len(b.rows) - b.shared_prefix_len for b in self.branches) \
-            + self.branches[0].shared_prefix_len
+        if list(self.param_kinds) != ["angle"] * N_ANGLE_PARAMS + ["length"] * N_LENGTH_PARAMS:
+            raise ValueError("canonical id layout is angle ids 0..32, length ids 33..47")
         if self.branches[0].shared_prefix_len != 0:
             raise ValueError("the first branch owns the shared store; its prefix must be 0")
-        if n_dof != N_ANGLE_PARAMS:
-            raise ValueError(f"expected 33 unique DOF rows, got {n_dof}")
         root = self.branches[0]
-        for bi, br in enumerate(self.branches):
-            for r, row in enumerate(br.rows):
-                if row.var_theta and (bi, r, "theta") not in self.param_index:
-                    raise ValueError(f"unmapped variable theta at branch {bi} row {r}")
-                for fld in ("a", "d"):
-                    if getattr(row, "var_" + fld) and (bi, r, fld) not in self.param_index:
-                        raise ValueError(f"unmapped variable {fld} at branch {bi} row {r}")
-            if bi == 0:
-                continue
+        for br in self.branches[1:]:
             p = br.shared_prefix_len
             if br.rows[:p] != root.rows[:p]:
                 raise ValueError(f"branch {br.name!r}: shared prefix rows differ from the root store")
-            for r in range(p):
-                for fld in ("a", "d", "theta"):
-                    if self.param_index.get((bi, r, fld)) != self.param_index.get((0, r, fld)):
-                        raise ValueError(
-                            f"branch {br.name!r} row {r}: shared slot maps to a different id")
+        # one degree of freedom per owned row: 33 rows with the angle ids
+        owned = [row for br in self.branches for row in br.rows[br.shared_prefix_len:]]
+        if sorted(row.theta_id for row in owned) != list(range(N_ANGLE_PARAMS)):
+            raise ValueError("the owned rows' theta ids must be 0..32, each once")
+        if sorted(i for row in owned for i in (row.a_id, row.d_id) if i >= 0) \
+                != list(range(N_ANGLE_PARAMS, N_PARAMS)):
+            raise ValueError("the owned rows' a and d ids must be 33..47, each once")
         seen_kp = sorted(kp for br in self.branches for _, kp in br.keypoint_map)
         if seen_kp != list(range(self.keypoint_count)):
             raise ValueError("every keypoint must be emitted by exactly one branch")
@@ -206,10 +195,9 @@ def _tables(topology: SkeletonTopology) -> list[_BranchTable]:
     if "tables" not in cache:
         cache["tables"] = [
             _BranchTable(rest=np.array([[r.theta, r.a, r.d] for r in br.rows]),
-                         ids=np.array([[topology.param_index.get((bi, k, f), -1) for f in _FIELDS]
-                                       for k in range(len(br.rows))]),
+                         ids=np.array([[r.theta_id, r.a_id, r.d_id] for r in br.rows]),
                          twist=np.array([[np.cos(r.alpha), np.sin(r.alpha)] for r in br.rows]))
-            for bi, br in enumerate(topology.branches)]
+            for br in topology.branches]
     return cache["tables"]
 
 
@@ -379,15 +367,12 @@ def topology_to_text(topology: SkeletonTopology) -> str:
         lines.append(f"branch {bi} {br.name} shared_prefix {br.shared_prefix_len}")
         kp_of = dict(br.keypoint_map)
         for r, row in enumerate(br.rows):
-            tid = topology.param_index.get((bi, r, "theta"), -1)
-            lid = topology.param_index.get((bi, r, "a"),
-                                           topology.param_index.get((bi, r, "d"), -1))
             lines.append(
-                "row {} {} {} {:.9g} {:.9g} {:.9g} {:.9g} {:d} {:d} {:d} {:d} {} {} {}".format(
+                "row {} {} {} {:.9g} {:.9g} {:.9g} {:.9g} {:d} {:d} 0 {:d} {} {} {}".format(
                     bi, r, row.name, row.a, row.d,
                     np.rad2deg(row.alpha), np.rad2deg(row.theta),
-                    row.var_a, row.var_d, row.var_alpha, row.var_theta,
-                    tid, lid, kp_of.get(r, -1)))
+                    row.a_id >= 0, row.d_id >= 0, row.theta_id >= 0,
+                    row.theta_id, max(row.a_id, row.d_id), kp_of.get(r, -1)))
     for pid in range(len(topology.param_names)):
         lines.append(f"param {pid} {topology.param_names[pid]} {topology.param_kinds[pid]}")
     for parent, child in topology.bone_list:
@@ -400,11 +385,12 @@ def topology_to_text(topology: SkeletonTopology) -> str:
 def topology_from_text(text, source="<text>") -> SkeletonTopology:
     """Parse a table as ``topology_to_text`` writes it (``str`` or ``bytes``;
     line rules in ``textio``).  Branch, param and keypoint ids must run
-    0..N-1, and a branch's line comes before its rows, in row order."""
+    0..N-1, and a branch's line comes before its rows, in row order.  A
+    row's flags are 0 or 1, alpha's is 0, and a field's flag is set exactly
+    when the row gives it an id (``len_id`` serves a or d, not both)."""
     branches, params, keypoints = [], [], []  # (record, id, value) entries
     rows: dict[int, list] = {}
     kp_maps: dict[int, list] = {}
-    param_index: dict[tuple[int, int, str], int] = {}
     bones: list[tuple[int, int]] = []
     for rec in records(text.splitlines(), source):
         kind = rec.tokens[0]
@@ -419,16 +405,19 @@ def topology_from_text(text, source="<text>") -> SkeletonTopology:
                 raise rec.error(f"row of undeclared branch {bi}")
             if r != len(rows[bi]):
                 raise rec.error(f"row {r} of branch {bi} where row {len(rows[bi])} belongs")
-            var_a, var_d, var_alpha, var_theta = map(bool, flags)
+            if any(f not in (0, 1) for f in flags):
+                raise rec.error(f"variable flags must be 0 or 1, got {flags}")
+            var_a, var_d, var_alpha, var_theta = flags
+            if var_alpha:
+                raise rec.error("variable twist angles are not supported")
+            if var_theta != (tid != -1) or (var_a or var_d) != (lid != -1):
+                raise rec.error("a field's variable flag must be set exactly when it has an id")
             try:
                 rows[bi].append(DhRow(
                     name=name, a=a, d=d, alpha=np.deg2rad(alpha), theta=np.deg2rad(theta),
-                    var_a=var_a, var_d=var_d, var_alpha=var_alpha, var_theta=var_theta))
+                    theta_id=tid, a_id=lid if var_a else -1, d_id=lid if var_d else -1))
             except ValueError as exc:
                 raise rec.error(str(exc)) from exc
-            for var, key, pid in ((var_theta, "theta", tid), (var_a, "a", lid), (var_d, "d", lid)):
-                if var:
-                    param_index[(bi, r, key)] = pid
             if kp >= 0:
                 kp_maps.setdefault(bi, []).append((r, kp))
         elif kind == "param":
@@ -450,7 +439,7 @@ def topology_from_text(text, source="<text>") -> SkeletonTopology:
                                            keypoint_map=tuple(kp_maps.get(bi, [])),
                                            shared_prefix_len=prefix)
                            for bi, (name, prefix) in enumerate(branch_meta)),
-            param_index=param_index, param_names=names, param_kinds=kinds,
+            param_names=names, param_kinds=kinds,
             bone_list=tuple(bones), keypoint_names=kp_names)
         topo.validate()
     except ValueError as exc:

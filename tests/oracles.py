@@ -48,19 +48,16 @@ def rot_z_ref(t):
 
 def resolved_rows(topology, params, bi):
     """``(a, d, alpha, theta)`` of each row of branch ``bi``: its rest
-    values plus the deltas of ``params`` that the row's variable slots name."""
+    values plus the deltas of ``params`` that the row's ids name."""
     rows = []
-    for r, row in enumerate(topology.branches[bi].rows):
+    for row in topology.branches[bi].rows:
         a, d, alpha, theta = row.a, row.d, row.alpha, row.theta
-        tid = topology.param_index.get((bi, r, "theta"))
-        if tid is not None:
-            theta = theta + params[tid]
-        aid = topology.param_index.get((bi, r, "a"))
-        if aid is not None:
-            a = a + params[aid]
-        did = topology.param_index.get((bi, r, "d"))
-        if did is not None:
-            d = d + params[did]
+        if row.theta_id >= 0:
+            theta = theta + params[row.theta_id]
+        if row.a_id >= 0:
+            a = a + params[row.a_id]
+        if row.d_id >= 0:
+            d = d + params[row.d_id]
         rows.append((a, d, alpha, theta))
     return rows
 
@@ -86,9 +83,11 @@ def fk_naive(topology, params, g):
 def param_rest_ref(topology):
     """Rest value per canonical id: 0 for angles, rest bone length for lengths."""
     rest = np.zeros(len(topology.param_names))
-    for (b, r, fld), pid in topology.param_index.items():
-        if topology.param_kinds[pid] == "length":
-            rest[pid] = getattr(topology.branches[b].rows[r], fld)
+    for branch in topology.branches:
+        for row in branch.rows:
+            for pid, length in ((row.a_id, row.a), (row.d_id, row.d)):
+                if pid >= 0:
+                    rest[pid] = length
     return rest
 
 

@@ -462,6 +462,19 @@ class TestTrain:
         assert json.loads((tmp_path / "diverged.json").read_text())["what"] == "critic loss"
 
 
+    def test_near_plane_in_the_critic_batch_writes_diverged_json(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"  # every generated pose sits within 0.5 m of the camera
+        cfg.write_text(json.dumps({"gen_hidden": [8], "bounds": {
+            "lo": [-3, -3, -3, -2, -1, 0], "hi": [3, 3, 3, 2, 1, 0.5]}}))
+        out_dir = tmp_path / "run"
+        code, _, err = run(capsys, "train", "--config", str(cfg), "--band-count", "8",
+                           "--out", str(out_dir))
+        assert code == 2
+        assert err.startswith("error: generated joint in front of the near plane")
+        snapshot = json.loads((out_dir / "diverged.json").read_text())
+        assert snapshot["min_depth"] < snapshot["z_min"]
+
+
 class TestSynthFromCheckpoint:
     def test_synth_uses_the_trained_generator(self, capsys, tmp_path):
         out_dir = tmp_path / "run"
@@ -531,6 +544,17 @@ class TestSynthFromCheckpoint:
         assert code == 2
         assert "parse error at line 14: binary payload truncated" in err
 
+    def test_unreachable_near_plane_is_a_data_error(self, capsys, tmp_path):
+        from dhpose import gan
+        bounds = gan.GlobalBounds((-3, -3, -3, -2, -1, 0), (3, 3, 3, 2, 1, 0.05))
+        ckpt = tmp_path / "gen.ckpt"
+        gan.save_generator(gan.build_generator(gan.TrainConfig(gen_hidden=(8,), bounds=bounds),
+                                               np.random.default_rng(0)), ckpt, seed=0)
+        code, _, err = run(capsys, "synth", "--count", "4", "--out", str(tmp_path / "d.txt"),
+                           "--checkpoint", str(ckpt))
+        assert code == 2
+        assert err.startswith("error: no sample cleared the near plane")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("edit,says", [
         ((b"net gen ", b"net foo "), "holds no generator net 'gen' (nets: foo)"),

@@ -22,6 +22,9 @@ DAMAGED_TABLES = {
     "swapped": r": parse error at line 7: min must be below max for spine_pitch",
     "equal": r": parse error at line 7: min must be below max for spine_pitch",
     "knee": r": parse error at line 20: knee bounds for l_knee_flex must lie within \[-pi, 0\]",
+    "length as angle": r": parse error at line 44: param 40 is 'angle': ids 0\.\.32 are angles, "
+                       r"33\.\.47 lengths",
+    "short": r": parse error: 47 params; the table needs 48",
 }
 
 # defect -> (param id, the line that replaces it)
@@ -30,6 +33,7 @@ BAD_ENTRIES = {
     "swapped": (3, "param 3 spine_pitch angle 45 -30"),
     "equal": (3, "param 3 spine_pitch angle 45 45"),
     "knee": (16, "param 16 l_knee_flex angle -180 10"),
+    "length as angle": (40, "param 40 r_femur_len angle -0.09 0.09"),
 }
 
 
@@ -43,6 +47,8 @@ def damaged_table(defect):
         lines = [line for line in lines if line not in params]
     elif defect == "duplicate":
         lines.append(params[3])
+    elif defect == "short":
+        lines.remove(params[47])
     elif defect == "negative":
         lines.append("param -1 extra angle -10 10")
     else:

@@ -540,7 +540,7 @@ class TestSynthesis:
     def test_unreachable_near_plane_aborts(self, tmp_path):
         gen = tiny_generator(seed=12)
         gen.camera = CameraIntrinsics(z_min=50.0)  # beyond any translation bound
-        with pytest.raises(RuntimeError, match="near plane"):
+        with pytest.raises(ValueError, match="near plane"):
             dsio.synthesize_dataset(gen, 5, "single", 0, tmp_path / "h.txt", batch=8)
 
     def test_binary_count_beyond_float32_ids_is_rejected_before_the_file_opens(self, tmp_path,

@@ -856,8 +856,8 @@ class TestTrainEpoch:
                           beta_epoch=1)
         state = gan.init_train_state(cfg)
         before = weights(state.gen.net)
-        outs = []
-        generate_on_tape = gan.generate_on_tape
+        outs, scored = [], []
+        generate_on_tape, generator_loss = gan.generate_on_tape, gan.generator_loss
 
         def recording_generate(gen, z, tape, gen_params, pairs):
             fake = generate_on_tape(gen, z, tape, gen_params, pairs)
@@ -868,19 +868,27 @@ class TestTrainEpoch:
                          [t.values for pair in gen_params for t in pair]))
             return fake
 
+        def recording_loss(critics, fake, tape):
+            scored.append({k: t.values for k, t in fake.streams.items()})
+            return generator_loss(critics, fake, tape)
+
         monkeypatch.setattr(gan, "generate_on_tape", recording_generate)
+        monkeypatch.setattr(gan, "generator_loss", recording_loss)
         m = gan.generator_update(state, 4, 1)
         geometry, streams, leaves = outs[0]
         # the net's leaves are its float32 weight arrays themselves
         assert all(v is a for v, a in zip(leaves, before, strict=True))
         for values in geometry.values():
             assert values.dtype == np.float64
-        assert len(streams) == 9
+        assert len(streams) == len(scored[0]) == 9
         for values in streams.values():
+            assert values.dtype == np.float64
+        for values in scored[0].values():
             assert values.dtype == np.float32
-        # each stream is the float64 geometry rounded once
+        # each scored stream is the float64 geometry rounded once
         x3d = geometry["pose3d"].reshape(-1, 48)
-        assert np.array_equal(streams["x3d"], x3d.astype(np.float32))
+        assert np.array_equal(streams["x3d"], x3d)
+        assert np.array_equal(scored[0]["x3d"], x3d.astype(np.float32))
         assert m["violations"] == 0
         after = weights(state.gen.net)
         assert len(after) == len(before)

@@ -101,7 +101,10 @@ class TestComposeChain:
 class TestTopology:
     def test_counts(self, topology):
         assert len(topology.branches) == 5
-        assert len(set(topology.param_index.values())) == 48
+        owned = [row for b in topology.branches for row in b.rows[b.shared_prefix_len:]]
+        assert sorted(row.theta_id for row in owned) == list(range(33))
+        assert sorted(i for row in owned for i in (row.a_id, row.d_id) if i >= 0) \
+            == list(range(33, 48))
         assert list(topology.param_kinds).count("angle") == 33
         assert list(topology.param_kinds).count("length") == 15
         assert topology.keypoint_count == 16
@@ -126,13 +129,12 @@ class TestTopology:
 
     def test_shared_rows_alias_the_root_store(self, topology):
         root = topology.branches[0]
-        for bi, branch in enumerate(topology.branches[1:], start=1):
+        for branch in topology.branches[1:]:
             p = branch.shared_prefix_len
             assert branch.rows[:p] == root.rows[:p]
-            for r in range(p):
-                for fld in ("theta", "a", "d"):
-                    assert topology.param_index.get((bi, r, fld)) == \
-                        topology.param_index.get((0, r, fld))
+            for row, root_row in zip(branch.rows[:p], root.rows):
+                assert (row.theta_id, row.a_id, row.d_id) == \
+                    (root_row.theta_id, root_row.a_id, root_row.d_id)
 
     def test_file_round_trip(self, topology, tmp_path):
         path = tmp_path / "topo.txt"
@@ -145,13 +147,9 @@ class TestTopology:
         # stamped into every dataset, every checkpoint and data/rest_pose.txt
         assert sk.topology_hash(sk.default_topology()) == "6395f2e393c2"
 
-    def test_variable_twist_rejected(self):
-        with pytest.raises(ValueError, match="twist"):
-            sk.DhRow("bad", var_alpha=True)
-
     def test_length_in_one_field_only(self):
         with pytest.raises(ValueError, match="exactly one"):
-            sk.DhRow("bad", var_a=True, var_d=True)
+            sk.DhRow("bad", a_id=33, d_id=34)
 
 
 class TestForwardKinematics:

@@ -76,12 +76,35 @@ def test_bad_line_is_a_parse_error_naming_file_and_line(capsys, tmp_path, reader
         assert capsys.readouterr().err.startswith("error: " + says)
 
 
+# a row's tokens: row branch idx name a d alpha theta var_a var_d var_alpha var_theta
+# theta_id len_id keypoint
+FLAG_REASON = "a field's variable flag must be set exactly when it has an id"
+ROW_EDITS = {  # edit -> (row prefix, token index, new token, reason)
+    "unflagged length id": ("row 0 11 ", 13, "40", FLAG_REASON),
+    "theta flag without id": ("row 1 4 ", 12, "-1", FLAG_REASON),
+    "alpha flag": ("row 2 5 ", 10, "1", "variable twist angles are not supported"),
+}
+
+
 @pytest.mark.parametrize("prefix, edit", [("param 5 ", "delete"), ("branch 2 ", "renumber"),
-                                          ("keypoint 3 ", "duplicate"), ("row 0 9 ", "swap")])
+                                          ("keypoint 3 ", "duplicate"), ("row 0 9 ", "swap"),
+                                          ("row 0 11 ", "swap ids"),
+                                          *[(e[0], name) for name, e in ROW_EDITS.items()]])
 def test_damaged_topology_exits_2_naming_file_and_line(capsys, tmp_path, prefix, edit):
     lines = resources.files("dhpose").joinpath("data/topology.txt").read_text().splitlines()
     i = next(n for n, line in enumerate(lines) if line.startswith(prefix))
-    if edit == "delete":
+    if edit in ROW_EDITS:
+        _, field, token, reason = ROW_EDITS[edit]
+        tokens = lines[i].split()
+        tokens[field] = token
+        lines[i] = " ".join(tokens)
+        line_no = i + 1
+    elif edit == "swap ids":  # neck_yaw's angle id 11 and head_nod's length id 35
+        neck, head = lines[i].split(), lines[i + 1].split()
+        neck[12], head[13] = head[13], neck[12]
+        lines[i:i + 2] = " ".join(neck), " ".join(head)
+        line_no, reason = i + 1, "row 'neck_yaw': theta id 35 is neither -1 nor one of 0..32"
+    elif edit == "delete":
         del lines[i]
         line_no, reason = i + 1, "param 6 given but param 5 is missing"
     elif edit == "renumber":  # branch 2 becomes branch 7, so its rows name no branch
