@@ -9,7 +9,11 @@ the heap at the call's start and the absolute heap peak (everything traced
 from before the corpus is built).  The phases are the critic step, the
 generator step, the end-of-epoch log (one ``critic_loss`` call), and the
 end-of-epoch synthesis; only the outermost call is measured, so the
-``critic_loss`` of a critic step is part of that step.
+``critic_loss`` of a critic step is part of that step.  The ``backward
+start`` row is the live heap when a critic step enters ``autodiff.backward``,
+above the step's start and absolute: what the step's tape holds before
+backward releases it, which perfbench's ``autodiff.tape_mb.max`` (read after
+backward) cannot see.
 BLAS runs on one thread, as in the benchmark.  ``dhpose`` is imported from
 this checkout's ``src/`` (``checkout.py``).
 
@@ -23,11 +27,12 @@ import tracemalloc
 from checkout import import_dhpose
 
 import_dhpose()
-from dhpose import dataset, gan  # noqa: E402
+from dhpose import autodiff, dataset, gan  # noqa: E402
 
 # (module, attribute): each is patched by module attribute, as perfbench does
 PHASES = ((gan, "critic_update"), (gan, "generator_update"), (gan, "critic_loss"),
           (dataset, "synthesize_dataset"))
+BACKWARD = "backward start"
 MB = 2 ** 20
 
 
@@ -36,8 +41,11 @@ class HeapByPhase:
     since resetting the peak inside a phase would lose the outer one's."""
 
     def __init__(self):
-        self.stats = {attr: [0, 0, 0] for _, attr in PHASES}  # calls, above start, absolute
+        names = [attr for _, attr in PHASES]
+        names.insert(1, BACKWARD)  # after the critic step, whose backward it measures
+        self.stats = {name: [0, 0, 0] for name in names}  # calls, above start, absolute
         self.depth = 0
+        self.phase = self.start = None  # the outermost measured call and its start heap
         self.peak = 0  # the heap peak over the whole measured run
 
     def wrap(self, fn, attr):
@@ -48,16 +56,30 @@ class HeapByPhase:
             self.peak = max(self.peak, peak)
             tracemalloc.reset_peak()
             self.depth += 1
+            self.phase, self.start = attr, current
             try:
                 return fn(*args, **kwargs)
             finally:
                 self.depth -= 1
+                self.phase = None
                 peak = tracemalloc.get_traced_memory()[1]
                 stat = self.stats[attr]
                 stat[0] += 1
                 stat[1] = max(stat[1], peak - current)
                 stat[2] = max(stat[2], peak)
                 self.peak = max(self.peak, peak)
+
+        return measured
+
+    def wrap_backward(self, fn):
+        def measured(tape, out):
+            if self.phase == "critic_update":
+                live = tracemalloc.get_traced_memory()[0]
+                stat = self.stats[BACKWARD]
+                stat[0] += 1
+                stat[1] = max(stat[1], live - self.start)
+                stat[2] = max(stat[2], live)
+            return fn(tape, out)
 
         return measured
 
@@ -78,9 +100,11 @@ def main():
     meter = HeapByPhase()
     with tempfile.TemporaryDirectory() as out_dir:
         gan.train_epoch(state, data, synth_dir=out_dir)  # warm-up, motion critic off
-        saved = [(module, attr, getattr(module, attr)) for module, attr in PHASES]
+        saved = [(module, attr, getattr(module, attr))
+                 for module, attr in (*PHASES, (autodiff, "backward"))]
         for module, attr, fn in saved:
-            setattr(module, attr, meter.wrap(fn, attr))
+            setattr(module, attr, meter.wrap_backward(fn) if module is autodiff
+                    else meter.wrap(fn, attr))
         try:
             tracemalloc.reset_peak()
             gan.train_epoch(state, data, synth_dir=out_dir)

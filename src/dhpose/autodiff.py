@@ -207,28 +207,6 @@ def neg(a: Tensor) -> Tensor:
     return node("neg", -a.values, (a,), bwd)
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product; 2D or batched with identical leading dims."""
-    a, b = _wrap(a, b)
-    if a.values.ndim < 2 or b.values.ndim < 2:
-        raise ShapeError(f"matmul needs >=2D operands, got {a.values.shape} and {b.values.shape}")
-    if a.values.shape[-1] != b.values.shape[-2]:
-        raise ShapeError(f"matmul inner dims differ: {a.values.shape} vs {b.values.shape}")
-    if a.values.ndim > 2 and b.values.ndim > 2 and a.values.shape[:-2] != b.values.shape[:-2]:
-        raise ShapeError(f"matmul batch dims differ: {a.values.shape} vs {b.values.shape}")
-    out_values = a.values @ b.values
-
-    def bwd(g):
-        if a.requires_grad:
-            ga = g @ np.swapaxes(b.values, -1, -2)
-            a.accumulate(_unbroadcast(ga, a.values.shape))
-        if b.requires_grad:
-            gb = np.swapaxes(a.values, -1, -2) @ g
-            b.accumulate(_unbroadcast(gb, b.values.shape))
-
-    return node("matmul", out_values, (a, b), bwd)
-
-
 def times_lrelu_derivative(x: np.ndarray, mask: np.ndarray, slope: float) -> np.ndarray:
     """``x`` times the leaky-ReLU derivative of the bool mask ``pre >= 0``
     (1 where it is set, else ``slope``), as one new array in ``x``'s dtype.
@@ -267,8 +245,7 @@ def linear(x, w, b, act: str = "linear", slope: float = 0.2) -> tuple[Tensor, Op
     """Dense layer ``act(x @ w + b)`` as one node; ``act`` is tanh, lrelu or linear.
 
     Returns the output and, for lrelu, its bool mask ``pre >= 0`` (None
-    otherwise), which input gradients built as tape ops reuse through
-    ``lrelu_scale``.
+    otherwise).
     """
     x, w, b = _wrap(x, w, b)
     if (x.values.ndim != 2 or w.values.ndim != 2 or x.values.shape[1] != w.values.shape[0]
@@ -292,17 +269,6 @@ def linear(x, w, b, act: str = "linear", slope: float = 0.2) -> tuple[Tensor, Op
     return node("linear", z, (x, w, b), bwd), mask
 
 
-def lrelu_scale(a: Tensor, mask: np.ndarray, slope: float) -> Tensor:
-    """``a`` times the leaky-ReLU derivative of the bool mask ``mask`` (see
-    ``times_lrelu_derivative``), in ``a``'s dtype.  The op is linear in
-    ``a``, so its pullback is the same product."""
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(times_lrelu_derivative(g, mask, slope))
-
-    return node("lrelu_scale", times_lrelu_derivative(a.values, mask, slope), (a,), bwd)
-
-
 def astype(a: Tensor, dtype) -> Tensor:
     """``a`` in another float dtype; its gradient flows back in ``a``'s dtype.
     Returns ``a`` itself when it already has that dtype."""
@@ -322,18 +288,6 @@ def square(a: Tensor) -> Tensor:
             a.accumulate(g * 2.0 * a.values)
 
     return node("square", a.values * a.values, (a,), bwd)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    """Elementwise square root; the subgradient at 0 is taken as 0."""
-    out_values = np.sqrt(a.values)
-
-    def bwd(g):
-        if a.requires_grad:
-            safe = np.where(out_values > 0.0, out_values, 1.0)
-            a.accumulate(np.where(out_values > 0.0, g * 0.5 / safe, 0.0))
-
-    return node("sqrt", out_values, (a,), bwd)
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -363,20 +317,6 @@ def reshape(a: Tensor, shape) -> Tensor:
             a.accumulate(g.reshape(a.values.shape))
 
     return node("reshape", a.values.reshape(shape), (a,), bwd)
-
-
-def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(np.swapaxes(g, ax1, ax2))
-
-    return node("swapaxes", np.swapaxes(a.values, ax1, ax2), (a,), bwd)
-
-
-def transpose2d(a: Tensor) -> Tensor:
-    if a.values.ndim != 2:
-        raise ShapeError(f"transpose2d needs a 2D tensor, got {a.values.shape}")
-    return swapaxes(a, 0, 1)
 
 
 def _is_basic_index(key) -> bool:

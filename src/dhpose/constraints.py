@@ -19,17 +19,18 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .skeleton import N_ANGLE_PARAMS, N_PARAMS
+from .skeleton import KNEE_IDS, N_ANGLE_PARAMS, N_PARAMS
 from .textio import ParseError, dense, records
 
 
-def _entry_fault(name: str, kind: str, lo: float, hi: float) -> str | None:
-    """Why one id's bounds (radians or meters) are invalid, or None."""
+def _entry_fault(i: int, name: str, kind: str, lo: float, hi: float) -> str | None:
+    """Why id ``i``'s bounds (radians or meters) are invalid, or None; the
+    knee rule is keyed on the ids (``KNEE_IDS``), whatever their names."""
     if kind not in ("angle", "length"):
         return f"kind must be 'angle' or 'length', got {kind!r}"
     if not lo < hi:
         return f"min must be below max for {name}"
-    if "knee" in name and not (-np.pi - 1e-12 <= lo and hi <= 1e-12):
+    if i in KNEE_IDS and not (-np.pi - 1e-12 <= lo and hi <= 1e-12):
         return f"knee bounds for {name} must lie within [-pi, 0]"
     return None
 
@@ -51,7 +52,7 @@ class ConstraintTable:
         if not lo.shape == hi.shape == (len(self.names),) == (len(self.kinds),):
             raise ValueError("bounds, names and kinds must be equal-length 1D sequences")
         for i, entry in enumerate(zip(self.names, self.kinds, lo, hi)):
-            if fault := _entry_fault(*entry):
+            if fault := _entry_fault(i, *entry):
                 raise ValueError(f"id {i}: {fault}")
 
     def __eq__(self, other):
@@ -158,7 +159,7 @@ def table_from_text(text, source="<text>") -> ConstraintTable:
     for rec in records(text.splitlines(), source):
         _, i, name, kind, lo, hi = rec.fields("param", int, str, str, float, float)
         lo, hi = np.deg2rad([lo, hi]) if kind == "angle" else (lo, hi)
-        if fault := _entry_fault(name, kind, lo, hi):
+        if fault := _entry_fault(i, name, kind, lo, hi):
             raise rec.error(fault)
         if (kind == "angle") != (i < N_ANGLE_PARAMS):
             raise rec.error(f"param {i} is {kind!r}: ids 0..{N_ANGLE_PARAMS - 1} are angles, "

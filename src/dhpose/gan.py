@@ -13,7 +13,10 @@ branches (sequence plus its first differences of the same three signals);
 its score is the sum of the branch heads; it exists only when T >= 2.  A
 critic is its branch table (``FRAME_BRANCHES``, ``MOTION_BRANCHES``) and
 the nets it names.  Both train with the gradient-penalty objective; the
-motion terms are gated on by a step schedule over epochs.
+motion terms are gated on by a step schedule over epochs.  The penalty is
+one tape node per critic (``penalty``): its value and its closed-form
+weight gradient are numpy, built on ``nn.mlp_vjp``, so the critic step's
+tape holds no pass over the interpolated streams.
 
 The pipeline from raw net output to critic streams is written once, over
 autodiff tape ops: the split and squash (``_split_raw``), FK
@@ -452,50 +455,105 @@ def critic_leaves(tape: Tape, critic: Critic) -> dict[str, list]:
 
 
 def _fused_score(critic, inputs, encoders, head: str, tape: Tape,
-                 params: Optional[dict]) -> tuple[Tensor, dict]:
-    """Encoders over their inputs, concatenated into a head: the score (B, 1)
-    and the traces its input gradients need.  ``params`` is a
-    ``critic_leaves`` dict, or None for the weights as constants."""
+                 params: Optional[dict]) -> Tensor:
+    """Encoders over their inputs, concatenated into a head: the score (B,
+    1).  ``params`` is a ``critic_leaves`` dict, or None for the weights as
+    constants."""
     params = params or {}
-    outs, traces = zip(*(nn.mlp_apply(critic.nets[name], x, tape, params.get(name))
-                         for x, name in zip(inputs, encoders)))
-    score, head_trace = nn.mlp_apply(critic.nets[head], ad.concat(outs, axis=1), tape,
-                                     params.get(head))
-    return score, {"traces": traces, "head_trace": head_trace,
-                   "widths": [out.shape[1] for out in outs], "score": score}
+    outs = [nn.mlp_apply(critic.nets[name], x, tape, params.get(name))[0]
+            for x, name in zip(inputs, encoders)]
+    return nn.mlp_apply(critic.nets[head], ad.concat(outs, axis=1), tape, params.get(head))[0]
 
 
 def score(critic, streams: dict, tape: Tape,
           params: Optional[dict] = None) -> tuple[Tensor, list]:
     """Per-sample score (B, 1), the sum of the critic's branch heads, plus
-    each branch's ``_fused_score`` parts, in branch order."""
+    each branch's head score, in branch order."""
     total, parts = None, []
     for keys, encoders, head in critic.branches:
-        s, part = _fused_score(critic, [streams[k] for k in keys], encoders, head, tape, params)
+        s = _fused_score(critic, [streams[k] for k in keys], encoders, head, tape, params)
         total = s if total is None else ad.add(total, s)
-        parts.append(part)
+        parts.append(s)
     return total, parts
+
+
+def _input_gradients(critic, streams: dict) -> tuple[list, list]:
+    """Each encoder's input gradient of the critic's score at ``streams``, in
+    branch and encoder order, and the input-gradient chains to pull back:
+    per branch, each encoder's (name, trace, operands, columns of the head
+    input) and the head's (name, trace, operands).  Numpy, in the weights'
+    dtype; a forward pass keeps only what ``nn.mlp_vjp`` reads."""
+    grads, chains = [], []
+    for keys, encoders, head in critic.branches:
+        outs, traces = zip(*(nn.mlp_trace(critic.nets[name], streams[k])
+                             for k, name in zip(keys, encoders)))
+        widths = np.cumsum([0] + [out.shape[1] for out in outs])
+        out, head_trace = nn.mlp_trace(critic.nets[head], np.concatenate(outs, axis=1))
+        del outs  # the head has read them
+        if out.shape[1] != 1:
+            raise ValueError(f"the penalty needs scalar critic scores, got {out.shape}")
+        g_h, head_ops = nn.mlp_vjp(critic.nets[head], head_trace, np.ones_like(out))
+        encoder_chains = []
+        for name, trace, lo, hi in zip(encoders, traces, widths[:-1], widths[1:]):
+            g, ops = nn.mlp_vjp(critic.nets[name], trace, g_h[:, lo:hi])
+            grads.append(g)
+            encoder_chains.append((name, trace, ops, slice(lo, hi)))
+        chains.append((encoder_chains, (head, head_trace, head_ops)))
+    return grads, chains
 
 
 def penalty(critic, streams: dict, alpha: float, tape: Tape,
             params: Optional[dict] = None) -> Tensor:
     """The WGAN-GP penalty alpha * mean((|g| - 1)^2) at the given
     (interpolated) streams, g each sample's gradient with respect to the
-    inputs of every encoder; each head must have a scalar output."""
+    inputs of every encoder; each head must have a scalar output.
+
+    One tape node whose parents are the weights ``w`` of the
+    ``critic_leaves`` dict ``params`` (None: a constant).  Its pullback is
+    the closed form: back through the norm (the subgradient of sqrt at 0 is
+    0), then each input-gradient chain (``nn.mlp_vjp_pullback``) to the
+    weights; biases get no gradient.  The critic's layers must be lrelu or
+    linear, whose derivatives do not move with the weights.
+    """
     if alpha < 0:
         raise ValueError(f"alpha must be non-negative, got {alpha}")
-    grads = []
-    for part in score(critic, streams, tape, params)[1]:
-        if part["score"].shape[1] != 1:
-            raise ValueError(f"the penalty needs scalar critic scores, got {part['score'].shape}")
-        g_h = nn.mlp_vjp(part["head_trace"], tape.const(np.ones_like(part["score"].values)))
-        ends = np.cumsum(part["widths"])
-        grads += [nn.mlp_vjp(trace, g_h[:, end - width:end])
-                  for trace, width, end in zip(part["traces"], part["widths"], ends)]
-    total = ad.sum_(ad.square(grads[0]), axis=1)
+    for name, net in critic.nets.items():
+        for k, layer in enumerate(net.layers):
+            if layer.act not in ("lrelu", "linear"):
+                raise ValueError(f"the penalty needs lrelu or linear layers; "
+                                 f"layer {k} of {name!r} is {layer.act}")
+    grads, chains = _input_gradients(critic, streams)
+    dtype = grads[0].dtype
+    total = (grads[0] * grads[0]).sum(axis=1)
     for g in grads[1:]:
-        total = ad.add(total, ad.sum_(ad.square(g), axis=1))
-    return ad.mul(ad.mean(ad.square(ad.sub(ad.sqrt(total), 1.0))), alpha)
+        total = total + (g * g).sum(axis=1)
+    norm = np.sqrt(total)
+    dev = norm - np.asarray(1.0, dtype)
+    value = (dev * dev).sum() * np.asarray(1.0 / dev.size, dtype) * np.asarray(alpha, dtype)
+    weights = {name: [w for w, _ in pairs] for name, pairs in (params or {}).items()}
+    parents = tuple(w for name in critic.nets for w in weights.get(name, ()))
+    if not parents:
+        return tape.const(value)
+
+    def pull(name, trace, operands, g):
+        w_grads, g = nn.mlp_vjp_pullback(critic.nets[name], trace, operands, g)
+        for w, grad in zip(weights.get(name, ()), w_grads):
+            if w.requires_grad:
+                w.accumulate(grad)
+        return g
+
+    def bwd(g):
+        # back through alpha * mean(dev^2), sqrt, and each stream's sum of squares
+        g = g * np.asarray(alpha, dtype) * np.asarray(1.0 / dev.size, dtype) * 2.0 * dev
+        safe = np.where(norm > 0.0, norm, 1.0)
+        g = np.where(norm > 0.0, g * 0.5 / safe, 0.0) * 2.0
+        for encoder_chains, (head, head_trace, head_ops) in chains:
+            g_h = np.zeros((g.shape[0], critic.nets[head].in_dim), dtype)
+            for name, trace, ops, cols in encoder_chains:
+                g_h[:, cols] += pull(name, trace, ops, g[:, None] * grads.pop(0))
+            pull(head, head_trace, head_ops, g_h)
+
+    return ad.node("penalty", value, parents, bwd)
 
 
 # perfbench times each critic's scoring and penalty under these names,

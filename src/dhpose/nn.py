@@ -2,10 +2,13 @@
 pullback, the Adam optimizer, and checkpoint serialization.
 
 A gradient penalty needs d(|grad_x D|)/d(params), i.e. gradients of a
-gradient.  Rather than a higher-order tape, ``mlp_vjp`` builds the input
-gradient *as tape operations* (transposed weight products and activation
-derivatives), so one ordinary backward pass differentiates it; the critics'
-penalty (``gan.penalty``) is built on it.
+gradient.  For lrelu and linear layers that is closed-form numpy: the
+derivative of each layer is its bool mask, which does not move with the
+weights.  ``mlp_trace`` runs a net keeping only what the input gradient
+reads, ``mlp_vjp`` pulls an upstream gradient back to the input and keeps
+each layer's operand, and ``mlp_vjp_pullback`` takes a gradient of that
+input gradient back to each layer's weight gradient.  The critics' penalty
+(``gan.penalty``) is one tape node built on them.
 """
 
 from __future__ import annotations
@@ -65,16 +68,34 @@ def mlp_init(sizes: Sequence[int], acts: Sequence[str], rng: np.random.Generator
     return Mlp(layers)
 
 
-def mlp_eval(net: Mlp, x) -> np.ndarray:
-    """Plain numpy forward pass (inference path, no tape) with the input
-    cast to the weights' dtype."""
+def _as_input(net: Mlp, x) -> np.ndarray:
     h = np.asarray(x, dtype=net.layers[0].w.dtype)
     if h.ndim != 2 or h.shape[1] != net.in_dim:
         raise ShapeError(f"input {h.shape} does not match first layer "
                          f"({net.in_dim} features expected)")
+    return h
+
+
+def mlp_eval(net: Mlp, x) -> np.ndarray:
+    """Plain numpy forward pass (inference path, no tape) with the input
+    cast to the weights' dtype."""
+    h = _as_input(net, x)
     for layer in net.layers:
         h, _ = ad.dense_forward(h, layer.w, layer.b, layer.act, LRELU_SLOPE)
     return h
+
+
+def mlp_trace(net: Mlp, x) -> tuple[np.ndarray, list]:
+    """``mlp_eval`` keeping, per layer, what ``mlp_vjp`` reads: the lrelu
+    layer's bool mask ``pre >= 0``, the tanh layer's output, None for a
+    linear layer.  Every other activation is dropped once the next layer
+    has read it."""
+    h = _as_input(net, x)
+    trace = []
+    for layer in net.layers:
+        h, mask = ad.dense_forward(h, layer.w, layer.b, layer.act, LRELU_SLOPE)
+        trace.append(h if layer.act == "tanh" else mask)
+    return h, trace
 
 
 def mlp_leaves(tape: Tape, net: Mlp, var: bool = True) -> list:
@@ -92,8 +113,7 @@ def mlp_apply(net: Mlp, x, tape: Tape, params: Optional[list] = None) -> tuple[T
 
     Each layer is one ``ad.linear`` node.  The trace holds ``(w, h, act,
     mask)`` per layer, ``mask`` being the lrelu layer's bool mask ``pre >=
-    0`` (None for other activations), so the analytic input gradient can
-    reuse them.  ``mlp_vjp`` must read the trace before ``ad.backward``
+    0`` (None for other activations); read it before ``ad.backward``
     releases its nodes.
     """
     if not isinstance(x, Tensor):
@@ -111,24 +131,46 @@ def mlp_apply(net: Mlp, x, tape: Tape, params: Optional[list] = None) -> tuple[T
     return h, trace
 
 
-def mlp_vjp(trace: list, upstream: Tensor) -> Tensor:
-    """Pull ``upstream`` back through a recorded forward trace, as tape ops.
+def mlp_vjp(net: Mlp, trace: list, upstream: np.ndarray) -> tuple[np.ndarray, list]:
+    """Pull ``upstream`` (batch, out_dim) back through ``net`` at the
+    ``mlp_trace`` forward pass ``trace``: numpy, in the weights' dtype.
 
-    Returns d(upstream . out)/dx with shape (batch, in_dim).  Only tanh and
-    leaky-relu hidden activations admit the double-backprop construction.
-    An lrelu layer's derivative is one ``ad.lrelu_scale`` node, which keeps
-    the layer's bool mask rather than a float copy of it.
+    Returns d(upstream . out)/dx, (batch, in_dim), and each layer's operand,
+    in layer order: the gradient at the layer's output times its activation
+    derivative, which the layer multiplies by ``w.T`` and
+    ``mlp_vjp_pullback`` reads.
     """
-    g = upstream
-    for w, h, act, mask in reversed(trace):
-        if act == "tanh":
-            g = ad.mul(g, ad.sub(1.0, ad.square(h)))
-        elif act == "lrelu":
-            g = ad.lrelu_scale(g, mask, LRELU_SLOPE)
-        elif act != "linear":
-            raise ValueError(f"activation {act!r} does not support double backprop")
-        g = ad.matmul(g, ad.transpose2d(w))
-    return g
+    g, operands = upstream, []
+    for layer, kept in zip(reversed(net.layers), reversed(trace)):
+        if layer.act == "tanh":
+            g = g * (1.0 - kept * kept)
+        elif layer.act == "lrelu":
+            g = ad.times_lrelu_derivative(g, kept, LRELU_SLOPE)
+        operands.append(g)
+        g = g @ layer.w.T
+    return g, operands[::-1]
+
+
+def mlp_vjp_pullback(net: Mlp, trace: list, operands: list,
+                     g: np.ndarray) -> tuple[list, np.ndarray]:
+    """Pull ``g``, a gradient of ``mlp_vjp``'s input gradient, back through
+    it: each layer's weight gradient (the biases get none) and the gradient
+    of its ``upstream``.  Each operand and mask is released from its list
+    once its layer is done.
+
+    Exact for lrelu and linear layers only, whose derivative does not move
+    with the weights; a tanh layer raises ValueError.
+    """
+    grads = []
+    for k, layer in enumerate(net.layers):
+        if layer.act not in ("lrelu", "linear"):
+            raise ValueError(f"layer {k} is {layer.act}: its derivative moves with the weights")
+        grads.append((operands[k].T @ g).T)
+        g = g @ layer.w
+        if layer.act == "lrelu":
+            g = ad.times_lrelu_derivative(g, trace[k], LRELU_SLOPE)
+        operands[k] = trace[k] = None
+    return grads, g
 
 
 @dataclass

@@ -34,6 +34,8 @@ N_PARAMS = 48
 N_ANGLE_PARAMS = 33
 N_LENGTH_PARAMS = 15
 N_BRANCHES = 5
+# the knee flexion angles (l_knee_flex, r_knee_flex): flexion only, within [-pi, 0]
+KNEE_IDS = (16, 21)
 
 KEYPOINT_NAMES = (
     "pelvis", "r_hip", "r_knee", "r_ankle",
@@ -387,7 +389,8 @@ def topology_from_text(text, source="<text>") -> SkeletonTopology:
     line rules in ``textio``).  Branch, param and keypoint ids must run
     0..N-1, and a branch's line comes before its rows, in row order.  A
     row's flags are 0 or 1, alpha's is 0, and a field's flag is set exactly
-    when the row gives it an id (``len_id`` serves a or d, not both)."""
+    when the row gives it an id (``len_id`` serves a or d, not both); its
+    keypoint is -1 (none) or a keypoint id."""
     branches, params, keypoints = [], [], []  # (record, id, value) entries
     rows: dict[int, list] = {}
     kp_maps: dict[int, list] = {}
@@ -418,8 +421,8 @@ def topology_from_text(text, source="<text>") -> SkeletonTopology:
                     theta_id=tid, a_id=lid if var_a else -1, d_id=lid if var_d else -1))
             except ValueError as exc:
                 raise rec.error(str(exc)) from exc
-            if kp >= 0:
-                kp_maps.setdefault(bi, []).append((r, kp))
+            if kp != -1:
+                kp_maps.setdefault(bi, []).append((rec, r, kp))
         elif kind == "param":
             _, pid, name, pkind = rec.fields("param", int, str, str)
             params.append((rec, pid, (name, pkind)))
@@ -433,10 +436,14 @@ def topology_from_text(text, source="<text>") -> SkeletonTopology:
     names, kinds = zip(*dense(params, "param", source))
     branch_meta = dense(branches, "branch", source)
     kp_names = tuple(dense(keypoints, "keypoint", source))
+    for rec, _, kp in (entry for entries in kp_maps.values() for entry in entries):
+        if not 0 <= kp < len(kp_names):
+            raise rec.error(f"keypoint {kp} is neither -1 nor one of 0..{len(kp_names) - 1}")
     try:
         topo = SkeletonTopology(
             branches=tuple(KinematicBranch(name=name, rows=tuple(rows[bi]),
-                                           keypoint_map=tuple(kp_maps.get(bi, [])),
+                                           keypoint_map=tuple((r, kp) for _, r, kp
+                                                              in kp_maps.get(bi, [])),
                                            shared_prefix_len=prefix)
                            for bi, (name, prefix) in enumerate(branch_meta)),
             param_names=names, param_kinds=kinds,

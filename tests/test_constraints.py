@@ -22,6 +22,8 @@ DAMAGED_TABLES = {
     "swapped": r": parse error at line 7: min must be below max for spine_pitch",
     "equal": r": parse error at line 7: min must be below max for spine_pitch",
     "knee": r": parse error at line 20: knee bounds for l_knee_flex must lie within \[-pi, 0\]",
+    "renamed knee": r": parse error at line 20: knee bounds for l_leg_flex must lie within "
+                    r"\[-pi, 0\]",
     "length as angle": r": parse error at line 44: param 40 is 'angle': ids 0\.\.32 are angles, "
                        r"33\.\.47 lengths",
     "short": r": parse error: 47 params; the table needs 48",
@@ -33,6 +35,7 @@ BAD_ENTRIES = {
     "swapped": (3, "param 3 spine_pitch angle 45 -30"),
     "equal": (3, "param 3 spine_pitch angle 45 45"),
     "knee": (16, "param 16 l_knee_flex angle -180 10"),
+    "renamed knee": (16, "param 16 l_leg_flex angle -180 60"),
     "length as angle": (40, "param 40 r_femur_len angle -0.09 0.09"),
 }
 
@@ -179,10 +182,13 @@ class TestDefaultTable:
     def test_min_below_max_everywhere(self, table):
         assert np.all(table.lo < table.hi)
 
-    def test_knee_invariant_enforced(self):
-        with pytest.raises(ValueError, match="knee"):
-            ct.ConstraintTable(lo=np.array([-1.0]), hi=np.array([0.5]),
-                               names=("l_knee_flex",), kinds=("angle",))
+    @pytest.mark.parametrize("knee", sk.KNEE_IDS)
+    def test_knee_invariant_enforced(self, table, knee):
+        hi = table.hi.copy()
+        hi[knee] = 0.5
+        names = tuple(f"param{i}" for i in range(len(hi)))
+        with pytest.raises(ValueError, match=f"id {knee}: knee bounds for param{knee}"):
+            ct.ConstraintTable(lo=table.lo, hi=hi, names=names, kinds=table.kinds)
 
     def test_names_and_kinds_must_match_the_bounds(self):
         with pytest.raises(ValueError, match="equal-length"):

@@ -16,10 +16,11 @@ def forward(net, x, tape=None, params=None):
     return nn.mlp_apply(net, tape.const(np.asarray(x, dtype=np.float64)), tape, params)[0]
 
 
-def input_gradient(net, x, tape, params=None):
-    """Gradient of the summed output with respect to the input, as tape ops."""
-    out, trace = nn.mlp_apply(net, tape.const(np.asarray(x, dtype=np.float64)), tape, params)
-    return nn.mlp_vjp(trace, tape.const(np.ones_like(out.values)))
+def input_gradient(net, x):
+    """Gradient of the summed output with respect to the input, the
+    operands of its chain and the forward trace."""
+    out, trace = nn.mlp_trace(net, x)
+    return (*nn.mlp_vjp(net, trace, np.ones_like(out)), trace)
 
 
 def frame_inputs(n, rng):
@@ -127,52 +128,68 @@ class TestInputGradient:
         w = RNG(5).normal(size=(6, 1))
         net = nn.Mlp([nn.LayerSpec(w, np.array([0.3]), "linear")])
         x = RNG(6).normal(size=(4, 6))
-        g = input_gradient(net, x, ad.Tape())
-        assert np.allclose(g.values, np.tile(w[:, 0], (4, 1)), atol=1e-15)
+        g = input_gradient(net, x)[0]
+        assert np.allclose(g, np.tile(w[:, 0], (4, 1)), atol=1e-15)
 
     def test_sum_critic_norm_is_sqrt_n(self):
         n = 9
         net = nn.Mlp([nn.LayerSpec(np.ones((n, 1)), np.zeros(1), "linear")])
-        g = input_gradient(net, np.zeros((3, n)), ad.Tape())
-        assert np.allclose(np.linalg.norm(g.values, axis=1), np.sqrt(n), atol=1e-12)
+        g = input_gradient(net, np.zeros((3, n)))[0]
+        assert np.allclose(np.linalg.norm(g, axis=1), np.sqrt(n), atol=1e-12)
 
     def test_matches_finite_differences_of_the_scalar(self):
         net = float64_copy(nn.mlp_init([4, 8, 1], ["tanh", "linear"], RNG(7)))
         x0 = RNG(8).normal(size=(1, 4))
-        g = input_gradient(net, x0, ad.Tape())
+        g = input_gradient(net, x0)[0]
         fd = central_difference(lambda v: float(nn.mlp_eval(net, v.reshape(1, 4))[0, 0]),
                                 x0.copy(), h=1e-6)
         scale = np.maximum(np.abs(fd), 1.0)
-        assert np.max(np.abs(g.values - fd) / scale) < 1e-5
+        assert np.max(np.abs(g - fd) / scale) < 1e-5
 
     def test_lrelu_net_matches_finite_differences_of_the_scalar(self):
         # the critics' activation: the pullback must apply the lrelu mask
         net = float64_copy(nn.mlp_init([4, 8, 1], ["lrelu", "linear"], RNG(15)))
         x0 = RNG(16).normal(size=(1, 4))
-        g = input_gradient(net, x0, ad.Tape())
+        g = input_gradient(net, x0)[0]
         fd = central_difference(lambda v: float(nn.mlp_eval(net, v.reshape(1, 4))[0, 0]),
                                 x0.copy(), h=1e-6)
         scale = np.maximum(np.abs(fd), 1.0)
-        assert np.max(np.abs(g.values - fd) / scale) < 1e-5
+        assert np.max(np.abs(g - fd) / scale) < 1e-5
 
     def test_double_backprop_matches_finite_differences(self):
-        # parameter gradient of |grad_x D|^2 against central differences
-        net = float64_copy(nn.mlp_init([3, 5, 1], ["tanh", "linear"], RNG(9)))
+        # weight gradients of |grad_x D|^2 from the closed-form pullback
+        # against central differences, on the critics' activations
+        net = float64_copy(nn.mlp_init([3, 5, 4, 1], ["lrelu", "lrelu", "linear"], RNG(9)))
         x = RNG(10).normal(size=(2, 3))
+        g, operands, trace = input_gradient(net, x)
+        grads, upstream = nn.mlp_vjp_pullback(net, trace, operands, 2.0 * g)
+        assert operands == trace == [None] * len(net.layers)  # released as it goes
+        assert upstream.shape == (2, 1)
+        for i, layer in enumerate(net.layers):
+            for field, grad in (("w", grads[i]), ("b", 0.0)):  # biases move no mask here
+                def f(values, slot=("net", i, field)):
+                    g = input_gradient(replaced({"net": net}, slot, values)["net"], x)[0]
+                    return float(np.sum(g * g))
 
-        tape = ad.Tape()
-        leaves = nn.mlp_leaves(tape, net)
-        g = input_gradient(net, x, tape, leaves)
-        ad.backward(tape, ad.sum_(ad.square(g)))
-        for slot, value, leaf in weight_slots({"net": net}, {"net": leaves}):
-            def f(values, slot=slot):
-                g = input_gradient(replaced({"net": net}, slot, values)["net"], x, ad.Tape())
-                return float(ad.sum_(ad.square(g)).values)
+                fd = central_difference(f, getattr(layer, field).copy(), h=1e-5)
+                scale = np.maximum(np.abs(fd), 1.0)
+                assert np.max(np.abs(grad - fd) / scale) < 1e-4, (i, field)
 
-            fd = central_difference(f, value.copy(), h=1e-5)
-            scale = np.maximum(np.abs(fd), 1.0)
-            err = np.max(np.abs((leaf.grad if leaf.grad is not None else 0) - fd) / scale)
-            assert err < 1e-4, slot
+    def test_trace_keeps_lrelu_masks_and_tanh_outputs_only(self):
+        net = nn.mlp_init([3, 5, 4, 2], ["lrelu", "tanh", "linear"], RNG(11))
+        x = RNG(12).normal(size=(6, 3))
+        out, (mask, tanh_out, linear) = nn.mlp_trace(net, x)
+        h = x.astype(np.float32) @ net.layers[0].w + net.layers[0].b
+        assert mask.dtype == bool and np.array_equal(mask, h >= 0.0)
+        assert tanh_out.dtype == np.float32 and tanh_out.shape == (6, 4)
+        assert linear is None
+        assert np.array_equal(out, nn.mlp_eval(net, x))
+
+    def test_pullback_refuses_a_tanh_layer(self):
+        net = nn.mlp_init([3, 5, 1], ["tanh", "linear"], RNG(9))
+        g, operands, trace = input_gradient(net, RNG(10).normal(size=(2, 3)))
+        with pytest.raises(ValueError, match="layer 0 is tanh"):
+            nn.mlp_vjp_pullback(net, trace, operands, g)
 
     def test_non_scalar_net_rejected(self):
         critic = linear_frame_critic(1.0)
@@ -205,6 +222,59 @@ class TestGradientPenalty:
         pen = gan.frame_penalty(linear_frame_critic(2.0), frame_inputs(8, RNG(15)), 10.0,
                                 ad.Tape())
         assert float(pen.values) == 90.0
+
+    def test_zero_norm_gives_finite_zero_weight_gradients(self):
+        # sqrt's subgradient at 0 is 0: no 0 / 0 reaches the weights
+        critic = linear_frame_critic(0.0)
+        critic.nets["head"].layers[0].b = np.array([3.7])
+        tape = ad.Tape()
+        leaves = gan.critic_leaves(tape, critic)
+        pen = gan.frame_penalty(critic, frame_inputs(6, RNG(16)), 10.0, tape, leaves)
+        assert float(pen.values) == 10.0
+        ad.backward(tape, pen)
+        for name, pairs in leaves.items():
+            for w, b in pairs:
+                assert w.grad is not None and np.all(w.grad == 0.0), name
+                assert b.grad is None, name
+
+    def test_records_one_node_whose_parents_are_the_weights(self):
+        critic = linear_frame_critic(2.0)
+        tape = ad.Tape()
+        leaves = gan.critic_leaves(tape, critic)
+        before = len(tape.nodes)
+        pen = gan.frame_penalty(critic, frame_inputs(4, RNG(17)), 10.0, tape, leaves)
+        assert tape.nodes[before:] == [pen]
+        assert pen.parents == tuple(w for pairs in leaves.values() for w, _ in pairs)
+        constant = gan.frame_penalty(critic, frame_inputs(4, RNG(17)), 10.0, tape)
+        assert tape.nodes[before + 1:] == [constant] and constant.op == "const"
+        assert float(constant.values) == float(pen.values) == 90.0
+
+    def test_float32_weight_gradients_keep_the_weights_dtype(self, camera, pairs):
+        # a motion critic as training runs it, against its float64 copy
+        cfg = gan.TrainConfig(mode="video", frames=3, enc_hidden=(6,), head_hidden=(4,))
+        critic = gan.build_critic(gan.MOTION_BRANCHES, cfg, 14, RNG(19))
+        rng = RNG(20)
+        streams = gan.feature_batch(rng.normal(size=(5, 3, 16, 3)),
+                                    rng.normal(size=(5, 3, 16, 2)) * 50, camera, pairs)
+        grads = []
+        for model in (critic, float64_copy(critic)):
+            tape = ad.Tape()
+            leaves = gan.critic_leaves(tape, model)
+            pen = gan.motion_penalty(model, streams, 10.0, tape, leaves)
+            assert pen.values.dtype == model.nets["head3d"].layers[0].w.dtype
+            ad.backward(tape, pen)
+            grads.append([w.grad for pairs_ in leaves.values() for w, _ in pairs_])
+        for g32, g64 in zip(*grads, strict=True):
+            assert g32.dtype == np.float32
+            # bound: 1e-5 of max(1, |value|), about 100 float32 ulps, as for
+            # the float32 op checks (1.3e-7 measured)
+            assert np.max(np.abs(g32 - g64) / np.maximum(np.abs(g64), 1.0)) < 1e-5
+
+    def test_tanh_layer_rejected_by_name(self):
+        critic = linear_frame_critic(1.0)
+        critic.nets["enc_cos"] = nn.mlp_init([14, 1], ["tanh"], RNG(18))
+        with pytest.raises(ValueError, match="layer 0 of 'enc_cos' is tanh"):
+            gan.frame_penalty(critic, frame_inputs(2, RNG(18)), 1.0, ad.Tape())
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError, match="alpha"):

@@ -42,14 +42,18 @@ def test_heap_by_phase_prints_every_phase(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("heap by phase, seed 3, video T=3, batch 4, 8 sequences")
-    rows = {line.split()[0]: line.split()[1:] for line in lines[2:-1]}
-    # two generator steps of five critic steps each; one end-of-epoch log and synthesis
-    # (the critic steps' own critic_loss calls nest in critic_update)
+    rows = {name: row for name, *row in (line.rsplit(None, 3) for line in lines[2:-1])}
+    # two generator steps of five critic steps each, each critic step entering
+    # backward once; one end-of-epoch log and synthesis (the critic steps' own
+    # critic_loss calls nest in critic_update)
     assert {name: int(row[0]) for name, row in rows.items()} == {
-        "critic_update": 10, "generator_update": 2, "critic_loss": 1, "synthesize_dataset": 1}
+        "critic_update": 10, "backward start": 10, "generator_update": 2, "critic_loss": 1,
+        "synthesize_dataset": 1}
     epoch_peak = float(lines[-1].split()[-1])
     for calls, above, absolute in rows.values():
         assert 0 < float(above) <= float(absolute) <= epoch_peak
+    # the live heap at backward's start is below the critic step's peak
+    assert float(rows["backward start"][1]) <= float(rows["critic_update"][1])
 
 
 @pytest.fixture

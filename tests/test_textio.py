@@ -83,6 +83,7 @@ ROW_EDITS = {  # edit -> (row prefix, token index, new token, reason)
     "unflagged length id": ("row 0 11 ", 13, "40", FLAG_REASON),
     "theta flag without id": ("row 1 4 ", 12, "-1", FLAG_REASON),
     "alpha flag": ("row 2 5 ", 10, "1", "variable twist angles are not supported"),
+    "negative keypoint": ("row 0 11 ", 14, "-7", "keypoint -7 is neither -1 nor one of 0..15"),
 }
 
 
