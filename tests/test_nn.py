@@ -175,6 +175,21 @@ class TestInputGradient:
                 scale = np.maximum(np.abs(fd), 1.0)
                 assert np.max(np.abs(grad - fd) / scale) < 1e-4, (i, field)
 
+    def test_vjp_of_a_multi_output_net_matches_finite_differences(self):
+        # an encoder's chain pulls back a slice of the head's input gradient,
+        # not ones: d(sum(out * u))/dx for a random upstream u
+        net = float64_copy(nn.mlp_init([4, 6, 3], ["lrelu", "tanh"], RNG(21)))
+        x0 = RNG(22).normal(size=(2, 4))
+        u = RNG(23).normal(size=(2, 3))
+        out, trace = nn.mlp_trace(net, x0)
+        g, operands = nn.mlp_vjp(net, trace, u)
+        assert g.shape == x0.shape
+        assert [op.shape for op in operands] == [(2, 6), (2, 3)]
+        fd = central_difference(lambda v: float(np.sum(nn.mlp_eval(net, v) * u)), x0.copy(),
+                                h=1e-6)
+        scale = np.maximum(np.abs(fd), 1.0)
+        assert np.max(np.abs(g - fd) / scale) < 1e-5
+
     def test_trace_keeps_lrelu_masks_and_tanh_outputs_only(self):
         net = nn.mlp_init([3, 5, 4, 2], ["lrelu", "tanh", "linear"], RNG(11))
         x = RNG(12).normal(size=(6, 3))
@@ -269,6 +284,53 @@ class TestGradientPenalty:
             # bound: 1e-5 of max(1, |value|), about 100 float32 ulps, as for
             # the float32 op checks (1.3e-7 measured)
             assert np.max(np.abs(g32 - g64) / np.maximum(np.abs(g64), 1.0)) < 1e-5
+
+    @staticmethod
+    def random_frame_critic(seed):
+        cfg = gan.TrainConfig(enc_hidden=(6,), head_hidden=(4,))
+        return float64_copy(gan.build_critic(gan.FRAME_BRANCHES, cfg, 14, RNG(seed)))
+
+    def weight_gradients(self, critic, streams, build):
+        """Each net's weight gradients, by name, after backward of ``build(tape,
+        leaves)`` on a fresh tape with ``critic_leaves``."""
+        tape = ad.Tape()
+        leaves = gan.critic_leaves(tape, critic)
+        ad.backward(tape, build(tape, leaves))
+        return {name: [w.grad for w, _ in pairs] for name, pairs in leaves.items()}
+
+    def test_leaves_of_some_nets_get_the_gradients_of_a_full_run(self):
+        # nets without leaves, or with constant ones, are skipped; the others
+        # get exactly what they get when every net has leaves
+        critic = self.random_frame_critic(24)
+        streams = frame_inputs(5, RNG(25))
+        full = self.weight_gradients(
+            critic, streams, lambda t, p: gan.frame_penalty(critic, streams, 10.0, t, p))
+        tape = ad.Tape()
+        leaves = gan.critic_leaves(tape, critic)
+        params = {"head": leaves["head"],
+                  "enc_cos": nn.mlp_leaves(tape, critic.nets["enc_cos"], var=False)}
+        pen = gan.frame_penalty(critic, streams, 10.0, tape, params)
+        assert pen.parents == tuple(w for name in ("enc_cos", "head") for w, _ in params[name])
+        ad.backward(tape, pen)
+        for w, expected in zip((w for w, _ in leaves["head"]), full["head"], strict=True):
+            assert np.array_equal(w.grad, expected)
+        assert all(w.grad is None for w, _ in params["enc_cos"])
+        assert all(w.grad is None for name in ("enc3d", "enc2d") for w, _ in leaves[name])
+
+    def test_pullback_scales_with_its_seed_and_accumulates_across_nodes(self):
+        # 3 * pen + pen on the same leaves: four times the gradients of pen
+        critic = self.random_frame_critic(26)
+        streams = frame_inputs(5, RNG(27))
+        single = self.weight_gradients(
+            critic, streams, lambda t, p: gan.frame_penalty(critic, streams, 10.0, t, p))
+        both = self.weight_gradients(
+            critic, streams,
+            lambda t, p: ad.add(ad.mul(gan.frame_penalty(critic, streams, 10.0, t, p), 3.0),
+                                gan.frame_penalty(critic, streams, 10.0, t, p)))
+        for name, grads in single.items():
+            for g1, g4 in zip(grads, both[name], strict=True):
+                assert np.any(g1 != 0.0), name
+                assert np.allclose(g4, 4.0 * g1, rtol=1e-12, atol=0.0), name
 
     def test_tanh_layer_rejected_by_name(self):
         critic = linear_frame_critic(1.0)
