@@ -54,16 +54,22 @@ class Verdict:
 
 
 def parse_digest(text: str) -> list[dict]:
-    """``same_seed_digest.py`` output to one metrics dict per epoch, in order."""
+    """``same_seed_digest.py`` output to one metrics dict per epoch, in order,
+    with the epoch file's hash under "sha256" and, from a version that prints
+    one, the training state's under "state"."""
     epochs = []
     for line in text.splitlines():
         head, sep, body = line.partition(" metrics ")
         tok = head.split()
-        if not sep or len(tok) != 4 or tok[0] != "epoch" or tok[2] != "sha256":
+        if (not sep or len(tok) not in (4, 6) or tok[0] != "epoch" or tok[2] != "sha256"
+                or tok[4:5] not in ([], ["state"])):
             raise ValueError(f"not a digest line: {line!r}")
         if int(tok[1]) != len(epochs):
             raise ValueError(f"epoch {tok[1]} out of order: {line!r}")
-        epochs.append({**json.loads(body), "sha256": tok[3]})
+        epoch = {**json.loads(body), "sha256": tok[3]}
+        if len(tok) == 6:
+            epoch["state"] = tok[5]
+        epochs.append(epoch)
     return epochs
 
 

@@ -12,6 +12,11 @@ takes the dtype of the tensor it meets), and a gradient has the dtype of
 its tensor.  Every op is deterministic, so identical inputs give
 bitwise-identical forward and backward results.
 
+The tape is generic: it has elementwise, reduction and indexing ops and no
+neural-net code.  A fused op written elsewhere records itself with
+``node``: a net's pass (``nn.mlp_apply``), FK (``skeleton.fk``), the
+squash, the bone cosines and the gradient penalty.
+
 Every tensor points at its tape and the tape lists every tensor, so a tape
 is a reference cycle.  Use it as a context manager to drop the node list on
 exit: the tensors are then freed as soon as the caller lets go of them,
@@ -207,68 +212,6 @@ def neg(a: Tensor) -> Tensor:
     return node("neg", -a.values, (a,), bwd)
 
 
-def times_lrelu_derivative(x: np.ndarray, mask: np.ndarray, slope: float) -> np.ndarray:
-    """``x`` times the leaky-ReLU derivative of the bool mask ``pre >= 0``
-    (1 where it is set, else ``slope``), as one new array in ``x``'s dtype.
-
-    Bitwise equal to ``x * (mask * (1 - slope) + slope)``.  The derivative is
-    built here and not kept, so a layer stores one byte per element for it;
-    ``np.where`` or a masked multiply would be about 10x slower.
-    """
-    out = mask.astype(x.dtype)
-    out *= 1.0 - slope
-    out += slope
-    out *= x
-    return out
-
-
-def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, act: str,
-                  slope: float) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """``act(x @ w + b)``, tanh and linear written into the one new array
-    ``x @ w``, lrelu into a second one; x, w and b are only read.  Returns
-    it and, for lrelu, the bool mask ``pre >= 0`` of the pre-activation
-    (None otherwise)."""
-    z = x @ w
-    z += b
-    mask = None
-    if act == "tanh":
-        np.tanh(z, out=z)
-    elif act == "lrelu":
-        mask = z >= 0.0
-        z = times_lrelu_derivative(z, mask, slope)
-    elif act != "linear":
-        raise ValueError(f"unknown activation {act!r}")
-    return z, mask
-
-
-def linear(x, w, b, act: str = "linear", slope: float = 0.2) -> tuple[Tensor, Optional[np.ndarray]]:
-    """Dense layer ``act(x @ w + b)`` as one node; ``act`` is tanh, lrelu or linear.
-
-    Returns the output and, for lrelu, its bool mask ``pre >= 0`` (None
-    otherwise).
-    """
-    x, w, b = _wrap(x, w, b)
-    if (x.values.ndim != 2 or w.values.ndim != 2 or x.values.shape[1] != w.values.shape[0]
-            or b.values.shape != w.values.shape[1:]):
-        raise ShapeError(f"linear shapes disagree: x {x.values.shape}, w {w.values.shape}, "
-                         f"b {b.values.shape}")
-    z, mask = dense_forward(x.values, w.values, b.values, act, slope)
-
-    def bwd(g):
-        if act == "tanh":
-            g = g * (1.0 - z * z)
-        elif mask is not None:
-            g = times_lrelu_derivative(g, mask, slope)
-        if x.requires_grad:
-            x.accumulate(g @ w.values.T)
-        if w.requires_grad:
-            w.accumulate(x.values.T @ g)
-        if b.requires_grad:
-            b.accumulate(g.sum(axis=0))
-
-    return node("linear", z, (x, w, b), bwd), mask
-
-
 def astype(a: Tensor, dtype) -> Tensor:
     """``a`` in another float dtype; its gradient flows back in ``a``'s dtype.
     Returns ``a`` itself when it already has that dtype."""
@@ -282,33 +225,18 @@ def astype(a: Tensor, dtype) -> Tensor:
     return node("astype", a.values.astype(dtype), (a,), bwd)
 
 
-def square(a: Tensor) -> Tensor:
+def sum_(a: Tensor) -> Tensor:
+    """The sum of every element of ``a``."""
     def bwd(g):
         if a.requires_grad:
-            a.accumulate(g * 2.0 * a.values)
-
-    return node("square", a.values * a.values, (a,), bwd)
-
-
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out_values = a.values.sum(axis=axis, keepdims=keepdims)
-
-    def bwd(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
             a.accumulate(np.broadcast_to(g, a.values.shape).copy())
-            return
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        a.accumulate(np.broadcast_to(g, a.values.shape).copy())
 
-    return node("sum", out_values, (a,), bwd)
+    return node("sum", a.values.sum(), (a,), bwd)
 
 
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = a.values.size if axis is None else a.values.shape[axis]
-    return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
+def mean(a: Tensor) -> Tensor:
+    """The mean of every element of ``a``."""
+    return mul(sum_(a), 1.0 / a.values.size)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

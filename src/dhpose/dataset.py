@@ -24,7 +24,7 @@ from .camera import CameraIntrinsics, project_pose
 from .constraints import ConstraintTable, count_violations, default_constraint_table
 from .skeleton import (N_PARAMS, SkeletonTopology, default_topology,
                        forward_kinematics_batch, topology_hash)
-from .textio import ParseError, decode, records
+from .textio import ParseError, Record, decode, records
 
 FORMAT_VERSION = "v1"
 _HEADER_PREFIX = "# dhpose dataset"
@@ -252,12 +252,14 @@ def _parse_rows(path, lines: list[str], line_nos: list[int]) -> RowBlock:
 def _read_binary(path, fh, meta_line: bytes) -> RowBlock:
     """All rows of a binary dataset whose count line was just read from
     ``fh``, after checking that line and every record."""
-    meta = decode(path, meta_line, 2).split()
-    count = int(meta[1]) if len(meta) == 3 and meta[1].isdecimal() else -1
+    meta = Record(path, 2, decode(path, meta_line, 2).split())
     width = _FIELDS_PER_ROW
-    if count < 0 or meta[2] != str(width):
-        raise ParseError(path, 2, f"expected 'binary <count> {width}', "
-                                  f"got {' '.join(meta)!r}")
+    try:
+        count = meta.fields("binary", int, str(width))[1]
+    except ParseError:
+        count = -1
+    if count < 0:
+        raise meta.error(f"expected 'binary <count> {width}', got {' '.join(meta.tokens)!r}")
     start = fh.tell()
     blob = fh.read(count * width * 4)
     if len(blob) != count * width * 4:
@@ -407,9 +409,12 @@ def load_skeleton_video(path) -> tuple[np.ndarray, list[tuple[int, int]]]:
     if lines and lines[0].startswith(b"#"):  # the header
         counts = dict(t.split("=", 1) for t in decode(path, lines[0], 1).split() if "=" in t)
         for key in [k for k in ("frames", "keypoints") if k in counts]:
-            if not counts[key].isdecimal():
+            try:
+                declared[key] = Record(path, 1, [counts[key]]).fields(int)[0]
+            except ParseError:
+                declared[key] = -1
+            if declared[key] < 0:
                 raise ParseError(path, 1, f"bad header count {key}={counts[key]!r}")
-            declared[key] = int(counts[key])
     edges: list[tuple[int, int]] = []
     frames: list[list] = []
     frame_lines: list[int] = []

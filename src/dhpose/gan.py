@@ -401,7 +401,7 @@ def generate_on_tape(gen: DhGenerator, z, tape: Tape, gen_params: Optional[list]
     """The net runs in its dtype with the ``nn.mlp_leaves`` list
     ``gen_params`` (None: its weights as constants); squash, FK, the depth
     check, projection and the critic streams run in float64."""
-    raw, _ = nn.mlp_apply(gen.net, z, tape, gen_params)
+    raw = nn.mlp_apply(gen.net, z, tape, gen_params)
     params, globals_ = _split_raw(gen, ad.astype(raw, np.float64))
     pose3d = _fk_tape(gen.topology, params, globals_)
     if np.any(pose3d.values[:, :, 2] < gen.camera.z_min):
@@ -460,9 +460,9 @@ def _fused_score(critic, inputs, encoders, head: str, tape: Tape,
     1).  ``params`` is a ``critic_leaves`` dict, or None for the weights as
     constants."""
     params = params or {}
-    outs = [nn.mlp_apply(critic.nets[name], x, tape, params.get(name))[0]
+    outs = [nn.mlp_apply(critic.nets[name], x, tape, params.get(name))
             for x, name in zip(inputs, encoders)]
-    return nn.mlp_apply(critic.nets[head], ad.concat(outs, axis=1), tape, params.get(head))[0]
+    return nn.mlp_apply(critic.nets[head], ad.concat(outs, axis=1), tape, params.get(head))
 
 
 def score(critic, streams: dict, tape: Tape,
@@ -738,10 +738,6 @@ def generator_update(state: TrainState, batch: int, gamma: int) -> dict:
         gen_leaves = nn.mlp_leaves(tape, state.gen.net)
         z = sample_latent(batch, state.config.z_dim, state.rng)
         fake = generate_on_tape(state.gen, z, tape, gen_leaves, state.pairs)
-        # motion streams are cast first: this keeps the tape's node order
-        dtype = state.gen.net.layers[0].w.dtype
-        fake.streams = {k: ad.astype(fake.streams[k], dtype)
-                        for k in (*MOTION_STREAMS, *FRAME_STREAMS) if k in fake.streams}
         loss = generator_loss(active_critics(state.critics, gamma), fake, tape)
         value = float(loss.values)
         _abort_if_bad(value, "generator loss", state)

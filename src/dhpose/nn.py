@@ -1,6 +1,11 @@
 """Fully connected nets on the autodiff tape, their input-gradient
 pullback, the Adam optimizer, and checkpoint serialization.
 
+The dense layer's chain rule is written once, in numpy: ``dense_forward``
+is a layer's forward pass and ``mlp_vjp`` pulls a gradient back through a
+net.  A net's pass on the tape (``mlp_apply``) is one node whose pullback
+is ``mlp_vjp`` plus each layer's weight and bias gradient.
+
 A gradient penalty needs d(|grad_x D|)/d(params), i.e. gradients of a
 gradient.  For lrelu and linear layers that is closed-form numpy: the
 derivative of each layer is its bool mask, which does not move with the
@@ -68,6 +73,40 @@ def mlp_init(sizes: Sequence[int], acts: Sequence[str], rng: np.random.Generator
     return Mlp(layers)
 
 
+def times_lrelu_derivative(x: np.ndarray, mask: np.ndarray, slope: float) -> np.ndarray:
+    """``x`` times the leaky-ReLU derivative of the bool mask ``pre >= 0``
+    (1 where it is set, else ``slope``), as one new array in ``x``'s dtype.
+
+    Bitwise equal to ``x * (mask * (1 - slope) + slope)``.  The derivative is
+    built here and not kept, so a layer stores one byte per element for it;
+    ``np.where`` or a masked multiply would be about 10x slower.
+    """
+    out = mask.astype(x.dtype)
+    out *= 1.0 - slope
+    out += slope
+    out *= x
+    return out
+
+
+def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, act: str,
+                  slope: float) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """``act(x @ w + b)``, tanh and linear written into the one new array
+    ``x @ w``, lrelu into a second one; x, w and b are only read.  Returns
+    it and, for lrelu, the bool mask ``pre >= 0`` of the pre-activation
+    (None otherwise)."""
+    z = x @ w
+    z += b
+    mask = None
+    if act == "tanh":
+        np.tanh(z, out=z)
+    elif act == "lrelu":
+        mask = z >= 0.0
+        z = times_lrelu_derivative(z, mask, slope)
+    elif act != "linear":
+        raise ValueError(f"unknown activation {act!r}")
+    return z, mask
+
+
 def _as_input(net: Mlp, x) -> np.ndarray:
     h = np.asarray(x, dtype=net.layers[0].w.dtype)
     if h.ndim != 2 or h.shape[1] != net.in_dim:
@@ -81,7 +120,7 @@ def mlp_eval(net: Mlp, x) -> np.ndarray:
     cast to the weights' dtype."""
     h = _as_input(net, x)
     for layer in net.layers:
-        h, _ = ad.dense_forward(h, layer.w, layer.b, layer.act, LRELU_SLOPE)
+        h, _ = dense_forward(h, layer.w, layer.b, layer.act, LRELU_SLOPE)
     return h
 
 
@@ -93,7 +132,7 @@ def mlp_trace(net: Mlp, x) -> tuple[np.ndarray, list]:
     h = _as_input(net, x)
     trace = []
     for layer in net.layers:
-        h, mask = ad.dense_forward(h, layer.w, layer.b, layer.act, LRELU_SLOPE)
+        h, mask = dense_forward(h, layer.w, layer.b, layer.act, LRELU_SLOPE)
         trace.append(h if layer.act == "tanh" else mask)
     return h, trace
 
@@ -106,48 +145,61 @@ def mlp_leaves(tape: Tape, net: Mlp, var: bool = True) -> list:
     return [(leaf(layer.w), leaf(layer.b)) for layer in net.layers]
 
 
-def mlp_apply(net: Mlp, x, tape: Tape, params: Optional[list] = None) -> tuple[Tensor, list]:
-    """Forward pass of ``x``, a tensor or a numpy input (a constant in the
-    weights' dtype), with the ``mlp_leaves`` list ``params`` (by default the
-    weights as constants), returning the output and a per-layer trace.
+def mlp_apply(net: Mlp, x, tape: Tape, params: Optional[list] = None) -> Tensor:
+    """Forward pass of ``x``, a tensor (cast to the weights' dtype) or a
+    numpy input (a constant in that dtype), as one tape node whose parents
+    are ``x`` and the leaves of ``params``, the ``mlp_leaves`` list of
+    ``net`` (None: no leaves, the weights are constants).
 
-    Each layer is one ``ad.linear`` node.  The trace holds ``(w, h, act,
-    mask)`` per layer, ``mask`` being the lrelu layer's bool mask ``pre >=
-    0`` (None for other activations); read it before ``ad.backward``
-    releases its nodes.
+    The node keeps each layer's input and what ``mlp_vjp`` reads.  Its
+    pullback runs ``mlp_vjp`` and accumulates ``input.T @ operand`` into
+    each ``w`` and ``operand.sum(0)`` into each ``b`` that needs a gradient;
+    it forms the input's gradient only when ``x`` needs one.
     """
-    if not isinstance(x, Tensor):
-        x = tape.const(np.asarray(x, net.layers[0].w.dtype))
-    if x.values.ndim != 2 or x.values.shape[1] != net.in_dim:
-        raise ShapeError(f"input {x.values.shape} does not match first layer "
-                         f"({net.in_dim} features expected)")
-    if params is None:
-        params = mlp_leaves(tape, net, var=False)
-    trace = []
-    h = x
-    for (w, b), layer in zip(params, net.layers, strict=True):
-        h, mask = ad.linear(h, w, b, layer.act, LRELU_SLOPE)
-        trace.append((w, h, layer.act, mask))
-    return h, trace
+    dtype = net.layers[0].w.dtype
+    x = ad.astype(x, dtype) if isinstance(x, Tensor) else tape.const(np.asarray(x, dtype))
+    h = _as_input(net, x.values)
+    params = params or []
+    if params and len(params) != len(net.layers):
+        raise ShapeError(f"{len(params)} leaf pairs for {len(net.layers)} layers")
+    inputs, trace = [], []
+    for layer in net.layers:
+        inputs.append(h)
+        h, mask = dense_forward(h, layer.w, layer.b, layer.act, LRELU_SLOPE)
+        trace.append(h if layer.act == "tanh" else mask)
+
+    def bwd(g):
+        g, operands = mlp_vjp(net, trace, g, x.requires_grad)
+        for (w, b), layer_in, operand in zip(params, inputs, operands):
+            if w.requires_grad:
+                w.accumulate(layer_in.T @ operand)
+            if b.requires_grad:
+                b.accumulate(operand.sum(axis=0))
+        if x.requires_grad:
+            x.accumulate(g)
+
+    return ad.node("mlp", h, (x, *(leaf for pair in params for leaf in pair)), bwd)
 
 
-def mlp_vjp(net: Mlp, trace: list, upstream: np.ndarray) -> tuple[np.ndarray, list]:
+def mlp_vjp(net: Mlp, trace: list, upstream: np.ndarray,
+            input_grad: bool = True) -> tuple[Optional[np.ndarray], list]:
     """Pull ``upstream`` (batch, out_dim) back through ``net`` at the
     ``mlp_trace`` forward pass ``trace``: numpy, in the weights' dtype.
 
-    Returns d(upstream . out)/dx, (batch, in_dim), and each layer's operand,
-    in layer order: the gradient at the layer's output times its activation
-    derivative, which the layer multiplies by ``w.T`` and
-    ``mlp_vjp_pullback`` reads.
+    Returns d(upstream . out)/dx, (batch, in_dim), or None when not
+    ``input_grad``, and each layer's operand, in layer order: the gradient
+    at the layer's output times its activation derivative, which the layer
+    multiplies by ``w.T`` and ``mlp_vjp_pullback`` reads.
     """
     g, operands = upstream, []
-    for layer, kept in zip(reversed(net.layers), reversed(trace)):
+    for k in reversed(range(len(net.layers))):
+        layer = net.layers[k]
         if layer.act == "tanh":
-            g = g * (1.0 - kept * kept)
+            g = g * (1.0 - trace[k] * trace[k])
         elif layer.act == "lrelu":
-            g = ad.times_lrelu_derivative(g, kept, LRELU_SLOPE)
+            g = times_lrelu_derivative(g, trace[k], LRELU_SLOPE)
         operands.append(g)
-        g = g @ layer.w.T
+        g = g @ layer.w.T if k or input_grad else None
     return g, operands[::-1]
 
 
@@ -168,7 +220,7 @@ def mlp_vjp_pullback(net: Mlp, trace: list, operands: list,
         grads.append((operands[k].T @ g).T)
         g = g @ layer.w
         if layer.act == "lrelu":
-            g = ad.times_lrelu_derivative(g, trace[k], LRELU_SLOPE)
+            g = times_lrelu_derivative(g, trace[k], LRELU_SLOPE)
         operands[k] = trace[k] = None
     return grads, g
 

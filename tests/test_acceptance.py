@@ -203,7 +203,7 @@ def test_criterion_autodiff_gradient_checks(pairs, camera):
     x = RNG(107).normal(size=(4, 6))
     tape = ad.Tape()
     leaves = nn.mlp_leaves(tape, net)
-    ad.backward(tape, ad.sum_(nn.mlp_apply(net, tape.const(x), tape, leaves)[0]))
+    ad.backward(tape, ad.sum_(nn.mlp_apply(net, tape.const(x), tape, leaves)))
     for slot, value, leaf in weight_slots({"net": net}, {"net": leaves}):
         def f(values, slot=slot):
             return float(nn.mlp_eval(replaced({"net": net}, slot, values)["net"], x).sum())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dhpose import autodiff as ad
-from oracles import central_difference, dense_ref, leaky_relu_mask_ref
+from oracles import central_difference
 
 RNG = np.random.default_rng
 
@@ -41,32 +41,13 @@ OP_CASES = {
     "mul_broadcast": (lambda t, x: ad.mul(x, t.const(RNG(3).normal(size=(4,)))), (3, 4)),
     "div": (lambda t, x: ad.div(t.const(RNG(4).normal(size=(3, 4))), ad.add(x, 5.0)), (3, 4)),
     "neg": (lambda t, x: ad.neg(x), (3, 4)),
-    "square": (lambda t, x: ad.square(x), (3, 4)),
     "sum_all": (lambda t, x: ad.sum_(x), (3, 4)),
-    "sum_axis": (lambda t, x: ad.sum_(x, axis=1), (3, 4)),
-    "sum_keepdims": (lambda t, x: ad.sum_(x, axis=0, keepdims=True), (3, 4)),
-    "mean": (lambda t, x: ad.mean(x, axis=1), (3, 4)),
+    "mean": (lambda t, x: ad.mean(x), (3, 4)),
     "reshape": (lambda t, x: ad.reshape(x, (4, 3)), (3, 4)),
     "getitem": (lambda t, x: x[:, 1:3], (3, 4)),
     "concat": (lambda t, x: ad.concat([x, ad.mul(x, 2.0)], axis=1), (3, 4)),
     "stack": (lambda t, x: ad.stack([x, ad.neg(x)], axis=0), (3, 4)),
 }
-
-
-def _linear_case(act, wrt):
-    """ad.linear differentiated with respect to one of its operands x, w and b."""
-    fixed = {"x": RNG(7).normal(size=(3, 4)), "w": RNG(8).normal(size=(4, 2)),
-             "b": RNG(9).normal(size=2)}
-
-    def build(t, leaf):
-        args = {k: leaf if k == wrt else t.const(v) for k, v in fixed.items()}
-        return ad.linear(args["x"], args["w"], args["b"], act)[0]
-
-    return build, fixed[wrt].shape
-
-
-OP_CASES.update({f"linear_{act}_{wrt}": _linear_case(act, wrt)
-                 for act in ("tanh", "lrelu", "linear") for wrt in ("x", "w", "b")})
 
 
 @pytest.mark.parametrize("name", sorted(OP_CASES))
@@ -163,13 +144,6 @@ def test_sum_gradient_is_ones():
     assert np.array_equal(x.grad, np.ones((4, 5)))
 
 
-def test_tanh_gradient_at_zero_is_one():
-    tape = ad.Tape()
-    x = tape.var(np.zeros((1, 3)))
-    ad.backward(tape, ad.sum_(ad.linear(x, np.eye(3), np.zeros(3), "tanh")[0]))
-    assert np.allclose(x.grad, 1.0, atol=0)
-
-
 def test_fan_out_accumulates():
     tape = ad.Tape()
     x = tape.var(np.array([2.0]))
@@ -184,8 +158,9 @@ def test_backward_releases_the_graph_it_has_passed():
     w = tape.var(np.array([0.5, 4.0, -1.5]))
     c = tape.const(np.array([2.0, 0.0, 1.0]))
     xw = ad.mul(x, w)
+    doubled = ad.add(xw, xw)
     unreached = ad.mul(c, c)  # an op node no gradient reaches
-    out = ad.sum_(ad.add(ad.square(ad.add(xw, xw)), unreached))  # sum((2 x w)^2 + c^2)
+    out = ad.sum_(ad.add(ad.mul(doubled, doubled), unreached))  # sum((2 x w)^2 + c^2)
     after = ad.neg(xw)  # recorded after out: the sweep never passes it
     leaves = [(leaf, leaf.values, leaf.values.copy()) for leaf in (x, w, c)]
     ad.backward(tape, out)
@@ -208,49 +183,6 @@ def test_non_scalar_backward_rejected():
         ad.backward(tape, y)
 
 
-def test_three_layer_graph_matches_finite_differences():
-    rng = RNG(7)
-    w1, w2, w3 = rng.normal(size=(5, 6)), rng.normal(size=(6, 4)), rng.normal(size=(4, 1))
-    x0 = rng.normal(size=(3, 5))
-
-    def run(params):
-        a, b, c = params
-        tape = ad.Tape()
-        h1, _ = ad.linear(tape.const(x0), tape.var(a), np.zeros(6), "tanh")
-        h2, _ = ad.linear(h1, tape.var(b), np.zeros(4), "tanh")
-        return tape, ad.sum_(ad.linear(h2, tape.var(c), np.zeros(1))[0])
-
-    tape, out = run((w1, w2, w3))
-    ad.backward(tape, out)
-    leaves = [n for n in tape.nodes if n.op == "var"]
-    for idx, (leaf, w) in enumerate(zip(leaves, (w1, w2, w3))):
-        def f(values, idx=idx):
-            parts = [w1.copy(), w2.copy(), w3.copy()]
-            parts[idx] = values
-            _, o = run(parts)
-            return float(o.values)
-
-        fd = central_difference(f, w.copy(), h=1e-5)
-        scale = np.maximum(np.abs(fd), 1.0)
-        assert np.max(np.abs(leaf.grad - fd) / scale) < 1e-5
-
-
-def test_forward_backward_deterministic():
-    def once():
-        rng = RNG(42)
-        tape = ad.Tape()
-        x = tape.var(rng.normal(size=(8, 8)))
-        y = ad.sum_(ad.linear(x, rng.normal(size=(8, 8)), np.zeros(8), "tanh")[0])
-        value = y.values.copy()  # backward releases it
-        ad.backward(tape, y)
-        return value, x.grad.copy()
-
-    v1, g1 = once()
-    v2, g2 = once()
-    assert np.array_equal(v1, v2)
-    assert np.array_equal(g1, g2)
-
-
 def test_tape_records_topological_order():
     tape = ad.Tape()
     x = tape.var(np.ones(2))
@@ -261,13 +193,6 @@ def test_tape_records_topological_order():
         for parent in node.parents:
             assert order[id(parent)] < order[id(node)]
     assert z.op == "add"
-
-
-def test_linear_shape_errors_carry_all_shapes():
-    tape = ad.Tape()
-    x, w, b = tape.var(np.ones((2, 3))), tape.var(np.ones((4, 2))), tape.var(np.ones(2))
-    with pytest.raises(ad.ShapeError, match=r"\(2, 3\).*\(4, 2\).*\(2,\)"):
-        ad.linear(x, w, b, "tanh")
 
 
 def test_basic_slice_gradient_is_placed_not_summed():
@@ -289,60 +214,7 @@ def test_repeated_fancy_index_gradient_sums():
 def test_tape_context_drops_its_nodes_on_exit():
     with ad.Tape() as tape:
         x = tape.var(np.ones(2))
-        ad.backward(tape, ad.sum_(ad.square(x)))
+        ad.backward(tape, ad.sum_(ad.mul(x, x)))
         assert len(tape.nodes) == 3
     assert tape.nodes == []
     assert np.array_equal(x.grad, [2.0, 2.0])
-
-
-@pytest.mark.parametrize("act", ["tanh", "lrelu", "linear"])
-def test_linear_writes_the_reference_bits_and_leaves_its_inputs(act):
-    rng = RNG(17)
-    x0, w0, b0 = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
-    tape = ad.Tape()
-    x, w, b = tape.var(x0.copy()), tape.var(w0.copy()), tape.var(b0.copy())
-    out, mask = ad.linear(x, w, b, act)
-    assert np.array_equal(out.values, dense_ref(x0, w0, b0, act))
-    if act == "lrelu":
-        assert mask.dtype == bool
-        assert np.array_equal(ad.times_lrelu_derivative(np.ones(mask.shape), mask, 0.2),
-                              leaky_relu_mask_ref(x0 @ w0 + b0))
-    ad.backward(tape, ad.sum_(ad.square(out)))
-    for leaf, before in ((x, x0), (w, w0), (b, b0)):
-        assert np.array_equal(leaf.values, before)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_bool_mask_products_match_the_float_mask_bits(dtype):
-    # the lrelu derivative built from the bool mask z >= 0, times z or a
-    # gradient, against the same product with the float mask {1, slope} in
-    # z's dtype: the product itself, dense_forward and linear's pullback
-    rng = RNG(18)
-    info = np.finfo(dtype)
-    edge = [0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal, info.tiny, -info.tiny,
-            info.max, -info.max, np.inf, -np.inf, np.nan]
-    spread = np.ldexp(rng.uniform(-1.0, 1.0, 2000), rng.integers(info.minexp, info.maxexp, 2000))
-    z = np.concatenate([edge, spread, [0.5]]).astype(dtype).reshape(-1, 2)
-    g = rng.normal(size=z.shape).astype(dtype)
-    x, w, b = (rng.normal(size=shape).astype(dtype) for shape in ((40, 8), (8, 6), (6,)))
-
-    def bits(a):
-        assert a.dtype == dtype
-        return a.view(np.int32 if dtype == np.float32 else np.int64)
-
-    for slope in (0.2, 0.01, 0.3):
-        ref = leaky_relu_mask_ref(z, slope).astype(dtype)
-        mask = z >= 0.0
-        assert np.array_equal(bits(ad.times_lrelu_derivative(z, mask, slope)), bits(z * ref))
-        out, got_mask = ad.dense_forward(x, w, b, "lrelu", slope)
-        assert np.array_equal(got_mask, x @ w + b >= 0.0)
-        assert np.array_equal(bits(out), bits(dense_ref(x, w, b, "lrelu", slope)))
-        assert np.array_equal(bits(ad.times_lrelu_derivative(g, mask, slope)), bits(g * ref))
-        tape = ad.Tape()
-        xt = tape.var(x)
-        out, _ = ad.linear(xt, w, b, "lrelu", slope)
-        up = rng.normal(size=out.shape).astype(dtype)
-        ad.backward(tape, ad.sum_(ad.mul(out, tape.const(up))))
-        pre = x @ w + b
-        assert np.array_equal(bits(xt.grad),
-                              bits((up * leaky_relu_mask_ref(pre, slope).astype(dtype)) @ w.T))

@@ -315,7 +315,7 @@ class TestBinaryReader:
 
     @pytest.mark.parametrize("meta", [b"", b"binary", b"binary 8", b"binary x 88",
                                       b"binary 8 87", b"binary -8 88", b"rows 8 88",
-                                      "binary \u00b2 88".encode()])
+                                      "binary \u00b2 88".encode(), "binary \u0668 88".encode()])
     def test_bad_count_line_is_a_parse_error(self, tmp_path, meta):
         path = self._write(tmp_path)
         header, _, rest = path.read_bytes().split(b"\n", 2)
@@ -645,6 +645,8 @@ class TestSkeletonVideo:
         ("frames=x keypoints=1", ["frame 0", "kp 0 1 2 3"], 1, "bad header count"),
         ("frames=\u00b2 keypoints=1", ["frame 0", "kp 0 1 2 3"], 1,
          "bad header count frames='\u00b2'"),
+        ("frames=\u0662 keypoints=1", ["frame 0", "kp 0 1 2 3", "frame 1", "kp 0 1 2 3"], 1,
+         "bad header count frames='\u0662'"),
     ])
     def test_counts_must_match_the_header(self, tmp_path, counts, lines, line_no, reason):
         path = tmp_path / "bad.txt"

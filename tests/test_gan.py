@@ -213,7 +213,7 @@ class TestGenerate:
         tape = ad.Tape()
         leaves = nn.mlp_leaves(tape, gen.net)
         gan.generate_on_tape(gen, z, tape, leaves, pairs)
-        numpy_raw, tape_raw = outs["numpy"], outs["tape"][0].values
+        numpy_raw, tape_raw = outs["numpy"], outs["tape"].values
         assert numpy_raw.dtype == tape_raw.dtype == nn.COMPUTE_DTYPE
         assert np.array_equal(numpy_raw, tape_raw)
 
@@ -858,8 +858,8 @@ class TestTrainEpoch:
                           beta_epoch=1)
         state = gan.init_train_state(cfg)
         before = weights(state.gen.net)
-        outs, scored = [], []
-        generate_on_tape, generator_loss = gan.generate_on_tape, gan.generator_loss
+        outs, net_inputs = [], []
+        generate_on_tape, mlp_apply = gan.generate_on_tape, nn.mlp_apply
 
         def recording_generate(gen, z, tape, gen_params, pairs):
             fake = generate_on_tape(gen, z, tape, gen_params, pairs)
@@ -870,27 +870,32 @@ class TestTrainEpoch:
                          [t.values for pair in gen_params for t in pair]))
             return fake
 
-        def recording_loss(critics, fake, tape):
-            scored.append({k: t.values for k, t in fake.streams.items()})
-            return generator_loss(critics, fake, tape)
+        def recording_apply(net, x, tape, params=None):
+            out = mlp_apply(net, x, tape, params)
+            net_inputs.append((net, out.parents[0].values))  # the input as the net reads it
+            return out
 
         monkeypatch.setattr(gan, "generate_on_tape", recording_generate)
-        monkeypatch.setattr(gan, "generator_loss", recording_loss)
+        monkeypatch.setattr(nn, "mlp_apply", recording_apply)
         m = gan.generator_update(state, 4, 1)
         geometry, streams, leaves = outs[0]
         # the net's leaves are its float32 weight arrays themselves
         assert all(v is a for v, a in zip(leaves, before, strict=True))
         for values in geometry.values():
             assert values.dtype == np.float64
-        assert len(streams) == len(scored[0]) == 9
+        assert len(streams) == 9
         for values in streams.values():
             assert values.dtype == np.float64
-        for values in scored[0].values():
+        # the generator's pass, then one per encoder and head of both critics
+        assert len(net_inputs) == 1 + 4 + 9
+        for _, values in net_inputs:
             assert values.dtype == np.float32
-        # each scored stream is the float64 geometry rounded once
+        # each encoder reads its float64 stream rounded once
         x3d = geometry["pose3d"].reshape(-1, 48)
         assert np.array_equal(streams["x3d"], x3d)
-        assert np.array_equal(scored[0]["x3d"], x3d.astype(np.float32))
+        enc3d = state.critics["frame"].nets["enc3d"]
+        assert np.array_equal(next(v for net, v in net_inputs if net is enc3d),
+                              x3d.astype(np.float32))
         assert m["violations"] == 0
         after = weights(state.gen.net)
         assert len(after) == len(before)

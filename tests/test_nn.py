@@ -1,11 +1,13 @@
+import zlib
+
 import numpy as np
 import pytest
 
 from dhpose import autodiff as ad
 from dhpose import gan, nn
 from dhpose.textio import ParseError
-from oracles import (central_difference, dense_ref, float64_copy, linear_frame_critic, replaced,
-                     weight_slots, weights)
+from oracles import (central_difference, dense_ref, float64_copy, leaky_relu_mask_ref,
+                     linear_frame_critic, replaced, weight_slots, weights)
 
 RNG = np.random.default_rng
 
@@ -13,7 +15,7 @@ RNG = np.random.default_rng
 def forward(net, x, tape=None, params=None):
     """The net's tape forward pass of a numpy input."""
     tape = tape or ad.Tape()
-    return nn.mlp_apply(net, tape.const(np.asarray(x, dtype=np.float64)), tape, params)[0]
+    return nn.mlp_apply(net, tape.const(np.asarray(x, dtype=np.float64)), tape, params)
 
 
 def input_gradient(net, x):
@@ -56,7 +58,7 @@ class TestForward:
         assert np.all(out.values == 0)
 
     def test_matches_independent_reimplementation(self):
-        net = nn.mlp_init([6, 8, 3], ["tanh", "linear"], RNG(0))
+        net = float64_copy(nn.mlp_init([6, 8, 3], ["tanh", "linear"], RNG(0)))
         x = RNG(0).normal(size=(5, 6))
         out = forward(net, x)
         assert np.max(np.abs(out.values - reference_forward(net, x))) < 1e-12
@@ -80,7 +82,7 @@ class TestForward:
         assert ref.dtype == dtype
         assert np.array_equal(nn.mlp_eval(net, x), ref)
         tape = ad.Tape()
-        out, _ = nn.mlp_apply(net, tape.const(x.astype(dtype)), tape, nn.mlp_leaves(tape, net))
+        out = nn.mlp_apply(net, tape.const(x.astype(dtype)), tape, nn.mlp_leaves(tape, net))
         assert np.array_equal(out.values, ref)
         if dtype == np.float64:
             assert np.array_equal(forward(net, x).values, ref)
@@ -93,17 +95,224 @@ class TestForward:
         with pytest.raises(nn.ShapeError, match=r"\(2, 5\).*6"):
             forward(net, np.zeros((2, 5)))
 
-    def test_intermediates_recorded_on_tape(self):
+    def test_a_pass_is_one_node_whose_parents_are_the_input_and_the_leaves(self):
         net = nn.mlp_init([3, 4, 1], ["tanh", "linear"], RNG(0))
         tape = ad.Tape()
-        x = RNG(1).normal(size=(2, 3))
-        forward(net, x, tape)
-        layers = [n for n in tape.nodes if n.op == "linear"]
-        assert len(layers) == len(net.layers)
-        h = x
-        for node, layer in zip(layers, net.layers):
-            h = reference_forward(nn.Mlp([layer]), h)
-            assert np.array_equal(node.values, h)
+        x = tape.const(RNG(1).normal(size=(2, 3)).astype(np.float32))
+        leaves = nn.mlp_leaves(tape, net)
+        before = len(tape.nodes)
+        out = nn.mlp_apply(net, x, tape, leaves)
+        assert tape.nodes[before:] == [out]
+        assert out.parents == (x, *(leaf for pair in leaves for leaf in pair))
+        assert np.array_equal(out.values, nn.mlp_eval(net, x.values))
+        # without leaves the weights are constants, and the input is the one parent
+        constant = nn.mlp_apply(net, x, tape)
+        assert tape.nodes[before + 1:] == [constant] and constant.parents == (x,)
+        assert not constant.requires_grad
+
+    def test_a_tensor_input_is_cast_to_the_weights_dtype(self):
+        net = nn.mlp_init([3, 2], ["lrelu"], RNG(2))
+        tape = ad.Tape()
+        x = tape.var(RNG(3).normal(size=(4, 3)))
+        out = nn.mlp_apply(net, x, tape)
+        cast = out.parents[0]
+        assert cast.op == "astype" and cast.parents == (x,)
+        assert np.array_equal(cast.values, x.values.astype(np.float32))
+        assert out.values.dtype == np.float32
+        ad.backward(tape, ad.sum_(out))
+        assert x.grad.dtype == np.float64
+
+    def test_leaf_pairs_must_match_the_layers(self):
+        net = nn.mlp_init([3, 4, 1], ["tanh", "linear"], RNG(0))
+        tape = ad.Tape()
+        with pytest.raises(nn.ShapeError, match="1 leaf pairs for 2 layers"):
+            nn.mlp_apply(net, np.zeros((2, 3)), tape, nn.mlp_leaves(tape, net)[:1])
+
+    @pytest.mark.parametrize("act", nn.ACTIVATIONS)
+    def test_a_pass_writes_the_reference_bits_and_leaves_its_inputs(self, act):
+        rng = RNG(17)
+        x0, w0, b0 = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
+        net = nn.Mlp([nn.LayerSpec(w0.copy(), b0.copy(), act)])
+        tape = ad.Tape()
+        x = tape.var(x0.copy())
+        leaves = nn.mlp_leaves(tape, net)
+        out = nn.mlp_apply(net, x, tape, leaves)
+        assert np.array_equal(out.values, dense_ref(x0, w0, b0, act))
+        if act == "lrelu":
+            mask = nn.dense_forward(x0, w0, b0, act, nn.LRELU_SLOPE)[1]
+            assert mask.dtype == bool
+            assert np.array_equal(nn.times_lrelu_derivative(np.ones(mask.shape), mask, 0.2),
+                                  leaky_relu_mask_ref(x0 @ w0 + b0))
+        ad.backward(tape, ad.sum_(ad.mul(out, out)))
+        for leaf, before in ((x, x0), (leaves[0][0], w0), (leaves[0][1], b0)):
+            assert np.array_equal(leaf.values, before)
+
+    def test_forward_backward_deterministic(self):
+        def once():
+            rng = RNG(42)
+            tape = ad.Tape()
+            x = tape.var(rng.normal(size=(8, 8)))
+            net = nn.Mlp([nn.LayerSpec(rng.normal(size=(8, 8)), np.zeros(8), "tanh")])
+            y = ad.sum_(nn.mlp_apply(net, x, tape))
+            value = y.values.copy()  # backward releases it
+            ad.backward(tape, y)
+            return value, x.grad.copy()
+
+        v1, g1 = once()
+        v2, g2 = once()
+        assert np.array_equal(v1, v2)
+        assert np.array_equal(g1, g2)
+
+
+# one float64 layer (3, 4) -> 2, differentiated with respect to one of x, w and b
+LAYER = {"x": RNG(7).normal(size=(3, 4)), "w": RNG(8).normal(size=(4, 2)),
+         "b": RNG(9).normal(size=2)}
+
+
+def one_layer_loss(act, wrt, values, dtype=np.float64):
+    """``sum(out * u)`` of a one-layer pass, ``u`` fixed, with ``values`` in
+    place of the operand ``wrt``, which is a differentiable leaf (x) or in a
+    ``mlp_leaves`` pair (w and b; the other operands are constants).  Every
+    array is cast to ``dtype``.  Returns the tape, the loss and that leaf."""
+    args = {k: (values if k == wrt else v).astype(dtype) for k, v in LAYER.items()}
+    net = nn.Mlp([nn.LayerSpec(args["w"], args["b"], act)])
+    tape = ad.Tape()
+    if wrt == "x":
+        x = leaf = tape.var(args["x"])
+        out = nn.mlp_apply(net, x, tape)
+    else:
+        leaves = nn.mlp_leaves(tape, net)
+        leaf = leaves[0]["wb".index(wrt)]
+        out = nn.mlp_apply(net, args["x"], tape, leaves)
+    u = tape.const(RNG(1).normal(size=out.shape).astype(dtype))
+    return tape, ad.sum_(ad.mul(out, u)), leaf
+
+
+def layer_case_start(act, wrt):
+    return RNG(zlib.crc32(f"linear_{act}_{wrt}".encode())).normal(size=LAYER[wrt].shape) * 0.3
+
+
+@pytest.mark.parametrize("wrt", ["x", "w", "b"])
+@pytest.mark.parametrize("act", nn.ACTIVATIONS)
+def test_one_layer_gradients_match_central_differences(act, wrt):
+    x0 = layer_case_start(act, wrt)
+    tape, loss, leaf = one_layer_loss(act, wrt, x0)
+    ad.backward(tape, loss)
+    fd = central_difference(lambda v: float(one_layer_loss(act, wrt, v)[1].values), x0.copy(),
+                            h=1e-6)
+    scale = np.maximum(np.abs(fd), 1.0)
+    assert np.max(np.abs(leaf.grad - fd) / scale) < 1e-5
+
+
+@pytest.mark.parametrize("wrt", ["x", "w", "b"])
+@pytest.mark.parametrize("act", nn.ACTIVATIONS)
+def test_one_layer_float32_values_and_gradients(act, wrt):
+    # against float64 on the same float32-rounded arrays; bound: 1e-5 of
+    # max(1, |value|), about 100 float32 ulps
+    x0 = layer_case_start(act, wrt).astype(np.float32)
+    results = []
+    for dtype in (np.float64, np.float32):
+        tape, loss, leaf = one_layer_loss(act, wrt, x0, dtype)
+        out = loss.parents[0].parents[0]
+        assert out.values.dtype == loss.values.dtype == dtype
+        out_values = out.values
+        ad.backward(tape, loss)
+        assert leaf.grad.dtype == dtype
+        results.append((out_values, leaf.grad))
+    (y64, g64), (y32, g32) = results
+    for got, want in ((y32, y64), (g32, g64)):
+        assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)) < 1e-5
+
+
+def test_tanh_gradient_at_zero_is_one():
+    tape = ad.Tape()
+    x = tape.var(np.zeros((1, 3)))
+    net = nn.Mlp([nn.LayerSpec(np.eye(3), np.zeros(3), "tanh")])
+    ad.backward(tape, ad.sum_(nn.mlp_apply(net, x, tape)))
+    assert np.allclose(x.grad, 1.0, atol=0)
+
+
+def test_chained_passes_match_finite_differences():
+    # three one-layer nets, each its own node, fed one into the next
+    rng = RNG(7)
+    w1, w2, w3 = rng.normal(size=(5, 6)), rng.normal(size=(6, 4)), rng.normal(size=(4, 1))
+    x0 = rng.normal(size=(3, 5))
+    acts = ("tanh", "tanh", "linear")
+
+    def run(params):
+        tape = ad.Tape()
+        nets = [nn.Mlp([nn.LayerSpec(w, np.zeros(w.shape[1]), act)])
+                for w, act in zip(params, acts)]
+        leaves = [nn.mlp_leaves(tape, net) for net in nets]
+        h = tape.const(x0)
+        for net, pairs in zip(nets, leaves):
+            h = nn.mlp_apply(net, h, tape, pairs)
+        return tape, ad.sum_(h), [pairs[0][0] for pairs in leaves]
+
+    tape, out, leaves = run((w1, w2, w3))
+    ad.backward(tape, out)
+    for idx, (leaf, w) in enumerate(zip(leaves, (w1, w2, w3))):
+        def f(values, idx=idx):
+            parts = [w1.copy(), w2.copy(), w3.copy()]
+            parts[idx] = values
+            return float(run(parts)[1].values)
+
+        fd = central_difference(f, w.copy(), h=1e-5)
+        scale = np.maximum(np.abs(fd), 1.0)
+        assert np.max(np.abs(leaf.grad - fd) / scale) < 1e-5
+
+
+def test_only_a_var_input_gets_a_gradient():
+    net = float64_copy(nn.mlp_init([4, 6, 2], ["lrelu", "tanh"], RNG(30)))
+    x0 = RNG(31).normal(size=(3, 4))
+    u = RNG(32).normal(size=(3, 2))
+    tape = ad.Tape()
+    const, var = tape.const(x0), tape.var(x0.copy())
+    leaves = nn.mlp_leaves(tape, net)
+    ad.backward(tape, ad.add(ad.sum_(ad.mul(nn.mlp_apply(net, const, tape, leaves), u)),
+                             ad.sum_(ad.mul(nn.mlp_apply(net, var, tape), u))))
+    assert const.grad is None
+    assert all(leaf.grad is not None for pair in leaves for leaf in pair)
+    fd = central_difference(lambda v: float(np.sum(nn.mlp_eval(net, v) * u)), x0.copy(), h=1e-6)
+    scale = np.maximum(np.abs(fd), 1.0)
+    assert np.max(np.abs(var.grad - fd) / scale) < 1e-5
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bool_mask_products_match_the_float_mask_bits(dtype):
+    # the lrelu derivative built from the bool mask z >= 0, times z or a
+    # gradient, against the same product with the float mask {1, slope} in
+    # z's dtype: the product itself, dense_forward and a pass's pullback
+    rng = RNG(18)
+    info = np.finfo(dtype)
+    edge = [0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal, info.tiny, -info.tiny,
+            info.max, -info.max, np.inf, -np.inf, np.nan]
+    spread = np.ldexp(rng.uniform(-1.0, 1.0, 2000), rng.integers(info.minexp, info.maxexp, 2000))
+    z = np.concatenate([edge, spread, [0.5]]).astype(dtype).reshape(-1, 2)
+    g = rng.normal(size=z.shape).astype(dtype)
+    x, w, b = (rng.normal(size=shape).astype(dtype) for shape in ((40, 8), (8, 6), (6,)))
+
+    def bits(a):
+        assert a.dtype == dtype
+        return a.view(np.int32 if dtype == np.float32 else np.int64)
+
+    for slope in (0.2, 0.01, 0.3):
+        ref = leaky_relu_mask_ref(z, slope).astype(dtype)
+        mask = z >= 0.0
+        assert np.array_equal(bits(nn.times_lrelu_derivative(z, mask, slope)), bits(z * ref))
+        out, got_mask = nn.dense_forward(x, w, b, "lrelu", slope)
+        assert np.array_equal(got_mask, x @ w + b >= 0.0)
+        assert np.array_equal(bits(out), bits(dense_ref(x, w, b, "lrelu", slope)))
+        assert np.array_equal(bits(nn.times_lrelu_derivative(g, mask, slope)), bits(g * ref))
+    # a pass's pullback, at the nets' slope
+    tape = ad.Tape()
+    xt = tape.var(x)
+    out = nn.mlp_apply(nn.Mlp([nn.LayerSpec(w, b, "lrelu")]), xt, tape)
+    up = rng.normal(size=out.shape).astype(dtype)
+    ad.backward(tape, ad.sum_(ad.mul(out, tape.const(up))))
+    pre = x @ w + b
+    assert np.array_equal(bits(xt.grad),
+                          bits((up * leaky_relu_mask_ref(pre, nn.LRELU_SLOPE).astype(dtype)) @ w.T))
 
 
 class TestParameterGradients:

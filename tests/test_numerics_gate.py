@@ -13,10 +13,11 @@ D_GAP = (1.0, 2.0, 3.0, 1.0, 2.0, 3.0)  # per seed; doubled at epoch 1
 SIGMA_D_GAP_1 = statistics.stdev(2 * d for d in D_GAP)
 
 
-def digest(seed, shift=0.0, violations=0, epochs=2):
+def digest(seed, shift=0.0, violations=0, epochs=2, state=False):
     """Hand-made ``same_seed_digest.py`` output: the motion terms are 0 at
     epoch 0, as before the motion critic's threshold; ``shift`` moves d_gap
-    and ``violations`` are counted at epoch 1."""
+    and ``violations`` are counted at epoch 1.  With ``state`` each line
+    carries a training-state hash, as the script prints now."""
     i = SEEDS.index(seed)
     lines = []
     for epoch in range(epochs):
@@ -25,7 +26,9 @@ def digest(seed, shift=0.0, violations=0, epochs=2):
              "motion_gap": 0.0 if epoch == 0 else 5.0 + i,
              "motion_penalty": 0.0 if epoch == 0 else 0.5 + i, "steps": 4,
              "violations": violations if epoch == 1 else 0, "gamma": min(epoch, 1)}
-        lines.append(f"epoch {epoch} sha256 {'ab' * 32} metrics {json.dumps(m, sort_keys=True)}")
+        tag = f" state {epoch:064x}" if state else ""
+        lines.append(f"epoch {epoch} sha256 {'ab' * 32}{tag} "
+                     f"metrics {json.dumps(m, sort_keys=True)}")
     return "\n".join(lines) + "\n"
 
 
@@ -94,3 +97,15 @@ def test_malformed_digest_line_rejected():
         gate.parse_digest("epoch 0 metrics {}\n")
     with pytest.raises(ValueError, match="out of order"):
         gate.parse_digest(digest(21).splitlines()[1])
+
+
+def test_state_hash_is_parsed_alongside_a_version_without_one():
+    with_state, without = gate.parse_digest(digest(21, state=True)), gate.parse_digest(digest(21))
+    assert [e.pop("state") for e in with_state] == [f"{epoch:064x}" for epoch in range(2)]
+    assert with_state == without
+    v = gate.verdict(runs(), {s: gate.parse_digest(digest(s, state=True)) for s in SEEDS})
+    assert v.passed and v.median_shift == 0.0
+    for bad in ("epoch 0 sha256 ab stat cd metrics {}", "epoch 0 sha256 ab state metrics {}",
+                "epoch 0 sha256 ab state cd ef metrics {}"):
+        with pytest.raises(ValueError, match="not a digest line"):
+            gate.parse_digest(bad)
