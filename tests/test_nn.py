@@ -1,3 +1,4 @@
+import re
 import zlib
 
 import numpy as np
@@ -94,6 +95,11 @@ class TestForward:
         net = nn.mlp_init([6, 3], ["linear"], RNG(0))
         with pytest.raises(nn.ShapeError, match=r"\(2, 5\).*6"):
             forward(net, np.zeros((2, 5)))
+
+    @pytest.mark.parametrize("w, b", [((4, 2), (3,)), ((4,), (4,))])
+    def test_layer_shape_errors_carry_both_shapes(self, w, b):
+        with pytest.raises(nn.ShapeError, match=re.escape(f"w {w}, b {b}")):
+            nn.LayerSpec(np.ones(w), np.ones(b), "tanh")
 
     def test_a_pass_is_one_node_whose_parents_are_the_input_and_the_leaves(self):
         net = nn.mlp_init([3, 4, 1], ["tanh", "linear"], RNG(0))
@@ -276,6 +282,21 @@ def test_only_a_var_input_gets_a_gradient():
     fd = central_difference(lambda v: float(np.sum(nn.mlp_eval(net, v) * u)), x0.copy(), h=1e-6)
     scale = np.maximum(np.abs(fd), 1.0)
     assert np.max(np.abs(var.grad - fd) / scale) < 1e-5
+
+
+def test_constant_leaves_get_no_gradient_and_leave_the_input_gradient_as_without_leaves():
+    net = float64_copy(nn.mlp_init([4, 5, 2], ["lrelu", "linear"], RNG(33)))
+    x0 = RNG(34).normal(size=(3, 4))
+    grads = []
+    for var in (False, None):
+        tape = ad.Tape()
+        x = tape.var(x0.copy())
+        leaves = None if var is None else nn.mlp_leaves(tape, net, var)
+        ad.backward(tape, ad.sum_(nn.mlp_apply(net, x, tape, leaves)))
+        if leaves is not None:
+            assert all(leaf.grad is None for pair in leaves for leaf in pair)
+        grads.append(x.grad)
+    assert np.array_equal(grads[0], grads[1])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
