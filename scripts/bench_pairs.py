@@ -11,7 +11,9 @@ first on even pairs and the change first on odd ones, and appends each
 run's result line to ``--runs`` (a run already there is not repeated).  The
 second form reads one or more such files and writes, per workload and side,
 each end-to-end metric's median, quartiles and pair count, how many pairs
-the change won on each metric, and the operations attempted and failed.
+the change won on each metric, and the operations attempted and failed.  A
+workload with fewer than two complete pairs (a file read mid-run) has no
+quartiles: its entry holds only its pair count and their seeds.
 """
 
 import argparse
@@ -70,7 +72,9 @@ def summarize(paths: list[str]) -> dict:
                 by_seed.setdefault(r["seed"], {})[r["side"]] = r["result"]
         pairs = {s: sides for s, sides in by_seed.items()
                  if sides.get("parent") and sides.get("change")}
-        entry = {"pairs": len(pairs), "seeds": sorted(pairs)}
+        entry = out[workload] = {"pairs": len(pairs), "seeds": sorted(pairs)}
+        if len(pairs) < 2:
+            continue
         for side in ("parent", "change"):
             results = [pairs[s][side] for s in sorted(pairs)]
             entry[side] = {
@@ -88,7 +92,6 @@ def summarize(paths: list[str]) -> dict:
                                      - sides["parent"]["metrics"][name]["value"]) > 0
                              for sides in pairs.values())
         entry["change_better_pairs"] = wins
-        out[workload] = entry
     return out
 
 

@@ -79,9 +79,9 @@ class Tape:
         self.nodes.append(t)
         return t
 
-    def var(self, values, name="var") -> Tensor:
+    def var(self, values) -> Tensor:
         """A differentiable leaf (parameter or input we want gradients for)."""
-        return self._record(Tensor(values, self, op=name, requires_grad=True))
+        return self._record(Tensor(values, self, op="var", requires_grad=True))
 
     def const(self, values) -> Tensor:
         """A non-differentiable leaf."""
@@ -285,11 +285,3 @@ def concat(xs: Sequence[Tensor], axis: int = -1) -> Tensor:
 
     return node("concat", out_values, tuple(xs), bwd)
 
-
-def stack(xs: Sequence[Tensor], axis: int = 0) -> Tensor:
-    shaped = []
-    for x in xs:
-        shp = list(x.values.shape)
-        shp.insert(axis if axis >= 0 else len(shp) + 1 + axis, 1)
-        shaped.append(reshape(x, tuple(shp)))
-    return concat(shaped, axis=axis)

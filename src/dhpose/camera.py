@@ -55,7 +55,7 @@ def project(pose: Tensor, cam: CameraIntrinsics) -> Tensor:
     z = pose[..., 2]
     u = ad.add(ad.div(ad.mul(pose[..., 0], cam.fx), z), cam.cx)
     v = ad.add(ad.div(ad.mul(pose[..., 1], cam.fy), z), cam.cy)
-    return ad.stack([u, v], axis=-1)
+    return ad.concat([ad.reshape(w, w.shape + (1,)) for w in (u, v)], axis=-1)
 
 
 def project_pose(pose, cam: CameraIntrinsics) -> np.ndarray:

@@ -175,7 +175,7 @@ def cmd_train(args) -> int:
     topology = _topology_from(args)
     table = _table_from(args)
     if args.data:
-        data = ds.real_data_from_dataset(args.data, cfg.mode, cfg.frames)
+        data = ds.real_data_from_dataset(args.data, cfg.frames)
     else:
         data = ds.make_band_corpus(args.band_count, cfg.seed, topology, table,
                                    mode=cfg.mode, frames=cfg.frames)
@@ -223,7 +223,8 @@ def cmd_export_video(args) -> int:
 
 # Per subcommand: each option that fixes others, and their defaults without
 # it.  Given both, the fixed option would be ignored: that is a usage error.
-_FIXED_BY = {"train": [("config", dict(mode="single", frames=None, epochs=2, batch=64, seed=0)),
+_FIXED_BY = {"train": [("config", dict(mode="single", frames=None, epochs=2,
+                                        batch=gan.TrainConfig.batch_size, seed=0)),
                        ("data", dict(band_count=256))],
              "synth": [("checkpoint", dict(mode="single", frames=None))],
              "export-video": [("checkpoint", dict(frames=None))]}

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .camera import CameraIntrinsics, project_pose
+from .camera import default_camera, project_pose
 from .constraints import ConstraintTable, count_violations, default_constraint_table
 from .skeleton import (N_PARAMS, SkeletonTopology, default_topology,
                        forward_kinematics_batch, topology_hash)
@@ -313,7 +313,6 @@ def load_dataset(path, topology: Optional[SkeletonTopology] = None) -> RowBlock:
 @dataclass
 class SynthSummary:
     records: int
-    sequences: int
     violations: int
     resampled: int
     seconds: float
@@ -373,8 +372,7 @@ def synthesize_dataset(gen, count: int, mode: str, seed: int, path,
             data = RealData(pose3d, pose2d, np.broadcast_to(cam_row, (k, 5)))
             _write_rows(fh, rows_of(data, "synthetic", written), fmt == "binary")
             written += k
-    return SynthSummary(records=count * gen.frames, sequences=count if gen.frames > 1 else 0,
-                        violations=violations, resampled=resampled,
+    return SynthSummary(records=count * gen.frames, violations=violations, resampled=resampled,
                         seconds=time.perf_counter() - t0, path=str(path))
 
 
@@ -453,7 +451,6 @@ def load_skeleton_video(path) -> tuple[np.ndarray, list[tuple[int, int]]]:
 def make_band_corpus(count: int, seed: int,
                      topology: Optional[SkeletonTopology] = None,
                      table: Optional[ConstraintTable] = None,
-                     camera: Optional[CameraIntrinsics] = None,
                      mode: str = "single", frames: int = 1, band: float = 0.05):
     """Poses drawn from a narrow band around the mid-range configuration.
 
@@ -463,7 +460,7 @@ def make_band_corpus(count: int, seed: int,
     check_mode(mode, frames)
     topology = topology or default_topology()
     table = table or default_constraint_table()
-    camera = camera or CameraIntrinsics()
+    camera = default_camera()
     rng = np.random.default_rng(seed)
     mid = (table.lo + table.hi) / 2.0
     width = (table.hi - table.lo) * band
@@ -481,7 +478,7 @@ def make_band_corpus(count: int, seed: int,
                     cams=np.tile(camera.as_array(), (count, 1)))
 
 
-def real_data_from_dataset(path, mode: str = "single", frames: int = 1) -> RealData:
+def real_data_from_dataset(path, frames: int = 1) -> RealData:
     """Load a text or binary dataset file into training arrays (grouping
     frames by sequence); the format is told by the file's second line.
 
@@ -491,7 +488,6 @@ def real_data_from_dataset(path, mode: str = "single", frames: int = 1) -> RealD
     of each sequence are kept, with the first one's camera, and sequences
     with fewer rows are skipped.
     """
-    check_mode(mode, frames)
     rows = load_dataset(path)
     if not len(rows):
         raise ValueError(f"{path}: dataset is empty")

@@ -113,7 +113,7 @@ class TrainConfig:
     alpha: float = 10.0             # gradient-penalty weight
     beta_epoch: int = 4             # epoch at which the motion critic turns on
     z_dim: int = 128
-    batch_size: Optional[int] = None  # default 1024 at T = 1, 512 otherwise
+    batch_size: int = 64
     critic_steps: int = 5           # critic updates per generator update
     lr: float = 1e-4
     epochs: int = 10
@@ -123,14 +123,9 @@ class TrainConfig:
     head_hidden: tuple = (128,)
     bounds: GlobalBounds = field(default_factory=GlobalBounds)
 
-    def resolved_batch(self) -> int:
-        if self.batch_size is not None:
-            return self.batch_size
-        return 1024 if self.frames == 1 else 512
-
     def validate(self) -> None:
         counts = dict(frames=self.frames, z_dim=self.z_dim, critic_steps=self.critic_steps,
-                      epochs=self.epochs, batch=self.resolved_batch(),
+                      epochs=self.epochs, batch=self.batch_size,
                       beta_epoch=self.beta_epoch, seed=self.seed)
         for name, value in counts.items():
             if not _is_int(value):
@@ -142,7 +137,7 @@ class TrainConfig:
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         check_mode(self.mode, self.frames)
         positives = dict(alpha=self.alpha, z_dim=self.z_dim, critic_steps=self.critic_steps,
-                         lr=self.lr, epochs=self.epochs, batch=self.resolved_batch(),
+                         lr=self.lr, epochs=self.epochs, batch=self.batch_size,
                          beta_epoch=self.beta_epoch)
         for name, value in positives.items():
             if value <= 0:
@@ -218,11 +213,9 @@ class DhGenerator:
 
 def build_generator(cfg: TrainConfig, rng: np.random.Generator,
                     topology: Optional[SkeletonTopology] = None,
-                    table: Optional[ConstraintTable] = None,
-                    camera: Optional[CameraIntrinsics] = None) -> DhGenerator:
+                    table: Optional[ConstraintTable] = None) -> DhGenerator:
     topology = topology or default_topology()
     table = table or default_constraint_table()
-    camera = camera or default_camera()
     sizes = [cfg.z_dim, *cfg.gen_hidden, _out_width(cfg.frames)]
     acts = ["tanh"] * len(cfg.gen_hidden) + ["linear"]
     net = nn.mlp_init(sizes, acts, rng)
@@ -232,7 +225,7 @@ def build_generator(cfg: TrainConfig, rng: np.random.Generator,
         drawn = np.r_[per[:, :N_ANGLE_PARAMS].ravel(), :N_LENGTH_PARAMS,
                       per[:, N_ANGLE_PARAMS:].ravel()]
         net.layers[-1].w = np.ascontiguousarray(net.layers[-1].w[:, drawn])  # biases are zeros
-    return DhGenerator(net=net, topology=topology, table=table, camera=camera,
+    return DhGenerator(net=net, topology=topology, table=table, camera=default_camera(),
                        frames=cfg.frames, bounds=cfg.bounds)
 
 
@@ -396,11 +389,12 @@ class TapeGenOutput:
     streams: dict        # the ``_streams`` dict, float64
 
 
-def generate_on_tape(gen: DhGenerator, z, tape: Tape, gen_params: Optional[list],
-                     pairs: AdjacentBonePairs) -> TapeGenOutput:
+def generate_on_tape(gen: DhGenerator, z, tape: Tape,
+                     gen_params: Optional[list]) -> TapeGenOutput:
     """The net runs in its dtype with the ``nn.mlp_leaves`` list
     ``gen_params`` (None: its weights as constants); squash, FK, the depth
-    check, projection and the critic streams run in float64."""
+    check, projection and the critic streams of the topology's bone pairs
+    run in float64."""
     raw = nn.mlp_apply(gen.net, z, tape, gen_params)
     params, globals_ = _split_raw(gen, ad.astype(raw, np.float64))
     pose3d = _fk_tape(gen.topology, params, globals_)
@@ -408,7 +402,8 @@ def generate_on_tape(gen: DhGenerator, z, tape: Tape, gen_params: Optional[list]
         raise TrainingDivergedError(
             "generated joint in front of the near plane; widen the translation bounds",
             {"min_depth": float(pose3d.values[:, :, 2].min()), "z_min": gen.camera.z_min})
-    streams = _streams(pose3d, project(pose3d, gen.camera), gen.camera, pairs, gen.frames)
+    streams = _streams(pose3d, project(pose3d, gen.camera), gen.camera,
+                       adjacent_bone_pairs(gen.topology), gen.frames)
     return TapeGenOutput(params=params, globals_=globals_, pose3d=pose3d, streams=streams)
 
 
@@ -674,7 +669,6 @@ class TrainState:
     config: TrainConfig
     gen: DhGenerator
     critics: dict[str, Critic]      # "frame", then "motion" when T >= 2
-    pairs: AdjacentBonePairs
     adam: dict[str, nn.AdamState]   # "gen", then each critic's by name
     rng: np.random.Generator
     epoch: int = 0
@@ -682,18 +676,16 @@ class TrainState:
 
 def init_train_state(config: TrainConfig,
                      topology: Optional[SkeletonTopology] = None,
-                     table: Optional[ConstraintTable] = None,
-                     camera: Optional[CameraIntrinsics] = None) -> TrainState:
+                     table: Optional[ConstraintTable] = None) -> TrainState:
     config.validate()
     rng = np.random.default_rng(config.seed)
-    gen = build_generator(config, rng, topology, table, camera)
-    pairs = adjacent_bone_pairs(gen.topology)
-    n_pairs = len(pairs.pairs)
+    gen = build_generator(config, rng, topology, table)
+    n_pairs = len(adjacent_bone_pairs(gen.topology).pairs)
     critics = {"frame": build_critic(FRAME_BRANCHES, config, n_pairs, rng)}
     if config.frames > 1:
         critics["motion"] = build_critic(MOTION_BRANCHES, config, n_pairs, rng)
     adam = {name: nn.AdamState(lr=config.lr) for name in ("gen", *critics)}
-    return TrainState(config=config, gen=gen, critics=critics, pairs=pairs, adam=adam, rng=rng)
+    return TrainState(config=config, gen=gen, critics=critics, adam=adam, rng=rng)
 
 
 def _abort_if_bad(value: float, what: str, state: TrainState):
@@ -702,14 +694,15 @@ def _abort_if_bad(value: float, what: str, state: TrainState):
                                     {"what": what, "value": float(value), "epoch": state.epoch})
 
 
-def _real_minibatch(data: RealData, idx: np.ndarray, pairs: AdjacentBonePairs) -> dict:
-    return feature_batch(data.pose3d[idx], data.pose2d[idx], data.cams[idx], pairs)
+def _real_minibatch(state: TrainState, data: RealData, idx: np.ndarray) -> dict:
+    return feature_batch(data.pose3d[idx], data.pose2d[idx], data.cams[idx],
+                         adjacent_bone_pairs(state.gen.topology))
 
 
-def _fake_minibatch(state: TrainState, batch: int, pairs: AdjacentBonePairs) -> tuple[dict, int]:
+def _fake_minibatch(state: TrainState, batch: int) -> tuple[dict, int]:
     z = sample_latent(batch, state.config.z_dim, state.rng)
     with Tape() as tape:
-        fake = generate_on_tape(state.gen, z, tape, None, pairs)
+        fake = generate_on_tape(state.gen, z, tape, None)
     bad = count_violations(fake.params.values, state.gen.table)
     return {k: v.values for k, v in fake.streams.items()}, bad
 
@@ -737,7 +730,7 @@ def generator_update(state: TrainState, batch: int, gamma: int) -> dict:
     with Tape() as tape:
         gen_leaves = nn.mlp_leaves(tape, state.gen.net)
         z = sample_latent(batch, state.config.z_dim, state.rng)
-        fake = generate_on_tape(state.gen, z, tape, gen_leaves, state.pairs)
+        fake = generate_on_tape(state.gen, z, tape, gen_leaves)
         loss = generator_loss(active_critics(state.critics, gamma), fake, tape)
         value = float(loss.values)
         _abort_if_bad(value, "generator loss", state)
@@ -763,15 +756,15 @@ def train_epoch(state: TrainState, data: RealData, synth_dir: Optional[str] = No
         raise ValueError(f"the config has {cfg.frames} frames per sample, the data "
                          f"{data.frames}")
     gamma = gamma_schedule(state.epoch, cfg.beta_epoch) if "motion" in state.critics else 0
-    batch = min(cfg.resolved_batch(), len(data))
+    batch = min(cfg.batch_size, len(data))
     steps = max(1, len(data) // batch)
     d_gaps, gen_losses = [], []
     violations = 0
     for _ in range(steps):
         for _ in range(cfg.critic_steps):
             idx = state.rng.integers(0, len(data), size=batch)
-            real = _real_minibatch(data, idx, state.pairs)
-            fake, bad = _fake_minibatch(state, batch, state.pairs)
+            real = _real_minibatch(state, data, idx)
+            fake, bad = _fake_minibatch(state, batch)
             violations += bad
             m = critic_update(state, real, fake, gamma)
             d_gaps.append(m["d_gap"])
@@ -780,8 +773,8 @@ def train_epoch(state: TrainState, data: RealData, synth_dir: Optional[str] = No
         gen_losses.append(g["gen_loss"])
     # the critic objective's terms on a fresh batch, with constant weights, for the log
     idx = state.rng.integers(0, len(data), size=batch)
-    real = _real_minibatch(data, idx, state.pairs)
-    fake, _ = _fake_minibatch(state, batch, state.pairs)
+    real = _real_minibatch(state, data, idx)
+    fake, _ = _fake_minibatch(state, batch)
     with Tape() as tape:
         terms = critic_loss(active_critics(state.critics, gamma), real, fake, cfg.alpha,
                             state.rng, tape)[1]
@@ -826,8 +819,7 @@ def save_generator(gen: DhGenerator, path, seed: int,
 
 
 def load_generator(path, topology: Optional[SkeletonTopology] = None,
-                   table: Optional[ConstraintTable] = None,
-                   camera: Optional[CameraIntrinsics] = None) -> DhGenerator:
+                   table: Optional[ConstraintTable] = None) -> DhGenerator:
     """The generator of a ``save_generator`` checkpoint, with its bounds.  A
     topology or constraint table other than the one it was trained against
     raises ValueError naming both hashes.  A checkpoint without ``meta
@@ -859,7 +851,7 @@ def load_generator(path, topology: Optional[SkeletonTopology] = None,
             check_mode(got["mode"][0], frames)
         bounds = got.get("bounds")
         return DhGenerator(net=nets["gen"], topology=topology, table=table,
-                           camera=camera or default_camera(), frames=frames,
+                           camera=default_camera(), frames=frames,
                            bounds=GlobalBounds() if bounds is None
                            else GlobalBounds(bounds[:N_GLOBAL], bounds[N_GLOBAL:]))
     except ValueError as exc:

@@ -225,12 +225,12 @@ def mlp_vjp_pullback(net: Mlp, trace: list, operands: list,
     return grads, g
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: list = field(default_factory=list)  # moments, in the order of the parameters
     v: list = field(default_factory=list)
@@ -254,13 +254,13 @@ def adam_step(state: AdamState, params: list[np.ndarray],
         if g.shape != p.shape:
             raise ShapeError(f"gradient shape {g.shape} does not match parameter "
                              f"{i} shape {p.shape}")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        new.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        new.append(p - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
     return new
 
 

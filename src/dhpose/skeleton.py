@@ -167,6 +167,9 @@ class SkeletonTopology:
         if sorted(i for row in owned for i in (row.a_id, row.d_id) if i >= 0) \
                 != list(range(N_ANGLE_PARAMS, N_PARAMS)):
             raise ValueError("the owned rows' a and d ids must be 33..47, each once")
+        if self.keypoint_count != len(KEYPOINT_NAMES):
+            raise ValueError(f"a topology has {len(KEYPOINT_NAMES)} keypoints, "
+                             f"got {self.keypoint_count}")
         seen_kp = sorted(kp for br in self.branches for _, kp in br.keypoint_map)
         if seen_kp != list(range(self.keypoint_count)):
             raise ValueError("every keypoint must be emitted by exactly one branch")

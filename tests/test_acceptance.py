@@ -269,16 +269,15 @@ def test_criterion_smoke_gan_run():
                               batch_size=256, critic_steps=1)
         data = dsio.make_band_corpus(2048, 113)
         state = gan.init_train_state(cfg)
-        pairs = state.pairs
         for _ in range(200):
             idx = state.rng.integers(0, len(data), cfg.batch_size)
-            real = gan._real_minibatch(data, idx, pairs)
-            fake, bad = gan._fake_minibatch(state, cfg.batch_size, pairs)
+            real = gan._real_minibatch(state, data, idx)
+            fake, bad = gan._fake_minibatch(state, cfg.batch_size)
             assert bad == 0
             gan.critic_update(state, real, fake, 0)
         eval_idx = np.arange(1024)
-        real = gan._real_minibatch(data, eval_idx % len(data), pairs)
-        fake, _ = gan._fake_minibatch(state, 1024, pairs)
+        real = gan._real_minibatch(state, data, eval_idx % len(data))
+        fake, _ = gan._fake_minibatch(state, 1024)
         with ad.Tape() as tape:
             s_real = gan.frame_score(state.critics["frame"], real, tape)[0].values
             s_fake = gan.frame_score(state.critics["frame"], fake, tape)[0].values

@@ -155,25 +155,25 @@ class TestGenerate:
         for k, (w0, w1) in enumerate(zip(want, weights(gen.net), strict=True)):
             assert w1.flags.c_contiguous and np.array_equal(w0, w1), k
 
-    def test_tape_path_matches_numpy_path(self, pairs):
+    def test_tape_path_matches_numpy_path(self):
         cfg = tiny_config()
         gen = gan.build_generator(cfg, RNG(8))
         z = gan.sample_latent(6, cfg.z_dim, RNG(9))
         out = gan.generate(gen, z)
         tape = ad.Tape()
         leaves = nn.mlp_leaves(tape, gen.net)
-        fk = gan.generate_on_tape(gen, z, tape, leaves, pairs)
+        fk = gan.generate_on_tape(gen, z, tape, leaves)
         assert np.max(np.abs(fk.pose3d.values - out.pose3d)) < 1e-12
         assert np.max(np.abs(fk.params.values - out.params)) < 1e-12
 
-    def test_tape_path_matches_numpy_path_video(self, pairs):
+    def test_tape_path_matches_numpy_path_video(self):
         cfg = tiny_config(mode="video", frames=4)
         gen = gan.build_generator(cfg, RNG(10))
         z = gan.sample_latent(3, cfg.z_dim, RNG(11))
         out = gan.generate(gen, z)
         tape = ad.Tape()
         leaves = nn.mlp_leaves(tape, gen.net)
-        fk = gan.generate_on_tape(gen, z, tape, leaves, pairs)
+        fk = gan.generate_on_tape(gen, z, tape, leaves)
         assert np.max(np.abs(fk.pose3d.values.reshape(3, 4, 16, 3) - out.pose3d)) < 1e-12
 
     def test_tape_motion_streams_match_the_numpy_streams(self, pairs):
@@ -186,7 +186,7 @@ class TestGenerate:
         want = gan.feature_batch(out.pose3d, out.pose2d, gen.camera, pairs)
         tape = ad.Tape()
         leaves = nn.mlp_leaves(tape, gen.net)
-        got = gan.generate_on_tape(gen, z, tape, leaves, pairs).streams
+        got = gan.generate_on_tape(gen, z, tape, leaves).streams
         assert got.keys() == want.keys()
         for k in want:
             assert got[k].values.shape == want[k].shape, k
@@ -195,7 +195,7 @@ class TestGenerate:
                 < 2 * np.finfo(np.float32).eps, k
 
     @pytest.mark.parametrize("mode,seed", [("single", 8), ("video", 10)])
-    def test_numpy_and_tape_nets_write_the_same_raw_bits(self, pairs, monkeypatch, mode, seed):
+    def test_numpy_and_tape_nets_write_the_same_raw_bits(self, monkeypatch, mode, seed):
         cfg = tiny_config(mode=mode, frames=4 if mode == "video" else 1)
         gen = gan.build_generator(cfg, RNG(seed))
         z = gan.sample_latent(5, cfg.z_dim, RNG(seed + 1))
@@ -212,7 +212,7 @@ class TestGenerate:
         gan.generate_poses(gen, z)
         tape = ad.Tape()
         leaves = nn.mlp_leaves(tape, gen.net)
-        gan.generate_on_tape(gen, z, tape, leaves, pairs)
+        gan.generate_on_tape(gen, z, tape, leaves)
         numpy_raw, tape_raw = outs["numpy"], outs["tape"].values
         assert numpy_raw.dtype == tape_raw.dtype == nn.COMPUTE_DTYPE
         assert np.array_equal(numpy_raw, tape_raw)
@@ -236,14 +236,14 @@ class TestGeometryOps:
         assert np.array_equal(gan._cosines(ad.Tape().var(pose), pairs).values,
                               joint_cosines(pose, pairs))
 
-    def test_generator_pipeline_node_count_at_train_video_sizes(self, pairs):
+    def test_generator_pipeline_node_count_at_train_video_sizes(self):
         # the benchmark's train-video sizes: default nets, T=9, batch 64
         cfg = gan.TrainConfig(mode="video", frames=9, batch_size=64, seed=79)
         gen = gan.build_generator(cfg, RNG(79))
         tape = ad.Tape()
         leaves = nn.mlp_leaves(tape, gen.net)
         before = len(tape.nodes)
-        gan.generate_on_tape(gen, gan.sample_latent(64, cfg.z_dim, RNG(80)), tape, leaves, pairs)
+        gan.generate_on_tape(gen, gan.sample_latent(64, cfg.z_dim, RNG(80)), tape, leaves)
         assert len(tape.nodes) - before < 200
 
 
@@ -474,38 +474,38 @@ class TestGeneratorLoss:
     """Generator and critics on float64 copies of their weights, so that the
     loss matches ``discriminate`` to 1e-12."""
 
-    def _fake(self, pairs, seed=31):
+    def _fake(self, seed=31):
         cfg = tiny_config()
         gen = float64_copy(gan.build_generator(cfg, RNG(seed)))
         tape = ad.Tape()
         leaves = nn.mlp_leaves(tape, gen.net)
         z = gan.sample_latent(6, cfg.z_dim, RNG(seed + 1))
-        return gan.generate_on_tape(gen, z, tape, leaves, pairs), tape, cfg, leaves
+        return gan.generate_on_tape(gen, z, tape, leaves), tape, cfg, leaves
 
-    def test_zero_critics_give_zero(self, pairs):
-        fake, tape, cfg, _ = self._fake(pairs)
+    def test_zero_critics_give_zero(self):
+        fake, tape, cfg, _ = self._fake()
         critic = float64_copy(gan.build_critic(gan.FRAME_BRANCHES, cfg, 14, RNG(32)))
         zero_nets(critic)
         loss = gan.generator_loss({"frame": critic}, fake, tape)
         assert float(loss.values) == 0.0
 
-    def test_gamma_zero_is_negative_frame_expectation(self, pairs):
-        fake, tape, cfg, _ = self._fake(pairs)
+    def test_gamma_zero_is_negative_frame_expectation(self):
+        fake, tape, cfg, _ = self._fake()
         critic = float64_copy(gan.build_critic(gan.FRAME_BRANCHES, cfg, 14, RNG(33)))
         loss = gan.generator_loss({"frame": critic}, fake, tape)
         scores = gan.discriminate(critic, {k: t.values for k, t in fake.streams.items()})
         assert float(loss.values) == pytest.approx(-scores.mean(), abs=1e-12)
 
-    def test_head_bias_shift_moves_loss_linearly(self, pairs):
-        fake, tape, cfg, _ = self._fake(pairs)
+    def test_head_bias_shift_moves_loss_linearly(self):
+        fake, tape, cfg, _ = self._fake()
         critic = float64_copy(gan.build_critic(gan.FRAME_BRANCHES, cfg, 14, RNG(34)))
         l1 = float(gan.generator_loss({"frame": critic}, fake, tape).values)
         critic.nets["head"].layers[-1].b = critic.nets["head"].layers[-1].b + 2.5
         l2 = float(gan.generator_loss({"frame": critic}, fake, ad.Tape()).values)
         assert l2 == pytest.approx(l1 - 2.5, abs=1e-9)
 
-    def test_gradients_reach_generator_through_kinematics(self, pairs):
-        fake, tape, cfg, leaves = self._fake(pairs)
+    def test_gradients_reach_generator_through_kinematics(self):
+        fake, tape, cfg, leaves = self._fake()
         critic = float64_copy(gan.build_critic(gan.FRAME_BRANCHES, cfg, 14, RNG(35)))
         loss = gan.generator_loss({"frame": critic}, fake, tape)
         ad.backward(tape, loss)
@@ -536,48 +536,67 @@ class TestEndToEndGradients:
                 got = leaf.grad.ravel()[idx] if leaf.grad is not None else 0.0
                 assert abs(got - fd) <= tol * max(1.0, abs(fd)), (key, idx, got, fd)
 
-    def test_generator_loss_gradient_through_the_full_pipeline(self, pairs):
-        cfg = gan.TrainConfig(mode="single", z_dim=6, gen_hidden=(8,), enc_hidden=(6,),
-                              head_hidden=(4,), epochs=2, beta_epoch=2, seed=50, batch_size=2)
+    @staticmethod
+    def _critics(cfg, rng) -> dict:
+        """Float64 copies of the critics a T-frame run trains with gamma on:
+        the frame critic, and the motion critic when T >= 2."""
+        critics = {"frame": float64_copy(gan.build_critic(gan.FRAME_BRANCHES, cfg, 14, rng))}
+        if cfg.frames > 1:
+            critics["motion"] = float64_copy(gan.build_critic(gan.MOTION_BRANCHES, cfg, 14, rng))
+        return critics
+
+    @staticmethod
+    def _by_net(per_critic: dict) -> dict:
+        """Every critic's per-net entries in one dict: net names are unique."""
+        return {name: v for entries in per_critic.values() for name, v in entries.items()}
+
+    @pytest.mark.parametrize("mode, frames", [("single", 1), ("video", 3)])
+    def test_generator_loss_gradient_through_the_full_pipeline(self, pairs, mode, frames):
+        cfg = gan.TrainConfig(mode=mode, frames=frames, z_dim=6, gen_hidden=(8,),
+                              enc_hidden=(6,), head_hidden=(4,), epochs=2, beta_epoch=2,
+                              seed=50, batch_size=2)
         gen = float64_copy(gan.build_generator(cfg, RNG(50)))
-        critic = float64_copy(gan.build_critic(gan.FRAME_BRANCHES, cfg, 14, RNG(51)))
+        critics = self._critics(cfg, RNG(51))
         z = gan.sample_latent(3, cfg.z_dim, RNG(52))
 
         def loss_value():
             out = generate_ref(gen, z)
-            return -gan.discriminate(
-                critic, gan.feature_batch(out.pose3d, out.pose2d, gen.camera, pairs)).mean()
+            streams = gan.feature_batch(out.pose3d, out.pose2d, gen.camera, pairs)
+            return -sum(gan.discriminate(critic, streams).mean() for critic in critics.values())
 
         tape = ad.Tape()
         leaves = nn.mlp_leaves(tape, gen.net)
-        fake = gan.generate_on_tape(gen, z, tape, leaves, pairs)
-        loss = gan.generator_loss({"frame": critic}, fake, tape)
+        fake = gan.generate_on_tape(gen, z, tape, leaves)
+        loss = gan.generator_loss(critics, fake, tape)
         assert float(loss.values) == pytest.approx(loss_value(), abs=1e-12)
         ad.backward(tape, loss)
         self._spot_check({"gen": gen.net}, {"gen": leaves}, loss_value, RNG(53), tol=1e-4)
 
-    def test_critic_loss_gradient_with_interpolated_penalty(self, pairs):
-        cfg = gan.TrainConfig(mode="single", z_dim=6, gen_hidden=(8,), enc_hidden=(5,),
-                              head_hidden=(3,), epochs=2, beta_epoch=2, seed=54, batch_size=2)
+    @pytest.mark.parametrize("mode, frames", [("single", 1), ("video", 3)])
+    def test_critic_loss_gradient_with_interpolated_penalty(self, pairs, mode, frames):
+        cfg = gan.TrainConfig(mode=mode, frames=frames, z_dim=6, gen_hidden=(8,),
+                              enc_hidden=(5,), head_hidden=(3,), epochs=2, beta_epoch=2,
+                              seed=54, batch_size=2)
         gen = gan.build_generator(cfg, RNG(54))
-        critic = float64_copy(gan.build_critic(gan.FRAME_BRANCHES, cfg, 14, RNG(55)))
+        critics = self._critics(cfg, RNG(55))
         a = gan.generate(gen, gan.sample_latent(3, cfg.z_dim, RNG(56)))
         b = gan.generate(gen, gan.sample_latent(3, cfg.z_dim, RNG(57)))
         real = gan.feature_batch(a.pose3d, a.pose2d, gen.camera, pairs)
         fake = gan.feature_batch(b.pose3d, b.pose2d, gen.camera, pairs)
 
         def loss_value():
-            return float(gan.critic_loss({"frame": critic}, real, fake, 10.0, RNG(58),
+            return float(gan.critic_loss(critics, real, fake, 10.0, RNG(58),
                                          ad.Tape())[0].values)
 
         tape = ad.Tape()
-        leaves = gan.critic_leaves(tape, critic)
-        loss, _ = gan.critic_loss({"frame": critic}, real, fake, 10.0, RNG(58), tape,
-                                  {"frame": leaves})
+        leaves = {name: gan.critic_leaves(tape, critic) for name, critic in critics.items()}
+        loss, _ = gan.critic_loss(critics, real, fake, 10.0, RNG(58), tape, leaves)
         assert float(loss.values) == pytest.approx(loss_value(), abs=1e-12)
         ad.backward(tape, loss)
-        assert list(leaves) == list(critic.nets)
-        self._spot_check(critic.nets, leaves, loss_value, RNG(59), tol=1e-4)
+        for name, critic in critics.items():
+            assert list(leaves[name]) == list(critic.nets)
+        nets = self._by_net({name: critic.nets for name, critic in critics.items()})
+        self._spot_check(nets, self._by_net(leaves), loss_value, RNG(59), tol=1e-4)
 
 
 class TestTrainEpoch:
@@ -686,8 +705,8 @@ class TestTrainEpoch:
                           beta_epoch=1)
         data = dsio.make_band_corpus(8, 13, mode="video", frames=3)
         state = gan.init_train_state(cfg)
-        real = gan._real_minibatch(data, np.arange(4), state.pairs)
-        fake, _ = gan._fake_minibatch(state, 4, state.pairs)
+        real = gan._real_minibatch(state, data, np.arange(4))
+        fake, _ = gan._fake_minibatch(state, 4)
         refs = []
         backward = ad.backward
 
@@ -710,8 +729,8 @@ class TestTrainEpoch:
                           beta_epoch=1)
         data = dsio.make_band_corpus(8, 12, mode="video", frames=3)
         state = gan.init_train_state(cfg)
-        real = gan._real_minibatch(data, np.arange(4), state.pairs)
-        fake, _ = gan._fake_minibatch(state, 4, state.pairs)
+        real = gan._real_minibatch(state, data, np.arange(4))
+        fake, _ = gan._fake_minibatch(state, 4)
         nodes = []  # the tape's node count at each Adam update
         adam_update = nn.adam_update
 
@@ -735,8 +754,8 @@ class TestTrainEpoch:
                           head_hidden=(16,))
         data = dsio.make_band_corpus(8, 5, mode="video", frames=3)
         state = gan.init_train_state(cfg)
-        real = gan._real_minibatch(data, np.arange(8), state.pairs)
-        fake, _ = gan._fake_minibatch(state, 8, state.pairs)
+        real = gan._real_minibatch(state, data, np.arange(8))
+        fake, _ = gan._fake_minibatch(state, 8)
         gan.critic_update(state, real, fake, 1)  # Adam's moments exist from here on
         forward = []
         backward = ad.backward
@@ -765,8 +784,8 @@ class TestTrainEpoch:
                           head_hidden=(16,))
         data = dsio.make_band_corpus(8, 5, mode="video", frames=3)
         state = gan.init_train_state(cfg)
-        real = gan._real_minibatch(data, np.arange(8), state.pairs)
-        fake, _ = gan._fake_minibatch(state, 8, state.pairs)
+        real = gan._real_minibatch(state, data, np.arange(8))
+        fake, _ = gan._fake_minibatch(state, 8)
         gan.critic_update(state, real, fake, 1)  # Adam's moments exist from here on
         growth, grads = [], []
         backward = ad.backward
@@ -792,8 +811,8 @@ class TestTrainEpoch:
                           beta_epoch=1)
         data = dsio.make_band_corpus(8, 14, mode="video", frames=3)
         state = gan.init_train_state(cfg)
-        real = gan._real_minibatch(data, np.arange(4), state.pairs)
-        fake, _ = gan._fake_minibatch(state, 4, state.pairs)
+        real = gan._real_minibatch(state, data, np.arange(4))
+        fake, _ = gan._fake_minibatch(state, 4)
         before = copy.deepcopy(state.critics["frame"])
         with ad.Tape() as tape:
             params = gan.critic_leaves(tape, before)
@@ -818,8 +837,8 @@ class TestTrainEpoch:
                           beta_epoch=1)
         data = dsio.make_band_corpus(8, 15, mode="video", frames=3)
         state = gan.init_train_state(cfg)
-        real = gan._real_minibatch(data, np.arange(4), state.pairs)
-        fake, _ = gan._fake_minibatch(state, 4, state.pairs)
+        real = gan._real_minibatch(state, data, np.arange(4))
+        fake, _ = gan._fake_minibatch(state, 4)
         before = [weights(*critic.nets.values()) for critic in state.critics.values()]
         adams = copy.deepcopy([state.adam[name] for name in state.critics])
         leaves, calls = [], []
@@ -861,8 +880,8 @@ class TestTrainEpoch:
         outs, net_inputs = [], []
         generate_on_tape, mlp_apply = gan.generate_on_tape, nn.mlp_apply
 
-        def recording_generate(gen, z, tape, gen_params, pairs):
-            fake = generate_on_tape(gen, z, tape, gen_params, pairs)
+        def recording_generate(gen, z, tape, gen_params):
+            fake = generate_on_tape(gen, z, tape, gen_params)
             # the values, read before the step's backward releases them
             outs.append(({name: getattr(fake, name).values
                           for name in ("params", "globals_", "pose3d")},
@@ -911,14 +930,13 @@ class TestTrainEpoch:
                           enc_hidden=(32, 32), head_hidden=(16,))
         data = dsio.make_band_corpus(256, 11)
         state = gan.init_train_state(cfg)
-        pairs = state.pairs
         for _ in range(60):
             idx = state.rng.integers(0, len(data), 64)
-            real = gan._real_minibatch(data, idx, pairs)
-            fake, _ = gan._fake_minibatch(state, 64, pairs)
+            real = gan._real_minibatch(state, data, idx)
+            fake, _ = gan._fake_minibatch(state, 64)
             gan.critic_update(state, real, fake, 0)
-        real = gan._real_minibatch(data, np.arange(len(data)), pairs)
-        fake, _ = gan._fake_minibatch(state, 256, pairs)
+        real = gan._real_minibatch(state, data, np.arange(len(data)))
+        fake, _ = gan._fake_minibatch(state, 256)
         s_real = gan.discriminate(state.critics["frame"], real)
         s_fake = gan.discriminate(state.critics["frame"], fake)
         assert s_real.mean() - s_fake.mean() > 0.0

@@ -578,7 +578,7 @@ class TestAdam:
     def test_defaults(self):
         state = nn.AdamState()
         assert state.lr == 1e-4
-        assert (state.beta1, state.beta2, state.eps) == (0.9, 0.999, 1e-8)
+        assert (nn.ADAM_BETA1, nn.ADAM_BETA2, nn.ADAM_EPS) == (0.9, 0.999, 1e-8)
 
     def test_zero_gradient_keeps_parameters(self):
         state = nn.AdamState()

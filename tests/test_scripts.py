@@ -1,6 +1,7 @@
 """The scripts import ``dhpose`` from their own checkout's ``src/``."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -54,6 +55,32 @@ def test_heap_by_phase_prints_every_phase(tmp_path):
         assert 0 < float(above) <= float(absolute) <= epoch_peak
     # the live heap at backward's start is below the critic step's peak
     assert float(rows["backward start"][1]) <= float(rows["critic_update"][1])
+
+
+def _bench_run(workload, seed, side, value):
+    """One ``bench_pairs.py`` runs-file line whose end-to-end metrics all read ``value``."""
+    metrics = {name: {"value": value, "unit": "u"}
+               for name in ("setup_s", "samples_per_s", "peak_rss_mb", "pass_rate")}
+    return {"workload": workload, "seed": seed, "side": side, "pair": seed, "first": "parent",
+            "result": {"attempted": 4, "failed": 0, "correct": True, "metrics": metrics}}
+
+
+def test_bench_summary_reports_a_workload_below_two_pairs_without_quartiles(tmp_path):
+    # synth-io read mid-run: one complete pair and a parent run waiting for its change
+    runs = [_bench_run("synth-io", 1, "parent", 1.0), _bench_run("synth-io", 1, "change", 2.0),
+            _bench_run("synth-io", 2, "parent", 1.5)]
+    runs += [_bench_run("train-video", seed, side, value) for seed in (1, 2)
+             for side, value in (("parent", 1.0), ("change", 2.0))]
+    path = tmp_path / "runs.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in runs))
+    proc = run_script("bench_pairs.py", "--summarize", str(path), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout)["workloads"]
+    assert summary["synth-io"] == {"pairs": 1, "seeds": [1]}
+    video = summary["train-video"]
+    assert video["pairs"] == 2
+    assert video["change"]["metrics"]["samples_per_s"] == {"median": 2.0, "q1": 2.0, "q3": 2.0,
+                                                           "unit": "u"}
 
 
 @pytest.fixture

@@ -89,7 +89,7 @@ ROW_EDITS = {  # edit -> (row prefix, token index, new token, reason)
 
 @pytest.mark.parametrize("prefix, edit", [("param 5 ", "delete"), ("branch 2 ", "renumber"),
                                           ("keypoint 3 ", "duplicate"), ("row 0 9 ", "swap"),
-                                          ("row 0 11 ", "swap ids"),
+                                          ("row 0 11 ", "swap ids"), ("keypoint 15 ", "17th"),
                                           *[(e[0], name) for name, e in ROW_EDITS.items()]])
 def test_damaged_topology_exits_2_naming_file_and_line(capsys, tmp_path, prefix, edit):
     lines = resources.files("dhpose").joinpath("data/topology.txt").read_text().splitlines()
@@ -114,13 +114,20 @@ def test_damaged_topology_exits_2_naming_file_and_line(capsys, tmp_path, prefix,
     elif edit == "duplicate":
         lines.insert(i + 1, lines[i])
         line_no, reason = i + 2, f"keypoint 3 already given at line {i + 1}"
+    elif edit == "17th":  # a well-formed tree of 17 keypoints: neck_roll's row emits the 17th
+        lines.insert(i + 1, "keypoint 16 neck")
+        lines.insert(lines.index("bone 14 15") + 1, "bone 8 16")
+        k = next(n for n, line in enumerate(lines) if line.startswith("row 0 10 "))
+        lines[k] = lines[k].rsplit(" ", 1)[0] + " 16"
+        line_no, reason = None, "a topology has 16 keypoints, got 17"
     else:  # rows 9 and 10 of branch 0 change places
         lines[i:i + 2] = lines[i + 1], lines[i]
         line_no, reason = i + 1, "row 10 of branch 0 where row 9 belongs"
     path = tmp_path / "topology.txt"
     path.write_text("\n".join(lines) + "\n")
     assert cli.run_cli(["fk", "--topology", str(path)]) == 2
-    assert capsys.readouterr().err == f"error: {path}: parse error at line {line_no}: {reason}\n"
+    where = f" at line {line_no}" if line_no else ""
+    assert capsys.readouterr().err == f"error: {path}: parse error{where}: {reason}\n"
 
 
 # tokens that mostly fit each kind of field, and a few that do not
