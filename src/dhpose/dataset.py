@@ -488,6 +488,8 @@ def real_data_from_dataset(path, frames: int = 1) -> RealData:
     of each sequence are kept, with the first one's camera, and sequences
     with fewer rows are skipped.
     """
+    if frames < 1:
+        raise ValueError(f"a sample needs at least 1 frame, got {frames}")
     rows = load_dataset(path)
     if not len(rows):
         raise ValueError(f"{path}: dataset is empty")

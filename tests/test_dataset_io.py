@@ -274,6 +274,8 @@ class TestVideoGrouping:
         assert np.array_equal(data.cams, cams)
         with pytest.raises(ValueError, match="no sequences of length 7"):
             dsio.real_data_from_dataset(path, frames=7)
+        with pytest.raises(ValueError, match="at least 1 frame, got 0"):
+            dsio.real_data_from_dataset(path, frames=0)
 
 
 class TestTrainingArraysFromBinary:
