@@ -175,7 +175,7 @@ def cmd_train(args) -> int:
     topology = _topology_from(args)
     table = _table_from(args)
     if args.data:
-        data = ds.real_data_from_dataset(args.data, cfg.frames)
+        data = ds.real_data_from_dataset(args.data, cfg.frames, topology)
     else:
         data = ds.make_band_corpus(args.band_count, cfg.seed, topology, table,
                                    mode=cfg.mode, frames=cfg.frames)

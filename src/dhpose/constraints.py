@@ -11,7 +11,7 @@ an autodiff tape node: training differentiates through it, and inference
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -60,9 +60,6 @@ class ConstraintTable:
                 and np.array_equal(self.lo, other.lo) and np.array_equal(self.hi, other.hi)
                 and self.names == other.names and self.kinds == other.kinds)
 
-    def id_of(self, name: str) -> int:
-        return self.names.index(name)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -79,12 +76,11 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    ok: bool
-    violations: tuple[Violation, ...] = field(default_factory=tuple)
+    violations: tuple[Violation, ...]
 
-    def __post_init__(self):
-        if self.ok != (len(self.violations) == 0):
-            raise ValueError("ok must be true exactly when there are no violations")
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def squash(raw: Tensor, lo: np.ndarray, hi: np.ndarray) -> Tensor:
@@ -123,7 +119,7 @@ def validate_params(params, table: ConstraintTable) -> ValidationReport:
         bound = "min" if params[i] < table.lo[i] else "max"
         limit = table.lo[i] if bound == "min" else table.hi[i]
         violations.append(Violation(int(i), table.names[i], float(params[i]), bound, float(limit)))
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    return ValidationReport(tuple(violations))
 
 
 def count_violations(params_batch, table: ConstraintTable) -> int:

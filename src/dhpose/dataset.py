@@ -24,7 +24,7 @@ from .camera import default_camera, project_pose
 from .constraints import ConstraintTable, count_violations, default_constraint_table
 from .skeleton import (N_PARAMS, SkeletonTopology, default_topology,
                        forward_kinematics_batch, topology_hash)
-from .textio import ParseError, Record, decode, records
+from .textio import ParseError, Record, decode
 
 FORMAT_VERSION = "v1"
 _HEADER_PREFIX = "# dhpose dataset"
@@ -397,54 +397,6 @@ def export_skeleton_video(sequence, path, topology: Optional[SkeletonTopology] =
         fh.write("\n".join(lines) + "\n")
 
 
-def load_skeleton_video(path) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Frames (T, K, 3) and edges of a skeleton video (line rules in
-    ``textio``); frame and keypoint counts other than the header's
-    ``frames=`` and ``keypoints=`` raise ``ParseError`` naming the line."""
-    with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
-    declared: dict[str, int] = {}
-    if lines and lines[0].startswith(b"#"):  # the header
-        counts = dict(t.split("=", 1) for t in decode(path, lines[0], 1).split() if "=" in t)
-        for key in [k for k in ("frames", "keypoints") if k in counts]:
-            try:
-                declared[key] = Record(path, 1, [counts[key]]).fields(int)[0]
-            except ParseError:
-                declared[key] = -1
-            if declared[key] < 0:
-                raise ParseError(path, 1, f"bad header count {key}={counts[key]!r}")
-    edges: list[tuple[int, int]] = []
-    frames: list[list] = []
-    frame_lines: list[int] = []
-    for rec in records(lines, path):
-        kind = rec.tokens[0]
-        if kind == "edge":
-            edges.append(tuple(rec.fields("edge", int, int)[1:]))
-        elif kind == "frame":
-            if (t := rec.fields("frame", int)[1]) != len(frames):
-                raise rec.error(f"frame {t} at position {len(frames)}")
-            frames.append([])
-            frame_lines.append(rec.line_no)
-        elif kind == "kp":
-            if not frames:
-                raise rec.error("kp line before any frame line")
-            _, kp, *xyz = rec.fields("kp", int, float, float, float)
-            if kp != len(frames[-1]):
-                raise rec.error(f"kp {kp} at position {len(frames[-1])} of its frame")
-            frames[-1].append(xyz)
-        else:
-            raise rec.error(f"unknown record {kind!r}")
-    if declared.get("frames", len(frames)) != len(frames):
-        raise ParseError(path, 1, f"header declares frames={declared['frames']}, "
-                                  f"the file has {len(frames)}")
-    want, by = ((declared["keypoints"], "the header") if "keypoints" in declared
-                else (len(frames[0]) if frames else 0, "the first frame"))
-    for frame, line_no in zip(frames, frame_lines):
-        if len(frame) != want:
-            raise ParseError(path, line_no, f"frame has {len(frame)} keypoints, {by} {want}")
-    return np.array(frames, dtype=float).reshape(len(frames), want, 3), edges
-
-
 # --------------------------------------------------------------------------
 # Stand-in training corpus (no mocap dependency)
 
@@ -478,9 +430,11 @@ def make_band_corpus(count: int, seed: int,
                     cams=np.tile(camera.as_array(), (count, 1)))
 
 
-def real_data_from_dataset(path, frames: int = 1) -> RealData:
+def real_data_from_dataset(path, frames: int = 1,
+                           topology: Optional[SkeletonTopology] = None) -> RealData:
     """Load a text or binary dataset file into training arrays (grouping
-    frames by sequence); the format is told by the file's second line.
+    frames by sequence); the format is told by the file's second line, and
+    a header topology hash other than ``topology``'s warns.
 
     At 1 frame every row is a pose, whatever its sequence id.  Otherwise
     sequences come in ascending id order, each sequence's rows in ascending
@@ -490,7 +444,7 @@ def real_data_from_dataset(path, frames: int = 1) -> RealData:
     """
     if frames < 1:
         raise ValueError(f"a sample needs at least 1 frame, got {frames}")
-    rows = load_dataset(path)
+    rows = load_dataset(path, topology)
     if not len(rows):
         raise ValueError(f"{path}: dataset is empty")
     if frames == 1:

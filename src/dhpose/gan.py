@@ -460,16 +460,13 @@ def _fused_score(critic, inputs, encoders, head: str, tape: Tape,
     return nn.mlp_apply(critic.nets[head], ad.concat(outs, axis=1), tape, params.get(head))
 
 
-def score(critic, streams: dict, tape: Tape,
-          params: Optional[dict] = None) -> tuple[Tensor, list]:
-    """Per-sample score (B, 1), the sum of the critic's branch heads, plus
-    each branch's head score, in branch order."""
-    total, parts = None, []
+def score(critic, streams: dict, tape: Tape, params: Optional[dict] = None) -> Tensor:
+    """Per-sample score (B, 1), the sum of the critic's branch heads."""
+    total = None
     for keys, encoders, head in critic.branches:
         s = _fused_score(critic, [streams[k] for k in keys], encoders, head, tape, params)
         total = s if total is None else ad.add(total, s)
-        parts.append(s)
-    return total, parts
+    return total
 
 
 def _input_gradients(critic, streams: dict) -> tuple[list, list]:
@@ -561,7 +558,7 @@ frame_penalty = motion_penalty = penalty
 def discriminate(critic, streams: dict) -> np.ndarray:
     """Deterministic critic scores, (B,), numpy in and out, in the weights' dtype."""
     with Tape() as tape:
-        return score(critic, streams, tape)[0].values[:, 0]
+        return score(critic, streams, tape).values[:, 0]
 
 
 # --------------------------------------------------------------------------
@@ -639,8 +636,8 @@ def critic_loss(critics: dict, real: dict, fake: dict, alpha: float, rng: np.ran
     loss, terms = None, {}
     for name, critic in critics.items():
         leaves = (params or {}).get(name)
-        s_fake, _ = _alias(name, "score")(critic, fake, tape, leaves)
-        s_real, _ = _alias(name, "score")(critic, real, tape, leaves)
+        s_fake = _alias(name, "score")(critic, fake, tape, leaves)
+        s_real = _alias(name, "score")(critic, real, tape, leaves)
         pen = _alias(name, "penalty")(critic, hat, alpha, tape, leaves)
         term = ad.add(ad.sub(ad.mean(s_fake), ad.mean(s_real)), pen)
         loss = term if loss is None else ad.add(loss, term)
@@ -656,7 +653,7 @@ def generator_loss(critics: dict, fake: TapeGenOutput, tape: Tape) -> Tensor:
     _check_motion_streams(critics, fake.streams)
     loss = None
     for name, critic in critics.items():
-        s = ad.mean(_alias(name, "score")(critic, fake.streams, tape)[0])
+        s = ad.mean(_alias(name, "score")(critic, fake.streams, tape))
         loss = ad.neg(s) if loss is None else ad.sub(loss, s)
     return loss
 
@@ -721,7 +718,7 @@ def critic_update(state: TrainState, real: dict, fake: dict, gamma: int) -> dict
         nn.adam_update(state.adam[name], critic.nets.values(), leaves[name].values())
     # separation measured by the step's own forward pass, before its update
     frame = terms["frame"]
-    return {"loss": value, "d_gap": float(frame["real"].mean() - frame["fake"].mean())}
+    return {"d_gap": float(frame["real"].mean() - frame["fake"].mean())}
 
 
 def generator_update(state: TrainState, batch: int, gamma: int) -> dict:

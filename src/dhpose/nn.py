@@ -73,23 +73,23 @@ def mlp_init(sizes: Sequence[int], acts: Sequence[str], rng: np.random.Generator
     return Mlp(layers)
 
 
-def times_lrelu_derivative(x: np.ndarray, mask: np.ndarray, slope: float) -> np.ndarray:
+def times_lrelu_derivative(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """``x`` times the leaky-ReLU derivative of the bool mask ``pre >= 0``
-    (1 where it is set, else ``slope``), as one new array in ``x``'s dtype.
-
-    Bitwise equal to ``x * (mask * (1 - slope) + slope)``.  The derivative is
-    built here and not kept, so a layer stores one byte per element for it;
-    ``np.where`` or a masked multiply would be about 10x slower.
+    (1 where it is set, else ``LRELU_SLOPE``), as one new array in ``x``'s
+    dtype: bitwise ``x * (mask * (1 - LRELU_SLOPE) + LRELU_SLOPE)``.  The
+    derivative is built here and not kept, so a layer stores one byte per
+    element for it; ``np.where`` or a masked multiply would be about 10x
+    slower.
     """
     out = mask.astype(x.dtype)
-    out *= 1.0 - slope
-    out += slope
+    out *= 1.0 - LRELU_SLOPE
+    out += LRELU_SLOPE
     out *= x
     return out
 
 
-def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, act: str,
-                  slope: float) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+                  act: str) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """``act(x @ w + b)``, tanh and linear written into the one new array
     ``x @ w``, lrelu into a second one; x, w and b are only read.  Returns
     it and, for lrelu, the bool mask ``pre >= 0`` of the pre-activation
@@ -101,7 +101,7 @@ def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, act: str,
         np.tanh(z, out=z)
     elif act == "lrelu":
         mask = z >= 0.0
-        z = times_lrelu_derivative(z, mask, slope)
+        z = times_lrelu_derivative(z, mask)
     elif act != "linear":
         raise ValueError(f"unknown activation {act!r}")
     return z, mask
@@ -120,7 +120,7 @@ def mlp_eval(net: Mlp, x) -> np.ndarray:
     cast to the weights' dtype."""
     h = _as_input(net, x)
     for layer in net.layers:
-        h, _ = dense_forward(h, layer.w, layer.b, layer.act, LRELU_SLOPE)
+        h, _ = dense_forward(h, layer.w, layer.b, layer.act)
     return h
 
 
@@ -132,17 +132,15 @@ def mlp_trace(net: Mlp, x) -> tuple[np.ndarray, list]:
     h = _as_input(net, x)
     trace = []
     for layer in net.layers:
-        h, mask = dense_forward(h, layer.w, layer.b, layer.act, LRELU_SLOPE)
+        h, mask = dense_forward(h, layer.w, layer.b, layer.act)
         trace.append(h if layer.act == "tanh" else mask)
     return h, trace
 
 
-def mlp_leaves(tape: Tape, net: Mlp, var: bool = True) -> list:
-    """Each layer's ``(w, b)`` on the tape, in layer order: differentiable
-    leaves, or constants when not ``var``, whose values are the layer's
-    arrays themselves."""
-    leaf = tape.var if var else tape.const
-    return [(leaf(layer.w), leaf(layer.b)) for layer in net.layers]
+def mlp_leaves(tape: Tape, net: Mlp) -> list:
+    """Each layer's ``(w, b)`` as differentiable leaves on the tape, in layer
+    order, whose values are the layer's arrays themselves."""
+    return [(tape.var(layer.w), tape.var(layer.b)) for layer in net.layers]
 
 
 def mlp_apply(net: Mlp, x, tape: Tape, params: Optional[list] = None) -> Tensor:
@@ -165,7 +163,7 @@ def mlp_apply(net: Mlp, x, tape: Tape, params: Optional[list] = None) -> Tensor:
     inputs, trace = [], []
     for layer in net.layers:
         inputs.append(h)
-        h, mask = dense_forward(h, layer.w, layer.b, layer.act, LRELU_SLOPE)
+        h, mask = dense_forward(h, layer.w, layer.b, layer.act)
         trace.append(h if layer.act == "tanh" else mask)
 
     def bwd(g):
@@ -197,7 +195,7 @@ def mlp_vjp(net: Mlp, trace: list, upstream: np.ndarray,
         if layer.act == "tanh":
             g = g * (1.0 - trace[k] * trace[k])
         elif layer.act == "lrelu":
-            g = times_lrelu_derivative(g, trace[k], LRELU_SLOPE)
+            g = times_lrelu_derivative(g, trace[k])
         operands.append(g)
         g = g @ layer.w.T if k or input_grad else None
     return g, operands[::-1]
@@ -220,7 +218,7 @@ def mlp_vjp_pullback(net: Mlp, trace: list, operands: list,
         grads.append((operands[k].T @ g).T)
         g = g @ layer.w
         if layer.act == "lrelu":
-            g = times_lrelu_derivative(g, trace[k], LRELU_SLOPE)
+            g = times_lrelu_derivative(g, trace[k])
         operands[k] = trace[k] = None
     return grads, g
 

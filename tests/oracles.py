@@ -153,6 +153,17 @@ def record_line_ref(provenance, seq, frame, values):
             + " ".join(f"{v:.13g}" for v in values))
 
 
+def skeleton_video_ref(path):
+    """A skeleton-video file's lines after its header, by kind ("edge",
+    "frame" and "kp"): each line's tokens after the kind, as floats."""
+    lines = {"edge": [], "frame": [], "kp": []}
+    with open(path) as fh:
+        for line in fh.read().splitlines()[1:]:
+            kind, *values = line.split()
+            lines[kind].append([float(v) for v in values])
+    return lines
+
+
 def group_sequences_ref(rows, frames):
     """Video training arrays from a ``RowBlock``: sequences by id, frames by index."""
     by_seq = {}

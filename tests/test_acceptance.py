@@ -70,7 +70,7 @@ def test_criterion_rigidity_suite(topology):
 def test_criterion_constraint_soundness(table, topology):
     t0 = time.perf_counter()
     rng = RNG(102)
-    knee_ids = [table.id_of("l_knee_flex"), table.id_of("r_knee_flex")]
+    knee_ids = [table.names.index("l_knee_flex"), table.names.index("r_knee_flex")]
     total = 0
     for _ in range(10):
         raw = rng.standard_normal((100_000, 48))
@@ -151,7 +151,7 @@ def test_criterion_telescoping_identities(pairs, topology, camera):
 def test_criterion_angle_ambiguity(topology, table, pairs):
     t0 = time.perf_counter()
     # identical cosines, wrists far apart, for mirrored elbow flexion
-    elbow_id = table.id_of("l_elbow_flex")
+    elbow_id = table.names.index("l_elbow_flex")
     plus = np.zeros(48)
     plus[elbow_id] = np.pi / 2
     minus = np.zeros(48)
@@ -169,8 +169,8 @@ def test_criterion_angle_ambiguity(topology, table, pairs):
     # the bounded generator cannot emit negative elbow flexion
     cfg = gan.TrainConfig(gen_hidden=(64, 64), seed=104, epochs=5, beta_epoch=4)
     gen = gan.build_generator(cfg, RNG(104), topology, table)
-    elbow_ids = [table.id_of("l_elbow_flex"), table.id_of("r_elbow_flex")]
-    knee_ids = [table.id_of("l_knee_flex"), table.id_of("r_knee_flex")]
+    elbow_ids = [table.names.index("l_elbow_flex"), table.names.index("r_elbow_flex")]
+    knee_ids = [table.names.index("l_knee_flex"), table.names.index("r_knee_flex")]
     seen = 0
     rng = RNG(105)
     for _ in range(10):
@@ -279,8 +279,8 @@ def test_criterion_smoke_gan_run():
         real = gan._real_minibatch(state, data, eval_idx % len(data))
         fake, _ = gan._fake_minibatch(state, 1024)
         with ad.Tape() as tape:
-            s_real = gan.frame_score(state.critics["frame"], real, tape)[0].values
-            s_fake = gan.frame_score(state.critics["frame"], fake, tape)[0].values
+            s_real = gan.frame_score(state.critics["frame"], real, tape).values
+            s_fake = gan.frame_score(state.critics["frame"], fake, tape).values
         return float(s_real.mean() - s_fake.mean())
 
     gap1 = run_once()

@@ -12,6 +12,7 @@ import pytest
 from dhpose import cli
 from dhpose import dataset as dsio
 from dhpose import skeleton as sk
+from oracles import skeleton_video_ref
 from test_constraints import DAMAGED_TABLES, damaged_table
 from test_dataset_io import move_behind_the_camera
 
@@ -327,6 +328,21 @@ class TestTrain:
         assert code == 0
         assert (out_dir / "metrics.jsonl").exists()
 
+    @pytest.mark.parametrize("argv", [("features", "--sequence", "0"),
+                                      ("train", "--epochs", "1", "--batch", "4", "--out", "run")],
+                             ids=["features", "train"])
+    def test_data_of_another_topology_warns(self, capsys, tmp_path, monkeypatch, argv):
+        # a corpus written under the shipped topology, read under one whose
+        # spine_pitch rows read a = 0.3
+        monkeypatch.chdir(tmp_path)
+        dsio.save_dataset(dsio.rows_of(dsio.make_band_corpus(8, 2)), "d.txt")
+        text = sk.topology_to_text(sk.default_topology())
+        Path("topo.txt").write_text(text.replace(" spine_pitch 0.25 ", " spine_pitch 0.3 "))
+        says = "d.txt: dataset topology 6395f2e393c2 differs from expected aad3ba2f1e07"
+        with pytest.warns(UserWarning, match=f"^{says}$"):
+            code, _, _ = run(capsys, *argv, "--data", "d.txt", "--topology", "topo.txt")
+        assert code == 0
+
     def test_undecodable_data_is_a_data_error(self, capsys, tmp_path):
         data = tmp_path / "damaged.bin"
         dsio.save_dataset(dsio.rows_of(dsio.make_band_corpus(4, 2)), data, fmt="binary")
@@ -586,14 +602,20 @@ class TestSynthFromCheckpoint:
 
 
 class TestExportVideo:
-    def test_writes_a_loadable_video(self, capsys, tmp_path):
+    def test_writes_the_seed_s_sequence(self, capsys, tmp_path):
+        from dhpose import constraints as ct
+        from dhpose import gan
         path = tmp_path / "video.txt"
         code, out, _ = run(capsys, "export-video", "--out", str(path), "--frames", "6",
                            "--seed", "4")
         assert code == 0
-        frames, edges = dsio.load_skeleton_video(path)
-        assert frames.shape == (6, 16, 3)
-        assert len(edges) == 15
+        gen = cli._untrained_generator(4, "video", 6, sk.default_topology(),
+                                       ct.default_constraint_table())
+        z = gan.sample_latent(1, gen.net.in_dim, np.random.default_rng(4))
+        seq = gan.generate(gen, z).pose3d[0]
+        video = skeleton_video_ref(path)
+        assert [len(video[k]) for k in ("edge", "frame", "kp")] == [15, 6, 6 * 16]
+        assert np.max(np.abs(np.array(video["kp"])[:, 1:].reshape(seq.shape) - seq)) < 1e-9
 
     def test_single_frame_checkpoint_rejected(self, capsys, tmp_path):
         out_dir = tmp_path / "run"

@@ -298,11 +298,17 @@ class TestMotionCritic:
         zero_nets(critic)
         assert np.all(gan.discriminate(critic, streams) == 0.0)
 
+    @staticmethod
+    def _branch_scores(critic, streams, tape):
+        return [gan._fused_score(critic, [streams[k] for k in keys], encoders, head, tape, None)
+                for keys, encoders, head in critic.branches]
+
     def test_score_is_sum_of_branches(self, pairs):
         streams, cfg = self._streams(pairs)
         critic = gan.build_critic(gan.MOTION_BRANCHES, cfg, 14, RNG(18))
         tape = ad.Tape()
-        total, parts = gan.motion_score(critic, streams, tape)
+        total = gan.motion_score(critic, streams, tape)
+        parts = self._branch_scores(critic, streams, tape)
         assert len(parts) == len(critic.branches) == 3
         assert np.allclose(total.values, sum(p.values for p in parts), atol=1e-12)
 
@@ -310,8 +316,8 @@ class TestMotionCritic:
         streams, cfg = self._streams(pairs)
         critic = gan.build_critic(gan.MOTION_BRANCHES, cfg, 14, RNG(19))
         tape = ad.Tape()
-        before, parts = gan.motion_score(critic, streams, tape)
-        contribution = parts[2].values.copy()  # the head2d branch
+        before = gan.motion_score(critic, streams, tape)
+        contribution = self._branch_scores(critic, streams, tape)[2].values.copy()  # head2d
         for layer in critic.nets["head2d"].layers:
             layer.w = np.zeros_like(layer.w)
             layer.b = np.zeros_like(layer.b)
@@ -816,7 +822,7 @@ class TestTrainEpoch:
         before = copy.deepcopy(state.critics["frame"])
         with ad.Tape() as tape:
             params = gan.critic_leaves(tape, before)
-            s_real, s_fake = (gan.frame_score(before, b, tape, params)[0].values[:, 0]
+            s_real, s_fake = (gan.frame_score(before, b, tape, params).values[:, 0]
                               for b in (real, fake))
         calls = []
         mlp_eval = nn.mlp_eval

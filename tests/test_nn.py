@@ -145,9 +145,9 @@ class TestForward:
         out = nn.mlp_apply(net, x, tape, leaves)
         assert np.array_equal(out.values, dense_ref(x0, w0, b0, act))
         if act == "lrelu":
-            mask = nn.dense_forward(x0, w0, b0, act, nn.LRELU_SLOPE)[1]
+            mask = nn.dense_forward(x0, w0, b0, act)[1]
             assert mask.dtype == bool
-            assert np.array_equal(nn.times_lrelu_derivative(np.ones(mask.shape), mask, 0.2),
+            assert np.array_equal(nn.times_lrelu_derivative(np.ones(mask.shape), mask),
                                   leaky_relu_mask_ref(x0 @ w0 + b0))
         ad.backward(tape, ad.sum_(ad.mul(out, out)))
         for leaf, before in ((x, x0), (leaves[0][0], w0), (leaves[0][1], b0)):
@@ -288,12 +288,13 @@ def test_constant_leaves_get_no_gradient_and_leave_the_input_gradient_as_without
     net = float64_copy(nn.mlp_init([4, 5, 2], ["lrelu", "linear"], RNG(33)))
     x0 = RNG(34).normal(size=(3, 4))
     grads = []
-    for var in (False, None):
+    for const in (True, False):
         tape = ad.Tape()
         x = tape.var(x0.copy())
-        leaves = None if var is None else nn.mlp_leaves(tape, net, var)
+        leaves = ([(tape.const(layer.w), tape.const(layer.b)) for layer in net.layers]
+                  if const else None)
         ad.backward(tape, ad.sum_(nn.mlp_apply(net, x, tape, leaves)))
-        if leaves is not None:
+        if const:
             assert all(leaf.grad is None for pair in leaves for leaf in pair)
         grads.append(x.grad)
     assert np.array_equal(grads[0], grads[1])
@@ -302,8 +303,8 @@ def test_constant_leaves_get_no_gradient_and_leave_the_input_gradient_as_without
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_bool_mask_products_match_the_float_mask_bits(dtype):
     # the lrelu derivative built from the bool mask z >= 0, times z or a
-    # gradient, against the same product with the float mask {1, slope} in
-    # z's dtype: the product itself, dense_forward and a pass's pullback
+    # gradient, against the same product with the float mask {1, LRELU_SLOPE}
+    # in z's dtype: the product itself, dense_forward and a pass's pullback
     rng = RNG(18)
     info = np.finfo(dtype)
     edge = [0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal, info.tiny, -info.tiny,
@@ -317,15 +318,14 @@ def test_bool_mask_products_match_the_float_mask_bits(dtype):
         assert a.dtype == dtype
         return a.view(np.int32 if dtype == np.float32 else np.int64)
 
-    for slope in (0.2, 0.01, 0.3):
-        ref = leaky_relu_mask_ref(z, slope).astype(dtype)
-        mask = z >= 0.0
-        assert np.array_equal(bits(nn.times_lrelu_derivative(z, mask, slope)), bits(z * ref))
-        out, got_mask = nn.dense_forward(x, w, b, "lrelu", slope)
-        assert np.array_equal(got_mask, x @ w + b >= 0.0)
-        assert np.array_equal(bits(out), bits(dense_ref(x, w, b, "lrelu", slope)))
-        assert np.array_equal(bits(nn.times_lrelu_derivative(g, mask, slope)), bits(g * ref))
-    # a pass's pullback, at the nets' slope
+    ref = leaky_relu_mask_ref(z, nn.LRELU_SLOPE).astype(dtype)
+    mask = z >= 0.0
+    assert np.array_equal(bits(nn.times_lrelu_derivative(z, mask)), bits(z * ref))
+    out, got_mask = nn.dense_forward(x, w, b, "lrelu")
+    assert np.array_equal(got_mask, x @ w + b >= 0.0)
+    assert np.array_equal(bits(out), bits(dense_ref(x, w, b, "lrelu", nn.LRELU_SLOPE)))
+    assert np.array_equal(bits(nn.times_lrelu_derivative(g, mask)), bits(g * ref))
+    # a pass's pullback
     tape = ad.Tape()
     xt = tape.var(x)
     out = nn.mlp_apply(nn.Mlp([nn.LayerSpec(w, b, "lrelu")]), xt, tape)
@@ -538,7 +538,8 @@ class TestGradientPenalty:
         tape = ad.Tape()
         leaves = gan.critic_leaves(tape, critic)
         params = {"head": leaves["head"],
-                  "enc_cos": nn.mlp_leaves(tape, critic.nets["enc_cos"], var=False)}
+                  "enc_cos": [(tape.const(layer.w), tape.const(layer.b))
+                              for layer in critic.nets["enc_cos"].layers]}
         pen = gan.frame_penalty(critic, streams, 10.0, tape, params)
         assert pen.parents == tuple(w for name in ("enc_cos", "head") for w, _ in params[name])
         ad.backward(tape, pen)

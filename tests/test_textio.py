@@ -21,7 +21,7 @@ def _checkpoint(path):
     gan.save_generator(gen, path, seed=0)
 
 
-# reader -> (write a good file, line to damage, numeric token on it, load, CLI argv or None)
+# reader -> (write a good file, line to damage, numeric token on it, load, CLI argv)
 READERS = {
     "topology": (lambda p: p.write_text(sk.topology_to_text(sk.default_topology())),
                  5, 4, sk.load_topology, ["fk", "--topology", "{path}"]),
@@ -36,8 +36,6 @@ READERS = {
                ["fk", "--params", "{path}"]),
     "checkpoint": (_checkpoint, 10, 3, nn.load_checkpoint,
                    ["synth", "--count", "4", "--out", "{tmp}/out.txt", "--checkpoint", "{path}"]),
-    "skeleton video": (lambda p: dsio.export_skeleton_video(np.ones((2, 16, 3)), p),
-                       18, 2, dsio.load_skeleton_video, None),
     "dataset": (lambda p: dsio.save_dataset(dsio.rows_of(dsio.make_band_corpus(4, 2)), p),
                 3, 10, dsio.load_dataset, ["features", "--data", "{path}"]),
 }
@@ -70,10 +68,9 @@ def test_bad_line_is_a_parse_error_naming_file_and_line(capsys, tmp_path, reader
     with pytest.raises(ParseError, match="^" + re.escape(says)) as err:
         load(path)
     assert err.value.line_no == line_no
-    if argv:
-        (tmp_path / "zeros.txt").write_text(" ".join(["0"] * 48) + "\n")
-        assert cli.run_cli([a.format(path=path, tmp=tmp_path) for a in argv]) == 2
-        assert capsys.readouterr().err.startswith("error: " + says)
+    (tmp_path / "zeros.txt").write_text(" ".join(["0"] * 48) + "\n")
+    assert cli.run_cli([a.format(path=path, tmp=tmp_path) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: " + says)
 
 
 # a row's tokens: row branch idx name a d alpha theta var_a var_d var_alpha var_theta
