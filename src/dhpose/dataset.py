@@ -382,9 +382,12 @@ def synthesize_dataset(gen, count: int, mode: str, seed: int, path,
 def export_skeleton_video(sequence, path, topology: Optional[SkeletonTopology] = None) -> None:
     """Frame-by-frame keypoints plus the bone edges, for external plotting."""
     seq = np.asarray(sequence, dtype=np.float64)
-    if seq.ndim != 3 or seq.shape[0] < 1:
-        raise ValueError(f"expected a non-empty (T, K, 3) sequence, got {seq.shape}")
     topo = topology or default_topology()
+    if seq.ndim != 3 or seq.shape[0] < 1 or seq.shape[1:] != (topo.keypoint_count, 3):
+        raise ValueError(f"expected a non-empty (T, {topo.keypoint_count}, 3) sequence, "
+                         f"got {seq.shape}")
+    if not np.isfinite(seq).all():
+        raise ValueError("the sequence holds a non-finite coordinate")
     lines = [f"# dhpose skeleton-video v1 topology={topology_hash(topo)} "
              f"frames={seq.shape[0]} keypoints={seq.shape[1]}"]
     for parent, child in topo.bone_list:

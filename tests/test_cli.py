@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -328,19 +329,32 @@ class TestTrain:
         assert code == 0
         assert (out_dir / "metrics.jsonl").exists()
 
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
     @pytest.mark.parametrize("argv", [("features", "--sequence", "0"),
                                       ("train", "--epochs", "1", "--batch", "4", "--out", "run")],
                              ids=["features", "train"])
-    def test_data_of_another_topology_warns(self, capsys, tmp_path, monkeypatch, argv):
+    def test_data_of_another_topology_warns(self, capsys, tmp_path, monkeypatch, argv, fmt):
         # a corpus written under the shipped topology, read under one whose
         # spine_pitch rows read a = 0.3
         monkeypatch.chdir(tmp_path)
-        dsio.save_dataset(dsio.rows_of(dsio.make_band_corpus(8, 2)), "d.txt")
+        dsio.save_dataset(dsio.rows_of(dsio.make_band_corpus(8, 2)), "d.txt", fmt=fmt)
         text = sk.topology_to_text(sk.default_topology())
         Path("topo.txt").write_text(text.replace(" spine_pitch 0.25 ", " spine_pitch 0.3 "))
         says = "d.txt: dataset topology 6395f2e393c2 differs from expected aad3ba2f1e07"
         with pytest.warns(UserWarning, match=f"^{says}$"):
             code, _, _ = run(capsys, *argv, "--data", "d.txt", "--topology", "topo.txt")
+        assert code == 0
+
+    @pytest.mark.parametrize("argv", [("features", "--sequence", "0"),
+                                      ("train", "--epochs", "1", "--batch", "4", "--out", "run")],
+                             ids=["features", "train"])
+    def test_data_of_the_run_topology_reads_without_a_warning(self, capsys, tmp_path,
+                                                              monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        dsio.save_dataset(dsio.rows_of(dsio.make_band_corpus(8, 2)), "d.txt")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, _ = run(capsys, *argv, "--data", "d.txt")
         assert code == 0
 
     def test_undecodable_data_is_a_data_error(self, capsys, tmp_path):

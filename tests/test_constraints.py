@@ -143,6 +143,17 @@ class TestValidate:
         assert ct.validate_params(table.lo.copy(), table).ok
         assert ct.validate_params(table.hi.copy(), table).ok
 
+    def test_report_invariant(self, table):
+        # ok is worked out from the violations, so no report disagrees with them
+        params = np.zeros(48)
+        params[table.names.index("l_knee_flex")] = 0.5
+        for report in (ct.validate_params(np.zeros(48), table), ct.validate_params(params, table)):
+            assert report.ok is (not report.violations)
+        with pytest.raises(TypeError):
+            ct.ValidationReport(ok=False, violations=())
+        with pytest.raises(AttributeError):
+            report.ok = True
+
 
 class TestDefaultTable:
     def test_knee_bounds(self, table):

@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +84,17 @@ class TestRoundTrip:
         path.write_text(text)
         with pytest.warns(UserWarning, match="topology"):
             dsio.load_dataset(path, topology)
+
+    def test_topology_check_is_opt_in(self, tmp_path, topology):
+        # a caller that passes no topology, as the path-only reload does, gets no warning
+        path = tmp_path / "data.txt"
+        dsio.save_dataset(random_rows(3, seed=4), path)
+        path.write_text(path.read_text().replace(sk.topology_hash(topology), "000000000000"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dsio.real_data_from_dataset(path)
+        with pytest.warns(UserWarning, match="000000000000 differs from expected"):
+            dsio.real_data_from_dataset(path, topology=topology)
 
     def test_missing_header_is_a_parse_error(self, tmp_path):
         path = tmp_path / "nohdr.txt"
@@ -571,17 +584,46 @@ class TestSkeletonVideo:
         out = gan.generate(gen, gan.sample_latent(1, 128, RNG(seed)))
         return out.pose3d[0]
 
-    def test_lines_match_the_sequence(self, tmp_path, topology):
+    def test_structure(self, tmp_path, topology):
         seq = self._sequence()
         path = tmp_path / "video.txt"
         dsio.export_skeleton_video(seq, path, topology)
         video = skeleton_video_ref(path)
         assert [len(video[k]) for k in ("edge", "frame", "kp")] == [15, 9, 9 * 16]
-        assert [tuple(map(int, e)) for e in video["edge"]] == list(topology.bone_list)
         assert [f for f, in video["frame"]] == list(range(9))
-        kp = np.array(video["kp"])
-        assert np.array_equal(kp[:, 0], np.tile(np.arange(16), 9))
-        assert np.max(np.abs(kp[:, 1:].reshape(seq.shape) - seq)) < 1e-9
+        assert np.array_equal(np.array(video["kp"])[:, 0], np.tile(np.arange(16), 9))
+
+    def test_round_trip(self, tmp_path, topology):
+        # the written edges are the topology's bones, the written keypoints the sequence
+        seq = self._sequence()
+        path = tmp_path / "video.txt"
+        dsio.export_skeleton_video(seq, path, topology)
+        video = skeleton_video_ref(path)
+        assert [tuple(map(int, e)) for e in video["edge"]] == list(topology.bone_list)
+        assert np.max(np.abs(np.array(video["kp"])[:, 1:].reshape(seq.shape) - seq)) < 1e-9
+
+    @pytest.mark.parametrize("frames", [1, 3])
+    @pytest.mark.parametrize("spine_pitch, topology_hash",
+                             [("0.25", "6395f2e393c2"), ("0.3", "aad3ba2f1e07")])
+    def test_header_names_the_topology_and_the_counts(self, tmp_path, frames, spine_pitch,
+                                                      topology_hash):
+        text = sk.topology_to_text(sk.default_topology())
+        topo = sk.topology_from_text(text.replace(" spine_pitch 0.25 ",
+                                                  f" spine_pitch {spine_pitch} "))
+        path = tmp_path / "video.txt"
+        dsio.export_skeleton_video(RNG(frames).normal(size=(frames, 16, 3)), path, topo)
+        assert path.read_text().splitlines()[0] == (
+            f"# dhpose skeleton-video v1 topology={topology_hash} frames={frames} keypoints=16")
+        assert len(skeleton_video_ref(path)["frame"]) == frames
+
+    @settings(max_examples=40, deadline=None)
+    @given(xyz=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3,
+                        max_size=3))
+    def test_coordinates_are_written_to_13_digits(self, tmp_path_factory, xyz):
+        path = tmp_path_factory.getbasetemp() / "digits.txt"
+        dsio.export_skeleton_video(np.tile(xyz, (1, 16, 1)), path)
+        expected = [float(f"{v:.13g}") for v in xyz]
+        assert all(kp[1:] == expected for kp in skeleton_video_ref(path)["kp"])
 
     def test_exported_knee_cosines_stay_in_flexion_range(self, tmp_path, topology, pairs):
         # knee deltas are bounded to [-pi, 0]; the written frames' cosines must fit flexion
@@ -600,6 +642,25 @@ class TestSkeletonVideo:
     def test_empty_sequence_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="non-empty"):
             dsio.export_skeleton_video(np.zeros((0, 16, 3)), tmp_path / "x.txt")
+
+    @pytest.mark.parametrize("shape, bad", [
+        ((16, 3), None), ((2, 16, 2), None), ((2, 16, 4), None), ((2, 15, 3), None),
+        ((2, 17, 3), None), ((2, 16, 3), np.nan), ((2, 16, 3), np.inf), ((2, 16, 3), -np.inf),
+    ], ids=["one-frame-array", "2d-points", "4d-points", "15-keypoints", "17-keypoints",
+            "nan", "inf", "-inf"])
+    def test_malformed_sequence_rejected_before_the_file_opens(self, tmp_path, shape, bad):
+        # the file's readers are external plotting tools: the writer keeps its
+        # counts and numbers sound
+        seq = np.ones(shape)
+        if bad is None:
+            says = re.escape(f"expected a non-empty (T, 16, 3) sequence, got {shape}")
+        else:
+            seq[1, 7, 2] = bad
+            says = "the sequence holds a non-finite coordinate"
+        path = tmp_path / "x.txt"
+        with pytest.raises(ValueError, match=f"^{says}$"):
+            dsio.export_skeleton_video(seq, path)
+        assert not path.exists()
 
 
 class TestBandCorpus:

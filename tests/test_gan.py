@@ -274,6 +274,14 @@ class TestFrameCritic:
         with pytest.raises(ad.ShapeError, match="camera batch"):
             gan.feature_batch(data.pose3d, data.pose2d, data.cams[:5], pairs)
 
+    def test_score_is_its_one_branch(self, pairs):
+        critic = gan.build_critic(gan.FRAME_BRANCHES, tiny_config(), 14, RNG(16))
+        streams = self._streams(pairs)
+        tape = ad.Tape()
+        (keys, encoders, head), = critic.branches
+        branch = gan._fused_score(critic, [streams[k] for k in keys], encoders, head, tape, None)
+        assert np.array_equal(gan.score(critic, streams, tape).values, branch.values)
+
     def test_cosine_stream_wired_in(self, pairs):
         cfg = tiny_config()
         critic = gan.build_critic(gan.FRAME_BRANCHES, cfg, 14, RNG(15))

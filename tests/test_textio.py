@@ -38,6 +38,10 @@ READERS = {
                    ["synth", "--count", "4", "--out", "{tmp}/out.txt", "--checkpoint", "{path}"]),
     "dataset": (lambda p: dsio.save_dataset(dsio.rows_of(dsio.make_band_corpus(4, 2)), p),
                 3, 10, dsio.load_dataset, ["features", "--data", "{path}"]),
+    # a binary dataset's count line, the one text line ahead of its records
+    "binary dataset": (lambda p: dsio.save_dataset(dsio.rows_of(dsio.make_band_corpus(4, 2)),
+                                                   p, fmt="binary"),
+                       2, 1, dsio.load_dataset, ["features", "--data", "{path}"]),
 }
 
 
